@@ -7,10 +7,9 @@ non-dominated archive scored by exact hypervolume and sparsity.
 """
 
 from .archive import NonDominatedSet, PolicyEntry, dominates, hypervolume, sparsity
+from .config import ConfigError, EvolutionConfig, PolicyConfig, resolve_config
 from .evolution import (
-    GenerationConfig,
     Trainer,
-    UpdateConfig,
     distance_to_ref,
     evenly_spread_weights,
     paft_select,
@@ -38,16 +37,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AscentResult",
+    "ConfigError",
+    "EvolutionConfig",
     "GaussianPolicy",
-    "GenerationConfig",
     "MOMDPSpec",
     "NonDominatedSet",
+    "PolicyConfig",
     "PolicyEntry",
     "RolloutBatch",
     "Trainer",
     "Trajectory",
     "Transition",
-    "UpdateConfig",
     "VectorCritic",
     "analytic_two_objective_alpha",
     "collect_batch",
@@ -65,5 +65,6 @@ __all__ = [
     "pgr_select",
     "ppo_update",
     "project_to_simplex",
+    "resolve_config",
     "sparsity",
 ]

@@ -134,7 +134,7 @@ def _hv3(points: np.ndarray, z: np.ndarray) -> float:
             continue
         active = points[points[:, 2] >= level][:, :2]
         volume += _hv2(active, z[:2]) * thickness
-    return volume
+    return float(volume)
 
 
 def hypervolume(points, z) -> float:

@@ -19,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .archive import NonDominatedSet, PolicyEntry, hypervolume, sparsity
+from .config import EvolutionConfig, PolicyConfig
 from .momdp import MOMDPEnv, mo_return
 from .pareto import min_norm_direction
 from .policy import (
@@ -33,10 +34,8 @@ from .policy import (
 __all__ = [
     "CheckpointStore",
     "FinetuneJob",
-    "GenerationConfig",
     "Trainer",
     "TrainingState",
-    "UpdateConfig",
     "distance_to_ref",
     "evenly_spread_weights",
     "gap_pair_weights",
@@ -48,72 +47,6 @@ __all__ = [
 _SELECTION_STREAM = 1_000_000
 # Namespace for the fixed evaluation episode seeds of a run.
 _EVAL_STREAM = 2_000_000
-
-
-@dataclass
-class GenerationConfig:
-    """Knobs of the generational loop.
-
-    ``paft_start`` is the first generation index (0-based) that splits the
-    budget between ascent updates and fine-tuning; before it the whole
-    population budget goes to ascent updates. ``pgr_regions`` defaults to
-    the number of policies to select; ``paft_pairs`` defaults to the pair
-    budget left after the per-objective extremes.
-    """
-
-    total_generations: int
-    paft_start: int
-    iters_per_generation: int
-    warmup_iters: int
-    population_size: int
-    reference_point: np.ndarray
-    seed: int = 0
-    pgr_regions: int | None = None
-    pgr_top_k: int = 2
-    paft_pairs: int | None = None
-    alpha_recompute_interval: int = 0
-    snapshot_every: int = 1
-    paft_enabled: bool = True
-
-    def __post_init__(self):
-        self.reference_point = np.asarray(self.reference_point, dtype=float)
-        if self.total_generations < 0:
-            raise ValueError("total_generations must be >= 0")
-        if self.paft_start < 1 or (self.total_generations >= 1
-                                   and self.paft_start > self.total_generations):
-            raise ValueError(
-                f"paft_start must lie in [1, total_generations], got {self.paft_start}"
-            )
-        if self.iters_per_generation < 1 or self.warmup_iters < 0:
-            raise ValueError("iteration budgets out of range")
-        if self.population_size < 2 or self.population_size % 2 != 0:
-            raise ValueError(
-                f"population_size must be even and >= 2, got {self.population_size}"
-            )
-        if self.pgr_regions is not None and self.pgr_regions < 1:
-            raise ValueError("pgr_regions must be >= 1")
-        if self.pgr_top_k < 1:
-            raise ValueError("pgr_top_k must be >= 1")
-        if self.paft_pairs is not None and self.paft_pairs < 0:
-            raise ValueError("paft_pairs must be >= 0")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-
-
-@dataclass
-class UpdateConfig:
-    """Hyperparameters of a single policy-update iteration."""
-
-    lr: float = 5e-3
-    clip_eps: float = 0.2
-    epochs: int = 4
-    gamma: float = 1.0
-    lam: float = 0.95
-    batch_episodes: int = 32
-    normalize_advantages: bool = True
-    optimizer: str = "adam"
-    init_scale: float = 0.1
-    log_std_init: float = -0.5
 
 
 @dataclass(frozen=True)
@@ -378,7 +311,7 @@ def _gap_edges(P: np.ndarray) -> list[tuple[int, int, float]]:
     return edges
 
 
-def paft_select(ndset: NonDominatedSet, config: GenerationConfig) -> list[FinetuneJob]:
+def paft_select(ndset: NonDominatedSet, config: EvolutionConfig) -> list[FinetuneJob]:
     """Plan the fine-tuning jobs for one generation.
 
     Emits two jobs per selected gap pair (weights pointing into the gap
@@ -391,11 +324,11 @@ def paft_select(ndset: NonDominatedSet, config: GenerationConfig) -> list[Finetu
         raise ValueError("fine-tuning selection needs at least two frontier entries")
     P = np.stack([e.objectives for e in entries])
     m = P.shape[1]
-    p_b = config.population_size // 2
+    p_b = config.p // 2
     n_pairs = config.paft_pairs
     if n_pairs is None:
         n_pairs = max(0, (p_b - m) // 2)
-    budget = config.iters_per_generation
+    budget = config.m_iters
 
     jobs: list[FinetuneJob] = []
     if n_pairs > 0:
@@ -430,38 +363,41 @@ def ascent_weights(grads) -> tuple[np.ndarray, bool]:
 
 
 class Trainer:
-    """Runs warmup and the generational loop on one environment."""
+    """Runs warmup and the generational loop on one environment.
+
+    ``evolution`` and ``update`` are the config sections of the same names,
+    used as they are: ``evolution.reference_point`` must be set, and a null
+    ``update.gamma`` uses the environment's discount.
+    """
 
     def __init__(
         self,
         env: MOMDPEnv,
         policy: GaussianPolicy,
         critic: VectorCritic,
-        gen_config: GenerationConfig,
-        update_config: UpdateConfig | None = None,
+        evolution: EvolutionConfig,
+        update: PolicyConfig,
+        seed: int,
         eval_episodes: int = 8,
+        paft_enabled: bool = True,
     ):
         if policy.state_dim != env.spec.state_dim or policy.action_dim != env.spec.action_dim:
             raise ValueError("policy dimensions do not match the environment")
         if critic.num_objectives != env.spec.num_objectives:
             raise ValueError("critic output count does not match the objectives")
-        if env.spec.num_objectives != np.asarray(gen_config.reference_point).size:
-            raise ValueError("reference point length does not match the objectives")
         self.env = env
         self.policy = policy
         self.critic = critic
-        self.gen_config = gen_config
-        self.update_config = update_config or UpdateConfig()
-        if eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
-        eval_ss = np.random.SeedSequence([gen_config.seed, _EVAL_STREAM])
+        self.evolution = evolution
+        self.update = update.for_env(env)
+        self.seed = seed
+        self.paft_enabled = paft_enabled
+        eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM])
         self.eval_seeds = [int(s) for s in eval_ss.generate_state(eval_episodes)]
         self.state: TrainingState | None = None
 
     def _lane_rng(self, generation: int, lane: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self.gen_config.seed, generation, lane])
-        )
+        return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))
 
     def evaluate(self, params: np.ndarray) -> np.ndarray:
         """Mean objective vector of the deterministic policy on the fixed eval episodes."""
@@ -482,8 +418,8 @@ class Trainer:
         Returns the final (params, critic_params), the per-iteration
         snapshots, and the number of stationary fallbacks.
         """
-        cfg = self.gen_config
-        upd = self.update_config
+        cfg = self.evolution
+        upd = self.update
         weights = fixed_weights
         fallbacks = 0
         snapshots = []
@@ -515,19 +451,19 @@ class Trainer:
 
     def warmup(self, state: TrainingState) -> None:
         """Train the initial population: one evenly spread weight per policy."""
-        cfg = self.gen_config
-        upd = self.update_config
+        cfg = self.evolution
+        upd = self.update
         m = self.env.spec.num_objectives
-        weight_grid = evenly_spread_weights(m, cfg.population_size)
-        for lane in range(cfg.population_size):
+        weight_grid = evenly_spread_weights(m, cfg.p)
+        for lane in range(cfg.p):
             rng = self._lane_rng(0, lane)
             params = self.policy.init_params(
                 rng, weight_scale=upd.init_scale, log_std_init=upd.log_std_init
             )
             critic_params = self.critic.init_params(rng, weight_scale=upd.init_scale)
-            if cfg.warmup_iters > 0:
+            if cfg.m_w > 0:
                 params, critic_params, _, _ = self._train_lane(
-                    params, critic_params, cfg.warmup_iters, rng,
+                    params, critic_params, cfg.m_w, rng,
                     fixed_weights=weight_grid[lane],
                 )
             ref = state.store.add(params, critic_params)
@@ -537,10 +473,10 @@ class Trainer:
 
     def run_generation(self, state: TrainingState, gen_index: int) -> TrainingState:
         """Run one generation (0-based index); mutates and returns ``state``."""
-        cfg = self.gen_config
-        p = cfg.population_size
+        cfg = self.evolution
+        p = cfg.p
         generation = gen_index + 1
-        paft_active = cfg.paft_enabled and gen_index >= cfg.paft_start
+        paft_active = self.paft_enabled and gen_index >= cfg.M_ft
         p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
 
         sel_rng = self._lane_rng(generation, _SELECTION_STREAM)
@@ -574,9 +510,8 @@ class Trainer:
         for lane_index, (source, origin, fixed_weights) in enumerate(lanes):
             rng = self._lane_rng(generation, lane_index)
             params, critic_params = state.store.get(origin.params_ref)
-            iters = cfg.iters_per_generation
             _, _, snapshots, fallbacks = self._train_lane(
-                params, critic_params, iters, rng, fixed_weights
+                params, critic_params, cfg.m_iters, rng, fixed_weights
             )
             state.stationary_fallbacks += fallbacks
             final_entry = None
@@ -602,7 +537,7 @@ class Trainer:
         state.metrics.append(
             {
                 "generation": generation,
-                "hv": hypervolume(points, self.gen_config.reference_point),
+                "hv": hypervolume(points, self.evolution.reference_point),
                 "sp": sparsity(points),
                 "archive_size": len(state.archive),
                 "stationary_fallbacks": fallbacks,
@@ -624,7 +559,7 @@ class Trainer:
         start = time.perf_counter()
         self.warmup(state)
         self._record_metrics(state, 0, 0, time.perf_counter() - start)
-        for gen_index in range(self.gen_config.total_generations):
+        for gen_index in range(self.evolution.M):
             start = time.perf_counter()
             before = state.stationary_fallbacks
             self.run_generation(state, gen_index)

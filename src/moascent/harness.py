@@ -1,7 +1,7 @@
-"""Experiment harness: configuration, CLI, run directories, and reports.
+"""Experiment harness: CLI, run directories, and reports.
 
-A run is described by a single YAML file (see ``DEFAULT_CONFIG`` and the
-README schema table) and may be tweaked from the command line with dotted
+A run is described by a single YAML file (see :mod:`moascent.config` and
+the README schema table) and may be tweaked from the command line with dotted
 ``--override`` paths. Every seed produces one immutable timestamped run
 directory containing the resolved config, the per-generation metrics CSV,
 the frontier JSON with its checkpoints, and the selection log; reports only
@@ -11,10 +11,10 @@ read such directories.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import sys
+from dataclasses import asdict, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -22,8 +22,9 @@ import numpy as np
 import yaml
 
 from .archive import frontier_document, hypervolume, parse_frontier, sparsity
-from .evolution import GenerationConfig, Trainer, UpdateConfig
-from .momdp import DEFAULT_REFERENCE_POINTS, MOMDPEnv, make_env, mo_return
+from .config import Config, ConfigError, load_config, parse_override, resolve_config
+from .evolution import Trainer
+from .momdp import MOMDPEnv, make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
 
 __all__ = [
@@ -43,255 +44,15 @@ METRICS_HEADER = ["generation", "hv", "sp", "archive_size", "stationary_fallback
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "experiment": None,  # required: experiment id, doubles as the method tag
-    "env": {
-        "name": None,  # required: mo_point | mo_quadratic | mo_quadratic3
-        "params": {},
-    },
-    "policy": {
-        "hidden": 32,
-        "critic_hidden": 32,
-        "lr": 5e-3,
-        "clip_eps": 0.2,
-        "epochs": 4,
-        "gamma": None,  # null: use the environment's discount
-        "lam": 0.95,
-        "batch_episodes": 32,
-        "normalize_advantages": True,
-        "optimizer": "adam",
-        "init_scale": 0.1,
-        "log_std_init": -0.5,
-    },
-    "evolution": {
-        "M": 10,
-        "M_ft": None,  # null: max(1, M // 3)
-        "m_iters": 20,
-        "m_w": 10,
-        "p": 8,
-        "pgr_regions": None,
-        "pgr_top_k": 2,
-        "paft_pairs": None,
-        "reference_point": None,  # null: per-environment default
-        "alpha_recompute_interval": 0,
-        "snapshot_every": 1,
-    },
-    "paft": {"enabled": True},
-    "eval": {"episodes": 8},
-    "output_dir": "runs",
-    "seeds": [0, 1, 2, 3, 4, 5],
-}
 
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
-
-
-def load_config(path) -> dict:
-    """Read a YAML config file into a plain dict."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a mapping, got {type(raw).__name__}")
-    return raw
-
-
-def _parse_override(text: str) -> tuple[list[str], object]:
-    if "=" not in text:
-        raise ConfigError(f"override {text!r} must look like section.key=value")
-    key, _, value = text.partition("=")
-    key = key.strip()
-    if not key:
-        raise ConfigError(f"override {text!r} has an empty path")
-    try:
-        parsed = yaml.safe_load(value)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"override {text!r} has an unparsable value: {exc}") from exc
-    return key.split("."), parsed
-
-
-def apply_overrides(cfg: dict, overrides) -> dict:
-    """Apply ``section.key=value`` overrides (values parsed as YAML scalars)."""
-    cfg = copy.deepcopy(cfg)
-    for text in overrides or ():
-        path, value = _parse_override(text)
-        node = cfg
-        for part in path[:-1]:
-            nxt = node.setdefault(part, {})
-            if not isinstance(nxt, dict):
-                raise ConfigError(f"override path {'.'.join(path)} crosses a non-section value")
-            node = nxt
-        node[path[-1]] = value
-    return cfg
-
-
-def _merge_defaults(defaults: dict, user: dict, prefix: str = "") -> dict:
-    merged = {}
-    for key, default in defaults.items():
-        dotted = f"{prefix}{key}"
-        if key in user:
-            value = user[key]
-            if isinstance(default, dict) and key != "params":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{dotted}: expected a mapping")
-                merged[key] = _merge_defaults(default, value, prefix=f"{dotted}.")
-            else:
-                merged[key] = copy.deepcopy(value)
-        else:
-            merged[key] = copy.deepcopy(default)
-    for key in user:
-        if key not in defaults:
-            raise ConfigError(f"{prefix}{key}: unknown configuration field")
-    return merged
-
-
-def _require(cfg: dict, dotted: str, types, predicate=None, what: str = ""):
-    node = cfg
-    for part in dotted.split("."):
-        node = node[part]
-    type_tuple = types if isinstance(types, tuple) else (types,)
-    ok = node is not None and isinstance(node, type_tuple)
-    if ok and isinstance(node, bool) and bool not in type_tuple:
-        ok = False  # bool is an int subclass; reject it where numbers are expected
-    if not ok:
-        raise ConfigError(f"{dotted}: missing or invalid value ({what or 'required'})")
-    if predicate is not None and not predicate(node):
-        raise ConfigError(f"{dotted}: invalid value {node!r} ({what})")
-    return node
-
-
-def resolve_config(raw: dict, overrides=()) -> dict:
-    """Merge defaults, apply overrides, fill derived values, and validate.
-
-    Returns the fully resolved config dict: writing it back to YAML and
-    re-running it reproduces the run bit for bit.
-    """
-    cfg = _merge_defaults(DEFAULT_CONFIG, apply_overrides(raw, overrides))
-
-    _require(cfg, "experiment", str, lambda s: len(s) > 0, "experiment id")
-    env_name = _require(cfg, "env.name", str, lambda s: len(s) > 0, "environment name")
-    if not isinstance(cfg["env"]["params"], dict):
-        raise ConfigError("env.params: expected a mapping")
-    try:
-        env = make_env(env_name, **cfg["env"]["params"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"env: {exc}") from exc
-
-    pol = cfg["policy"]
-    _require(cfg, "policy.hidden", int, lambda v: v >= 0, "0 for linear, else hidden units")
-    _require(cfg, "policy.critic_hidden", int, lambda v: v >= 0, ">= 0")
-    _require(cfg, "policy.lr", (int, float), lambda v: v > 0, "positive learning rate")
-    _require(cfg, "policy.clip_eps", (int, float), lambda v: 0 < v < 1, "in (0, 1)")
-    _require(cfg, "policy.epochs", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "policy.lam", (int, float), lambda v: 0 <= v <= 1, "in [0, 1]")
-    _require(cfg, "policy.batch_episodes", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "policy.optimizer", str, lambda v: v in ("adam", "sgd"), "adam or sgd")
-    if not isinstance(pol["normalize_advantages"], bool):
-        raise ConfigError("policy.normalize_advantages: expected true or false")
-    if pol["gamma"] is None:
-        pol["gamma"] = float(env.spec.gamma)
-    _require(cfg, "policy.gamma", (int, float), lambda v: 0 < v <= 1, "in (0, 1]")
-
-    evo = cfg["evolution"]
-    M = _require(cfg, "evolution.M", int, lambda v: v >= 0, ">= 0 generations")
-    if evo["M_ft"] is None:
-        evo["M_ft"] = max(1, M // 3)
-    _require(cfg, "evolution.M_ft", int, lambda v: v >= 1, ">= 1")
-    if M >= 1 and evo["M_ft"] > M:
-        raise ConfigError(f"evolution.M_ft: must be <= M, got {evo['M_ft']} > {M}")
-    _require(cfg, "evolution.m_iters", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "evolution.m_w", int, lambda v: v >= 0, ">= 0")
-    p = _require(cfg, "evolution.p", int, lambda v: v >= 2 and v % 2 == 0, "even and >= 2")
-    if p < env.spec.num_objectives:
-        raise ConfigError(
-            f"evolution.p: population {p} cannot cover {env.spec.num_objectives} objectives"
-        )
-    if evo["pgr_regions"] is not None:
-        _require(cfg, "evolution.pgr_regions", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "evolution.pgr_top_k", int, lambda v: v >= 1, ">= 1")
-    if evo["paft_pairs"] is not None:
-        _require(cfg, "evolution.paft_pairs", int, lambda v: v >= 0, ">= 0")
-    _require(cfg, "evolution.alpha_recompute_interval", int, lambda v: v >= 0, ">= 0")
-    _require(cfg, "evolution.snapshot_every", int, lambda v: v >= 1, ">= 1")
-    if evo["reference_point"] is None:
-        default_z = DEFAULT_REFERENCE_POINTS.get(env_name)
-        if default_z is None:
-            raise ConfigError("evolution.reference_point: required for this environment")
-        evo["reference_point"] = list(default_z)
-    z = evo["reference_point"]
-    if (
-        not isinstance(z, (list, tuple))
-        or len(z) != env.spec.num_objectives
-        or not all(isinstance(v, (int, float)) for v in z)
-    ):
-        raise ConfigError(
-            f"evolution.reference_point: need {env.spec.num_objectives} numbers, got {z!r}"
-        )
-    evo["reference_point"] = [float(v) for v in z]
-    if env.spec.num_objectives > 3:
-        raise ConfigError("env: hypervolume metrics support at most 3 objectives")
-
-    if not isinstance(cfg["paft"]["enabled"], bool):
-        raise ConfigError("paft.enabled: expected true or false")
-    _require(cfg, "eval.episodes", int, lambda v: v >= 1, ">= 1")
-    _require(cfg, "output_dir", str, lambda s: len(s) > 0, "output directory")
-    seeds = cfg["seeds"]
-    if (
-        not isinstance(seeds, list)
-        or len(seeds) == 0
-        or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
-    ):
-        raise ConfigError("seeds: expected a non-empty list of integers")
-    return cfg
-
-
-def build_trainer(cfg: dict, seed: int) -> tuple[Trainer, MOMDPEnv]:
+def build_trainer(cfg: Config, seed: int) -> tuple[Trainer, MOMDPEnv]:
     """Instantiate the environment, networks, and trainer for one seed."""
-    env = make_env(cfg["env"]["name"], **cfg["env"]["params"])
-    pol = cfg["policy"]
-    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=pol["hidden"])
-    critic = VectorCritic(
-        env.spec.state_dim, env.spec.num_objectives, hidden=pol["critic_hidden"]
-    )
-    evo = cfg["evolution"]
-    gen_config = GenerationConfig(
-        total_generations=evo["M"],
-        paft_start=evo["M_ft"],
-        iters_per_generation=evo["m_iters"],
-        warmup_iters=evo["m_w"],
-        population_size=evo["p"],
-        reference_point=np.asarray(evo["reference_point"], dtype=float),
-        seed=seed,
-        pgr_regions=evo["pgr_regions"],
-        pgr_top_k=evo["pgr_top_k"],
-        paft_pairs=evo["paft_pairs"],
-        alpha_recompute_interval=evo["alpha_recompute_interval"],
-        snapshot_every=evo["snapshot_every"],
-        paft_enabled=cfg["paft"]["enabled"],
-    )
-    update_config = UpdateConfig(
-        lr=float(pol["lr"]),
-        clip_eps=float(pol["clip_eps"]),
-        epochs=pol["epochs"],
-        gamma=float(pol["gamma"]),
-        lam=float(pol["lam"]),
-        batch_episodes=pol["batch_episodes"],
-        normalize_advantages=pol["normalize_advantages"],
-        optimizer=pol["optimizer"],
-        init_scale=float(pol["init_scale"]),
-        log_std_init=float(pol["log_std_init"]),
-    )
-    trainer = Trainer(env, policy, critic, gen_config, update_config,
-                      eval_episodes=cfg["eval"]["episodes"])
+    env = make_env(cfg.env.name, **cfg.env.params)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=cfg.policy.hidden)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives,
+                          hidden=cfg.policy.critic_hidden)
+    trainer = Trainer(env, policy, critic, cfg.evolution, cfg.policy, seed,
+                      eval_episodes=cfg.eval.episodes, paft_enabled=cfg.paft.enabled)
     return trainer, env
 
 
@@ -374,21 +135,20 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def run_seed(cfg: dict, seed: int) -> Path:
+def run_seed(cfg: Config, seed: int) -> Path:
     """Train one seed and write its immutable run directory."""
     trainer, _ = build_trainer(cfg, seed)
     archive, metrics = trainer.run_training()
     state = trainer.state
 
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
-    run_dir = Path(cfg["output_dir"]) / f"{cfg['experiment']}_seed{seed}_{stamp}"
+    run_dir = Path(cfg.output_dir) / f"{cfg.experiment}_seed{seed}_{stamp}"
     try:
         run_dir.mkdir(parents=True, exist_ok=False)
     except OSError as exc:
         raise RuntimeError(f"cannot create run directory {run_dir}: {exc}") from exc
 
-    resolved = copy.deepcopy(cfg)
-    resolved["seeds"] = [seed]
+    resolved = asdict(replace(cfg, seeds=[seed]))
     (run_dir / "config.yaml").write_text(yaml.safe_dump(resolved, sort_keys=True))
 
     checkpoint_dir = run_dir / "checkpoints"
@@ -401,7 +161,7 @@ def run_seed(cfg: dict, seed: int) -> Path:
         checkpoint_names[entry.params_ref] = rel
 
     doc = frontier_document(
-        archive, cfg["experiment"], cfg["evolution"]["reference_point"], checkpoint_names
+        archive, cfg.experiment, cfg.evolution.reference_point, checkpoint_names
     )
     (run_dir / "frontier.json").write_text(json.dumps(doc, sort_keys=True))
     write_metrics_csv(run_dir / "metrics.csv", metrics)
@@ -413,10 +173,9 @@ def run_seed(cfg: dict, seed: int) -> Path:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(load_config(args.config), args.override)
-    seeds = cfg["seeds"]
     if args.seed is not None:
-        seeds = args.seed
-    for seed in seeds:
+        cfg = replace(cfg, seeds=args.seed)
+    for seed in cfg.seeds:
         run_dir = run_seed(cfg, seed)
         final = read_metrics_csv(run_dir / "metrics.csv")[-1]
         sp_text = "undefined" if final["sp"] is None else f"{final['sp']:.6g}"
@@ -431,7 +190,7 @@ def cmd_eval(args) -> int:
     policy, params = load_checkpoint(args.checkpoint)
     env_params = {}
     for text in args.param or ():
-        key, value = _parse_override(text)
+        key, value = parse_override(text)
         if len(key) != 1:
             raise ConfigError(f"eval --param takes flat keys, got {'.'.join(key)}")
         env_params[key[0]] = value

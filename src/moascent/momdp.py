@@ -187,6 +187,17 @@ class MoPoint(MOMDPEnv):
         next_state = np.concatenate([position, velocity])
         return next_state, np.array([speed, energy]), False
 
+    def return_lower_bound(self) -> np.ndarray:
+        """Per-objective lower bound on the discounted return of any episode."""
+        # From rest, |vx| after step t is at most |dt| * bound * sum_{k<=t} |damping|^k,
+        # and each clamped action costs at most action_dim * bound^2 energy.
+        bound = self.spec.action_high[0]
+        steps = np.arange(self.spec.horizon)
+        discounts = self.spec.gamma ** steps
+        reach = abs(self.dt) * bound * np.cumsum(abs(self.damping) ** steps)
+        energy = -self.spec.action_dim * bound**2 + self.r_alive + self.shift
+        return np.array([discounts @ (self.r_alive - reach), discounts.sum() * energy])
+
 
 class MoQuadratic(MOMDPEnv):
     """Single-step environment with one quadratic objective per target.
@@ -223,6 +234,11 @@ class MoQuadratic(MOMDPEnv):
         reward = -np.einsum("ij,ij->i", diffs, diffs)
         return np.zeros(1), reward, True
 
+    def return_lower_bound(self) -> np.ndarray:
+        """Per-objective lower bound on the return of any episode."""
+        # One step; each objective is lowest at the action-box corner farthest from its target.
+        return -np.sum((self.spec.action_high + np.abs(self.targets)) ** 2, axis=1)
+
 
 _DEFAULT_TARGETS_2 = ((1.0, 0.0), (0.0, 1.0))
 _DEFAULT_TARGETS_3 = (
@@ -244,8 +260,8 @@ ENV_BUILDERS = {
     "mo_quadratic3": lambda **p: _make_quadratic(_DEFAULT_TARGETS_3, p),
 }
 
-#: Reference points guaranteed to be dominated by every policy whose
-#: (clamped) behavior the default environments admit.
+#: Reference points strictly below ``return_lower_bound`` of the default
+#: environments; ``resolve_config`` checks them against the actual params.
 DEFAULT_REFERENCE_POINTS = {
     "mo_point": (-50.0, 0.0),
     "mo_quadratic": (-9.0, -9.0),

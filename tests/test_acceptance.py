@@ -18,7 +18,8 @@ from moascent.pareto import (
     project_to_simplex,
 )
 from moascent.policy import GaussianPolicy, VectorCritic
-from moascent.evolution import GenerationConfig, Trainer, UpdateConfig
+from moascent.config import EvolutionConfig, PolicyConfig
+from moascent.evolution import Trainer
 
 from .oracles import (
     mc_hypervolume,
@@ -190,16 +191,17 @@ def default_trainer(env, seed, **overrides):
     m = env.spec.num_objectives
     z = {2: np.array([-9.0, -9.0]), 3: np.array([-10.0, -10.0, -10.0])}[m]
     gen_kw = dict(
-        total_generations=10, paft_start=3, iters_per_generation=20,
-        warmup_iters=10, population_size=8, reference_point=z, seed=seed,
+        M=10, M_ft=3, m_iters=20,
+        m_w=10, p=8, reference_point=z,
     )
     upd_kw = {}
+    paft_enabled = overrides.pop("paft_enabled", True)
     for key, value in overrides.items():
-        (upd_kw if key in UpdateConfig.__dataclass_fields__ else gen_kw)[key] = value
+        (upd_kw if key in PolicyConfig.__dataclass_fields__ else gen_kw)[key] = value
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=32)
     critic = VectorCritic(env.spec.state_dim, m, hidden=32)
-    return Trainer(env, policy, critic, GenerationConfig(**gen_kw), UpdateConfig(**upd_kw),
-                   eval_episodes=8)
+    return Trainer(env, policy, critic, EvolutionConfig(**gen_kw), PolicyConfig(**upd_kw), seed,
+                   eval_episodes=8, paft_enabled=paft_enabled)
 
 
 def test_07_end_to_end_frontier_quality():

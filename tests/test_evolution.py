@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from moascent.archive import NonDominatedSet, PolicyEntry
+from moascent.config import EvolutionConfig, PolicyConfig
 from moascent.evolution import (
     CheckpointStore,
-    GenerationConfig,
     Trainer,
-    UpdateConfig,
     ascent_weights,
     distance_to_ref,
     evenly_spread_weights,
@@ -26,27 +25,28 @@ def entry(objs, ref, generation=0, source="warmup"):
 
 def gen_config(**kw):
     base = dict(
-        total_generations=2,
-        paft_start=1,
-        iters_per_generation=2,
-        warmup_iters=1,
-        population_size=4,
+        M=2,
+        M_ft=1,
+        m_iters=2,
+        m_w=1,
+        p=4,
         reference_point=np.array([-9.0, -9.0]),
-        seed=0,
     )
     base.update(kw)
-    return GenerationConfig(**base)
+    return EvolutionConfig(**base)
 
 
-def make_trainer(env_name="mo_quadratic", hidden=8, eval_episodes=2, upd=None, **gen_kw):
+def make_trainer(env_name="mo_quadratic", hidden=8, eval_episodes=2, upd=None, seed=0,
+                 paft_enabled=True, **gen_kw):
     env = make_env(env_name)
     m = env.spec.num_objectives
     if "reference_point" not in gen_kw:
         gen_kw["reference_point"] = np.full(m, -10.0) if m == 3 else np.array([-9.0, -9.0])
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=hidden)
     critic = VectorCritic(env.spec.state_dim, m, hidden=hidden)
-    upd = upd or UpdateConfig(batch_episodes=4, epochs=2)
-    return Trainer(env, policy, critic, gen_config(**gen_kw), upd, eval_episodes=eval_episodes)
+    upd = upd or PolicyConfig(batch_episodes=4, epochs=2)
+    return Trainer(env, policy, critic, gen_config(**gen_kw), upd, seed,
+                   eval_episodes=eval_episodes, paft_enabled=paft_enabled)
 
 
 class TestEvenlySpreadWeights:
@@ -195,7 +195,7 @@ class TestPaftSelect:
         # Consecutive gaps are sqrt(2), 2*sqrt(2), sqrt(2); the middle pair
         # flanks the widest empty region.
         nd = self.build_ndset([(0.0, 4.0), (1.0, 3.0), (3.0, 1.0), (4.0, 0.0)])
-        cfg = gen_config(population_size=8, paft_pairs=1, reference_point=np.zeros(2))
+        cfg = gen_config(p=8, paft_pairs=1, reference_point=np.zeros(2))
         jobs = paft_select(nd, cfg)
         pair_jobs = [j for j in jobs if j.kind == "gap_pair"]
         assert {tuple(j.policy.objectives) for j in pair_jobs} == {(1.0, 3.0), (3.0, 1.0)}
@@ -205,7 +205,7 @@ class TestPaftSelect:
 
     def test_extreme_jobs_carry_basis_weights(self):
         nd = self.build_ndset([(0.0, 4.0), (1.0, 3.0), (3.0, 1.0), (4.0, 0.0)])
-        cfg = gen_config(population_size=8, paft_pairs=1, reference_point=np.zeros(2))
+        cfg = gen_config(p=8, paft_pairs=1, reference_point=np.zeros(2))
         jobs = paft_select(nd, cfg)
         extremes = {j.policy.params_ref: j.weights for j in jobs if j.kind == "objective_extreme"}
         np.testing.assert_allclose(extremes["e3"], [1.0, 0.0])  # best objective 1 at (4, 0)
@@ -213,13 +213,13 @@ class TestPaftSelect:
 
     def test_jobs_capped_at_half_population(self):
         nd = self.build_ndset([(float(i), 8.0 - i) for i in range(9)])
-        cfg = gen_config(population_size=4, paft_pairs=3, reference_point=np.zeros(2))
+        cfg = gen_config(p=4, paft_pairs=3, reference_point=np.zeros(2))
         jobs = paft_select(nd, cfg)
         assert len(jobs) == 2  # p_b = 2
 
     def test_default_pair_budget(self):
         nd = self.build_ndset([(0.0, 4.0), (1.0, 3.0), (3.0, 1.0), (4.0, 0.0)])
-        cfg = gen_config(population_size=8, reference_point=np.zeros(2))
+        cfg = gen_config(p=8, reference_point=np.zeros(2))
         jobs = paft_select(nd, cfg)  # p_b=4, m=2 -> 1 pair + 2 extremes
         assert sum(j.kind == "gap_pair" for j in jobs) == 2
         assert sum(j.kind == "objective_extreme" for j in jobs) == 2
@@ -227,7 +227,7 @@ class TestPaftSelect:
     def test_pairs_sorted_by_descending_gap(self):
         rows = [(0.0, 10.0), (1.0, 9.0), (5.0, 5.0), (9.0, 1.0), (9.5, 0.5)]
         nd = self.build_ndset(rows)
-        cfg = gen_config(population_size=12, paft_pairs=2, reference_point=np.zeros(2))
+        cfg = gen_config(p=12, paft_pairs=2, reference_point=np.zeros(2))
         jobs = [j for j in paft_select(nd, cfg) if j.kind == "gap_pair"]
         gaps = [
             float(np.linalg.norm(jobs[i].policy.objectives - jobs[i + 1].policy.objectives))
@@ -284,7 +284,7 @@ class TestCheckpointStore:
 
 class TestTrainingLoop:
     def test_zero_generations_archive_is_warmup_subset(self):
-        trainer = make_trainer(total_generations=0, warmup_iters=0)
+        trainer = make_trainer(M=0, m_w=0)
         archive, metrics = trainer.run_training()
         assert len(metrics) == 1
         assert all(e.source == "warmup" for e in archive)
@@ -300,7 +300,7 @@ class TestTrainingLoop:
 
     def test_phase_split_and_budget(self):
         trainer = make_trainer(
-            total_generations=3, paft_start=2, population_size=4, iters_per_generation=2
+            M=3, M_ft=2, p=4, m_iters=2
         )
         trainer.run_training()
         log = trainer.state.selection_log
@@ -317,17 +317,17 @@ class TestTrainingLoop:
             assert len(pgr) + len(paft) <= 4
 
     def test_paft_disabled_never_schedules_jobs(self):
-        trainer = make_trainer(total_generations=2, paft_start=1, paft_enabled=False)
+        trainer = make_trainer(M=2, M_ft=1, paft_enabled=False)
         trainer.run_training()
         assert all(r["kind"] != "paft" for r in trainer.state.selection_log)
 
     def test_hypervolume_non_decreasing(self):
-        _, metrics = make_trainer(total_generations=3).run_training()
+        _, metrics = make_trainer(M=3).run_training()
         hv = [row["hv"] for row in metrics]
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
     def test_archive_entries_resolve_and_selections_ranked(self):
-        trainer = make_trainer(total_generations=2)
+        trainer = make_trainer(M=2)
         archive, _ = trainer.run_training()
         state = trainer.state
         for e in archive:
@@ -337,7 +337,7 @@ class TestTrainingLoop:
                 assert record["chosen"] in record["top_k"]
 
     def test_metrics_row_fields(self):
-        _, metrics = make_trainer(total_generations=1).run_training()
+        _, metrics = make_trainer(M=1).run_training()
         for row in metrics:
             assert set(row) == {
                 "generation", "hv", "sp", "archive_size", "stationary_fallbacks", "seconds",
@@ -347,8 +347,8 @@ class TestTrainingLoop:
 
     def test_three_objective_smoke(self):
         trainer = make_trainer(
-            env_name="mo_quadratic3", total_generations=2, paft_start=1,
-            population_size=4, iters_per_generation=2, warmup_iters=1,
+            env_name="mo_quadratic3", M=2, M_ft=1,
+            p=4, m_iters=2, m_w=1,
         )
         archive, metrics = trainer.run_training()
         assert archive.objectives_matrix().shape[1] == 3
@@ -357,10 +357,10 @@ class TestTrainingLoop:
     def test_zero_warmup_iters_keeps_random_init(self):
         # With no warmup budget the stored population parameters are the
         # raw initializations from each lane's stream.
-        trainer = make_trainer(total_generations=0, warmup_iters=0)
+        trainer = make_trainer(M=0, m_w=0)
         trainer.run_training()
         state = trainer.state
-        upd = trainer.update_config
+        upd = trainer.update
         for lane, member in enumerate(state.population):
             rng = trainer._lane_rng(0, lane)
             expected = trainer.policy.init_params(
@@ -371,7 +371,7 @@ class TestTrainingLoop:
 
     def test_alpha_recompute_interval_runs(self):
         trainer = make_trainer(
-            total_generations=1, iters_per_generation=4, alpha_recompute_interval=2
+            M=1, m_iters=4, alpha_recompute_interval=2
         )
         archive, metrics = trainer.run_training()
         assert metrics[-1]["hv"] > 0
@@ -380,8 +380,8 @@ class TestTrainingLoop:
         env = make_env("mo_quadratic3")
         policy = GaussianPolicy(1, 2, hidden=4)
         critic = VectorCritic(1, 3, hidden=4)
-        cfg = gen_config(population_size=2, reference_point=np.full(3, -10.0))
-        trainer = Trainer(env, policy, critic, cfg, UpdateConfig(batch_episodes=2))
+        cfg = gen_config(p=2, reference_point=np.full(3, -10.0))
+        trainer = Trainer(env, policy, critic, cfg, PolicyConfig(batch_episodes=2), 0)
         with pytest.raises(ValueError):
             trainer.run_training()
 
@@ -389,13 +389,13 @@ class TestTrainingLoop:
 class TestGenerationConfigValidation:
     def test_odd_population_rejected(self):
         with pytest.raises(ValueError):
-            gen_config(population_size=5)
+            gen_config(p=5)
 
     def test_paft_start_range(self):
         with pytest.raises(ValueError):
-            gen_config(paft_start=0)
+            gen_config(M_ft=0)
         with pytest.raises(ValueError):
-            gen_config(total_generations=2, paft_start=3)
+            gen_config(M=2, M_ft=3)
 
     def test_zero_generations_allowed(self):
-        gen_config(total_generations=0, paft_start=1)
+        gen_config(M=0, M_ft=1)

@@ -8,10 +8,10 @@ import pytest
 import yaml
 
 from moascent.archive import hypervolume, parse_frontier, sparsity
+from moascent.config import apply_overrides
 from moascent.harness import (
     METRICS_HEADER,
     ConfigError,
-    apply_overrides,
     load_checkpoint,
     main,
     read_metrics_csv,
@@ -72,22 +72,49 @@ class TestConfigValidation:
 
     def test_default_reference_point_per_env(self):
         cfg = resolve_config(TINY)
-        assert cfg["evolution"]["reference_point"] == [-9.0, -9.0]
+        assert cfg.evolution.reference_point == [-9.0, -9.0]
 
     def test_paft_start_defaults_to_third(self):
         raw = dict(TINY, evolution={"M": 9, "m_iters": 2, "m_w": 1, "p": 4})
-        assert resolve_config(raw)["evolution"]["M_ft"] == 3
+        assert resolve_config(raw).evolution.M_ft == 3
 
     def test_override_applied_and_visible(self):
         cfg = resolve_config(TINY, overrides=["evolution.M=2"])
-        assert cfg["evolution"]["M"] == 2
+        assert cfg.evolution.M == 2
         cfg = resolve_config(TINY, overrides=["policy.lr=0.01", "paft.enabled=false"])
-        assert cfg["policy"]["lr"] == 0.01
-        assert cfg["paft"]["enabled"] is False
+        assert cfg.policy.lr == 0.01
+        assert cfg.paft.enabled is False
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no-equals-sign"])
+
+    @pytest.mark.parametrize("overrides, field", [
+        (["policy.init_scale=null"], "policy.init_scale"),
+        (["policy.log_std_init=abc"], "policy.log_std_init"),
+        (["evolution.reference_point=[-9,true]"], "evolution.reference_point"),
+        # The wider action box lets returns fall below the default point.
+        (["env.params.action_bound=4", "policy.init_scale=5"], "evolution.reference_point"),
+    ])
+    def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
+        argv = ["train", "--config", str(path)]
+        for text in overrides:
+            argv += ["--override", text]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("env_name", ["mo_point", "mo_quadratic", "mo_quadratic3"])
+    def test_default_reference_point_below_env_bound(self, env_name):
+        cfg = resolve_config(dict(TINY, env={"name": env_name}))
+        low = make_env(env_name).return_lower_bound()
+        assert np.all(np.asarray(cfg.evolution.reference_point) < low)
+
+    def test_explicit_reference_point_above_env_bound_rejected(self):
+        raw = dict(TINY, evolution=dict(TINY["evolution"], reference_point=[-8.0, -9.0]))
+        with pytest.raises(ConfigError, match=r"evolution.reference_point.*-8\.5"):
+            resolve_config(raw)
 
     def test_bad_optimizer_rejected(self):
         raw = dict(TINY, policy=dict(TINY["policy"], optimizer="momentum"))
@@ -184,6 +211,12 @@ class TestTrainCommand:
         assert hypervolume(objectives, doc["reference_point"]) == final["hv"]
         sp = sparsity(objectives)
         assert (sp is None and final["sp"] is None) or sp == final["sp"]
+
+    def test_three_objective_metrics_read_back(self, tmp_path):
+        (run_dir,) = train(tmp_path, dict(TINY, env={"name": "mo_quadratic3"}))
+        doc, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
+        final = read_metrics_csv(run_dir / "metrics.csv")[-1]
+        assert final["hv"] == hypervolume(objectives, doc["reference_point"])
 
 
 class TestEvalCommand:

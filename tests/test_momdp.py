@@ -1,5 +1,7 @@
 """Environment and return tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,36 @@ class TestQuadraticFrontOracle:
                 a = rng.uniform(-1.5, 1.5, size=2)
                 _, reward, _ = env.step(env.reset(0), a)
                 assert float(w @ reward) <= float(w @ best) + 1e-12
+
+
+class TestReturnLowerBound:
+    @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic", "mo_quadratic3"])
+    def test_attained_by_constant_corner_actions(self, name):
+        # Full thrust against the speed objective and farthest-corner actions
+        # for the quadratic objectives reach each objective's bound exactly.
+        env = make_env(name)
+        corners = itertools.product((-1.0, 1.0), repeat=env.spec.action_dim)
+        returns = np.array([
+            mo_return(rollout(env, np.tile(corner, (env.spec.horizon, 1)) * env.spec.action_high),
+                      env.spec.gamma)
+            for corner in corners
+        ])
+        np.testing.assert_allclose(returns.min(axis=0), env.return_lower_bound(), atol=1e-9)
+
+    @pytest.mark.parametrize("name, params", [
+        ("mo_point", {"action_bound": 2.0, "damping": -0.9, "dt": 0.3}),
+        ("mo_quadratic", {"action_bound": 4.0}),
+        ("mo_quadratic3", {"action_bound": 0.5}),
+    ])
+    def test_no_rollout_goes_below(self, name, params):
+        env = make_env(name, **params)
+        low = env.return_lower_bound()
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            # Out-of-box actions get clamped onto the box faces.
+            actions = rng.uniform(-3.0, 3.0, size=(env.spec.horizon, env.spec.action_dim))
+            ret = mo_return(rollout(env, actions * env.spec.action_high), env.spec.gamma)
+            assert np.all(ret >= low - 1e-9)
 
 
 def test_unknown_env_name():
