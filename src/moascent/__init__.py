@@ -15,7 +15,7 @@ from .evolution import (
     paft_select,
     pgr_select,
 )
-from .momdp import MOMDPSpec, Trajectory, Transition, make_env, mo_return
+from .momdp import MOMDPSpec, make_env, mo_return
 from .pareto import (
     AscentResult,
     analytic_two_objective_alpha,
@@ -46,8 +46,6 @@ __all__ = [
     "PolicyEntry",
     "RolloutBatch",
     "Trainer",
-    "Trajectory",
-    "Transition",
     "VectorCritic",
     "analytic_two_objective_alpha",
     "collect_batch",

@@ -401,13 +401,8 @@ class Trainer:
 
     def evaluate(self, params: np.ndarray) -> np.ndarray:
         """Mean objective vector of the deterministic policy on the fixed eval episodes."""
-        returns = []
-        for seed in self.eval_seeds:
-            traj, _, _ = run_episode(
-                self.env, self.policy, params, deterministic=True, seed=seed
-            )
-            returns.append(mo_return(traj, self.env.spec.gamma))
-        return np.mean(returns, axis=0)
+        _, _, rewards, _, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
+        return mo_return(rewards, self.env.spec.gamma).mean(axis=0)
 
     def _train_lane(self, params, critic_params, iters, rng, fixed_weights):
         """Run ``iters`` collect-and-update iterations on one lane.

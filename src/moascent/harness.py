@@ -202,11 +202,9 @@ def cmd_eval(args) -> int:
             f"environment {args.env} has state_dim={env.spec.state_dim}, "
             f"action_dim={env.spec.action_dim}"
         )
-    rows = []
-    for episode in range(args.episodes):
-        traj, _, _ = run_episode(env, policy, params, deterministic=True, seed=episode)
-        rows.append(mo_return(traj, env.spec.gamma))
-    mean = np.mean(rows, axis=0)
+    _, _, rewards, _, _ = run_episode(env, policy, params, range(args.episodes))
+    rows = mo_return(rewards, env.spec.gamma)
+    mean = rows.mean(axis=0)
     print("mean objectives:", " ".join(repr(float(v)) for v in mean))
     if args.out:
         with Path(args.out).open("w", newline="") as fh:

@@ -1,16 +1,17 @@
 """Vector-reward decision processes and the built-in desk-scale environments.
 
 Environments here are pure: ``reset(seed)`` returns the initial state and
-``step(state, action)`` returns ``(next_state, reward, terminal)`` without
-touching shared mutable state, so instances can be driven from any number
-of workers. Rewards are always vectors with exactly ``num_objectives``
-components. Horizon enforcement is the rollout driver's job.
+``step(states, actions)`` returns ``(next_states, rewards, terminal)``
+without touching shared mutable state. ``step`` works on any number of
+leading batch axes, so one call advances a whole batch of episodes in
+lockstep; rewards carry exactly ``num_objectives`` components on the last
+axis. The horizon is enforced by the rollout, ``policy.run_episode``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,6 @@ __all__ = [
     "MOMDPSpec",
     "MoPoint",
     "MoQuadratic",
-    "Trajectory",
-    "Transition",
     "make_env",
     "mo_return",
 ]
@@ -42,6 +41,8 @@ class MOMDPSpec:
             raise ValueError("state_dim and action_dim must be positive")
         if self.num_objectives < 2:
             raise ValueError(f"need at least 2 objectives, got {self.num_objectives}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 < self.gamma <= 1.0:
@@ -56,50 +57,12 @@ class MOMDPSpec:
         object.__setattr__(self, "action_high", high)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One environment step; ``action`` is the clamped action the env applied."""
-
-    state: np.ndarray
-    action: np.ndarray
-    reward: np.ndarray
-    next_state: np.ndarray
-    terminal: bool
-
-
-@dataclass
-class Trajectory:
-    """Ordered transitions from a single episode."""
-
-    transitions: list[Transition] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.transitions)
-
-    def rewards_matrix(self) -> np.ndarray:
-        return np.stack([t.reward for t in self.transitions])
-
-    def validate(self, spec: MOMDPSpec | None = None) -> None:
-        """Assert chaining and terminal-placement invariants (tests, audits)."""
-        for prev, nxt in zip(self.transitions, self.transitions[1:]):
-            if prev.terminal:
-                raise ValueError("a transition follows a terminal one")
-            if not np.array_equal(prev.next_state, nxt.state):
-                raise ValueError("consecutive transitions do not chain")
-        if spec is not None:
-            if len(self) > spec.horizon:
-                raise ValueError(f"trajectory length {len(self)} exceeds horizon {spec.horizon}")
-            for t in self.transitions:
-                if t.reward.shape != (spec.num_objectives,):
-                    raise ValueError("reward vector has wrong number of components")
-
-
-def mo_return(trajectory: Trajectory, gamma: float) -> np.ndarray:
-    """Per-objective discounted reward sum along the trajectory."""
-    if len(trajectory) == 0:
-        raise ValueError("cannot compute the return of an empty trajectory")
-    rewards = trajectory.rewards_matrix()
-    discounts = gamma ** np.arange(len(trajectory))
+def mo_return(rewards, gamma: float) -> np.ndarray:
+    """Per-objective discounted reward sum over the step axis of ``(..., T, m)`` rewards."""
+    rewards = np.asarray(rewards, dtype=float)
+    if rewards.ndim < 2 or rewards.shape[-2] == 0:
+        raise ValueError("cannot compute the return of an empty episode")
+    discounts = gamma ** np.arange(rewards.shape[-2])
     return discounts @ rewards
 
 
@@ -109,11 +72,11 @@ class MOMDPEnv:
     spec: MOMDPSpec
 
     def clamp(self, action) -> np.ndarray:
-        """Clip an action into the spec's bounds, rejecting non-finite input."""
+        """Clip ``(..., action_dim)`` actions into the spec's bounds, rejecting non-finite input."""
         action = np.asarray(action, dtype=float)
-        if action.shape != (self.spec.action_dim,):
+        if action.shape[-1:] != (self.spec.action_dim,):
             raise ValueError(
-                f"action must have shape ({self.spec.action_dim},), got {action.shape}"
+                f"action must have shape (..., {self.spec.action_dim}), got {action.shape}"
             )
         if not np.all(np.isfinite(action)):
             raise ValueError(f"non-finite action rejected: {action!r}")
@@ -122,7 +85,12 @@ class MOMDPEnv:
     def reset(self, seed: int) -> np.ndarray:
         raise NotImplementedError
 
-    def step(self, state, action) -> tuple[np.ndarray, np.ndarray, bool]:
+    def step(self, state, action) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance ``(..., state_dim)`` states under ``(..., action_dim)`` actions.
+
+        Returns the next states, the ``(..., num_objectives)`` rewards and the
+        boolean terminal flags of shape ``(...)``.
+        """
         raise NotImplementedError
 
 
@@ -180,12 +148,12 @@ class MoPoint(MOMDPEnv):
     def step(self, state, action):
         state = np.asarray(state, dtype=float)
         a = self.clamp(action)
-        velocity = self.damping * state[2:] + self.dt * a
-        position = state[:2] + self.dt * velocity
-        speed = velocity[0] + self.r_alive
-        energy = -float(a @ a) + self.r_alive + self.shift
-        next_state = np.concatenate([position, velocity])
-        return next_state, np.array([speed, energy]), False
+        velocity = self.damping * state[..., 2:] + self.dt * a
+        position = state[..., :2] + self.dt * velocity
+        speed = velocity[..., 0] + self.r_alive
+        energy = -np.sum(a * a, axis=-1) + self.r_alive + self.shift
+        next_state = np.concatenate([position, velocity], axis=-1)
+        return next_state, np.stack([speed, energy], axis=-1), np.zeros(state.shape[:-1], bool)
 
     def return_lower_bound(self) -> np.ndarray:
         """Per-objective lower bound on the discounted return of any episode."""
@@ -230,9 +198,10 @@ class MoQuadratic(MOMDPEnv):
 
     def step(self, state, action):
         a = self.clamp(action)
-        diffs = a[None, :] - self.targets
-        reward = -np.einsum("ij,ij->i", diffs, diffs)
-        return np.zeros(1), reward, True
+        diffs = a[..., None, :] - self.targets
+        reward = -np.einsum("...ij,...ij->...i", diffs, diffs)
+        batch = a.shape[:-1]
+        return np.zeros(batch + (1,)), reward, np.ones(batch, bool)
 
     def return_lower_bound(self) -> np.ndarray:
         """Per-objective lower bound on the return of any episode."""

@@ -103,10 +103,11 @@ def min_norm_direction(
 ) -> AscentResult:
     """Minimize ``||sum_i alpha_i g_i||^2`` over the probability simplex.
 
-    ``grads`` is an (m, d) matrix with one gradient per row, m >= 2. The
-    quadratic program is solved by projected gradient iteration on the
-    m x m Gram matrix (the d-dimensional rows enter only through it), with
-    a conservative ``1 / (2 L)`` step size and an infinity-norm step-change
+    ``grads`` is an (m, d) matrix with one gradient per row, m >= 2. Two
+    objectives take the closed form :func:`analytic_two_objective_alpha`.
+    More are solved by projected gradient iteration on the m x m Gram
+    matrix (the d-dimensional rows enter only through it), with a
+    conservative ``1 / (2 L)`` step size and an infinity-norm step-change
     stopping rule; a fixed point of the projected step is the exact
     constrained minimizer.
     """
@@ -121,19 +122,22 @@ def min_norm_direction(
     m = G.shape[0]
     K = G @ G.T
     K = 0.5 * (K + K.T)  # guard against asymmetric rounding
-    alpha = np.full(m, 1.0 / m)
-
-    # Cheap Lipschitz bound for grad f = 2 K alpha: largest diagonal entry
-    # plus largest absolute row sum dominates the spectral radius.
-    lip = float(K.diagonal().max() + np.abs(K).sum(axis=1).max())
-    if lip > 0.0:
-        eta = 1.0 / (2.0 * lip)
-        for _ in range(max_iters):
-            nxt = _project_simplex_sorted(alpha - eta * 2.0 * (K @ alpha))
-            done = np.max(np.abs(nxt - alpha)) < tol
-            alpha = nxt
-            if done:
-                break
+    if m == 2:
+        a = analytic_two_objective_alpha(G[0], G[1])
+        alpha = np.array([a, 1.0 - a])
+    else:
+        alpha = np.full(m, 1.0 / m)
+        # Cheap Lipschitz bound for grad f = 2 K alpha: largest diagonal entry
+        # plus largest absolute row sum dominates the spectral radius.
+        lip = float(K.diagonal().max() + np.abs(K).sum(axis=1).max())
+        if lip > 0.0:
+            eta = 1.0 / (2.0 * lip)
+            for _ in range(max_iters):
+                nxt = _project_simplex_sorted(alpha - eta * 2.0 * (K @ alpha))
+                done = np.max(np.abs(nxt - alpha)) < tol
+                alpha = nxt
+                if done:
+                    break
 
     direction = G.T @ alpha
     squared_norm = float(direction @ direction)

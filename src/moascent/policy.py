@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momdp import MOMDPEnv, Trajectory, Transition
+from .momdp import MOMDPEnv
 from .pareto import validate_weights
 
 __all__ = [
@@ -126,17 +126,17 @@ class GaussianPolicy:
         out, _ = self.net.forward(self._net_params(params), np.atleast_2d(states))
         return out
 
-    def act(self, params: np.ndarray, state, rng: np.random.Generator | None = None,
-            deterministic: bool = False) -> np.ndarray:
-        """Sample an action (or return the mean in deterministic mode)."""
-        state = np.asarray(state, dtype=float)
-        mu = self.mean(params, state)[0]
-        if deterministic:
+    def act(self, params: np.ndarray, states: np.ndarray,
+            noise: np.ndarray | None = None) -> np.ndarray:
+        """Actions for a batch of states: the mean, shifted by ``std * noise`` if given.
+
+        ``noise`` holds one row of standard-normal draws per state; without
+        it the policy acts deterministically.
+        """
+        mu = self.mean(params, states)
+        if noise is None:
             return mu
-        if rng is None:
-            raise ValueError("sampling mode requires an rng")
-        std = np.exp(self.log_std(params))
-        return mu + std * rng.standard_normal(self.action_dim)
+        return mu + np.exp(self.log_std(params)) * noise
 
     def log_prob(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -208,14 +208,13 @@ class VectorCritic:
 
 @dataclass
 class RolloutBatch:
-    """Trajectories plus the flattened per-step learning signals.
+    """Per-step learning signals of a batch, episodes concatenated in order.
 
     ``actions`` are the raw sampled actions (before environment clamping);
     log-probabilities refer to them under the collecting policy snapshot.
     Advantages and return targets carry one component per objective.
     """
 
-    trajectories: list[Trajectory]
     states: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
@@ -231,99 +230,86 @@ class RolloutBatch:
                 raise ValueError(f"batch field {name} disagrees in length")
 
 
-def gae(trajectory: Trajectory, critic: VectorCritic, critic_params: np.ndarray,
+def gae(rewards: np.ndarray, values: np.ndarray, last_values: np.ndarray,
         gamma: float, lam: float) -> np.ndarray:
-    """Per-objective generalized advantage estimates, shape (T, m).
+    """Per-objective generalized advantage estimates, shape (B, T, m).
 
-    Each objective is treated independently. Horizon-truncated episodes
-    bootstrap from the critic at the final next state; terminal episodes
-    bootstrap zero.
+    ``rewards`` and ``values`` (the critic at each step's state) are
+    (B, T, m); ``last_values`` (B, m) is the bootstrap after the last step:
+    the critic at the final state of a horizon-truncated episode, zero for
+    a terminal one. Each objective is treated independently.
     """
-    T = len(trajectory)
-    rewards = trajectory.rewards_matrix()
-    states = np.stack([t.state for t in trajectory.transitions])
-    values = critic.values(critic_params, states)
-    last = trajectory.transitions[-1]
-    if last.terminal:
-        tail = np.zeros(critic.num_objectives)
-    else:
-        tail = critic.values(critic_params, last.next_state[None, :])[0]
-    next_values = np.vstack([values[1:], tail[None, :]])
-    not_terminal = np.array(
-        [0.0 if t.terminal else 1.0 for t in trajectory.transitions]
-    )[:, None]
-    deltas = rewards + gamma * next_values * not_terminal - values
-    advantages = np.zeros_like(deltas)
-    carry = np.zeros(critic.num_objectives)
-    for t in range(T - 1, -1, -1):
-        carry = deltas[t] + gamma * lam * not_terminal[t, 0] * carry
-        advantages[t] = carry
+    next_values = np.concatenate([values[:, 1:], last_values[:, None]], axis=1)
+    deltas = rewards + gamma * next_values - values
+    advantages = np.empty_like(deltas)
+    carry = np.zeros_like(last_values)
+    for t in range(rewards.shape[1] - 1, -1, -1):
+        carry = deltas[:, t] + gamma * lam * carry
+        advantages[:, t] = carry
     return advantages
 
 
 def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
-                rng: np.random.Generator | None = None,
-                deterministic: bool = False, seed: int | None = None):
-    """Roll one episode; returns (trajectory, raw_actions, states).
+                seeds, noise: np.ndarray | None = None):
+    """Roll one episode per reset seed, all B of them in lockstep over the horizon.
 
-    The trajectory records the clamped actions the environment applied;
-    ``raw_actions`` keeps the sampled actions the learner needs.
+    ``noise`` (B, T, action_dim) holds the standard-normal draws of a
+    stochastic rollout; without it the policy acts with its mean. Returns
+    ``(states, actions, rewards, final_states, terminal)``: the (B, T, ·)
+    states, raw sampled actions (the environment clamps them) and rewards,
+    then the (B, state_dim) states after the last step and their (B,)
+    terminal flags. An episode that ends before the horizon is an error.
     """
-    if seed is None:
-        if rng is None:
-            raise ValueError("need a seed or an rng to reset the environment")
-        seed = int(rng.integers(0, 2**31 - 1))
-    state = env.reset(seed)
-    transitions = []
-    raw_actions = []
-    states = []
-    for _ in range(env.spec.horizon):
-        action = policy.act(params, state, rng=rng, deterministic=deterministic)
-        next_state, reward, terminal = env.step(state, action)
-        transitions.append(
-            Transition(
-                state=state,
-                action=env.clamp(action),
-                reward=reward,
-                next_state=next_state,
-                terminal=terminal,
-            )
-        )
-        raw_actions.append(action)
-        states.append(state)
-        state = next_state
-        if terminal:
-            break
-    return Trajectory(transitions), np.stack(raw_actions), np.stack(states)
+    spec = env.spec
+    T = spec.horizon
+    if len(seeds) == 0:
+        raise ValueError("need at least one episode")
+    state = np.stack([env.reset(seed) for seed in seeds])
+    B = state.shape[0]
+    states = np.empty((B, T, spec.state_dim))
+    actions = np.empty((B, T, spec.action_dim))
+    rewards = np.empty((B, T, spec.num_objectives))
+    for t in range(T):
+        states[:, t] = state
+        actions[:, t] = policy.act(params, state, None if noise is None else noise[:, t])
+        state, rewards[:, t], terminal = env.step(state, actions[:, t])
+        if t < T - 1 and np.any(terminal):
+            raise ValueError(f"an episode ended after {t + 1} steps, before the horizon {T}")
+    return states, actions, rewards, state, terminal
 
 
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
                   critic: VectorCritic, critic_params: np.ndarray,
                   episodes: int, gamma: float, lam: float,
                   rng: np.random.Generator) -> RolloutBatch:
-    """Collect ``episodes`` episodes under one policy snapshot."""
-    if episodes < 1:
-        raise ValueError("need at least one episode per batch")
-    trajectories = []
-    all_states, all_actions, all_adv, all_ret = [], [], [], []
+    """Collect ``episodes`` episodes under one policy snapshot.
+
+    ``rng`` is consumed episode by episode: the reset seed, then the
+    episode's (T, action_dim) block of action noise.
+    """
+    T, a = env.spec.horizon, env.spec.action_dim
+    seeds, noise = [], []
     for _ in range(episodes):
-        traj, raw_actions, states = run_episode(env, policy, params, rng=rng)
-        adv = gae(traj, critic, critic_params, gamma, lam)
-        values = critic.values(critic_params, states)
-        trajectories.append(traj)
-        all_states.append(states)
-        all_actions.append(raw_actions)
-        all_adv.append(adv)
-        all_ret.append(adv + values)
-    states = np.concatenate(all_states)
-    actions = np.concatenate(all_actions)
+        seeds.append(int(rng.integers(0, 2**31 - 1)))
+        noise.append(rng.standard_normal((T, a)))
+    states, actions, rewards, final_states, terminal = run_episode(
+        env, policy, params, seeds, np.array(noise)
+    )
+    B = len(seeds)
+    states = states.reshape(B * T, -1)
+    actions = actions.reshape(B * T, -1)
+    values = critic.values(critic_params, states)
+    last_values = np.zeros((B, critic.num_objectives))
+    if not terminal.all():
+        last_values[~terminal] = critic.values(critic_params, final_states[~terminal])
+    advantages = gae(rewards, values.reshape(B, T, -1), last_values, gamma, lam)
+    advantages = advantages.reshape(B * T, -1)
     return RolloutBatch(
-        trajectories=trajectories,
         states=states,
         actions=actions,
         log_probs=policy.log_prob(params, states, actions),
-        advantages=np.concatenate(all_adv),
-        returns=np.concatenate(all_ret),
+        advantages=advantages,
+        returns=advantages + values,
     )
 
 

@@ -95,6 +95,9 @@ class TestConfigValidation:
         (["evolution.reference_point=[-9,true]"], "evolution.reference_point"),
         # The wider action box lets returns fall below the default point.
         (["env.params.action_bound=4", "policy.init_scale=5"], "evolution.reference_point"),
+        # A non-integer horizon used to pass resolve and crash in the first rollout.
+        (["env.name=mo_point", "env.params.horizon=1.5"], "horizon"),
+        (["env.name=mo_point", "env.params.horizon=true"], "horizon"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -249,8 +252,8 @@ class TestEvalCommand:
                      "--episodes", "1"]) == 0
         printed = capsys.readouterr().out
         mean = np.array([float(v) for v in printed.split(":")[1].split()])
-        traj, _, _ = run_episode(env, policy, params, deterministic=True, seed=0)
-        np.testing.assert_allclose(mean, mo_return(traj, env.spec.gamma), atol=1e-12)
+        _, _, rewards, _, _ = run_episode(env, policy, params, [0])
+        np.testing.assert_allclose(mean, mo_return(rewards[0], env.spec.gamma), atol=1e-12)
 
     def test_shape_mismatch_names_dimensions(self, tmp_path, capsys):
         policy = GaussianPolicy(1, 2, hidden=4)

@@ -7,27 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moascent.momdp import (
-    MOMDPSpec,
-    Trajectory,
-    Transition,
-    make_env,
-    mo_return,
-)
+from moascent.momdp import MOMDPSpec, make_env, mo_return
 
 from .oracles import quad_front_points
 
 
-def rollout(env, actions, seed=0):
+def rollout_rewards(env, actions, seed=0):
+    """(T, m) rewards of one episode stepped state by state through ``actions``."""
     state = env.reset(seed)
-    transitions = []
+    rewards = []
     for action in actions:
-        next_state, reward, terminal = env.step(state, action)
-        transitions.append(Transition(state, env.clamp(action), reward, next_state, terminal))
-        state = next_state
+        state, reward, terminal = env.step(state, action)
+        rewards.append(reward)
         if terminal:
             break
-    return Trajectory(transitions)
+    return np.array(rewards)
 
 
 class TestSpecValidation:
@@ -103,6 +97,11 @@ class TestStep:
             env = make_env(name)
             with pytest.raises(ValueError, match="non-finite"):
                 env.step(env.reset(0), np.full(env.spec.action_dim, np.nan))
+            # One bad entry rejects the whole batch.
+            actions = np.zeros((4, env.spec.action_dim))
+            actions[2, -1] = np.inf
+            with pytest.raises(ValueError, match="non-finite"):
+                env.step(np.stack([env.reset(0)] * 4), actions)
 
     def test_actions_clamped_to_bounds(self):
         env = make_env("mo_quadratic")
@@ -113,6 +112,28 @@ class TestStep:
         _, reward, _ = env.step(env.reset(0), big)
         diffs = clamped[None, :] - env.targets
         np.testing.assert_allclose(reward, -np.einsum("ij,ij->i", diffs, diffs))
+
+    @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic", "mo_quadratic3"])
+    def test_batched_step_matches_single_states(self, name):
+        # One call on a (3, 2, ·) batch gives, entry by entry, what stepping
+        # each state alone gives.
+        env = make_env(name)
+        rng = np.random.default_rng(3)
+        states = rng.uniform(-1, 1, size=(3, 2, env.spec.state_dim))
+        actions = rng.uniform(-2, 2, size=(3, 2, env.spec.action_dim))
+        next_states, rewards, terminal = env.step(states, actions)
+        assert rewards.shape == (3, 2, env.spec.num_objectives)
+        assert terminal.shape == (3, 2)
+        for i, j in itertools.product(range(3), range(2)):
+            one_next, one_reward, one_terminal = env.step(states[i, j], actions[i, j])
+            np.testing.assert_allclose(next_states[i, j], one_next, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rewards[i, j], one_reward, rtol=0, atol=1e-12)
+            assert terminal[i, j] == one_terminal
+
+    def test_wrong_action_width_rejected(self):
+        env = make_env("mo_point")
+        with pytest.raises(ValueError, match="shape"):
+            env.step(np.zeros((4, 4)), np.zeros((4, 3)))
 
     def test_reward_has_m_finite_components(self):
         rng = np.random.default_rng(0)
@@ -130,78 +151,37 @@ class TestStep:
 class TestMoReturn:
     def test_single_step(self):
         env = make_env("mo_quadratic")
-        traj = rollout(env, [env.targets[0]])
+        rewards = rollout_rewards(env, [env.targets[0]])
         np.testing.assert_allclose(
-            mo_return(traj, 0.37), [0.0, -np.sum((env.targets[0] - env.targets[1]) ** 2)]
+            mo_return(rewards, 0.37), [0.0, -np.sum((env.targets[0] - env.targets[1]) ** 2)]
         )
 
     def test_two_step_discounting(self):
         # Direct evaluation: (1, 0) + 0.5 * (0, 1) = (1, 0.5).
-        s = np.zeros(1)
-        traj = Trajectory(
-            [
-                Transition(s, np.zeros(1), np.array([1.0, 0.0]), s, False),
-                Transition(s, np.zeros(1), np.array([0.0, 1.0]), s, False),
-            ]
-        )
-        np.testing.assert_allclose(mo_return(traj, 0.5), [1.0, 0.5])
+        np.testing.assert_allclose(mo_return([[1.0, 0.0], [0.0, 1.0]], 0.5), [1.0, 0.5])
 
     def test_zero_rewards(self):
-        s = np.zeros(1)
-        traj = Trajectory(
-            [Transition(s, np.zeros(1), np.zeros(2), s, False) for _ in range(4)]
-        )
-        np.testing.assert_array_equal(mo_return(traj, 0.9), np.zeros(2))
+        np.testing.assert_array_equal(mo_return(np.zeros((4, 2)), 0.9), np.zeros(2))
 
     def test_empty_trajectory_errors(self):
         with pytest.raises(ValueError):
-            mo_return(Trajectory([]), 0.9)
+            mo_return(np.zeros((0, 2)), 0.9)
 
     @given(st.floats(-4.0, 4.0), st.floats(0.1, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_linear_in_rewards(self, scale, gamma):
-        s = np.zeros(1)
-        rng = np.random.default_rng(4)
-        rewards = rng.uniform(-1, 1, size=(5, 2))
-        base = Trajectory(
-            [Transition(s, np.zeros(1), r, s, False) for r in rewards]
-        )
-        scaled = Trajectory(
-            [Transition(s, np.zeros(1), scale * r, s, False) for r in rewards]
-        )
+        rewards = np.random.default_rng(4).uniform(-1, 1, size=(5, 2))
         np.testing.assert_allclose(
-            mo_return(scaled, gamma), scale * mo_return(base, gamma), atol=1e-12
+            mo_return(scale * rewards, gamma), scale * mo_return(rewards, gamma), atol=1e-12
         )
 
-
-class TestTrajectoryInvariants:
-    def test_chaining_enforced(self):
-        s = np.zeros(1)
-        bad = Trajectory(
-            [
-                Transition(s, np.zeros(1), np.zeros(2), np.ones(1), False),
-                Transition(s, np.zeros(1), np.zeros(2), s, False),
-            ]
-        )
-        with pytest.raises(ValueError, match="chain"):
-            bad.validate()
-
-    def test_nothing_follows_terminal(self):
-        s = np.zeros(1)
-        bad = Trajectory(
-            [
-                Transition(s, np.zeros(1), np.zeros(2), s, True),
-                Transition(s, np.zeros(1), np.zeros(2), s, False),
-            ]
-        )
-        with pytest.raises(ValueError, match="terminal"):
-            bad.validate()
-
-    def test_env_rollout_validates(self):
-        env = make_env("mo_point")
-        rng = np.random.default_rng(1)
-        traj = rollout(env, rng.uniform(-1, 1, size=(env.spec.horizon, 2)))
-        traj.validate(env.spec)
+    def test_leading_axes_are_episodes(self):
+        rewards = np.random.default_rng(5).uniform(-1, 1, size=(3, 2, 7, 2))
+        returns = mo_return(rewards, 0.9)
+        assert returns.shape == (3, 2, 2)
+        for i, j in itertools.product(range(3), range(2)):
+            np.testing.assert_allclose(returns[i, j], mo_return(rewards[i, j], 0.9),
+                                       rtol=0, atol=1e-12)
 
 
 class TestQuadraticFrontOracle:
@@ -229,8 +209,9 @@ class TestReturnLowerBound:
         env = make_env(name)
         corners = itertools.product((-1.0, 1.0), repeat=env.spec.action_dim)
         returns = np.array([
-            mo_return(rollout(env, np.tile(corner, (env.spec.horizon, 1)) * env.spec.action_high),
-                      env.spec.gamma)
+            mo_return(rollout_rewards(
+                env, np.tile(corner, (env.spec.horizon, 1)) * env.spec.action_high),
+                env.spec.gamma)
             for corner in corners
         ])
         np.testing.assert_allclose(returns.min(axis=0), env.return_lower_bound(), atol=1e-9)
@@ -247,7 +228,7 @@ class TestReturnLowerBound:
         for _ in range(50):
             # Out-of-box actions get clamped onto the box faces.
             actions = rng.uniform(-3.0, 3.0, size=(env.spec.horizon, env.spec.action_dim))
-            ret = mo_return(rollout(env, actions * env.spec.action_high), env.spec.gamma)
+            ret = mo_return(rollout_rewards(env, actions * env.spec.action_high), env.spec.gamma)
             assert np.all(ret >= low - 1e-9)
 
 

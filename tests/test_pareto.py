@@ -143,6 +143,8 @@ class TestAnalyticTwoObjective:
             a = analytic_two_objective_alpha(g1, g2)
             res = min_norm_direction(np.stack([g1, g2]))
             assert abs(a - res.alpha[0]) < 1e-6
+            # Two objectives are solved by this closed form, not iterated.
+            np.testing.assert_array_equal(res.alpha, [a, 1.0 - a])
 
 
 class TestStationarity:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moascent.momdp import Trajectory, Transition, make_env, mo_return
+from moascent.momdp import MoPoint, make_env, mo_return
 from moascent.policy import (
     GaussianPolicy,
     VectorCritic,
@@ -36,24 +36,22 @@ class TestAct:
         policy = GaussianPolicy(3, 2, hidden=0)
         params = np.zeros(policy.num_params)  # zero net, log_std 0 -> N(0, I)
         rng = np.random.default_rng(0)
-        draws = np.stack([policy.act(params, np.ones(3), rng) for _ in range(4000)])
+        draws = policy.act(params, np.ones((4000, 3)), rng.standard_normal((4000, 2)))
         assert np.max(np.abs(draws.mean(axis=0))) < 0.06
         assert np.max(np.abs(draws.std(axis=0) - 1.0)) < 0.06
 
     def test_deterministic_mode_returns_mean(self):
         policy = GaussianPolicy(2, 2, hidden=16)
         params = policy.init_params(np.random.default_rng(1), weight_scale=0.7)
-        state = np.array([0.3, -0.8])
-        np.testing.assert_array_equal(
-            policy.act(params, state, deterministic=True), policy.mean(params, state)[0]
-        )
+        states = np.array([[0.3, -0.8], [1.0, 0.5]])
+        np.testing.assert_array_equal(policy.act(params, states), policy.mean(params, states))
 
     def test_same_rng_seed_same_action(self):
         policy = GaussianPolicy(2, 2)
         params = policy.init_params(np.random.default_rng(2))
-        state = np.array([0.1, 0.2])
-        a1 = policy.act(params, state, np.random.default_rng(77))
-        a2 = policy.act(params, state, np.random.default_rng(77))
+        state = np.array([[0.1, 0.2]])
+        a1 = policy.act(params, state, np.random.default_rng(77).standard_normal((1, 2)))
+        a2 = policy.act(params, state, np.random.default_rng(77).standard_normal((1, 2)))
         np.testing.assert_array_equal(a1, a2)
 
 
@@ -148,41 +146,38 @@ class TestGradientSet:
 
 
 class TestGAE:
-    def make_traj(self, rewards, terminal_last=True):
-        s = np.zeros(2)
-        transitions = []
-        for t, r in enumerate(rewards):
-            terminal = terminal_last and t == len(rewards) - 1
-            transitions.append(Transition(s, np.zeros(1), np.asarray(r, float), s, terminal))
-        return Trajectory(transitions)
-
     def test_lambda_zero_is_td_residual(self):
         critic = VectorCritic(2, 2, hidden=4)
         cp = critic.init_params(np.random.default_rng(7), weight_scale=0.5)
-        traj = self.make_traj([(1.0, 0.0), (0.0, 2.0), (1.0, 1.0)], terminal_last=False)
-        adv = gae(traj, critic, cp, 0.9, 0.0)
-        states = np.stack([t.state for t in traj.transitions])
+        states = np.random.default_rng(8).uniform(-1, 1, size=(4, 2))  # s_0..s_3
+        rewards = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         V = critic.values(cp, states)
-        nxt = np.vstack([V[1:], critic.values(cp, traj.transitions[-1].next_state[None, :])])
-        expected = traj.rewards_matrix() + 0.9 * nxt - V
+        adv = gae(rewards[None], V[None, :3], V[None, 3], 0.9, 0.0)[0]
+        expected = rewards + 0.9 * V[1:] - V[:3]
         np.testing.assert_allclose(adv, expected, atol=1e-12)
 
     def test_zero_critic_lambda_one_is_return_to_go(self):
-        critic = VectorCritic(2, 2, hidden=0)
-        cp = np.zeros(critic.num_params)
-        traj = self.make_traj([(1.0, 0.5), (2.0, 0.25), (4.0, 0.125)])
-        adv = gae(traj, critic, cp, 0.5, 1.0)
+        rewards = np.array([[[1.0, 0.5], [2.0, 0.25], [4.0, 0.125]]])
+        adv = gae(rewards, np.zeros_like(rewards), np.zeros((1, 2)), 0.5, 1.0)[0]
         # discounted return-to-go per objective, hand-evaluated
         np.testing.assert_allclose(adv[:, 0], [1 + 1 + 1, 2 + 2, 4])
         np.testing.assert_allclose(adv[:, 1], [0.5 + 0.125 + 0.03125, 0.25 + 0.0625, 0.125])
 
     def test_constant_reward_horizon_three(self):
-        critic = VectorCritic(2, 2, hidden=0)
-        cp = np.zeros(critic.num_params)
-        traj = self.make_traj([(1.0, 0.0)] * 3)
-        adv = gae(traj, critic, cp, 1.0, 1.0)
+        rewards = np.tile([1.0, 0.0], (1, 3, 1))
+        adv = gae(rewards, np.zeros_like(rewards), np.zeros((1, 2)), 1.0, 1.0)[0]
         np.testing.assert_allclose(adv[:, 0], [3.0, 2.0, 1.0])
         np.testing.assert_allclose(adv[:, 1], [0.0, 0.0, 0.0])
+
+    def test_episodes_are_independent(self):
+        rng = np.random.default_rng(9)
+        rewards, values = rng.uniform(-1, 1, size=(2, 4, 5, 3))
+        last = rng.uniform(-1, 1, size=(4, 3))
+        adv = gae(rewards, values, last, 0.9, 0.8)
+        for b in range(4):
+            np.testing.assert_array_equal(
+                adv[b], gae(rewards[b:b + 1], values[b:b + 1], last[b:b + 1], 0.9, 0.8)[0]
+            )
 
 
 class TestPPOUpdate:
@@ -257,8 +252,8 @@ class TestPPOUpdate:
         omega = np.array([0.5, 0.5])
 
         def scalarized(p):
-            traj, _, _ = run_episode(env, policy, p, deterministic=True, seed=0)
-            return float(omega @ mo_return(traj, 1.0))
+            _, _, rewards, _, _ = run_episode(env, policy, p, [0])
+            return float(omega @ mo_return(rewards[0], 1.0))
 
         start = scalarized(params)
         for _ in range(10):
@@ -295,11 +290,90 @@ class TestRollouts:
     def test_trajectories_respect_horizon_and_chain(self):
         env = make_env("mo_point")
         policy = GaussianPolicy(4, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(11))
-        traj, raw, states = run_episode(env, policy, params, rng=np.random.default_rng(1))
-        assert len(traj) == env.spec.horizon
-        traj.validate(env.spec)
-        # raw actions may exceed bounds; recorded ones never do
-        for t in traj.transitions:
-            assert np.all(t.action >= env.spec.action_low - 1e-12)
-            assert np.all(t.action <= env.spec.action_high + 1e-12)
+        params = policy.init_params(np.random.default_rng(11), log_std_init=1.0)
+        noise = np.random.default_rng(1).standard_normal((3, env.spec.horizon, 2))
+        states, raw, rewards, final, terminal = run_episode(env, policy, params, [4, 5, 6], noise)
+        T = env.spec.horizon
+        assert states.shape == (3, T, 4) and raw.shape == (3, T, 2) and rewards.shape == (3, T, 2)
+        assert not terminal.any()
+        # Each step starts where the previous one ended.
+        next_states, _, _ = env.step(states, raw)
+        np.testing.assert_array_equal(next_states[:, :-1], states[:, 1:])
+        np.testing.assert_array_equal(next_states[:, -1], final)
+        # Raw actions may exceed the bounds; the applied ones never do, so the
+        # energy reward never drops below its value at a box corner.
+        assert np.any(np.abs(raw) > env.spec.action_high)
+        corner_energy = -np.sum(env.spec.action_high**2) + env.r_alive + env.shift
+        assert np.all(rewards[..., 1] >= corner_energy - 1e-12)
+
+    @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic3"])
+    def test_lockstep_matches_single_episode_stepping(self, name):
+        env = make_env(name)
+        spec = env.spec
+        policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
+        params = policy.init_params(np.random.default_rng(12), weight_scale=0.5)
+        seeds = [3, 1, 4, 1, 5]
+        noise = np.random.default_rng(2).standard_normal((5, spec.horizon, spec.action_dim))
+        std = np.exp(policy.log_std(params))
+        for eps in (noise, None):
+            states, actions, rewards, final, terminal = run_episode(
+                env, policy, params, seeds, eps)
+            for b, seed in enumerate(seeds):
+                state = env.reset(seed)
+                for t in range(spec.horizon):
+                    action = policy.mean(params, state)[0]
+                    if eps is not None:
+                        action = action + std * eps[b, t]
+                    np.testing.assert_allclose(states[b, t], state, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(actions[b, t], action, rtol=0, atol=1e-12)
+                    state, reward, done = env.step(state, action)
+                    np.testing.assert_allclose(rewards[b, t], reward, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(final[b], state, rtol=0, atol=1e-12)
+                assert terminal[b] == done
+
+    def test_collect_batch_draws_seed_then_noise_per_episode(self):
+        # Reference: the documented order written as a plain loop, one
+        # standard-normal action draw per step, each episode stepped alone.
+        env = make_env("mo_point", horizon=5)
+        T = env.spec.horizon
+        policy = GaussianPolicy(4, 2, hidden=8)
+        critic = VectorCritic(4, 2, hidden=8)
+        params = policy.init_params(np.random.default_rng(13))
+        cp = critic.init_params(np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        batch = collect_batch(env, policy, params, critic, cp, 3, 0.9, 0.8, rng)
+        ref_rng = np.random.default_rng(15)
+        std = np.exp(policy.log_std(params))
+        states, actions, advantages = [], [], []
+        for _ in range(3):
+            state = env.reset(int(ref_rng.integers(0, 2**31 - 1)))
+            ep_states, ep_rewards = [], []
+            for _ in range(T):
+                action = policy.mean(params, state)[0] + std * ref_rng.standard_normal(2)
+                ep_states.append(state)
+                actions.append(action)
+                state, reward, _ = env.step(state, action)
+                ep_rewards.append(reward)
+            values = critic.values(cp, np.array(ep_states))
+            tail = critic.values(cp, state)  # truncated: bootstrap from the critic
+            advantages.append(gae(np.array(ep_rewards)[None], values[None], tail, 0.9, 0.8)[0])
+            states.extend(ep_states)
+        np.testing.assert_allclose(batch.states, states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.actions, actions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.advantages, np.concatenate(advantages),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.returns - batch.advantages,
+                                   critic.values(cp, batch.states), rtol=0, atol=1e-12)
+        assert rng.integers(0, 2**31 - 1) == ref_rng.integers(0, 2**31 - 1)
+
+    def test_episode_ending_before_horizon_rejected(self):
+        class EndsAtOnce(MoPoint):
+            def step(self, state, action):
+                next_state, reward, _ = super().step(state, action)
+                return next_state, reward, np.ones(next_state.shape[:-1], bool)
+
+        env = EndsAtOnce(horizon=3)
+        policy = GaussianPolicy(4, 2, hidden=0)
+        params = policy.init_params(np.random.default_rng(16))
+        with pytest.raises(ValueError, match="before the horizon"):
+            run_episode(env, policy, params, [0, 1])
