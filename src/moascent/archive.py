@@ -31,12 +31,18 @@ FRONTIER_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class PolicyEntry:
-    """An evaluated policy: checkpoint reference, objective vector, provenance."""
+    """An evaluated policy snapshot: reference, objective vector, provenance, parameters.
+
+    ``params`` and ``critic_params`` are read-only copies of the snapshot,
+    so a snapshot lives exactly as long as some entry holds it.
+    """
 
     params_ref: str
     objectives: np.ndarray
     generation: int
     source: str
+    params: np.ndarray = field(compare=False, repr=False)
+    critic_params: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         objectives = np.asarray(self.objectives, dtype=float)
@@ -47,6 +53,10 @@ class PolicyEntry:
         if self.source not in POLICY_SOURCES:
             raise ValueError(f"unknown source {self.source!r}, expected one of {POLICY_SOURCES}")
         object.__setattr__(self, "objectives", objectives)
+        for name in ("params", "critic_params"):
+            snapshot = np.array(getattr(self, name), dtype=float)
+            snapshot.flags.writeable = False
+            object.__setattr__(self, name, snapshot)
 
 
 def dominates(a, b) -> bool:

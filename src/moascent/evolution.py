@@ -32,7 +32,6 @@ from .policy import (
 )
 
 __all__ = [
-    "CheckpointStore",
     "FinetuneJob",
     "Trainer",
     "TrainingState",
@@ -56,40 +55,22 @@ class FinetuneJob:
     policy: PolicyEntry
     weights: np.ndarray
     kind: str  # "gap_pair" | "objective_extreme"
-    budget_iters: int
-
-
-class CheckpointStore:
-    """In-memory snapshot store mapping stable refs to parameter pairs."""
-
-    def __init__(self):
-        self._snapshots: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._counter = 0
-
-    def add(self, params: np.ndarray, critic_params: np.ndarray) -> str:
-        ref = f"ckpt_{self._counter:06d}"
-        self._counter += 1
-        self._snapshots[ref] = (params.copy(), critic_params.copy())
-        return ref
-
-    def get(self, ref: str) -> tuple[np.ndarray, np.ndarray]:
-        params, critic_params = self._snapshots[ref]
-        return params.copy(), critic_params.copy()
-
-    def __contains__(self, ref: str) -> bool:
-        return ref in self._snapshots
 
 
 @dataclass
 class TrainingState:
-    """Mutable state threaded through the generations."""
+    """Mutable state threaded through the generations.
+
+    ``next_ref`` numbers the snapshots taken so far; the entries of the
+    population and the archive hold the only copies of their parameters.
+    """
 
     population: list[PolicyEntry]
     archive: NonDominatedSet
-    store: CheckpointStore
     metrics: list[dict] = field(default_factory=list)
     selection_log: list[dict] = field(default_factory=list)
     stationary_fallbacks: int = 0
+    next_ref: int = 0
 
 
 def distance_to_ref(objectives, reference_point) -> float:
@@ -328,19 +309,18 @@ def paft_select(ndset: NonDominatedSet, config: EvolutionConfig) -> list[Finetun
     n_pairs = config.paft_pairs
     if n_pairs is None:
         n_pairs = max(0, (p_b - m) // 2)
-    budget = config.m_iters
 
     jobs: list[FinetuneJob] = []
     if n_pairs > 0:
         for i, j, _ in _gap_edges(P)[:n_pairs]:
             w_i, w_j = gap_pair_weights(P[i], P[j])
-            jobs.append(FinetuneJob(entries[i], w_i, "gap_pair", budget))
-            jobs.append(FinetuneJob(entries[j], w_j, "gap_pair", budget))
+            jobs.append(FinetuneJob(entries[i], w_i, "gap_pair"))
+            jobs.append(FinetuneJob(entries[j], w_j, "gap_pair"))
     for objective in range(m):
         best = int(np.argmax(P[:, objective]))
         weights = np.zeros(m)
         weights[objective] = 1.0
-        jobs.append(FinetuneJob(entries[best], weights, "objective_extreme", budget))
+        jobs.append(FinetuneJob(entries[best], weights, "objective_extreme"))
     return jobs[:p_b]
 
 
@@ -404,6 +384,15 @@ class Trainer:
         _, _, rewards, _, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
         return mo_return(rewards, self.env.spec.gamma).mean(axis=0)
 
+    def _snapshot_entry(self, state: TrainingState, params: np.ndarray,
+                        critic_params: np.ndarray, generation: int,
+                        source: str) -> PolicyEntry:
+        """Evaluate a snapshot and wrap it in an entry under the next ``ckpt_%06d`` ref."""
+        ref = f"ckpt_{state.next_ref:06d}"
+        state.next_ref += 1
+        return PolicyEntry(ref, self.evaluate(params), generation, source,
+                           params, critic_params)
+
     def _train_lane(self, params, critic_params, iters, rng, fixed_weights):
         """Run ``iters`` collect-and-update iterations on one lane.
 
@@ -461,8 +450,7 @@ class Trainer:
                     params, critic_params, cfg.m_w, rng,
                     fixed_weights=weight_grid[lane],
                 )
-            ref = state.store.add(params, critic_params)
-            entry = PolicyEntry(ref, self.evaluate(params), generation=0, source="warmup")
+            entry = self._snapshot_entry(state, params, critic_params, 0, "warmup")
             state.population.append(entry)
             state.archive.insert(entry)
 
@@ -504,18 +492,14 @@ class Trainer:
 
         for lane_index, (source, origin, fixed_weights) in enumerate(lanes):
             rng = self._lane_rng(generation, lane_index)
-            params, critic_params = state.store.get(origin.params_ref)
             _, _, snapshots, fallbacks = self._train_lane(
-                params, critic_params, cfg.m_iters, rng, fixed_weights
+                origin.params, origin.critic_params, cfg.m_iters, rng, fixed_weights
             )
             state.stationary_fallbacks += fallbacks
             final_entry = None
             final_accepted = False
             for snap_params, snap_critic in snapshots:
-                ref = state.store.add(snap_params, snap_critic)
-                entry = PolicyEntry(
-                    ref, self.evaluate(snap_params), generation=generation, source=source
-                )
+                entry = self._snapshot_entry(state, snap_params, snap_critic, generation, source)
                 final_accepted = state.archive.insert(entry)
                 final_entry = entry
             if source == "pareto_ascent":
@@ -547,9 +531,7 @@ class Trainer:
         the final :class:`TrainingState` on ``self.state`` for exporting
         checkpoints and the selection log.
         """
-        state = TrainingState(
-            population=[], archive=NonDominatedSet(), store=CheckpointStore()
-        )
+        state = TrainingState(population=[], archive=NonDominatedSet())
         self.state = state
         start = time.perf_counter()
         self.warmup(state)

@@ -156,8 +156,8 @@ def run_seed(cfg: Config, seed: int) -> Path:
     checkpoint_names = {}
     for entry in archive:
         rel = f"checkpoints/{entry.params_ref}.json"
-        params, critic_params = state.store.get(entry.params_ref)
-        save_checkpoint(run_dir / rel, trainer.policy, params, trainer.critic, critic_params)
+        save_checkpoint(run_dir / rel, trainer.policy, entry.params,
+                        trainer.critic, entry.critic_params)
         checkpoint_names[entry.params_ref] = rel
 
     doc = frontier_document(

@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a bool, a non-number or a non-finite number is rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MOMDPSpec:
     """Static description of a vector-reward control problem."""
@@ -45,7 +53,7 @@ class MOMDPSpec:
             raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 < self.gamma <= 1.0:
+        if not 0.0 < _finite("gamma", self.gamma) <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         low = np.asarray(self.action_low, dtype=float)
         high = np.asarray(self.action_high, dtype=float)
@@ -125,19 +133,20 @@ class MoPoint(MOMDPEnv):
         init_noise: float = 0.1,
         action_bound: float = 1.0,
     ):
-        self.dt = float(dt)
-        self.damping = float(damping)
-        self.r_alive = float(r_alive)
-        self.shift = float(shift)
-        self.init_noise = float(init_noise)
+        self.dt = _finite("dt", dt)
+        self.damping = _finite("damping", damping)
+        self.r_alive = _finite("r_alive", r_alive)
+        self.shift = _finite("shift", shift)
+        self.init_noise = _finite("init_noise", init_noise)
+        action_bound = abs(_finite("action_bound", action_bound))
         self.spec = MOMDPSpec(
             state_dim=4,
             action_dim=2,
             num_objectives=2,
             horizon=horizon,
             gamma=gamma,
-            action_low=np.full(2, -abs(action_bound)),
-            action_high=np.full(2, abs(action_bound)),
+            action_low=np.full(2, -action_bound),
+            action_high=np.full(2, action_bound),
         )
 
     def reset(self, seed: int) -> np.ndarray:
@@ -179,9 +188,11 @@ class MoQuadratic(MOMDPEnv):
     """
 
     def __init__(self, targets, action_bound: float = 1.5, gamma: float = 1.0):
-        targets = np.asarray(targets, dtype=float)
+        targets = np.asarray(targets, dtype=object)
         if targets.ndim != 2 or targets.shape[0] < 2:
             raise ValueError(f"need at least two targets, got shape {targets.shape}")
+        targets = np.array([_finite("targets", v) for v in targets.flat]).reshape(targets.shape)
+        action_bound = abs(_finite("action_bound", action_bound))
         self.targets = targets
         self.spec = MOMDPSpec(
             state_dim=1,
@@ -189,8 +200,8 @@ class MoQuadratic(MOMDPEnv):
             num_objectives=targets.shape[0],
             horizon=1,
             gamma=gamma,
-            action_low=np.full(targets.shape[1], -abs(action_bound)),
-            action_high=np.full(targets.shape[1], abs(action_bound)),
+            action_low=np.full(targets.shape[1], -action_bound),
+            action_high=np.full(targets.shape[1], action_bound),
         )
 
     def reset(self, seed: int) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 Given one gradient per objective, the minimum-norm point of their convex
 hull is a direction that (when nonzero) improves every objective at once.
-This module solves that small quadratic program in Gram-matrix space,
-provides the closed-form two-objective solution, the Euclidean projection
-onto the simplex used by the iterative solver, and the associated
-stationarity test.
+This module solves that small quadratic program exactly in Gram-matrix
+space, face by face of the simplex, and provides the closed-form
+two-objective solution, the Euclidean projection onto the simplex, and
+the associated stationarity test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,12 +23,6 @@ __all__ = [
     "project_to_simplex",
     "validate_weights",
 ]
-
-#: Default infinity-norm step tolerance for the projected-gradient loop.
-DEFAULT_TOL = 1e-10
-
-#: Default iteration cap for the projected-gradient loop.
-DEFAULT_MAX_ITERS = 10_000
 
 
 def validate_weights(w, tol: float = 1e-6) -> np.ndarray:
@@ -49,16 +44,6 @@ def validate_weights(w, tol: float = 1e-6) -> np.ndarray:
     return w / w.sum()
 
 
-def _project_simplex_sorted(v: np.ndarray) -> np.ndarray:
-    # Sort-and-threshold projection; assumes a finite 1-D array.
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]) + 1
-    tau = (css[rho - 1] - 1.0) / rho
-    return np.maximum(v - tau, 0.0)
-
-
 def project_to_simplex(v) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex.
 
@@ -70,7 +55,13 @@ def project_to_simplex(v) -> np.ndarray:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project a vector with non-finite entries")
-    return _project_simplex_sorted(v)
+    # Sort and threshold: keep the largest entries that stay positive after the shift.
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    rho = int(np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]) + 1
+    tau = (css[rho - 1] - 1.0) / rho
+    return np.maximum(v - tau, 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,50 +86,26 @@ def _default_stationary_eps(gram_diag_max: float) -> float:
     return 1e-8 * (1.0 + gram_diag_max)
 
 
-def min_norm_direction(
-    grads,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    stationary_eps: float | None = None,
-) -> AscentResult:
+def min_norm_direction(grads, stationary_eps: float | None = None) -> AscentResult:
     """Minimize ``||sum_i alpha_i g_i||^2`` over the probability simplex.
 
-    ``grads`` is an (m, d) matrix with one gradient per row, m >= 2. Two
-    objectives take the closed form :func:`analytic_two_objective_alpha`.
-    More are solved by projected gradient iteration on the m x m Gram
-    matrix (the d-dimensional rows enter only through it), with a
-    conservative ``1 / (2 L)`` step size and an infinity-norm step-change
-    stopping rule; a fixed point of the projected step is the exact
-    constrained minimizer.
+    ``grads`` is an (m, d) matrix with one gradient per row, m >= 2. The
+    minimizer lies in the relative interior of some face of the simplex, so
+    every face is solved exactly and the best candidate kept: each edge by
+    the clamped closed form :func:`analytic_two_objective_alpha` (which also
+    covers the vertices), each larger face by its equality-constrained
+    stationary point, kept only when all its weights are positive. Two
+    objectives are therefore exactly the closed form.
     """
     G = np.asarray(grads, dtype=float)
     if G.ndim != 2 or G.shape[0] < 2:
         raise ValueError(f"expected an (m, d) gradient matrix with m >= 2, got shape {G.shape}")
     if not np.all(np.isfinite(G)):
         raise ValueError("gradient matrix has non-finite entries")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
 
-    m = G.shape[0]
     K = G @ G.T
     K = 0.5 * (K + K.T)  # guard against asymmetric rounding
-    if m == 2:
-        a = analytic_two_objective_alpha(G[0], G[1])
-        alpha = np.array([a, 1.0 - a])
-    else:
-        alpha = np.full(m, 1.0 / m)
-        # Cheap Lipschitz bound for grad f = 2 K alpha: largest diagonal entry
-        # plus largest absolute row sum dominates the spectral radius.
-        lip = float(K.diagonal().max() + np.abs(K).sum(axis=1).max())
-        if lip > 0.0:
-            eta = 1.0 / (2.0 * lip)
-            for _ in range(max_iters):
-                nxt = _project_simplex_sorted(alpha - eta * 2.0 * (K @ alpha))
-                done = np.max(np.abs(nxt - alpha)) < tol
-                alpha = nxt
-                if done:
-                    break
-
+    alpha = min(_face_candidates(G, K), key=lambda w: float(w @ K @ w))
     direction = G.T @ alpha
     squared_norm = float(direction @ direction)
     if stationary_eps is None:
@@ -149,6 +116,38 @@ def min_norm_direction(
         squared_norm=squared_norm,
         stationary=squared_norm <= stationary_eps,
     )
+
+
+def _face_candidates(G: np.ndarray, K: np.ndarray):
+    """The minimizer of ``w^T K w`` on each face of the simplex, where it is interior.
+
+    Faces with three or more vertices solve the bordered KKT system
+    ``[[K_F, 1], [1^T, 0]] [w; lam] = [0; 1]``; a singular system has no
+    isolated minimizer there, and a smaller face holds one.
+    """
+    m = G.shape[0]
+    for i, j in combinations(range(m), 2):
+        a = analytic_two_objective_alpha(G[i], G[j])
+        w = np.zeros(m)
+        w[i], w[j] = a, 1.0 - a
+        yield w
+    for size in range(3, m + 1):
+        for face in combinations(range(m), size):
+            face = list(face)
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = K[np.ix_(face, face)]
+            kkt[size, size] = 0.0
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            try:
+                solution = np.linalg.solve(kkt, rhs)[:size]
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(solution > 0.0):
+                w = np.zeros(m)
+                # Renormalized, so an ill-conditioned solve still yields a simplex point.
+                w[face] = solution / solution.sum()
+                yield w
 
 
 def analytic_two_objective_alpha(g1, g2) -> float:

@@ -138,44 +138,37 @@ class GaussianPolicy:
             return mu
         return mu + np.exp(self.log_std(params)) * noise
 
-    def log_prob(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        mu, _ = self.net.forward(self._net_params(params), states)
-        log_std = self.log_std(params)
-        std = np.exp(log_std)
-        zscores = (actions - mu) / std
-        return -0.5 * np.sum(zscores * zscores, axis=1) - log_std.sum() \
-            - 0.5 * self.action_dim * _LOG_2PI
+    def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray):
+        """Log-probabilities of ``actions`` and their weighted score, from one forward pass.
 
-    def weighted_score_sum(self, params: np.ndarray, states: np.ndarray,
-                           actions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Flat gradient of ``sum_t coeffs[t] * log pi(actions[t] | states[t])``."""
+        Returns ``(log_probs, grad)``: the (n,) values of ``log pi(actions[t] |
+        states[t])`` and a function ``grad(coeffs)`` giving the flat gradient
+        of ``sum_t coeffs[t] * log pi(actions[t] | states[t])``.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        coeffs = np.asarray(coeffs, dtype=float)
         net_params = self._net_params(params)
         mu, cache = self.net.forward(net_params, states)
         raw = params[self.net.num_params :]
         log_std = np.clip(raw, self.log_std_min, self.log_std_max)
-        inv_var = np.exp(-2.0 * log_std)
         residual = actions - mu
-        d_mu = coeffs[:, None] * residual * inv_var
-        grad = np.empty(self.num_params)
-        grad[: self.net.num_params] = self.net.backprop(net_params, states, cache, d_mu)
+        zscores = residual / np.exp(log_std)
+        log_probs = -0.5 * np.sum(zscores * zscores, axis=1) - log_std.sum() \
+            - 0.5 * self.action_dim * _LOG_2PI
+        inv_var = np.exp(-2.0 * log_std)
         # d logp / d log_std_j = z_j^2 - 1; zero where the clamp is active.
-        zsq = residual * residual * inv_var
-        d_log_std = coeffs @ (zsq - 1.0)
+        zsq_minus_one = residual * residual * inv_var - 1.0
         active = (raw > self.log_std_min) & (raw < self.log_std_max)
-        grad[self.net.num_params :] = np.where(active, d_log_std, 0.0)
-        return grad
 
-    def log_prob_grad(self, params: np.ndarray, state, action) -> np.ndarray:
-        """Gradient of ``log pi(action | state)`` w.r.t. all parameters."""
-        return self.weighted_score_sum(
-            params, np.asarray(state, dtype=float)[None, :],
-            np.asarray(action, dtype=float)[None, :], np.ones(1)
-        )
+        def grad(coeffs) -> np.ndarray:
+            coeffs = np.asarray(coeffs, dtype=float)
+            out = np.empty(self.num_params)
+            d_mu = coeffs[:, None] * residual * inv_var
+            out[: self.net.num_params] = self.net.backprop(net_params, states, cache, d_mu)
+            out[self.net.num_params :] = np.where(active, coeffs @ zsq_minus_one, 0.0)
+            return out
+
+        return log_probs, grad
 
 
 class VectorCritic:
@@ -307,7 +300,7 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     return RolloutBatch(
         states=states,
         actions=actions,
-        log_probs=policy.log_prob(params, states, actions),
+        log_probs=policy.score(params, states, actions)[0],
         advantages=advantages,
         returns=advantages + values,
     )
@@ -334,11 +327,8 @@ def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
     if normalize_advantages:
         adv = normalize_per_objective(adv)
     n, m = adv.shape
-    rows = [
-        policy.weighted_score_sum(params, batch.states, batch.actions, adv[:, i] / n)
-        for i in range(m)
-    ]
-    G = np.stack(rows)
+    _, grad = policy.score(params, batch.states, batch.actions)
+    G = np.stack([grad(adv[:, i] / n) for i in range(m)])
     if not np.all(np.isfinite(G)):
         raise ValueError("gradient estimate has non-finite entries")
     return G
@@ -419,13 +409,12 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params.size, lr if optimizer == "adam" else min(lr, 5e-3))
     for _ in range(epochs):
-        log_probs = policy.log_prob(params, batch.states, batch.actions)
+        log_probs, grad = policy.score(params, batch.states, batch.actions)
         ratio = np.exp(log_probs - batch.log_probs)
         # Gradient flows only where the unclipped branch is the active min.
         active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + clip_eps, ratio >= 1.0 - clip_eps)
         coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
-        surrogate_grad = policy.weighted_score_sum(params, batch.states, batch.actions, coeffs)
-        params = policy_opt.step(params, -surrogate_grad)
+        params = policy_opt.step(params, -grad(coeffs))
         value_grad, _ = critic.mse_grad(critic_params, batch.states, batch.returns)
         critic_params = critic_opt.step(critic_params, value_grad)
     return params, critic_params

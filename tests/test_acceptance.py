@@ -114,15 +114,15 @@ def test_04_log_prob_gradient_finite_differences():
         )
         state = rng.standard_normal(state_dim)
         action = rng.standard_normal(action_dim)
-        analytic = policy.log_prob_grad(params, state, action)
+        analytic = policy.score(params, state[None], action[None])[1](np.ones(1))
         h = 1e-5
         numeric = np.empty_like(analytic)
         for k in range(params.size):
             up = params.copy(); up[k] += h
             down = params.copy(); down[k] -= h
             numeric[k] = (
-                policy.log_prob(up, state[None], action[None])[0]
-                - policy.log_prob(down, state[None], action[None])[0]
+                policy.score(up, state[None], action[None])[0][0]
+                - policy.score(down, state[None], action[None])[0][0]
             ) / (2 * h)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric)))))
     elapsed = time.perf_counter() - start
@@ -161,12 +161,13 @@ def test_05_hypervolume_monte_carlo_and_compliance():
 def test_06_archive_invariants_bulk():
     start = time.perf_counter()
     rng = np.random.default_rng(606)
+    snap = np.zeros(0)  # entries here carry no parameters
     nd2, nd3 = NonDominatedSet(), NonDominatedSet()
     for i in range(100_000):
         if i % 2 == 0:
-            nd2.insert(PolicyEntry(f"a{i}", rng.uniform(0, 1, size=2), 0, "warmup"))
+            nd2.insert(PolicyEntry(f"a{i}", rng.uniform(0, 1, size=2), 0, "warmup", snap, snap))
         else:
-            nd3.insert(PolicyEntry(f"a{i}", rng.uniform(0, 1, size=3), 0, "warmup"))
+            nd3.insert(PolicyEntry(f"a{i}", rng.uniform(0, 1, size=3), 0, "warmup", snap, snap))
     ok = nd2.mutually_non_dominated() and nd3.mutually_non_dominated()
 
     candidates = rng.uniform(0, 1, size=(100, 2))
@@ -176,7 +177,7 @@ def test_06_archive_invariants_bulk():
         perm = rng.permutation(100)
         nd = NonDominatedSet()
         for row in candidates[perm]:
-            nd.insert(PolicyEntry("x", row, 0, "warmup"))
+            nd.insert(PolicyEntry("x", row, 0, "warmup", snap, snap))
         final = sorted(map(tuple, nd.objectives_matrix()))
         if reference is None:
             reference = final

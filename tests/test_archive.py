@@ -21,7 +21,21 @@ from .oracles import dominated_mask, dominated_mask_bruteforce, mc_hypervolume
 
 
 def entry(objs, ref="r", generation=0, source="warmup"):
-    return PolicyEntry(ref, np.asarray(objs, dtype=float), generation, source)
+    return PolicyEntry(ref, np.asarray(objs, dtype=float), generation, source,
+                       np.zeros(3), np.zeros(2))
+
+
+class TestPolicyEntry:
+    def test_snapshot_is_a_read_only_copy(self):
+        params = np.arange(4.0)
+        made = PolicyEntry("ckpt_000000", [1.0, 2.0], 0, "warmup", params, np.zeros(2))
+        params[0] = 99.0  # caller mutation must not leak into the entry
+        np.testing.assert_array_equal(made.params, [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            made.params[0] = 5.0
+        with pytest.raises(ValueError):
+            made.critic_params[0] = 5.0
+        assert "params=" not in repr(made)
 
 
 class TestDominates:

@@ -1,12 +1,15 @@
 """Tests for the generational loop: warmup, selection, fine-tuning, training."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from moascent.archive import NonDominatedSet, PolicyEntry
+from moascent import evolution
 from moascent.config import EvolutionConfig, PolicyConfig
 from moascent.evolution import (
-    CheckpointStore,
     Trainer,
     ascent_weights,
     distance_to_ref,
@@ -20,7 +23,8 @@ from moascent.policy import GaussianPolicy, VectorCritic
 
 
 def entry(objs, ref, generation=0, source="warmup"):
-    return PolicyEntry(ref, np.asarray(objs, dtype=float), generation, source)
+    return PolicyEntry(ref, np.asarray(objs, dtype=float), generation, source,
+                       np.zeros(3), np.zeros(2))
 
 
 def gen_config(**kw):
@@ -271,17 +275,6 @@ class TestAscentWeights:
         assert fell_back
 
 
-class TestCheckpointStore:
-    def test_round_trip_and_isolation(self):
-        store = CheckpointStore()
-        params = np.arange(4.0)
-        ref = store.add(params, np.zeros(2))
-        params[0] = 99.0  # caller mutation must not leak into the store
-        got, _ = store.get(ref)
-        np.testing.assert_array_equal(got, [0.0, 1.0, 2.0, 3.0])
-        assert ref in store
-
-
 class TestTrainingLoop:
     def test_zero_generations_archive_is_warmup_subset(self):
         trainer = make_trainer(M=0, m_w=0)
@@ -331,10 +324,30 @@ class TestTrainingLoop:
         archive, _ = trainer.run_training()
         state = trainer.state
         for e in archive:
-            assert e.params_ref in state.store
+            assert e.params.shape == (trainer.policy.num_params,)
+            assert e.critic_params.shape == (trainer.critic.num_params,)
         for record in state.selection_log:
             if record["kind"] == "pgr":
                 assert record["chosen"] in record["top_k"]
+
+    def test_only_held_snapshots_stay_alive(self, monkeypatch):
+        # A snapshot lives exactly as long as an archive or population entry
+        # holds it; nothing else in the trainer keeps one alive.
+        created = []
+
+        def recording_entry(*args, **kwargs):
+            made = PolicyEntry(*args, **kwargs)
+            created.append(weakref.ref(made.params))
+            return made
+
+        monkeypatch.setattr(evolution, "PolicyEntry", recording_entry)
+        trainer = make_trainer(M=4, M_ft=2)
+        archive, _ = trainer.run_training()
+        gc.collect()
+        alive = {id(ref()) for ref in created if ref() is not None}
+        held = {id(e.params) for e in [*archive, *trainer.state.population]}
+        assert alive == held
+        assert len(created) > len(held)
 
     def test_metrics_row_fields(self):
         _, metrics = make_trainer(M=1).run_training()
@@ -366,8 +379,7 @@ class TestTrainingLoop:
             expected = trainer.policy.init_params(
                 rng, weight_scale=upd.init_scale, log_std_init=upd.log_std_init
             )
-            params, _ = state.store.get(member.params_ref)
-            np.testing.assert_array_equal(params, expected)
+            np.testing.assert_array_equal(member.params, expected)
 
     def test_alpha_recompute_interval_runs(self):
         trainer = make_trainer(

@@ -98,6 +98,13 @@ class TestConfigValidation:
         # A non-integer horizon used to pass resolve and crash in the first rollout.
         (["env.name=mo_point", "env.params.horizon=1.5"], "horizon"),
         (["env.name=mo_point", "env.params.horizon=true"], "horizon"),
+        # Booleans and non-finite numbers used to pass as env params.
+        (["env.name=mo_point", "env.params.gamma=true",
+          "evolution.reference_point=[-1000,0]"], "gamma"),
+        (["env.name=mo_point", "env.params.init_noise=true",
+          "evolution.reference_point=[-1000,0]"], "init_noise"),
+        (["env.params.action_bound=.nan"], "action_bound"),
+        (["env.params.targets=[[1,0],[0,.inf]]"], "targets"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))

@@ -72,7 +72,7 @@ class TestMinNormDirection:
     def test_direction_is_alpha_combination(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            G = rng.uniform(-1, 1, size=(int(rng.integers(2, 4)), int(rng.integers(2, 8))))
+            G = rng.uniform(-1, 1, size=(int(rng.integers(2, 5)), int(rng.integers(2, 8))))
             res = min_norm_direction(G)
             np.testing.assert_allclose(res.direction, G.T @ res.alpha, atol=1e-9)
 
@@ -90,7 +90,7 @@ class TestMinNormDirection:
         # direction; zero-weight objectives see at least that much.
         rng = np.random.default_rng(5)
         for _ in range(200):
-            m = int(rng.integers(2, 4))
+            m = int(rng.integers(2, 5))
             G = rng.uniform(-1, 1, size=(m, int(rng.integers(2, 11))))
             res = min_norm_direction(G)
             sn = res.squared_norm

@@ -25,10 +25,15 @@ def finite_difference_log_prob(policy, params, state, action, h=1e-5):
         down = params.copy()
         down[i] -= h
         grad[i] = (
-            policy.log_prob(up, state[None], action[None])[0]
-            - policy.log_prob(down, state[None], action[None])[0]
+            policy.score(up, state[None], action[None])[0][0]
+            - policy.score(down, state[None], action[None])[0][0]
         ) / (2 * h)
     return grad
+
+
+def log_prob_grad(policy, params, state, action):
+    """Gradient of ``log pi(action | state)`` for a single state-action pair."""
+    return policy.score(params, state[None], action[None])[1](np.ones(1))
 
 
 class TestAct:
@@ -66,7 +71,7 @@ class TestLogProbGrad:
             )
             state = rng.standard_normal(3)
             action = rng.standard_normal(2)
-            analytic = policy.log_prob_grad(params, state, action)
+            analytic = log_prob_grad(policy, params, state, action)
             numeric = finite_difference_log_prob(policy, params, state, action)
             assert np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric))) < 1e-4
 
@@ -75,7 +80,7 @@ class TestLogProbGrad:
         params = policy.init_params(np.random.default_rng(4))
         state = np.array([0.5, -0.5, 1.0])
         mean = policy.mean(params, state)[0]
-        grad = policy.log_prob_grad(params, state, mean)
+        grad = log_prob_grad(policy, params, state, mean)
         assert np.max(np.abs(grad[: policy.net.num_params])) == 0.0
 
     def test_log_std_gradient_at_mean_is_minus_one(self):
@@ -85,7 +90,7 @@ class TestLogProbGrad:
         params = policy.init_params(np.random.default_rng(5))
         state = np.array([0.2, 0.4, -1.0])
         mean = policy.mean(params, state)[0]
-        grad = policy.log_prob_grad(params, state, mean)
+        grad = log_prob_grad(policy, params, state, mean)
         np.testing.assert_allclose(grad[policy.net.num_params :], [-1.0, -1.0], atol=1e-12)
         numeric = finite_difference_log_prob(policy, params, state, mean)
         np.testing.assert_allclose(numeric[policy.net.num_params :], [-1.0, -1.0], atol=1e-6)
@@ -93,7 +98,7 @@ class TestLogProbGrad:
     def test_clamped_log_std_has_zero_gradient(self):
         policy = GaussianPolicy(2, 1, hidden=0, log_std_min=-1.0, log_std_max=1.0)
         params = policy.init_params(np.random.default_rng(6), log_std_init=5.0)
-        grad = policy.log_prob_grad(params, np.ones(2), np.zeros(1))
+        grad = log_prob_grad(policy, params, np.ones(2), np.zeros(1))
         assert grad[policy.net.num_params :] == pytest.approx(0.0)
 
 
@@ -129,7 +134,7 @@ class TestGradientSet:
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic, episodes=1)
         single = dataclasses.replace(batch, advantages=np.array([[2.0, -1.0]]))
         G = estimate_gradient_set(self.policy, params, single)
-        g = self.policy.log_prob_grad(params, batch.states[0], batch.actions[0])
+        g = log_prob_grad(self.policy, params, batch.states[0], batch.actions[0])
         np.testing.assert_allclose(G[0], 2.0 * g, atol=1e-12)
         np.testing.assert_allclose(G[1], -1.0 * g, atol=1e-12)
 
@@ -143,6 +148,39 @@ class TestGradientSet:
         )
         np.testing.assert_allclose(G_scaled[0], 3.5 * G[0], atol=1e-10)
         np.testing.assert_allclose(G_scaled[1], G[1], atol=1e-12)
+
+
+def count_mean_net_passes(policy, monkeypatch):
+    calls = []
+    forward = policy.net.forward
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(policy.net, "forward", counted)
+    return calls
+
+
+class TestScoringPasses:
+    def setup_method(self):
+        self.env = make_env("mo_quadratic")
+        self.policy = GaussianPolicy(1, 2, hidden=8)
+        self.critic = VectorCritic(1, 2, hidden=8)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_ppo_update_runs_mean_network_once_per_epoch(self, monkeypatch, epochs):
+        params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
+        calls = count_mean_net_passes(self.policy, monkeypatch)
+        ppo_update(self.policy, params, self.critic, critic_params, batch, [0.5, 0.5],
+                   epochs=epochs)
+        assert len(calls) == epochs
+
+    def test_gradient_set_runs_mean_network_once(self, monkeypatch):
+        params, _, batch = make_batch(self.env, self.policy, self.critic)
+        calls = count_mean_net_passes(self.policy, monkeypatch)
+        estimate_gradient_set(self.policy, params, batch)
+        assert len(calls) == 1
 
 
 class TestGAE:
