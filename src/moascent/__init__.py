@@ -6,20 +6,13 @@ convex combination of its per-objective policy gradients, and maintains a
 non-dominated archive scored by exact hypervolume and sparsity.
 """
 
-from .archive import NonDominatedSet, PolicyEntry, dominates, hypervolume, sparsity
+from .archive import NonDominatedSet, PolicyEntry, hypervolume, sparsity
 from .config import ConfigError, EvolutionConfig, PolicyConfig, resolve_config
-from .evolution import (
-    Trainer,
-    distance_to_ref,
-    evenly_spread_weights,
-    paft_select,
-    pgr_select,
-)
+from .evolution import Trainer, evenly_spread_weights, paft_select, pgr_select
 from .momdp import MOMDPSpec, make_env, mo_return
 from .pareto import (
     AscentResult,
     analytic_two_objective_alpha,
-    is_pareto_stationary,
     min_norm_direction,
     project_to_simplex,
 )
@@ -49,13 +42,10 @@ __all__ = [
     "VectorCritic",
     "analytic_two_objective_alpha",
     "collect_batch",
-    "distance_to_ref",
-    "dominates",
     "estimate_gradient_set",
     "evenly_spread_weights",
     "gae",
     "hypervolume",
-    "is_pareto_stationary",
     "make_env",
     "min_norm_direction",
     "mo_return",

@@ -16,7 +16,6 @@ __all__ = [
     "FRONTIER_SCHEMA_VERSION",
     "NonDominatedSet",
     "PolicyEntry",
-    "dominates",
     "frontier_document",
     "hypervolume",
     "parse_frontier",
@@ -57,15 +56,6 @@ class PolicyEntry:
             snapshot = np.array(getattr(self, name), dtype=float)
             snapshot.flags.writeable = False
             object.__setattr__(self, name, snapshot)
-
-
-def dominates(a, b) -> bool:
-    """True iff ``a >= b`` componentwise and ``a != b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"objective vectors differ in shape: {a.shape} vs {b.shape}")
-    return bool(np.all(a >= b) and np.any(a > b))
 
 
 @dataclass
@@ -111,14 +101,6 @@ class NonDominatedSet:
         if np.any(dominated_members):
             self.entries = [e for e, dead in zip(self.entries, dominated_members) if not dead]
         self.entries.append(entry)
-        return True
-
-    def mutually_non_dominated(self) -> bool:
-        """Pairwise invariant check (intended for tests and audits)."""
-        for i, a in enumerate(self.entries):
-            for b in self.entries[i + 1 :]:
-                if dominates(a.objectives, b.objectives) or dominates(b.objectives, a.objectives):
-                    return False
         return True
 
 

@@ -144,7 +144,6 @@ class EvolutionConfig(_Section):
         None, "null or a list of finite numbers",
         _or_null(lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_real, v))),
     )
-    alpha_recompute_interval: int = _knob(0, "an integer >= 0", _int_from(0))
     snapshot_every: int = _knob(1, "an integer >= 1", _int_from(1))
 
     def __post_init__(self):

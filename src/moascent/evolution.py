@@ -35,7 +35,6 @@ __all__ = [
     "FinetuneJob",
     "Trainer",
     "TrainingState",
-    "distance_to_ref",
     "evenly_spread_weights",
     "gap_pair_weights",
     "paft_select",
@@ -71,17 +70,6 @@ class TrainingState:
     selection_log: list[dict] = field(default_factory=list)
     stationary_fallbacks: int = 0
     next_ref: int = 0
-
-
-def distance_to_ref(objectives, reference_point) -> float:
-    """Euclidean distance of an objective vector from the reference point."""
-    objectives = np.asarray(objectives, dtype=float)
-    reference_point = np.asarray(reference_point, dtype=float)
-    if objectives.shape != reference_point.shape:
-        raise ValueError(
-            f"shape mismatch: {objectives.shape} vs {reference_point.shape}"
-        )
-    return float(np.linalg.norm(objectives - reference_point))
 
 
 def evenly_spread_weights(num_objectives: int, count: int) -> np.ndarray:
@@ -347,7 +335,8 @@ class Trainer:
 
     ``evolution`` and ``update`` are the config sections of the same names,
     used as they are: ``evolution.reference_point`` must be set, and a null
-    ``update.gamma`` uses the environment's discount.
+    ``update.gamma`` uses the environment's discount. ``eval_episodes`` and
+    ``paft_enabled`` are the ``eval.episodes`` and ``paft.enabled`` values.
     """
 
     def __init__(
@@ -358,8 +347,8 @@ class Trainer:
         evolution: EvolutionConfig,
         update: PolicyConfig,
         seed: int,
-        eval_episodes: int = 8,
-        paft_enabled: bool = True,
+        eval_episodes: int,
+        paft_enabled: bool,
     ):
         if policy.state_dim != env.spec.state_dim or policy.action_dim != env.spec.action_dim:
             raise ValueError("policy dimensions do not match the environment")
@@ -397,12 +386,11 @@ class Trainer:
         """Run ``iters`` collect-and-update iterations on one lane.
 
         With ``fixed_weights`` None, the weights come from the minimum-norm
-        ascent solution, recomputed per the configured interval; a
-        stationary solve falls back to uniform weights for the generation.
+        ascent solution at the first iteration's batch; a stationary solve
+        falls back to uniform weights for the generation.
         Returns the final (params, critic_params), the per-iteration
         snapshots, and the number of stationary fallbacks.
         """
-        cfg = self.evolution
         upd = self.update
         weights = fixed_weights
         fallbacks = 0
@@ -412,24 +400,15 @@ class Trainer:
                 self.env, self.policy, params, self.critic, critic_params,
                 upd.batch_episodes, upd.gamma, upd.lam, rng,
             )
-            if fixed_weights is None and (
-                it == 0
-                or (cfg.alpha_recompute_interval > 0
-                    and it % cfg.alpha_recompute_interval == 0)
-            ):
-                grads = estimate_gradient_set(
-                    self.policy, params, batch,
-                    normalize_advantages=upd.normalize_advantages,
-                )
+            if weights is None:
+                grads = estimate_gradient_set(self.policy, params, batch,
+                                              upd.normalize_advantages)
                 weights, fell_back = ascent_weights(grads)
                 fallbacks += int(fell_back)
             params, critic_params = ppo_update(
-                self.policy, params, self.critic, critic_params, batch, weights,
-                clip_eps=upd.clip_eps, epochs=upd.epochs, lr=upd.lr,
-                normalize_advantages=upd.normalize_advantages,
-                optimizer=upd.optimizer,
+                self.policy, params, self.critic, critic_params, batch, weights, upd
             )
-            if (it + 1) % cfg.snapshot_every == 0 or it == iters - 1:
+            if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
         return params, critic_params, snapshots, fallbacks
 
@@ -441,10 +420,8 @@ class Trainer:
         weight_grid = evenly_spread_weights(m, cfg.p)
         for lane in range(cfg.p):
             rng = self._lane_rng(0, lane)
-            params = self.policy.init_params(
-                rng, weight_scale=upd.init_scale, log_std_init=upd.log_std_init
-            )
-            critic_params = self.critic.init_params(rng, weight_scale=upd.init_scale)
+            params = self.policy.init_params(rng, upd.init_scale, upd.log_std_init)
+            critic_params = self.critic.init_params(rng, upd.init_scale)
             if cfg.m_w > 0:
                 params, critic_params, _, _ = self._train_lane(
                     params, critic_params, cfg.m_w, rng,

@@ -24,7 +24,7 @@ import yaml
 from .archive import frontier_document, hypervolume, parse_frontier, sparsity
 from .config import Config, ConfigError, load_config, parse_override, resolve_config
 from .evolution import Trainer
-from .momdp import MOMDPEnv, make_env, mo_return
+from .momdp import make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
 
 __all__ = [
@@ -45,15 +45,13 @@ METRICS_HEADER = ["generation", "hv", "sp", "archive_size", "stationary_fallback
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-def build_trainer(cfg: Config, seed: int) -> tuple[Trainer, MOMDPEnv]:
+def build_trainer(cfg: Config, seed: int) -> Trainer:
     """Instantiate the environment, networks, and trainer for one seed."""
     env = make_env(cfg.env.name, **cfg.env.params)
-    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=cfg.policy.hidden)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives,
-                          hidden=cfg.policy.critic_hidden)
-    trainer = Trainer(env, policy, critic, cfg.evolution, cfg.policy, seed,
-                      eval_episodes=cfg.eval.episodes, paft_enabled=cfg.paft.enabled)
-    return trainer, env
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, cfg.policy.hidden)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, cfg.policy.critic_hidden)
+    return Trainer(env, policy, critic, cfg.evolution, cfg.policy, seed,
+                   cfg.eval.episodes, cfg.paft.enabled)
 
 
 def save_checkpoint(path: Path, policy: GaussianPolicy, params: np.ndarray,
@@ -88,7 +86,7 @@ def load_checkpoint(path) -> tuple[GaussianPolicy, np.ndarray]:
         raise ValueError(f"unsupported checkpoint format_version: {doc.get('format_version')!r}")
     head = doc["policy"]
     policy = GaussianPolicy(
-        head["state_dim"], head["action_dim"], hidden=head["hidden"],
+        head["state_dim"], head["action_dim"], head["hidden"],
         log_std_min=head["log_std_min"], log_std_max=head["log_std_max"],
     )
     params = np.asarray(head["values"], dtype=float)
@@ -136,20 +134,23 @@ def read_metrics_csv(path) -> list[dict]:
 
 
 def run_seed(cfg: Config, seed: int) -> Path:
-    """Train one seed and write its immutable run directory."""
-    trainer, _ = build_trainer(cfg, seed)
-    archive, metrics = trainer.run_training()
-    state = trainer.state
+    """Train one seed and write its immutable run directory.
 
+    The directory and its ``config.yaml`` are written before training, so an
+    unwritable ``output_dir`` fails before any compute is spent.
+    """
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
     run_dir = Path(cfg.output_dir) / f"{cfg.experiment}_seed{seed}_{stamp}"
     try:
         run_dir.mkdir(parents=True, exist_ok=False)
     except OSError as exc:
         raise RuntimeError(f"cannot create run directory {run_dir}: {exc}") from exc
-
     resolved = asdict(replace(cfg, seeds=[seed]))
     (run_dir / "config.yaml").write_text(yaml.safe_dump(resolved, sort_keys=True))
+
+    trainer = build_trainer(cfg, seed)
+    archive, metrics = trainer.run_training()
+    state = trainer.state
 
     checkpoint_dir = run_dir / "checkpoints"
     checkpoint_dir.mkdir()

@@ -32,6 +32,14 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
+def _ranged(name: str, value, ok, expected: str) -> float:
+    """``value`` as a finite float meeting ``ok``; anything else is rejected by name."""
+    value = _finite(name, value)
+    if not ok(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MOMDPSpec:
     """Static description of a vector-reward control problem."""
@@ -133,12 +141,12 @@ class MoPoint(MOMDPEnv):
         init_noise: float = 0.1,
         action_bound: float = 1.0,
     ):
-        self.dt = _finite("dt", dt)
-        self.damping = _finite("damping", damping)
+        self.dt = _ranged("dt", dt, lambda v: v > 0, "> 0")
+        self.damping = _ranged("damping", damping, lambda v: 0 <= v <= 1, "in [0, 1]")
         self.r_alive = _finite("r_alive", r_alive)
         self.shift = _finite("shift", shift)
-        self.init_noise = _finite("init_noise", init_noise)
-        action_bound = abs(_finite("action_bound", action_bound))
+        self.init_noise = _ranged("init_noise", init_noise, lambda v: v >= 0, ">= 0")
+        action_bound = _ranged("action_bound", action_bound, lambda v: v > 0, "> 0")
         self.spec = MOMDPSpec(
             state_dim=4,
             action_dim=2,
@@ -166,12 +174,12 @@ class MoPoint(MOMDPEnv):
 
     def return_lower_bound(self) -> np.ndarray:
         """Per-objective lower bound on the discounted return of any episode."""
-        # From rest, |vx| after step t is at most |dt| * bound * sum_{k<=t} |damping|^k,
+        # From rest, |vx| after step t is at most dt * bound * sum_{k<=t} damping^k,
         # and each clamped action costs at most action_dim * bound^2 energy.
         bound = self.spec.action_high[0]
         steps = np.arange(self.spec.horizon)
         discounts = self.spec.gamma ** steps
-        reach = abs(self.dt) * bound * np.cumsum(abs(self.damping) ** steps)
+        reach = self.dt * bound * np.cumsum(self.damping ** steps)
         energy = -self.spec.action_dim * bound**2 + self.r_alive + self.shift
         return np.array([discounts @ (self.r_alive - reach), discounts.sum() * energy])
 
@@ -192,7 +200,7 @@ class MoQuadratic(MOMDPEnv):
         if targets.ndim != 2 or targets.shape[0] < 2:
             raise ValueError(f"need at least two targets, got shape {targets.shape}")
         targets = np.array([_finite("targets", v) for v in targets.flat]).reshape(targets.shape)
-        action_bound = abs(_finite("action_bound", action_bound))
+        action_bound = _ranged("action_bound", action_bound, lambda v: v > 0, "> 0")
         self.targets = targets
         self.spec = MOMDPSpec(
             state_dim=1,

@@ -4,8 +4,7 @@ Given one gradient per objective, the minimum-norm point of their convex
 hull is a direction that (when nonzero) improves every objective at once.
 This module solves that small quadratic program exactly in Gram-matrix
 space, face by face of the simplex, and provides the closed-form
-two-objective solution, the Euclidean projection onto the simplex, and
-the associated stationarity test.
+two-objective solution and the Euclidean projection onto the simplex.
 """
 
 from __future__ import annotations
@@ -18,27 +17,26 @@ import numpy as np
 __all__ = [
     "AscentResult",
     "analytic_two_objective_alpha",
-    "is_pareto_stationary",
     "min_norm_direction",
     "project_to_simplex",
     "validate_weights",
 ]
 
 
-def validate_weights(w, tol: float = 1e-6) -> np.ndarray:
-    """Check that ``w`` lies on the probability simplex within ``tol``.
+def validate_weights(w) -> np.ndarray:
+    """Check that ``w`` lies on the probability simplex within 1e-6.
 
     Returns a cleaned copy (negatives clipped, renormalized). Raises
-    ``ValueError`` when the input is off the simplex beyond ``tol``.
+    ``ValueError`` when the input is off the simplex beyond that tolerance.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"weight vector must be 1-D and non-empty, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weight vector has non-finite entries")
-    if w.min() < -tol or abs(w.sum() - 1.0) > tol:
+    if w.min() < -1e-6 or abs(w.sum() - 1.0) > 1e-6:
         raise ValueError(
-            f"weights off the simplex beyond tolerance {tol}: sum={w.sum()!r}, min={w.min()!r}"
+            f"weights off the simplex beyond tolerance 1e-06: sum={w.sum()!r}, min={w.min()!r}"
         )
     w = np.clip(w, 0.0, None)
     return w / w.sum()
@@ -70,8 +68,8 @@ class AscentResult:
 
     ``direction`` is the alpha-weighted combination of the gradient rows;
     ``stationary`` is True when its squared norm is at or below the
-    stationarity tolerance (no common ascent direction exists to first
-    order).
+    scale-aware tolerance ``1e-8 * (1 + max_i ||g_i||^2)`` (no common ascent
+    direction exists to first order).
     """
 
     alpha: np.ndarray
@@ -80,13 +78,7 @@ class AscentResult:
     stationary: bool
 
 
-def _default_stationary_eps(gram_diag_max: float) -> float:
-    # Scale-aware zero test: absolute floor 1e-8 grown with the largest
-    # squared gradient norm.
-    return 1e-8 * (1.0 + gram_diag_max)
-
-
-def min_norm_direction(grads, stationary_eps: float | None = None) -> AscentResult:
+def min_norm_direction(grads) -> AscentResult:
     """Minimize ``||sum_i alpha_i g_i||^2`` over the probability simplex.
 
     ``grads`` is an (m, d) matrix with one gradient per row, m >= 2. The
@@ -108,13 +100,11 @@ def min_norm_direction(grads, stationary_eps: float | None = None) -> AscentResu
     alpha = min(_face_candidates(G, K), key=lambda w: float(w @ K @ w))
     direction = G.T @ alpha
     squared_norm = float(direction @ direction)
-    if stationary_eps is None:
-        stationary_eps = _default_stationary_eps(float(K.diagonal().max()))
     return AscentResult(
         alpha=alpha,
         direction=direction,
         squared_norm=squared_norm,
-        stationary=squared_norm <= stationary_eps,
+        stationary=squared_norm <= 1e-8 * (1.0 + float(K.diagonal().max())),
     )
 
 
@@ -171,14 +161,3 @@ def analytic_two_objective_alpha(g1, g2) -> float:
     a = float((g2 - g1) @ g2) / denom
     return min(max(a, 0.0), 1.0)
 
-
-def is_pareto_stationary(grads, eps: float | None = None) -> bool:
-    """True when no convex combination of the gradients is bounded away from zero.
-
-    Equivalent to the minimum-norm squared value being at or below ``eps``
-    (scale-aware default when ``eps`` is None).
-    """
-    result = min_norm_direction(grads, stationary_eps=eps)
-    if eps is None:
-        return result.stationary
-    return result.squared_norm <= eps

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PolicyConfig
 from .momdp import MOMDPEnv
 from .pareto import validate_weights
 
@@ -97,7 +98,7 @@ class GaussianPolicy:
         self,
         state_dim: int,
         action_dim: int,
-        hidden: int = 32,
+        hidden: int,
         log_std_min: float = -5.0,
         log_std_max: float = 2.0,
     ):
@@ -109,8 +110,8 @@ class GaussianPolicy:
         self.net = _MeanNet(state_dim, action_dim, hidden)
         self.num_params = self.net.num_params + action_dim
 
-    def init_params(self, rng: np.random.Generator, weight_scale: float = 0.1,
-                    log_std_init: float = -0.5) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator, weight_scale: float,
+                    log_std_init: float) -> np.ndarray:
         params = np.empty(self.num_params)
         params[: self.net.num_params] = weight_scale * rng.standard_normal(self.net.num_params)
         params[self.net.num_params :] = log_std_init
@@ -174,14 +175,14 @@ class GaussianPolicy:
 class VectorCritic:
     """State-value network with one output head per objective."""
 
-    def __init__(self, state_dim: int, num_objectives: int, hidden: int = 32):
+    def __init__(self, state_dim: int, num_objectives: int, hidden: int):
         self.state_dim = state_dim
         self.num_objectives = num_objectives
         self.hidden = hidden
         self.net = _MeanNet(state_dim, num_objectives, hidden)
         self.num_params = self.net.num_params
 
-    def init_params(self, rng: np.random.Generator, weight_scale: float = 0.1) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator, weight_scale: float) -> np.ndarray:
         return weight_scale * rng.standard_normal(self.num_params)
 
     def values(self, params: np.ndarray, states) -> np.ndarray:
@@ -316,7 +317,7 @@ def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
 
 def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
                           batch: RolloutBatch,
-                          normalize_advantages: bool = False) -> np.ndarray:
+                          normalize_advantages: bool) -> np.ndarray:
     """Per-objective policy-gradient estimates, one (d,) row per objective.
 
     Row i is the batch average of ``advantage_i * grad log pi``, i.e. the
@@ -375,12 +376,12 @@ _OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
 
 def ppo_update(policy: GaussianPolicy, params: np.ndarray,
                critic: VectorCritic, critic_params: np.ndarray,
-               batch: RolloutBatch, omega, clip_eps: float = 0.2,
-               epochs: int = 4, lr: float = 3e-3,
-               normalize_advantages: bool = True,
-               optimizer: str = "adam") -> tuple[np.ndarray, np.ndarray]:
+               batch: RolloutBatch, omega,
+               update: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clipped-surrogate ascent on the ``omega``-scalarized advantages.
 
+    ``update`` is the ``policy`` config section; its ``clip_eps``, ``epochs``,
+    ``lr``, ``normalize_advantages`` and ``optimizer`` set the update.
     Advantages are (optionally) normalized per objective, then collapsed
     with the simplex weights ``omega``; by linearity this ascends the same
     direction as the omega-weighted combination of per-objective
@@ -388,27 +389,24 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     the same optimizer settings. Returns the updated (params, critic_params)
     snapshots; inputs are not mutated.
     """
-    omega = validate_weights(omega, tol=1e-6)
+    omega = validate_weights(omega)
     if omega.size != batch.advantages.shape[1]:
         raise ValueError(
             f"omega has {omega.size} components, batch has {batch.advantages.shape[1]} objectives"
         )
     adv = batch.advantages
-    if normalize_advantages:
+    if update.normalize_advantages:
         adv = normalize_per_objective(adv)
     scalar_adv = adv @ omega
     n = scalar_adv.shape[0]
 
-    try:
-        make_opt = _OPTIMIZERS[optimizer]
-    except KeyError:
-        raise ValueError(f"unknown optimizer {optimizer!r}, expected one of {sorted(_OPTIMIZERS)}") from None
+    lr, clip_eps = update.lr, update.clip_eps
     params = params.copy()
     critic_params = critic_params.copy()
-    policy_opt = make_opt(params.size, lr)
+    policy_opt = _OPTIMIZERS[update.optimizer](params.size, lr)
     # The critic is plain regression; Adam keeps it robust under either choice.
-    critic_opt = _Adam(critic_params.size, lr if optimizer == "adam" else min(lr, 5e-3))
-    for _ in range(epochs):
+    critic_opt = _Adam(critic_params.size, lr if update.optimizer == "adam" else min(lr, 5e-3))
+    for _ in range(update.epochs):
         log_probs, grad = policy.score(params, batch.states, batch.actions)
         ratio = np.exp(log_probs - batch.log_probs)
         # Gradient flows only where the unclipped branch is the active min.

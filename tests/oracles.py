@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: the simplex
 projection is solved by bisection on the KKT threshold, the minimum-norm
 problem by grid search over the simplex, hypervolumes by Monte Carlo, and
-the quadratic-environment frontier by closed form / dense sampling.
+the quadratic-environment frontier by closed form / dense sampling, and
+archive non-domination by a pairwise audit.
 """
 
 from __future__ import annotations
@@ -91,6 +92,25 @@ def min_norm_grid(G: np.ndarray) -> float:
     if G.shape[0] == 3:
         return min_norm_grid_m3(G)
     raise ValueError("grid oracle supports 2 or 3 objectives")
+
+
+def dominates(a, b) -> bool:
+    """True iff ``a >= b`` componentwise and ``a != b``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"objective vectors differ in shape: {a.shape} vs {b.shape}")
+    return bool(np.all(a >= b) and np.any(a > b))
+
+
+def mutually_non_dominated(entries) -> bool:
+    """Pairwise audit: no entry's objectives dominate another's."""
+    objectives = [e.objectives for e in entries]
+    for i, a in enumerate(objectives):
+        for b in objectives[i + 1 :]:
+            if dominates(a, b) or dominates(b, a):
+                return False
+    return True
 
 
 def dominated_mask_bruteforce(draws: np.ndarray, P: np.ndarray) -> np.ndarray:

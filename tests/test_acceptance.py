@@ -24,6 +24,7 @@ from moascent.evolution import Trainer
 from .oracles import (
     mc_hypervolume,
     min_norm_grid,
+    mutually_non_dominated,
     project_simplex_bisect,
     quad2_front_hv_closed,
     quad_front_points,
@@ -168,7 +169,7 @@ def test_06_archive_invariants_bulk():
             nd2.insert(PolicyEntry(f"a{i}", rng.uniform(0, 1, size=2), 0, "warmup", snap, snap))
         else:
             nd3.insert(PolicyEntry(f"a{i}", rng.uniform(0, 1, size=3), 0, "warmup", snap, snap))
-    ok = nd2.mutually_non_dominated() and nd3.mutually_non_dominated()
+    ok = mutually_non_dominated(nd2) and mutually_non_dominated(nd3)
 
     candidates = rng.uniform(0, 1, size=(100, 2))
     reference = None

@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from moascent.archive import (
     NonDominatedSet,
     PolicyEntry,
-    dominates,
     frontier_document,
     hypervolume,
     parse_frontier,
     sparsity,
 )
 
-from .oracles import dominated_mask, dominated_mask_bruteforce, mc_hypervolume
+from .oracles import (
+    dominated_mask,
+    dominated_mask_bruteforce,
+    dominates,
+    mc_hypervolume,
+    mutually_non_dominated,
+)
 
 
 def entry(objs, ref="r", generation=0, source="warmup"):
@@ -103,7 +108,7 @@ class TestInsert:
         nd = NonDominatedSet()
         for row in rows:
             nd.insert(entry(row))
-        assert nd.mutually_non_dominated()
+        assert mutually_non_dominated(nd)
         assert len(nd) >= 1
 
 

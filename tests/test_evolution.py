@@ -12,7 +12,6 @@ from moascent.config import EvolutionConfig, PolicyConfig
 from moascent.evolution import (
     Trainer,
     ascent_weights,
-    distance_to_ref,
     evenly_spread_weights,
     gap_pair_weights,
     paft_select,
@@ -20,6 +19,8 @@ from moascent.evolution import (
 )
 from moascent.momdp import make_env
 from moascent.policy import GaussianPolicy, VectorCritic
+
+from .oracles import mutually_non_dominated
 
 
 def entry(objs, ref, generation=0, source="warmup"):
@@ -84,18 +85,28 @@ class TestEvenlySpreadWeights:
 
 
 class TestDistanceToRef:
-    def test_345_triangle(self):
-        assert distance_to_ref([3.0, 4.0], [0.0, 0.0]) == pytest.approx(5.0)
+    """The distance from the reference point that ``pgr_select`` ranks by and logs."""
 
-    def test_identity(self):
-        assert distance_to_ref([2.0, 2.0], [2.0, 2.0]) == 0.0
+    @staticmethod
+    def logged(rows, reference_point):
+        population = [entry(row, f"p{i}") for i, row in enumerate(rows)]
+        log = []
+        pgr_select(population, len(rows), 1, 1, reference_point,
+                   np.random.default_rng(0), log=log)
+        return {record["chosen"]: record["distance"] for record in log}
+
+    def test_345_triangle(self):
+        # One region, top_k 1: the farther point is the region's pick, the
+        # other fills the second slot; both records carry the distance.
+        assert self.logged([[3.0, 4.0], [6.0, 8.0]], [0.0, 0.0]) == {
+            "p1": pytest.approx(10.0), "p0": pytest.approx(5.0)}
+
+    def test_measured_from_reference_point(self):
+        assert self.logged([[5.0, 6.0]], [2.0, 2.0]) == {"p0": pytest.approx(5.0)}
 
     def test_unit_cube_diagonal(self):
-        assert distance_to_ref([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]) == pytest.approx(np.sqrt(3))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            distance_to_ref([1.0, 2.0], [0.0, 0.0, 0.0])
+        assert self.logged([[1.0, 1.0, 1.0]], [0.0, 0.0, 0.0]) == {
+            "p0": pytest.approx(np.sqrt(3))}
 
 
 class TestPgrSelect:
@@ -281,7 +292,7 @@ class TestTrainingLoop:
         archive, metrics = trainer.run_training()
         assert len(metrics) == 1
         assert all(e.source == "warmup" for e in archive)
-        assert archive.mutually_non_dominated()
+        assert mutually_non_dominated(archive)
         assert 1 <= len(archive) <= 4
 
     def test_same_seed_bitwise_identical_metrics(self):
@@ -381,19 +392,12 @@ class TestTrainingLoop:
             )
             np.testing.assert_array_equal(member.params, expected)
 
-    def test_alpha_recompute_interval_runs(self):
-        trainer = make_trainer(
-            M=1, m_iters=4, alpha_recompute_interval=2
-        )
-        archive, metrics = trainer.run_training()
-        assert metrics[-1]["hv"] > 0
-
     def test_warmup_requires_enough_policies(self):
         env = make_env("mo_quadratic3")
         policy = GaussianPolicy(1, 2, hidden=4)
         critic = VectorCritic(1, 3, hidden=4)
         cfg = gen_config(p=2, reference_point=np.full(3, -10.0))
-        trainer = Trainer(env, policy, critic, cfg, PolicyConfig(batch_episodes=2), 0)
+        trainer = Trainer(env, policy, critic, cfg, PolicyConfig(batch_episodes=2), 0, 8, True)
         with pytest.raises(ValueError):
             trainer.run_training()
 

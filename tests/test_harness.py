@@ -9,6 +9,7 @@ import yaml
 
 from moascent.archive import hypervolume, parse_frontier, sparsity
 from moascent.config import apply_overrides
+from moascent.evolution import Trainer
 from moascent.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -105,6 +106,14 @@ class TestConfigValidation:
           "evolution.reference_point=[-1000,0]"], "init_noise"),
         (["env.params.action_bound=.nan"], "action_bound"),
         (["env.params.targets=[[1,0],[0,.inf]]"], "targets"),
+        # Out-of-range env params used to train and exit 0.
+        (["env.name=mo_point", "env.params.dt=-0.1"], "dt"),
+        (["env.name=mo_point", "env.params.dt=0"], "dt"),
+        (["env.name=mo_point", "env.params.init_noise=-1"], "init_noise"),
+        (["env.name=mo_point", "env.params.action_bound=-1"], "action_bound"),
+        (["env.name=mo_point", "env.params.damping=1.5"], "damping"),
+        (["env.params.action_bound=-1"], "action_bound"),
+        (["evolution.reference_point=[-9,-9,-9]"], "evolution.reference_point"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -135,7 +144,7 @@ class TestConfigValidation:
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
         policy = GaussianPolicy(3, 2, hidden=16)
-        params = policy.init_params(np.random.default_rng(0))
+        params = policy.init_params(np.random.default_rng(0), 0.1, -0.5)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, policy, params)
         loaded_policy, loaded = load_checkpoint(path)
@@ -145,7 +154,7 @@ class TestCheckpointIO:
 
     def test_corrupt_length_rejected(self, tmp_path):
         policy = GaussianPolicy(2, 1, hidden=0)
-        params = policy.init_params(np.random.default_rng(0))
+        params = policy.init_params(np.random.default_rng(0), 0.1, -0.5)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, policy, params)
         doc = json.loads(path.read_text())
@@ -169,6 +178,17 @@ class TestTrainCommand:
         for entry in doc["entries"]:
             policy, params = load_checkpoint(run_dir / entry["checkpoint"])
             assert params.size == policy.num_params
+
+    def test_unwritable_output_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(self):
+            pytest.fail("training started although the run directory cannot be created")
+
+        monkeypatch.setattr(Trainer, "run_training", no_training)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        path = write_config(tmp_path, dict(TINY, output_dir=str(blocker / "runs")))
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"cannot create run directory {blocker / 'runs'}" in capsys.readouterr().err
 
     def test_metrics_rows_cover_warmup_and_generations(self, tmp_path):
         (run_dir,) = train(tmp_path)
@@ -252,7 +272,7 @@ class TestEvalCommand:
     def test_single_episode_equals_mo_return(self, tmp_path, capsys):
         env = make_env("mo_quadratic")
         policy = GaussianPolicy(1, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(3))
+        params = policy.init_params(np.random.default_rng(3), 0.1, -0.5)
         path = tmp_path / "p.json"
         save_checkpoint(path, policy, params)
         assert main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic",

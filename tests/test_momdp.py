@@ -217,7 +217,7 @@ class TestReturnLowerBound:
         np.testing.assert_allclose(returns.min(axis=0), env.return_lower_bound(), atol=1e-9)
 
     @pytest.mark.parametrize("name, params", [
-        ("mo_point", {"action_bound": 2.0, "damping": -0.9, "dt": 0.3}),
+        ("mo_point", {"action_bound": 2.0, "damping": 1.0, "dt": 0.3}),
         ("mo_quadratic", {"action_bound": 4.0}),
         ("mo_quadratic3", {"action_bound": 0.5}),
     ])

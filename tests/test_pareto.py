@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from moascent.pareto import (
     analytic_two_objective_alpha,
-    is_pareto_stationary,
     min_norm_direction,
     project_to_simplex,
 )
@@ -150,16 +149,17 @@ class TestAnalyticTwoObjective:
 class TestStationarity:
     def test_opposing_nonzero(self):
         g = np.array([0.3, -0.7, 0.2])
-        assert is_pareto_stationary(np.stack([g, -g]))
+        assert min_norm_direction(np.stack([g, -g])).stationary
 
     def test_all_zero(self):
-        assert is_pareto_stationary(np.zeros((2, 4)))
+        assert min_norm_direction(np.zeros((2, 4))).stationary
 
     def test_orthogonal_not_stationary(self):
-        # Minimum squared norm is 0.5, far above any sensible epsilon.
-        assert not is_pareto_stationary(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert not is_pareto_stationary(np.array([[1.0, 0.0], [0.0, 1.0]]), eps=0.4)
-        assert is_pareto_stationary(np.array([[1.0, 0.0], [0.0, 1.0]]), eps=0.6)
+        # Minimum squared norm is 0.5: above a tolerance of 0.4, below one of
+        # 0.6, and far above the solver's scale-aware one.
+        result = min_norm_direction(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert result.squared_norm == 0.5
+        assert not result.stationary
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from moascent.config import ConfigError, PolicyConfig
 from moascent.momdp import MoPoint, make_env, mo_return
 from moascent.policy import (
     GaussianPolicy,
@@ -47,13 +48,13 @@ class TestAct:
 
     def test_deterministic_mode_returns_mean(self):
         policy = GaussianPolicy(2, 2, hidden=16)
-        params = policy.init_params(np.random.default_rng(1), weight_scale=0.7)
+        params = policy.init_params(np.random.default_rng(1), 0.7, -0.5)
         states = np.array([[0.3, -0.8], [1.0, 0.5]])
         np.testing.assert_array_equal(policy.act(params, states), policy.mean(params, states))
 
     def test_same_rng_seed_same_action(self):
-        policy = GaussianPolicy(2, 2)
-        params = policy.init_params(np.random.default_rng(2))
+        policy = GaussianPolicy(2, 2, hidden=32)
+        params = policy.init_params(np.random.default_rng(2), 0.1, -0.5)
         state = np.array([[0.1, 0.2]])
         a1 = policy.act(params, state, np.random.default_rng(77).standard_normal((1, 2)))
         a2 = policy.act(params, state, np.random.default_rng(77).standard_normal((1, 2)))
@@ -77,7 +78,7 @@ class TestLogProbGrad:
 
     def test_zero_mean_gradient_at_mean_action(self):
         policy = GaussianPolicy(3, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(4))
+        params = policy.init_params(np.random.default_rng(4), 0.1, -0.5)
         state = np.array([0.5, -0.5, 1.0])
         mean = policy.mean(params, state)[0]
         grad = log_prob_grad(policy, params, state, mean)
@@ -87,7 +88,7 @@ class TestLogProbGrad:
         # Gaussian score w.r.t. log sigma is z^2 - 1, which is -1 at the mean;
         # central differences agree.
         policy = GaussianPolicy(3, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(5))
+        params = policy.init_params(np.random.default_rng(5), 0.1, -0.5)
         state = np.array([0.2, 0.4, -1.0])
         mean = policy.mean(params, state)[0]
         grad = log_prob_grad(policy, params, state, mean)
@@ -97,15 +98,15 @@ class TestLogProbGrad:
 
     def test_clamped_log_std_has_zero_gradient(self):
         policy = GaussianPolicy(2, 1, hidden=0, log_std_min=-1.0, log_std_max=1.0)
-        params = policy.init_params(np.random.default_rng(6), log_std_init=5.0)
+        params = policy.init_params(np.random.default_rng(6), 0.1, 5.0)
         grad = log_prob_grad(policy, params, np.ones(2), np.zeros(1))
         assert grad[policy.net.num_params :] == pytest.approx(0.0)
 
 
 def make_batch(env, policy, critic, seed=0, episodes=12):
     rng = np.random.default_rng(seed)
-    params = policy.init_params(rng)
-    critic_params = critic.init_params(rng)
+    params = policy.init_params(rng, 0.1, -0.5)
+    critic_params = critic.init_params(rng, 0.1)
     batch = collect_batch(env, policy, params, critic, critic_params, episodes, 1.0, 0.95, rng)
     return params, critic_params, batch
 
@@ -119,13 +120,13 @@ class TestGradientSet:
     def test_zero_advantages_zero_matrix(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
         zeroed = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
-        G = estimate_gradient_set(self.policy, params, zeroed)
+        G = estimate_gradient_set(self.policy, params, zeroed, False)
         np.testing.assert_array_equal(G, np.zeros_like(G))
 
     def test_uniform_advantages_identical_rows(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
         ones = dataclasses.replace(batch, advantages=np.ones_like(batch.advantages))
-        G = estimate_gradient_set(self.policy, params, ones)
+        G = estimate_gradient_set(self.policy, params, ones, False)
         np.testing.assert_allclose(G[0], G[1], atol=1e-12)
 
     def test_single_step_hand_advantage(self):
@@ -133,18 +134,18 @@ class TestGradientSet:
         # advantages times the step's score vector.
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic, episodes=1)
         single = dataclasses.replace(batch, advantages=np.array([[2.0, -1.0]]))
-        G = estimate_gradient_set(self.policy, params, single)
+        G = estimate_gradient_set(self.policy, params, single, False)
         g = log_prob_grad(self.policy, params, batch.states[0], batch.actions[0])
         np.testing.assert_allclose(G[0], 2.0 * g, atol=1e-12)
         np.testing.assert_allclose(G[1], -1.0 * g, atol=1e-12)
 
     def test_linear_in_per_objective_advantages(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
-        G = estimate_gradient_set(self.policy, params, batch)
+        G = estimate_gradient_set(self.policy, params, batch, False)
         scaled_adv = batch.advantages.copy()
         scaled_adv[:, 0] *= 3.5
         G_scaled = estimate_gradient_set(
-            self.policy, params, dataclasses.replace(batch, advantages=scaled_adv)
+            self.policy, params, dataclasses.replace(batch, advantages=scaled_adv), False
         )
         np.testing.assert_allclose(G_scaled[0], 3.5 * G[0], atol=1e-10)
         np.testing.assert_allclose(G_scaled[1], G[1], atol=1e-12)
@@ -173,13 +174,13 @@ class TestScoringPasses:
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         calls = count_mean_net_passes(self.policy, monkeypatch)
         ppo_update(self.policy, params, self.critic, critic_params, batch, [0.5, 0.5],
-                   epochs=epochs)
+                   PolicyConfig(epochs=epochs))
         assert len(calls) == epochs
 
     def test_gradient_set_runs_mean_network_once(self, monkeypatch):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
         calls = count_mean_net_passes(self.policy, monkeypatch)
-        estimate_gradient_set(self.policy, params, batch)
+        estimate_gradient_set(self.policy, params, batch, False)
         assert len(calls) == 1
 
 
@@ -228,7 +229,7 @@ class TestPPOUpdate:
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         zeroed = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
         new_params, new_critic = ppo_update(
-            self.policy, params, self.critic, critic_params, zeroed, [0.5, 0.5]
+            self.policy, params, self.critic, critic_params, zeroed, [0.5, 0.5], PolicyConfig()
         )
         np.testing.assert_array_equal(new_params, params)
         assert not np.array_equal(new_critic, critic_params)  # regression still runs
@@ -239,14 +240,13 @@ class TestPPOUpdate:
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         garbled = batch.advantages.copy()
         garbled[:, 1] = np.random.default_rng(8).uniform(-9, 9, size=garbled.shape[0])
+        raw = PolicyConfig(normalize_advantages=False)
         p1, _ = ppo_update(
-            self.policy, params, self.critic, critic_params, batch, [1.0, 0.0],
-            normalize_advantages=False,
+            self.policy, params, self.critic, critic_params, batch, [1.0, 0.0], raw,
         )
         p2, _ = ppo_update(
             self.policy, params, self.critic, critic_params,
-            dataclasses.replace(batch, advantages=garbled), [1.0, 0.0],
-            normalize_advantages=False,
+            dataclasses.replace(batch, advantages=garbled), [1.0, 0.0], raw,
         )
         np.testing.assert_array_equal(p1, p2)
 
@@ -257,25 +257,27 @@ class TestPPOUpdate:
         with_noise = dataclasses.replace(batch, advantages=adv)
         silenced = adv.copy()
         silenced[:5, 1] = 0.0
+        raw = PolicyConfig(normalize_advantages=False)
         p1, _ = ppo_update(self.policy, params, self.critic, critic_params,
-                           with_noise, [1.0, 0.0], normalize_advantages=False)
+                           with_noise, [1.0, 0.0], raw)
         p2, _ = ppo_update(self.policy, params, self.critic, critic_params,
-                           dataclasses.replace(batch, advantages=silenced), [1.0, 0.0],
-                           normalize_advantages=False)
+                           dataclasses.replace(batch, advantages=silenced), [1.0, 0.0], raw)
         np.testing.assert_array_equal(p1, p2)
 
     def test_off_simplex_omega_rejected(self):
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         with pytest.raises(ValueError):
-            ppo_update(self.policy, params, self.critic, critic_params, batch, [0.7, 0.7])
+            ppo_update(self.policy, params, self.critic, critic_params, batch, [0.7, 0.7],
+                       PolicyConfig())
         with pytest.raises(ValueError):
-            ppo_update(self.policy, params, self.critic, critic_params, batch, [1.1, -0.1])
+            ppo_update(self.policy, params, self.critic, critic_params, batch, [1.1, -0.1],
+                       PolicyConfig())
 
     def test_within_tolerance_omega_accepted(self):
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         ppo_update(
             self.policy, params, self.critic, critic_params, batch,
-            [0.5 + 4e-7, 0.5 + 4e-7],
+            [0.5 + 4e-7, 0.5 + 4e-7], PolicyConfig(),
         )
 
     def test_scalarized_return_trend_upwards(self):
@@ -285,8 +287,8 @@ class TestPPOUpdate:
         policy = GaussianPolicy(1, 2, hidden=32)
         critic = VectorCritic(1, 2, hidden=32)
         rng = np.random.default_rng(9)
-        params = policy.init_params(rng)
-        critic_params = critic.init_params(rng)
+        params = policy.init_params(rng, 0.1, -0.5)
+        critic_params = critic.init_params(rng, 0.1)
         omega = np.array([0.5, 0.5])
 
         def scalarized(p):
@@ -297,17 +299,17 @@ class TestPPOUpdate:
         for _ in range(10):
             batch = collect_batch(env, policy, params, critic, critic_params, 32, 1.0, 0.95, rng)
             params, critic_params = ppo_update(
-                policy, params, critic, critic_params, batch, omega, lr=5e-3
+                policy, params, critic, critic_params, batch, omega, PolicyConfig(lr=5e-3)
             )
         assert scalarized(params) >= start
 
     def test_sgd_optimizer_runs_and_unknown_rejected(self):
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         ppo_update(self.policy, params, self.critic, critic_params, batch,
-                   [0.5, 0.5], optimizer="sgd")
-        with pytest.raises(ValueError, match="optimizer"):
-            ppo_update(self.policy, params, self.critic, critic_params, batch,
-                       [0.5, 0.5], optimizer="rmsprop")
+                   [0.5, 0.5], PolicyConfig(optimizer="sgd"))
+        # The config section is the one place an optimizer name is checked.
+        with pytest.raises(ConfigError, match="policy.optimizer"):
+            PolicyConfig(optimizer="rmsprop")
 
 
 class TestRollouts:
@@ -315,8 +317,8 @@ class TestRollouts:
         env = make_env("mo_point")
         policy = GaussianPolicy(4, 2, hidden=8)
         critic = VectorCritic(4, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(10))
-        cp = critic.init_params(np.random.default_rng(10))
+        params = policy.init_params(np.random.default_rng(10), 0.1, -0.5)
+        cp = critic.init_params(np.random.default_rng(10), 0.1)
         b1 = collect_batch(env, policy, params, critic, cp, 3, 0.99, 0.95,
                            np.random.default_rng(55))
         b2 = collect_batch(env, policy, params, critic, cp, 3, 0.99, 0.95,
@@ -328,7 +330,7 @@ class TestRollouts:
     def test_trajectories_respect_horizon_and_chain(self):
         env = make_env("mo_point")
         policy = GaussianPolicy(4, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(11), log_std_init=1.0)
+        params = policy.init_params(np.random.default_rng(11), 0.1, 1.0)
         noise = np.random.default_rng(1).standard_normal((3, env.spec.horizon, 2))
         states, raw, rewards, final, terminal = run_episode(env, policy, params, [4, 5, 6], noise)
         T = env.spec.horizon
@@ -349,7 +351,7 @@ class TestRollouts:
         env = make_env(name)
         spec = env.spec
         policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
-        params = policy.init_params(np.random.default_rng(12), weight_scale=0.5)
+        params = policy.init_params(np.random.default_rng(12), 0.5, -0.5)
         seeds = [3, 1, 4, 1, 5]
         noise = np.random.default_rng(2).standard_normal((5, spec.horizon, spec.action_dim))
         std = np.exp(policy.log_std(params))
@@ -376,8 +378,8 @@ class TestRollouts:
         T = env.spec.horizon
         policy = GaussianPolicy(4, 2, hidden=8)
         critic = VectorCritic(4, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(13))
-        cp = critic.init_params(np.random.default_rng(14))
+        params = policy.init_params(np.random.default_rng(13), 0.1, -0.5)
+        cp = critic.init_params(np.random.default_rng(14), 0.1)
         rng = np.random.default_rng(15)
         batch = collect_batch(env, policy, params, critic, cp, 3, 0.9, 0.8, rng)
         ref_rng = np.random.default_rng(15)
@@ -412,6 +414,6 @@ class TestRollouts:
 
         env = EndsAtOnce(horizon=3)
         policy = GaussianPolicy(4, 2, hidden=0)
-        params = policy.init_params(np.random.default_rng(16))
+        params = policy.init_params(np.random.default_rng(16), 0.1, -0.5)
         with pytest.raises(ValueError, match="before the horizon"):
             run_episode(env, policy, params, [0, 1])
