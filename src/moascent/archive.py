@@ -68,6 +68,12 @@ class NonDominatedSet:
     """
 
     entries: list[PolicyEntry] = field(default_factory=list)
+    # (n, m) objective vectors of ``entries``, row for row.
+    _objectives: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._objectives = np.stack([e.objectives for e in self.entries]) if self.entries \
+            else np.empty((0, 0))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -77,17 +83,16 @@ class NonDominatedSet:
 
     def objectives_matrix(self) -> np.ndarray:
         """Stacked (n, m) objective vectors of the current members."""
-        if not self.entries:
-            return np.empty((0, 0))
-        return np.stack([e.objectives for e in self.entries])
+        return self._objectives.copy()
 
     def insert(self, entry: PolicyEntry) -> bool:
         """Offer ``entry`` to the set; returns True when it was accepted."""
+        c = entry.objectives
         if not self.entries:
             self.entries.append(entry)
+            self._objectives = c[None].copy()
             return True
-        P = self.objectives_matrix()
-        c = entry.objectives
+        P = self._objectives
         if c.shape[0] != P.shape[1]:
             raise ValueError(
                 f"objective length mismatch: entry has {c.shape[0]}, set has {P.shape[1]}"
@@ -100,7 +105,9 @@ class NonDominatedSet:
         dominated_members = np.all(c >= P, axis=1) & np.any(c > P, axis=1)
         if np.any(dominated_members):
             self.entries = [e for e, dead in zip(self.entries, dominated_members) if not dead]
+            P = P[~dominated_members]
         self.entries.append(entry)
+        self._objectives = np.concatenate([P, c[None]])
         return True
 
 

@@ -369,48 +369,68 @@ class Trainer:
         return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))
 
     def evaluate(self, params: np.ndarray) -> np.ndarray:
-        """Mean objective vector of the deterministic policy on the fixed eval episodes."""
+        """Mean objective vectors of deterministic policies on the fixed eval episodes.
+
+        ``params`` is one ``(d,)`` snapshot or an ``(S, d)`` stack, rolled out
+        together; returns ``(m,)`` or ``(S, m)``.
+        """
         _, _, rewards, _, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
-        return mo_return(rewards, self.env.spec.gamma).mean(axis=0)
+        return mo_return(rewards, self.env.spec.gamma).mean(axis=-2)
 
-    def _snapshot_entry(self, state: TrainingState, params: np.ndarray,
-                        critic_params: np.ndarray, generation: int,
-                        source: str) -> PolicyEntry:
-        """Evaluate a snapshot and wrap it in an entry under the next ``ckpt_%06d`` ref."""
-        ref = f"ckpt_{state.next_ref:06d}"
-        state.next_ref += 1
-        return PolicyEntry(ref, self.evaluate(params), generation, source,
-                           params, critic_params)
+    def _snapshot_entries(self, state: TrainingState, params: np.ndarray,
+                          critic_params: np.ndarray, generation: int,
+                          sources) -> list[list[PolicyEntry]]:
+        """Evaluate ``(L, K, ·)`` snapshot stacks in one rollout and wrap them in entries.
 
-    def _train_lane(self, params, critic_params, iters, rng, fixed_weights):
-        """Run ``iters`` collect-and-update iterations on one lane.
+        Entries are numbered ``ckpt_%06d`` in lane order, then snapshot order,
+        and returned as one list of K entries per lane.
+        """
+        L, K = params.shape[:2]
+        objectives = self.evaluate(params.reshape(L * K, -1)).reshape(L, K, -1)
+        entries = []
+        for lane, source in enumerate(sources):
+            entries.append([])
+            for k in range(K):
+                ref = f"ckpt_{state.next_ref:06d}"
+                state.next_ref += 1
+                entries[-1].append(PolicyEntry(ref, objectives[lane, k], generation, source,
+                                               params[lane, k], critic_params[lane, k]))
+        return entries
 
-        With ``fixed_weights`` None, the weights come from the minimum-norm
-        ascent solution at the first iteration's batch; a stationary solve
-        falls back to uniform weights for the generation.
-        Returns the final (params, critic_params), the per-iteration
-        snapshots, and the number of stationary fallbacks.
+    def _train_lanes(self, params, critic_params, iters, rngs, fixed_weights):
+        """Run ``iters`` collect-and-update iterations on a stack of L lanes.
+
+        ``params`` and ``critic_params`` are ``(L, ·)`` stacks, ``rngs`` holds
+        one generator per lane and ``fixed_weights`` one weight vector or
+        None per lane. A lane with None takes its weights from the
+        minimum-norm ascent solution at the first iteration's batch; a
+        stationary solve falls back to uniform weights for the generation.
+        Returns the final (params, critic_params), the ``(L, K, ·)`` stacks of
+        the K snapshots taken, and the number of stationary fallbacks.
         """
         upd = self.update
-        weights = fixed_weights
+        weights = list(fixed_weights)
         fallbacks = 0
         snapshots = []
         for it in range(iters):
             batch = collect_batch(
                 self.env, self.policy, params, self.critic, critic_params,
-                upd.batch_episodes, upd.gamma, upd.lam, rng,
+                upd.batch_episodes, upd.gamma, upd.lam, rngs,
             )
-            if weights is None:
-                grads = estimate_gradient_set(self.policy, params, batch,
-                                              upd.normalize_advantages)
-                weights, fell_back = ascent_weights(grads)
-                fallbacks += int(fell_back)
+            for lane, lane_weights in enumerate(weights):
+                if lane_weights is None:
+                    grads = estimate_gradient_set(self.policy, params[lane], batch.lane(lane),
+                                                  upd.normalize_advantages)
+                    weights[lane], fell_back = ascent_weights(grads)
+                    fallbacks += int(fell_back)
             params, critic_params = ppo_update(
-                self.policy, params, self.critic, critic_params, batch, weights, upd
+                self.policy, params, self.critic, critic_params, batch, np.stack(weights), upd
             )
             if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
-        return params, critic_params, snapshots, fallbacks
+        snap_params = np.stack([p for p, _ in snapshots], axis=1)
+        snap_critic = np.stack([c for _, c in snapshots], axis=1)
+        return params, critic_params, (snap_params, snap_critic), fallbacks
 
     def warmup(self, state: TrainingState) -> None:
         """Train the initial population: one evenly spread weight per policy."""
@@ -418,21 +438,31 @@ class Trainer:
         upd = self.update
         m = self.env.spec.num_objectives
         weight_grid = evenly_spread_weights(m, cfg.p)
-        for lane in range(cfg.p):
-            rng = self._lane_rng(0, lane)
-            params = self.policy.init_params(rng, upd.init_scale, upd.log_std_init)
-            critic_params = self.critic.init_params(rng, upd.init_scale)
-            if cfg.m_w > 0:
-                params, critic_params, _, _ = self._train_lane(
-                    params, critic_params, cfg.m_w, rng,
-                    fixed_weights=weight_grid[lane],
-                )
-            entry = self._snapshot_entry(state, params, critic_params, 0, "warmup")
+        rngs = [self._lane_rng(0, lane) for lane in range(cfg.p)]
+        inits = [
+            (self.policy.init_params(rng, upd.init_scale, upd.log_std_init),
+             self.critic.init_params(rng, upd.init_scale))
+            for rng in rngs
+        ]
+        params = np.stack([p for p, _ in inits])
+        critic_params = np.stack([c for _, c in inits])
+        if cfg.m_w > 0:
+            params, critic_params, _, _ = self._train_lanes(
+                params, critic_params, cfg.m_w, rngs, fixed_weights=list(weight_grid),
+            )
+        entries = self._snapshot_entries(state, params[:, None], critic_params[:, None], 0,
+                                         ["warmup"] * cfg.p)
+        for (entry,) in entries:
             state.population.append(entry)
             state.archive.insert(entry)
 
     def run_generation(self, state: TrainingState, gen_index: int) -> TrainingState:
-        """Run one generation (0-based index); mutates and returns ``state``."""
+        """Run one generation (0-based index); mutates and returns ``state``.
+
+        Every lane's origin, weights and RNG are fixed before training, so
+        all lanes train as one stack and all their snapshots are evaluated
+        in one rollout; entries are then offered to the archive in lane order.
+        """
         cfg = self.evolution
         p = cfg.p
         generation = gen_index + 1
@@ -466,25 +496,25 @@ class Trainer:
             ("pareto_ascent", entry, None) for entry in selected
         ]
         lanes.extend((_JOB_SOURCE[j.kind], j.policy, j.weights) for j in jobs)
-
-        for lane_index, (source, origin, fixed_weights) in enumerate(lanes):
-            rng = self._lane_rng(generation, lane_index)
-            _, _, snapshots, fallbacks = self._train_lane(
-                origin.params, origin.critic_params, cfg.m_iters, rng, fixed_weights
-            )
-            state.stationary_fallbacks += fallbacks
-            final_entry = None
-            final_accepted = False
-            for snap_params, snap_critic in snapshots:
-                entry = self._snapshot_entry(state, snap_params, snap_critic, generation, source)
+        sources, origins, fixed_weights = zip(*lanes)
+        _, _, (snap_params, snap_critic), fallbacks = self._train_lanes(
+            np.stack([o.params for o in origins]),
+            np.stack([o.critic_params for o in origins]),
+            cfg.m_iters,
+            [self._lane_rng(generation, lane) for lane in range(len(lanes))],
+            fixed_weights,
+        )
+        state.stationary_fallbacks += fallbacks
+        entries = self._snapshot_entries(state, snap_params, snap_critic, generation, sources)
+        for source, origin, lane_entries in zip(sources, origins, entries):
+            for entry in lane_entries:
                 final_accepted = state.archive.insert(entry)
-                final_entry = entry
             if source == "pareto_ascent":
-                state.population[ref_to_slot[origin.params_ref]] = final_entry
+                state.population[ref_to_slot[origin.params_ref]] = entry
             elif final_accepted:
                 # Fine-tuned policies join the population only when their
                 # final snapshot survived the archive update.
-                state.population.append(final_entry)
+                state.population.append(entry)
         return state
 
     def _record_metrics(self, state: TrainingState, generation: int,

@@ -231,8 +231,21 @@ def _load_run(run_dir: Path) -> dict:
     }
 
 
+# Files a finished run directory holds; run_seed writes config.yaml first.
+_RUN_FILES = ("config.yaml", "metrics.csv", "frontier.json")
+
+
 def cmd_report(args) -> int:
-    runs = [_load_run(Path(d)) for d in args.run_dirs]
+    runs = []
+    for run_dir in map(Path, args.run_dirs):
+        missing = [name for name in _RUN_FILES if not (run_dir / name).is_file()]
+        if missing:
+            print(f"skipping incomplete run directory {run_dir}: no {', '.join(missing)}",
+                  file=sys.stderr)
+            continue
+        runs.append(_load_run(run_dir))
+    if not runs:
+        raise ValueError("no complete run directory to report on")
     dims = {run["m"] for run in runs}
     if len(dims) > 1:
         raise ValueError(f"inconsistent objective counts across runs: {sorted(dims)}")

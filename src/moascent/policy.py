@@ -5,6 +5,12 @@ one-hidden-layer tanh network; all parameters live in a single flat vector
 so per-objective policy gradients stack into an (m, d) matrix. Gradients
 are computed analytically (closed-form backprop), which keeps them exactly
 finite-difference-checkable.
+
+Every primitive also takes a stack of lanes: ``(L, d)`` parameters with
+``(L, N, ·)`` inputs, one independent policy per lane, and a plain ``(d,)``
+vector is the lane-less case. Stacked products go through ``np.matmul`` on
+``swapaxes`` views, which repeats the 2-D BLAS call of each lane, so a lane
+of a stack computes bit for bit what it computes alone.
 """
 
 from __future__ import annotations
@@ -31,10 +37,31 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# Rows of one stacked network pass. Above about this many rows a pass is
+# compute-bound, so stacking more lanes saves nothing and only grows the
+# (rows, hidden) temporaries.
+_STACK_ROWS = 512
+
+
+def _lane_chunks(params: np.ndarray, rows: int) -> list:
+    """Index expressions splitting the lanes of ``params`` into passes.
+
+    Each pass holds whole lanes of ``rows`` rows each, at most
+    ``_STACK_ROWS`` rows unless one lane alone has more. Lane-less ``(d,)``
+    params are one pass.
+    """
+    if params.ndim == 1:
+        return [...]
+    step = max(1, _STACK_ROWS // rows)
+    return [slice(i, i + step) for i in range(0, params.shape[0], step)]
 
 
 class _MeanNet:
-    """Flat-vector linear or one-hidden-layer tanh network with backprop."""
+    """Flat-vector linear or one-hidden-layer tanh network with backprop.
+
+    ``params`` is ``(..., num_params)`` and ``states`` is ``(..., N, in_dim)``
+    with the same leading lane axes.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int):
         self.in_dim = in_dim
@@ -46,43 +73,46 @@ class _MeanNet:
             self.num_params = out_dim * in_dim + out_dim
 
     def split(self, params: np.ndarray):
-        if self.hidden > 0:
-            h, s, a = self.hidden, self.in_dim, self.out_dim
-            i = 0
-            w1 = params[i : i + h * s].reshape(h, s); i += h * s
-            b1 = params[i : i + h]; i += h
-            w2 = params[i : i + a * h].reshape(a, h); i += a * h
-            b2 = params[i : i + a]; i += a
-            return w1, b1, w2, b2
-        a, s = self.out_dim, self.in_dim
-        return params[: a * s].reshape(a, s), params[a * s : a * s + a]
+        """Weight matrices ``(..., rows, cols)`` and biases ``(..., 1, rows)``."""
+        lead = params.shape[:-1]
+        sizes = [(self.hidden, self.in_dim), (self.out_dim, self.hidden)] if self.hidden > 0 \
+            else [(self.out_dim, self.in_dim)]
+        parts, i = [], 0
+        for rows, cols in sizes:
+            parts.append(params[..., i : i + rows * cols].reshape(lead + (rows, cols)))
+            i += rows * cols
+            parts.append(params[..., None, i : i + rows])
+            i += rows
+        return parts
 
     def forward(self, params: np.ndarray, states: np.ndarray):
         """Return (outputs, cache-for-backprop) for a batch of states."""
         if self.hidden > 0:
             w1, b1, w2, b2 = self.split(params)
-            hid = np.tanh(states @ w1.T + b1)
-            return hid @ w2.T + b2, hid
+            hid = np.tanh(states @ w1.swapaxes(-1, -2) + b1)
+            return hid @ w2.swapaxes(-1, -2) + b2, hid
         w, b = self.split(params)
-        return states @ w.T + b, None
+        return states @ w.swapaxes(-1, -2) + b, None
 
     def backprop(self, params: np.ndarray, states: np.ndarray, cache, d_out: np.ndarray):
-        """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters."""
-        grad = np.empty(self.num_params)
+        """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters, per lane."""
+        lead = params.shape[:-1]
+        grad = np.empty(lead + (self.num_params,))
         if self.hidden > 0:
             _, _, w2, _ = self.split(params)
             hid = cache
             d_hid = (d_out @ w2) * (1.0 - hid * hid)
-            h, s, a = self.hidden, self.in_dim, self.out_dim
-            i = 0
-            grad[i : i + h * s] = (d_hid.T @ states).ravel(); i += h * s
-            grad[i : i + h] = d_hid.sum(axis=0); i += h
-            grad[i : i + a * h] = (d_out.T @ hid).ravel(); i += a * h
-            grad[i : i + a] = d_out.sum(axis=0)
-            return grad
-        a, s = self.out_dim, self.in_dim
-        grad[: a * s] = (d_out.T @ states).ravel()
-        grad[a * s :] = d_out.sum(axis=0)
+            layers = [(d_hid, states), (d_out, hid)]
+        else:
+            layers = [(d_out, states)]
+        i = 0
+        for d_layer, inputs in layers:
+            rows, cols = d_layer.shape[-1], inputs.shape[-1]
+            grad[..., i : i + rows * cols] = (d_layer.swapaxes(-1, -2) @ inputs).reshape(
+                lead + (rows * cols,))
+            i += rows * cols
+            grad[..., i : i + rows] = d_layer.sum(axis=-2)
+            i += rows
         return grad
 
 
@@ -118,10 +148,10 @@ class GaussianPolicy:
         return params
 
     def _net_params(self, params: np.ndarray) -> np.ndarray:
-        return params[: self.net.num_params]
+        return params[..., : self.net.num_params]
 
     def log_std(self, params: np.ndarray) -> np.ndarray:
-        return np.clip(params[self.net.num_params :], self.log_std_min, self.log_std_max)
+        return np.clip(params[..., self.net.num_params :], self.log_std_min, self.log_std_max)
 
     def mean(self, params: np.ndarray, states: np.ndarray) -> np.ndarray:
         out, _ = self.net.forward(self._net_params(params), np.atleast_2d(states))
@@ -137,36 +167,37 @@ class GaussianPolicy:
         mu = self.mean(params, states)
         if noise is None:
             return mu
-        return mu + np.exp(self.log_std(params)) * noise
+        return mu + np.exp(self.log_std(params))[..., None, :] * noise
 
     def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray):
         """Log-probabilities of ``actions`` and their weighted score, from one forward pass.
 
-        Returns ``(log_probs, grad)``: the (n,) values of ``log pi(actions[t] |
+        Returns ``(log_probs, grad)``: the (..., n) values of ``log pi(actions[t] |
         states[t])`` and a function ``grad(coeffs)`` giving the flat gradient
-        of ``sum_t coeffs[t] * log pi(actions[t] | states[t])``.
+        of ``sum_t coeffs[t] * log pi(actions[t] | states[t])``, per lane.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
         net_params = self._net_params(params)
         mu, cache = self.net.forward(net_params, states)
-        raw = params[self.net.num_params :]
+        raw = params[..., self.net.num_params :]
         log_std = np.clip(raw, self.log_std_min, self.log_std_max)
         residual = actions - mu
-        zscores = residual / np.exp(log_std)
-        log_probs = -0.5 * np.sum(zscores * zscores, axis=1) - log_std.sum() \
-            - 0.5 * self.action_dim * _LOG_2PI
-        inv_var = np.exp(-2.0 * log_std)
+        zscores = residual / np.exp(log_std)[..., None, :]
+        log_probs = -0.5 * np.sum(zscores * zscores, axis=-1) \
+            - log_std.sum(axis=-1)[..., None] - 0.5 * self.action_dim * _LOG_2PI
+        inv_var = np.exp(-2.0 * log_std)[..., None, :]
         # d logp / d log_std_j = z_j^2 - 1; zero where the clamp is active.
         zsq_minus_one = residual * residual * inv_var - 1.0
         active = (raw > self.log_std_min) & (raw < self.log_std_max)
 
         def grad(coeffs) -> np.ndarray:
             coeffs = np.asarray(coeffs, dtype=float)
-            out = np.empty(self.num_params)
-            d_mu = coeffs[:, None] * residual * inv_var
-            out[: self.net.num_params] = self.net.backprop(net_params, states, cache, d_mu)
-            out[self.net.num_params :] = np.where(active, coeffs @ zsq_minus_one, 0.0)
+            out = np.empty(params.shape)
+            d_mu = coeffs[..., None] * residual * inv_var
+            out[..., : self.net.num_params] = self.net.backprop(net_params, states, cache, d_mu)
+            d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
+            out[..., self.net.num_params :] = np.where(active, d_log_std, 0.0)
             return out
 
         return log_probs, grad
@@ -190,13 +221,14 @@ class VectorCritic:
         return out
 
     def mse_grad(self, params: np.ndarray, states: np.ndarray,
-                 targets: np.ndarray) -> tuple[np.ndarray, float]:
-        """Gradient and value of ``0.5 * mean((V(s) - target)^2)``."""
+                 targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and value of ``0.5 * mean((V(s) - target)^2)``, per lane."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         values, cache = self.net.forward(params, states)
-        err = (values - targets) / values.size
+        count = values.shape[-2] * values.shape[-1]
+        err = (values - targets) / count
         grad = self.net.backprop(params, states, cache, err)
-        loss = 0.5 * float(np.sum((values - targets) ** 2)) / values.size
+        loss = 0.5 * np.sum((values - targets) ** 2, axis=(-2, -1)) / count
         return grad, loss
 
 
@@ -204,9 +236,11 @@ class VectorCritic:
 class RolloutBatch:
     """Per-step learning signals of a batch, episodes concatenated in order.
 
-    ``actions`` are the raw sampled actions (before environment clamping);
-    log-probabilities refer to them under the collecting policy snapshot.
-    Advantages and return targets carry one component per objective.
+    Every field is ``(..., n, ·)``: the leading lane axes of the collecting
+    params, then one row per step. ``actions`` are the raw sampled actions
+    (before environment clamping); log-probabilities refer to them under the
+    collecting policy snapshot. Advantages and return targets carry one
+    component per objective.
     """
 
     states: np.ndarray
@@ -216,57 +250,70 @@ class RolloutBatch:
     returns: np.ndarray
 
     def __post_init__(self):
-        n = self.states.shape[0]
-        if n == 0:
+        rows = self.log_probs.shape
+        if rows[-1] == 0:
             raise ValueError("empty rollout batch")
-        for name in ("actions", "log_probs", "advantages", "returns"):
-            if getattr(self, name).shape[0] != n:
+        for name in ("states", "actions", "advantages", "returns"):
+            if getattr(self, name).shape[:-1] != rows:
                 raise ValueError(f"batch field {name} disagrees in length")
+
+    def lane(self, index: int) -> RolloutBatch:
+        """The lane-less batch of one lane of a stacked batch."""
+        return RolloutBatch(self.states[index], self.actions[index], self.log_probs[index],
+                            self.advantages[index], self.returns[index])
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, last_values: np.ndarray,
         gamma: float, lam: float) -> np.ndarray:
-    """Per-objective generalized advantage estimates, shape (B, T, m).
+    """Per-objective generalized advantage estimates, shape (..., B, T, m).
 
     ``rewards`` and ``values`` (the critic at each step's state) are
-    (B, T, m); ``last_values`` (B, m) is the bootstrap after the last step:
-    the critic at the final state of a horizon-truncated episode, zero for
-    a terminal one. Each objective is treated independently.
+    (..., B, T, m); ``last_values`` (..., B, m) is the bootstrap after the
+    last step: the critic at the final state of a horizon-truncated episode,
+    zero for a terminal one. Each objective is treated independently.
     """
-    next_values = np.concatenate([values[:, 1:], last_values[:, None]], axis=1)
+    next_values = np.concatenate([values[..., 1:, :], last_values[..., None, :]], axis=-2)
     deltas = rewards + gamma * next_values - values
     advantages = np.empty_like(deltas)
     carry = np.zeros_like(last_values)
-    for t in range(rewards.shape[1] - 1, -1, -1):
-        carry = deltas[:, t] + gamma * lam * carry
-        advantages[:, t] = carry
+    for t in range(rewards.shape[-2] - 1, -1, -1):
+        carry = deltas[..., t, :] + gamma * lam * carry
+        advantages[..., t, :] = carry
     return advantages
 
 
 def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
                 seeds, noise: np.ndarray | None = None):
-    """Roll one episode per reset seed, all B of them in lockstep over the horizon.
+    """Roll one episode per reset seed, all of them in lockstep over the horizon.
 
-    ``noise`` (B, T, action_dim) holds the standard-normal draws of a
-    stochastic rollout; without it the policy acts with its mean. Returns
-    ``(states, actions, rewards, final_states, terminal)``: the (B, T, ·)
-    states, raw sampled actions (the environment clamps them) and rewards,
-    then the (B, state_dim) states after the last step and their (B,)
+    ``params`` is ``(d,)`` or an ``(L, d)`` stack of lanes; ``seeds`` is
+    ``(B,)``, shared by every lane, or ``(L, B)``. ``noise`` (..., B, T,
+    action_dim) holds the standard-normal draws of a stochastic rollout;
+    without it the policy acts with its mean. Returns ``(states, actions,
+    rewards, final_states, terminal)``: the (..., B, T, ·) states, raw
+    sampled actions (the environment clamps them) and rewards, then the
+    (..., B, state_dim) states after the last step and their (..., B)
     terminal flags. An episode that ends before the horizon is an error.
     """
     spec = env.spec
     T = spec.horizon
-    if len(seeds) == 0:
+    seeds = np.asarray(seeds)
+    if seeds.size == 0:
         raise ValueError("need at least one episode")
-    state = np.stack([env.reset(seed) for seed in seeds])
-    B = state.shape[0]
-    states = np.empty((B, T, spec.state_dim))
-    actions = np.empty((B, T, spec.action_dim))
-    rewards = np.empty((B, T, spec.num_objectives))
+    B = seeds.shape[-1]
+    starts = np.array([env.reset(int(seed)) for seed in seeds.ravel()])
+    shape = params.shape[:-1] + (B,)
+    state = np.broadcast_to(starts.reshape(seeds.shape + (-1,)), shape + (spec.state_dim,)).copy()
+    states = np.empty(shape + (T, spec.state_dim))
+    actions = np.empty(shape + (T, spec.action_dim))
+    rewards = np.empty(shape + (T, spec.num_objectives))
+    chunks = _lane_chunks(params, B)
     for t in range(T):
-        states[:, t] = state
-        actions[:, t] = policy.act(params, state, None if noise is None else noise[:, t])
-        state, rewards[:, t], terminal = env.step(state, actions[:, t])
+        states[..., t, :] = state
+        for c in chunks:
+            actions[c][..., t, :] = policy.act(params[c], state[c],
+                                               None if noise is None else noise[c][..., t, :])
+        state, rewards[..., t, :], terminal = env.step(state, actions[..., t, :])
         if t < T - 1 and np.any(terminal):
             raise ValueError(f"an episode ended after {t + 1} steps, before the horizon {T}")
     return states, actions, rewards, state, terminal
@@ -274,43 +321,51 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
 
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
                   critic: VectorCritic, critic_params: np.ndarray,
-                  episodes: int, gamma: float, lam: float,
-                  rng: np.random.Generator) -> RolloutBatch:
-    """Collect ``episodes`` episodes under one policy snapshot.
+                  episodes: int, gamma: float, lam: float, rng) -> RolloutBatch:
+    """Collect ``episodes`` episodes per lane, each lane under its own snapshot.
 
-    ``rng`` is consumed episode by episode: the reset seed, then the
-    episode's (T, action_dim) block of action noise.
+    ``rng`` is one generator for ``(d,)`` params, or one per lane for an
+    ``(L, d)`` stack. Each generator is consumed episode by episode: the
+    reset seed, then the episode's (T, action_dim) block of action noise.
     """
-    T, a = env.spec.horizon, env.spec.action_dim
+    T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
+    lead = params.shape[:-1]
     seeds, noise = [], []
-    for _ in range(episodes):
-        seeds.append(int(rng.integers(0, 2**31 - 1)))
-        noise.append(rng.standard_normal((T, a)))
+    for lane_rng in ([rng] if params.ndim == 1 else rng):
+        for _ in range(episodes):
+            seeds.append(int(lane_rng.integers(0, 2**31 - 1)))
+            noise.append(lane_rng.standard_normal((T, a)))
     states, actions, rewards, final_states, terminal = run_episode(
-        env, policy, params, seeds, np.array(noise)
+        env, policy, params, np.reshape(seeds, lead + (episodes,)),
+        np.reshape(noise, lead + (episodes, T, a)),
     )
-    B = len(seeds)
-    states = states.reshape(B * T, -1)
-    actions = actions.reshape(B * T, -1)
-    values = critic.values(critic_params, states)
-    last_values = np.zeros((B, critic.num_objectives))
-    if not terminal.all():
-        last_values[~terminal] = critic.values(critic_params, final_states[~terminal])
-    advantages = gae(rewards, values.reshape(B, T, -1), last_values, gamma, lam)
-    advantages = advantages.reshape(B * T, -1)
+    n = episodes * T
+    states = states.reshape(lead + (n, -1))
+    actions = actions.reshape(lead + (n, -1))
+    values = np.empty(lead + (n, m))
+    log_probs = np.empty(lead + (n,))
+    last_values = np.zeros(lead + (episodes, m))
+    for c in _lane_chunks(params, n):
+        values[c] = critic.values(critic_params[c], states[c])
+        log_probs[c] = policy.score(params[c], states[c], actions[c])[0]
+        if not terminal.all():
+            last_values[c] = np.where(terminal[c][..., None], 0.0,
+                                      critic.values(critic_params[c], final_states[c]))
+    advantages = gae(rewards, values.reshape(lead + (episodes, T, m)), last_values, gamma, lam)
+    advantages = advantages.reshape(lead + (n, m))
     return RolloutBatch(
         states=states,
         actions=actions,
-        log_probs=policy.score(params, states, actions)[0],
+        log_probs=log_probs,
         advantages=advantages,
         returns=advantages + values,
     )
 
 
 def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance per objective; constant columns stay centered."""
-    mean = advantages.mean(axis=0)
-    std = advantages.std(axis=0)
+    """Zero-mean unit-variance per objective and lane; constant columns stay centered."""
+    mean = advantages.mean(axis=-2, keepdims=True)
+    std = advantages.std(axis=-2, keepdims=True)
     std = np.where(std < 1e-8, 1.0, std)
     return (advantages - mean) / std
 
@@ -318,7 +373,7 @@ def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
 def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
                           batch: RolloutBatch,
                           normalize_advantages: bool) -> np.ndarray:
-    """Per-objective policy-gradient estimates, one (d,) row per objective.
+    """Per-objective policy-gradient estimates of one lane, one (d,) row per objective.
 
     Row i is the batch average of ``advantage_i * grad log pi``, i.e. the
     gradient of objective i's surrogate at the collecting snapshot (where
@@ -336,14 +391,14 @@ def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
 
 
 class _Adam:
-    def __init__(self, dim: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+    def __init__(self, shape, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -364,7 +419,7 @@ class _SGD:
     fine-tuning against undirected drift.
     """
 
-    def __init__(self, dim: int, lr: float):
+    def __init__(self, shape, lr: float):
         self.lr = lr
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -380,6 +435,8 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
                update: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clipped-surrogate ascent on the ``omega``-scalarized advantages.
 
+    ``params`` and ``critic_params`` are one lane or an ``(L, ·)`` stack with
+    a matching ``batch``; ``omega`` holds one weight vector per lane.
     ``update`` is the ``policy`` config section; its ``clip_eps``, ``epochs``,
     ``lr``, ``normalize_advantages`` and ``optimizer`` set the update.
     Advantages are (optionally) normalized per objective, then collapsed
@@ -389,30 +446,37 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     the same optimizer settings. Returns the updated (params, critic_params)
     snapshots; inputs are not mutated.
     """
-    omega = validate_weights(omega)
-    if omega.size != batch.advantages.shape[1]:
-        raise ValueError(
-            f"omega has {omega.size} components, batch has {batch.advantages.shape[1]} objectives"
-        )
+    m = batch.advantages.shape[-1]
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape[-1:] != (m,):
+        raise ValueError(f"omega has {omega.shape[-1:]} components, batch has {m} objectives")
+    omega = np.reshape([validate_weights(w) for w in omega.reshape(-1, m)], omega.shape)
     adv = batch.advantages
     if update.normalize_advantages:
         adv = normalize_per_objective(adv)
-    scalar_adv = adv @ omega
-    n = scalar_adv.shape[0]
+    scalar_adv = (adv @ omega[..., None])[..., 0]
+    n = scalar_adv.shape[-1]
 
     lr, clip_eps = update.lr, update.clip_eps
     params = params.copy()
     critic_params = critic_params.copy()
-    policy_opt = _OPTIMIZERS[update.optimizer](params.size, lr)
-    # The critic is plain regression; Adam keeps it robust under either choice.
-    critic_opt = _Adam(critic_params.size, lr if update.optimizer == "adam" else min(lr, 5e-3))
-    for _ in range(update.epochs):
-        log_probs, grad = policy.score(params, batch.states, batch.actions)
-        ratio = np.exp(log_probs - batch.log_probs)
-        # Gradient flows only where the unclipped branch is the active min.
-        active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + clip_eps, ratio >= 1.0 - clip_eps)
-        coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
-        params = policy_opt.step(params, -grad(coeffs))
-        value_grad, _ = critic.mse_grad(critic_params, batch.states, batch.returns)
-        critic_params = critic_opt.step(critic_params, value_grad)
+    # Lanes are independent, so each pass of whole lanes runs every epoch on its own.
+    for c in _lane_chunks(params, n):
+        lane_params, lane_critic = params[c], critic_params[c]
+        states, actions, returns = batch.states[c], batch.actions[c], batch.returns[c]
+        policy_opt = _OPTIMIZERS[update.optimizer](lane_params.shape, lr)
+        # The critic is plain regression; Adam keeps it robust under either choice.
+        critic_opt = _Adam(lane_critic.shape,
+                           lr if update.optimizer == "adam" else min(lr, 5e-3))
+        for _ in range(update.epochs):
+            log_probs, grad = policy.score(lane_params, states, actions)
+            ratio = np.exp(log_probs - batch.log_probs[c])
+            # Gradient flows only where the unclipped branch is the active min.
+            active = np.where(scalar_adv[c] >= 0.0, ratio <= 1.0 + clip_eps,
+                              ratio >= 1.0 - clip_eps)
+            coeffs = np.where(active, ratio * scalar_adv[c], 0.0) / n
+            lane_params = policy_opt.step(lane_params, -grad(coeffs))
+            value_grad, _ = critic.mse_grad(lane_critic, states, returns)
+            lane_critic = critic_opt.step(lane_critic, value_grad)
+        params[c], critic_params[c] = lane_params, lane_critic
     return params, critic_params

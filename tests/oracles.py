@@ -3,13 +3,25 @@
 Everything here deliberately avoids the code paths under test: the simplex
 projection is solved by bisection on the KKT threshold, the minimum-norm
 problem by grid search over the simplex, hypervolumes by Monte Carlo, and
-the quadratic-environment frontier by closed form / dense sampling, and
-archive non-domination by a pairwise audit.
+the quadratic-environment frontier by closed form / dense sampling,
+archive non-domination by a pairwise audit, and the stacked generation step
+by the per-lane training loop it replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from moascent import evolution
+from moascent.archive import PolicyEntry
+from moascent.evolution import (
+    Trainer,
+    ascent_weights,
+    evenly_spread_weights,
+    paft_select,
+    pgr_select,
+)
+from moascent.policy import collect_batch, estimate_gradient_set, ppo_update
 
 
 def project_simplex_bisect(v: np.ndarray) -> np.ndarray:
@@ -213,3 +225,100 @@ def simplex_weight_grid(m: int, divisions: int) -> np.ndarray:
                 rows.append((i, j, divisions - i - j))
         return np.asarray(rows, dtype=float) / divisions
     raise ValueError("weight grids support 2 or 3 objectives")
+
+
+# --- per-lane training path ---------------------------------------------
+
+class PerLaneTrainer(Trainer):
+    """The trainer with every lane trained alone and every snapshot evaluated alone.
+
+    This is the loop the stacked generation step replaced: each lane runs
+    its collect-and-update iterations on lane-less ``(d,)`` params, each
+    snapshot is evaluated by its own ``evaluate`` call and offered to the
+    archive as soon as it exists. The stacked trainer must reproduce it
+    byte for byte.
+    """
+
+    def _snapshot_entry(self, state, params, critic_params, generation, source):
+        ref = f"ckpt_{state.next_ref:06d}"
+        state.next_ref += 1
+        return PolicyEntry(ref, self.evaluate(params), generation, source,
+                           params, critic_params)
+
+    def _train_lane(self, params, critic_params, iters, rng, fixed_weights):
+        upd = self.update
+        weights = fixed_weights
+        fallbacks = 0
+        snapshots = []
+        for it in range(iters):
+            batch = collect_batch(
+                self.env, self.policy, params, self.critic, critic_params,
+                upd.batch_episodes, upd.gamma, upd.lam, rng,
+            )
+            if weights is None:
+                grads = estimate_gradient_set(self.policy, params, batch,
+                                              upd.normalize_advantages)
+                weights, fell_back = ascent_weights(grads)
+                fallbacks += int(fell_back)
+            params, critic_params = ppo_update(
+                self.policy, params, self.critic, critic_params, batch, weights, upd
+            )
+            if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
+                snapshots.append((params, critic_params))
+        return params, critic_params, snapshots, fallbacks
+
+    def warmup(self, state):
+        cfg = self.evolution
+        upd = self.update
+        weight_grid = evenly_spread_weights(self.env.spec.num_objectives, cfg.p)
+        for lane in range(cfg.p):
+            rng = self._lane_rng(0, lane)
+            params = self.policy.init_params(rng, upd.init_scale, upd.log_std_init)
+            critic_params = self.critic.init_params(rng, upd.init_scale)
+            if cfg.m_w > 0:
+                params, critic_params, _, _ = self._train_lane(
+                    params, critic_params, cfg.m_w, rng, fixed_weights=weight_grid[lane],
+                )
+            entry = self._snapshot_entry(state, params, critic_params, 0, "warmup")
+            state.population.append(entry)
+            state.archive.insert(entry)
+
+    def run_generation(self, state, gen_index):
+        cfg = self.evolution
+        p = cfg.p
+        generation = gen_index + 1
+        paft_active = self.paft_enabled and gen_index >= cfg.M_ft
+        p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
+        sel_rng = self._lane_rng(generation, evolution._SELECTION_STREAM)
+        n_regions = cfg.pgr_regions if cfg.pgr_regions is not None else p_a
+        selected = pgr_select(
+            state.population, p_a, n_regions, cfg.pgr_top_k,
+            cfg.reference_point, sel_rng,
+            log=state.selection_log, generation=generation,
+        )
+        ref_to_slot = {e.params_ref: i for i, e in enumerate(state.population)}
+        jobs = []
+        if p_b > 0 and len(state.archive) >= 2:
+            jobs = paft_select(state.archive, cfg)
+            for job in jobs:
+                state.selection_log.append({
+                    "kind": "paft", "generation": generation, "job": job.kind,
+                    "policy": job.policy.params_ref,
+                    "weights": [float(w) for w in job.weights],
+                })
+        lanes = [("pareto_ascent", entry, None) for entry in selected]
+        lanes.extend((evolution._JOB_SOURCE[j.kind], j.policy, j.weights) for j in jobs)
+        for lane_index, (source, origin, fixed_weights) in enumerate(lanes):
+            rng = self._lane_rng(generation, lane_index)
+            _, _, snapshots, fallbacks = self._train_lane(
+                origin.params, origin.critic_params, cfg.m_iters, rng, fixed_weights
+            )
+            state.stationary_fallbacks += fallbacks
+            for snap_params, snap_critic in snapshots:
+                entry = self._snapshot_entry(state, snap_params, snap_critic, generation, source)
+                final_accepted = state.archive.insert(entry)
+            if source == "pareto_ascent":
+                state.population[ref_to_slot[origin.params_ref]] = entry
+            elif final_accepted:
+                state.population.append(entry)
+        return state

@@ -102,6 +102,30 @@ class TestInsert:
                 nd.insert(entry(row))
             assert sorted(map(tuple, nd.objectives_matrix())) == want
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_objectives_matrix_tracks_inserts_and_evictions(self, m):
+        # Staircase-like draws with a drift keep both accepts and evictions
+        # frequent; the kept array must match the entries after every offer.
+        rng = np.random.default_rng(m)
+        nd = NonDominatedSet()
+        accepted = evicted = 0
+        for step in range(300):
+            before = len(nd)
+            row = rng.uniform(0, 1, size=m) + 0.002 * step * rng.integers(0, 2, size=m)
+            if nd.insert(entry(row)):
+                accepted += 1
+                evicted += before + 1 - len(nd)
+            want = np.stack([e.objectives for e in nd])
+            np.testing.assert_array_equal(nd.objectives_matrix(), want)
+        assert accepted > 20 and evicted > 20
+
+    def test_objectives_matrix_is_a_copy(self):
+        nd = NonDominatedSet()
+        nd.insert(entry([1.0, 2.0]))
+        nd.objectives_matrix()[0, 0] = 9.0
+        assert nd.insert(entry([2.0, 1.0]))
+        np.testing.assert_array_equal(nd.objectives_matrix(), [[1.0, 2.0], [2.0, 1.0]])
+
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_always_mutually_non_dominated(self, rows):

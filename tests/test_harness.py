@@ -359,6 +359,27 @@ class TestReportCommand:
         assert main(["report", *map(str, runs)]) == 1
         assert "inconsistent" in capsys.readouterr().err
 
+    def test_incomplete_run_directory_skipped(self, tmp_path, capsys):
+        # A seed whose training raised leaves a directory holding only config.yaml.
+        complete = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
+        incomplete = tmp_path / "r1"
+        incomplete.mkdir()
+        (incomplete / "config.yaml").write_text(yaml.safe_dump(dict(TINY, seeds=[1])))
+        out = tmp_path / "rep"
+        assert main(["report", str(complete), str(incomplete), "--out", str(out)]) == 0
+        assert str(incomplete) in capsys.readouterr().err
+        with (out / "summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["runs"]) for r in rows] == [("quad", "1")]
+
+    def test_no_complete_run_is_an_error(self, tmp_path, capsys):
+        incomplete = tmp_path / "r1"
+        incomplete.mkdir()
+        (incomplete / "config.yaml").write_text(yaml.safe_dump(TINY))
+        assert main(["report", str(incomplete), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert str(incomplete) in err and "no complete run" in err
+
     def test_curve_and_frontier_files(self, tmp_path):
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
         out = tmp_path / "rep"
