@@ -84,7 +84,12 @@ def load_checkpoint(path) -> tuple[GaussianPolicy, np.ndarray]:
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {doc.get('format_version')!r}")
+    if "policy" not in doc:
+        raise ValueError("checkpoint missing field 'policy'")
     head = doc["policy"]
+    for key in ("state_dim", "action_dim", "hidden", "log_std_min", "log_std_max", "values"):
+        if key not in head:
+            raise ValueError(f"checkpoint missing field 'policy.{key}'")
     policy = GaussianPolicy(
         head["state_dim"], head["action_dim"], head["hidden"],
         log_std_min=head["log_std_min"], log_std_max=head["log_std_max"],
@@ -253,6 +258,11 @@ def cmd_report(args) -> int:
     groups: dict[str, list[dict]] = {}
     for run in runs:
         groups.setdefault(run["tag"], []).append(run)
+    for tag, members in groups.items():
+        points = sorted({tuple(map(float, run["frontier"]["reference_point"])) for run in members})
+        if len(points) > 1:
+            raise ValueError(f"runs of method {tag!r} use different reference points: "
+                             + ", ".join(str(list(point)) for point in points))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

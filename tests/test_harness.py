@@ -164,6 +164,29 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
 
+class TestCheckpointHeader:
+    FIELDS = ("state_dim", "action_dim", "hidden", "log_std_min", "log_std_max", "values")
+
+    def eval_doc(self, tmp_path, doc):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        return main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic"])
+
+    def test_missing_policy_named(self, tmp_path, capsys):
+        assert self.eval_doc(tmp_path, {"format_version": 1}) == 1
+        assert "error: checkpoint missing field 'policy'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_missing_policy_key_named(self, tmp_path, capsys, field):
+        policy = GaussianPolicy(1, 2, hidden=4)
+        path = tmp_path / "full.json"
+        save_checkpoint(path, policy, np.zeros(policy.num_params))
+        doc = json.loads(path.read_text())
+        del doc["policy"][field]
+        assert self.eval_doc(tmp_path, doc) == 1
+        assert f"error: checkpoint missing field 'policy.{field}'" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_run_directory_contents(self, tmp_path):
         (run_dir,) = train(tmp_path)
@@ -292,7 +315,8 @@ class TestEvalCommand:
 
 
 class TestReportCommand:
-    def fake_run(self, tmp_path, name, tag, seed, final_hv, final_sp, m=2):
+    def fake_run(self, tmp_path, name, tag, seed, final_hv, final_sp, m=2,
+                 reference_point=None):
         run_dir = tmp_path / name
         run_dir.mkdir()
         cfg = dict(TINY, experiment=tag, seeds=[seed])
@@ -306,7 +330,7 @@ class TestReportCommand:
             "schema_version": 1,
             "experiment_id": tag,
             "m": m,
-            "reference_point": [0.0] * m,
+            "reference_point": reference_point or [0.0] * m,
             "entries": [
                 {
                     "objectives": [1.0] * m,
@@ -358,6 +382,26 @@ class TestReportCommand:
         ]
         assert main(["report", *map(str, runs)]) == 1
         assert "inconsistent" in capsys.readouterr().err
+
+    def test_mixed_reference_points_within_a_method_rejected(self, tmp_path, capsys):
+        # HV against different reference points is not comparable, so runs of
+        # one method must share theirs.
+        runs = [
+            self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5),
+            self.fake_run(tmp_path, "r1", "quad", 1, 6.0, 0.7, reference_point=[-30.0, -30.0]),
+        ]
+        out = tmp_path / "rep"
+        assert main(["report", *map(str, runs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'quad'" in err and "[0.0, 0.0]" in err and "[-30.0, -30.0]" in err
+        assert not out.exists()
+
+    def test_reference_points_may_differ_between_methods(self, tmp_path):
+        runs = [
+            self.fake_run(tmp_path, "r0", "quad2", 0, 4.0, 0.5),
+            self.fake_run(tmp_path, "r1", "quad3", 0, 6.0, 0.7, reference_point=[-30.0, -30.0]),
+        ]
+        assert main(["report", *map(str, runs), "--out", str(tmp_path / "rep")]) == 0
 
     def test_incomplete_run_directory_skipped(self, tmp_path, capsys):
         # A seed whose training raised leaves a directory holding only config.yaml.

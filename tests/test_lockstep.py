@@ -89,13 +89,14 @@ def test_stacked_passes_are_row_bounded(monkeypatch, case):
     # Every network pass holds at most _STACK_ROWS rows unless one lane alone
     # has more, and some pass does stack several lanes.
     passes = []
-    forward = policy_module._MeanNet.forward
+    lane_chunks = policy_module._lane_chunks
 
-    def recording(self, params, states):
-        passes.append((int(np.prod(states.shape[:-1])), states.shape[-2]))
-        return forward(self, params, states)
+    def recording(params, lane_rows):
+        chunks = lane_chunks(params, lane_rows)
+        passes.extend((params[c][..., 0].size * lane_rows, lane_rows) for c in chunks)
+        return chunks
 
-    monkeypatch.setattr(policy_module._MeanNet, "forward", recording)
+    monkeypatch.setattr(policy_module, "_lane_chunks", recording)
     trainers(case)[0].run_training()
     assert all(rows <= max(policy_module._STACK_ROWS, lane_rows) for rows, lane_rows in passes)
     assert any(rows > lane_rows for rows, lane_rows in passes)

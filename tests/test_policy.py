@@ -183,6 +183,20 @@ class TestScoringPasses:
         estimate_gradient_set(self.policy, params, batch, False)
         assert len(calls) == 1
 
+    def test_collect_batch_runs_mean_network_once_per_step(self, monkeypatch):
+        # One policy pass per rollout step for the whole stack of lanes; the
+        # batch is not scored again afterwards.
+        env = MoPoint(horizon=6)
+        policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
+        critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
+        rng = np.random.default_rng(0)
+        params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(3)])
+        critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(3)])
+        calls = count_mean_net_passes(policy, monkeypatch)
+        collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
+                      [np.random.default_rng(lane) for lane in range(3)])
+        assert len(calls) == env.spec.horizon
+
 
 class TestGAE:
     def test_lambda_zero_is_td_residual(self):

@@ -1,7 +1,8 @@
 """Check that two source trees train byte-identical runs.
 
-Trains every shipped config in this tree and in ``<other-tree>`` at each seed
-and compares what the runs write:
+Trains every shipped config, and every benchmark workload of
+``perfbench/run.py`` as a ``bench-<name>`` run, in this tree and in
+``<other-tree>`` at each seed, and compares what the runs write:
 
 - ``frontier.json``, ``selection.jsonl`` and every file in ``checkpoints/``
   byte for byte;
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,7 +34,17 @@ import yaml
 
 HERE = Path(__file__).resolve().parent.parent
 
-# name -> (config, overrides): the shipped configs, both ablation arms.
+
+def _benchmark_workloads() -> dict:
+    """``perfbench/run.py``'s ``WORKLOADS``: name -> (config, overrides)."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", HERE / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# name -> (config, overrides): the shipped configs, both ablation arms, and
+# the benchmark workloads.
 RUNS = {
     "quad2": ("configs/quad2.yaml", []),
     "quad3": ("configs/quad3.yaml", []),
@@ -40,6 +52,7 @@ RUNS = {
     "quad2-paft": ("configs/quad2_ablation.yaml", []),
     "quad2-ablated": ("configs/quad2_ablation.yaml",
                       ["paft.enabled=false", "experiment=quad2-ablated"]),
+    **{f"bench-{name}": workload for name, workload in _benchmark_workloads().items()},
 }
 
 
