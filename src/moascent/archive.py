@@ -220,6 +220,8 @@ def frontier_document(
 
 def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
     """Validate a frontier document; return (doc, stacked objective matrix)."""
+    if not isinstance(doc, dict):
+        raise ValueError("frontier document must be a mapping")
     version = doc.get("schema_version")
     if version != FRONTIER_SCHEMA_VERSION:
         raise ValueError(f"unsupported frontier schema_version: {version!r}")
@@ -227,15 +229,19 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
         if key not in doc:
             raise ValueError(f"frontier document missing field {key!r}")
     m = int(doc["m"])
-    if len(doc["reference_point"]) != m:
-        raise ValueError("reference_point length disagrees with m")
+    if not isinstance(doc["reference_point"], list) or len(doc["reference_point"]) != m:
+        raise ValueError(f"frontier field 'reference_point' must be a list of m={m} numbers")
+    if not isinstance(doc["entries"], list):
+        raise ValueError("frontier field 'entries' must be a list")
     rows = []
     for entry in doc["entries"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"frontier entry must be a mapping, got {entry!r}")
         for key in ("objectives", "generation", "source", "checkpoint"):
             if key not in entry:
                 raise ValueError(f"frontier entry missing field {key!r}")
-        if len(entry["objectives"]) != m:
-            raise ValueError("entry objective length disagrees with m")
+        if not isinstance(entry["objectives"], list) or len(entry["objectives"]) != m:
+            raise ValueError(f"frontier entry field 'objectives' must be a list of m={m} numbers")
         rows.append([float(v) for v in entry["objectives"]])
     objectives = np.asarray(rows, dtype=float) if rows else np.empty((0, m))
     return doc, objectives

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .momdp import DEFAULT_REFERENCE_POINTS, MOMDPEnv, make_env
+from .momdp import DEFAULT_REFERENCE_POINTS, make_env
 
 __all__ = [
     "Config",
@@ -94,29 +94,20 @@ class EnvConfig(_Section):
 
 @dataclass(frozen=True)
 class PolicyConfig(_Section):
-    """``policy``: network sizes and the hyperparameters of one update iteration.
+    """``policy``: network size and the hyperparameters of one update iteration.
 
-    A null ``gamma`` stands for the environment's discount (see :meth:`for_env`).
+    ``hidden`` sizes both the policy's mean network and the critic.
     """
 
     _prefix = "policy."
     hidden: int = _knob(32, "an integer >= 0 (0 selects a linear map)", _int_from(0))
-    critic_hidden: int = _knob(32, "an integer >= 0", _int_from(0))
     lr: float = _knob(5e-3, "a positive number", lambda v: _is_real(v) and v > 0)
-    clip_eps: float = _knob(0.2, "a number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1)
     epochs: int = _knob(4, "an integer >= 1", _int_from(1))
-    gamma: float | None = _knob(None, "null or a number in (0, 1]",
-                                _or_null(lambda v: _is_real(v) and 0 < v <= 1))
-    lam: float = _knob(0.95, "a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)
     batch_episodes: int = _knob(32, "an integer >= 1", _int_from(1))
     normalize_advantages: bool = _knob(True, "true or false", lambda v: isinstance(v, bool))
     optimizer: str = _knob("adam", "adam or sgd", lambda v: v in ("adam", "sgd"))
     init_scale: float = _knob(0.1, "a finite number", _is_real)
     log_std_init: float = _knob(-0.5, "a finite number", _is_real)
-
-    def for_env(self, env: MOMDPEnv) -> PolicyConfig:
-        """This section with a null ``gamma`` set to the environment's discount."""
-        return self if self.gamma is not None else replace(self, gamma=float(env.spec.gamma))
 
 
 @dataclass(frozen=True)
@@ -125,10 +116,9 @@ class EvolutionConfig(_Section):
 
     ``M_ft`` is the first generation index (0-based) that splits the budget
     between ascent updates and fine-tuning; null means ``max(1, M // 3)``.
-    A null ``pgr_regions`` is the number of policies selected, a null
-    ``paft_pairs`` the pair budget left after the per-objective extremes,
-    and a null ``reference_point`` the environment's default, filled by
-    :func:`resolve_config`.
+    A null ``paft_pairs`` is the pair budget left after the per-objective
+    extremes, and a null ``reference_point`` the environment's default,
+    filled by :func:`resolve_config`.
     """
 
     _prefix = "evolution."
@@ -137,8 +127,6 @@ class EvolutionConfig(_Section):
     m_iters: int = _knob(20, "an integer >= 1", _int_from(1))
     m_w: int = _knob(10, "an integer >= 0", _int_from(0))
     p: int = _knob(8, "an even integer >= 2", lambda v: _is_int(v) and v >= 2 and v % 2 == 0)
-    pgr_regions: int | None = _knob(None, "null or an integer >= 1", _or_null(_int_from(1)))
-    pgr_top_k: int = _knob(2, "an integer >= 1", _int_from(1))
     paft_pairs: int | None = _knob(None, "null or an integer >= 0", _or_null(_int_from(0)))
     reference_point: list[float] | None = _knob(
         None, "null or a list of finite numbers",
@@ -283,5 +271,4 @@ def resolve_config(raw: dict, overrides=()) -> Config:
             f"evolution.reference_point: {z!r} must lie strictly below the lowest "
             f"return the environment admits, {low.tolist()!r}"
         )
-    return replace(cfg, policy=cfg.policy.for_env(env),
-                   evolution=replace(evo, reference_point=z))
+    return replace(cfg, evolution=replace(evo, reference_point=z))

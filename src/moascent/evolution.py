@@ -45,6 +45,9 @@ __all__ = [
 _SELECTION_STREAM = 1_000_000
 # Namespace for the fixed evaluation episode seeds of a run.
 _EVAL_STREAM = 2_000_000
+# Candidates per PGR region, and the GAE lambda (the discount is the env's).
+_PGR_TOP_K = 2
+_GAE_LAMBDA = 0.95
 
 
 @dataclass(frozen=True)
@@ -333,10 +336,10 @@ def ascent_weights(grads) -> tuple[np.ndarray, bool]:
 class Trainer:
     """Runs warmup and the generational loop on one environment.
 
-    ``evolution`` and ``update`` are the config sections of the same names,
-    used as they are: ``evolution.reference_point`` must be set, and a null
-    ``update.gamma`` uses the environment's discount. ``eval_episodes`` and
-    ``paft_enabled`` are the ``eval.episodes`` and ``paft.enabled`` values.
+    ``evolution`` and ``update`` are the ``evolution`` and ``policy`` config
+    sections, used as they are (``evolution.reference_point`` must be set).
+    ``eval_episodes`` and ``paft_enabled`` are the ``eval.episodes`` and
+    ``paft.enabled`` values. Training and scoring share ``env.spec.gamma``.
     """
 
     def __init__(
@@ -358,7 +361,7 @@ class Trainer:
         self.policy = policy
         self.critic = critic
         self.evolution = evolution
-        self.update = update.for_env(env)
+        self.update = update
         self.seed = seed
         self.paft_enabled = paft_enabled
         eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM])
@@ -415,7 +418,7 @@ class Trainer:
         for it in range(iters):
             batch = collect_batch(
                 self.env, self.policy, params, self.critic, critic_params,
-                upd.batch_episodes, upd.gamma, upd.lam, rngs,
+                upd.batch_episodes, self.env.spec.gamma, _GAE_LAMBDA, rngs,
             )
             for lane, lane_weights in enumerate(weights):
                 if lane_weights is None:
@@ -470,9 +473,9 @@ class Trainer:
         p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
 
         sel_rng = self._lane_rng(generation, _SELECTION_STREAM)
-        n_regions = cfg.pgr_regions if cfg.pgr_regions is not None else p_a
+        # One angular region per ascent lane.
         selected = pgr_select(
-            state.population, p_a, n_regions, cfg.pgr_top_k,
+            state.population, p_a, p_a, _PGR_TOP_K,
             cfg.reference_point, sel_rng,
             log=state.selection_log, generation=generation,
         )

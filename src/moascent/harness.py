@@ -49,7 +49,7 @@ def build_trainer(cfg: Config, seed: int) -> Trainer:
     """Instantiate the environment, networks, and trainer for one seed."""
     env = make_env(cfg.env.name, **cfg.env.params)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, cfg.policy.hidden)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, cfg.policy.critic_hidden)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, cfg.policy.hidden)
     return Trainer(env, policy, critic, cfg.evolution, cfg.policy, seed,
                    cfg.eval.episodes, cfg.paft.enabled)
 
@@ -82,11 +82,15 @@ def save_checkpoint(path: Path, policy: GaussianPolicy, params: np.ndarray,
 def load_checkpoint(path) -> tuple[GaussianPolicy, np.ndarray]:
     """Load the policy part of a checkpoint file."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint must hold a mapping")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {doc.get('format_version')!r}")
     if "policy" not in doc:
         raise ValueError("checkpoint missing field 'policy'")
     head = doc["policy"]
+    if not isinstance(head, dict):
+        raise ValueError("checkpoint field 'policy' must be a mapping")
     for key in ("state_dim", "action_dim", "hidden", "log_std_min", "log_std_max", "values"):
         if key not in head:
             raise ValueError(f"checkpoint missing field 'policy.{key}'")

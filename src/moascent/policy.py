@@ -389,12 +389,10 @@ def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
 
 
 class _Adam:
-    def __init__(self, shape, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shape, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
@@ -425,6 +423,7 @@ class _SGD:
 
 
 _OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
+_CLIP_EPS = 0.2  # PPO's clip range on the likelihood ratio
 
 
 def ppo_update(policy: GaussianPolicy, params: np.ndarray,
@@ -438,8 +437,8 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     batch must have been collected under ``params``: the likelihood ratios
     are taken against the log-probabilities of the first epoch, where every
     ratio is exactly one.
-    ``update`` is the ``policy`` config section; its ``clip_eps``, ``epochs``,
-    ``lr``, ``normalize_advantages`` and ``optimizer`` set the update.
+    ``update`` is the ``policy`` config section; its ``epochs``, ``lr``,
+    ``normalize_advantages`` and ``optimizer`` set the update.
     Advantages are (optionally) normalized per objective, then collapsed
     with the simplex weights ``omega``; by linearity this ascends the same
     direction as the omega-weighted combination of per-objective
@@ -458,7 +457,7 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     scalar_adv = (adv @ omega[..., None])[..., 0]
     n = scalar_adv.shape[-1]
 
-    lr, clip_eps = update.lr, update.clip_eps
+    lr = update.lr
     policy_opt = _OPTIMIZERS[update.optimizer](params.shape, lr)
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params.shape, lr if update.optimizer == "adam" else min(lr, 5e-3))
@@ -468,7 +467,7 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
             old_log_probs = log_probs
         ratio = np.exp(log_probs - old_log_probs)
         # Gradient flows only where the unclipped branch is the active min.
-        active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + clip_eps, ratio >= 1.0 - clip_eps)
+        active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
         coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
         params = policy_opt.step(params, -grad(coeffs))
         value_grad, _ = critic.mse_grad(critic_params, batch.states, batch.returns)

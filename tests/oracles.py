@@ -253,7 +253,7 @@ class PerLaneTrainer(Trainer):
         for it in range(iters):
             batch = collect_batch(
                 self.env, self.policy, params, self.critic, critic_params,
-                upd.batch_episodes, upd.gamma, upd.lam, rng,
+                upd.batch_episodes, self.env.spec.gamma, evolution._GAE_LAMBDA, rng,
             )
             if weights is None:
                 grads = estimate_gradient_set(self.policy, params, batch,
@@ -290,9 +290,8 @@ class PerLaneTrainer(Trainer):
         paft_active = self.paft_enabled and gen_index >= cfg.M_ft
         p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
         sel_rng = self._lane_rng(generation, evolution._SELECTION_STREAM)
-        n_regions = cfg.pgr_regions if cfg.pgr_regions is not None else p_a
         selected = pgr_select(
-            state.population, p_a, n_regions, cfg.pgr_top_k,
+            state.population, p_a, p_a, evolution._PGR_TOP_K,
             cfg.reference_point, sel_rng,
             log=state.selection_log, generation=generation,
         )

@@ -2,13 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from moascent import evolution
 from moascent.archive import hypervolume, parse_frontier, sparsity
-from moascent.config import apply_overrides
+from moascent.config import apply_overrides, load_config
 from moascent.evolution import Trainer
 from moascent.harness import (
     METRICS_HEADER,
@@ -22,10 +24,12 @@ from moascent.harness import (
 from moascent.momdp import make_env, mo_return
 from moascent.policy import GaussianPolicy, run_episode
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 TINY = {
     "experiment": "tiny",
     "env": {"name": "mo_quadratic"},
-    "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 8, "critic_hidden": 8},
+    "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 8},
     "evolution": {"M": 2, "M_ft": 1, "m_iters": 2, "m_w": 1, "p": 4},
     "eval": {"episodes": 2},
     "seeds": [0],
@@ -141,6 +145,54 @@ class TestConfigValidation:
             resolve_config(raw)
 
 
+class TestShippedConfigs:
+    # Each config in configs/, and the second arm of the ablation, which the
+    # ablation config's header and the README run with these overrides.
+    ARMS = [(path.name, []) for path in sorted(CONFIGS.glob("*.yaml"))] + [
+        ("quad2_ablation.yaml", ["paft.enabled=false", "experiment=quad2-ablated"]),
+    ]
+
+    @pytest.mark.parametrize("name, overrides", ARMS,
+                             ids=["-".join([name, *extra]) for name, extra in ARMS])
+    def test_config_resolves(self, name, overrides):
+        cfg = resolve_config(load_config(CONFIGS / name), overrides)
+        assert cfg.experiment and cfg.seeds
+
+    # Fields an older config.yaml may still hold: the discount, lambda, clip
+    # range, critic width and PGR region settings are no longer configured.
+    @pytest.mark.parametrize("override", [
+        "policy.gamma=0.99", "policy.lam=0.95", "policy.clip_eps=0.2",
+        "policy.critic_hidden=32", "evolution.pgr_regions=null", "evolution.pgr_top_k=2",
+    ])
+    def test_deleted_field_exits_2_naming_it(self, tmp_path, capsys, override):
+        argv = ["train", "--config", str(CONFIGS / "quad2.yaml"), "--seed", "0",
+                "--override", f"output_dir={tmp_path / 'runs'}", "--override", override]
+        assert main(argv) == 2
+        field = override.split("=")[0]
+        assert f"{field}: unknown configuration field" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_training_discounts_with_the_environment(self, tmp_path, monkeypatch):
+        # The discount of every training batch is the env's, the one every
+        # snapshot is scored with, also when an env param changes it.
+        discounts = []
+        collect_batch = evolution.collect_batch
+
+        def recording(env, policy, params, critic, critic_params, episodes, gamma, lam, rng):
+            discounts.append((gamma, env.spec.gamma))
+            return collect_batch(env, policy, params, critic, critic_params, episodes,
+                                 gamma, lam, rng)
+
+        monkeypatch.setattr(evolution, "collect_batch", recording)
+        argv = ["train", "--config", str(CONFIGS / "point.yaml"), "--seed", "0"]
+        for text in ("env.params.gamma=0.9", "evolution.M=1", "evolution.m_w=1",
+                     "evolution.m_iters=1", "evolution.p=2", "policy.batch_episodes=1",
+                     "eval.episodes=1", f"output_dir={tmp_path / 'runs'}"):
+            argv += ["--override", text]
+        assert main(argv) == 0
+        assert discounts and all(gamma == spec == 0.9 for gamma, spec in discounts)
+
+
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
         policy = GaussianPolicy(3, 2, hidden=16)
@@ -175,6 +227,14 @@ class TestCheckpointHeader:
     def test_missing_policy_named(self, tmp_path, capsys):
         assert self.eval_doc(tmp_path, {"format_version": 1}) == 1
         assert "error: checkpoint missing field 'policy'" in capsys.readouterr().err
+
+    def test_non_mapping_checkpoint_named(self, tmp_path, capsys):
+        assert self.eval_doc(tmp_path, [1]) == 1
+        assert "error: checkpoint must hold a mapping" in capsys.readouterr().err
+
+    def test_non_mapping_policy_named(self, tmp_path, capsys):
+        assert self.eval_doc(tmp_path, {"format_version": 1, "policy": 3}) == 1
+        assert "error: checkpoint field 'policy' must be a mapping" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_missing_policy_key_named(self, tmp_path, capsys, field):
@@ -445,3 +505,23 @@ class TestFrontierExportCommand:
         printed = capsys.readouterr().out
         assert repr(final["hv"]) in printed
         assert json.loads(out.read_text()) == json.loads((run_dir / "frontier.json").read_text())
+
+    @pytest.mark.parametrize("change, message", [
+        ({"entries": [3]}, "frontier entry must be a mapping"),
+        ({"entries": 3}, "frontier field 'entries' must be a list"),
+        ({"reference_point": 3}, "frontier field 'reference_point' must be a list"),
+        ({"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
+                       "checkpoint": "c.json"}]},
+         "frontier entry field 'objectives' must be a list"),
+    ])
+    def test_malformed_document_named(self, tmp_path, capsys, change, message):
+        doc = {"schema_version": 1, "experiment_id": "x", "m": 2,
+               "reference_point": [0.0, 0.0], "entries": [], **change}
+        (tmp_path / "frontier.json").write_text(json.dumps(doc))
+        assert main(["frontier-export", str(tmp_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_non_mapping_document_named(self, tmp_path, capsys):
+        (tmp_path / "frontier.json").write_text("[1]")
+        assert main(["frontier-export", str(tmp_path)]) == 1
+        assert "error: frontier document must be a mapping" in capsys.readouterr().err

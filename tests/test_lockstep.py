@@ -11,23 +11,23 @@ from .oracles import PerLaneTrainer
 CASES = {
     "quadratic": {
         "env": {"name": "mo_quadratic"},
-        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8, "critic_hidden": 8},
+        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8},
         "evolution": {"M": 3, "M_ft": 1, "m_iters": 3, "m_w": 2, "p": 6},
     },
     "quadratic3-gap-pairs": {
         "env": {"name": "mo_quadratic3"},
-        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8, "critic_hidden": 8},
+        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8},
         "evolution": {"M": 2, "m_iters": 3, "m_w": 2, "p": 8, "paft_pairs": 1},
     },
     "point": {
         "env": {"name": "mo_point"},
-        "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 8, "critic_hidden": 8},
+        "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 8},
         "evolution": {"M": 2, "m_iters": 2, "m_w": 2, "p": 4, "snapshot_every": 1},
         "eval": {"episodes": 4},
     },
     "ablation-sgd-raw-advantages": {
         "env": {"name": "mo_quadratic"},
-        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8, "critic_hidden": 8,
+        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8,
                    "optimizer": "sgd", "lr": 0.05, "normalize_advantages": False},
         "evolution": {"M": 3, "M_ft": 1, "m_iters": 3, "m_w": 2, "p": 8, "paft_pairs": 2},
     },
@@ -35,7 +35,7 @@ CASES = {
     # snapshot: evaluation passes of 5, 5, 5 and 1 snapshots.
     "uneven-row-chunks": {
         "env": {"name": "mo_quadratic"},
-        "policy": {"batch_episodes": 150, "epochs": 2, "hidden": 8, "critic_hidden": 8},
+        "policy": {"batch_episodes": 150, "epochs": 2, "hidden": 8},
         "evolution": {"M": 2, "M_ft": 1, "m_iters": 2, "m_w": 1, "p": 8,
                       "snapshot_every": 1},
         "eval": {"episodes": 100},
@@ -77,7 +77,7 @@ def test_stacked_step_reproduces_per_lane_loop(name):
 # 9 point episodes of 64 steps: 576 rows a lane, more than one pass may hold.
 LONG_LANES = {
     "env": {"name": "mo_point"},
-    "policy": {"batch_episodes": 9, "epochs": 1, "hidden": 8, "critic_hidden": 8},
+    "policy": {"batch_episodes": 9, "epochs": 1, "hidden": 8},
     "evolution": {"M": 1, "m_iters": 1, "m_w": 1, "p": 4},
     "eval": {"episodes": 4},
 }
