@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _is_int, _is_real
+
 __all__ = [
     "FRONTIER_SCHEMA_VERSION",
     "NonDominatedSet",
@@ -218,6 +220,10 @@ def frontier_document(
     }
 
 
+def _real_list(value, m: int) -> bool:
+    return isinstance(value, list) and len(value) == m and all(_is_real(v) for v in value)
+
+
 def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
     """Validate a frontier document; return (doc, stacked objective matrix)."""
     if not isinstance(doc, dict):
@@ -228,9 +234,11 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
     for key in ("experiment_id", "m", "reference_point", "entries"):
         if key not in doc:
             raise ValueError(f"frontier document missing field {key!r}")
-    m = int(doc["m"])
-    if not isinstance(doc["reference_point"], list) or len(doc["reference_point"]) != m:
-        raise ValueError(f"frontier field 'reference_point' must be a list of m={m} numbers")
+    m = doc["m"]
+    if not _is_int(m) or m < 2:
+        raise ValueError(f"frontier field 'm' must be an integer >= 2, got {m!r}")
+    if not _real_list(doc["reference_point"], m):
+        raise ValueError(f"frontier field 'reference_point' must be a list of m={m} finite numbers")
     if not isinstance(doc["entries"], list):
         raise ValueError("frontier field 'entries' must be a list")
     rows = []
@@ -240,8 +248,9 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
         for key in ("objectives", "generation", "source", "checkpoint"):
             if key not in entry:
                 raise ValueError(f"frontier entry missing field {key!r}")
-        if not isinstance(entry["objectives"], list) or len(entry["objectives"]) != m:
-            raise ValueError(f"frontier entry field 'objectives' must be a list of m={m} numbers")
+        if not _real_list(entry["objectives"], m):
+            raise ValueError(
+                f"frontier entry field 'objectives' must be a list of m={m} finite numbers")
         rows.append([float(v) for v in entry["objectives"]])
     objectives = np.asarray(rows, dtype=float) if rows else np.empty((0, m))
     return doc, objectives

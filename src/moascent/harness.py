@@ -22,7 +22,8 @@ import numpy as np
 import yaml
 
 from .archive import frontier_document, hypervolume, parse_frontier, sparsity
-from .config import Config, ConfigError, load_config, parse_override, resolve_config
+from .config import (Config, ConfigError, _is_int, _is_real, load_config, parse_override,
+                     resolve_config)
 from .evolution import Trainer
 from .momdp import make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
@@ -94,6 +95,18 @@ def load_checkpoint(path) -> tuple[GaussianPolicy, np.ndarray]:
     for key in ("state_dim", "action_dim", "hidden", "log_std_min", "log_std_max", "values"):
         if key not in head:
             raise ValueError(f"checkpoint missing field 'policy.{key}'")
+    for key, low in (("state_dim", 1), ("action_dim", 1), ("hidden", 0)):
+        if not _is_int(head[key]) or head[key] < low:
+            raise ValueError(
+                f"checkpoint field 'policy.{key}' must be an integer >= {low}, got {head[key]!r}")
+    for key in ("log_std_min", "log_std_max"):
+        if not _is_real(head[key]):
+            raise ValueError(
+                f"checkpoint field 'policy.{key}' must be a finite number, got {head[key]!r}")
+    if head["log_std_min"] >= head["log_std_max"]:
+        raise ValueError("checkpoint field 'policy.log_std_min' must be below 'policy.log_std_max'")
+    if not isinstance(head["values"], list) or not all(_is_real(v) for v in head["values"]):
+        raise ValueError("checkpoint field 'policy.values' must be a list of finite numbers")
     policy = GaussianPolicy(
         head["state_dim"], head["action_dim"], head["hidden"],
         log_std_min=head["log_std_min"], log_std_max=head["log_std_max"],

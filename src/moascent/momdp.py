@@ -1,11 +1,13 @@
 """Vector-reward decision processes and the built-in desk-scale environments.
 
-Environments here are pure: ``reset(seed)`` returns the initial state and
+Environments here are pure: ``reset(seeds)`` returns the initial states and
 ``step(states, actions)`` returns ``(next_states, rewards, terminal)``
-without touching shared mutable state. ``step`` works on any number of
-leading batch axes, so one call advances a whole batch of episodes in
-lockstep; rewards carry exactly ``num_objectives`` components on the last
-axis. The horizon is enforced by the rollout, ``policy.run_episode``.
+without touching shared mutable state. Both work on any number of leading
+batch axes: ``reset`` takes an int or an integer array of seeds and returns
+``shape(seeds) + (state_dim,)`` states, and one ``step`` call advances a
+whole batch of episodes in lockstep; rewards carry exactly
+``num_objectives`` components on the last axis. The horizon is enforced by
+the rollout, ``policy.run_episode``.
 """
 
 from __future__ import annotations
@@ -98,7 +100,12 @@ class MOMDPEnv:
             raise ValueError(f"non-finite action rejected: {action!r}")
         return np.clip(action, self.spec.action_low, self.spec.action_high)
 
-    def reset(self, seed: int) -> np.ndarray:
+    def reset(self, seeds) -> np.ndarray:
+        """Initial states of one episode per seed, ``shape(seeds) + (state_dim,)``.
+
+        ``seeds`` is an int or an integer array; a start state depends only
+        on its own seed.
+        """
         raise NotImplementedError
 
     def step(self, state, action) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,10 +164,16 @@ class MoPoint(MOMDPEnv):
             action_high=np.full(2, action_bound),
         )
 
-    def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        position = rng.uniform(-self.init_noise, self.init_noise, size=2)
-        return np.concatenate([position, np.zeros(2)])
+    def reset(self, seeds) -> np.ndarray:
+        seeds = np.asarray(seeds)
+        states = np.zeros(seeds.shape + (4,))
+        # One generator per seed, so a seed's start state is the same in any batch.
+        states[..., :2] = np.reshape(
+            [np.random.default_rng(int(seed)).uniform(-self.init_noise, self.init_noise, size=2)
+             for seed in seeds.ravel()],
+            seeds.shape + (2,),
+        )
+        return states
 
     def step(self, state, action):
         state = np.asarray(state, dtype=float)
@@ -212,8 +225,8 @@ class MoQuadratic(MOMDPEnv):
             action_high=np.full(targets.shape[1], action_bound),
         )
 
-    def reset(self, seed: int) -> np.ndarray:
-        return np.zeros(1)
+    def reset(self, seeds) -> np.ndarray:
+        return np.zeros(np.shape(seeds) + (1,))
 
     def step(self, state, action):
         a = self.clamp(action)

@@ -24,22 +24,26 @@ __all__ = [
 
 
 def validate_weights(w) -> np.ndarray:
-    """Check that ``w`` lies on the probability simplex within 1e-6.
+    """Check that ``w``, or each row of an ``(..., m)`` stack, lies on the simplex within 1e-6.
 
-    Returns a cleaned copy (negatives clipped, renormalized). Raises
-    ``ValueError`` when the input is off the simplex beyond that tolerance.
+    Returns a cleaned copy (negatives clipped, each row renormalized).
+    Raises ``ValueError`` when any row is off the simplex beyond that
+    tolerance.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"weight vector must be 1-D and non-empty, got shape {w.shape}")
+    if w.ndim == 0 or w.size == 0:
+        raise ValueError(f"weights must be a non-empty vector or stack, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weight vector has non-finite entries")
-    if w.min() < -1e-6 or abs(w.sum() - 1.0) > 1e-6:
+    total, low = w.sum(axis=-1), w.min(axis=-1)
+    off = (low < -1e-6) | (np.abs(total - 1.0) > 1e-6)
+    if np.any(off):
         raise ValueError(
-            f"weights off the simplex beyond tolerance 1e-06: sum={w.sum()!r}, min={w.min()!r}"
+            f"weights off the simplex beyond tolerance 1e-06: sum={float(total[off][0])!r}, "
+            f"min={float(low[off][0])!r}"
         )
     w = np.clip(w, 0.0, None)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def project_to_simplex(v) -> np.ndarray:

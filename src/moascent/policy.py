@@ -294,23 +294,22 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     """Roll one episode per reset seed, all of them in lockstep over the horizon.
 
     ``params`` is ``(d,)`` or an ``(L, d)`` stack of lanes; ``seeds`` is
-    ``(B,)``, shared by every lane, or ``(L, B)``. ``noise`` (..., B, T,
-    action_dim) holds the standard-normal draws of a stochastic rollout;
-    without it the policy acts with its mean. Returns ``(states, actions,
-    rewards, final_states, terminal)``: the (..., B, T, ·) states, raw
-    sampled actions (the environment clamps them) and rewards, then the
-    (..., B, state_dim) states after the last step and their (..., B)
-    terminal flags. An episode that ends before the horizon is an error.
+    ``(B,)``, shared by every lane, or ``(L, B)``, and goes to one
+    ``env.reset`` call. ``noise`` (..., B, T, action_dim) holds the
+    standard-normal draws of a stochastic rollout; without it the policy
+    acts with its mean. Returns ``(states, actions, rewards, final_states,
+    terminal)``: the (..., B, T, ·) states, raw sampled actions (the
+    environment clamps them) and rewards, then the (..., B, state_dim)
+    states after the last step and their (..., B) terminal flags. An
+    episode that ends before the horizon is an error.
     """
     spec = env.spec
     T = spec.horizon
     seeds = np.asarray(seeds)
     if seeds.size == 0:
         raise ValueError("need at least one episode")
-    B = seeds.shape[-1]
-    starts = np.array([env.reset(int(seed)) for seed in seeds.ravel()])
-    shape = params.shape[:-1] + (B,)
-    state = np.broadcast_to(starts.reshape(seeds.shape + (-1,)), shape + (spec.state_dim,)).copy()
+    shape = params.shape[:-1] + (seeds.shape[-1],)
+    state = np.broadcast_to(env.reset(seeds), shape + (spec.state_dim,)).copy()
     states = np.empty(shape + (T, spec.state_dim))
     actions = np.empty(shape + (T, spec.action_dim))
     rewards = np.empty(shape + (T, spec.num_objectives))
@@ -329,16 +328,15 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     """Collect ``episodes`` episodes per lane, each lane under its own snapshot.
 
     ``rng`` is one generator for ``(d,)`` params, or one per lane for an
-    ``(L, d)`` stack. Each generator is consumed episode by episode: the
-    reset seed, then the episode's (T, action_dim) block of action noise.
+    ``(L, d)`` stack. Each generator makes two draws: first the
+    ``(episodes,)`` reset seeds (``integers(0, 2**31 - 1)``), then the
+    ``(episodes, T, action_dim)`` block of standard-normal action noise.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
-    seeds, noise = [], []
-    for lane_rng in ([rng] if params.ndim == 1 else rng):
-        for _ in range(episodes):
-            seeds.append(int(lane_rng.integers(0, 2**31 - 1)))
-            noise.append(lane_rng.standard_normal((T, a)))
+    seeds, noise = zip(*[(lane_rng.integers(0, 2**31 - 1, size=episodes),
+                          lane_rng.standard_normal((episodes, T, a)))
+                         for lane_rng in ([rng] if params.ndim == 1 else rng)])
     states, actions, rewards, final_states, terminal = run_episode(
         env, policy, params, np.reshape(seeds, lead + (episodes,)),
         np.reshape(noise, lead + (episodes, T, a)),
@@ -450,7 +448,7 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-1:] != (m,):
         raise ValueError(f"omega has {omega.shape[-1:]} components, batch has {m} objectives")
-    omega = np.reshape([validate_weights(w) for w in omega.reshape(-1, m)], omega.shape)
+    omega = validate_weights(omega)
     adv = batch.advantages
     if update.normalize_advantages:
         adv = normalize_per_objective(adv)

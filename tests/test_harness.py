@@ -247,6 +247,31 @@ class TestCheckpointHeader:
         assert f"error: checkpoint missing field 'policy.{field}'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("state_dim", "a", "'policy.state_dim' must be an integer >= 1, got 'a'"),
+        ("state_dim", True, "'policy.state_dim' must be an integer >= 1, got True"),
+        ("action_dim", 0, "'policy.action_dim' must be an integer >= 1, got 0"),
+        ("action_dim", 2.0, "'policy.action_dim' must be an integer >= 1, got 2.0"),
+        ("hidden", -1, "'policy.hidden' must be an integer >= 0, got -1"),
+        ("hidden", False, "'policy.hidden' must be an integer >= 0, got False"),
+        ("log_std_min", "x", "'policy.log_std_min' must be a finite number, got 'x'"),
+        ("log_std_min", True, "'policy.log_std_min' must be a finite number, got True"),
+        ("log_std_max", float("inf"), "'policy.log_std_max' must be a finite number, got inf"),
+        ("log_std_min", 2.0, "'policy.log_std_min' must be below 'policy.log_std_max'"),
+        ("values", {"a": 1}, "'policy.values' must be a list of finite numbers"),
+        ("values", [None] * 20, "'policy.values' must be a list of finite numbers"),
+        ("values", [True] * 20, "'policy.values' must be a list of finite numbers"),
+    ])
+    def test_bad_policy_value_named(self, tmp_path, capsys, field, value, message):
+        policy = GaussianPolicy(1, 2, hidden=4)
+        path = tmp_path / "full.json"
+        save_checkpoint(path, policy, np.zeros(policy.num_params))
+        doc = json.loads(path.read_text())
+        doc["policy"][field] = value
+        assert self.eval_doc(tmp_path, doc) == 1
+        assert f"error: checkpoint field {message}" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_run_directory_contents(self, tmp_path):
         (run_dir,) = train(tmp_path)
@@ -513,6 +538,19 @@ class TestFrontierExportCommand:
         ({"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
                        "checkpoint": "c.json"}]},
          "frontier entry field 'objectives' must be a list"),
+        ({"m": [2]}, "frontier field 'm' must be an integer >= 2, got [2]"),
+        ({"m": True}, "frontier field 'm' must be an integer >= 2, got True"),
+        ({"m": 1, "reference_point": [0.0]}, "frontier field 'm' must be an integer >= 2, got 1"),
+        ({"reference_point": ["a", 0.0]},
+         "frontier field 'reference_point' must be a list of m=2 finite numbers"),
+        ({"reference_point": [True, 0.0]},
+         "frontier field 'reference_point' must be a list of m=2 finite numbers"),
+        ({"entries": [{"objectives": [1.0, float("nan")], "generation": 0, "source": "warmup",
+                       "checkpoint": "c.json"}]},
+         "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
+        ({"entries": [{"objectives": [1.0, False], "generation": 0, "source": "warmup",
+                       "checkpoint": "c.json"}]},
+         "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
     ])
     def test_malformed_document_named(self, tmp_path, capsys, change, message):
         doc = {"schema_version": 1, "experiment_id": "x", "m": 2,

@@ -60,6 +60,22 @@ class TestReset:
         np.testing.assert_array_equal(s2[2:], np.zeros(2))
         assert np.all(np.abs(s1[:2]) <= env.init_noise)
 
+    @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic", "mo_quadratic3"])
+    def test_seed_arrays_reset_like_single_seeds(self, name):
+        env = make_env(name)
+        seeds = np.array([[7, 3, 7], [0, 2**31 - 2, 5]])
+        for batch in (seeds, seeds[1]):
+            np.testing.assert_array_equal(
+                env.reset(batch),
+                np.reshape([env.reset(int(s)) for s in batch.ravel()],
+                           batch.shape + (env.spec.state_dim,)))
+        assert env.reset(7).shape == (env.spec.state_dim,)
+        if name == "mo_point":
+            # A seed's start state is the one its own generator draws, in any batch.
+            np.testing.assert_array_equal(
+                env.reset(seeds)[1, 1, :2],
+                np.random.default_rng(2**31 - 2).uniform(-env.init_noise, env.init_noise, 2))
+
 
 class TestStep:
     def test_point_reward_formulas(self):

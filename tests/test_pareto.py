@@ -9,6 +9,7 @@ from moascent.pareto import (
     analytic_two_objective_alpha,
     min_norm_direction,
     project_to_simplex,
+    validate_weights,
 )
 
 from .oracles import min_norm_grid, project_simplex_bisect
@@ -45,6 +46,24 @@ class TestSimplexProjection:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             project_to_simplex([np.nan, 0.0])
+
+
+class TestValidateWeights:
+    def test_stack_equals_stacked_rows(self):
+        rng = np.random.default_rng(3)
+        rows = rng.dirichlet(np.ones(3), size=8)
+        rows[0] = [1.0 + 4e-7, -4e-7, 0.0]  # within tolerance: clipped and renormalized
+        stack = rows.reshape(2, 4, 3)
+        np.testing.assert_array_equal(
+            validate_weights(stack), np.stack([validate_weights(w) for w in rows]).reshape(2, 4, 3))
+
+    def test_one_off_simplex_row_rejected(self):
+        stack = np.array([[0.5, 0.5], [0.7, 0.7], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="sum=1.4"):
+            validate_weights(stack)
+        stack[1] = [1.1, -0.1]
+        with pytest.raises(ValueError, match="min=-0.1"):
+            validate_weights(stack)
 
 
 class TestMinNormDirection:

@@ -37,6 +37,23 @@ def log_prob_grad(policy, params, state, action):
     return policy.score(params, state[None], action[None])[1](np.ones(1))
 
 
+class CountingGenerator:
+    """A numpy generator that records the name of each draw made from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return draw(*args, **kwargs)
+
+        return counted
+
+
 class TestAct:
     def test_zero_params_standard_normal(self):
         policy = GaussianPolicy(3, 2, hidden=0)
@@ -385,9 +402,10 @@ class TestRollouts:
                 np.testing.assert_allclose(final[b], state, rtol=0, atol=1e-12)
                 assert terminal[b] == done
 
-    def test_collect_batch_draws_seed_then_noise_per_episode(self):
-        # Reference: the documented order written as a plain loop, one
-        # standard-normal action draw per step, each episode stepped alone.
+    def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
+        # Reference: the documented order written as a plain loop. The
+        # generator gives every reset seed, then one (episodes, T, 2) noise
+        # block; each episode is stepped alone from its own reset.
         env = make_env("mo_point", horizon=5)
         T = env.spec.horizon
         policy = GaussianPolicy(4, 2, hidden=8)
@@ -397,13 +415,15 @@ class TestRollouts:
         rng = np.random.default_rng(15)
         batch = collect_batch(env, policy, params, critic, cp, 3, 0.9, 0.8, rng)
         ref_rng = np.random.default_rng(15)
+        seeds = ref_rng.integers(0, 2**31 - 1, size=3)
+        noise = ref_rng.standard_normal((3, T, 2))
         std = np.exp(policy.log_std(params))
         states, actions, advantages = [], [], []
-        for _ in range(3):
-            state = env.reset(int(ref_rng.integers(0, 2**31 - 1)))
+        for e in range(3):
+            state = env.reset(int(seeds[e]))
             ep_states, ep_rewards = [], []
-            for _ in range(T):
-                action = policy.mean(params, state)[0] + std * ref_rng.standard_normal(2)
+            for t in range(T):
+                action = policy.mean(params, state)[0] + std * noise[e, t]
                 ep_states.append(state)
                 actions.append(action)
                 state, reward, _ = env.step(state, action)
@@ -419,6 +439,33 @@ class TestRollouts:
         np.testing.assert_allclose(batch.returns - batch.advantages,
                                    critic.values(cp, batch.states), rtol=0, atol=1e-12)
         assert rng.integers(0, 2**31 - 1) == ref_rng.integers(0, 2**31 - 1)
+
+    def test_one_reset_per_rollout_and_two_draws_per_lane(self, monkeypatch):
+        env = make_env("mo_point", horizon=4)
+        policy = GaussianPolicy(4, 2, hidden=8)
+        critic = VectorCritic(4, 2, hidden=8)
+        rng = np.random.default_rng(17)
+        params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(3)])
+        cp = np.stack([critic.init_params(rng, 0.1) for _ in range(3)])
+        resets = []
+        reset = env.reset
+
+        def counting_reset(seeds):
+            resets.append(np.shape(seeds))
+            return reset(seeds)
+
+        monkeypatch.setattr(env, "reset", counting_reset)
+        run_episode(env, policy, params, [0, 1, 2, 3])
+        run_episode(env, policy, params[0], np.arange(5))
+        assert resets == [(4,), (5,)]
+
+        lanes = [CountingGenerator(lane) for lane in range(3)]
+        collect_batch(env, policy, params, critic, cp, 6, 0.9, 0.8, lanes)
+        assert resets[2:] == [(3, 6)]
+        assert [lane.calls for lane in lanes] == [["integers", "standard_normal"]] * 3
+        lone = CountingGenerator(3)
+        collect_batch(env, policy, params[0], critic, cp[0], 6, 0.9, 0.8, lone)
+        assert lone.calls == ["integers", "standard_normal"]
 
     def test_episode_ending_before_horizon_rejected(self):
         class EndsAtOnce(MoPoint):
