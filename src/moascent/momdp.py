@@ -96,9 +96,9 @@ class MOMDPEnv:
             raise ValueError(
                 f"action must have shape (..., {self.spec.action_dim}), got {action.shape}"
             )
-        if not np.all(np.isfinite(action)):
+        if not np.isfinite(action).all():
             raise ValueError(f"non-finite action rejected: {action!r}")
-        return np.clip(action, self.spec.action_low, self.spec.action_high)
+        return action.clip(self.spec.action_low, self.spec.action_high)
 
     def reset(self, seeds) -> np.ndarray:
         """Initial states of one episode per seed, ``shape(seeds) + (state_dim,)``.
@@ -181,9 +181,12 @@ class MoPoint(MOMDPEnv):
         velocity = self.damping * state[..., 2:] + self.dt * a
         position = state[..., :2] + self.dt * velocity
         speed = velocity[..., 0] + self.r_alive
-        energy = -np.sum(a * a, axis=-1) + self.r_alive + self.shift
+        energy = -(a * a).sum(axis=-1) + self.r_alive + self.shift
         next_state = np.concatenate([position, velocity], axis=-1)
-        return next_state, np.stack([speed, energy], axis=-1), np.zeros(state.shape[:-1], bool)
+        rewards = np.empty(state.shape[:-1] + (2,))
+        rewards[..., 0] = speed
+        rewards[..., 1] = energy
+        return next_state, rewards, np.zeros(state.shape[:-1], bool)
 
     def return_lower_bound(self) -> np.ndarray:
         """Per-objective lower bound on the discounted return of any episode."""

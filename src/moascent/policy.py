@@ -11,6 +11,12 @@ Every primitive also takes a stack of lanes: ``(L, d)`` parameters with
 vector is the lane-less case. Stacked products go through ``np.matmul`` on
 ``swapaxes`` views, which repeats the 2-D BLAS call of each lane, so a lane
 of a stack computes bit for bit what it computes alone.
+
+A rollout (``run_episode``) does its per-lane setup once: it splits each
+lane chunk's weights into transposed layer views and scales the whole
+action-noise block by the clamped std. Each step is then one network pass
+per chunk, one add of that step's scaled noise, one ``env.step`` and the
+writes of the step's states, actions and rewards.
 """
 
 from __future__ import annotations
@@ -62,7 +68,10 @@ class _MeanNet:
 
     ``params`` is ``(..., num_params)`` and ``states`` is ``(..., N, in_dim)``
     with the same leading lane axes. Both passes run in chunks of whole
-    lanes (``_lane_chunks``), so callers hand over a whole stack.
+    lanes (``_lane_chunks``), so callers hand over a whole stack. ``forward``
+    splits each chunk's layers (``passes``) and runs ``apply`` on them;
+    ``backprop`` reuses those layers, and a rollout splits once and calls
+    ``apply`` at every step.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int):
@@ -74,47 +83,60 @@ class _MeanNet:
         else:
             self.num_params = out_dim * in_dim + out_dim
 
-    def split(self, params: np.ndarray):
-        """Weight matrices ``(..., rows, cols)`` and biases ``(..., 1, rows)``."""
+    def split(self, params: np.ndarray) -> list:
+        """The layers of ``params``: per layer, the transposed weights
+        ``(..., cols, rows)`` and the biases ``(..., 1, rows)``, as views."""
         lead = params.shape[:-1]
         sizes = [(self.hidden, self.in_dim), (self.out_dim, self.hidden)] if self.hidden > 0 \
             else [(self.out_dim, self.in_dim)]
-        parts, i = [], 0
+        layers, i = [], 0
         for rows, cols in sizes:
-            parts.append(params[..., i : i + rows * cols].reshape(lead + (rows, cols)))
+            weights = params[..., i : i + rows * cols].reshape(lead + (rows, cols))
             i += rows * cols
-            parts.append(params[..., None, i : i + rows])
+            layers.append((weights.swapaxes(-1, -2), params[..., None, i : i + rows]))
             i += rows
-        return parts
+        return layers
+
+    def passes(self, params: np.ndarray, rows: int) -> list:
+        """``(chunk, layers)`` for each pass over ``params`` at ``rows`` rows a lane."""
+        return [(c, self.split(params[c])) for c in _lane_chunks(params, rows)]
+
+    def apply(self, layers: list, inputs: np.ndarray, out: np.ndarray,
+              hid: np.ndarray | None = None) -> None:
+        """One pass of split ``layers`` over ``inputs``, written to ``out``.
+
+        With a hidden layer, its tanh activations go to ``hid`` (a new array
+        if None).
+        """
+        if self.hidden > 0:
+            w1t, b1 = layers[0]
+            inputs = np.tanh(inputs @ w1t + b1, out=hid)
+        wt, b = layers[-1]
+        np.add(inputs @ wt, b, out=out)
 
     def forward(self, params: np.ndarray, states: np.ndarray):
         """Return (outputs, cache-for-backprop) for a batch of states."""
         out = np.empty(states.shape[:-1] + (self.out_dim,))
         hid = np.empty(states.shape[:-1] + (self.hidden,)) if self.hidden > 0 else None
-        for c in _lane_chunks(params, states.shape[-2]):
-            if self.hidden > 0:
-                w1, b1, w2, b2 = self.split(params[c])
-                np.tanh(states[c] @ w1.swapaxes(-1, -2) + b1, out=hid[c])
-                np.add(hid[c] @ w2.swapaxes(-1, -2), b2, out=out[c])
-            else:
-                w, b = self.split(params[c])
-                np.add(states[c] @ w.swapaxes(-1, -2), b, out=out[c])
-        return out, hid
+        passes = self.passes(params, states.shape[-2])
+        for c, layers in passes:
+            self.apply(layers, states[c], out[c], None if hid is None else hid[c])
+        return out, (passes, states, hid)
 
-    def backprop(self, params: np.ndarray, states: np.ndarray, cache, d_out: np.ndarray):
+    def backprop(self, cache, d_out: np.ndarray) -> np.ndarray:
         """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters, per lane."""
-        grad = np.empty(params.shape[:-1] + (self.num_params,))
-        for c in _lane_chunks(params, states.shape[-2]):
+        passes, states, hid = cache
+        grad = np.empty(d_out.shape[:-2] + (self.num_params,))
+        for c, layers in passes:
             lane_grad = grad[c]
             if self.hidden > 0:
-                _, _, w2, _ = self.split(params[c])
-                hid = cache[c]
-                d_hid = (d_out[c] @ w2) * (1.0 - hid * hid)
-                layers = [(d_hid, states[c]), (d_out[c], hid)]
+                w2t = layers[1][0]
+                d_hid = (d_out[c] @ w2t.swapaxes(-1, -2)) * (1.0 - hid[c] * hid[c])
+                grads = [(d_hid, states[c]), (d_out[c], hid[c])]
             else:
-                layers = [(d_out[c], states[c])]
+                grads = [(d_out[c], states[c])]
             i = 0
-            for d_layer, inputs in layers:
+            for d_layer, inputs in grads:
                 rows, cols = d_layer.shape[-1], inputs.shape[-1]
                 lane_grad[..., i : i + rows * cols] = (d_layer.swapaxes(-1, -2) @ inputs).reshape(
                     lane_grad.shape[:-1] + (rows * cols,))
@@ -189,7 +211,7 @@ class GaussianPolicy:
         net_params = self._net_params(params)
         mu, cache = self.net.forward(net_params, states)
         raw = params[..., self.net.num_params :]
-        log_std = np.clip(raw, self.log_std_min, self.log_std_max)
+        log_std = self.log_std(params)
         residual = actions - mu
         zscores = residual / np.exp(log_std)[..., None, :]
         log_probs = -0.5 * np.sum(zscores * zscores, axis=-1) \
@@ -203,7 +225,7 @@ class GaussianPolicy:
             coeffs = np.asarray(coeffs, dtype=float)
             out = np.empty(params.shape)
             d_mu = coeffs[..., None] * residual * inv_var
-            out[..., : self.net.num_params] = self.net.backprop(net_params, states, cache, d_mu)
+            out[..., : self.net.num_params] = self.net.backprop(cache, d_mu)
             d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
             out[..., self.net.num_params :] = np.where(active, d_log_std, 0.0)
             return out
@@ -235,7 +257,7 @@ class VectorCritic:
         values, cache = self.net.forward(params, states)
         count = values.shape[-2] * values.shape[-1]
         err = (values - targets) / count
-        grad = self.net.backprop(params, states, cache, err)
+        grad = self.net.backprop(cache, err)
         loss = 0.5 * np.sum((values - targets) ** 2, axis=(-2, -1)) / count
         return grad, loss
 
@@ -301,7 +323,9 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     terminal)``: the (..., B, T, ·) states, raw sampled actions (the
     environment clamps them) and rewards, then the (..., B, state_dim)
     states after the last step and their (..., B) terminal flags. An
-    episode that ends before the horizon is an error.
+    episode that ends before the horizon is an error. The layers and the
+    std-scaled noise are set up once; a step computes what ``policy.act``
+    and ``env.step`` compute on each lane's episodes, bit for bit.
     """
     spec = env.spec
     T = spec.horizon
@@ -313,11 +337,20 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     states = np.empty(shape + (T, spec.state_dim))
     actions = np.empty(shape + (T, spec.action_dim))
     rewards = np.empty(shape + (T, spec.num_objectives))
+    # The lanes' layers, and the action noise scaled by their std, once per rollout.
+    net = policy.net
+    passes = net.passes(policy._net_params(params), shape[-1])
+    if noise is not None:
+        noise = np.exp(policy.log_std(params))[..., None, None, :] * noise
     for t in range(T):
         states[..., t, :] = state
-        actions[..., t, :] = policy.act(params, state, None if noise is None else noise[..., t, :])
-        state, rewards[..., t, :], terminal = env.step(state, actions[..., t, :])
-        if t < T - 1 and np.any(terminal):
+        action = actions[..., t, :]
+        for c, layers in passes:
+            net.apply(layers, state[c], action[c])
+        if noise is not None:
+            action += noise[..., t, :]
+        state, rewards[..., t, :], terminal = env.step(state, action)
+        if t < T - 1 and terminal.any():
             raise ValueError(f"an episode ended after {t + 1} steps, before the horizon {T}")
     return states, actions, rewards, state, terminal
 

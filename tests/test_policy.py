@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from moascent import policy as policy_module
 from moascent.config import ConfigError, PolicyConfig
 from moascent.momdp import MoPoint, make_env, mo_return
 from moascent.policy import (
@@ -168,16 +169,21 @@ class TestGradientSet:
         np.testing.assert_allclose(G_scaled[1], G[1], atol=1e-12)
 
 
-def count_mean_net_passes(policy, monkeypatch):
+def count_calls(owner, name, monkeypatch):
+    """Record one entry per call of ``owner.<name>``."""
     calls = []
-    forward = policy.net.forward
+    method = getattr(owner, name)
 
     def counted(*args):
         calls.append(1)
-        return forward(*args)
+        return method(*args)
 
-    monkeypatch.setattr(policy.net, "forward", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_mean_net_passes(policy, monkeypatch):
+    return count_calls(policy.net, "forward", monkeypatch)
 
 
 class TestScoringPasses:
@@ -201,18 +207,27 @@ class TestScoringPasses:
         assert len(calls) == 1
 
     def test_collect_batch_runs_mean_network_once_per_step(self, monkeypatch):
-        # One policy pass per rollout step for the whole stack of lanes; the
-        # batch is not scored again afterwards.
+        # One policy pass per rollout step and lane chunk, on layers split
+        # once per rollout; the batch is not scored again afterwards.
         env = MoPoint(horizon=6)
         policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
         critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
         rng = np.random.default_rng(0)
         params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(3)])
         critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(3)])
-        calls = count_mean_net_passes(policy, monkeypatch)
-        collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
-                      [np.random.default_rng(lane) for lane in range(3)])
-        assert len(calls) == env.spec.horizon
+        forwards = count_mean_net_passes(policy, monkeypatch)
+        steps = count_calls(policy.net, "apply", monkeypatch)
+        splits = count_calls(policy.net, "split", monkeypatch)
+        # 4 rows a lane: the 3 lanes make one chunk, or two at 8 rows a pass.
+        for stack_rows, chunks in [(512, 1), (8, 2)]:
+            monkeypatch.setattr(policy_module, "_STACK_ROWS", stack_rows)
+            for calls in (forwards, steps, splits):
+                calls.clear()
+            collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
+                          [np.random.default_rng(lane) for lane in range(3)])
+            assert len(forwards) == 0
+            assert len(steps) == chunks * env.spec.horizon
+            assert len(splits) == chunks
 
 
 class TestGAE:
@@ -378,29 +393,36 @@ class TestRollouts:
         assert np.all(rewards[..., 1] >= corner_energy - 1e-12)
 
     @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic3"])
-    def test_lockstep_matches_single_episode_stepping(self, name):
+    def test_lockstep_matches_per_lane_step_loop(self, name):
+        # Reference: each lane alone, its episodes stepped together by
+        # policy.act and env.step. A lane of the rollout computes exactly that.
         env = make_env(name)
         spec = env.spec
         policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
-        params = policy.init_params(np.random.default_rng(12), 0.5, -0.5)
-        seeds = [3, 1, 4, 1, 5]
-        noise = np.random.default_rng(2).standard_normal((5, spec.horizon, spec.action_dim))
-        std = np.exp(policy.log_std(params))
-        for eps in (noise, None):
-            states, actions, rewards, final, terminal = run_episode(
-                env, policy, params, seeds, eps)
-            for b, seed in enumerate(seeds):
-                state = env.reset(seed)
-                for t in range(spec.horizon):
-                    action = policy.mean(params, state)[0]
-                    if eps is not None:
-                        action = action + std * eps[b, t]
-                    np.testing.assert_allclose(states[b, t], state, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(actions[b, t], action, rtol=0, atol=1e-12)
-                    state, reward, done = env.step(state, action)
-                    np.testing.assert_allclose(rewards[b, t], reward, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(final[b], state, rtol=0, atol=1e-12)
-                assert terminal[b] == done
+        rng = np.random.default_rng(12)
+        stack = np.stack([policy.init_params(rng, 0.5, -0.5) for _ in range(3)])
+        lane_seeds = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]])
+        cases = [(stack[0], lane_seeds[0]), (stack, lane_seeds[0]), (stack, lane_seeds)]
+        for params, seeds in cases:
+            lanes = params.shape[:-1]
+            noise = rng.standard_normal(lanes + (5, spec.horizon, spec.action_dim))
+            for eps in (noise, None):
+                got = run_episode(env, policy, params, seeds, eps)
+                for lane in np.ndindex(lanes):
+                    lane_eps = None if eps is None else eps[lane]
+                    state = env.reset(seeds if seeds.ndim == 1 else seeds[lane])
+                    states, actions, rewards = [], [], []
+                    for t in range(spec.horizon):
+                        action = policy.act(params[lane], state,
+                                            None if lane_eps is None else lane_eps[:, t])
+                        states.append(state)
+                        actions.append(action)
+                        state, reward, done = env.step(state, action)
+                        rewards.append(reward)
+                    want = (np.stack(states, 1), np.stack(actions, 1), np.stack(rewards, 1),
+                            state, done)
+                    for got_field, want_field in zip(got, want):
+                        np.testing.assert_array_equal(got_field[lane], want_field)
 
     def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
         # Reference: the documented order written as a plain loop. The

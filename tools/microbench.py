@@ -1,0 +1,139 @@
+"""Per-call timings of moascent's hot functions at the benchmark's shapes.
+
+Times one call of each function below, many times over, in this process:
+
+- ``run_episode`` per step, on the ``point`` workload's ``(p, episodes)``
+  stack with action noise (the training rollout);
+- ``ppo_update`` on a batch collected at the ``quad2`` and ``point``
+  workloads' shapes, with their update settings;
+- ``min_norm_direction`` on random ``(m, d)`` gradients, at m=3 and m=4,
+  with d the size of the ``point`` policy;
+- ``hypervolume`` of random 2-D and 3-D fronts of 1000 points;
+- ``_gap_edges`` (PA-FT's gap search) on random 3-objective fronts of 100
+  and 250 points, and of 500 with ``--full`` (several seconds a call).
+
+The shapes come from ``perfbench/run.py``'s workloads. Run from anywhere:
+
+    python3 tools/microbench.py            # about 20 s
+    python3 tools/microbench.py --quick    # fewer repeats, a few seconds
+    python3 tools/microbench.py --full
+
+Each repeat times enough calls to last 0.2 s (0.01 s with ``--quick``) and
+divides; a row reports the median over its 9 repeats (3 with ``--quick``).
+One line per row is printed, then one JSON object as the last line:
+``python``, ``numpy``, ``repeats`` and ``rows``, seconds per call (per step
+for ``run_episode``) by row name. The script uses the ``src/`` of the tree
+it sits in, so a copy of it measures another checkout. Set ``OPENBLAS_NUM_THREADS=1`` (as the benchmark does)
+for numbers comparable with ``perfbench``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "src"))
+
+import numpy as np  # noqa: E402
+
+from moascent.archive import hypervolume  # noqa: E402
+from moascent.config import load_config, resolve_config  # noqa: E402
+from moascent.evolution import _GAE_LAMBDA, _gap_edges  # noqa: E402
+from moascent.harness import build_trainer  # noqa: E402
+from moascent.pareto import min_norm_direction  # noqa: E402
+from moascent.policy import collect_batch, ppo_update, run_episode  # noqa: E402
+from parity import _benchmark_workloads  # noqa: E402
+
+
+def _trainer(workload: str):
+    config, overrides = _benchmark_workloads()[workload]
+    return build_trainer(resolve_config(load_config(HERE / config), overrides), seed=0)
+
+
+def _lanes(trainer):
+    """Initial ``(p, ·)`` policy and critic stacks and one generator per lane."""
+    rng = np.random.default_rng(0)
+    upd, p = trainer.update, trainer.evolution.p
+    params = np.stack([trainer.policy.init_params(rng, upd.init_scale, upd.log_std_init)
+                       for _ in range(p)])
+    critic = np.stack([trainer.critic.init_params(rng, upd.init_scale) for _ in range(p)])
+    return params, critic, [np.random.default_rng(lane) for lane in range(p)]
+
+
+def _front(n: int, m: int, seed: int) -> np.ndarray:
+    """``n`` random points on the positive unit sphere: mutually non-dominated."""
+    P = np.abs(np.random.default_rng(seed).standard_normal((n, m)))
+    return P / np.linalg.norm(P, axis=1, keepdims=True)
+
+
+def cases(full: bool) -> list:
+    """(row name, per-call divisor, zero-argument call) for each row."""
+    out = []
+    point = _trainer("point")
+    params, _, rngs = _lanes(point)
+    spec, episodes = point.env.spec, point.update.batch_episodes
+    seeds = np.stack([rng.integers(0, 2**31 - 1, size=episodes) for rng in rngs])
+    noise = np.stack([rng.standard_normal((episodes, spec.horizon, spec.action_dim))
+                      for rng in rngs])
+    out.append(("run_episode.point_step", spec.horizon,
+                lambda: run_episode(point.env, point.policy, params, seeds, noise)))
+    for workload in ("quad2", "point"):
+        t = _trainer(workload)
+        params, critic, rngs = _lanes(t)
+        batch = collect_batch(t.env, t.policy, params, t.critic, critic, t.update.batch_episodes,
+                              t.env.spec.gamma, _GAE_LAMBDA, rngs)
+        omega = np.full((len(rngs), t.env.spec.num_objectives), 1.0 / t.env.spec.num_objectives)
+        out.append((f"ppo_update.{workload}", 1,
+                    lambda t=t, p=params, c=critic, b=batch, w=omega:
+                    ppo_update(t.policy, p, t.critic, c, b, w, t.update)))
+    d = point.policy.num_params
+    for m in (3, 4):
+        G = np.random.default_rng(m).standard_normal((m, d))
+        out.append((f"min_norm_direction.m{m}", 1, lambda G=G: min_norm_direction(G)))
+    for m in (2, 3):
+        P = _front(1000, m, seed=m)
+        out.append((f"hypervolume.{m}d_n1000", 1, lambda P=P, z=np.zeros(m): hypervolume(P, z)))
+    for n in (100, 250) + ((500,) if full else ()):
+        P = _front(n, 3, seed=n)
+        out.append((f"gap_edges.3d_n{n}", 1, lambda P=P: _gap_edges(P)))
+    return out
+
+
+def time_call(call, repeats: int, min_repeat_s: float) -> float:
+    """Median over ``repeats`` of the seconds per call of ``call``."""
+    start = perf_counter()
+    call()
+    number = max(1, int(min_repeat_s / max(perf_counter() - start, 1e-9)))
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        for _ in range(number):
+            call()
+        times.append((perf_counter() - start) / number)
+    return statistics.median(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="3 repeats of at least 0.01 s each, for a smoke check")
+    parser.add_argument("--full", action="store_true", help="add _gap_edges at n=500")
+    args = parser.parse_args(argv)
+    repeats, min_repeat_s = (3, 0.01) if args.quick else (9, 0.2)
+    rows = {}
+    for name, divisor, call in cases(args.full):
+        rows[name] = time_call(call, repeats, min_repeat_s) / divisor
+        print(f"{name:28s} {rows[name] * 1e6:12.1f} us", flush=True)
+    print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
+                      "repeats": repeats, "rows": rows}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
