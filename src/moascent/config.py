@@ -249,7 +249,7 @@ def resolve_config(raw: dict, overrides=()) -> Config:
     cfg = _build(Config, apply_overrides(raw, overrides))
     try:
         env = make_env(cfg.env.name, **cfg.env.params)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"env: {exc}") from exc
     m = env.spec.num_objectives
     if m > 3:

@@ -273,11 +273,10 @@ def _gap_edges(P: np.ndarray) -> list[tuple[int, int, float]]:
         for i, j in combinations(range(n), 2):
             mid = 0.5 * (P[i] + P[j])
             radius_sq = 0.25 * float((P[i] - P[j]) @ (P[i] - P[j]))
-            others = np.delete(np.arange(n), [i, j])
-            if others.size:
-                d_sq = np.einsum("ij,ij->i", P[others] - mid, P[others] - mid)
-                if np.any(d_sq < radius_sq - 1e-12):
-                    continue
+            d_sq = np.einsum("ij,ij->i", P - mid, P - mid)
+            d_sq[[i, j]] = np.inf
+            if np.any(d_sq < radius_sq - 1e-12):
+                continue
             edges.append((i, j, float(np.sqrt(4.0 * radius_sq))))
     edges.sort(key=lambda e: (-e[2], e[0], e[1]))
     return edges
@@ -318,19 +317,17 @@ def paft_select(ndset: NonDominatedSet, config: EvolutionConfig) -> list[Finetun
 _JOB_SOURCE = {"gap_pair": "paft_pair", "objective_extreme": "paft_extreme"}
 
 
-def ascent_weights(grads) -> tuple[np.ndarray, bool]:
-    """Scalarization weights from the minimum-norm solution.
+def ascent_weights(grads) -> tuple[np.ndarray, np.ndarray]:
+    """Scalarization weights from the minimum-norm solution, per lane of ``(..., m, d)`` grads.
 
-    Returns ``(weights, fallback)``: the minimizing convex weights, or
-    uniform weights with ``fallback=True`` when the policy is already
-    stationary (no preference should be injected in that case, and the
-    lane stays productive).
+    Returns ``(weights, fallback)``: the ``(..., m)`` minimizing convex
+    weights, and the ``(...)`` flags of the lanes that are already
+    stationary, whose weights are uniform instead (no preference should be
+    injected there, and the lane stays productive).
     """
     result = min_norm_direction(grads)
-    if result.stationary:
-        m = np.asarray(grads).shape[0]
-        return np.full(m, 1.0 / m), True
-    return result.alpha, False
+    m = result.alpha.shape[-1]
+    return np.where(result.stationary[..., None], 1.0 / m, result.alpha), result.stationary
 
 
 class Trainer:
@@ -405,14 +402,16 @@ class Trainer:
 
         ``params`` and ``critic_params`` are ``(L, ·)`` stacks, ``rngs`` holds
         one generator per lane and ``fixed_weights`` one weight vector or
-        None per lane. A lane with None takes its weights from the
-        minimum-norm ascent solution at the first iteration's batch; a
-        stationary solve falls back to uniform weights for the generation.
-        Returns the final (params, critic_params), the ``(L, K, ·)`` stacks of
-        the K snapshots taken, and the number of stationary fallbacks.
+        None per lane. Lanes with None take their weights from one
+        minimum-norm solve at the first iteration's batch; a stationary lane
+        falls back to uniform weights for the generation. Returns the final
+        (params, critic_params), the ``(L, K, ·)`` stacks of the K snapshots
+        taken, and the number of stationary fallbacks.
         """
         upd = self.update
-        weights = list(fixed_weights)
+        m = self.env.spec.num_objectives
+        ascent = [lane for lane, w in enumerate(fixed_weights) if w is None]
+        weights = np.array([np.zeros(m) if w is None else w for w in fixed_weights])
         fallbacks = 0
         snapshots = []
         for it in range(iters):
@@ -420,14 +419,13 @@ class Trainer:
                 self.env, self.policy, params, self.critic, critic_params,
                 upd.batch_episodes, self.env.spec.gamma, _GAE_LAMBDA, rngs,
             )
-            for lane, lane_weights in enumerate(weights):
-                if lane_weights is None:
-                    grads = estimate_gradient_set(self.policy, params[lane], batch.lane(lane),
-                                                  upd.normalize_advantages)
-                    weights[lane], fell_back = ascent_weights(grads)
-                    fallbacks += int(fell_back)
+            if it == 0 and ascent:
+                grads = estimate_gradient_set(self.policy, params, batch,
+                                              upd.normalize_advantages)
+                weights[ascent], fell_back = ascent_weights(grads[ascent])
+                fallbacks = int(fell_back.sum())
             params, critic_params = ppo_update(
-                self.policy, params, self.critic, critic_params, batch, np.stack(weights), upd
+                self.policy, params, self.critic, critic_params, batch, weights, upd
             )
             if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))

@@ -252,16 +252,11 @@ _DEFAULT_TARGETS_3 = (
 )
 
 
-def _make_quadratic(default_targets, params) -> MoQuadratic:
-    params = dict(params)
-    targets = params.pop("targets", default_targets)
-    return MoQuadratic(targets=targets, **params)
-
-
+# name -> (environment class, the constructor arguments it gets by default)
 ENV_BUILDERS = {
-    "mo_point": lambda **p: MoPoint(**p),
-    "mo_quadratic": lambda **p: _make_quadratic(_DEFAULT_TARGETS_2, p),
-    "mo_quadratic3": lambda **p: _make_quadratic(_DEFAULT_TARGETS_3, p),
+    "mo_point": (MoPoint, {}),
+    "mo_quadratic": (MoQuadratic, {"targets": _DEFAULT_TARGETS_2}),
+    "mo_quadratic3": (MoQuadratic, {"targets": _DEFAULT_TARGETS_3}),
 }
 
 #: Reference points strictly below ``return_lower_bound`` of the default
@@ -274,10 +269,13 @@ DEFAULT_REFERENCE_POINTS = {
 
 
 def make_env(name: str, **params) -> MOMDPEnv:
-    """Instantiate a built-in environment by name."""
+    """Instantiate a built-in environment by name; ``params`` override its defaults."""
     try:
-        builder = ENV_BUILDERS[name]
+        cls, defaults = ENV_BUILDERS[name]
     except KeyError:
         known = ", ".join(sorted(ENV_BUILDERS))
         raise ValueError(f"unknown environment {name!r}; known environments: {known}") from None
-    return builder(**params)
+    try:
+        return cls(**{**defaults, **params})
+    except TypeError as exc:  # a keyword the constructor does not take
+        raise ValueError(f"environment {name!r}: {exc}") from None

@@ -8,9 +8,10 @@ finite-difference-checkable.
 
 Every primitive also takes a stack of lanes: ``(L, d)`` parameters with
 ``(L, N, ·)`` inputs, one independent policy per lane, and a plain ``(d,)``
-vector is the lane-less case. Stacked products go through ``np.matmul`` on
-``swapaxes`` views, which repeats the 2-D BLAS call of each lane, so a lane
-of a stack computes bit for bit what it computes alone.
+vector is the lane-less case; a stack's gradient set is ``(L, m, d)``.
+Stacked products go through ``np.matmul`` on ``swapaxes`` views, which
+repeats the 2-D BLAS call of each lane, so a lane of a stack computes bit
+for bit what it computes alone.
 
 A rollout (``run_episode``) does its per-lane setup once: it splits each
 lane chunk's weights into transposed layer views and scales the whole
@@ -286,11 +287,6 @@ class RolloutBatch:
             if getattr(self, name).shape[:-1] != rows:
                 raise ValueError(f"batch field {name} disagrees in length")
 
-    def lane(self, index: int) -> RolloutBatch:
-        """The lane-less batch of one lane of a stacked batch."""
-        return RolloutBatch(self.states[index], self.actions[index],
-                            self.advantages[index], self.returns[index])
-
 
 def gae(rewards: np.ndarray, values: np.ndarray, last_values: np.ndarray,
         gamma: float, lam: float) -> np.ndarray:
@@ -402,18 +398,20 @@ def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
 def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
                           batch: RolloutBatch,
                           normalize_advantages: bool) -> np.ndarray:
-    """Per-objective policy-gradient estimates of one lane, one (d,) row per objective.
+    """Per-objective policy-gradient estimates, one (d,) row per objective and lane.
 
-    Row i is the batch average of ``advantage_i * grad log pi``, i.e. the
-    gradient of objective i's surrogate at the collecting snapshot (where
-    all likelihood ratios equal one).
+    ``params`` is ``(d,)`` or an ``(L, d)`` stack with a matching batch;
+    returns ``(m, d)`` or ``(L, m, d)``. Row i is the batch average of
+    ``advantage_i * grad log pi``, i.e. the gradient of objective i's
+    surrogate at the collecting snapshot (where all likelihood ratios equal
+    one).
     """
     adv = batch.advantages
     if normalize_advantages:
         adv = normalize_per_objective(adv)
-    n, m = adv.shape
+    n, m = adv.shape[-2:]
     _, grad = policy.score(params, batch.states, batch.actions)
-    G = np.stack([grad(adv[:, i] / n) for i in range(m)])
+    G = np.stack([grad(adv[..., i] / n) for i in range(m)], axis=-2)
     if not np.all(np.isfinite(G)):
         raise ValueError("gradient estimate has non-finite entries")
     return G

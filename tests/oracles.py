@@ -4,11 +4,14 @@ Everything here deliberately avoids the code paths under test: the simplex
 projection is solved by bisection on the KKT threshold, the minimum-norm
 problem by grid search over the simplex, hypervolumes by Monte Carlo, and
 the quadratic-environment frontier by closed form / dense sampling,
-archive non-domination by a pairwise audit, and the stacked generation step
-by the per-lane training loop it replaced.
+archive non-domination by a pairwise audit, the stacked minimum-norm solve
+by the one-lane solver it replaced, and the stacked generation step by the
+per-lane training loop it replaced.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -104,6 +107,56 @@ def min_norm_grid(G: np.ndarray) -> float:
     if G.shape[0] == 3:
         return min_norm_grid_m3(G)
     raise ValueError("grid oracle supports 2 or 3 objectives")
+
+
+def min_norm_one_lane(G: np.ndarray):
+    """The one-lane face-by-face solver the stacked one replaced.
+
+    Returns ``(alpha, direction, squared_norm, stationary)`` for one (m, d)
+    gradient matrix: every edge by the clamped closed form, every larger
+    face by its bordered KKT system (skipped when singular or not all
+    positive), and the first candidate of least ``w @ K @ w`` kept.
+    """
+    G = np.asarray(G, dtype=float)
+    m = G.shape[0]
+    K = G @ G.T
+    K = 0.5 * (K + K.T)
+    candidates = []
+    for i, j in combinations(range(m), 2):
+        a = two_objective_alpha_one_lane(G[i], G[j])
+        w = np.zeros(m)
+        w[i], w[j] = a, 1.0 - a
+        candidates.append(w)
+    for size in range(3, m + 1):
+        for face in combinations(range(m), size):
+            face = list(face)
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = K[np.ix_(face, face)]
+            kkt[size, size] = 0.0
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            try:
+                solution = np.linalg.solve(kkt, rhs)[:size]
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(solution > 0.0):
+                w = np.zeros(m)
+                w[face] = solution / solution.sum()
+                candidates.append(w)
+    alpha = min(candidates, key=lambda w: float(w @ K @ w))
+    direction = G.T @ alpha
+    squared_norm = float(direction @ direction)
+    return alpha, direction, squared_norm, squared_norm <= 1e-8 * (1.0 + float(K.diagonal().max()))
+
+
+def two_objective_alpha_one_lane(g1: np.ndarray, g2: np.ndarray) -> float:
+    """The one-lane closed form: ``((g2 - g1) . g2) / ||g1 - g2||^2`` clamped to [0, 1]."""
+    diff = g1 - g2
+    denom = float(diff @ diff)
+    if denom < 1e-24:
+        return 0.5
+    a = float((g2 - g1) @ g2) / denom
+    return min(max(a, 0.0), 1.0)
 
 
 def dominates(a, b) -> bool:

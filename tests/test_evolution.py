@@ -285,6 +285,35 @@ class TestAscentWeights:
         np.testing.assert_allclose(w, [0.5, 0.5])
         assert fell_back
 
+    def test_stack_falls_back_lane_by_lane(self):
+        g = np.array([0.4, -0.2, 0.1])
+        grads = np.stack([np.stack([g, -g]), np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])])
+        w, fell_back = ascent_weights(grads)
+        np.testing.assert_array_equal(fell_back, [True, False])
+        np.testing.assert_array_equal(w[0], [0.5, 0.5])
+        np.testing.assert_allclose(w[1], [0.8, 0.2], atol=1e-12)
+
+    def test_one_solve_and_gradient_set_per_generation(self, monkeypatch):
+        # All ascent lanes of a generation share one gradient-set call and one
+        # solve; warmup lanes have fixed weights and need neither.
+        calls = {"solve": [], "grads": []}
+        solve, grads = evolution.min_norm_direction, evolution.estimate_gradient_set
+
+        def counted_solve(G):
+            calls["solve"].append(np.shape(G))
+            return solve(G)
+
+        def counted_grads(policy, params, batch, normalize):
+            calls["grads"].append(params.shape[0])
+            return grads(policy, params, batch, normalize)
+
+        monkeypatch.setattr(evolution, "min_norm_direction", counted_solve)
+        monkeypatch.setattr(evolution, "estimate_gradient_set", counted_grads)
+        trainer = make_trainer(M=3, M_ft=1, m_iters=2, p=4)
+        trainer.run_training()
+        assert [shape[0] for shape in calls["solve"]] == [4, 2, 2]
+        assert calls["grads"] == [4, 4, 4]
+
 
 class TestTrainingLoop:
     def test_zero_generations_archive_is_warmup_subset(self):

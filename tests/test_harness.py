@@ -118,6 +118,8 @@ class TestConfigValidation:
         (["env.name=mo_point", "env.params.damping=1.5"], "damping"),
         (["env.params.action_bound=-1"], "action_bound"),
         (["evolution.reference_point=[-9,-9,-9]"], "evolution.reference_point"),
+        (["env.params.foo=1"], "env: environment 'mo_quadratic': MoQuadratic.__init__() "
+                               "got an unexpected keyword argument 'foo'"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -397,6 +399,17 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(path), "--env", "mo_point"]) == 1
         err = capsys.readouterr().err
         assert "state_dim=1" in err and "state_dim=4" in err
+
+
+    def test_unknown_env_param_exits_1_naming_it(self, tmp_path, capsys):
+        # The environment's TypeError used to end eval in a traceback.
+        policy = GaussianPolicy(1, 2, hidden=4)
+        path = tmp_path / "p.json"
+        save_checkpoint(path, policy, np.zeros(policy.num_params))
+        assert main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic",
+                     "--param", "foo=1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: environment 'mo_quadratic': " in err and "'foo'" in err
 
 
 class TestReportCommand:

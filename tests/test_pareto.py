@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moascent import pareto
 from moascent.pareto import (
     analytic_two_objective_alpha,
     min_norm_direction,
@@ -12,7 +13,12 @@ from moascent.pareto import (
     validate_weights,
 )
 
-from .oracles import min_norm_grid, project_simplex_bisect
+from .oracles import (
+    min_norm_grid,
+    min_norm_one_lane,
+    project_simplex_bisect,
+    two_objective_alpha_one_lane,
+)
 
 
 class TestSimplexProjection:
@@ -140,7 +146,91 @@ class TestMinNormDirection:
             min_norm_direction(np.array([[1.0, 0.0]]))
 
 
+def assert_lanes_match_one_lane_solver(G):
+    """Each lane of the stacked solve has the bytes of the one-lane solver."""
+    result = min_norm_direction(G)
+    for lane in np.ndindex(G.shape[:-2]):
+        alpha, direction, squared_norm, stationary = min_norm_one_lane(G[lane])
+        assert result.alpha[lane].tobytes() == alpha.tobytes(), lane
+        assert result.direction[lane].tobytes() == direction.tobytes(), lane
+        assert np.float64(result.squared_norm[lane]).tobytes() == np.float64(squared_norm).tobytes()
+        assert bool(result.stationary[lane]) == stationary, lane
+
+
+def edge_case_stack(rng, m, d):
+    """Nine lanes of (m, d) gradients: random, then each edge case once."""
+    G = rng.standard_normal((9, m, d))
+    G[1, 1] = G[1, 0]            # duplicated rows
+    G[2, 1] = -G[2, 0]           # opposed rows
+    G[3] = 0.0                   # all-zero lane
+    G[4, 0] = 0.0                # one zero row
+    G[5] *= 1e-8
+    G[6] *= 1e8
+    G[7, :, 1:] = 0.0            # rank one
+    G[8, -1] = 0.0               # last row zero
+    return G
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 40])
+    def test_lanes_match_one_lane_solver(self, m, d):
+        # m = 4 with d < m has faces tying below 1e-30; the candidates'
+        # values come from the one-lane solver's own products, so even the
+        # tie breaks the same way.
+        rng = np.random.default_rng(100 * m + d)
+        for _ in range(20):
+            assert_lanes_match_one_lane_solver(edge_case_stack(rng, m, d))
+            scales = 10.0 ** rng.integers(-8, 9, size=(5, 1, 1))
+            assert_lanes_match_one_lane_solver(scales * rng.standard_normal((5, m, d)))
+
+    def test_lane_less_and_nested_stacks(self):
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((2, 3, 3, 5))
+        result = min_norm_direction(G)
+        assert result.alpha.shape == (2, 3, 3) and result.squared_norm.shape == (2, 3)
+        assert_lanes_match_one_lane_solver(G)
+        one = min_norm_direction(G[1, 2])
+        assert one.alpha.shape == (3,) and np.ndim(one.squared_norm) == 0
+        assert one.alpha.tobytes() == result.alpha[1, 2].tobytes()
+
+    def test_singular_face_is_nan_in_its_own_lane(self):
+        # Lane 0's three gradients are equal: its 3-face KKT system is
+        # singular, so the stacked solve raises and each system is solved
+        # alone. Lane 1 (orthonormal rows) keeps its interior minimizer.
+        G = np.stack([np.ones((3, 4)), np.eye(3, 4)])
+        K = G @ G.swapaxes(-1, -2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.block([[K, np.ones((2, 3, 1))],
+                                      [np.ones((2, 1, 3)), np.zeros((2, 1, 1))]]),
+                            np.tile([[0.0], [0.0], [0.0], [1.0]], (2, 1, 1)))
+        faces = pareto._face_candidates(G, K)
+        assert np.all(np.isnan(faces[0, 3]))
+        np.testing.assert_allclose(faces[1, 3], np.full(3, 1 / 3), rtol=1e-12)
+        assert_lanes_match_one_lane_solver(G)
+        np.testing.assert_allclose(min_norm_direction(G).alpha[1], np.full(3, 1 / 3), rtol=1e-12)
+
+    def test_rejects_non_finite_lane(self):
+        G = np.random.default_rng(0).standard_normal((3, 2, 4))
+        G[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            min_norm_direction(G)
+
+
 class TestAnalyticTwoObjective:
+    def test_stack_matches_one_lane_form(self):
+        rng = np.random.default_rng(19)
+        g1, g2 = rng.standard_normal((2, 6, 5))
+        g2[0] = g1[0]                 # tie: 0.5
+        g1[1], g2[1] = 1.0, 2.0       # clamped to 1
+        g2[2] = 0.0                   # zero numerator: 0
+        g1[3], g2[3] = 2.0, 1.0       # clamped to 0
+        a = analytic_two_objective_alpha(g1, g2)
+        assert a.shape == (6,)
+        want = [two_objective_alpha_one_lane(x, y) for x, y in zip(g1, g2)]
+        assert a.tobytes() == np.array(want).tobytes()
+        assert a[2] == a[3] == 0.0 and a[0] == 0.5 and a[1] == 1.0
+
     def test_orthogonal_pair(self):
         # Direct substitution: ((-1, 1) . (0, 1)) / 2 = 0.5.
         assert analytic_two_objective_alpha([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)

@@ -10,6 +10,7 @@ from moascent.config import ConfigError, PolicyConfig
 from moascent.momdp import MoPoint, make_env, mo_return
 from moascent.policy import (
     GaussianPolicy,
+    RolloutBatch,
     VectorCritic,
     collect_batch,
     estimate_gradient_set,
@@ -167,6 +168,27 @@ class TestGradientSet:
         )
         np.testing.assert_allclose(G_scaled[0], 3.5 * G[0], atol=1e-10)
         np.testing.assert_allclose(G_scaled[1], G[1], atol=1e-12)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("env_name", ["mo_quadratic", "mo_point"])
+def test_gradient_set_stack_matches_lane_less_calls(env_name, normalize):
+    env = make_env(env_name)
+    spec = env.spec
+    policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
+    critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden=8)
+    rng = np.random.default_rng(5)
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(4)])
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(4)])
+    rngs = [np.random.default_rng(lane) for lane in range(4)]
+    batch = collect_batch(env, policy, params, critic, critic_params, 6, spec.gamma, 0.95, rngs)
+    G = estimate_gradient_set(policy, params, batch, normalize)
+    assert G.shape == (4, spec.num_objectives, policy.num_params)
+    for lane in range(4):
+        lane_batch = RolloutBatch(batch.states[lane], batch.actions[lane],
+                                  batch.advantages[lane], batch.returns[lane])
+        alone = estimate_gradient_set(policy, params[lane], lane_batch, normalize)
+        assert G[lane].tobytes() == alone.tobytes(), lane
 
 
 def count_calls(owner, name, monkeypatch):

@@ -6,8 +6,11 @@ Times one call of each function below, many times over, in this process:
   stack with action noise (the training rollout);
 - ``ppo_update`` on a batch collected at the ``quad2`` and ``point``
   workloads' shapes, with their update settings;
+- ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
+  batch, with its advantage normalisation;
 - ``min_norm_direction`` on random ``(m, d)`` gradients, at m=3 and m=4,
-  with d the size of the ``point`` policy;
+  and on ``(8, 2, d)`` and ``(4, 3, d)`` stacks of them, with d the size of
+  the ``point`` policy;
 - ``hypervolume`` of random 2-D and 3-D fronts of 1000 points;
 - ``_gap_edges`` (PA-FT's gap search) on random 3-objective fronts of 100
   and 250 points, and of 500 with ``--full`` (several seconds a call).
@@ -47,7 +50,12 @@ from moascent.config import load_config, resolve_config  # noqa: E402
 from moascent.evolution import _GAE_LAMBDA, _gap_edges  # noqa: E402
 from moascent.harness import build_trainer  # noqa: E402
 from moascent.pareto import min_norm_direction  # noqa: E402
-from moascent.policy import collect_batch, ppo_update, run_episode  # noqa: E402
+from moascent.policy import (  # noqa: E402
+    collect_batch,
+    estimate_gradient_set,
+    ppo_update,
+    run_episode,
+)
 from parity import _benchmark_workloads  # noqa: E402
 
 
@@ -92,10 +100,15 @@ def cases(full: bool) -> list:
         out.append((f"ppo_update.{workload}", 1,
                     lambda t=t, p=params, c=critic, b=batch, w=omega:
                     ppo_update(t.policy, p, t.critic, c, b, w, t.update)))
+        if workload == "point":
+            out.append(("estimate_gradient_set.point", 1,
+                        lambda t=t, p=params, b=batch:
+                        estimate_gradient_set(t.policy, p, b, t.update.normalize_advantages)))
     d = point.policy.num_params
-    for m in (3, 4):
-        G = np.random.default_rng(m).standard_normal((m, d))
-        out.append((f"min_norm_direction.m{m}", 1, lambda G=G: min_norm_direction(G)))
+    for shape in ((3, d), (4, d), (8, 2, d), (4, 3, d)):
+        G = np.random.default_rng(shape[-2]).standard_normal(shape)
+        name = f"m{shape[0]}" if len(shape) == 2 else f"{shape[0]}x{shape[1]}"
+        out.append((f"min_norm_direction.{name}", 1, lambda G=G: min_norm_direction(G)))
     for m in (2, 3):
         P = _front(1000, m, seed=m)
         out.append((f"hypervolume.{m}d_n1000", 1, lambda P=P, z=np.zeros(m): hypervolume(P, z)))
