@@ -29,6 +29,7 @@ __all__ = [
     "PaftConfig",
     "PolicyConfig",
     "apply_overrides",
+    "check_reference_point",
     "load_config",
     "parse_override",
     "resolve_config",
@@ -106,16 +107,15 @@ class PolicyConfig(_Section):
     batch_episodes: int = _knob(32, "an integer >= 1", _int_from(1))
     normalize_advantages: bool = _knob(True, "true or false", lambda v: isinstance(v, bool))
     optimizer: str = _knob("adam", "adam or sgd", lambda v: v in ("adam", "sgd"))
-    init_scale: float = _knob(0.1, "a finite number", _is_real)
-    log_std_init: float = _knob(-0.5, "a finite number", _is_real)
 
 
 @dataclass(frozen=True)
 class EvolutionConfig(_Section):
     """``evolution``: the generational loop.
 
-    ``M_ft`` is the first generation index (0-based) that splits the budget
-    between ascent updates and fine-tuning; null means ``max(1, M // 3)``.
+    Generations count from 1 after the warm-up, and those after ``M_ft``
+    split the budget between ascent updates and fine-tuning; a null ``M_ft``
+    means ``max(1, M // 3)``.
     A null ``paft_pairs`` is the pair budget left after the per-objective
     extremes, and a null ``reference_point`` the environment's default,
     filled by :func:`resolve_config`.
@@ -261,8 +261,14 @@ def resolve_config(raw: dict, overrides=()) -> Config:
     z = evo.reference_point
     if z is None:
         z = DEFAULT_REFERENCE_POINTS[cfg.env.name]
-    z = [float(v) for v in z]
-    if len(z) != m:
+    return replace(cfg, evolution=replace(evo, reference_point=check_reference_point(z, env)))
+
+
+def check_reference_point(z, env) -> list[float]:
+    """``z`` as floats: one number per objective, each below every return ``env`` admits."""
+    m = env.spec.num_objectives
+    z = None if z is None else [float(v) for v in z]
+    if z is None or len(z) != m:
         raise ConfigError(f"evolution.reference_point: need {m} numbers, got {z!r}")
     # Every evaluated return must strictly dominate the reference point.
     low = env.return_lower_bound()
@@ -271,4 +277,4 @@ def resolve_config(raw: dict, overrides=()) -> Config:
             f"evolution.reference_point: {z!r} must lie strictly below the lowest "
             f"return the environment admits, {low.tolist()!r}"
         )
-    return replace(cfg, evolution=replace(evo, reference_point=z))
+    return z

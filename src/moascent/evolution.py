@@ -3,11 +3,12 @@
 A population of policies is improved generation by generation: a
 partitioned greedy randomized (PGR) rule picks which population members to
 update, each picked policy ascends its minimum-norm common ascent
-direction, and from a configurable generation onward half the budget goes
-to Pareto-adaptive fine-tuning (PA-FT): pairs of archive policies flanking
-the widest frontier gaps are pushed into the gap, and the per-objective
-best policies are pushed outward. Candidate snapshots feed a non-dominated
-archive whose hypervolume and sparsity are recorded every generation.
+direction, and in the generations after a configurable one half the budget
+goes to Pareto-adaptive fine-tuning (PA-FT): pairs of archive policies
+flanking the widest frontier gaps are pushed into the gap, and the
+per-objective best policies are pushed outward. Candidate snapshots feed a
+non-dominated archive whose hypervolume and sparsity are recorded every
+generation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .archive import NonDominatedSet, PolicyEntry, hypervolume, sparsity
-from .config import EvolutionConfig, PolicyConfig
+from .config import EvolutionConfig, PolicyConfig, check_reference_point
 from .momdp import MOMDPEnv, mo_return
 from .pareto import min_norm_direction
 from .policy import (
@@ -48,6 +49,9 @@ _EVAL_STREAM = 2_000_000
 # Candidates per PGR region, and the GAE lambda (the discount is the env's).
 _PGR_TOP_K = 2
 _GAE_LAMBDA = 0.95
+# Initial weight scale of the policy and critic, and the policy's initial log-std.
+_INIT_SCALE = 0.1
+_LOG_STD_INIT = -0.5
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class FinetuneJob:
 
 @dataclass
 class TrainingState:
-    """Mutable state threaded through the generations.
+    """The whole state of a run between generations; ``run_training`` returns it.
 
     ``next_ref`` numbers the snapshots taken so far; the entries of the
     population and the archive hold the only copies of their parameters.
@@ -71,7 +75,6 @@ class TrainingState:
     archive: NonDominatedSet
     metrics: list[dict] = field(default_factory=list)
     selection_log: list[dict] = field(default_factory=list)
-    stationary_fallbacks: int = 0
     next_ref: int = 0
 
 
@@ -354,6 +357,7 @@ class Trainer:
             raise ValueError("policy dimensions do not match the environment")
         if critic.num_objectives != env.spec.num_objectives:
             raise ValueError("critic output count does not match the objectives")
+        check_reference_point(evolution.reference_point, env)
         self.env = env
         self.policy = policy
         self.critic = critic
@@ -363,7 +367,6 @@ class Trainer:
         self.paft_enabled = paft_enabled
         eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM])
         self.eval_seeds = [int(s) for s in eval_ss.generate_state(eval_episodes)]
-        self.state: TrainingState | None = None
 
     def _lane_rng(self, generation: int, lane: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))
@@ -436,13 +439,12 @@ class Trainer:
     def warmup(self, state: TrainingState) -> None:
         """Train the initial population: one evenly spread weight per policy."""
         cfg = self.evolution
-        upd = self.update
         m = self.env.spec.num_objectives
         weight_grid = evenly_spread_weights(m, cfg.p)
         rngs = [self._lane_rng(0, lane) for lane in range(cfg.p)]
         inits = [
-            (self.policy.init_params(rng, upd.init_scale, upd.log_std_init),
-             self.critic.init_params(rng, upd.init_scale))
+            (self.policy.init_params(rng, _INIT_SCALE, _LOG_STD_INIT),
+             self.critic.init_params(rng, _INIT_SCALE))
             for rng in rngs
         ]
         params = np.stack([p for p, _ in inits])
@@ -457,17 +459,17 @@ class Trainer:
             state.population.append(entry)
             state.archive.insert(entry)
 
-    def run_generation(self, state: TrainingState, gen_index: int) -> TrainingState:
-        """Run one generation (0-based index); mutates and returns ``state``.
+    def run_generation(self, state: TrainingState, generation: int) -> int:
+        """Run generation ``generation`` (from 1) on ``state``; returns its stationary fallbacks.
 
+        Generations after ``M_ft`` give half their lanes to fine-tuning.
         Every lane's origin, weights and RNG are fixed before training, so
         all lanes train as one stack and all their snapshots are evaluated
         in one rollout; entries are then offered to the archive in lane order.
         """
         cfg = self.evolution
         p = cfg.p
-        generation = gen_index + 1
-        paft_active = self.paft_enabled and gen_index >= cfg.M_ft
+        paft_active = self.paft_enabled and generation > cfg.M_ft
         p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
 
         sel_rng = self._lane_rng(generation, _SELECTION_STREAM)
@@ -505,7 +507,6 @@ class Trainer:
             [self._lane_rng(generation, lane) for lane in range(len(lanes))],
             fixed_weights,
         )
-        state.stationary_fallbacks += fallbacks
         entries = self._snapshot_entries(state, snap_params, snap_critic, generation, sources)
         for source, origin, lane_entries in zip(sources, origins, entries):
             for entry in lane_entries:
@@ -516,42 +517,30 @@ class Trainer:
                 # Fine-tuned policies join the population only when their
                 # final snapshot survived the archive update.
                 state.population.append(entry)
-        return state
+        return fallbacks
 
-    def _record_metrics(self, state: TrainingState, generation: int,
-                        fallbacks: int, seconds: float) -> None:
-        points = state.archive.objectives_matrix()
-        state.metrics.append(
-            {
+    def run_training(self) -> TrainingState:
+        """Warmup (generation 0) plus all generations; returns the final state.
+
+        Each generation appends one metrics row. Fully deterministic given
+        the configured seed.
+        """
+        state = TrainingState(population=[], archive=NonDominatedSet())
+        for generation in range(self.evolution.M + 1):
+            start = time.perf_counter()
+            if generation == 0:
+                self.warmup(state)
+                fallbacks = 0
+            else:
+                fallbacks = self.run_generation(state, generation)
+            seconds = time.perf_counter() - start
+            points = state.archive.objectives_matrix()
+            state.metrics.append({
                 "generation": generation,
                 "hv": hypervolume(points, self.evolution.reference_point),
                 "sp": sparsity(points),
                 "archive_size": len(state.archive),
                 "stationary_fallbacks": fallbacks,
                 "seconds": seconds,
-            }
-        )
-
-    def run_training(self) -> tuple[NonDominatedSet, list[dict]]:
-        """Warmup plus all generations; returns the archive and metric rows.
-
-        Fully deterministic given the configured seed. The trainer keeps
-        the final :class:`TrainingState` on ``self.state`` for exporting
-        checkpoints and the selection log.
-        """
-        state = TrainingState(population=[], archive=NonDominatedSet())
-        self.state = state
-        start = time.perf_counter()
-        self.warmup(state)
-        self._record_metrics(state, 0, 0, time.perf_counter() - start)
-        for gen_index in range(self.evolution.M):
-            start = time.perf_counter()
-            before = state.stationary_fallbacks
-            self.run_generation(state, gen_index)
-            self._record_metrics(
-                state,
-                gen_index + 1,
-                state.stationary_fallbacks - before,
-                time.perf_counter() - start,
-            )
-        return state.archive, state.metrics
+            })
+        return state

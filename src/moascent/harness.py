@@ -127,6 +127,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _brief(value) -> str:
+    """A number to 6 significant digits, or ``undefined`` for None."""
+    return "undefined" if value is None else f"{value:.6g}"
+
+
 def write_metrics_csv(path: Path, metrics: list[dict]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -171,23 +176,22 @@ def run_seed(cfg: Config, seed: int) -> Path:
     (run_dir / "config.yaml").write_text(yaml.safe_dump(resolved, sort_keys=True))
 
     trainer = build_trainer(cfg, seed)
-    archive, metrics = trainer.run_training()
-    state = trainer.state
+    state = trainer.run_training()
 
     checkpoint_dir = run_dir / "checkpoints"
     checkpoint_dir.mkdir()
     checkpoint_names = {}
-    for entry in archive:
+    for entry in state.archive:
         rel = f"checkpoints/{entry.params_ref}.json"
         save_checkpoint(run_dir / rel, trainer.policy, entry.params,
                         trainer.critic, entry.critic_params)
         checkpoint_names[entry.params_ref] = rel
 
     doc = frontier_document(
-        archive, cfg.experiment, cfg.evolution.reference_point, checkpoint_names
+        state.archive, cfg.experiment, cfg.evolution.reference_point, checkpoint_names
     )
     (run_dir / "frontier.json").write_text(json.dumps(doc, sort_keys=True))
-    write_metrics_csv(run_dir / "metrics.csv", metrics)
+    write_metrics_csv(run_dir / "metrics.csv", state.metrics)
     with (run_dir / "selection.jsonl").open("w") as fh:
         for record in state.selection_log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -201,9 +205,8 @@ def cmd_train(args) -> int:
     for seed in cfg.seeds:
         run_dir = run_seed(cfg, seed)
         final = read_metrics_csv(run_dir / "metrics.csv")[-1]
-        sp_text = "undefined" if final["sp"] is None else f"{final['sp']:.6g}"
         print(
-            f"seed {seed}: hv={final['hv']:.6g} sp={sp_text} "
+            f"seed {seed}: hv={final['hv']:.6g} sp={_brief(final['sp'])} "
             f"archive={final['archive_size']} -> {run_dir}"
         )
     return 0
@@ -257,6 +260,14 @@ def _load_run(run_dir: Path) -> dict:
 _RUN_FILES = ("config.yaml", "metrics.csv", "frontier.json")
 
 
+def _stats(rows: list[dict]) -> list:
+    """HV mean and std, then sparsity mean and std over the rows defining it (or None)."""
+    hv = np.array([row["hv"] for row in rows])
+    sp = np.array([row["sp"] for row in rows if row["sp"] is not None])
+    sp_stats = [float(sp.mean()), float(sp.std())] if sp.size else [None, None]
+    return [float(hv.mean()), float(hv.std()), *sp_stats]
+
+
 def cmd_report(args) -> int:
     runs = []
     for run_dir in map(Path, args.run_dirs):
@@ -284,70 +295,28 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows = []
+    summary = [["method", "runs", "hv_mean", "hv_std", "sp_mean", "sp_std"]]
+    curves = [["method", "generation", "hv_mean", "hv_std", "sp_mean", "sp_std"]]
     print(f"{'method':<24}{'runs':>6}{'hv mean':>14}{'hv std':>12}{'sp mean':>14}{'sp std':>12}")
     for tag in sorted(groups):
         members = groups[tag]
-        hv = np.array([run["metrics"][-1]["hv"] for run in members])
-        sp_values = [run["metrics"][-1]["sp"] for run in members]
-        sp = np.array([v for v in sp_values if v is not None])
-        hv_mean, hv_std = float(hv.mean()), float(hv.std())
-        sp_mean = float(sp.mean()) if sp.size else None
-        sp_std = float(sp.std()) if sp.size else None
-        sp_mean_text = "undefined" if sp_mean is None else f"{sp_mean:.6g}"
-        sp_std_text = "undefined" if sp_std is None else f"{sp_std:.6g}"
-        print(
-            f"{tag:<24}{len(members):>6}{hv_mean:>14.6g}{hv_std:>12.6g}"
-            f"{sp_mean_text:>14}{sp_std_text:>12}"
-        )
-        summary_rows.append(
-            [tag, len(members), repr(hv_mean), repr(hv_std),
-             _format_value(sp_mean), _format_value(sp_std)]
-        )
+        stats = _stats([run["metrics"][-1] for run in members])
+        print(f"{tag:<24}{len(members):>6}"
+              + "".join(f"{_brief(v):>{w}}" for v, w in zip(stats, (14, 12, 14, 12))))
+        summary.append([tag, len(members), *map(_format_value, stats)])
+        # Curves stop at the method's shortest run.
+        for g in range(min(len(run["metrics"]) for run in members)):
+            stats = _stats([run["metrics"][g] for run in members])
+            curves.append([tag, g, *map(_format_value, stats)])
+    frontiers = [["method", "seed", "generation", "source"]
+                 + [f"objective_{i}" for i in range(runs[0]["m"])]]
+    frontiers += [[run["tag"], run["seed"], entry["generation"], entry["source"]]
+                  + [repr(float(v)) for v in entry["objectives"]]
+                  for run in runs for entry in run["frontier"]["entries"]]
 
-    with (out / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "runs", "hv_mean", "hv_std", "sp_mean", "sp_std"])
-        writer.writerows(summary_rows)
-
-    with (out / "curves.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "generation", "hv_mean", "hv_std", "sp_mean", "sp_std"])
-        for tag in sorted(groups):
-            members = groups[tag]
-            horizon = min(len(run["metrics"]) for run in members)
-            for g in range(horizon):
-                hv = np.array([run["metrics"][g]["hv"] for run in members])
-                sp = np.array(
-                    [
-                        run["metrics"][g]["sp"]
-                        for run in members
-                        if run["metrics"][g]["sp"] is not None
-                    ]
-                )
-                writer.writerow(
-                    [
-                        tag,
-                        g,
-                        repr(float(hv.mean())),
-                        repr(float(hv.std())),
-                        _format_value(float(sp.mean()) if sp.size else None),
-                        _format_value(float(sp.std()) if sp.size else None),
-                    ]
-                )
-
-    with (out / "frontiers.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        m = runs[0]["m"]
-        writer.writerow(
-            ["method", "seed", "generation", "source"] + [f"objective_{i}" for i in range(m)]
-        )
-        for run in runs:
-            for entry in run["frontier"]["entries"]:
-                writer.writerow(
-                    [run["tag"], run["seed"], entry["generation"], entry["source"]]
-                    + [repr(float(v)) for v in entry["objectives"]]
-                )
+    for name, rows in (("summary", summary), ("curves", curves), ("frontiers", frontiers)):
+        with (out / f"{name}.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
     print(f"report written to {out}")
     return 0
 

@@ -322,12 +322,11 @@ class PerLaneTrainer(Trainer):
 
     def warmup(self, state):
         cfg = self.evolution
-        upd = self.update
         weight_grid = evenly_spread_weights(self.env.spec.num_objectives, cfg.p)
         for lane in range(cfg.p):
             rng = self._lane_rng(0, lane)
-            params = self.policy.init_params(rng, upd.init_scale, upd.log_std_init)
-            critic_params = self.critic.init_params(rng, upd.init_scale)
+            params = self.policy.init_params(rng, evolution._INIT_SCALE, evolution._LOG_STD_INIT)
+            critic_params = self.critic.init_params(rng, evolution._INIT_SCALE)
             if cfg.m_w > 0:
                 params, critic_params, _, _ = self._train_lane(
                     params, critic_params, cfg.m_w, rng, fixed_weights=weight_grid[lane],
@@ -336,11 +335,10 @@ class PerLaneTrainer(Trainer):
             state.population.append(entry)
             state.archive.insert(entry)
 
-    def run_generation(self, state, gen_index):
+    def run_generation(self, state, generation):
         cfg = self.evolution
         p = cfg.p
-        generation = gen_index + 1
-        paft_active = self.paft_enabled and gen_index >= cfg.M_ft
+        paft_active = self.paft_enabled and generation > cfg.M_ft
         p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
         sel_rng = self._lane_rng(generation, evolution._SELECTION_STREAM)
         selected = pgr_select(
@@ -360,12 +358,13 @@ class PerLaneTrainer(Trainer):
                 })
         lanes = [("pareto_ascent", entry, None) for entry in selected]
         lanes.extend((evolution._JOB_SOURCE[j.kind], j.policy, j.weights) for j in jobs)
+        total_fallbacks = 0
         for lane_index, (source, origin, fixed_weights) in enumerate(lanes):
             rng = self._lane_rng(generation, lane_index)
             _, _, snapshots, fallbacks = self._train_lane(
                 origin.params, origin.critic_params, cfg.m_iters, rng, fixed_weights
             )
-            state.stationary_fallbacks += fallbacks
+            total_fallbacks += fallbacks
             for snap_params, snap_critic in snapshots:
                 entry = self._snapshot_entry(state, snap_params, snap_critic, generation, source)
                 final_accepted = state.archive.insert(entry)
@@ -373,4 +372,4 @@ class PerLaneTrainer(Trainer):
                 state.population[ref_to_slot[origin.params_ref]] = entry
             elif final_accepted:
                 state.population.append(entry)
-        return state
+        return total_fallbacks

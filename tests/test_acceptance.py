@@ -219,7 +219,7 @@ def test_07_end_to_end_frontier_quality():
 
     ratios = []
     for seed in range(6):
-        _, metrics = default_trainer(env, seed).run_training()
+        metrics = default_trainer(env, seed).run_training().metrics
         ratios.append(metrics[-1]["hv"] / analytic_hv)
     elapsed = time.perf_counter() - start
     ok = float(np.median(ratios)) >= 0.95 and min(ratios) >= 0.90
@@ -239,10 +239,10 @@ def test_08_finetune_ablation_sparsity():
     shared = dict(optimizer="sgd", lr=0.05, normalize_advantages=False, paft_pairs=2)
     sp_on, sp_off = [], []
     for seed in range(6):
-        _, metrics_on = default_trainer(env, seed, paft_enabled=True, **shared).run_training()
-        _, metrics_off = default_trainer(env, seed, paft_enabled=False, **shared).run_training()
-        sp_on.append(metrics_on[-1]["sp"])
-        sp_off.append(metrics_off[-1]["sp"])
+        state_on = default_trainer(env, seed, paft_enabled=True, **shared).run_training()
+        state_off = default_trainer(env, seed, paft_enabled=False, **shared).run_training()
+        sp_on.append(state_on.metrics[-1]["sp"])
+        sp_off.append(state_off.metrics[-1]["sp"])
     elapsed = time.perf_counter() - start
     median_on, median_off = float(np.median(sp_on)), float(np.median(sp_off))
     report(8, "fine-tuning ablation lowers frontier sparsity", median_on <= median_off,
@@ -291,7 +291,7 @@ def test_10_three_objective_path():
     ratios = []
     for seed in range(3):
         trainer = default_trainer(env, seed)
-        _, metrics = trainer.run_training()
+        metrics = trainer.run_training().metrics
         ratios.append(metrics[-1]["hv"] / analytic_hv)
     elapsed = time.perf_counter() - start
     ok = min(ratios) >= 0.90

@@ -1,6 +1,7 @@
 """Tests for the generational loop: warmup, selection, fine-tuning, training."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from moascent.archive import NonDominatedSet, PolicyEntry
 from moascent import evolution
-from moascent.config import EvolutionConfig, PolicyConfig
+from moascent.config import ConfigError, EvolutionConfig, PolicyConfig
 from moascent.evolution import (
     Trainer,
     ascent_weights,
@@ -317,16 +318,15 @@ class TestAscentWeights:
 
 class TestTrainingLoop:
     def test_zero_generations_archive_is_warmup_subset(self):
-        trainer = make_trainer(M=0, m_w=0)
-        archive, metrics = trainer.run_training()
-        assert len(metrics) == 1
-        assert all(e.source == "warmup" for e in archive)
-        assert mutually_non_dominated(archive)
-        assert 1 <= len(archive) <= 4
+        state = make_trainer(M=0, m_w=0).run_training()
+        assert len(state.metrics) == 1
+        assert all(e.source == "warmup" for e in state.archive)
+        assert mutually_non_dominated(state.archive)
+        assert 1 <= len(state.archive) <= 4
 
     def test_same_seed_bitwise_identical_metrics(self):
-        run_a = make_trainer(seed=7).run_training()[1]
-        run_b = make_trainer(seed=7).run_training()[1]
+        run_a = make_trainer(seed=7).run_training().metrics
+        run_b = make_trainer(seed=7).run_training().metrics
         for row_a, row_b in zip(run_a, run_b):
             for key in ("generation", "hv", "sp", "archive_size", "stationary_fallbacks"):
                 assert row_a[key] == row_b[key]
@@ -335,8 +335,7 @@ class TestTrainingLoop:
         trainer = make_trainer(
             M=3, M_ft=2, p=4, m_iters=2
         )
-        trainer.run_training()
-        log = trainer.state.selection_log
+        log = trainer.run_training().selection_log
         for generation, expect_paft in ((1, False), (2, False), (3, True)):
             records = [r for r in log if r["generation"] == generation]
             pgr = [r for r in records if r["kind"] in ("pgr", "pgr_fill")]
@@ -350,20 +349,17 @@ class TestTrainingLoop:
             assert len(pgr) + len(paft) <= 4
 
     def test_paft_disabled_never_schedules_jobs(self):
-        trainer = make_trainer(M=2, M_ft=1, paft_enabled=False)
-        trainer.run_training()
-        assert all(r["kind"] != "paft" for r in trainer.state.selection_log)
+        state = make_trainer(M=2, M_ft=1, paft_enabled=False).run_training()
+        assert all(r["kind"] != "paft" for r in state.selection_log)
 
     def test_hypervolume_non_decreasing(self):
-        _, metrics = make_trainer(M=3).run_training()
-        hv = [row["hv"] for row in metrics]
+        hv = [row["hv"] for row in make_trainer(M=3).run_training().metrics]
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
     def test_archive_entries_resolve_and_selections_ranked(self):
         trainer = make_trainer(M=2)
-        archive, _ = trainer.run_training()
-        state = trainer.state
-        for e in archive:
+        state = trainer.run_training()
+        for e in state.archive:
             assert e.params.shape == (trainer.policy.num_params,)
             assert e.critic_params.shape == (trainer.critic.num_params,)
         for record in state.selection_log:
@@ -381,17 +377,15 @@ class TestTrainingLoop:
             return made
 
         monkeypatch.setattr(evolution, "PolicyEntry", recording_entry)
-        trainer = make_trainer(M=4, M_ft=2)
-        archive, _ = trainer.run_training()
+        state = make_trainer(M=4, M_ft=2).run_training()
         gc.collect()
         alive = {id(ref()) for ref in created if ref() is not None}
-        held = {id(e.params) for e in [*archive, *trainer.state.population]}
+        held = {id(e.params) for e in [*state.archive, *state.population]}
         assert alive == held
         assert len(created) > len(held)
 
     def test_metrics_row_fields(self):
-        _, metrics = make_trainer(M=1).run_training()
-        for row in metrics:
+        for row in make_trainer(M=1).run_training().metrics:
             assert set(row) == {
                 "generation", "hv", "sp", "archive_size", "stationary_fallbacks", "seconds",
             }
@@ -403,23 +397,32 @@ class TestTrainingLoop:
             env_name="mo_quadratic3", M=2, M_ft=1,
             p=4, m_iters=2, m_w=1,
         )
-        archive, metrics = trainer.run_training()
-        assert archive.objectives_matrix().shape[1] == 3
-        assert metrics[-1]["hv"] > 0
+        state = trainer.run_training()
+        assert state.archive.objectives_matrix().shape[1] == 3
+        assert state.metrics[-1]["hv"] > 0
 
     def test_zero_warmup_iters_keeps_random_init(self):
         # With no warmup budget the stored population parameters are the
         # raw initializations from each lane's stream.
         trainer = make_trainer(M=0, m_w=0)
-        trainer.run_training()
-        state = trainer.state
-        upd = trainer.update
+        state = trainer.run_training()
         for lane, member in enumerate(state.population):
             rng = trainer._lane_rng(0, lane)
             expected = trainer.policy.init_params(
-                rng, weight_scale=upd.init_scale, log_std_init=upd.log_std_init
+                rng, weight_scale=evolution._INIT_SCALE, log_std_init=evolution._LOG_STD_INIT
             )
             np.testing.assert_array_equal(member.params, expected)
+
+    @pytest.mark.parametrize("reference_point, message", [
+        (None, "evolution.reference_point: need 2 numbers, got None"),
+        ([-9, -9, -9], "evolution.reference_point: need 2 numbers, got [-9.0, -9.0, -9.0]"),
+        ([0, 0], "evolution.reference_point: [0.0, 0.0] must lie strictly below the lowest "
+                 "return the environment admits, [-8.5, -8.5]"),
+    ], ids=["null", "three-numbers", "above-bound"])
+    def test_bad_reference_point_rejected_at_construction(self, reference_point, message):
+        # These used to pass construction and fail only after warmup had trained.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_trainer(reference_point=reference_point)
 
     def test_warmup_requires_enough_policies(self):
         env = make_env("mo_quadratic3")

@@ -95,11 +95,12 @@ class TestConfigValidation:
             apply_overrides({}, ["no-equals-sign"])
 
     @pytest.mark.parametrize("overrides, field", [
-        (["policy.init_scale=null"], "policy.init_scale"),
-        (["policy.log_std_init=abc"], "policy.log_std_init"),
+        # Fields that left the schema are unknown, even at their former defaults.
+        (["policy.init_scale=0.1"], "policy.init_scale"),
+        (["policy.log_std_init=-0.5"], "policy.log_std_init"),
         (["evolution.reference_point=[-9,true]"], "evolution.reference_point"),
         # The wider action box lets returns fall below the default point.
-        (["env.params.action_bound=4", "policy.init_scale=5"], "evolution.reference_point"),
+        (["env.params.action_bound=4"], "evolution.reference_point"),
         # A non-integer horizon used to pass resolve and crash in the first rollout.
         (["env.name=mo_point", "env.params.horizon=1.5"], "horizon"),
         (["env.name=mo_point", "env.params.horizon=true"], "horizon"),
@@ -532,6 +533,79 @@ class TestReportCommand:
         with (out / "frontiers.csv").open() as fh:
             frontier_rows = list(csv.DictReader(fh))
         assert frontier_rows[0]["objective_0"] == "1.0"
+
+    # (name, tag, seed, [(hv, sp or None) per generation], [(objectives, generation, source)])
+    PINNED_RUNS = [
+        ("b0", "beta", 0, [(5.0, 0.5), (6.5, None)],
+         [([2.5, -1.25], 1, "paft_pair"), ([0.1, 3.3], 0, "warmup")]),
+        ("a0", "alpha", 0, [(1.5, 0.3), (2.25, 0.2), (3.1, 0.15)],
+         [([1.0, 2.0], 2, "pareto_ascent")]),
+        ("a1", "alpha", 1, [(1.4, 0.31), (2.0, 0.22), (2.9, 0.1)],
+         [([1.1, 1.9], 1, "paft_extreme")]),
+        ("a2", "alpha", 2, [(1.6, 0.29), (2.4, 0.18), (3.3, 0.12), (3.7, 0.11)],
+         [([0.7, 2.7], 3, "pareto_ascent"), ([1.3, 0.2], 3, "paft_pair")]),
+        ("b1", "beta", 1, [(5.5, None), (7.25, None)],
+         [([2.0, 0.0], 1, "warmup")]),
+    ]
+
+    def test_outputs_pinned_byte_for_byte(self, tmp_path, capsys):
+        # Curves stop at a method's shortest run, the summary takes each run's
+        # own last row, and sparsity is averaged over the rows that define it.
+        run_dirs = []
+        for name, tag, seed, rows, entries in self.PINNED_RUNS:
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "config.yaml").write_text(yaml.safe_dump({"experiment": tag,
+                                                                 "seeds": [seed]}))
+            with (run_dir / "metrics.csv").open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(METRICS_HEADER)
+                for g, (hv, sp) in enumerate(rows):
+                    writer.writerow([g, repr(hv), "undefined" if sp is None else repr(sp),
+                                     g + 1, 0, repr(0.1)])
+            doc = {"schema_version": 1, "experiment_id": tag, "m": 2,
+                   "reference_point": [-3.0, -3.0],
+                   "entries": [{"objectives": objectives, "generation": generation,
+                                "source": source, "checkpoint": "c.json"}
+                               for objectives, generation, source in entries]}
+            (run_dir / "frontier.json").write_text(json.dumps(doc))
+            run_dirs.append(str(run_dir))
+        out = tmp_path / "rep"
+        assert main(["report", *run_dirs, "--out", str(out)]) == 0
+
+        def crlf(*lines):
+            return "".join(line + "\r\n" for line in lines).encode()
+
+        assert capsys.readouterr().out == (
+            "method                    runs       hv mean      hv std       sp mean      sp std\n"
+            "alpha                        3       3.23333    0.339935          0.12   0.0216025\n"
+            "beta                         2         6.875       0.375     undefined   undefined\n"
+            f"report written to {out}\n"
+        )
+        assert (out / "summary.csv").read_bytes() == crlf(
+            "method,runs,hv_mean,hv_std,sp_mean,sp_std",
+            "alpha,3,3.233333333333333,0.3399346342395191,0.12,0.021602468994692862",
+            "beta,2,6.875,0.375,undefined,undefined",
+        )
+        assert (out / "curves.csv").read_bytes() == crlf(
+            "method,generation,hv_mean,hv_std,sp_mean,sp_std",
+            "alpha,0,1.5,0.08164965809277268,0.3,0.008164965809277268",
+            "alpha,1,2.216666666666667,0.16499158227686106,0.20000000000000004,"
+            "0.016329931618554526",
+            "alpha,2,3.1,0.16329931618554516,0.12333333333333334,0.02054804667656325",
+            "beta,0,5.25,0.25,0.5,0.0",
+            "beta,1,6.875,0.375,undefined,undefined",
+        )
+        assert (out / "frontiers.csv").read_bytes() == crlf(
+            "method,seed,generation,source,objective_0,objective_1",
+            "beta,0,1,paft_pair,2.5,-1.25",
+            "beta,0,0,warmup,0.1,3.3",
+            "alpha,0,2,pareto_ascent,1.0,2.0",
+            "alpha,1,1,paft_extreme,1.1,1.9",
+            "alpha,2,3,pareto_ascent,0.7,2.7",
+            "alpha,2,3,paft_pair,1.3,0.2",
+            "beta,1,1,warmup,2.0,0.0",
+        )
 
 
 class TestFrontierExportCommand:

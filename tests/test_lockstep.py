@@ -52,14 +52,13 @@ def trainers(case, seed=0):
 
 
 def outputs(trainer):
-    archive, metrics = trainer.run_training()
-    state = trainer.state
+    state = trainer.run_training()
     return {
         "archive": [(e.params_ref, e.generation, e.source, e.objectives.tobytes(),
-                     e.params.tobytes(), e.critic_params.tobytes()) for e in archive],
+                     e.params.tobytes(), e.critic_params.tobytes()) for e in state.archive],
         "population": [(e.params_ref, e.params.tobytes()) for e in state.population],
         "selection": state.selection_log,
-        "metrics": [{k: v for k, v in row.items() if k != "seconds"} for row in metrics],
+        "metrics": [{k: v for k, v in row.items() if k != "seconds"} for row in state.metrics],
         "next_ref": state.next_ref,
     }
 

@@ -47,7 +47,12 @@ import numpy as np  # noqa: E402
 
 from moascent.archive import hypervolume  # noqa: E402
 from moascent.config import load_config, resolve_config  # noqa: E402
-from moascent.evolution import _GAE_LAMBDA, _gap_edges  # noqa: E402
+from moascent.evolution import (  # noqa: E402
+    _GAE_LAMBDA,
+    _INIT_SCALE,
+    _LOG_STD_INIT,
+    _gap_edges,
+)
 from moascent.harness import build_trainer  # noqa: E402
 from moascent.pareto import min_norm_direction  # noqa: E402
 from moascent.policy import (  # noqa: E402
@@ -67,10 +72,10 @@ def _trainer(workload: str):
 def _lanes(trainer):
     """Initial ``(p, ·)`` policy and critic stacks and one generator per lane."""
     rng = np.random.default_rng(0)
-    upd, p = trainer.update, trainer.evolution.p
-    params = np.stack([trainer.policy.init_params(rng, upd.init_scale, upd.log_std_init)
+    p = trainer.evolution.p
+    params = np.stack([trainer.policy.init_params(rng, _INIT_SCALE, _LOG_STD_INIT)
                        for _ in range(p)])
-    critic = np.stack([trainer.critic.init_params(rng, upd.init_scale) for _ in range(p)])
+    critic = np.stack([trainer.critic.init_params(rng, _INIT_SCALE) for _ in range(p)])
     return params, critic, [np.random.default_rng(lane) for lane in range(p)]
 
 
