@@ -334,8 +334,9 @@ def ascent_weights(grads) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Trainer:
-    """Runs warmup and the generational loop on one environment.
+    """Runs the warm-up (generation 0) and the generations on one environment.
 
+    ``warmup`` and ``run_generation`` plan lanes for one train/evaluate/commit step.
     ``evolution`` and ``update`` are the ``evolution`` and ``policy`` config
     sections, used as they are (``evolution.reference_point`` must be set).
     ``eval_episodes`` and ``paft_enabled`` are the ``eval.episodes`` and
@@ -380,43 +381,24 @@ class Trainer:
         _, _, rewards, _, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
         return mo_return(rewards, self.env.spec.gamma).mean(axis=-2)
 
-    def _snapshot_entries(self, state: TrainingState, params: np.ndarray,
-                          critic_params: np.ndarray, generation: int,
-                          sources) -> list[list[PolicyEntry]]:
-        """Evaluate ``(L, K, ·)`` snapshot stacks in one rollout and wrap them in entries.
-
-        Entries are numbered ``ckpt_%06d`` in lane order, then snapshot order,
-        and returned as one list of K entries per lane.
-        """
-        L, K = params.shape[:2]
-        objectives = self.evaluate(params.reshape(L * K, -1)).reshape(L, K, -1)
-        entries = []
-        for lane, source in enumerate(sources):
-            entries.append([])
-            for k in range(K):
-                ref = f"ckpt_{state.next_ref:06d}"
-                state.next_ref += 1
-                entries[-1].append(PolicyEntry(ref, objectives[lane, k], generation, source,
-                                               params[lane, k], critic_params[lane, k]))
-        return entries
-
-    def _train_lanes(self, params, critic_params, iters, rngs, fixed_weights):
+    def _train_lanes(self, params, critic_params, iters, snapshot_every, rngs, fixed_weights):
         """Run ``iters`` collect-and-update iterations on a stack of L lanes.
 
         ``params`` and ``critic_params`` are ``(L, ·)`` stacks, ``rngs`` holds
         one generator per lane and ``fixed_weights`` one weight vector or
         None per lane. Lanes with None take their weights from one
         minimum-norm solve at the first iteration's batch; a stationary lane
-        falls back to uniform weights for the generation. Returns the final
-        (params, critic_params), the ``(L, K, ·)`` stacks of the K snapshots
-        taken, and the number of stationary fallbacks.
+        falls back to uniform weights for the generation. Returns the
+        ``(L, K, ·)`` stacks of the K snapshots, taken every ``snapshot_every``
+        iterations and after the last (the start when ``iters`` is 0), and
+        the number of stationary fallbacks.
         """
         upd = self.update
         m = self.env.spec.num_objectives
         ascent = [lane for lane, w in enumerate(fixed_weights) if w is None]
         weights = np.array([np.zeros(m) if w is None else w for w in fixed_weights])
         fallbacks = 0
-        snapshots = []
+        snapshots = [] if iters else [(params, critic_params)]
         for it in range(iters):
             batch = collect_batch(
                 self.env, self.policy, params, self.critic, critic_params,
@@ -430,42 +412,67 @@ class Trainer:
             params, critic_params = ppo_update(
                 self.policy, params, self.critic, critic_params, batch, weights, upd
             )
-            if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
+            if (it + 1) % snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
         snap_params = np.stack([p for p, _ in snapshots], axis=1)
         snap_critic = np.stack([c for _, c in snapshots], axis=1)
-        return params, critic_params, (snap_params, snap_critic), fallbacks
+        return snap_params, snap_critic, fallbacks
 
-    def warmup(self, state: TrainingState) -> None:
-        """Train the initial population: one evenly spread weight per policy."""
+    def _generation_step(self, state: TrainingState, generation: int, lanes, params,
+                         critic_params, rngs, iters: int, snapshot_every: int) -> int:
+        """Train, evaluate and commit planned lanes; returns the stationary fallbacks.
+
+        ``lanes`` holds one ``(source, origin entry or None, weights or None)``
+        per lane of the ``params``/``critic_params`` stacks and ``rngs``.
+        Entries ``ckpt_%06d`` go to the archive in lane, then snapshot order;
+        a lane's final entry then replaces its origin (ascent) or is appended
+        to the population (warm-up; fine-tuning only if the archive took it).
+        """
+        snap_params, snap_critic, fallbacks = self._train_lanes(
+            params, critic_params, iters, snapshot_every, rngs, [w for _, _, w in lanes])
+        L, K = snap_params.shape[:2]
+        objectives = self.evaluate(snap_params.reshape(L * K, -1)).reshape(L, K, -1)
+        slot = {e.params_ref: i for i, e in enumerate(state.population)}
+        for lane, (source, origin, _) in enumerate(lanes):
+            for k in range(K):
+                entry = PolicyEntry(f"ckpt_{state.next_ref:06d}", objectives[lane, k],
+                                    generation, source, snap_params[lane, k],
+                                    snap_critic[lane, k])
+                state.next_ref += 1
+                accepted = state.archive.insert(entry)
+            if source == "pareto_ascent":
+                state.population[slot[origin.params_ref]] = entry
+            elif source == "warmup" or accepted:
+                state.population.append(entry)
+        return fallbacks
+
+    def warmup(self, state: TrainingState) -> int:
+        """Plan and run generation 0; returns its stationary fallbacks (always 0).
+
+        Each lane draws a fresh policy, trains ``m_w`` iterations under its
+        evenly spread weight and offers only its final params.
+        """
         cfg = self.evolution
-        m = self.env.spec.num_objectives
-        weight_grid = evenly_spread_weights(m, cfg.p)
+        weight_grid = evenly_spread_weights(self.env.spec.num_objectives, cfg.p)
         rngs = [self._lane_rng(0, lane) for lane in range(cfg.p)]
         inits = [
             (self.policy.init_params(rng, _INIT_SCALE, _LOG_STD_INIT),
              self.critic.init_params(rng, _INIT_SCALE))
             for rng in rngs
         ]
-        params = np.stack([p for p, _ in inits])
-        critic_params = np.stack([c for _, c in inits])
-        if cfg.m_w > 0:
-            params, critic_params, _, _ = self._train_lanes(
-                params, critic_params, cfg.m_w, rngs, fixed_weights=list(weight_grid),
-            )
-        entries = self._snapshot_entries(state, params[:, None], critic_params[:, None], 0,
-                                         ["warmup"] * cfg.p)
-        for (entry,) in entries:
-            state.population.append(entry)
-            state.archive.insert(entry)
+        return self._generation_step(
+            state, 0, [("warmup", None, w) for w in weight_grid],
+            np.stack([p for p, _ in inits]), np.stack([c for _, c in inits]),
+            rngs, cfg.m_w, snapshot_every=cfg.m_w,
+        )
 
     def run_generation(self, state: TrainingState, generation: int) -> int:
-        """Run generation ``generation`` (from 1) on ``state``; returns its stationary fallbacks.
+        """Plan and run generation ``generation`` (from 1); returns its stationary fallbacks.
 
-        Generations after ``M_ft`` give half their lanes to fine-tuning.
-        Every lane's origin, weights and RNG are fixed before training, so
-        all lanes train as one stack and all their snapshots are evaluated
-        in one rollout; entries are then offered to the archive in lane order.
+        PGR picks the population members that ascend their min-norm
+        direction; generations after ``M_ft`` give half their lanes to
+        fine-tuning jobs from ``paft_select`` instead. Each lane starts from
+        its origin entry's params with its own RNG.
         """
         cfg = self.evolution
         p = cfg.p
@@ -479,7 +486,6 @@ class Trainer:
             cfg.reference_point, sel_rng,
             log=state.selection_log, generation=generation,
         )
-        ref_to_slot = {e.params_ref: i for i, e in enumerate(state.population)}
 
         jobs: list[FinetuneJob] = []
         if p_b > 0 and len(state.archive) >= 2:
@@ -499,25 +505,13 @@ class Trainer:
             ("pareto_ascent", entry, None) for entry in selected
         ]
         lanes.extend((_JOB_SOURCE[j.kind], j.policy, j.weights) for j in jobs)
-        sources, origins, fixed_weights = zip(*lanes)
-        _, _, (snap_params, snap_critic), fallbacks = self._train_lanes(
-            np.stack([o.params for o in origins]),
-            np.stack([o.critic_params for o in origins]),
-            cfg.m_iters,
+        return self._generation_step(
+            state, generation, lanes,
+            np.stack([o.params for _, o, _ in lanes]),
+            np.stack([o.critic_params for _, o, _ in lanes]),
             [self._lane_rng(generation, lane) for lane in range(len(lanes))],
-            fixed_weights,
+            cfg.m_iters, cfg.snapshot_every,
         )
-        entries = self._snapshot_entries(state, snap_params, snap_critic, generation, sources)
-        for source, origin, lane_entries in zip(sources, origins, entries):
-            for entry in lane_entries:
-                final_accepted = state.archive.insert(entry)
-            if source == "pareto_ascent":
-                state.population[ref_to_slot[origin.params_ref]] = entry
-            elif final_accepted:
-                # Fine-tuned policies join the population only when their
-                # final snapshot survived the archive update.
-                state.population.append(entry)
-        return fallbacks
 
     def run_training(self) -> TrainingState:
         """Warmup (generation 0) plus all generations; returns the final state.
@@ -528,11 +522,8 @@ class Trainer:
         state = TrainingState(population=[], archive=NonDominatedSet())
         for generation in range(self.evolution.M + 1):
             start = time.perf_counter()
-            if generation == 0:
-                self.warmup(state)
-                fallbacks = 0
-            else:
-                fallbacks = self.run_generation(state, generation)
+            fallbacks = (self.warmup(state) if generation == 0
+                         else self.run_generation(state, generation))
             seconds = time.perf_counter() - start
             points = state.archive.objectives_matrix()
             state.metrics.append({

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -242,7 +242,16 @@ def cmd_eval(args) -> int:
 
 
 def _load_run(run_dir: Path) -> dict:
-    cfg = yaml.safe_load((run_dir / "config.yaml").read_text())
+    path = run_dir / "config.yaml"
+    try:
+        cfg = load_config(path)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    for f in fields(Config):
+        if f.name in ("experiment", "seeds") and not f.metadata["ok"](cfg.get(f.name)):
+            problem = (f"must be {f.metadata['what']}, got {cfg[f.name]!r}" if f.name in cfg
+                       else "is missing")
+            raise ValueError(f"run config {path} field {f.name!r} {problem}")
     metrics = read_metrics_csv(run_dir / "metrics.csv")
     doc, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
     return {

@@ -334,6 +334,7 @@ class PerLaneTrainer(Trainer):
             entry = self._snapshot_entry(state, params, critic_params, 0, "warmup")
             state.population.append(entry)
             state.archive.insert(entry)
+        return 0
 
     def run_generation(self, state, generation):
         cfg = self.evolution

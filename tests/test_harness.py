@@ -36,6 +36,14 @@ TINY = {
 }
 
 
+def named(label, *values):
+    """A parametrize case with the explicit id ``<label>-<last value>``.
+
+    An explicit label keeps a case's id when another case is removed.
+    """
+    return pytest.param(*values, id=f"{label}-{values[-1]}")
+
+
 def write_config(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -96,31 +104,34 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("overrides, field", [
         # Fields that left the schema are unknown, even at their former defaults.
-        (["policy.init_scale=0.1"], "policy.init_scale"),
-        (["policy.log_std_init=-0.5"], "policy.log_std_init"),
-        (["evolution.reference_point=[-9,true]"], "evolution.reference_point"),
+        named("overrides0", ["policy.init_scale=0.1"], "policy.init_scale"),
+        named("overrides1", ["policy.log_std_init=-0.5"], "policy.log_std_init"),
+        named("overrides2", ["evolution.reference_point=[-9,true]"],
+              "evolution.reference_point"),
         # The wider action box lets returns fall below the default point.
-        (["env.params.action_bound=4"], "evolution.reference_point"),
+        named("overrides3", ["env.params.action_bound=4"], "evolution.reference_point"),
         # A non-integer horizon used to pass resolve and crash in the first rollout.
-        (["env.name=mo_point", "env.params.horizon=1.5"], "horizon"),
-        (["env.name=mo_point", "env.params.horizon=true"], "horizon"),
+        named("overrides4", ["env.name=mo_point", "env.params.horizon=1.5"], "horizon"),
+        named("overrides5", ["env.name=mo_point", "env.params.horizon=true"], "horizon"),
         # Booleans and non-finite numbers used to pass as env params.
-        (["env.name=mo_point", "env.params.gamma=true",
-          "evolution.reference_point=[-1000,0]"], "gamma"),
-        (["env.name=mo_point", "env.params.init_noise=true",
-          "evolution.reference_point=[-1000,0]"], "init_noise"),
-        (["env.params.action_bound=.nan"], "action_bound"),
-        (["env.params.targets=[[1,0],[0,.inf]]"], "targets"),
+        named("overrides6", ["env.name=mo_point", "env.params.gamma=true",
+                             "evolution.reference_point=[-1000,0]"], "gamma"),
+        named("overrides7", ["env.name=mo_point", "env.params.init_noise=true",
+                             "evolution.reference_point=[-1000,0]"], "init_noise"),
+        named("overrides8", ["env.params.action_bound=.nan"], "action_bound"),
+        named("overrides9", ["env.params.targets=[[1,0],[0,.inf]]"], "targets"),
         # Out-of-range env params used to train and exit 0.
-        (["env.name=mo_point", "env.params.dt=-0.1"], "dt"),
-        (["env.name=mo_point", "env.params.dt=0"], "dt"),
-        (["env.name=mo_point", "env.params.init_noise=-1"], "init_noise"),
-        (["env.name=mo_point", "env.params.action_bound=-1"], "action_bound"),
-        (["env.name=mo_point", "env.params.damping=1.5"], "damping"),
-        (["env.params.action_bound=-1"], "action_bound"),
-        (["evolution.reference_point=[-9,-9,-9]"], "evolution.reference_point"),
-        (["env.params.foo=1"], "env: environment 'mo_quadratic': MoQuadratic.__init__() "
-                               "got an unexpected keyword argument 'foo'"),
+        named("overrides10", ["env.name=mo_point", "env.params.dt=-0.1"], "dt"),
+        named("overrides11", ["env.name=mo_point", "env.params.dt=0"], "dt"),
+        named("overrides12", ["env.name=mo_point", "env.params.init_noise=-1"], "init_noise"),
+        named("overrides13", ["env.name=mo_point", "env.params.action_bound=-1"], "action_bound"),
+        named("overrides14", ["env.name=mo_point", "env.params.damping=1.5"], "damping"),
+        named("overrides15", ["env.params.action_bound=-1"], "action_bound"),
+        named("overrides16", ["evolution.reference_point=[-9,-9,-9]"],
+              "evolution.reference_point"),
+        named("overrides17", ["env.params.foo=1"],
+              "env: environment 'mo_quadratic': MoQuadratic.__init__() "
+              "got an unexpected keyword argument 'foo'"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -261,9 +272,12 @@ class TestCheckpointHeader:
         ("log_std_min", True, "'policy.log_std_min' must be a finite number, got True"),
         ("log_std_max", float("inf"), "'policy.log_std_max' must be a finite number, got inf"),
         ("log_std_min", 2.0, "'policy.log_std_min' must be below 'policy.log_std_max'"),
-        ("values", {"a": 1}, "'policy.values' must be a list of finite numbers"),
-        ("values", [None] * 20, "'policy.values' must be a list of finite numbers"),
-        ("values", [True] * 20, "'policy.values' must be a list of finite numbers"),
+        named("values-value10", "values", {"a": 1},
+              "'policy.values' must be a list of finite numbers"),
+        named("values-value11", "values", [None] * 20,
+              "'policy.values' must be a list of finite numbers"),
+        named("values-value12", "values", [True] * 20,
+              "'policy.values' must be a list of finite numbers"),
     ])
     def test_bad_policy_value_named(self, tmp_path, capsys, field, value, message):
         policy = GaussianPolicy(1, 2, hidden=4)
@@ -523,6 +537,20 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert str(incomplete) in err and "no complete run" in err
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("", "field 'experiment' is missing", id="empty"),
+        pytest.param("experiment: [unclosed\n", "is not valid YAML", id="not-yaml"),
+        pytest.param("experiment: quad\n", "field 'seeds' is missing", id="no-seeds"),
+        pytest.param("experiment: quad\nseeds: []\n", "field 'seeds' must be", id="empty-seeds"),
+    ])
+    def test_damaged_run_config_named(self, tmp_path, capsys, text, message):
+        # Each of these used to end report in a traceback.
+        run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
+        (run / "config.yaml").write_text(text)
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run / "config.yaml") in err and message in err
+
     def test_curve_and_frontier_files(self, tmp_path):
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
         out = tmp_path / "rep"
@@ -619,25 +647,27 @@ class TestFrontierExportCommand:
         assert json.loads(out.read_text()) == json.loads((run_dir / "frontier.json").read_text())
 
     @pytest.mark.parametrize("change, message", [
-        ({"entries": [3]}, "frontier entry must be a mapping"),
-        ({"entries": 3}, "frontier field 'entries' must be a list"),
-        ({"reference_point": 3}, "frontier field 'reference_point' must be a list"),
-        ({"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
-                       "checkpoint": "c.json"}]},
-         "frontier entry field 'objectives' must be a list"),
-        ({"m": [2]}, "frontier field 'm' must be an integer >= 2, got [2]"),
-        ({"m": True}, "frontier field 'm' must be an integer >= 2, got True"),
-        ({"m": 1, "reference_point": [0.0]}, "frontier field 'm' must be an integer >= 2, got 1"),
-        ({"reference_point": ["a", 0.0]},
-         "frontier field 'reference_point' must be a list of m=2 finite numbers"),
-        ({"reference_point": [True, 0.0]},
-         "frontier field 'reference_point' must be a list of m=2 finite numbers"),
-        ({"entries": [{"objectives": [1.0, float("nan")], "generation": 0, "source": "warmup",
-                       "checkpoint": "c.json"}]},
-         "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
-        ({"entries": [{"objectives": [1.0, False], "generation": 0, "source": "warmup",
-                       "checkpoint": "c.json"}]},
-         "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
+        named("change0", {"entries": [3]}, "frontier entry must be a mapping"),
+        named("change1", {"entries": 3}, "frontier field 'entries' must be a list"),
+        named("change2", {"reference_point": 3},
+              "frontier field 'reference_point' must be a list"),
+        named("change3", {"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
+                                       "checkpoint": "c.json"}]},
+              "frontier entry field 'objectives' must be a list"),
+        named("change4", {"m": [2]}, "frontier field 'm' must be an integer >= 2, got [2]"),
+        named("change5", {"m": True}, "frontier field 'm' must be an integer >= 2, got True"),
+        named("change6", {"m": 1, "reference_point": [0.0]},
+              "frontier field 'm' must be an integer >= 2, got 1"),
+        named("change7", {"reference_point": ["a", 0.0]},
+              "frontier field 'reference_point' must be a list of m=2 finite numbers"),
+        named("change8", {"reference_point": [True, 0.0]},
+              "frontier field 'reference_point' must be a list of m=2 finite numbers"),
+        named("change9", {"entries": [{"objectives": [1.0, float("nan")], "generation": 0,
+                                       "source": "warmup", "checkpoint": "c.json"}]},
+              "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
+        named("change10", {"entries": [{"objectives": [1.0, False], "generation": 0,
+                                        "source": "warmup", "checkpoint": "c.json"}]},
+              "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
     ])
     def test_malformed_document_named(self, tmp_path, capsys, change, message):
         doc = {"schema_version": 1, "experiment_id": "x", "m": 2,

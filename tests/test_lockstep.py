@@ -40,6 +40,14 @@ CASES = {
                       "snapshot_every": 1},
         "eval": {"episodes": 100},
     },
+    # The warm-up offers its untrained start params; a generation's third
+    # iteration is snapshotted as the last one, off the every-2 schedule.
+    "untrained-warmup-off-schedule-snapshot": {
+        "env": {"name": "mo_quadratic"},
+        "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8},
+        "evolution": {"M": 2, "M_ft": 1, "m_iters": 3, "m_w": 0, "p": 6,
+                      "snapshot_every": 2},
+    },
 }
 
 
@@ -63,10 +71,17 @@ def outputs(trainer):
     }
 
 
+def stacked_training(*args, **kwargs):
+    raise AssertionError("the per-lane oracle trained lanes as a stack")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stacked_step_reproduces_per_lane_loop(name):
+def test_stacked_step_reproduces_per_lane_loop(monkeypatch, name):
     stacked, per_lane = trainers(CASES[name])
-    got, want = outputs(stacked), outputs(per_lane)
+    got = outputs(stacked)
+    # The oracle must run its own per-lane path, not the stacked one it checks.
+    monkeypatch.setattr(per_lane, "_train_lanes", stacked_training)
+    want = outputs(per_lane)
     for key in want:
         assert got[key] == want[key], key
     if name == "quadratic3-gap-pairs":
