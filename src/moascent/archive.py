@@ -19,6 +19,7 @@ __all__ = [
     "NonDominatedSet",
     "PolicyEntry",
     "frontier_document",
+    "frontier_entries",
     "hypervolume",
     "parse_frontier",
     "sparsity",
@@ -27,7 +28,7 @@ __all__ = [
 #: Provenance labels an archive entry may carry.
 POLICY_SOURCES = ("warmup", "pareto_ascent", "paft_pair", "paft_extreme")
 
-FRONTIER_SCHEMA_VERSION = 1
+FRONTIER_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -187,29 +188,27 @@ def sparsity(points) -> float | None:
     return total / (n - 1)
 
 
-def frontier_document(
-    ndset: NonDominatedSet,
-    experiment_id: str,
-    reference_point,
-    checkpoint_names: dict[str, str],
-) -> dict:
+def frontier_entries(ndset) -> list[PolicyEntry]:
+    """The members in frontier document order: ascending objective vectors."""
+    return sorted(ndset, key=lambda e: e.objectives.tolist())
+
+
+def frontier_document(ndset, experiment_id: str, reference_point) -> dict:
     """Build the versioned frontier export document.
 
-    ``checkpoint_names`` maps each member's ``params_ref`` to the path of
-    its serialized checkpoint (relative to the run directory).
+    Each entry names its snapshot by ``params_ref``; row k of a run's
+    checkpoint store holds the parameters of ``entries[k]``.
     """
     reference_point = np.asarray(reference_point, dtype=float)
-    entries = []
-    for e in ndset:
-        entries.append(
-            {
-                "objectives": [float(v) for v in e.objectives],
-                "generation": int(e.generation),
-                "source": e.source,
-                "checkpoint": checkpoint_names[e.params_ref],
-            }
-        )
-    entries.sort(key=lambda d: tuple(d["objectives"]))
+    entries = [
+        {
+            "objectives": [float(v) for v in e.objectives],
+            "generation": int(e.generation),
+            "source": e.source,
+            "params_ref": e.params_ref,
+        }
+        for e in frontier_entries(ndset)
+    ]
     m = int(reference_point.size)
     return {
         "schema_version": FRONTIER_SCHEMA_VERSION,
@@ -230,7 +229,8 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
         raise ValueError("frontier document must be a mapping")
     version = doc.get("schema_version")
     if version != FRONTIER_SCHEMA_VERSION:
-        raise ValueError(f"unsupported frontier schema_version: {version!r}")
+        raise ValueError(f"unsupported frontier schema_version: {version!r} (this version reads "
+                         f"{FRONTIER_SCHEMA_VERSION}; version 1 kept one JSON checkpoint per entry)")
     for key in ("experiment_id", "m", "reference_point", "entries"):
         if key not in doc:
             raise ValueError(f"frontier document missing field {key!r}")
@@ -245,9 +245,12 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
     for entry in doc["entries"]:
         if not isinstance(entry, dict):
             raise ValueError(f"frontier entry must be a mapping, got {entry!r}")
-        for key in ("objectives", "generation", "source", "checkpoint"):
+        for key in ("objectives", "generation", "source", "params_ref"):
             if key not in entry:
                 raise ValueError(f"frontier entry missing field {key!r}")
+        if not isinstance(entry["params_ref"], str):
+            raise ValueError(
+                f"frontier entry field 'params_ref' must be a string, got {entry['params_ref']!r}")
         if not _real_list(entry["objectives"], m):
             raise ValueError(
                 f"frontier entry field 'objectives' must be a list of m={m} finite numbers")

@@ -4,8 +4,14 @@ A run is described by a single YAML file (see :mod:`moascent.config` and
 the README schema table) and may be tweaked from the command line with dotted
 ``--override`` paths. Every seed produces one immutable timestamped run
 directory containing the resolved config, the per-generation metrics CSV,
-the frontier JSON with its checkpoints, and the selection log; reports only
+the frontier JSON, the checkpoint store, and the selection log; reports only
 read such directories.
+
+The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
+``(n, P)`` and ``checkpoints/critic.npy`` ``(n, C)``, each written with one
+``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
+store holds no shapes; ``eval`` builds the policy from the run's
+``config.yaml`` (the environment's dimensions and ``policy.hidden``).
 """
 
 from __future__ import annotations
@@ -21,15 +27,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .archive import frontier_document, hypervolume, parse_frontier, sparsity
-from .config import (Config, ConfigError, _is_int, _is_real, load_config, parse_override,
-                     resolve_config)
+from .archive import (PolicyEntry, frontier_document, frontier_entries, hypervolume,
+                      parse_frontier, sparsity)
+from .config import Config, ConfigError, load_config, parse_override, resolve_config
 from .evolution import Trainer
 from .momdp import make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
 
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
     "ConfigError",
     "METRICS_HEADER",
     "build_trainer",
@@ -43,8 +48,6 @@ __all__ = [
 
 METRICS_HEADER = ["generation", "hv", "sp", "archive_size", "stationary_fallbacks", "seconds"]
 
-CHECKPOINT_FORMAT_VERSION = 1
-
 
 def build_trainer(cfg: Config, seed: int) -> Trainer:
     """Instantiate the environment, networks, and trainer for one seed."""
@@ -55,68 +58,92 @@ def build_trainer(cfg: Config, seed: int) -> Trainer:
                    cfg.eval.episodes, cfg.paft.enabled)
 
 
-def save_checkpoint(path: Path, policy: GaussianPolicy, params: np.ndarray,
-                    critic: VectorCritic | None = None,
-                    critic_params: np.ndarray | None = None) -> None:
-    """Write a checkpoint: shape header plus the flat parameter list."""
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "policy": {
-            "state_dim": policy.state_dim,
-            "action_dim": policy.action_dim,
-            "hidden": policy.hidden,
-            "log_std_min": policy.log_std_min,
-            "log_std_max": policy.log_std_max,
-            "values": [float(v) for v in params],
-        },
-    }
-    if critic is not None and critic_params is not None:
-        doc["critic"] = {
-            "state_dim": critic.state_dim,
-            "num_objectives": critic.num_objectives,
-            "hidden": critic.hidden,
-            "values": [float(v) for v in critic_params],
-        }
-    path.write_text(json.dumps(doc, sort_keys=True))
+def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:
+    """Write the checkpoint store: row k of each stack holds ``entries[k]``."""
+    checkpoint_dir.mkdir()
+    np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries]))
+    np.save(checkpoint_dir / "critic.npy", np.stack([e.critic_params for e in entries]))
 
 
-def load_checkpoint(path) -> tuple[GaussianPolicy, np.ndarray]:
-    """Load the policy part of a checkpoint file."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("checkpoint must hold a mapping")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version: {doc.get('format_version')!r}")
-    if "policy" not in doc:
-        raise ValueError("checkpoint missing field 'policy'")
-    head = doc["policy"]
-    if not isinstance(head, dict):
-        raise ValueError("checkpoint field 'policy' must be a mapping")
-    for key in ("state_dim", "action_dim", "hidden", "log_std_min", "log_std_max", "values"):
-        if key not in head:
-            raise ValueError(f"checkpoint missing field 'policy.{key}'")
-    for key, low in (("state_dim", 1), ("action_dim", 1), ("hidden", 0)):
-        if not _is_int(head[key]) or head[key] < low:
-            raise ValueError(
-                f"checkpoint field 'policy.{key}' must be an integer >= {low}, got {head[key]!r}")
-    for key in ("log_std_min", "log_std_max"):
-        if not _is_real(head[key]):
-            raise ValueError(
-                f"checkpoint field 'policy.{key}' must be a finite number, got {head[key]!r}")
-    if head["log_std_min"] >= head["log_std_max"]:
-        raise ValueError("checkpoint field 'policy.log_std_min' must be below 'policy.log_std_max'")
-    if not isinstance(head["values"], list) or not all(_is_real(v) for v in head["values"]):
-        raise ValueError("checkpoint field 'policy.values' must be a list of finite numbers")
-    policy = GaussianPolicy(
-        head["state_dim"], head["action_dim"], head["hidden"],
-        log_std_min=head["log_std_min"], log_std_max=head["log_std_max"],
-    )
-    params = np.asarray(head["values"], dtype=float)
-    if params.size != policy.num_params:
-        raise ValueError(
-            f"checkpoint has {params.size} parameters, shape header implies {policy.num_params}"
-        )
-    return policy, params
+def _run_field(path: Path, cfg: dict, name: str):
+    """The dotted field ``name`` of run config ``cfg`` (read from ``path``), checked."""
+    cls, value = Config, cfg
+    for depth, part in enumerate(name.split(".")):
+        if not isinstance(value, dict):
+            section = ".".join(name.split(".")[:depth])
+            raise ValueError(f"run config {path} field {section!r} must be a mapping, "
+                             f"got {value!r}")
+        if part not in value:
+            raise ValueError(f"run config {path} field {name!r} is missing")
+        f = next(f for f in fields(cls) if f.name == part)
+        cls, value = f.metadata.get("section"), value[part]
+    if not f.metadata["ok"](value):
+        raise ValueError(f"run config {path} field {name!r} must be {f.metadata['what']}, "
+                         f"got {value!r}")
+    return value
+
+
+def _run_config(run_dir: Path, names) -> list:
+    """The values of the dotted fields ``names`` of a run's ``config.yaml``, checked."""
+    path = run_dir / "config.yaml"
+    try:
+        cfg = load_config(path)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    return [_run_field(path, cfg, name) for name in names]
+
+
+def _read_frontier(run_dir: Path) -> tuple[dict, np.ndarray]:
+    path = run_dir / "frontier.json"
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    return parse_frontier(doc)
+
+
+def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
+    """A store file: a finite float64 ``(rows, width)`` array, else ValueError naming it."""
+    try:
+        with path.open("rb") as fh:
+            stack = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"checkpoint store {path} is not a readable .npy array: {exc}") from None
+    if not isinstance(stack, np.ndarray):
+        raise ValueError(f"checkpoint store {path} is not a .npy array")
+    if stack.dtype != np.float64:
+        raise ValueError(f"checkpoint store {path} must hold float64, got {stack.dtype}")
+    if stack.ndim != 2:
+        raise ValueError(f"checkpoint store {path} must be a 2-D stack, got shape {stack.shape}")
+    if stack.shape[1] != width:
+        raise ValueError(f"checkpoint store {path} rows hold {stack.shape[1]} parameters, "
+                         f"the run's network has {width}")
+    if stack.shape[0] != rows:
+        raise ValueError(f"checkpoint store {path} has {stack.shape[0]} rows, "
+                         f"frontier.json has {rows} entries")
+    if not np.isfinite(stack).all():
+        row = int(np.argmin(np.isfinite(stack).all(axis=1)))
+        raise ValueError(f"checkpoint store {path} row {row} holds a non-finite value")
+    return stack
+
+
+def load_checkpoint(run_dir, entry: int) -> tuple[GaussianPolicy, np.ndarray]:
+    """The policy of a run and the parameters of its frontier's ``entries[entry]``."""
+    run_dir = Path(run_dir)
+    doc, _ = _read_frontier(run_dir)
+    n = len(doc["entries"])
+    if not 0 <= entry < n:
+        raise ValueError(f"--entry {entry} is out of range: {run_dir / 'frontier.json'} "
+                         f"has {n} entries")
+    env_name, env_params, hidden = _run_config(run_dir, ("env.name", "env.params",
+                                                         "policy.hidden"))
+    try:
+        spec = make_env(env_name, **env_params).spec
+    except ValueError as exc:
+        raise ValueError(f"run config {run_dir / 'config.yaml'} field 'env': {exc}") from None
+    policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden)
+    stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, policy.num_params)
+    return policy, stack[entry]
 
 
 def _format_value(value) -> str:
@@ -178,18 +205,8 @@ def run_seed(cfg: Config, seed: int) -> Path:
     trainer = build_trainer(cfg, seed)
     state = trainer.run_training()
 
-    checkpoint_dir = run_dir / "checkpoints"
-    checkpoint_dir.mkdir()
-    checkpoint_names = {}
-    for entry in state.archive:
-        rel = f"checkpoints/{entry.params_ref}.json"
-        save_checkpoint(run_dir / rel, trainer.policy, entry.params,
-                        trainer.critic, entry.critic_params)
-        checkpoint_names[entry.params_ref] = rel
-
-    doc = frontier_document(
-        state.archive, cfg.experiment, cfg.evolution.reference_point, checkpoint_names
-    )
+    save_checkpoint(run_dir / "checkpoints", frontier_entries(state.archive))
+    doc = frontier_document(state.archive, cfg.experiment, cfg.evolution.reference_point)
     (run_dir / "frontier.json").write_text(json.dumps(doc, sort_keys=True))
     write_metrics_csv(run_dir / "metrics.csv", state.metrics)
     with (run_dir / "selection.jsonl").open("w") as fh:
@@ -213,7 +230,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    policy, params = load_checkpoint(args.checkpoint)
+    policy, params = load_checkpoint(args.run, args.entry)
     env_params = {}
     for text in args.param or ():
         key, value = parse_override(text)
@@ -223,7 +240,7 @@ def cmd_eval(args) -> int:
     env = make_env(args.env, **env_params)
     if policy.state_dim != env.spec.state_dim or policy.action_dim != env.spec.action_dim:
         raise ValueError(
-            "checkpoint/environment shape mismatch: checkpoint expects "
+            "run/environment shape mismatch: the run's policy expects "
             f"state_dim={policy.state_dim}, action_dim={policy.action_dim}; "
             f"environment {args.env} has state_dim={env.spec.state_dim}, "
             f"action_dim={env.spec.action_dim}"
@@ -242,27 +259,10 @@ def cmd_eval(args) -> int:
 
 
 def _load_run(run_dir: Path) -> dict:
-    path = run_dir / "config.yaml"
-    try:
-        cfg = load_config(path)
-    except ConfigError as exc:
-        raise ValueError(str(exc)) from None
-    for f in fields(Config):
-        if f.name in ("experiment", "seeds") and not f.metadata["ok"](cfg.get(f.name)):
-            problem = (f"must be {f.metadata['what']}, got {cfg[f.name]!r}" if f.name in cfg
-                       else "is missing")
-            raise ValueError(f"run config {path} field {f.name!r} {problem}")
+    tag, seeds = _run_config(run_dir, ("experiment", "seeds"))
     metrics = read_metrics_csv(run_dir / "metrics.csv")
-    doc, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
-    return {
-        "dir": run_dir,
-        "tag": cfg["experiment"],
-        "seed": cfg["seeds"][0],
-        "m": doc["m"],
-        "metrics": metrics,
-        "frontier": doc,
-        "objectives": objectives,
-    }
+    doc, _ = _read_frontier(run_dir)
+    return {"tag": tag, "seed": seeds[0], "m": doc["m"], "metrics": metrics, "frontier": doc}
 
 
 # Files a finished run directory holds; run_seed writes config.yaml first.
@@ -278,8 +278,13 @@ def _stats(rows: list[dict]) -> list:
 
 
 def cmd_report(args) -> int:
-    runs = []
+    runs, seen = [], set()
     for run_dir in map(Path, args.run_dirs):
+        resolved = run_dir.resolve()
+        if resolved in seen:
+            print(f"skipping duplicate run directory {run_dir}", file=sys.stderr)
+            continue
+        seen.add(resolved)
         missing = [name for name in _RUN_FILES if not (run_dir / name).is_file()]
         if missing:
             print(f"skipping incomplete run directory {run_dir}: no {', '.join(missing)}",
@@ -331,8 +336,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_frontier_export(args) -> int:
-    run_dir = Path(args.run_dir)
-    doc, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
+    doc, objectives = _read_frontier(Path(args.run_dir))
     z = np.asarray(doc["reference_point"], dtype=float)
     hv = hypervolume(objectives, z) if objectives.size else 0.0
     sp = sparsity(objectives) if objectives.size else None
@@ -360,8 +364,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dotted config override, e.g. evolution.M=2")
     train.set_defaults(func=cmd_train)
 
-    evaluate = sub.add_parser("eval", help="evaluate a checkpoint deterministically")
-    evaluate.add_argument("--checkpoint", required=True)
+    evaluate = sub.add_parser("eval", help="evaluate a frontier entry's policy deterministically")
+    evaluate.add_argument("--run", required=True, help="run directory")
+    evaluate.add_argument("--entry", type=int, required=True,
+                          help="index k of the policy in frontier.json's entries")
     evaluate.add_argument("--env", required=True)
     evaluate.add_argument("--episodes", type=int, default=8)
     evaluate.add_argument("--param", action="append", default=[],

@@ -247,16 +247,15 @@ class TestFrontierDocument:
         nd = NonDominatedSet()
         nd.insert(entry([1.0, 3.0], ref="a", generation=1, source="pareto_ascent"))
         nd.insert(entry([3.0, 1.0], ref="b", generation=2, source="paft_pair"))
-        return frontier_document(
-            nd, "exp-1", (0.0, 0.0), {"a": "checkpoints/a.json", "b": "checkpoints/b.json"}
-        )
+        return frontier_document(nd, "exp-1", (0.0, 0.0))
 
     def test_schema_fields(self):
         doc = self.build()
         assert set(doc) == {"schema_version", "experiment_id", "m", "reference_point", "entries"}
         assert doc["m"] == 2
         for e in doc["entries"]:
-            assert set(e) == {"objectives", "generation", "source", "checkpoint"}
+            assert set(e) == {"objectives", "generation", "source", "params_ref"}
+        assert [e["params_ref"] for e in doc["entries"]] == ["a", "b"]
 
     def test_round_trips_through_json(self):
         doc = self.build()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 import yaml
 
 from moascent import evolution
-from moascent.archive import hypervolume, parse_frontier, sparsity
+from moascent.archive import (NonDominatedSet, PolicyEntry, frontier_document, frontier_entries,
+                              hypervolume, parse_frontier, sparsity)
 from moascent.config import apply_overrides, load_config
 from moascent.evolution import Trainer
 from moascent.harness import (
@@ -48,6 +50,29 @@ def write_config(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def stored_run(tmp_path, rows, env="mo_quadratic", hidden=8):
+    """A run directory whose frontier entry k is the policy ``rows[k]``, stored as ``run_seed`` does.
+
+    ``config.yaml`` is ``TINY`` on ``env`` with ``policy.hidden=hidden``.
+    """
+    cfg = resolve_config(dict(TINY, env={"name": env}, policy=dict(TINY["policy"], hidden=hidden)))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.yaml").write_text(yaml.safe_dump(asdict(cfg), sort_keys=True))
+    archive = NonDominatedSet()
+    for k, params in enumerate(rows):  # ascending objectives keep the rows in order
+        archive.insert(PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
+                                   params, np.zeros(3)))
+    save_checkpoint(run_dir / "checkpoints", frontier_entries(archive))
+    doc = frontier_document(archive, "tiny", cfg.evolution.reference_point)
+    (run_dir / "frontier.json").write_text(json.dumps(doc))
+    return run_dir
+
+
+def eval_run(run_dir, *args, env="mo_quadratic"):
+    return main(["eval", "--run", str(run_dir), "--env", env, *args])
 
 
 def train(tmp_path, cfg=None, extra_args=()):
@@ -207,86 +232,247 @@ class TestShippedConfigs:
         assert discounts and all(gamma == spec == 0.9 for gamma, spec in discounts)
 
 
+def train_keeping_state(tmp_path, monkeypatch):
+    """Train one seed through the CLI; returns its run directory, trainer and final state."""
+    kept = []
+    run_training = Trainer.run_training
+
+    def keeping(trainer):
+        kept.append((trainer, run_training(trainer)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(Trainer, "run_training", keeping)
+    (run_dir,) = train(tmp_path)
+    ((trainer, state),) = kept
+    return run_dir, trainer, state
+
+
 class TestCheckpointIO:
-    def test_round_trip(self, tmp_path):
-        policy = GaussianPolicy(3, 2, hidden=16)
-        params = policy.init_params(np.random.default_rng(0), 0.1, -0.5)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, policy, params)
-        loaded_policy, loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded, params)
-        assert loaded_policy.hidden == 16
-        assert loaded_policy.num_params == policy.num_params
+    """The checkpoint store: row k of each stack holds frontier.json's entries[k]."""
+
+    def test_round_trip(self, tmp_path, monkeypatch):
+        run_dir, _, state = train_keeping_state(tmp_path, monkeypatch)
+        doc, _ = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
+        policy = np.load(run_dir / "checkpoints" / "policy.npy", allow_pickle=False)
+        critic = np.load(run_dir / "checkpoints" / "critic.npy", allow_pickle=False)
+        archive = {e.params_ref: e for e in state.archive}
+        assert policy.shape[0] == critic.shape[0] == len(doc["entries"]) == len(archive) > 1
+        for k, item in enumerate(doc["entries"]):
+            entry = archive[item["params_ref"]]
+            assert item["objectives"] == entry.objectives.tolist()
+            assert policy[k].tobytes() == entry.params.tobytes()
+            assert critic[k].tobytes() == entry.critic_params.tobytes()
+
+    def test_stack_evaluates_to_the_frontier(self, tmp_path, monkeypatch):
+        run_dir, trainer, _ = train_keeping_state(tmp_path, monkeypatch)
+        _, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
+        policy = np.load(run_dir / "checkpoints" / "policy.npy", allow_pickle=False)
+        assert trainer.evaluate(policy).tobytes() == objectives.tobytes()
+
+    @pytest.mark.parametrize("evolution_m", [0, 3])
+    def test_store_is_two_files_whatever_the_archive_size(self, tmp_path, evolution_m):
+        cfg = dict(TINY, evolution=dict(TINY["evolution"], M=evolution_m, M_ft=None))
+        (run_dir,) = train(tmp_path, cfg)
+        doc, _ = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
+        assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == [
+            "critic.npy", "policy.npy"]
+        for name in ("critic.npy", "policy.npy"):
+            stack = np.load(run_dir / "checkpoints" / name, allow_pickle=False)
+            assert stack.shape[0] == len(doc["entries"])
 
     def test_corrupt_length_rejected(self, tmp_path):
-        policy = GaussianPolicy(2, 1, hidden=0)
-        params = policy.init_params(np.random.default_rng(0), 0.1, -0.5)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, policy, params)
-        doc = json.loads(path.read_text())
-        doc["policy"]["values"].append(0.0)
-        path.write_text(json.dumps(doc))
+        policy = GaussianPolicy(1, 2, hidden=8)
+        run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)] * 2)
+        np.save(run_dir / "checkpoints" / "policy.npy", np.zeros((2, policy.num_params + 1)))
         with pytest.raises(ValueError, match="parameters"):
-            load_checkpoint(path)
+            load_checkpoint(run_dir, 0)
 
 
-class TestCheckpointHeader:
-    FIELDS = ("state_dim", "action_dim", "hidden", "log_std_min", "log_std_max", "values")
+def _save_zip(path, stack):
+    with path.open("wb") as fh:
+        np.savez(fh, stack)
 
-    def eval_doc(self, tmp_path, doc):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps(doc))
-        return main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic"])
+
+def _edit_config(edit):
+    """A damage that applies ``edit`` to a run's ``config.yaml`` mapping; returns the file."""
+    def damage(run_dir):
+        path = run_dir / "config.yaml"
+        cfg = yaml.safe_load(path.read_text())
+        edit(cfg)
+        path.write_text(yaml.safe_dump(cfg))
+        return path
+    return damage
+
+
+def _edit_policy_stack(edit):
+    """A damage that applies ``edit(path, stack)`` to a run's ``policy.npy``; returns the file."""
+    def damage(run_dir):
+        path = run_dir / "checkpoints" / "policy.npy"
+        edit(path, np.load(path))
+        return path
+    return damage
+
+
+class _StoredRunCase:
+    """A stored three-entry run to damage, and the check that ``eval`` names the damage."""
+
+    WIDTH = GaussianPolicy(1, 2, hidden=8).num_params
+
+    def run(self, tmp_path):
+        rng = np.random.default_rng(0)
+        return stored_run(tmp_path, [rng.standard_normal(self.WIDTH) for _ in range(3)])
+
+    def assert_named(self, capsys, *parts):
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
+        assert all(part in err for part in parts), err
+
+    def assert_eval_names(self, tmp_path, capsys, damage, message):
+        run_dir = self.run(tmp_path)
+        path = damage(run_dir)
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, str(path), message)
+
+
+class TestCheckpointHeader(_StoredRunCase):
+    """The fields of the former JSON checkpoint header, damaged where a run keeps them now.
+
+    ``state_dim`` and ``action_dim`` are the dimensions of ``config.yaml``'s ``env``,
+    ``hidden`` is its ``policy.hidden`` and ``values`` is the ``checkpoints/policy.npy``
+    stack. Each case keeps the id it had under the header (the ``values`` ids still quote
+    the header's message); the log-std bounds are no longer stored, so their cases are gone.
+    """
 
     def test_missing_policy_named(self, tmp_path, capsys):
-        assert self.eval_doc(tmp_path, {"format_version": 1}) == 1
-        assert "error: checkpoint missing field 'policy'" in capsys.readouterr().err
+        self.assert_eval_names(tmp_path, capsys, _edit_config(lambda cfg: cfg.pop("policy")),
+                               "field 'policy.hidden' is missing")
 
     def test_non_mapping_checkpoint_named(self, tmp_path, capsys):
-        assert self.eval_doc(tmp_path, [1]) == 1
-        assert "error: checkpoint must hold a mapping" in capsys.readouterr().err
+        def damage(run_dir):
+            (run_dir / "config.yaml").write_text("[1]\n")
+            return run_dir / "config.yaml"
+
+        self.assert_eval_names(tmp_path, capsys, damage, "must hold a mapping, got list")
 
     def test_non_mapping_policy_named(self, tmp_path, capsys):
-        assert self.eval_doc(tmp_path, {"format_version": 1, "policy": 3}) == 1
-        assert "error: checkpoint field 'policy' must be a mapping" in capsys.readouterr().err
+        self.assert_eval_names(tmp_path, capsys, _edit_config(lambda cfg: cfg.update(policy=3)),
+                               "field 'policy' must be a mapping, got 3")
 
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_missing_policy_key_named(self, tmp_path, capsys, field):
-        policy = GaussianPolicy(1, 2, hidden=4)
-        path = tmp_path / "full.json"
-        save_checkpoint(path, policy, np.zeros(policy.num_params))
-        doc = json.loads(path.read_text())
-        del doc["policy"][field]
-        assert self.eval_doc(tmp_path, doc) == 1
-        assert f"error: checkpoint missing field 'policy.{field}'" in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("state_dim", "a", "'policy.state_dim' must be an integer >= 1, got 'a'"),
-        ("state_dim", True, "'policy.state_dim' must be an integer >= 1, got True"),
-        ("action_dim", 0, "'policy.action_dim' must be an integer >= 1, got 0"),
-        ("action_dim", 2.0, "'policy.action_dim' must be an integer >= 1, got 2.0"),
-        ("hidden", -1, "'policy.hidden' must be an integer >= 0, got -1"),
-        ("hidden", False, "'policy.hidden' must be an integer >= 0, got False"),
-        ("log_std_min", "x", "'policy.log_std_min' must be a finite number, got 'x'"),
-        ("log_std_min", True, "'policy.log_std_min' must be a finite number, got True"),
-        ("log_std_max", float("inf"), "'policy.log_std_max' must be a finite number, got inf"),
-        ("log_std_min", 2.0, "'policy.log_std_min' must be below 'policy.log_std_max'"),
-        named("values-value10", "values", {"a": 1},
-              "'policy.values' must be a list of finite numbers"),
-        named("values-value11", "values", [None] * 20,
-              "'policy.values' must be a list of finite numbers"),
-        named("values-value12", "values", [True] * 20,
-              "'policy.values' must be a list of finite numbers"),
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(_edit_config(lambda cfg: cfg.pop("env")),
+                     "field 'env.name' is missing", id="state_dim"),
+        pytest.param(_edit_config(lambda cfg: cfg["env"].pop("name")),
+                     "field 'env.name' is missing", id="action_dim"),
+        pytest.param(_edit_config(lambda cfg: cfg["policy"].pop("hidden")),
+                     "field 'policy.hidden' is missing", id="hidden"),
+        pytest.param(_edit_policy_stack(lambda path, stack: path.unlink()),
+                     "No such file", id="values"),
     ])
-    def test_bad_policy_value_named(self, tmp_path, capsys, field, value, message):
-        policy = GaussianPolicy(1, 2, hidden=4)
-        path = tmp_path / "full.json"
-        save_checkpoint(path, policy, np.zeros(policy.num_params))
-        doc = json.loads(path.read_text())
-        doc["policy"][field] = value
-        assert self.eval_doc(tmp_path, doc) == 1
-        assert f"error: checkpoint field {message}" in capsys.readouterr().err
+    def test_missing_policy_key_named(self, tmp_path, capsys, damage, message):
+        self.assert_eval_names(tmp_path, capsys, damage, message)
+
+    HIDDEN = "'policy.hidden' must be an integer >= 0"
+    VALUES = "'policy.values' must be a list of finite numbers"
+
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(_edit_config(lambda cfg: cfg["policy"].update(hidden=-1)),
+                     f"field {HIDDEN} (0 selects a linear map), got -1",
+                     id=f"hidden--1-{HIDDEN}, got -1"),
+        pytest.param(_edit_config(lambda cfg: cfg["policy"].update(hidden=False)),
+                     f"field {HIDDEN} (0 selects a linear map), got False",
+                     id=f"hidden-False-{HIDDEN}, got False"),
+        pytest.param(_edit_policy_stack(lambda path, stack: path.write_text("values: [0.5]\n")),
+                     "is not a readable .npy array", id=f"values-value10-{VALUES}"),
+        pytest.param(_edit_policy_stack(lambda path, stack: np.save(path, stack.astype(object))),
+                     "is not a readable .npy array", id=f"values-value11-{VALUES}"),
+        pytest.param(_edit_policy_stack(lambda path, stack: np.save(path, stack > 0)),
+                     "must hold float64, got bool", id=f"values-value12-{VALUES}"),
+    ])
+    def test_bad_policy_value_named(self, tmp_path, capsys, damage, message):
+        self.assert_eval_names(tmp_path, capsys, damage, message)
+
+
+class TestDamagedStore(_StoredRunCase):
+    """``eval`` exits 1 naming the damaged file or field, never with a traceback."""
+
+    # (id, damage(path, the stored (3, WIDTH) stack), message)
+    DAMAGE = [
+        ("empty", lambda path, stack: path.write_bytes(b""), "is not a readable .npy array"),
+        ("zip-archive", _save_zip, "is not a .npy array"),
+        ("float32", lambda path, stack: np.save(path, stack.astype(np.float32)),
+         "must hold float64, got float32"),
+        ("one-dimensional", lambda path, stack: np.save(path, stack[0]),
+         "must be a 2-D stack, got shape"),
+        ("width", lambda path, stack: np.save(path, stack[:, :-1]),
+         f"rows hold {_StoredRunCase.WIDTH - 1} parameters, "
+         f"the run's network has {_StoredRunCase.WIDTH}"),
+        ("rows", lambda path, stack: np.save(path, stack[:2]),
+         "has 2 rows, frontier.json has 3 entries"),
+    ]
+
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(_edit_policy_stack(case[1]), case[2], id=case[0]) for case in DAMAGE])
+    def test_damaged_policy_stack_named(self, tmp_path, capsys, damage, message):
+        self.assert_eval_names(tmp_path, capsys, damage, message)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named(self, tmp_path, capsys, value):
+        run_dir = self.run(tmp_path)
+        path = run_dir / "checkpoints" / "policy.npy"
+        stack = np.load(path)
+        stack[2, 5] = value
+        np.save(path, stack)
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, str(path), "row 2 holds a non-finite value")
+
+    @pytest.mark.parametrize("entry", ["3", "-1"])
+    def test_entry_out_of_range_named(self, tmp_path, capsys, entry):
+        run_dir = self.run(tmp_path)
+        assert eval_run(run_dir, "--entry", entry) == 1
+        self.assert_named(capsys, f"--entry {entry} is out of range",
+                          str(run_dir / "frontier.json"), "has 3 entries")
+
+    def test_schema_version_1_frontier_named(self, tmp_path, capsys):
+        run_dir = self.run(tmp_path)
+        doc = json.loads((run_dir / "frontier.json").read_text())
+        doc["schema_version"] = 1
+        for item in doc["entries"]:
+            item["checkpoint"] = f"checkpoints/{item.pop('params_ref')}.json"
+        (run_dir / "frontier.json").write_text(json.dumps(doc))
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, "unsupported frontier schema_version: 1")
+
+    def test_frontier_that_is_not_json_named(self, tmp_path, capsys):
+        run_dir = self.run(tmp_path)
+        (run_dir / "frontier.json").write_text("entries: []\n")
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, str(run_dir / "frontier.json"), "is not valid JSON")
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("", "field 'env.name' is missing", id="empty"),
+        pytest.param("env: [unclosed\n", "is not valid YAML", id="not-yaml"),
+        pytest.param("env: 3\n", "field 'env' must be a mapping, got 3", id="env-not-mapping"),
+        pytest.param("env: {name: mo_nowhere, params: {}}\npolicy: {hidden: 8}\n",
+                     "field 'env': unknown environment", id="unknown-env"),
+        pytest.param("env: {name: mo_quadratic, params: {foo: 1}}\npolicy: {hidden: 8}\n",
+                     "field 'env': environment 'mo_quadratic'", id="bad-env-param"),
+    ])
+    def test_damaged_run_config_named(self, tmp_path, capsys, text, message):
+        run_dir = self.run(tmp_path)
+        (run_dir / "config.yaml").write_text(text)
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, str(run_dir / "config.yaml"), message)
+
+    def test_hidden_width_that_does_not_match_the_store_named(self, tmp_path, capsys):
+        # The shapes come from config.yaml alone, so a changed width shows as a bad store.
+        run_dir = self.run(tmp_path)
+        cfg = yaml.safe_load((run_dir / "config.yaml").read_text())
+        cfg["policy"]["hidden"] = 4
+        (run_dir / "config.yaml").write_text(yaml.safe_dump(cfg))
+        assert eval_run(run_dir, "--entry", "0") == 1
+        width = GaussianPolicy(1, 2, hidden=4).num_params
+        self.assert_named(capsys, "policy.npy",
+                          f"rows hold {self.WIDTH} parameters, the run's network has {width}")
 
 
 class TestTrainCommand:
@@ -299,9 +485,9 @@ class TestTrainCommand:
         doc, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
         assert doc["experiment_id"] == "tiny"
         assert len(objectives) >= 1
-        # every frontier checkpoint exists and loads
-        for entry in doc["entries"]:
-            policy, params = load_checkpoint(run_dir / entry["checkpoint"])
+        # every frontier entry's policy loads from the checkpoint store
+        for k in range(len(doc["entries"])):
+            policy, params = load_checkpoint(run_dir, k)
             assert params.size == policy.num_params
 
     def test_unwritable_output_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
@@ -380,11 +566,9 @@ class TestEvalCommand:
         # squared norm of its target.
         env = make_env("mo_quadratic")
         policy = GaussianPolicy(1, 2, hidden=8)
-        path = tmp_path / "zero.json"
-        save_checkpoint(path, policy, np.zeros(policy.num_params))
+        run_dir = stored_run(tmp_path, [np.ones(policy.num_params), np.zeros(policy.num_params)])
         out = tmp_path / "episodes.csv"
-        assert main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic",
-                     "--episodes", "3", "--out", str(out)]) == 0
+        assert eval_run(run_dir, "--entry", "1", "--episodes", "3", "--out", str(out)) == 0
         printed = capsys.readouterr().out
         want = -np.sum(env.targets**2, axis=1)
         mean = np.array([float(v) for v in printed.split(":")[1].split()])
@@ -398,10 +582,8 @@ class TestEvalCommand:
         env = make_env("mo_quadratic")
         policy = GaussianPolicy(1, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(3), 0.1, -0.5)
-        path = tmp_path / "p.json"
-        save_checkpoint(path, policy, params)
-        assert main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic",
-                     "--episodes", "1"]) == 0
+        run_dir = stored_run(tmp_path, [params])
+        assert eval_run(run_dir, "--entry", "0", "--episodes", "1") == 0
         printed = capsys.readouterr().out
         mean = np.array([float(v) for v in printed.split(":")[1].split()])
         _, _, rewards, _, _ = run_episode(env, policy, params, [0])
@@ -409,22 +591,26 @@ class TestEvalCommand:
 
     def test_shape_mismatch_names_dimensions(self, tmp_path, capsys):
         policy = GaussianPolicy(1, 2, hidden=4)
-        path = tmp_path / "p.json"
-        save_checkpoint(path, policy, np.zeros(policy.num_params))
-        assert main(["eval", "--checkpoint", str(path), "--env", "mo_point"]) == 1
+        run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)], hidden=4)
+        assert eval_run(run_dir, "--entry", "0", env="mo_point") == 1
         err = capsys.readouterr().err
         assert "state_dim=1" in err and "state_dim=4" in err
-
 
     def test_unknown_env_param_exits_1_naming_it(self, tmp_path, capsys):
         # The environment's TypeError used to end eval in a traceback.
         policy = GaussianPolicy(1, 2, hidden=4)
-        path = tmp_path / "p.json"
-        save_checkpoint(path, policy, np.zeros(policy.num_params))
-        assert main(["eval", "--checkpoint", str(path), "--env", "mo_quadratic",
-                     "--param", "foo=1"]) == 1
+        run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)], hidden=4)
+        assert eval_run(run_dir, "--entry", "0", "--param", "foo=1") == 1
         err = capsys.readouterr().err
         assert "error: environment 'mo_quadratic': " in err and "'foo'" in err
+
+    def test_trained_run_replays_its_frontier(self, tmp_path, capsys):
+        # Every entry of a trained run loads from the store and rolls out.
+        (run_dir,) = train(tmp_path)
+        doc, _ = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
+        for k in range(len(doc["entries"])):
+            assert eval_run(run_dir, "--entry", str(k), "--episodes", "2") == 0
+        assert capsys.readouterr().out.count("mean objectives:") == len(doc["entries"])
 
 
 class TestReportCommand:
@@ -440,7 +626,7 @@ class TestReportCommand:
             writer.writerow([0, repr(final_hv / 2), repr(final_sp), 1, 0, repr(0.1)])
             writer.writerow([1, repr(final_hv), repr(final_sp), 2, 0, repr(0.1)])
         doc = {
-            "schema_version": 1,
+            "schema_version": 2,
             "experiment_id": tag,
             "m": m,
             "reference_point": reference_point or [0.0] * m,
@@ -449,7 +635,7 @@ class TestReportCommand:
                     "objectives": [1.0] * m,
                     "generation": 1,
                     "source": "warmup",
-                    "checkpoint": "checkpoints/none.json",
+                    "params_ref": "ckpt_000000",
                 }
             ],
         }
@@ -529,6 +715,22 @@ class TestReportCommand:
             rows = list(csv.DictReader(fh))
         assert [(r["method"], r["runs"]) for r in rows] == [("quad", "1")]
 
+    def test_run_given_twice_counts_once(self, tmp_path, capsys):
+        # Overlapping globs used to count a run once per match, biasing every
+        # mean and std.
+        first = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
+        second = self.fake_run(tmp_path, "r1", "quad", 1, 6.0, 0.7)
+        again = second / ".." / "r0"
+        out = tmp_path / "rep"
+        assert main(["report", str(first), str(second), str(again), str(second),
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == (f"skipping duplicate run directory {again}\n"
+                       f"skipping duplicate run directory {second}\n")
+        with (out / "summary.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["runs"], float(row["hv_mean"]), float(row["hv_std"])) == ("2", 5.0, 1.0)
+
     def test_no_complete_run_is_an_error(self, tmp_path, capsys):
         incomplete = tmp_path / "r1"
         incomplete.mkdir()
@@ -591,10 +793,10 @@ class TestReportCommand:
                 for g, (hv, sp) in enumerate(rows):
                     writer.writerow([g, repr(hv), "undefined" if sp is None else repr(sp),
                                      g + 1, 0, repr(0.1)])
-            doc = {"schema_version": 1, "experiment_id": tag, "m": 2,
+            doc = {"schema_version": 2, "experiment_id": tag, "m": 2,
                    "reference_point": [-3.0, -3.0],
                    "entries": [{"objectives": objectives, "generation": generation,
-                                "source": source, "checkpoint": "c.json"}
+                                "source": source, "params_ref": "c"}
                                for objectives, generation, source in entries]}
             (run_dir / "frontier.json").write_text(json.dumps(doc))
             run_dirs.append(str(run_dir))
@@ -652,7 +854,7 @@ class TestFrontierExportCommand:
         named("change2", {"reference_point": 3},
               "frontier field 'reference_point' must be a list"),
         named("change3", {"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
-                                       "checkpoint": "c.json"}]},
+                                       "params_ref": "c"}]},
               "frontier entry field 'objectives' must be a list"),
         named("change4", {"m": [2]}, "frontier field 'm' must be an integer >= 2, got [2]"),
         named("change5", {"m": True}, "frontier field 'm' must be an integer >= 2, got True"),
@@ -663,14 +865,14 @@ class TestFrontierExportCommand:
         named("change8", {"reference_point": [True, 0.0]},
               "frontier field 'reference_point' must be a list of m=2 finite numbers"),
         named("change9", {"entries": [{"objectives": [1.0, float("nan")], "generation": 0,
-                                       "source": "warmup", "checkpoint": "c.json"}]},
+                                       "source": "warmup", "params_ref": "c"}]},
               "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
         named("change10", {"entries": [{"objectives": [1.0, False], "generation": 0,
-                                        "source": "warmup", "checkpoint": "c.json"}]},
+                                        "source": "warmup", "params_ref": "c"}]},
               "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
     ])
     def test_malformed_document_named(self, tmp_path, capsys, change, message):
-        doc = {"schema_version": 1, "experiment_id": "x", "m": 2,
+        doc = {"schema_version": 2, "experiment_id": "x", "m": 2,
                "reference_point": [0.0, 0.0], "entries": [], **change}
         (tmp_path / "frontier.json").write_text(json.dumps(doc))
         assert main(["frontier-export", str(tmp_path)]) == 1

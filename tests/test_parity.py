@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
@@ -12,11 +13,12 @@ _spec.loader.exec_module(parity)
 
 
 def run_dir(root: Path, name: str, seconds="0.25", output_dir="runs", hv="4.5",
-            checkpoint='{"values": [0.5, -1.0]}') -> Path:
+            policy=(0.5, -1.0)) -> Path:
     """A tiny run directory holding every file the tool compares."""
     path = root / name
     (path / "checkpoints").mkdir(parents=True)
-    (path / "checkpoints" / "ckpt_000000.json").write_text(checkpoint)
+    np.save(path / "checkpoints" / "policy.npy", np.array([policy]))
+    np.save(path / "checkpoints" / "critic.npy", np.array([[0.25]]))
     (path / "frontier.json").write_text('{"entries": [], "m": 2}')
     (path / "selection.jsonl").write_text('{"kind": "pgr"}\n')
     (path / "metrics.csv").write_text(
@@ -33,7 +35,7 @@ def test_outputs_that_may_differ_are_ignored(tmp_path, change):
 
 
 @pytest.mark.parametrize("change, named", [
-    ({"checkpoint": '{"values": [0.5, -1.5]}'}, ["checkpoints/"]),
+    ({"policy": (0.5, -1.5)}, ["checkpoints/"]),
     ({"hv": "4.6"}, ["metrics.csv"]),
 ], ids=["checkpoint-byte", "metrics-value"])
 def test_a_changed_output_is_named(tmp_path, change, named):

@@ -14,6 +14,10 @@ Times one call of each function below, many times over, in this process:
 - ``hypervolume`` of random 2-D and 3-D fronts of 1000 points;
 - ``_gap_edges`` (PA-FT's gap search) on random 3-objective fronts of 100
   and 250 points, and of 500 with ``--full`` (several seconds a call).
+- ``save_checkpoint`` writing the checkpoint store of a 1000-entry archive
+  at the ``quad2`` workload's network sizes into a temporary directory;
+  each call first removes the store the previous call wrote, and that
+  removal is timed with it.
 
 The shapes come from ``perfbench/run.py``'s workloads. Run from anywhere:
 
@@ -35,8 +39,10 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -45,7 +51,7 @@ sys.path.insert(0, str(HERE / "src"))
 
 import numpy as np  # noqa: E402
 
-from moascent.archive import hypervolume  # noqa: E402
+from moascent.archive import PolicyEntry, hypervolume  # noqa: E402
 from moascent.config import load_config, resolve_config  # noqa: E402
 from moascent.evolution import (  # noqa: E402
     _GAE_LAMBDA,
@@ -53,7 +59,7 @@ from moascent.evolution import (  # noqa: E402
     _LOG_STD_INIT,
     _gap_edges,
 )
-from moascent.harness import build_trainer  # noqa: E402
+from moascent.harness import build_trainer, save_checkpoint  # noqa: E402
 from moascent.pareto import min_norm_direction  # noqa: E402
 from moascent.policy import (  # noqa: E402
     collect_batch,
@@ -85,8 +91,13 @@ def _front(n: int, m: int, seed: int) -> np.ndarray:
     return P / np.linalg.norm(P, axis=1, keepdims=True)
 
 
-def cases(full: bool) -> list:
-    """(row name, per-call divisor, zero-argument call) for each row."""
+def _rewrite_store(store: Path, entries: list) -> None:
+    shutil.rmtree(store, ignore_errors=True)
+    save_checkpoint(store, entries)
+
+
+def cases(full: bool, scratch: Path) -> list:
+    """(row name, per-call divisor, zero-argument call) for each row; files go under ``scratch``."""
     out = []
     point = _trainer("point")
     params, _, rngs = _lanes(point)
@@ -120,6 +131,14 @@ def cases(full: bool) -> list:
     for n in (100, 250) + ((500,) if full else ()):
         P = _front(n, 3, seed=n)
         out.append((f"gap_edges.3d_n{n}", 1, lambda P=P: _gap_edges(P)))
+    quad2 = _trainer("quad2")
+    rng = np.random.default_rng(0)
+    entries = [PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
+                           rng.standard_normal(quad2.policy.num_params),
+                           rng.standard_normal(quad2.critic.num_params))
+               for k in range(1000)]
+    out.append(("save_checkpoint.quad2_n1000", 1,
+                lambda: _rewrite_store(scratch / "checkpoints", entries)))
     return out
 
 
@@ -145,9 +164,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     repeats, min_repeat_s = (3, 0.01) if args.quick else (9, 0.2)
     rows = {}
-    for name, divisor, call in cases(args.full):
-        rows[name] = time_call(call, repeats, min_repeat_s) / divisor
-        print(f"{name:28s} {rows[name] * 1e6:12.1f} us", flush=True)
+    with tempfile.TemporaryDirectory(prefix="microbench-") as scratch:
+        for name, divisor, call in cases(args.full, Path(scratch)):
+            rows[name] = time_call(call, repeats, min_repeat_s) / divisor
+            print(f"{name:28s} {rows[name] * 1e6:12.1f} us", flush=True)
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "repeats": repeats, "rows": rows}))
     return 0

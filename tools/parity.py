@@ -4,8 +4,8 @@ Trains every shipped config, and every benchmark workload of
 ``perfbench/run.py`` as a ``bench-<name>`` run, in this tree and in
 ``<other-tree>`` at each seed, and compares what the runs write:
 
-- ``frontier.json``, ``selection.jsonl`` and every file in ``checkpoints/``
-  byte for byte;
+- ``frontier.json``, ``selection.jsonl`` and the checkpoint store
+  (``checkpoints/policy.npy`` and ``checkpoints/critic.npy``) byte for byte;
 - ``metrics.csv`` without its wall-clock ``seconds`` column;
 - ``config.yaml`` without ``output_dir``.
 
