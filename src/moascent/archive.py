@@ -9,6 +9,7 @@ JSON export schema for frontiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -100,15 +101,14 @@ class NonDominatedSet:
             raise ValueError(
                 f"objective length mismatch: entry has {c.shape[0]}, set has {P.shape[1]}"
             )
-        if bool(np.any(np.all(P == c, axis=1))):
-            return False  # duplicate objective vector: keep the earlier entry
-        ge = P >= c
-        if bool(np.any(np.all(ge, axis=1) & np.any(P > c, axis=1))):
-            return False  # dominated by a member
-        dominated_members = np.all(c >= P, axis=1) & np.any(c > P, axis=1)
-        if np.any(dominated_members):
-            self.entries = [e for e, dead in zip(self.entries, dominated_members) if not dead]
-            P = P[~dominated_members]
+        if (P >= c).all(1).any():
+            return False  # a member equals or dominates c: keep the earlier entry
+        # No member is >= c everywhere, so c >= P means c strictly dominates P.
+        dominated = (c >= P).all(1)
+        if dominated.any():
+            kept = ~dominated
+            self.entries = list(compress(self.entries, kept))
+            P = P[kept]
         self.entries.append(entry)
         self._objectives = np.concatenate([P, c[None]])
         return True

@@ -36,6 +36,7 @@ __all__ = [
     "FinetuneJob",
     "Trainer",
     "TrainingState",
+    "eval_seeds",
     "evenly_spread_weights",
     "gap_pair_weights",
     "paft_select",
@@ -52,6 +53,15 @@ _GAE_LAMBDA = 0.95
 # Initial weight scale of the policy and critic, and the policy's initial log-std.
 _INIT_SCALE = 0.1
 _LOG_STD_INIT = -0.5
+
+
+def eval_seeds(seed: int, episodes: int) -> list[int]:
+    """The reset seeds of a run's ``episodes`` fixed evaluation episodes.
+
+    A shorter list is a prefix of a longer one, so the first ``n`` seeds
+    are the same whatever the count drawn.
+    """
+    return [int(s) for s in np.random.SeedSequence([seed, _EVAL_STREAM]).generate_state(episodes)]
 
 
 @dataclass(frozen=True)
@@ -366,8 +376,7 @@ class Trainer:
         self.update = update
         self.seed = seed
         self.paft_enabled = paft_enabled
-        eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM])
-        self.eval_seeds = [int(s) for s in eval_ss.generate_state(eval_episodes)]
+        self.eval_seeds = eval_seeds(seed, eval_episodes)
 
     def _lane_rng(self, generation: int, lane: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))

@@ -11,7 +11,10 @@ The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 ``(n, P)`` and ``checkpoints/critic.npy`` ``(n, C)``, each written with one
 ``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
 store holds no shapes; ``eval`` builds the policy from the run's
-``config.yaml`` (the environment's dimensions and ``policy.hidden``).
+``config.yaml`` (the environment's dimensions and ``policy.hidden``) and
+rolls it out on the first ``--episodes`` of the run's evaluation seeds, so
+``--episodes`` equal to the run's ``eval.episodes`` reproduces the entry's
+objectives.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import yaml
 from .archive import (PolicyEntry, frontier_document, frontier_entries, hypervolume,
                       parse_frontier, sparsity)
 from .config import Config, ConfigError, load_config, parse_override, resolve_config
-from .evolution import Trainer
+from .evolution import Trainer, eval_seeds
 from .momdp import make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
 
@@ -245,7 +248,8 @@ def cmd_eval(args) -> int:
             f"environment {args.env} has state_dim={env.spec.state_dim}, "
             f"action_dim={env.spec.action_dim}"
         )
-    _, _, rewards, _, _ = run_episode(env, policy, params, range(args.episodes))
+    (seeds,) = _run_config(Path(args.run), ("seeds",))
+    _, _, rewards, _, _ = run_episode(env, policy, params, eval_seeds(seeds[0], args.episodes))
     rows = mo_return(rewards, env.spec.gamma)
     mean = rows.mean(axis=0)
     print("mean objectives:", " ".join(repr(float(v)) for v in mean))

@@ -13,11 +13,15 @@ Stacked products go through ``np.matmul`` on ``swapaxes`` views, which
 repeats the 2-D BLAS call of each lane, so a lane of a stack computes bit
 for bit what it computes alone.
 
-A rollout (``run_episode``) does its per-lane setup once: it splits each
-lane chunk's weights into transposed layer views and scales the whole
-action-noise block by the clamped std. Each step is then one network pass
-per chunk, one add of that step's scaled noise, one ``env.step`` and the
-writes of the step's states, actions and rewards.
+A network pass covers the whole stack and writes into buffers its caller
+owns, not into per-operation temporaries. A rollout (``run_episode``)
+does its setup once: it splits the stack's weights into transposed layer
+views, allocates the hidden-layer buffer and scales the whole action-noise
+block by the clamped std. Each step is then one network pass, one add of
+that step's scaled noise, one ``env.step`` and the writes of the step's
+states, actions and rewards. ``ppo_update`` allocates one set of
+hidden-layer buffers per call, which every policy and critic pass of its
+epochs reuses.
 """
 
 from __future__ import annotations
@@ -44,35 +48,18 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Rows of one network pass. The bound keeps the (rows, hidden) temporaries
-# of a pass small: with every lane of a stack in one pass, the benchmark's
-# point workload peaks 6.6% higher in resident memory and trains about 30%
-# slower.
-_STACK_ROWS = 512
-
-
-def _lane_chunks(params: np.ndarray, rows: int) -> list:
-    """Index expressions splitting the lanes of ``params`` into passes.
-
-    Each pass holds whole lanes of ``rows`` rows each, at most
-    ``_STACK_ROWS`` rows unless one lane alone has more. Lane-less ``(d,)``
-    params are one pass.
-    """
-    if params.ndim == 1:
-        return [...]
-    step = max(1, _STACK_ROWS // rows)
-    return [slice(i, i + step) for i in range(0, params.shape[0], step)]
 
 
 class _MeanNet:
     """Flat-vector linear or one-hidden-layer tanh network with backprop.
 
     ``params`` is ``(..., num_params)`` and ``states`` is ``(..., N, in_dim)``
-    with the same leading lane axes. Both passes run in chunks of whole
-    lanes (``_lane_chunks``), so callers hand over a whole stack. ``forward``
-    splits each chunk's layers (``passes``) and runs ``apply`` on them;
-    ``backprop`` reuses those layers, and a rollout splits once and calls
-    ``apply`` at every step.
+    with the same leading lane axes; a pass covers the whole stack at once.
+    ``forward`` splits the layers and runs ``apply`` on them; ``backprop``
+    reuses those layers, and a rollout splits once and calls ``apply`` at
+    every step. With a hidden layer, a pass writes its ``(..., N, hidden)``
+    arrays into caller-owned buffers (``buffers``) when it is given them and
+    allocates them otherwise; a linear map needs none.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int):
@@ -83,6 +70,13 @@ class _MeanNet:
             self.num_params = hidden * in_dim + hidden + out_dim * hidden + out_dim
         else:
             self.num_params = out_dim * in_dim + out_dim
+
+    def buffers(self, rows: tuple):
+        """The ``(hid, d_hid, scratch)`` buffers of a pass over ``rows + (in_dim,)``
+        states: three ``rows + (hidden,)`` arrays, or None for a linear map."""
+        if self.hidden == 0:
+            return None
+        return tuple(np.empty(rows + (self.hidden,)) for _ in range(3))
 
     def split(self, params: np.ndarray) -> list:
         """The layers of ``params``: per layer, the transposed weights
@@ -98,52 +92,60 @@ class _MeanNet:
             i += rows
         return layers
 
-    def passes(self, params: np.ndarray, rows: int) -> list:
-        """``(chunk, layers)`` for each pass over ``params`` at ``rows`` rows a lane."""
-        return [(c, self.split(params[c])) for c in _lane_chunks(params, rows)]
-
     def apply(self, layers: list, inputs: np.ndarray, out: np.ndarray,
-              hid: np.ndarray | None = None) -> None:
+              hid: np.ndarray | None) -> None:
         """One pass of split ``layers`` over ``inputs``, written to ``out``.
 
-        With a hidden layer, its tanh activations go to ``hid`` (a new array
-        if None).
+        With a hidden layer, its tanh activations are computed in ``hid``
+        (``inputs.shape[:-1] + (hidden,)``); a linear map takes None.
         """
         if self.hidden > 0:
             w1t, b1 = layers[0]
-            inputs = np.tanh(inputs @ w1t + b1, out=hid)
+            np.matmul(inputs, w1t, out=hid)
+            hid += b1
+            inputs = np.tanh(hid, out=hid)
         wt, b = layers[-1]
-        np.add(inputs @ wt, b, out=out)
+        np.matmul(inputs, wt, out=out)
+        out += b
 
-    def forward(self, params: np.ndarray, states: np.ndarray):
-        """Return (outputs, cache-for-backprop) for a batch of states."""
+    def forward(self, params: np.ndarray, states: np.ndarray, hid: np.ndarray | None = None):
+        """Return (outputs, cache-for-backprop) for a batch of states.
+
+        The hidden activations go to ``hid`` (a new array if None), which
+        the cache holds until ``backprop``.
+        """
         out = np.empty(states.shape[:-1] + (self.out_dim,))
-        hid = np.empty(states.shape[:-1] + (self.hidden,)) if self.hidden > 0 else None
-        passes = self.passes(params, states.shape[-2])
-        for c, layers in passes:
-            self.apply(layers, states[c], out[c], None if hid is None else hid[c])
-        return out, (passes, states, hid)
+        if self.hidden > 0 and hid is None:
+            hid = np.empty(states.shape[:-1] + (self.hidden,))
+        layers = self.split(params)
+        self.apply(layers, states, out, hid)
+        return out, (layers, states, hid)
 
-    def backprop(self, cache, d_out: np.ndarray) -> np.ndarray:
-        """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters, per lane."""
-        passes, states, hid = cache
+    def backprop(self, cache, d_out: np.ndarray, work=None) -> np.ndarray:
+        """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters, per lane.
+
+        ``work`` is the ``(d_hid, scratch)`` pair of hidden-layer buffers
+        (new arrays if None).
+        """
+        layers, states, hid = cache
         grad = np.empty(d_out.shape[:-2] + (self.num_params,))
-        for c, layers in passes:
-            lane_grad = grad[c]
-            if self.hidden > 0:
-                w2t = layers[1][0]
-                d_hid = (d_out[c] @ w2t.swapaxes(-1, -2)) * (1.0 - hid[c] * hid[c])
-                grads = [(d_hid, states[c]), (d_out[c], hid[c])]
-            else:
-                grads = [(d_out[c], states[c])]
-            i = 0
-            for d_layer, inputs in grads:
-                rows, cols = d_layer.shape[-1], inputs.shape[-1]
-                lane_grad[..., i : i + rows * cols] = (d_layer.swapaxes(-1, -2) @ inputs).reshape(
-                    lane_grad.shape[:-1] + (rows * cols,))
-                i += rows * cols
-                lane_grad[..., i : i + rows] = d_layer.sum(axis=-2)
-                i += rows
+        if self.hidden > 0:
+            d_hid, scratch = (np.empty_like(hid), np.empty_like(hid)) if work is None else work
+            np.matmul(d_out, layers[1][0].swapaxes(-1, -2), out=d_hid)
+            np.multiply(hid, hid, out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            d_hid *= scratch
+            grads = [(d_hid, states), (d_out, hid)]
+        else:
+            grads = [(d_out, states)]
+        i = 0
+        for d_layer, inputs in grads:
+            rows, cols = d_layer.shape[-1], inputs.shape[-1]
+            grad[..., i : i + rows * cols] = (d_layer.swapaxes(-1, -2) @ inputs).reshape(
+                grad.shape[:-1] + (rows * cols,))
+            i += rows * cols
+            grad[..., i : i + rows] = d_layer.sum(axis=-2)
+            i += rows
         return grad
 
 
@@ -200,17 +202,22 @@ class GaussianPolicy:
             return mu
         return mu + np.exp(self.log_std(params))[..., None, :] * noise
 
-    def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray):
+    def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray,
+              work=None):
         """Log-probabilities of ``actions`` and their weighted score, from one forward pass.
 
         Returns ``(log_probs, grad)``: the (..., n) values of ``log pi(actions[t] |
         states[t])`` and a function ``grad(coeffs)`` giving the flat gradient
         of ``sum_t coeffs[t] * log pi(actions[t] | states[t])``, per lane.
+        ``work`` is the mean network's ``buffers`` for these states, or None
+        to allocate; ``grad`` reads them, so they stay untouched until it
+        has been called.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
         net_params = self._net_params(params)
-        mu, cache = self.net.forward(net_params, states)
+        hid, back = (None, None) if work is None else (work[0], work[1:])
+        mu, cache = self.net.forward(net_params, states, hid)
         raw = params[..., self.net.num_params :]
         log_std = self.log_std(params)
         residual = actions - mu
@@ -226,7 +233,7 @@ class GaussianPolicy:
             coeffs = np.asarray(coeffs, dtype=float)
             out = np.empty(params.shape)
             d_mu = coeffs[..., None] * residual * inv_var
-            out[..., : self.net.num_params] = self.net.backprop(cache, d_mu)
+            out[..., : self.net.num_params] = self.net.backprop(cache, d_mu, back)
             d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
             out[..., self.net.num_params :] = np.where(active, d_log_std, 0.0)
             return out
@@ -251,14 +258,19 @@ class VectorCritic:
         out, _ = self.net.forward(params, np.atleast_2d(np.asarray(states, dtype=float)))
         return out
 
-    def mse_grad(self, params: np.ndarray, states: np.ndarray,
-                 targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and value of ``0.5 * mean((V(s) - target)^2)``, per lane."""
+    def mse_grad(self, params: np.ndarray, states: np.ndarray, targets: np.ndarray,
+                 work=None) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and value of ``0.5 * mean((V(s) - target)^2)``, per lane.
+
+        ``work`` is the network's ``buffers`` for these states, or None to
+        allocate.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        values, cache = self.net.forward(params, states)
+        hid, back = (None, None) if work is None else (work[0], work[1:])
+        values, cache = self.net.forward(params, states, hid)
         count = values.shape[-2] * values.shape[-1]
         err = (values - targets) / count
-        grad = self.net.backprop(cache, err)
+        grad = self.net.backprop(cache, err, back)
         loss = 0.5 * np.sum((values - targets) ** 2, axis=(-2, -1)) / count
         return grad, loss
 
@@ -333,16 +345,17 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     states = np.empty(shape + (T, spec.state_dim))
     actions = np.empty(shape + (T, spec.action_dim))
     rewards = np.empty(shape + (T, spec.num_objectives))
-    # The lanes' layers, and the action noise scaled by their std, once per rollout.
+    # The lanes' layers, the hidden buffer, and the action noise scaled by
+    # their std, once per rollout.
     net = policy.net
-    passes = net.passes(policy._net_params(params), shape[-1])
+    layers = net.split(policy._net_params(params))
+    hid = None if net.hidden == 0 else np.empty(shape + (net.hidden,))
     if noise is not None:
         noise = np.exp(policy.log_std(params))[..., None, None, :] * noise
     for t in range(T):
         states[..., t, :] = state
         action = actions[..., t, :]
-        for c, layers in passes:
-            net.apply(layers, state[c], action[c])
+        net.apply(layers, state, action, hid)
         if noise is not None:
             action += noise[..., t, :]
         state, rewards[..., t, :], terminal = env.step(state, action)
@@ -429,8 +442,10 @@ class _Adam:
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """One descent step along ``grad``."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -486,12 +501,17 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     scalar_adv = (adv @ omega[..., None])[..., 0]
     n = scalar_adv.shape[-1]
 
+    # One set of hidden-layer buffers for every pass of the update: the
+    # critic's pass starts after the policy's backprop has read the set.
+    work = policy.net.buffers(batch.states.shape[:-1])
+    critic_work = work if critic.hidden == policy.hidden \
+        else critic.net.buffers(batch.states.shape[:-1])
     lr = update.lr
     policy_opt = _OPTIMIZERS[update.optimizer](params.shape, lr)
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params.shape, lr if update.optimizer == "adam" else min(lr, 5e-3))
     for epoch in range(update.epochs):
-        log_probs, grad = policy.score(params, batch.states, batch.actions)
+        log_probs, grad = policy.score(params, batch.states, batch.actions, work)
         if epoch == 0:
             old_log_probs = log_probs
         ratio = np.exp(log_probs - old_log_probs)
@@ -499,6 +519,6 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
         active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
         coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
         params = policy_opt.step(params, -grad(coeffs))
-        value_grad, _ = critic.mse_grad(critic_params, batch.states, batch.returns)
+        value_grad, _ = critic.mse_grad(critic_params, batch.states, batch.returns, critic_work)
         critic_params = critic_opt.step(critic_params, value_grad)
     return params, critic_params

@@ -5,18 +5,21 @@ projection is solved by bisection on the KKT threshold, the minimum-norm
 problem by grid search over the simplex, hypervolumes by Monte Carlo, and
 the quadratic-environment frontier by closed form / dense sampling,
 archive non-domination by a pairwise audit, the stacked minimum-norm solve
-by the one-lane solver it replaced, and the stacked generation step by the
-per-lane training loop it replaced.
+by the one-lane solver it replaced, the stacked generation step by the
+per-lane training loop it replaced, the buffered PPO update by the
+allocating one it replaced, and the archive's one-test insert by the
+three-test insert it replaced.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from moascent import evolution
-from moascent.archive import PolicyEntry
+from moascent.archive import NonDominatedSet, PolicyEntry
 from moascent.evolution import (
     Trainer,
     ascent_weights,
@@ -24,7 +27,13 @@ from moascent.evolution import (
     paft_select,
     pgr_select,
 )
-from moascent.policy import collect_batch, estimate_gradient_set, ppo_update
+from moascent.pareto import validate_weights
+from moascent.policy import (
+    collect_batch,
+    estimate_gradient_set,
+    normalize_per_objective,
+    ppo_update,
+)
 
 
 def project_simplex_bisect(v: np.ndarray) -> np.ndarray:
@@ -374,3 +383,150 @@ class PerLaneTrainer(Trainer):
             elif final_accepted:
                 state.population.append(entry)
         return total_fallbacks
+
+
+# --- allocating PPO update ----------------------------------------------
+
+def _net_forward(net, params, states):
+    """Outputs, layers and hidden activations of ``net``, each product a new array."""
+    layers = net.split(params)
+    inputs, hid = states, None
+    if net.hidden > 0:
+        w1t, b1 = layers[0]
+        hid = inputs = np.tanh(states @ w1t + b1)
+    wt, b = layers[-1]
+    return inputs @ wt + b, layers, hid
+
+
+def _net_backprop(net, layers, states, hid, d_out):
+    grad = np.empty(d_out.shape[:-2] + (net.num_params,))
+    if net.hidden > 0:
+        d_hid = (d_out @ layers[1][0].swapaxes(-1, -2)) * (1.0 - hid * hid)
+        grads = [(d_hid, states), (d_out, hid)]
+    else:
+        grads = [(d_out, states)]
+    i = 0
+    for d_layer, inputs in grads:
+        rows, cols = d_layer.shape[-1], inputs.shape[-1]
+        grad[..., i : i + rows * cols] = (d_layer.swapaxes(-1, -2) @ inputs).reshape(
+            grad.shape[:-1] + (rows * cols,))
+        i += rows * cols
+        grad[..., i : i + rows] = d_layer.sum(axis=-2)
+        i += rows
+    return grad
+
+
+def _policy_score(policy, params, states, actions):
+    """``(log_probs, grad)`` as ``GaussianPolicy.score`` returns them."""
+    k = policy.net.num_params
+    mu, layers, hid = _net_forward(policy.net, params[..., :k], states)
+    raw = params[..., k:]
+    log_std = np.clip(raw, policy.log_std_min, policy.log_std_max)
+    residual = actions - mu
+    zscores = residual / np.exp(log_std)[..., None, :]
+    log_probs = -0.5 * np.sum(zscores * zscores, axis=-1) \
+        - log_std.sum(axis=-1)[..., None] - 0.5 * policy.action_dim * math.log(2.0 * math.pi)
+    inv_var = np.exp(-2.0 * log_std)[..., None, :]
+    zsq_minus_one = residual * residual * inv_var - 1.0
+    active = (raw > policy.log_std_min) & (raw < policy.log_std_max)
+
+    def grad(coeffs):
+        out = np.empty(params.shape)
+        d_mu = coeffs[..., None] * residual * inv_var
+        out[..., :k] = _net_backprop(policy.net, layers, states, hid, d_mu)
+        d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
+        out[..., k:] = np.where(active, d_log_std, 0.0)
+        return out
+
+    return log_probs, grad
+
+
+def _critic_grad(critic, params, states, targets):
+    values, layers, hid = _net_forward(critic.net, params, states)
+    count = values.shape[-2] * values.shape[-1]
+    return _net_backprop(critic.net, layers, states, hid, (values - targets) / count)
+
+
+class _AllocatingAdam:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shape, lr):
+        self.lr, self.m, self.v, self.t = lr, np.zeros(shape), np.zeros(shape), 0
+
+    def step(self, params, grad):
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class _AllocatingSGD:
+    def __init__(self, shape, lr):
+        self.lr = lr
+
+    def step(self, params, grad):
+        return params - self.lr * grad
+
+
+_CLIP_EPS = 0.2
+
+
+def ppo_update_allocating(policy, params, critic, critic_params, batch, omega, update):
+    """``ppo_update`` as it was before its passes wrote into buffers.
+
+    Every network pass allocates its hidden-layer arrays afresh and the
+    optimizers rebuild their moment arrays each step; the result must
+    match the buffered update byte for byte.
+    """
+    omega = validate_weights(np.asarray(omega, dtype=float))
+    adv = batch.advantages
+    if update.normalize_advantages:
+        adv = normalize_per_objective(adv)
+    scalar_adv = (adv @ omega[..., None])[..., 0]
+    n = scalar_adv.shape[-1]
+    lr = update.lr
+    opt = {"adam": _AllocatingAdam, "sgd": _AllocatingSGD}[update.optimizer]
+    policy_opt = opt(params.shape, lr)
+    critic_opt = _AllocatingAdam(critic_params.shape,
+                                 lr if update.optimizer == "adam" else min(lr, 5e-3))
+    for epoch in range(update.epochs):
+        log_probs, grad = _policy_score(policy, params, batch.states, batch.actions)
+        if epoch == 0:
+            old_log_probs = log_probs
+        ratio = np.exp(log_probs - old_log_probs)
+        active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
+        coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
+        params = policy_opt.step(params, -grad(coeffs))
+        value_grad = _critic_grad(critic, critic_params, batch.states, batch.returns)
+        critic_params = critic_opt.step(critic_params, value_grad)
+    return params, critic_params
+
+
+# --- three-test archive insert ------------------------------------------
+
+class ThreeTestNonDominatedSet(NonDominatedSet):
+    """The archive with the insert its one-test rejection replaced.
+
+    It rejects an exact duplicate, then a candidate some member dominates,
+    and evicts the members the candidate dominates, each test a separate
+    comparison pass.
+    """
+
+    def insert(self, entry):
+        c = entry.objectives
+        if not self.entries:
+            self.entries.append(entry)
+            self._objectives = c[None].copy()
+            return True
+        P = self._objectives
+        if np.any(np.all(P == c, axis=1)):
+            return False
+        if np.any(np.all(P >= c, axis=1) & np.any(P > c, axis=1)):
+            return False
+        dominated = np.all(c >= P, axis=1) & np.any(c > P, axis=1)
+        self.entries = [e for e, dead in zip(self.entries, dominated) if not dead]
+        self._objectives = np.concatenate([P[~dominated], c[None]])
+        self.entries.append(entry)
+        return True

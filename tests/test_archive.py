@@ -17,6 +17,7 @@ from moascent.archive import (
 )
 
 from .oracles import (
+    ThreeTestNonDominatedSet,
     dominated_mask,
     dominated_mask_bruteforce,
     dominates,
@@ -134,6 +135,21 @@ class TestInsert:
             nd.insert(entry(row))
         assert mutually_non_dominated(nd)
         assert len(nd) >= 1
+
+    @given(st.integers(2, 3).flatmap(lambda m: st.lists(
+        st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-1, 1)),
+                 min_size=m, max_size=m),
+        min_size=1, max_size=60)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_three_test_oracle(self, offers):
+        # Few distinct values give exact duplicates, ties on single axes and
+        # offers of -0.0 against 0.0.
+        got, want = NonDominatedSet(), ThreeTestNonDominatedSet()
+        for k, row in enumerate(offers):
+            offer = entry(row, ref=f"r{k}")
+            assert got.insert(offer) == want.insert(offer), k
+        assert [e.params_ref for e in got] == [e.params_ref for e in want]
+        assert got._objectives.tobytes() == want._objectives.tobytes()
 
 
 class TestHypervolume:

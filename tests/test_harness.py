@@ -561,6 +561,22 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
+    def test_replays_the_runs_evaluation_seeds(self, tmp_path, capsys):
+        # mo_point's start state depends on the reset seed, so only the run's
+        # own evaluation seeds reproduce the objectives training recorded.
+        cfg = dict(TINY, env={"name": "mo_point", "params": {"horizon": 6}},
+                   eval={"episodes": 3}, seeds=[5])
+        (run_dir,) = train(tmp_path, cfg)
+        capsys.readouterr()
+        doc = json.loads((run_dir / "frontier.json").read_text())
+        assert len(doc["entries"]) > 1
+        for k, item in enumerate(doc["entries"]):
+            assert eval_run(run_dir, "--entry", str(k), "--episodes", "3",
+                            "--param", "horizon=6", env="mo_point") == 0
+            printed = capsys.readouterr().out
+            mean = [float(v) for v in printed.split(":")[1].split()]
+            assert mean == item["objectives"], k
+
     def test_zero_parameter_policy_objectives(self, tmp_path, capsys):
         # Mean action is the origin, so each objective pays the negative
         # squared norm of its target.

@@ -1,10 +1,13 @@
 """The stacked generation step against the per-lane loop it replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from moascent import policy as policy_module
+from moascent.config import PolicyConfig
 from moascent.harness import build_trainer, resolve_config
+from moascent.policy import collect_batch, ppo_update
 
 from .oracles import PerLaneTrainer
 
@@ -31,8 +34,8 @@ CASES = {
                    "optimizer": "sgd", "lr": 0.05, "normalize_advantages": False},
         "evolution": {"M": 3, "M_ft": 1, "m_iters": 3, "m_w": 2, "p": 8, "paft_pairs": 2},
     },
-    # 150 rows a lane: passes of 3, 3 and 2 lanes; 100 eval episodes a
-    # snapshot: evaluation passes of 5, 5, 5 and 1 snapshots.
+    # Long lanes: 150 rows a lane and 100 eval episodes a snapshot, each
+    # stack in one pass.
     "uneven-row-chunks": {
         "env": {"name": "mo_quadratic"},
         "policy": {"batch_episodes": 150, "epochs": 2, "hidden": 8},
@@ -88,34 +91,40 @@ def test_stacked_step_reproduces_per_lane_loop(monkeypatch, name):
         assert any(r.get("job") == "gap_pair" for r in got["selection"])
 
 
-# 9 point episodes of 64 steps: 576 rows a lane, more than one pass may hold.
-LONG_LANES = {
-    "env": {"name": "mo_point"},
-    "policy": {"batch_episodes": 9, "epochs": 1, "hidden": 8},
-    "evolution": {"M": 1, "m_iters": 1, "m_w": 1, "p": 4},
-    "eval": {"episodes": 4},
+# Stacks for one PPO update: 4 point lanes of 8 episodes (512 rows a lane),
+# and 3 quadratic lanes of 150 one-step episodes (150 rows a lane).
+UPDATE_STACKS = {
+    "long-lanes": ({"env": {"name": "mo_point"}, "policy": {"batch_episodes": 8}}, 4, 512),
+    "uneven-row-chunks": (CASES["uneven-row-chunks"], 3, 150),
 }
 
 
-@pytest.mark.parametrize("case", [CASES["uneven-row-chunks"], LONG_LANES],
-                         ids=["uneven-row-chunks", "long-lanes"])
-def test_stacked_passes_are_row_bounded(monkeypatch, case):
-    # Every network pass holds at most _STACK_ROWS rows unless one lane alone
-    # has more, and some pass does stack several lanes.
-    passes = []
-    lane_chunks = policy_module._lane_chunks
-
-    def recording(params, lane_rows):
-        chunks = lane_chunks(params, lane_rows)
-        passes.extend((params[c][..., 0].size * lane_rows, lane_rows) for c in chunks)
-        return chunks
-
-    monkeypatch.setattr(policy_module, "_lane_chunks", recording)
-    trainers(case)[0].run_training()
-    assert all(rows <= max(policy_module._STACK_ROWS, lane_rows) for rows, lane_rows in passes)
-    assert any(rows > lane_rows for rows, lane_rows in passes)
-    if case is LONG_LANES:
-        assert max(rows for rows, _ in passes) == 576
-    else:
-        # Training passes of 3 lanes and evaluation passes of 5 snapshots.
-        assert {3 * 150, 5 * 100} <= {rows for rows, _ in passes}
+@pytest.mark.parametrize("name", sorted(UPDATE_STACKS))
+def test_stacked_passes_are_row_bounded(name):
+    # A PPO update over a whole stack writes its network passes into one set
+    # of (L, n, hidden) buffers, so its peak traced memory stays within a few
+    # such arrays: bounded by the stack's rows, not by per-operation
+    # temporaries. Fresh temporaries over the whole stack peaked at 5.6 of them.
+    case, lanes, lane_rows = UPDATE_STACKS[name]
+    hidden = 32
+    cfg = resolve_config({"experiment": "lockstep", **case,
+                          "policy": {**case["policy"], "hidden": hidden}})
+    trainer = build_trainer(cfg, 0)
+    env, policy, critic = trainer.env, trainer.policy, trainer.critic
+    rng = np.random.default_rng(0)
+    params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(lanes)])
+    critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(lanes)])
+    batch = collect_batch(env, policy, params, critic, critic_params,
+                          cfg.policy.batch_episodes, env.spec.gamma, 0.95,
+                          [np.random.default_rng(k) for k in range(lanes)])
+    rows = batch.states.shape[-2]
+    assert rows == lane_rows
+    omega = np.full((lanes, env.spec.num_objectives), 1.0 / env.spec.num_objectives)
+    tracemalloc.start()
+    try:
+        ppo_update(policy, params, critic, critic_params, batch, omega,
+                   PolicyConfig(hidden=hidden))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * lanes * rows * hidden * 8

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moascent import policy as policy_module
 from moascent.config import ConfigError, PolicyConfig
 from moascent.momdp import MoPoint, make_env, mo_return
 from moascent.policy import (
@@ -18,6 +17,8 @@ from moascent.policy import (
     ppo_update,
     run_episode,
 )
+
+from .oracles import ppo_update_allocating
 
 
 def finite_difference_log_prob(policy, params, state, action, h=1e-5):
@@ -229,8 +230,8 @@ class TestScoringPasses:
         assert len(calls) == 1
 
     def test_collect_batch_runs_mean_network_once_per_step(self, monkeypatch):
-        # One policy pass per rollout step and lane chunk, on layers split
-        # once per rollout; the batch is not scored again afterwards.
+        # One policy pass over the whole stack per rollout step, on layers
+        # split once per rollout; the batch is not scored again afterwards.
         env = MoPoint(horizon=6)
         policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
         critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
@@ -240,16 +241,11 @@ class TestScoringPasses:
         forwards = count_mean_net_passes(policy, monkeypatch)
         steps = count_calls(policy.net, "apply", monkeypatch)
         splits = count_calls(policy.net, "split", monkeypatch)
-        # 4 rows a lane: the 3 lanes make one chunk, or two at 8 rows a pass.
-        for stack_rows, chunks in [(512, 1), (8, 2)]:
-            monkeypatch.setattr(policy_module, "_STACK_ROWS", stack_rows)
-            for calls in (forwards, steps, splits):
-                calls.clear()
-            collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
-                          [np.random.default_rng(lane) for lane in range(3)])
-            assert len(forwards) == 0
-            assert len(steps) == chunks * env.spec.horizon
-            assert len(splits) == chunks
+        collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
+                      [np.random.default_rng(lane) for lane in range(3)])
+        assert len(forwards) == 0
+        assert len(steps) == env.spec.horizon
+        assert len(splits) == 1
 
 
 class TestGAE:
@@ -378,6 +374,35 @@ class TestPPOUpdate:
         # The config section is the one place an optimizer name is checked.
         with pytest.raises(ConfigError, match="policy.optimizer"):
             PolicyConfig(optimizer="rmsprop")
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_ppo_update_matches_allocating_oracle(hidden, optimizer, normalize, lanes):
+    # The buffered update reproduces the allocating one it replaced, byte for
+    # byte, with one log-std component held at its lower clamp.
+    env = MoPoint(horizon=5)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
+    rng = np.random.default_rng(21)
+    count = int(np.prod(lanes))
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)])
+    params[:, policy.net.num_params] = policy.log_std_min
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(count)])
+    params, critic_params = params.reshape(lanes + (-1,)), critic_params.reshape(lanes + (-1,))
+    rngs = rng if not lanes else [np.random.default_rng(lane) for lane in range(count)]
+    batch = collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95, rngs)
+    omega = np.broadcast_to([0.3, 0.7], lanes + (2,))
+    update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer,
+                          normalize_advantages=normalize)
+    got = ppo_update(policy, params, critic, critic_params, batch, omega, update)
+    want = ppo_update_allocating(policy, params, critic, critic_params, batch, omega, update)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    clamped = policy.net.num_params
+    assert got[0][..., clamped].tobytes() == params[..., clamped].tobytes()
 
 
 class TestRollouts:

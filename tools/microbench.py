@@ -14,6 +14,10 @@ Times one call of each function below, many times over, in this process:
 - ``hypervolume`` of random 2-D and 3-D fronts of 1000 points;
 - ``_gap_edges`` (PA-FT's gap search) on random 3-objective fronts of 100
   and 250 points, and of 500 with ``--full`` (several seconds a call).
+- ``NonDominatedSet.insert`` per offer, replaying the ``quad2`` workload's
+  488 offers against a 2-D front of its archive's size: 200 random points
+  on the positive unit circle, then 488 offers near it (random directions,
+  radii ``1 + 0.003 * N(0, 1)``), about half of them accepted;
 - ``save_checkpoint`` writing the checkpoint store of a 1000-entry archive
   at the ``quad2`` workload's network sizes into a temporary directory;
   each call first removes the store the previous call wrote, and that
@@ -51,7 +55,7 @@ sys.path.insert(0, str(HERE / "src"))
 
 import numpy as np  # noqa: E402
 
-from moascent.archive import PolicyEntry, hypervolume  # noqa: E402
+from moascent.archive import NonDominatedSet, PolicyEntry, hypervolume  # noqa: E402
 from moascent.config import load_config, resolve_config  # noqa: E402
 from moascent.evolution import (  # noqa: E402
     _GAE_LAMBDA,
@@ -89,6 +93,12 @@ def _front(n: int, m: int, seed: int) -> np.ndarray:
     """``n`` random points on the positive unit sphere: mutually non-dominated."""
     P = np.abs(np.random.default_rng(seed).standard_normal((n, m)))
     return P / np.linalg.norm(P, axis=1, keepdims=True)
+
+
+def _replay_offers(front: list, offers: list) -> None:
+    archive = NonDominatedSet(list(front))
+    for entry in offers:
+        archive.insert(entry)
 
 
 def _rewrite_store(store: Path, entries: list) -> None:
@@ -131,6 +141,14 @@ def cases(full: bool, scratch: Path) -> list:
     for n in (100, 250) + ((500,) if full else ()):
         P = _front(n, 3, seed=n)
         out.append((f"gap_edges.3d_n{n}", 1, lambda P=P: _gap_edges(P)))
+    snapshot = np.zeros(1)
+    front = [PolicyEntry(f"ckpt_{k:06d}", row, 0, "warmup", snapshot, snapshot)
+             for k, row in enumerate(_front(200, 2, seed=2))]
+    radii = 1.0 + 0.003 * np.random.default_rng(4).standard_normal((488, 1))
+    offers = [PolicyEntry(f"ckpt_{200 + k:06d}", row, 1, "pareto_ascent", snapshot, snapshot)
+              for k, row in enumerate(_front(488, 2, seed=3) * radii)]
+    out.append(("archive.insert.2d_n200", len(offers),
+                lambda: _replay_offers(front, offers)))
     quad2 = _trainer("quad2")
     rng = np.random.default_rng(0)
     entries = [PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
