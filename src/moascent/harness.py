@@ -12,8 +12,8 @@ The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 ``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
 store holds no shapes; ``eval`` builds the policy from the run's
 ``config.yaml`` (the environment's dimensions and ``policy.hidden``) and
-rolls it out on the first ``--episodes`` of the run's evaluation seeds, so
-``--episodes`` equal to the run's ``eval.episodes`` reproduces the entry's
+rolls it out on the first ``--episodes`` of the run's evaluation seeds, by
+default the run's ``eval.episodes`` of them, which reproduce the entry's
 objectives.
 """
 
@@ -248,8 +248,10 @@ def cmd_eval(args) -> int:
             f"environment {args.env} has state_dim={env.spec.state_dim}, "
             f"action_dim={env.spec.action_dim}"
         )
-    (seeds,) = _run_config(Path(args.run), ("seeds",))
-    _, _, rewards, _, _ = run_episode(env, policy, params, eval_seeds(seeds[0], args.episodes))
+    seeds, episodes = _run_config(Path(args.run), ("seeds", "eval.episodes"))
+    if args.episodes is not None:
+        episodes = args.episodes
+    _, _, rewards, _, _ = run_episode(env, policy, params, eval_seeds(seeds[0], episodes))
     rows = mo_return(rewards, env.spec.gamma)
     mean = rows.mean(axis=0)
     print("mean objectives:", " ".join(repr(float(v)) for v in mean))
@@ -373,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--entry", type=int, required=True,
                           help="index k of the policy in frontier.json's entries")
     evaluate.add_argument("--env", required=True)
-    evaluate.add_argument("--episodes", type=int, default=8)
+    evaluate.add_argument("--episodes", type=int,
+                          help="episodes to roll out (default: the run's eval.episodes)")
     evaluate.add_argument("--param", action="append", default=[],
                           help="environment parameter, e.g. action_bound=2.0 (repeatable)")
     evaluate.add_argument("--out", help="per-episode CSV path")

@@ -19,9 +19,15 @@ does its setup once: it splits the stack's weights into transposed layer
 views, allocates the hidden-layer buffer and scales the whole action-noise
 block by the clamped std. Each step is then one network pass, one add of
 that step's scaled noise, one ``env.step`` and the writes of the step's
-states, actions and rewards. ``ppo_update`` allocates one set of
-hidden-layer buffers per call, which every policy and critic pass of its
-epochs reuses.
+states, actions and rewards.
+
+``ppo_update`` prepares one update per call: it copies both networks'
+params once, splits their layers once as views into the copies, and
+allocates the outputs, the gradients, the optimizers' scratch and one set
+of hidden-layer buffers once. Each epoch is then one pass, one backprop
+and one in-place optimizer step per network. ``collect_batch`` keeps its
+critic pass in the batch (``CriticPass``), and the critic's first epoch
+backprops from it instead of running the same pass again.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .momdp import MOMDPEnv
 from .pareto import validate_weights
 
 __all__ = [
+    "CriticPass",
     "GaussianPolicy",
     "RolloutBatch",
     "VectorCritic",
@@ -55,11 +62,12 @@ class _MeanNet:
 
     ``params`` is ``(..., num_params)`` and ``states`` is ``(..., N, in_dim)``
     with the same leading lane axes; a pass covers the whole stack at once.
-    ``forward`` splits the layers and runs ``apply`` on them; ``backprop``
-    reuses those layers, and a rollout splits once and calls ``apply`` at
-    every step. With a hidden layer, a pass writes its ``(..., N, hidden)``
-    arrays into caller-owned buffers (``buffers``) when it is given them and
-    allocates them otherwise; a linear map needs none.
+    ``split`` views the layers of a parameter vector and ``apply`` runs one
+    pass of them into caller-owned outputs; ``forward`` does both into new
+    arrays. ``backprop`` takes a pass's cache ``(layers, states, hid)``, so a
+    caller that splits once (a rollout, ``ppo_update``) runs every pass and
+    gradient on the same layers and buffers. With a hidden layer a pass
+    needs ``(..., N, hidden)`` buffers (``buffers``); a linear map needs none.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int):
@@ -72,11 +80,16 @@ class _MeanNet:
             self.num_params = out_dim * in_dim + out_dim
 
     def buffers(self, rows: tuple):
-        """The ``(hid, d_hid, scratch)`` buffers of a pass over ``rows + (in_dim,)``
-        states: three ``rows + (hidden,)`` arrays, or None for a linear map."""
+        """The ``(hid, work)`` buffers of passes over ``rows + (in_dim,)`` states.
+
+        ``hid`` is ``apply``'s hidden layer and ``work`` the ``(d_hid, scratch)``
+        pair ``backprop`` takes, all ``rows + (hidden,)`` arrays; a linear map
+        gets ``(None, None)``.
+        """
         if self.hidden == 0:
-            return None
-        return tuple(np.empty(rows + (self.hidden,)) for _ in range(3))
+            return None, None
+        hid, d_hid, scratch = (np.empty(rows + (self.hidden,)) for _ in range(3))
+        return hid, (d_hid, scratch)
 
     def split(self, params: np.ndarray) -> list:
         """The layers of ``params``: per layer, the transposed weights
@@ -108,27 +121,24 @@ class _MeanNet:
         np.matmul(inputs, wt, out=out)
         out += b
 
-    def forward(self, params: np.ndarray, states: np.ndarray, hid: np.ndarray | None = None):
-        """Return (outputs, cache-for-backprop) for a batch of states.
-
-        The hidden activations go to ``hid`` (a new array if None), which
-        the cache holds until ``backprop``.
-        """
+    def forward(self, params: np.ndarray, states: np.ndarray):
+        """Return (outputs, cache-for-backprop) for a batch of states, in new arrays."""
         out = np.empty(states.shape[:-1] + (self.out_dim,))
-        if self.hidden > 0 and hid is None:
-            hid = np.empty(states.shape[:-1] + (self.hidden,))
+        hid = None if self.hidden == 0 else np.empty(states.shape[:-1] + (self.hidden,))
         layers = self.split(params)
         self.apply(layers, states, out, hid)
         return out, (layers, states, hid)
 
-    def backprop(self, cache, d_out: np.ndarray, work=None) -> np.ndarray:
+    def backprop(self, cache, d_out: np.ndarray, out: np.ndarray | None = None,
+                 work=None) -> np.ndarray:
         """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters, per lane.
 
-        ``work`` is the ``(d_hid, scratch)`` pair of hidden-layer buffers
-        (new arrays if None).
+        The gradient is written to ``out`` (a new array if None) and
+        returned. ``work`` is the ``(d_hid, scratch)`` pair of hidden-layer
+        buffers (new arrays if None).
         """
         layers, states, hid = cache
-        grad = np.empty(d_out.shape[:-2] + (self.num_params,))
+        grad = np.empty(d_out.shape[:-2] + (self.num_params,)) if out is None else out
         if self.hidden > 0:
             d_hid, scratch = (np.empty_like(hid), np.empty_like(hid)) if work is None else work
             np.matmul(d_out, layers[1][0].swapaxes(-1, -2), out=d_hid)
@@ -203,22 +213,27 @@ class GaussianPolicy:
         return mu + np.exp(self.log_std(params))[..., None, :] * noise
 
     def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray,
-              work=None):
+              mean_pass=None):
         """Log-probabilities of ``actions`` and their weighted score, from one forward pass.
 
         Returns ``(log_probs, grad)``: the (..., n) values of ``log pi(actions[t] |
-        states[t])`` and a function ``grad(coeffs)`` giving the flat gradient
-        of ``sum_t coeffs[t] * log pi(actions[t] | states[t])``, per lane.
-        ``work`` is the mean network's ``buffers`` for these states, or None
-        to allocate; ``grad`` reads them, so they stay untouched until it
-        has been called.
+        states[t])`` and a function ``grad(coeffs, out=None, work=None)``
+        giving the flat gradient of ``sum_t coeffs[t] * log pi(actions[t] |
+        states[t])``, per lane, written to ``out`` (a new array if None);
+        ``work`` is the mean network's backprop pair of ``buffers``.
+        ``mean_pass`` is the mean network's pass ``(mu, cache)`` over the
+        states under ``params``, as ``forward`` returns it, or None to make
+        it here; with a pass, ``actions`` is taken as the float array it is.
+        ``grad`` reads the pass, so its buffers stay untouched until it has
+        been called.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        net_params = self._net_params(params)
-        hid, back = (None, None) if work is None else (work[0], work[1:])
-        mu, cache = self.net.forward(net_params, states, hid)
-        raw = params[..., self.net.num_params :]
+        if mean_pass is None:
+            states = np.atleast_2d(np.asarray(states, dtype=float))
+            actions = np.atleast_2d(np.asarray(actions, dtype=float))
+            mean_pass = self.net.forward(self._net_params(params), states)
+        mu, cache = mean_pass
+        k = self.net.num_params
+        raw = params[..., k:]
         log_std = self.log_std(params)
         residual = actions - mu
         zscores = residual / np.exp(log_std)[..., None, :]
@@ -229,13 +244,13 @@ class GaussianPolicy:
         zsq_minus_one = residual * residual * inv_var - 1.0
         active = (raw > self.log_std_min) & (raw < self.log_std_max)
 
-        def grad(coeffs) -> np.ndarray:
+        def grad(coeffs, out: np.ndarray | None = None, work=None) -> np.ndarray:
             coeffs = np.asarray(coeffs, dtype=float)
-            out = np.empty(params.shape)
+            out = np.empty(params.shape) if out is None else out
             d_mu = coeffs[..., None] * residual * inv_var
-            out[..., : self.net.num_params] = self.net.backprop(cache, d_mu, back)
+            self.net.backprop(cache, d_mu, out[..., :k], work)
             d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
-            out[..., self.net.num_params :] = np.where(active, d_log_std, 0.0)
+            out[..., k:] = np.where(active, d_log_std, 0.0)
             return out
 
         return log_probs, grad
@@ -258,21 +273,33 @@ class VectorCritic:
         out, _ = self.net.forward(params, np.atleast_2d(np.asarray(states, dtype=float)))
         return out
 
-    def mse_grad(self, params: np.ndarray, states: np.ndarray, targets: np.ndarray,
-                 work=None) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and value of ``0.5 * mean((V(s) - target)^2)``, per lane.
+    def mse_grad(self, forward_pass, targets: np.ndarray, out: np.ndarray | None = None,
+                 work=None) -> np.ndarray:
+        """Gradient of ``0.5 * mean((V(s) - target)^2)``, per lane.
 
-        ``work`` is the network's ``buffers`` for these states, or None to
-        allocate.
+        ``forward_pass`` is the network's pass ``(values, cache)`` over the
+        states, as ``forward`` returns it. The gradient is written to
+        ``out`` (a new array if None); ``work`` is the backprop pair of the
+        network's ``buffers``, or None to allocate.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        hid, back = (None, None) if work is None else (work[0], work[1:])
-        values, cache = self.net.forward(params, states, hid)
+        values, cache = forward_pass
         count = values.shape[-2] * values.shape[-1]
-        err = (values - targets) / count
-        grad = self.net.backprop(cache, err, back)
-        loss = 0.5 * np.sum((values - targets) ** 2, axis=(-2, -1)) / count
-        return grad, loss
+        return self.net.backprop(cache, (values - targets) / count, out, work)
+
+
+@dataclass
+class CriticPass:
+    """The critic's pass over a batch's states, kept for the first update epoch.
+
+    ``values`` are the ``(..., n, m)`` outputs, ``activations`` the ``(...,
+    n, hidden)`` tanh activations of the hidden layer (None for a linear
+    critic) and ``params`` the ``(..., C)`` critic params the pass was made
+    under.
+    """
+
+    params: np.ndarray
+    values: np.ndarray
+    activations: np.ndarray | None
 
 
 @dataclass
@@ -282,14 +309,17 @@ class RolloutBatch:
     Every field is ``(..., n, ·)``: the leading lane axes of the collecting
     params, then one row per step. ``actions`` are the raw sampled actions
     (before environment clamping). Advantages and return targets carry one
-    component per objective. The batch holds no log-probabilities: whoever
-    needs them scores ``actions`` under the collecting snapshot.
+    component per objective. ``critic_pass`` is the critic's pass over
+    ``states`` that the advantages came from; ``ppo_update`` backprops its
+    first critic epoch from it. The batch holds no log-probabilities:
+    whoever needs them scores ``actions`` under the collecting snapshot.
     """
 
     states: np.ndarray
     actions: np.ndarray
     advantages: np.ndarray
     returns: np.ndarray
+    critic_pass: CriticPass
 
     def __post_init__(self):
         rows = self.states.shape[:-1]
@@ -298,6 +328,11 @@ class RolloutBatch:
         for name in ("actions", "advantages", "returns"):
             if getattr(self, name).shape[:-1] != rows:
                 raise ValueError(f"batch field {name} disagrees in length")
+        carried = self.critic_pass
+        hid = carried.activations
+        if carried.values.shape[:-1] != rows or carried.params.shape[:-1] != rows[:-1] \
+                or (hid is not None and hid.shape[:-1] != rows):
+            raise ValueError("batch field critic_pass disagrees in length")
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, last_values: np.ndarray,
@@ -373,6 +408,8 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     ``(L, d)`` stack. Each generator makes two draws: first the
     ``(episodes,)`` reset seeds (``integers(0, 2**31 - 1)``), then the
     ``(episodes, T, action_dim)`` block of standard-normal action noise.
+    The batch keeps the critic's pass over its states (``critic_pass``),
+    made under a copy of ``critic_params``.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
@@ -386,7 +423,7 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     n = episodes * T
     states = states.reshape(lead + (n, -1))
     actions = actions.reshape(lead + (n, -1))
-    values = critic.values(critic_params, states)
+    values, (_, _, activations) = critic.net.forward(critic_params, states)
     last_values = np.zeros(lead + (episodes, m))
     if not terminal.all():
         last_values = np.where(terminal[..., None], 0.0, critic.values(critic_params, final_states))
@@ -397,6 +434,7 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
         actions=actions,
         advantages=advantages,
         returns=advantages + values,
+        critic_pass=CriticPass(critic_params.copy(), values, activations),
     )
 
 
@@ -437,18 +475,31 @@ class _Adam:
         self.lr = lr
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self.scratch = np.empty(shape), np.empty(shape)
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """One descent step along ``grad``."""
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One descent step along ``grad``, applied to ``params`` in place.
+
+        The operations and their order are those of ``params - lr * m_hat /
+        (sqrt(v_hat) + eps)``, with every intermediate in ``scratch``.
+        """
         self.t += 1
+        a, b = self.scratch
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        np.multiply(1.0 - self.beta1, grad, out=a)
+        self.m += a
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1.0 - self.beta2, grad, out=a)
+        a *= grad
+        self.v += a
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 class _SGD:
@@ -461,9 +512,12 @@ class _SGD:
 
     def __init__(self, shape, lr: float):
         self.lr = lr
+        self.scratch = np.empty(shape)
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return params - self.lr * grad
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """``params -= lr * grad``, in place."""
+        np.multiply(self.lr, grad, out=self.scratch)
+        params -= self.scratch
 
 
 _OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
@@ -478,9 +532,11 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
 
     ``params`` and ``critic_params`` are one lane or an ``(L, ·)`` stack with
     a matching ``batch``; ``omega`` holds one weight vector per lane. The
-    batch must have been collected under ``params``: the likelihood ratios
-    are taken against the log-probabilities of the first epoch, where every
-    ratio is exactly one.
+    batch must have been collected under ``params`` and ``critic_params``:
+    the likelihood ratios are taken against the log-probabilities of the
+    first epoch, where every ratio is exactly one, and the critic's first
+    epoch backprops from the batch's ``critic_pass``, so ``critic_params``
+    that differ from the pass's raise ValueError.
     ``update`` is the ``policy`` config section; its ``epochs``, ``lr``,
     ``normalize_advantages`` and ``optimizer`` set the update.
     Advantages are (optionally) normalized per objective, then collapsed
@@ -495,30 +551,52 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     if omega.shape[-1:] != (m,):
         raise ValueError(f"omega has {omega.shape[-1:]} components, batch has {m} objectives")
     omega = validate_weights(omega)
+    carried = batch.critic_pass
+    if critic_params.shape != carried.params.shape \
+            or critic_params.tobytes() != carried.params.tobytes():
+        raise ValueError("critic_params differ from the params of the batch's critic pass")
     adv = batch.advantages
     if update.normalize_advantages:
         adv = normalize_per_objective(adv)
     scalar_adv = (adv @ omega[..., None])[..., 0]
     n = scalar_adv.shape[-1]
+    positive = scalar_adv >= 0.0
 
-    # One set of hidden-layer buffers for every pass of the update: the
-    # critic's pass starts after the policy's backprop has read the set.
-    work = policy.net.buffers(batch.states.shape[:-1])
-    critic_work = work if critic.hidden == policy.hidden \
-        else critic.net.buffers(batch.states.shape[:-1])
+    # The update is prepared once: its own copies of both networks' params,
+    # stepped in place, their layers split once as views into the copies,
+    # and one output and gradient array each. The policy's and the critic's
+    # passes share one set of hidden-layer buffers, because the critic's
+    # pass starts after the policy's backprop has read it.
+    states, actions, rows = batch.states, batch.actions, batch.states.shape[:-1]
+    params, critic_params = params.copy(), critic_params.copy()
+    layers = policy.net.split(policy._net_params(params))
+    critic_layers = critic.net.split(critic_params)
+    hid, work = policy.net.buffers(rows)
+    critic_hid, critic_work = (hid, work) if critic.hidden == policy.hidden \
+        else critic.net.buffers(rows)
+    mu, values = np.empty(rows + (policy.action_dim,)), np.empty(rows + (m,))
+    grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr
     policy_opt = _OPTIMIZERS[update.optimizer](params.shape, lr)
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params.shape, lr if update.optimizer == "adam" else min(lr, 5e-3))
+    # The critic's first epoch reads the batch's pass, made under these params.
+    critic_pass = (carried.values, (critic_layers, states, carried.activations))
     for epoch in range(update.epochs):
-        log_probs, grad = policy.score(params, batch.states, batch.actions, work)
+        policy.net.apply(layers, states, mu, hid)
+        log_probs, grad = policy.score(params, states, actions, (mu, (layers, states, hid)))
         if epoch == 0:
-            old_log_probs = log_probs
-        ratio = np.exp(log_probs - old_log_probs)
-        # Gradient flows only where the unclipped branch is the active min.
-        active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
-        coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
-        params = policy_opt.step(params, -grad(coeffs))
-        value_grad, _ = critic.mse_grad(critic_params, batch.states, batch.returns, critic_work)
-        critic_params = critic_opt.step(critic_params, value_grad)
+            # Every ratio is exactly one, so every row takes the unclipped branch.
+            old_log_probs, coeffs = log_probs, scalar_adv / n
+        else:
+            ratio = np.exp(log_probs - old_log_probs)
+            # Gradient flows only where the unclipped branch is the active min.
+            active = np.where(positive, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
+            coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
+        policy_opt.step(params, np.negative(grad(coeffs, grad_out, work), out=grad_out))
+        if epoch > 0:
+            critic.net.apply(critic_layers, states, values, critic_hid)
+            critic_pass = (values, (critic_layers, states, critic_hid))
+        critic_opt.step(critic_params,
+                        critic.mse_grad(critic_pass, batch.returns, critic_grad, critic_work))
     return params, critic_params

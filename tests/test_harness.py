@@ -577,6 +577,22 @@ class TestEvalCommand:
             mean = [float(v) for v in printed.split(":")[1].split()]
             assert mean == item["objectives"], k
 
+    def test_episodes_default_to_the_runs_eval_episodes(self, tmp_path, capsys):
+        # Without --episodes, eval rolls out the run's own eval.episodes (3
+        # here, not the schema's default 8), so the plain command prints
+        # each entry's objectives exactly.
+        cfg = dict(TINY, env={"name": "mo_point", "params": {"horizon": 6}},
+                   eval={"episodes": 3}, seeds=[5])
+        (run_dir,) = train(tmp_path, cfg)
+        capsys.readouterr()
+        doc = json.loads((run_dir / "frontier.json").read_text())
+        for k, item in enumerate(doc["entries"]):
+            assert eval_run(run_dir, "--entry", str(k), "--param", "horizon=6",
+                            env="mo_point") == 0
+            printed = capsys.readouterr().out
+            mean = [float(v) for v in printed.split(":")[1].split()]
+            assert mean == item["objectives"], k
+
     def test_zero_parameter_policy_objectives(self, tmp_path, capsys):
         # Mean action is the origin, so each objective pays the negative
         # squared norm of its target.

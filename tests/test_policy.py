@@ -8,6 +8,7 @@ import pytest
 from moascent.config import ConfigError, PolicyConfig
 from moascent.momdp import MoPoint, make_env, mo_return
 from moascent.policy import (
+    CriticPass,
     GaussianPolicy,
     RolloutBatch,
     VectorCritic,
@@ -185,9 +186,12 @@ def test_gradient_set_stack_matches_lane_less_calls(env_name, normalize):
     batch = collect_batch(env, policy, params, critic, critic_params, 6, spec.gamma, 0.95, rngs)
     G = estimate_gradient_set(policy, params, batch, normalize)
     assert G.shape == (4, spec.num_objectives, policy.num_params)
+    carried = batch.critic_pass
     for lane in range(4):
+        lane_pass = CriticPass(carried.params[lane], carried.values[lane],
+                               carried.activations[lane])
         lane_batch = RolloutBatch(batch.states[lane], batch.actions[lane],
-                                  batch.advantages[lane], batch.returns[lane])
+                                  batch.advantages[lane], batch.returns[lane], lane_pass)
         alone = estimate_gradient_set(policy, params[lane], lane_batch, normalize)
         assert G[lane].tobytes() == alone.tobytes(), lane
 
@@ -217,11 +221,25 @@ class TestScoringPasses:
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_ppo_update_runs_mean_network_once_per_epoch(self, monkeypatch, epochs):
+        # One policy pass per epoch; the critic's first epoch backprops from
+        # the pass collect_batch made, so the critic runs one pass fewer.
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
-        calls = count_mean_net_passes(self.policy, monkeypatch)
+        policy_passes = count_calls(self.policy.net, "apply", monkeypatch)
+        critic_passes = count_calls(self.critic.net, "apply", monkeypatch)
+        forwards = count_mean_net_passes(self.policy, monkeypatch)
         ppo_update(self.policy, params, self.critic, critic_params, batch, [0.5, 0.5],
                    PolicyConfig(epochs=epochs))
-        assert len(calls) == epochs
+        assert len(policy_passes) == epochs
+        assert len(critic_passes) == epochs - 1
+        assert len(forwards) == 0
+
+    def test_ppo_update_rejects_critic_params_the_batch_was_not_collected_under(self):
+        params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
+        moved = critic_params.copy()
+        moved[0] = np.nextafter(moved[0], np.inf)
+        with pytest.raises(ValueError, match="critic_params"):
+            ppo_update(self.policy, params, self.critic, moved, batch, [0.5, 0.5],
+                       PolicyConfig())
 
     def test_gradient_set_runs_mean_network_once(self, monkeypatch):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
@@ -403,6 +421,40 @@ def test_ppo_update_matches_allocating_oracle(hidden, optimizer, normalize, lane
     assert got[1].tobytes() == want[1].tobytes()
     clamped = policy.net.num_params
     assert got[0][..., clamped].tobytes() == params[..., clamped].tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
+    # The update steps its own copies in place and backprops its first critic
+    # epoch from the batch's pass without writing into it, so a second call
+    # on the same inputs returns the same bytes.
+    env = MoPoint(horizon=5)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
+    rng = np.random.default_rng(3)
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(2)])
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(2)])
+    batch = collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
+                          [np.random.default_rng(lane) for lane in range(2)])
+    carried = batch.critic_pass
+    inputs = {"params": params, "critic_params": critic_params, "states": batch.states,
+              "actions": batch.actions, "advantages": batch.advantages,
+              "returns": batch.returns, "critic_pass.params": carried.params,
+              "critic_pass.values": carried.values,
+              "critic_pass.activations": carried.activations}
+    before = {name: None if a is None else a.tobytes() for name, a in inputs.items()}
+    assert (before["critic_pass.activations"] is None) == (hidden == 0)
+    update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer)
+    omega = [[0.3, 0.7], [0.6, 0.4]]
+    first = ppo_update(policy, params, critic, critic_params, batch, omega, update)
+    second = ppo_update(policy, params, critic, critic_params, batch, omega, update)
+    for name, a in inputs.items():
+        assert (None if a is None else a.tobytes()) == before[name], name
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1].tobytes() == second[1].tobytes()
+    assert first[0].tobytes() != params.tobytes()
+    assert first[1].tobytes() != critic_params.tobytes()
 
 
 class TestRollouts:

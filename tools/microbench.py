@@ -4,6 +4,9 @@ Times one call of each function below, many times over, in this process:
 
 - ``run_episode`` per step, on the ``point`` workload's ``(p, episodes)``
   stack with action noise (the training rollout);
+- ``collect_batch`` at the ``quad2`` and ``point`` workloads' shapes
+  (rollout, critic pass and GAE; the batch keeps the critic pass), on
+  generators that advance from call to call;
 - ``ppo_update`` on a batch collected at the ``quad2`` and ``point``
   workloads' shapes, with their update settings;
 - ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
@@ -122,6 +125,10 @@ def cases(full: bool, scratch: Path) -> list:
         params, critic, rngs = _lanes(t)
         batch = collect_batch(t.env, t.policy, params, t.critic, critic, t.update.batch_episodes,
                               t.env.spec.gamma, _GAE_LAMBDA, rngs)
+        out.append((f"collect_batch.{workload}", 1,
+                    lambda t=t, p=params, c=critic, r=rngs:
+                    collect_batch(t.env, t.policy, p, t.critic, c, t.update.batch_episodes,
+                                  t.env.spec.gamma, _GAE_LAMBDA, r)))
         omega = np.full((len(rngs), t.env.spec.num_objectives), 1.0 / t.env.spec.num_objectives)
         out.append((f"ppo_update.{workload}", 1,
                     lambda t=t, p=params, c=critic, b=batch, w=omega:
