@@ -170,8 +170,9 @@ class Config(_Section):
     eval: EvalConfig = _section(EvalConfig)
     output_dir: str = _knob("runs", "an output directory", _nonempty_str)
     seeds: list[int] = _knob(
-        [0, 1, 2, 3, 4, 5], "a non-empty list of integers >= 0",
-        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(s) and s >= 0 for s in v),
+        [0, 1, 2, 3, 4, 5], "a non-empty list of distinct integers >= 0",
+        lambda v: (isinstance(v, list) and len(v) > 0
+                   and all(_is_int(s) and s >= 0 for s in v) and len(set(v)) == len(v)),
     )
 
 

@@ -4,17 +4,18 @@ A run is described by a single YAML file (see :mod:`moascent.config` and
 the README schema table) and may be tweaked from the command line with dotted
 ``--override`` paths. Every seed produces one immutable timestamped run
 directory containing the resolved config, the per-generation metrics CSV,
-the frontier JSON, the checkpoint store, and the selection log; reports only
-read such directories.
+the frontier JSON, the checkpoint store, and the selection log. ``train``
+writes such directories; ``eval`` and ``report`` only read them, and a run
+directory is all they need.
 
 The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 ``(n, P)`` and ``checkpoints/critic.npy`` ``(n, C)``, each written with one
 ``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
-store holds no shapes; ``eval`` builds the policy from the run's
-``config.yaml`` (the environment's dimensions and ``policy.hidden``) and
-rolls it out on the first ``--episodes`` of the run's evaluation seeds, by
-default the run's ``eval.episodes`` of them, which reproduce the entry's
-objectives.
+store holds no shapes; ``eval`` builds the environment from the run's
+``config.yaml`` (``env.name`` and ``env.params``) and the policy from that
+environment's dimensions and ``policy.hidden``, and rolls it out on the
+first ``--episodes`` of the run's evaluation seeds, by default the run's
+``eval.episodes`` of them, which reproduce the entry's objectives.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .archive import (PolicyEntry, frontier_document, frontier_entries, hypervolume,
-                      parse_frontier, sparsity)
-from .config import Config, ConfigError, load_config, parse_override, resolve_config
+from .archive import PolicyEntry, frontier_document, frontier_entries, parse_frontier
+from .config import Config, ConfigError, load_config, resolve_config
 from .evolution import Trainer, eval_seeds
-from .momdp import make_env, mo_return
+from .momdp import MOMDPEnv, make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
 
 __all__ = [
@@ -130,8 +130,8 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
     return stack
 
 
-def load_checkpoint(run_dir, entry: int) -> tuple[GaussianPolicy, np.ndarray]:
-    """The policy of a run and the parameters of its frontier's ``entries[entry]``."""
+def load_checkpoint(run_dir, entry: int) -> tuple[MOMDPEnv, GaussianPolicy, np.ndarray]:
+    """The env and policy of a run, and the parameters of its frontier's ``entries[entry]``."""
     run_dir = Path(run_dir)
     doc, _ = _read_frontier(run_dir)
     n = len(doc["entries"])
@@ -141,12 +141,12 @@ def load_checkpoint(run_dir, entry: int) -> tuple[GaussianPolicy, np.ndarray]:
     env_name, env_params, hidden = _run_config(run_dir, ("env.name", "env.params",
                                                          "policy.hidden"))
     try:
-        spec = make_env(env_name, **env_params).spec
+        env = make_env(env_name, **env_params)
     except ValueError as exc:
         raise ValueError(f"run config {run_dir / 'config.yaml'} field 'env': {exc}") from None
-    policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, policy.num_params)
-    return policy, stack[entry]
+    return env, policy, stack[entry]
 
 
 def _format_value(value) -> str:
@@ -233,21 +233,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    policy, params = load_checkpoint(args.run, args.entry)
-    env_params = {}
-    for text in args.param or ():
-        key, value = parse_override(text)
-        if len(key) != 1:
-            raise ConfigError(f"eval --param takes flat keys, got {'.'.join(key)}")
-        env_params[key[0]] = value
-    env = make_env(args.env, **env_params)
-    if policy.state_dim != env.spec.state_dim or policy.action_dim != env.spec.action_dim:
-        raise ValueError(
-            "run/environment shape mismatch: the run's policy expects "
-            f"state_dim={policy.state_dim}, action_dim={policy.action_dim}; "
-            f"environment {args.env} has state_dim={env.spec.state_dim}, "
-            f"action_dim={env.spec.action_dim}"
-        )
+    env, policy, params = load_checkpoint(args.run, args.entry)
     seeds, episodes = _run_config(Path(args.run), ("seeds", "eval.episodes"))
     if args.episodes is not None:
         episodes = args.episodes
@@ -341,18 +327,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_frontier_export(args) -> int:
-    doc, objectives = _read_frontier(Path(args.run_dir))
-    z = np.asarray(doc["reference_point"], dtype=float)
-    hv = hypervolume(objectives, z) if objectives.size else 0.0
-    sp = sparsity(objectives) if objectives.size else None
-    print(f"entries={len(doc['entries'])} hv={hv!r} sp={_format_value(sp)}")
-    text = json.dumps(doc, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,11 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--run", required=True, help="run directory")
     evaluate.add_argument("--entry", type=int, required=True,
                           help="index k of the policy in frontier.json's entries")
-    evaluate.add_argument("--env", required=True)
-    evaluate.add_argument("--episodes", type=int,
+    evaluate.add_argument("--episodes", type=_positive_int,
                           help="episodes to roll out (default: the run's eval.episodes)")
-    evaluate.add_argument("--param", action="append", default=[],
-                          help="environment parameter, e.g. action_bound=2.0 (repeatable)")
     evaluate.add_argument("--out", help="per-episode CSV path")
     evaluate.set_defaults(func=cmd_eval)
 
@@ -386,12 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("run_dirs", nargs="+")
     report.add_argument("--out", default="report")
     report.set_defaults(func=cmd_report)
-
-    export = sub.add_parser("frontier-export",
-                            help="re-score and emit a run's frontier document")
-    export.add_argument("run_dir")
-    export.add_argument("--out", help="write the document here instead of stdout")
-    export.set_defaults(func=cmd_frontier_export)
     return parser
 
 

@@ -167,19 +167,13 @@ class GaussianPolicy:
     ``[log_std_min, log_std_max]`` when used.
     """
 
-    def __init__(
-        self,
-        state_dim: int,
-        action_dim: int,
-        hidden: int,
-        log_std_min: float = -5.0,
-        log_std_max: float = 2.0,
-    ):
+    log_std_min = -5.0
+    log_std_max = 2.0
+
+    def __init__(self, state_dim: int, action_dim: int, hidden: int):
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.hidden = hidden
-        self.log_std_min = log_std_min
-        self.log_std_max = log_std_max
         self.net = _MeanNet(state_dim, action_dim, hidden)
         self.num_params = self.net.num_params + action_dim
 

@@ -52,12 +52,12 @@ def write_config(tmp_path, cfg, name="cfg.yaml"):
     return path
 
 
-def stored_run(tmp_path, rows, env="mo_quadratic", hidden=8):
+def stored_run(tmp_path, rows):
     """A run directory whose frontier entry k is the policy ``rows[k]``, stored as ``run_seed`` does.
 
-    ``config.yaml`` is ``TINY`` on ``env`` with ``policy.hidden=hidden``.
+    ``config.yaml`` is ``TINY`` resolved.
     """
-    cfg = resolve_config(dict(TINY, env={"name": env}, policy=dict(TINY["policy"], hidden=hidden)))
+    cfg = resolve_config(TINY)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / "config.yaml").write_text(yaml.safe_dump(asdict(cfg), sort_keys=True))
@@ -71,8 +71,14 @@ def stored_run(tmp_path, rows, env="mo_quadratic", hidden=8):
     return run_dir
 
 
-def eval_run(run_dir, *args, env="mo_quadratic"):
-    return main(["eval", "--run", str(run_dir), "--env", env, *args])
+def eval_run(run_dir, *args):
+    return main(["eval", "--run", str(run_dir), *args])
+
+
+def printed_means(capsys) -> list[list[float]]:
+    """The objectives of each ``mean objectives:`` line ``eval`` printed since the last read."""
+    return [[float(v) for v in line.split(":")[1].split()]
+            for line in capsys.readouterr().out.splitlines()]
 
 
 def train(tmp_path, cfg=None, extra_args=()):
@@ -487,8 +493,10 @@ class TestTrainCommand:
         assert len(objectives) >= 1
         # every frontier entry's policy loads from the checkpoint store
         for k in range(len(doc["entries"])):
-            policy, params = load_checkpoint(run_dir, k)
+            env, policy, params = load_checkpoint(run_dir, k)
             assert params.size == policy.num_params
+            assert (policy.state_dim, policy.action_dim) == (env.spec.state_dim,
+                                                             env.spec.action_dim)
 
     def test_unwritable_output_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(self):
@@ -512,6 +520,18 @@ class TestTrainCommand:
         assert len(runs) == 1
         resolved = yaml.safe_load((runs[0] / "config.yaml").read_text())
         assert resolved["seeds"] == [1]
+
+    @pytest.mark.parametrize("seeds, args", [
+        pytest.param([0, 0], (), id="config"),
+        pytest.param([0], ("--seed", "3", "--seed", "3"), id="flag"),
+    ])
+    def test_duplicate_seeds_exit_2_before_training(self, tmp_path, capsys, seeds, args):
+        # A repeated seed used to train twice into two identical run
+        # directories, which report then counted as two runs.
+        path = write_config(tmp_path, dict(TINY, seeds=seeds, output_dir=str(tmp_path / "runs")))
+        assert main(["train", "--config", str(path), *args]) == 2
+        assert "seeds: invalid value" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_override_lands_in_resolved_copy(self, tmp_path):
         (run_dir,) = train(tmp_path, extra_args=("--override", "evolution.M=1"))
@@ -571,11 +591,8 @@ class TestEvalCommand:
         doc = json.loads((run_dir / "frontier.json").read_text())
         assert len(doc["entries"]) > 1
         for k, item in enumerate(doc["entries"]):
-            assert eval_run(run_dir, "--entry", str(k), "--episodes", "3",
-                            "--param", "horizon=6", env="mo_point") == 0
-            printed = capsys.readouterr().out
-            mean = [float(v) for v in printed.split(":")[1].split()]
-            assert mean == item["objectives"], k
+            assert eval_run(run_dir, "--entry", str(k), "--episodes", "3") == 0
+            assert printed_means(capsys) == [item["objectives"]], k
 
     def test_episodes_default_to_the_runs_eval_episodes(self, tmp_path, capsys):
         # Without --episodes, eval rolls out the run's own eval.episodes (3
@@ -587,11 +604,40 @@ class TestEvalCommand:
         capsys.readouterr()
         doc = json.loads((run_dir / "frontier.json").read_text())
         for k, item in enumerate(doc["entries"]):
-            assert eval_run(run_dir, "--entry", str(k), "--param", "horizon=6",
-                            env="mo_point") == 0
-            printed = capsys.readouterr().out
-            mean = [float(v) for v in printed.split(":")[1].split()]
-            assert mean == item["objectives"], k
+            assert eval_run(run_dir, "--entry", str(k)) == 0
+            assert printed_means(capsys) == [item["objectives"]], k
+
+    def test_replays_the_runs_own_env_params(self, tmp_path, capsys):
+        # eval used to roll out on an env built from --env/--param flags, so
+        # the plain command on this run printed the default targets' returns
+        # and exited 0. The env now comes from the run's config.yaml alone.
+        cfg = dict(TINY, env={"name": "mo_quadratic", "params": {"targets": [[2, 0], [0, 2]]}},
+                   evolution=dict(TINY["evolution"], reference_point=[-30, -30]))
+        (run_dir,) = train(tmp_path, cfg)
+        capsys.readouterr()
+        doc = json.loads((run_dir / "frontier.json").read_text())
+        for k, item in enumerate(doc["entries"]):
+            assert eval_run(run_dir, "--entry", str(k)) == 0
+            assert printed_means(capsys) == [item["objectives"]], k
+
+    @pytest.mark.parametrize("episodes", ["0", "-1"])
+    def test_episodes_below_one_is_a_usage_error(self, tmp_path, capsys, episodes):
+        # -1 used to end in numpy's "negative dimensions are not allowed".
+        run_dir = stored_run(tmp_path, [np.zeros(GaussianPolicy(1, 2, hidden=8).num_params)])
+        with pytest.raises(SystemExit) as exc:
+            eval_run(run_dir, "--entry", "0", "--episodes", episodes)
+        assert exc.value.code == 2
+        assert f"--episodes: must be an integer >= 1, got '{episodes}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", "--run", "r", "--entry", "0", "--env", "mo_quadratic"], id="env"),
+        pytest.param(["eval", "--run", "r", "--entry", "0", "--param", "horizon=6"], id="param"),
+        pytest.param(["frontier-export", "r"], id="frontier-export"),
+    ])
+    def test_removed_flags_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_zero_parameter_policy_objectives(self, tmp_path, capsys):
         # Mean action is the origin, so each objective pays the negative
@@ -601,10 +647,8 @@ class TestEvalCommand:
         run_dir = stored_run(tmp_path, [np.ones(policy.num_params), np.zeros(policy.num_params)])
         out = tmp_path / "episodes.csv"
         assert eval_run(run_dir, "--entry", "1", "--episodes", "3", "--out", str(out)) == 0
-        printed = capsys.readouterr().out
         want = -np.sum(env.targets**2, axis=1)
-        mean = np.array([float(v) for v in printed.split(":")[1].split()])
-        np.testing.assert_allclose(mean, want, atol=1e-12)
+        np.testing.assert_allclose(printed_means(capsys)[0], want, atol=1e-12)
         with out.open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["episode", "objective_0", "objective_1"]
@@ -616,25 +660,9 @@ class TestEvalCommand:
         params = policy.init_params(np.random.default_rng(3), 0.1, -0.5)
         run_dir = stored_run(tmp_path, [params])
         assert eval_run(run_dir, "--entry", "0", "--episodes", "1") == 0
-        printed = capsys.readouterr().out
-        mean = np.array([float(v) for v in printed.split(":")[1].split()])
         _, _, rewards, _, _ = run_episode(env, policy, params, [0])
-        np.testing.assert_allclose(mean, mo_return(rewards[0], env.spec.gamma), atol=1e-12)
-
-    def test_shape_mismatch_names_dimensions(self, tmp_path, capsys):
-        policy = GaussianPolicy(1, 2, hidden=4)
-        run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)], hidden=4)
-        assert eval_run(run_dir, "--entry", "0", env="mo_point") == 1
-        err = capsys.readouterr().err
-        assert "state_dim=1" in err and "state_dim=4" in err
-
-    def test_unknown_env_param_exits_1_naming_it(self, tmp_path, capsys):
-        # The environment's TypeError used to end eval in a traceback.
-        policy = GaussianPolicy(1, 2, hidden=4)
-        run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)], hidden=4)
-        assert eval_run(run_dir, "--entry", "0", "--param", "foo=1") == 1
-        err = capsys.readouterr().err
-        assert "error: environment 'mo_quadratic': " in err and "'foo'" in err
+        np.testing.assert_allclose(printed_means(capsys)[0], mo_return(rewards[0], env.spec.gamma),
+                                   atol=1e-12)
 
     def test_trained_run_replays_its_frontier(self, tmp_path, capsys):
         # Every entry of a trained run loads from the store and rolls out.
@@ -785,6 +813,43 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(run / "config.yaml") in err and message in err
 
+    @pytest.mark.parametrize("change, message", [
+        named("change0", {"entries": [3]}, "frontier entry must be a mapping"),
+        named("change1", {"entries": 3}, "frontier field 'entries' must be a list"),
+        named("change2", {"reference_point": 3},
+              "frontier field 'reference_point' must be a list"),
+        named("change3", {"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
+                                       "params_ref": "c"}]},
+              "frontier entry field 'objectives' must be a list"),
+        named("change4", {"m": [2]}, "frontier field 'm' must be an integer >= 2, got [2]"),
+        named("change5", {"m": True}, "frontier field 'm' must be an integer >= 2, got True"),
+        named("change6", {"m": 1, "reference_point": [0.0]},
+              "frontier field 'm' must be an integer >= 2, got 1"),
+        named("change7", {"reference_point": ["a", 0.0]},
+              "frontier field 'reference_point' must be a list of m=2 finite numbers"),
+        named("change8", {"reference_point": [True, 0.0]},
+              "frontier field 'reference_point' must be a list of m=2 finite numbers"),
+        named("change9", {"entries": [{"objectives": [1.0, float("nan")], "generation": 0,
+                                       "source": "warmup", "params_ref": "c"}]},
+              "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
+        named("change10", {"entries": [{"objectives": [1.0, False], "generation": 0,
+                                        "source": "warmup", "params_ref": "c"}]},
+              "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
+    ])
+    def test_malformed_document_named(self, tmp_path, capsys, change, message):
+        doc = {"schema_version": 2, "experiment_id": "x", "m": 2,
+               "reference_point": [0.0, 0.0], "entries": [], **change}
+        run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
+        (run / "frontier.json").write_text(json.dumps(doc))
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_non_mapping_document_named(self, tmp_path, capsys):
+        run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
+        (run / "frontier.json").write_text("[1]")
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
+        assert "error: frontier document must be a mapping" in capsys.readouterr().err
+
     def test_curve_and_frontier_files(self, tmp_path):
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
         out = tmp_path / "rep"
@@ -868,49 +933,3 @@ class TestReportCommand:
             "alpha,2,3,paft_pair,1.3,0.2",
             "beta,1,1,warmup,2.0,0.0",
         )
-
-
-class TestFrontierExportCommand:
-    def test_rescores_and_writes(self, tmp_path, capsys):
-        (run_dir,) = train(tmp_path)
-        out = tmp_path / "frontier-copy.json"
-        assert main(["frontier-export", str(run_dir), "--out", str(out)]) == 0
-        final = read_metrics_csv(run_dir / "metrics.csv")[-1]
-        printed = capsys.readouterr().out
-        assert repr(final["hv"]) in printed
-        assert json.loads(out.read_text()) == json.loads((run_dir / "frontier.json").read_text())
-
-    @pytest.mark.parametrize("change, message", [
-        named("change0", {"entries": [3]}, "frontier entry must be a mapping"),
-        named("change1", {"entries": 3}, "frontier field 'entries' must be a list"),
-        named("change2", {"reference_point": 3},
-              "frontier field 'reference_point' must be a list"),
-        named("change3", {"entries": [{"objectives": 3, "generation": 0, "source": "warmup",
-                                       "params_ref": "c"}]},
-              "frontier entry field 'objectives' must be a list"),
-        named("change4", {"m": [2]}, "frontier field 'm' must be an integer >= 2, got [2]"),
-        named("change5", {"m": True}, "frontier field 'm' must be an integer >= 2, got True"),
-        named("change6", {"m": 1, "reference_point": [0.0]},
-              "frontier field 'm' must be an integer >= 2, got 1"),
-        named("change7", {"reference_point": ["a", 0.0]},
-              "frontier field 'reference_point' must be a list of m=2 finite numbers"),
-        named("change8", {"reference_point": [True, 0.0]},
-              "frontier field 'reference_point' must be a list of m=2 finite numbers"),
-        named("change9", {"entries": [{"objectives": [1.0, float("nan")], "generation": 0,
-                                       "source": "warmup", "params_ref": "c"}]},
-              "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
-        named("change10", {"entries": [{"objectives": [1.0, False], "generation": 0,
-                                        "source": "warmup", "params_ref": "c"}]},
-              "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
-    ])
-    def test_malformed_document_named(self, tmp_path, capsys, change, message):
-        doc = {"schema_version": 2, "experiment_id": "x", "m": 2,
-               "reference_point": [0.0, 0.0], "entries": [], **change}
-        (tmp_path / "frontier.json").write_text(json.dumps(doc))
-        assert main(["frontier-export", str(tmp_path)]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
-
-    def test_non_mapping_document_named(self, tmp_path, capsys):
-        (tmp_path / "frontier.json").write_text("[1]")
-        assert main(["frontier-export", str(tmp_path)]) == 1
-        assert "error: frontier document must be a mapping" in capsys.readouterr().err

@@ -118,8 +118,9 @@ class TestLogProbGrad:
         np.testing.assert_allclose(numeric[policy.net.num_params :], [-1.0, -1.0], atol=1e-6)
 
     def test_clamped_log_std_has_zero_gradient(self):
-        policy = GaussianPolicy(2, 1, hidden=0, log_std_min=-1.0, log_std_max=1.0)
+        policy = GaussianPolicy(2, 1, hidden=0)
         params = policy.init_params(np.random.default_rng(6), 0.1, 5.0)
+        assert params[-1] > policy.log_std_max
         grad = log_prob_grad(policy, params, np.ones(2), np.zeros(1))
         assert grad[policy.net.num_params :] == pytest.approx(0.0)
 
