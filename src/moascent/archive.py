@@ -248,6 +248,12 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
         for key in ("objectives", "generation", "source", "params_ref"):
             if key not in entry:
                 raise ValueError(f"frontier entry missing field {key!r}")
+        if not _is_int(entry["generation"]) or entry["generation"] < 0:
+            raise ValueError(f"frontier entry field 'generation' must be an integer >= 0, "
+                             f"got {entry['generation']!r}")
+        if entry["source"] not in POLICY_SOURCES:
+            raise ValueError(f"frontier entry field 'source' must be one of {POLICY_SOURCES}, "
+                             f"got {entry['source']!r}")
         if not isinstance(entry["params_ref"], str):
             raise ValueError(
                 f"frontier entry field 'params_ref' must be a string, got {entry['params_ref']!r}")

@@ -11,11 +11,12 @@ directory is all they need.
 The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 ``(n, P)`` and ``checkpoints/critic.npy`` ``(n, C)``, each written with one
 ``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
-store holds no shapes; ``eval`` builds the environment from the run's
-``config.yaml`` (``env.name`` and ``env.params``) and the policy from that
-environment's dimensions and ``policy.hidden``, and rolls it out on the
-first ``--episodes`` of the run's evaluation seeds, by default the run's
-``eval.episodes`` of them, which reproduce the entry's objectives.
+store holds no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
+through :func:`resolve_config` and require it to be its own resolution, as
+``train`` writes it. ``eval`` builds the run's trainer with
+:func:`build_trainer`, as ``train`` does, and rolls the entry's policy out on
+the trainer's env and evaluation seeds (the first ``--episodes`` of them when
+given), which reproduce the entry's objectives.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -34,7 +35,7 @@ import yaml
 from .archive import PolicyEntry, frontier_document, frontier_entries, parse_frontier
 from .config import Config, ConfigError, load_config, resolve_config
 from .evolution import Trainer, eval_seeds
-from .momdp import MOMDPEnv, make_env, mo_return
+from .momdp import make_env, mo_return
 from .policy import GaussianPolicy, VectorCritic, run_episode
 
 __all__ = [
@@ -68,32 +69,33 @@ def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:
     np.save(checkpoint_dir / "critic.npy", np.stack([e.critic_params for e in entries]))
 
 
-def _run_field(path: Path, cfg: dict, name: str):
-    """The dotted field ``name`` of run config ``cfg`` (read from ``path``), checked."""
-    cls, value = Config, cfg
-    for depth, part in enumerate(name.split(".")):
-        if not isinstance(value, dict):
-            section = ".".join(name.split(".")[:depth])
-            raise ValueError(f"run config {path} field {section!r} must be a mapping, "
-                             f"got {value!r}")
-        if part not in value:
-            raise ValueError(f"run config {path} field {name!r} is missing")
-        f = next(f for f in fields(cls) if f.name == part)
-        cls, value = f.metadata.get("section"), value[part]
-    if not f.metadata["ok"](value):
-        raise ValueError(f"run config {path} field {name!r} must be {f.metadata['what']}, "
-                         f"got {value!r}")
-    return value
+def _unresolved_fields(raw: dict, resolved: dict, prefix: str = ""):
+    """Each field of ``resolved`` that ``raw`` lacks or holds another value of, described."""
+    for key, value in resolved.items():
+        name = prefix + key
+        if key not in raw:
+            yield f"field {name!r} is missing"
+        elif isinstance(value, dict):
+            yield from _unresolved_fields(raw[key], value, f"{name}.")
+        elif raw[key] != value:
+            yield f"field {name!r} is {raw[key]!r}, which resolves to {value!r}"
 
 
-def _run_config(run_dir: Path, names) -> list:
-    """The values of the dotted fields ``names`` of a run's ``config.yaml``, checked."""
+def _read_config(run_dir: Path) -> Config:
+    """A run's ``config.yaml``, which must be its own resolution; else ValueError naming it."""
     path = run_dir / "config.yaml"
     try:
-        cfg = load_config(path)
+        raw = load_config(path)
     except ConfigError as exc:
         raise ValueError(str(exc)) from None
-    return [_run_field(path, cfg, name) for name in names]
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError as exc:
+        raise ValueError(f"run config {path}: {exc}") from None
+    problem = next(_unresolved_fields(raw, asdict(cfg)), None)
+    if problem:
+        raise ValueError(f"run config {path} is not a resolved config: {problem}")
+    return cfg
 
 
 def _read_frontier(run_dir: Path) -> tuple[dict, np.ndarray]:
@@ -130,23 +132,18 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
     return stack
 
 
-def load_checkpoint(run_dir, entry: int) -> tuple[MOMDPEnv, GaussianPolicy, np.ndarray]:
-    """The env and policy of a run, and the parameters of its frontier's ``entries[entry]``."""
+def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
+    """A run's trainer, built as ``train`` builds it, and its frontier's ``entries[entry]``."""
     run_dir = Path(run_dir)
     doc, _ = _read_frontier(run_dir)
     n = len(doc["entries"])
     if not 0 <= entry < n:
         raise ValueError(f"--entry {entry} is out of range: {run_dir / 'frontier.json'} "
                          f"has {n} entries")
-    env_name, env_params, hidden = _run_config(run_dir, ("env.name", "env.params",
-                                                         "policy.hidden"))
-    try:
-        env = make_env(env_name, **env_params)
-    except ValueError as exc:
-        raise ValueError(f"run config {run_dir / 'config.yaml'} field 'env': {exc}") from None
-    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
-    stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, policy.num_params)
-    return env, policy, stack[entry]
+    cfg = _read_config(run_dir)
+    trainer = build_trainer(cfg, cfg.seeds[0])
+    stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, trainer.policy.num_params)
+    return trainer, stack[entry]
 
 
 def _format_value(value) -> str:
@@ -170,23 +167,36 @@ def write_metrics_csv(path: Path, metrics: list[dict]) -> None:
             writer.writerow([_format_value(row[key]) for key in METRICS_HEADER])
 
 
+# How read_metrics_csv parses each column of METRICS_HEADER.
+_METRICS_TYPES = {"generation": int, "hv": float,
+                  "sp": lambda text: None if text == "undefined" else float(text),
+                  "archive_size": int, "stationary_fallbacks": int, "seconds": float}
+
+
 def read_metrics_csv(path) -> list[dict]:
+    """The rows of a ``metrics.csv``: at least one; else ValueError naming the line and field."""
     rows = []
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != METRICS_HEADER:
             raise ValueError(f"unexpected metrics header in {path}: {reader.fieldnames}")
         for record in reader:
-            rows.append(
-                {
-                    "generation": int(record["generation"]),
-                    "hv": float(record["hv"]),
-                    "sp": None if record["sp"] == "undefined" else float(record["sp"]),
-                    "archive_size": int(record["archive_size"]),
-                    "stationary_fallbacks": int(record["stationary_fallbacks"]),
-                    "seconds": float(record["seconds"]),
-                }
-            )
+            if None in record:
+                raise ValueError(f"{path} line {reader.line_num} has more values than "
+                                 f"the header's {len(METRICS_HEADER)}")
+            row = {}
+            for key, parse in _METRICS_TYPES.items():
+                text = record[key]
+                if text is None:
+                    raise ValueError(f"{path} line {reader.line_num} field {key!r} is missing")
+                try:
+                    row[key] = parse(text)
+                except ValueError:
+                    raise ValueError(f"{path} line {reader.line_num} field {key!r} "
+                                     f"cannot be read: {text!r}") from None
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path} holds no rows; every run writes its warm-up row")
     return rows
 
 
@@ -233,12 +243,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    env, policy, params = load_checkpoint(args.run, args.entry)
-    seeds, episodes = _run_config(Path(args.run), ("seeds", "eval.episodes"))
-    if args.episodes is not None:
-        episodes = args.episodes
-    _, _, rewards, _, _ = run_episode(env, policy, params, eval_seeds(seeds[0], episodes))
-    rows = mo_return(rewards, env.spec.gamma)
+    trainer, params = load_checkpoint(args.run, args.entry)
+    seeds = eval_seeds(trainer.seed, args.episodes) if args.episodes else trainer.eval_seeds
+    _, _, rewards, _, _ = run_episode(trainer.env, trainer.policy, params, seeds)
+    rows = mo_return(rewards, trainer.env.spec.gamma)
     mean = rows.mean(axis=0)
     print("mean objectives:", " ".join(repr(float(v)) for v in mean))
     if args.out:
@@ -251,10 +259,11 @@ def cmd_eval(args) -> int:
 
 
 def _load_run(run_dir: Path) -> dict:
-    tag, seeds = _run_config(run_dir, ("experiment", "seeds"))
+    cfg = _read_config(run_dir)
     metrics = read_metrics_csv(run_dir / "metrics.csv")
     doc, _ = _read_frontier(run_dir)
-    return {"tag": tag, "seed": seeds[0], "m": doc["m"], "metrics": metrics, "frontier": doc}
+    return {"tag": cfg.experiment, "seed": cfg.seeds[0], "m": doc["m"], "metrics": metrics,
+            "frontier": doc}
 
 
 # Files a finished run directory holds; run_seed writes config.yaml first.
@@ -353,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dotted config override, e.g. evolution.M=2")
     train.set_defaults(func=cmd_train)
 
+    # eval rebuilds the run's trainer from its config.yaml, as train builds it.
     evaluate = sub.add_parser("eval", help="evaluate a frontier entry's policy deterministically")
     evaluate.add_argument("--run", required=True, help="run directory")
     evaluate.add_argument("--entry", type=int, required=True,

@@ -52,6 +52,11 @@ def write_config(tmp_path, cfg, name="cfg.yaml"):
     return path
 
 
+def resolved_text(cfg) -> str:
+    """The ``config.yaml`` that ``run_seed`` writes for ``cfg``: its resolution, dumped."""
+    return yaml.safe_dump(asdict(resolve_config(cfg)), sort_keys=True)
+
+
 def stored_run(tmp_path, rows):
     """A run directory whose frontier entry k is the policy ``rows[k]``, stored as ``run_seed`` does.
 
@@ -310,6 +315,31 @@ def _edit_config(edit):
     return damage
 
 
+def _edit_config_text(old, new):
+    """A damage that replaces ``old`` by ``new`` in a run's ``config.yaml``; returns the file."""
+    def damage(run_dir):
+        path = run_dir / "config.yaml"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        return path
+    return damage
+
+
+# Edits of one field of a resolved config.yaml that resolve_config would fill
+# in or reject, and the message that names the field. A run's config.yaml
+# must be its own resolution, so none of them is read as a default.
+UNRESOLVED = [
+    pytest.param(lambda cfg: cfg.pop("seeds"), "field 'seeds' is missing", id="seeds-deleted"),
+    pytest.param(lambda cfg: cfg["evolution"].update(M_ft=None),
+                 "field 'evolution.M_ft' is None, which resolves to 1", id="M_ft-null"),
+    pytest.param(lambda cfg: cfg["policy"].update(init_scale=0.1),
+                 "policy.init_scale: unknown configuration field", id="unknown-key"),
+    pytest.param(lambda cfg: cfg["evolution"].update(p=3), "evolution.p: invalid value 3",
+                 id="odd-p"),
+]
+
+
 def _edit_policy_stack(edit):
     """A damage that applies ``edit(path, stack)`` to a run's ``policy.npy``; returns the file."""
     def damage(run_dir):
@@ -351,7 +381,7 @@ class TestCheckpointHeader(_StoredRunCase):
 
     def test_missing_policy_named(self, tmp_path, capsys):
         self.assert_eval_names(tmp_path, capsys, _edit_config(lambda cfg: cfg.pop("policy")),
-                               "field 'policy.hidden' is missing")
+                               "field 'policy' is missing")
 
     def test_non_mapping_checkpoint_named(self, tmp_path, capsys):
         def damage(run_dir):
@@ -362,13 +392,13 @@ class TestCheckpointHeader(_StoredRunCase):
 
     def test_non_mapping_policy_named(self, tmp_path, capsys):
         self.assert_eval_names(tmp_path, capsys, _edit_config(lambda cfg: cfg.update(policy=3)),
-                               "field 'policy' must be a mapping, got 3")
+                               "policy: expected a mapping")
 
     @pytest.mark.parametrize("damage, message", [
         pytest.param(_edit_config(lambda cfg: cfg.pop("env")),
-                     "field 'env.name' is missing", id="state_dim"),
+                     "env.name: missing value", id="state_dim"),
         pytest.param(_edit_config(lambda cfg: cfg["env"].pop("name")),
-                     "field 'env.name' is missing", id="action_dim"),
+                     "env.name: missing value", id="action_dim"),
         pytest.param(_edit_config(lambda cfg: cfg["policy"].pop("hidden")),
                      "field 'policy.hidden' is missing", id="hidden"),
         pytest.param(_edit_policy_stack(lambda path, stack: path.unlink()),
@@ -382,11 +412,9 @@ class TestCheckpointHeader(_StoredRunCase):
 
     @pytest.mark.parametrize("damage, message", [
         pytest.param(_edit_config(lambda cfg: cfg["policy"].update(hidden=-1)),
-                     f"field {HIDDEN} (0 selects a linear map), got -1",
-                     id=f"hidden--1-{HIDDEN}, got -1"),
+                     "policy.hidden: invalid value -1", id=f"hidden--1-{HIDDEN}, got -1"),
         pytest.param(_edit_config(lambda cfg: cfg["policy"].update(hidden=False)),
-                     f"field {HIDDEN} (0 selects a linear map), got False",
-                     id=f"hidden-False-{HIDDEN}, got False"),
+                     "policy.hidden: invalid value False", id=f"hidden-False-{HIDDEN}, got False"),
         pytest.param(_edit_policy_stack(lambda path, stack: path.write_text("values: [0.5]\n")),
                      "is not a readable .npy array", id=f"values-value10-{VALUES}"),
         pytest.param(_edit_policy_stack(lambda path, stack: np.save(path, stack.astype(object))),
@@ -454,20 +482,25 @@ class TestDamagedStore(_StoredRunCase):
         assert eval_run(run_dir, "--entry", "0") == 1
         self.assert_named(capsys, str(run_dir / "frontier.json"), "is not valid JSON")
 
-    @pytest.mark.parametrize("text, message", [
-        pytest.param("", "field 'env.name' is missing", id="empty"),
-        pytest.param("env: [unclosed\n", "is not valid YAML", id="not-yaml"),
-        pytest.param("env: 3\n", "field 'env' must be a mapping, got 3", id="env-not-mapping"),
-        pytest.param("env: {name: mo_nowhere, params: {}}\npolicy: {hidden: 8}\n",
-                     "field 'env': unknown environment", id="unknown-env"),
-        pytest.param("env: {name: mo_quadratic, params: {foo: 1}}\npolicy: {hidden: 8}\n",
-                     "field 'env': environment 'mo_quadratic'", id="bad-env-param"),
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(_edit_config(lambda cfg: cfg["env"].update(name="")),
+                     "env.name: invalid value ''", id="empty"),
+        pytest.param(_edit_config_text("name: mo_quadratic", "name: [mo_quadratic"),
+                     "name: [mo_quadratic", id="not-yaml"),
+        pytest.param(_edit_config(lambda cfg: cfg.update(env=3)), "env: expected a mapping",
+                     id="env-not-mapping"),
+        pytest.param(_edit_config(lambda cfg: cfg["env"].update(name="mo_nowhere")),
+                     "env: unknown environment 'mo_nowhere'", id="unknown-env"),
+        pytest.param(_edit_config(lambda cfg: cfg["env"].update(params={"foo": 1})),
+                     "env: environment 'mo_quadratic': MoQuadratic.__init__() got an "
+                     "unexpected keyword argument 'foo'", id="bad-env-param"),
     ])
-    def test_damaged_run_config_named(self, tmp_path, capsys, text, message):
-        run_dir = self.run(tmp_path)
-        (run_dir / "config.yaml").write_text(text)
-        assert eval_run(run_dir, "--entry", "0") == 1
-        self.assert_named(capsys, str(run_dir / "config.yaml"), message)
+    def test_damaged_run_config_named(self, tmp_path, capsys, damage, message):
+        self.assert_eval_names(tmp_path, capsys, damage, message)
+
+    @pytest.mark.parametrize("edit, message", UNRESOLVED)
+    def test_config_that_is_not_its_own_resolution_named(self, tmp_path, capsys, edit, message):
+        self.assert_eval_names(tmp_path, capsys, _edit_config(edit), message)
 
     def test_hidden_width_that_does_not_match_the_store_named(self, tmp_path, capsys):
         # The shapes come from config.yaml alone, so a changed width shows as a bad store.
@@ -493,10 +526,10 @@ class TestTrainCommand:
         assert len(objectives) >= 1
         # every frontier entry's policy loads from the checkpoint store
         for k in range(len(doc["entries"])):
-            env, policy, params = load_checkpoint(run_dir, k)
-            assert params.size == policy.num_params
-            assert (policy.state_dim, policy.action_dim) == (env.spec.state_dim,
-                                                             env.spec.action_dim)
+            trainer, params = load_checkpoint(run_dir, k)
+            assert params.size == trainer.policy.num_params
+            assert (trainer.policy.state_dim, trainer.policy.action_dim) == (
+                trainer.env.spec.state_dim, trainer.env.spec.action_dim)
 
     def test_unwritable_output_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(self):
@@ -594,12 +627,15 @@ class TestEvalCommand:
             assert eval_run(run_dir, "--entry", str(k), "--episodes", "3") == 0
             assert printed_means(capsys) == [item["objectives"]], k
 
-    def test_episodes_default_to_the_runs_eval_episodes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("env", [
+        pytest.param({"name": "mo_point", "params": {"horizon": 6}}, id="mo_point"),
+        pytest.param({"name": "mo_quadratic3"}, id="mo_quadratic3"),
+    ])
+    def test_episodes_default_to_the_runs_eval_episodes(self, tmp_path, capsys, env):
         # Without --episodes, eval rolls out the run's own eval.episodes (3
         # here, not the schema's default 8), so the plain command prints
-        # each entry's objectives exactly.
-        cfg = dict(TINY, env={"name": "mo_point", "params": {"horizon": 6}},
-                   eval={"episodes": 3}, seeds=[5])
+        # each entry's objectives exactly, whatever the objective count.
+        cfg = dict(TINY, env=env, eval={"episodes": 3}, seeds=[5])
         (run_dir,) = train(tmp_path, cfg)
         capsys.readouterr()
         doc = json.loads((run_dir / "frontier.json").read_text())
@@ -678,8 +714,8 @@ class TestReportCommand:
                  reference_point=None):
         run_dir = tmp_path / name
         run_dir.mkdir()
-        cfg = dict(TINY, experiment=tag, seeds=[seed])
-        (run_dir / "config.yaml").write_text(yaml.safe_dump(cfg))
+        (run_dir / "config.yaml").write_text(resolved_text(dict(TINY, experiment=tag,
+                                                                seeds=[seed])))
         with (run_dir / "metrics.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
@@ -799,19 +835,50 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert str(incomplete) in err and "no complete run" in err
 
-    @pytest.mark.parametrize("text, message", [
-        pytest.param("", "field 'experiment' is missing", id="empty"),
-        pytest.param("experiment: [unclosed\n", "is not valid YAML", id="not-yaml"),
-        pytest.param("experiment: quad\n", "field 'seeds' is missing", id="no-seeds"),
-        pytest.param("experiment: quad\nseeds: []\n", "field 'seeds' must be", id="empty-seeds"),
-    ])
-    def test_damaged_run_config_named(self, tmp_path, capsys, text, message):
-        # Each of these used to end report in a traceback.
+    def assert_report_names(self, tmp_path, capsys, damage, message):
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
-        (run / "config.yaml").write_text(text)
+        path = damage(run)
         assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(run / "config.yaml") in err and message in err
+        assert err.startswith("error: ") and str(path) in err and message in err, err
+
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(_edit_config(lambda cfg: cfg.update(experiment="")),
+                     "experiment: invalid value ''", id="empty"),
+        pytest.param(_edit_config_text("experiment: quad", "experiment: [quad"),
+                     "experiment: [quad", id="not-yaml"),
+        pytest.param(_edit_config(lambda cfg: cfg.pop("seeds")), "field 'seeds' is missing",
+                     id="no-seeds"),
+        pytest.param(_edit_config(lambda cfg: cfg.update(seeds=[])), "seeds: invalid value []",
+                     id="empty-seeds"),
+    ])
+    def test_damaged_run_config_named(self, tmp_path, capsys, damage, message):
+        # Each of these used to end report in a traceback.
+        self.assert_report_names(tmp_path, capsys, damage, message)
+
+    @pytest.mark.parametrize("edit, message", UNRESOLVED)
+    def test_config_that_is_not_its_own_resolution_named(self, tmp_path, capsys, edit, message):
+        self.assert_report_names(tmp_path, capsys, _edit_config(edit), message)
+
+    @pytest.mark.parametrize("rows, message", [
+        # A short row used to end in a TypeError traceback, a file without
+        # rows in an IndexError one, and a bad value named no file.
+        pytest.param([["0", "1.0"]], "line 2 field 'sp' is missing", id="short-row"),
+        pytest.param([], "holds no rows", id="no-rows"),
+        pytest.param([["0", "abc", "0.5", "1", "0", "0.1"]],
+                     "line 2 field 'hv' cannot be read: 'abc'", id="bad-value"),
+        pytest.param([["0", "1.0", "0.5", "1", "0", "0.1"],
+                      ["1", "1.5", "0.5", "1", "0", "0.1", "7"]],
+                     "line 3 has more values than the header's 6", id="long-row"),
+    ])
+    def test_damaged_metrics_named(self, tmp_path, capsys, rows, message):
+        def damage(run_dir):
+            path = run_dir / "metrics.csv"
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows([METRICS_HEADER, *rows])
+            return path
+
+        self.assert_report_names(tmp_path, capsys, damage, message)
 
     @pytest.mark.parametrize("change, message", [
         named("change0", {"entries": [3]}, "frontier entry must be a mapping"),
@@ -835,6 +902,19 @@ class TestReportCommand:
         named("change10", {"entries": [{"objectives": [1.0, False], "generation": 0,
                                         "source": "warmup", "params_ref": "c"}]},
               "frontier entry field 'objectives' must be a list of m=2 finite numbers"),
+        # Any generation and source used to pass into frontiers.csv.
+        named("change11", {"entries": [{"objectives": [1.0, 1.0], "generation": "yesterday",
+                                        "source": "warmup", "params_ref": "c"}]},
+              "frontier entry field 'generation' must be an integer >= 0, got 'yesterday'"),
+        named("change12", {"entries": [{"objectives": [1.0, 1.0], "generation": True,
+                                        "source": "warmup", "params_ref": "c"}]},
+              "frontier entry field 'generation' must be an integer >= 0, got True"),
+        named("change13", {"entries": [{"objectives": [1.0, 1.0], "generation": -1,
+                                        "source": "warmup", "params_ref": "c"}]},
+              "frontier entry field 'generation' must be an integer >= 0, got -1"),
+        named("change14", {"entries": [{"objectives": [1.0, 1.0], "generation": 0,
+                                        "source": ["?"], "params_ref": "c"}]},
+              "frontier entry field 'source' must be one of"),
     ])
     def test_malformed_document_named(self, tmp_path, capsys, change, message):
         doc = {"schema_version": 2, "experiment_id": "x", "m": 2,
@@ -882,8 +962,8 @@ class TestReportCommand:
         for name, tag, seed, rows, entries in self.PINNED_RUNS:
             run_dir = tmp_path / name
             run_dir.mkdir()
-            (run_dir / "config.yaml").write_text(yaml.safe_dump({"experiment": tag,
-                                                                 "seeds": [seed]}))
+            (run_dir / "config.yaml").write_text(resolved_text(dict(TINY, experiment=tag,
+                                                                    seeds=[seed])))
             with (run_dir / "metrics.csv").open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(METRICS_HEADER)
