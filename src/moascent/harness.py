@@ -13,7 +13,8 @@ The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 ``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
 store holds no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
 through :func:`resolve_config` and require it to be its own resolution, as
-``train`` writes it. ``eval`` builds the run's trainer with
+``train`` writes it, and ``frontier.json``'s ``m`` and ``reference_point``
+to be the config's. ``eval`` builds the run's trainer with
 :func:`build_trainer`, as ``train`` does, and rolls the entry's policy out on
 the trainer's env and evaluation seeds (the first ``--episodes`` of them when
 given), which reproduce the entry's objectives.
@@ -98,13 +99,26 @@ def _read_config(run_dir: Path) -> Config:
     return cfg
 
 
-def _read_frontier(run_dir: Path) -> tuple[dict, np.ndarray]:
+def _read_frontier(run_dir: Path, cfg: Config) -> dict:
+    """A run's ``frontier.json``, which must match the run's ``cfg``; else ValueError naming it.
+
+    Its ``m`` must be the config's objective count and its
+    ``reference_point`` the config's.
+    """
     path = run_dir / "frontier.json"
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    return parse_frontier(doc)
+    doc, _ = parse_frontier(doc)
+    reference_point = [float(v) for v in cfg.evolution.reference_point]
+    if doc["m"] != len(reference_point):
+        raise ValueError(f"{path} field 'm' is {doc['m']}, the run's config has "
+                         f"{len(reference_point)} objectives")
+    if [float(v) for v in doc["reference_point"]] != reference_point:
+        raise ValueError(f"{path} field 'reference_point' is {doc['reference_point']}, "
+                         f"the run's config has {reference_point}")
+    return doc
 
 
 def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
@@ -135,12 +149,11 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
 def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
     """A run's trainer, built as ``train`` builds it, and its frontier's ``entries[entry]``."""
     run_dir = Path(run_dir)
-    doc, _ = _read_frontier(run_dir)
-    n = len(doc["entries"])
+    cfg = _read_config(run_dir)
+    n = len(_read_frontier(run_dir, cfg)["entries"])
     if not 0 <= entry < n:
         raise ValueError(f"--entry {entry} is out of range: {run_dir / 'frontier.json'} "
                          f"has {n} entries")
-    cfg = _read_config(run_dir)
     trainer = build_trainer(cfg, cfg.seeds[0])
     stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, trainer.policy.num_params)
     return trainer, stack[entry]
@@ -174,7 +187,10 @@ _METRICS_TYPES = {"generation": int, "hv": float,
 
 
 def read_metrics_csv(path) -> list[dict]:
-    """The rows of a ``metrics.csv``: at least one; else ValueError naming the line and field."""
+    """The rows of a ``metrics.csv``: at least one, row k of generation k.
+
+    Else ValueError naming the line and field.
+    """
     rows = []
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -194,6 +210,9 @@ def read_metrics_csv(path) -> list[dict]:
                 except ValueError:
                     raise ValueError(f"{path} line {reader.line_num} field {key!r} "
                                      f"cannot be read: {text!r}") from None
+            if row["generation"] != len(rows):
+                raise ValueError(f"{path} line {reader.line_num} field 'generation' is "
+                                 f"{row['generation']}, expected {len(rows)}")
             rows.append(row)
     if not rows:
         raise ValueError(f"{path} holds no rows; every run writes its warm-up row")
@@ -261,7 +280,7 @@ def cmd_eval(args) -> int:
 def _load_run(run_dir: Path) -> dict:
     cfg = _read_config(run_dir)
     metrics = read_metrics_csv(run_dir / "metrics.csv")
-    doc, _ = _read_frontier(run_dir)
+    doc = _read_frontier(run_dir, cfg)
     return {"tag": cfg.experiment, "seed": cfg.seeds[0], "m": doc["m"], "metrics": metrics,
             "frontier": doc}
 

@@ -28,6 +28,16 @@ of hidden-layer buffers once. Each epoch is then one pass, one backprop
 and one in-place optimizer step per network. ``collect_batch`` keeps its
 critic pass in the batch (``CriticPass``), and the critic's first epoch
 backprops from it instead of running the same pass again.
+
+A sum over the rows axis of an ``(..., rows, k)`` array (backprop's bias
+gradients, the mean and std of ``normalize_per_objective``) is one
+``np.einsum`` pass (``_row_sum``). It adds the rows one after another, as
+``np.sum(axis=-2)`` does, but without numpy's inner loop of k per row, so
+its bytes are ``np.sum``'s. Two cases stay on ``np.sum``, where numpy sums
+pairwise and einsum would give other bytes: a kept axis of length 1 (a
+hidden layer of 1, a 1-D action) and a rows axis that is the contiguous
+one. Sums over the last axis (the log-probability's over actions) stay
+``np.sum``.
 """
 
 from __future__ import annotations
@@ -55,6 +65,18 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(x, axis=-2)`` of an ``(..., rows, k)`` array, bit for bit, into ``out``.
+
+    ``out`` is a new array if None. numpy sums pairwise where the kept axis
+    has length 1 or the rows axis the smaller stride, so those stay on
+    ``np.sum``; otherwise it adds the rows in order, as one einsum pass does.
+    """
+    if x.shape[-1] > 1 and abs(x.strides[-1]) < abs(x.strides[-2]):
+        return np.einsum("...nk->...k", x, out=out)
+    return np.sum(x, axis=-2, out=out)
 
 
 class _MeanNet:
@@ -154,7 +176,7 @@ class _MeanNet:
             grad[..., i : i + rows * cols] = (d_layer.swapaxes(-1, -2) @ inputs).reshape(
                 grad.shape[:-1] + (rows * cols,))
             i += rows * cols
-            grad[..., i : i + rows] = d_layer.sum(axis=-2)
+            _row_sum(d_layer, grad[..., i : i + rows])
             i += rows
         return grad
 
@@ -433,11 +455,16 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
 
 
 def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance per objective and lane; constant columns stay centered."""
-    mean = advantages.mean(axis=-2, keepdims=True)
-    std = advantages.std(axis=-2, keepdims=True)
-    std = np.where(std < 1e-8, 1.0, std)
-    return (advantages - mean) / std
+    """Zero-mean unit-variance per objective and lane; constant columns stay centered.
+
+    The mean and std are ``np.mean``'s and ``np.std``'s over the rows, in
+    their order: sum, ``/ n``, subtract, square, sum, ``/ n``, ``sqrt``.
+    """
+    n = advantages.shape[-2]
+    centered = advantages - (_row_sum(advantages) / n)[..., None, :]
+    std = np.sqrt(_row_sum(centered * centered) / n)[..., None, :]
+    centered /= np.where(std < 1e-8, 1.0, std)
+    return centered
 
 
 def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,

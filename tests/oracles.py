@@ -7,8 +7,9 @@ the quadratic-environment frontier by closed form / dense sampling,
 archive non-domination by a pairwise audit, the stacked minimum-norm solve
 by the one-lane solver it replaced, the stacked generation step by the
 per-lane training loop it replaced, the buffered PPO update by the
-allocating one it replaced, and the archive's one-test insert by the
-three-test insert it replaced.
+allocating one it replaced (with the ``np.mean``/``np.std`` advantage
+normalization and ``np.sum`` bias gradients), and the archive's one-test
+insert by the three-test insert it replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from moascent.pareto import validate_weights
 from moascent.policy import (
     collect_batch,
     estimate_gradient_set,
-    normalize_per_objective,
     ppo_update,
 )
 
@@ -416,6 +416,14 @@ def _net_backprop(net, layers, states, hid, d_out):
     return grad
 
 
+def normalize_mean_std(advantages):
+    """``normalize_per_objective`` through ``np.mean`` and ``np.std``."""
+    mean = advantages.mean(axis=-2, keepdims=True)
+    std = advantages.std(axis=-2, keepdims=True)
+    std = np.where(std < 1e-8, 1.0, std)
+    return (advantages - mean) / std
+
+
 def _policy_score(policy, params, states, actions):
     """``(log_probs, grad)`` as ``GaussianPolicy.score`` returns them."""
     k = policy.net.num_params
@@ -483,7 +491,7 @@ def ppo_update_allocating(policy, params, critic, critic_params, batch, omega, u
     omega = validate_weights(np.asarray(omega, dtype=float))
     adv = batch.advantages
     if update.normalize_advantages:
-        adv = normalize_per_objective(adv)
+        adv = normalize_mean_std(adv)
     scalar_adv = (adv @ omega[..., None])[..., 0]
     n = scalar_adv.shape[-1]
     lr = update.lr

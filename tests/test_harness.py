@@ -709,13 +709,55 @@ class TestEvalCommand:
         assert capsys.readouterr().out.count("mean objectives:") == len(doc["entries"])
 
 
+def _three_objectives(doc):
+    doc["m"] = 3
+    doc["reference_point"].append(-9.0)
+    for item in doc["entries"]:
+        item["objectives"].append(0.0)
+
+
+class TestFrontierAgainstConfig:
+    """``eval`` and ``report`` read ``frontier.json`` against the run's resolved config."""
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("edit, message", [
+        # A third objective on a 2-objective run used to pass: eval printed two
+        # objectives and report wrote three objective columns, both exit 0.
+        pytest.param(_three_objectives, "field 'm' is 3, the run's config has 2 objectives",
+                     id="m"),
+        pytest.param(lambda doc: doc.update(reference_point=[-20.0, -20.0]),
+                     "field 'reference_point' is [-20.0, -20.0], the run's config has "
+                     "[-9.0, -9.0]", id="reference_point"),
+    ])
+    def test_edited_frontier_named(self, tmp_path, capsys, edit, message, command):
+        (run_dir,) = train(tmp_path)
+        path = run_dir / "frontier.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        parse_frontier(doc)  # still a well-formed document
+        capsys.readouterr()
+        argv = ["eval", "--run", str(run_dir), "--entry", "0"] if command == "eval" \
+            else ["report", str(run_dir), "--out", str(tmp_path / "rep")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and message in err, err
+        assert not (tmp_path / "rep").exists()
+
+
 class TestReportCommand:
     def fake_run(self, tmp_path, name, tag, seed, final_hv, final_sp, m=2,
                  reference_point=None):
+        """A run of ``TINY`` on the ``m``-objective quadratic env, at its default
+        reference point unless one is given."""
         run_dir = tmp_path / name
         run_dir.mkdir()
-        (run_dir / "config.yaml").write_text(resolved_text(dict(TINY, experiment=tag,
-                                                                seeds=[seed])))
+        cfg = dict(TINY, experiment=tag, seeds=[seed],
+                   env={"name": "mo_quadratic" if m == 2 else "mo_quadratic3"})
+        if reference_point is not None:
+            cfg["evolution"] = dict(TINY["evolution"], reference_point=reference_point)
+        reference_point = resolve_config(cfg).evolution.reference_point
+        (run_dir / "config.yaml").write_text(resolved_text(cfg))
         with (run_dir / "metrics.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
@@ -725,7 +767,7 @@ class TestReportCommand:
             "schema_version": 2,
             "experiment_id": tag,
             "m": m,
-            "reference_point": reference_point or [0.0] * m,
+            "reference_point": reference_point,
             "entries": [
                 {
                     "objectives": [1.0] * m,
@@ -788,7 +830,7 @@ class TestReportCommand:
         out = tmp_path / "rep"
         assert main(["report", *map(str, runs), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "'quad'" in err and "[0.0, 0.0]" in err and "[-30.0, -30.0]" in err
+        assert "'quad'" in err and "[-9.0, -9.0]" in err and "[-30.0, -30.0]" in err
         assert not out.exists()
 
     def test_reference_points_may_differ_between_methods(self, tmp_path):
@@ -870,6 +912,11 @@ class TestReportCommand:
         pytest.param([["0", "1.0", "0.5", "1", "0", "0.1"],
                       ["1", "1.5", "0.5", "1", "0", "0.1", "7"]],
                      "line 3 has more values than the header's 6", id="long-row"),
+        # Curves are labelled by row position, so a skipped generation used to
+        # report generation 5's numbers as generation 1's.
+        pytest.param([["0", "1.0", "0.5", "1", "0", "0.1"],
+                      ["5", "1.5", "0.5", "1", "0", "0.1"]],
+                     "line 3 field 'generation' is 5, expected 1", id="generation-gap"),
     ])
     def test_damaged_metrics_named(self, tmp_path, capsys, rows, message):
         def damage(run_dir):
@@ -971,7 +1018,7 @@ class TestReportCommand:
                     writer.writerow([g, repr(hv), "undefined" if sp is None else repr(sp),
                                      g + 1, 0, repr(0.1)])
             doc = {"schema_version": 2, "experiment_id": tag, "m": 2,
-                   "reference_point": [-3.0, -3.0],
+                   "reference_point": [-9.0, -9.0],
                    "entries": [{"objectives": objectives, "generation": generation,
                                 "source": source, "params_ref": "c"}
                                for objectives, generation, source in entries]}

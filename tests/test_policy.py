@@ -4,22 +4,26 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moascent.config import ConfigError, PolicyConfig
-from moascent.momdp import MoPoint, make_env, mo_return
+from moascent.momdp import MoPoint, MoQuadratic, make_env, mo_return
 from moascent.policy import (
     CriticPass,
     GaussianPolicy,
     RolloutBatch,
     VectorCritic,
+    _row_sum,
     collect_batch,
     estimate_gradient_set,
     gae,
+    normalize_per_objective,
     ppo_update,
     run_episode,
 )
 
-from .oracles import ppo_update_allocating
+from .oracles import normalize_mean_std, ppo_update_allocating
 
 
 def finite_difference_log_prob(policy, params, state, action, h=1e-5):
@@ -395,14 +399,60 @@ class TestPPOUpdate:
             PolicyConfig(optimizer="rmsprop")
 
 
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf])
+
+
+@st.composite
+def row_arrays(draw):
+    """An ``(..., rows, k)`` float array, lane-less or stacked, or a strided view of one.
+
+    Magnitudes span 1e-12 to 1e12; a drawn share of the entries are signed
+    zeros and infinities.
+    """
+    lanes = draw(st.sampled_from([(), (1,), (3,)]))
+    rows = draw(st.sampled_from([1, 2, 7, 8, 9, 130, 300]))
+    k = draw(st.sampled_from([1, 2, 3, 8, 33]))
+    view = draw(st.sampled_from(["contiguous", "row-strided", "column-sliced",
+                                 "rows-contiguous"]))
+    shape = {"contiguous": (rows, k), "row-strided": (2 * rows, k),
+             "column-sliced": (rows, k + 3), "rows-contiguous": (k, rows)}[view]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal(lanes + shape) * 10.0 ** rng.integers(-12, 13, lanes + shape)
+    special = rng.random(base.shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    base[special] = rng.choice(_SPECIALS, special.sum())
+    return {"contiguous": base, "row-strided": base[..., ::2, :],
+            "column-sliced": base[..., 1 : k + 1],
+            "rows-contiguous": base.swapaxes(-1, -2)}[view]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_arrays())
+def test_row_sums_and_normalization_match_numpy_bit_for_bit(x):
+    # One einsum pass adds the rows in np.sum's order; np.sum keeps the cases
+    # it sums pairwise (a kept axis of 1, a contiguous rows axis).
+    grad = np.full(x.shape[:-2] + (x.shape[-1] + 3,), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        want = x.sum(axis=-2)
+        got = _row_sum(x)
+        _row_sum(x, grad[..., 2 : x.shape[-1] + 2])
+        normalized, oracle = normalize_per_objective(x), normalize_mean_std(x)
+    assert got.tobytes() == want.tobytes()
+    assert grad[..., 2 : x.shape[-1] + 2].tobytes() == want.tobytes()
+    assert normalized.tobytes() == oracle.tobytes()
+
+
 @pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-@pytest.mark.parametrize("hidden", [0, 8])
-def test_ppo_update_matches_allocating_oracle(hidden, optimizer, normalize, lanes):
+@pytest.mark.parametrize("hidden, action_dim", [(0, 2), (8, 2), (1, 2), (8, 1)],
+                         ids=["0", "8", "1", "8-1d-action"])
+def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, normalize, lanes):
     # The buffered update reproduces the allocating one it replaced, byte for
-    # byte, with one log-std component held at its lower clamp.
-    env = MoPoint(horizon=5)
+    # byte, with one log-std component held at its lower clamp. A hidden
+    # layer of 1 and a 1-D action give bias gradients that np.sum adds
+    # pairwise over the batch's 20 rows.
+    env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic([[1.0], [-0.5]])
+    episodes = 20 // env.spec.horizon
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
     rng = np.random.default_rng(21)
@@ -412,7 +462,8 @@ def test_ppo_update_matches_allocating_oracle(hidden, optimizer, normalize, lane
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(count)])
     params, critic_params = params.reshape(lanes + (-1,)), critic_params.reshape(lanes + (-1,))
     rngs = rng if not lanes else [np.random.default_rng(lane) for lane in range(count)]
-    batch = collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95, rngs)
+    batch = collect_batch(env, policy, params, critic, critic_params, episodes, 0.99, 0.95,
+                          rngs)
     omega = np.broadcast_to([0.3, 0.7], lanes + (2,))
     update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer,
                           normalize_advantages=normalize)

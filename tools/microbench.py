@@ -11,6 +11,10 @@ Times one call of each function below, many times over, in this process:
   workloads' shapes, with their update settings;
 - ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
   batch, with its advantage normalisation;
+- ``normalize_per_objective`` on that batch's ``(p, n, m)`` advantages;
+- ``backprop.point``: the policy mean network's backprop at that batch's
+  shape, from one pass of the stack over its states, into a caller-owned
+  gradient and buffers;
 - ``min_norm_direction`` on random ``(m, d)`` gradients, at m=3 and m=4,
   and on ``(8, 2, d)`` and ``(4, 3, d)`` stacks of them, with d the size of
   the ``point`` policy;
@@ -71,6 +75,7 @@ from moascent.pareto import min_norm_direction  # noqa: E402
 from moascent.policy import (  # noqa: E402
     collect_batch,
     estimate_gradient_set,
+    normalize_per_objective,
     ppo_update,
     run_episode,
 )
@@ -137,6 +142,15 @@ def cases(full: bool, scratch: Path) -> list:
             out.append(("estimate_gradient_set.point", 1,
                         lambda t=t, p=params, b=batch:
                         estimate_gradient_set(t.policy, p, b, t.update.normalize_advantages)))
+            out.append(("normalize_per_objective.point", 1,
+                        lambda b=batch: normalize_per_objective(b.advantages)))
+            net = t.policy.net
+            mu, cache = net.forward(t.policy._net_params(params), batch.states)
+            d_mu = np.random.default_rng(0).standard_normal(mu.shape)
+            _, work = net.buffers(mu.shape[:-1])
+            grad = np.empty(params.shape[:-1] + (net.num_params,))
+            out.append(("backprop.point", 1,
+                        lambda net=net, c=cache, d=d_mu, g=grad, w=work: net.backprop(c, d, g, w)))
     d = point.policy.num_params
     for shape in ((3, d), (4, d), (8, 2, d), (4, 3, d)):
         G = np.random.default_rng(shape[-2]).standard_normal(shape)
