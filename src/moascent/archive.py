@@ -4,6 +4,10 @@ Maintains the set of mutually non-dominated evaluated policies, computes
 the exact hypervolume dominated relative to a fixed reference point
 (2 and 3 objectives), the sparsity of the frontier approximation, and the
 JSON export schema for frontiers.
+
+The trainer commits each generation's snapshots in one batch insert,
+which builds an entry (and so copies a snapshot) only for the rows it
+takes: the archive never copies a snapshot it rejects.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ class NonDominatedSet:
 
     Candidates dominated by a member are rejected; accepted candidates
     evict every member they dominate. Exact duplicates of an existing
-    objective vector are rejected (the earlier entry wins).
+    objective vector are rejected (the earlier entry wins). ``insert_many``
+    offers a batch of rows in one pass; ``insert`` is its one-row call.
     """
 
     entries: list[PolicyEntry] = field(default_factory=list)
@@ -91,27 +96,51 @@ class NonDominatedSet:
 
     def insert(self, entry: PolicyEntry) -> bool:
         """Offer ``entry`` to the set; returns True when it was accepted."""
-        c = entry.objectives
-        if not self.entries:
-            self.entries.append(entry)
-            self._objectives = c[None].copy()
-            return True
+        return bool(self.insert_many(entry.objectives[None], lambda _: entry)[0])
+
+    def insert_many(self, objectives, build) -> np.ndarray:
+        """Offer ``(k, m)`` objective rows in order; returns their k accepted flags.
+
+        Flags, members and member order are those of k ``insert`` calls, one
+        row at a time. ``build(j)`` makes the entry of row ``j`` (whose
+        objectives are that row) and is called in row order for the accepted
+        rows only, so a rejected row never becomes an entry. Every row is
+        checked to be finite and of the set's width before anything changes.
+        """
+        C = np.asarray(objectives, dtype=float)
+        if C.ndim != 2 or C.shape[1] == 0:
+            raise ValueError(f"objectives must be (k, m) rows, got shape {C.shape}")
         P = self._objectives
-        if c.shape[0] != P.shape[1]:
-            raise ValueError(
-                f"objective length mismatch: entry has {c.shape[0]}, set has {P.shape[1]}"
-            )
-        if (P >= c).all(1).any():
-            return False  # a member equals or dominates c: keep the earlier entry
-        # No member is >= c everywhere, so c >= P means c strictly dominates P.
-        dominated = (c >= P).all(1)
-        if dominated.any():
-            kept = ~dominated
-            self.entries = list(compress(self.entries, kept))
-            P = P[kept]
-        self.entries.append(entry)
-        self._objectives = np.concatenate([P, c[None]])
-        return True
+        n, (k, m) = len(P), C.shape
+        if n and m != P.shape[1]:
+            raise ValueError(f"objective length mismatch: row 0 has {m}, set has {P.shape[1]}")
+        finite = np.isfinite(C).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ValueError(f"objectives must be finite, row {j} is {C[j]!r}")
+        # Row j is taken when no earlier offer (a member or an earlier row,
+        # taken or not) is >= it everywhere, and evicts each earlier offer it
+        # is >= everywhere and differs from: whatever an evicted offer
+        # covered, its evictor covers too, so this is the one-at-a-time
+        # outcome. Over the offers i before row j, covers[j, i] says offer i
+        # is >= row j everywhere and covered[j, i] that row j is >= offer i.
+        Q = np.concatenate([P, C]) if n else C
+        covers = np.arange(n + k) < np.arange(n, n + k)[:, None]
+        covered = covers.copy()
+        column = np.empty((k, n + k), dtype=bool)
+        for c in range(m):
+            covers &= np.greater_equal(Q[:, c], C[:, c, None], out=column)
+            covered &= np.less_equal(Q[:, c], C[:, c, None], out=column)
+        taken = ~covers.any(axis=1)
+        if not taken.any():
+            return taken
+        covered &= ~covers
+        keep = ~covered.any(axis=0)
+        keep[n:] &= taken
+        built = [build(j) if t else None for j, t in enumerate(taken.tolist())]
+        self.entries = list(compress(self.entries + built, keep))
+        self._objectives = Q[keep]
+        return taken
 
 
 def _hv2(points: np.ndarray, z: np.ndarray) -> float:

@@ -433,26 +433,35 @@ class Trainer:
 
         ``lanes`` holds one ``(source, origin entry or None, weights or None)``
         per lane of the ``params``/``critic_params`` stacks and ``rngs``.
-        Entries ``ckpt_%06d`` go to the archive in lane, then snapshot order;
-        a lane's final entry then replaces its origin (ascent) or is appended
-        to the population (warm-up; fine-tuning only if the archive took it).
+        The snapshots ``ckpt_%06d``, numbered in lane, then snapshot order,
+        go to the archive in one ``insert_many`` call, and only the ones it
+        takes become entries. A lane's final snapshot then replaces its
+        origin (ascent) or is appended to the population (warm-up;
+        fine-tuning only if the archive took it), built as an entry if the
+        archive did not take it.
         """
         snap_params, snap_critic, fallbacks = self._train_lanes(
             params, critic_params, iters, snapshot_every, rngs, [w for _, _, w in lanes])
         L, K = snap_params.shape[:2]
-        objectives = self.evaluate(snap_params.reshape(L * K, -1)).reshape(L, K, -1)
+        objectives = self.evaluate(snap_params.reshape(L * K, -1))
+        first = state.next_ref
+        built: dict[int, PolicyEntry] = {}
+
+        def build(row: int) -> PolicyEntry:
+            lane, k = divmod(row, K)
+            built[row] = PolicyEntry(f"ckpt_{first + row:06d}", objectives[row], generation,
+                                     lanes[lane][0], snap_params[lane, k], snap_critic[lane, k])
+            return built[row]
+
+        accepted = state.archive.insert_many(objectives, build)
+        state.next_ref += L * K
         slot = {e.params_ref: i for i, e in enumerate(state.population)}
         for lane, (source, origin, _) in enumerate(lanes):
-            for k in range(K):
-                entry = PolicyEntry(f"ckpt_{state.next_ref:06d}", objectives[lane, k],
-                                    generation, source, snap_params[lane, k],
-                                    snap_critic[lane, k])
-                state.next_ref += 1
-                accepted = state.archive.insert(entry)
+            final = lane * K + K - 1
             if source == "pareto_ascent":
-                state.population[slot[origin.params_ref]] = entry
-            elif source == "warmup" or accepted:
-                state.population.append(entry)
+                state.population[slot[origin.params_ref]] = built.get(final) or build(final)
+            elif source == "warmup" or accepted[final]:
+                state.population.append(built.get(final) or build(final))
         return fallbacks
 
     def warmup(self, state: TrainingState) -> int:

@@ -212,22 +212,6 @@ class GaussianPolicy:
     def log_std(self, params: np.ndarray) -> np.ndarray:
         return np.clip(params[..., self.net.num_params :], self.log_std_min, self.log_std_max)
 
-    def mean(self, params: np.ndarray, states: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(self._net_params(params), np.atleast_2d(states))
-        return out
-
-    def act(self, params: np.ndarray, states: np.ndarray,
-            noise: np.ndarray | None = None) -> np.ndarray:
-        """Actions for a batch of states: the mean, shifted by ``std * noise`` if given.
-
-        ``noise`` holds one row of standard-normal draws per state; without
-        it the policy acts deterministically.
-        """
-        mu = self.mean(params, states)
-        if noise is None:
-            return mu
-        return mu + np.exp(self.log_std(params))[..., None, :] * noise
-
     def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray,
               mean_pass=None):
         """Log-probabilities of ``actions`` and their weighted score, from one forward pass.
@@ -383,8 +367,8 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     environment clamps them) and rewards, then the (..., B, state_dim)
     states after the last step and their (..., B) terminal flags. An
     episode that ends before the horizon is an error. The layers and the
-    std-scaled noise are set up once; a step computes what ``policy.act``
-    and ``env.step`` compute on each lane's episodes, bit for bit.
+    std-scaled noise are set up once; a step is the mean network's pass, plus
+    the scaled noise, and ``env.step`` on each lane's episodes.
     """
     spec = env.spec
     T = spec.horizon

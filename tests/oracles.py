@@ -8,8 +8,10 @@ archive non-domination by a pairwise audit, the stacked minimum-norm solve
 by the one-lane solver it replaced, the stacked generation step by the
 per-lane training loop it replaced, the buffered PPO update by the
 allocating one it replaced (with the ``np.mean``/``np.std`` advantage
-normalization and ``np.sum`` bias gradients), and the archive's one-test
-insert by the three-test insert it replaced.
+normalization and ``np.sum`` bias gradients), a rollout's actions by the
+policy's mean from that update's network pass plus its std times the
+noise, and the archive's one-test and batch inserts by the three-test
+insert it replaced.
 """
 
 from __future__ import annotations
@@ -396,6 +398,16 @@ def _net_forward(net, params, states):
         hid = inputs = np.tanh(states @ w1t + b1)
     wt, b = layers[-1]
     return inputs @ wt + b, layers, hid
+
+
+def gaussian_act(policy, params, states, noise=None):
+    """``policy``'s actions at ``states``: its mean, shifted by ``std * noise`` if given."""
+    k = policy.net.num_params
+    mu = _net_forward(policy.net, params[..., :k], np.atleast_2d(states))[0]
+    if noise is None:
+        return mu
+    log_std = np.clip(params[..., k:], policy.log_std_min, policy.log_std_max)
+    return mu + np.exp(log_std)[..., None, :] * noise
 
 
 def _net_backprop(net, layers, states, hid, d_out):

@@ -152,6 +152,112 @@ class TestInsert:
         assert got._objectives.tobytes() == want._objectives.tobytes()
 
 
+def offer_batch(start, rows):
+    """Offer ``rows`` to an archive holding ``start`` in one ``insert_many`` call,
+    and one at a time to the three-test oracle; both must end the same.
+
+    Returns the archive, the flags and the rows the builder was called for.
+    """
+    want = ThreeTestNonDominatedSet()
+    for k, row in enumerate(start):
+        want.insert(entry(row, ref=f"m{k}"))
+    got = NonDominatedSet(list(want.entries))
+    offers = [entry(row, ref=f"r{k}") for k, row in enumerate(rows)]
+    want_flags = [want.insert(offer) for offer in offers]
+    calls = []
+
+    def build(j):
+        calls.append(j)
+        return offers[j]
+
+    flags = got.insert_many(np.asarray(rows, dtype=float), build)
+    assert flags.tolist() == want_flags
+    assert calls == [j for j, taken in enumerate(want_flags) if taken]
+    assert [id(e) for e in got] == [id(e) for e in want]
+    assert got.objectives_matrix().tobytes() == want.objectives_matrix().tobytes()
+    return got, flags.tolist(), calls
+
+
+_few_values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-1, 1))
+
+
+class TestInsertMany:
+    @given(st.integers(2, 3).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(_few_values, min_size=m, max_size=m), max_size=30),
+        st.lists(st.lists(_few_values, min_size=m, max_size=m), min_size=1, max_size=40))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_at_a_time_oracle(self, start_and_rows):
+        # Few distinct values give exact duplicates within the batch and
+        # against members, ties on single axes and -0.0 against 0.0.
+        offer_batch(*start_and_rows)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_random_fronts(self, m):
+        rng = np.random.default_rng(m)
+        for n, k in ((0, 50), (1, 1), (40, 1), (40, 60), (200, 160)):
+            P = np.abs(rng.standard_normal((n, m)))
+            front = P / np.linalg.norm(P, axis=1, keepdims=True)
+            rows = np.abs(rng.standard_normal((k, m)))
+            rows *= (1.0 + 0.01 * rng.standard_normal((k, 1))) / np.linalg.norm(
+                rows, axis=1, keepdims=True)
+            offer_batch(front, rows)
+
+    def test_empty_start_takes_the_batch_front(self):
+        nd, flags, calls = offer_batch([], [[1, 2], [2, 1], [0.5, 0.5]])
+        assert flags == [True, True, False] and calls == [0, 1]
+        assert [e.params_ref for e in nd] == ["r0", "r1"]
+
+    def test_one_row(self):
+        assert offer_batch([[1, 2]], [[2, 1]])[1] == [True]
+        assert offer_batch([[1, 2]], [[0, 1]])[1] == [False]
+
+    def test_exact_duplicates_keep_the_earliest(self):
+        nd, flags, _ = offer_batch([[1, 2]], [[1, 2], [3, 0], [3, 0], [-0.0, 4], [0.0, 4]])
+        assert flags == [False, True, False, True, False]
+        assert [e.params_ref for e in nd] == ["m0", "r1", "r3"]
+
+    def test_row_taken_then_evicted_in_the_same_batch(self):
+        nd, flags, calls = offer_batch([[0, 3]], [[1, 1], [2, 1], [2, 2]])
+        assert flags == [True, True, True] and calls == [0, 1, 2]
+        assert [e.params_ref for e in nd] == ["m0", "r2"]
+
+    def test_row_covered_within_the_batch_only_by_a_rejected_row(self):
+        # r1 is below the rejected r0 and below the member r2 then evicts.
+        nd, flags, calls = offer_batch([[2, 2]], [[1, 1.5], [1, 1], [3, 3]])
+        assert flags == [False, False, True] and calls == [2]
+        assert [e.params_ref for e in nd] == ["r2"]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 0.0], [np.nan, 1.0]], "row 1"),
+        ([[np.inf, 1.0]], "row 0"),
+        ([[1.0, 1.0, 1.0]], "row 0 has 3, set has 2"),
+        ([[1.0], [2.0]], "row 0 has 1, set has 2"),
+        ([1.0, 2.0], r"\(k, m\) rows"),
+    ])
+    def test_bad_rows_raise_and_change_nothing(self, rows, message):
+        nd = NonDominatedSet([entry([1, 2], ref="a"), entry([2, 1], ref="b")])
+        before = nd.objectives_matrix()
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            nd.insert_many(np.asarray(rows), calls.append)
+        assert calls == [] and [e.params_ref for e in nd] == ["a", "b"]
+        np.testing.assert_array_equal(nd.objectives_matrix(), before)
+
+    def test_insert_is_a_one_row_batch(self, monkeypatch):
+        batches = []
+        insert_many = NonDominatedSet.insert_many
+
+        def recording(nd, objectives, build):
+            batches.append(np.array(objectives))
+            return insert_many(nd, objectives, build)
+
+        monkeypatch.setattr(NonDominatedSet, "insert_many", recording)
+        nd = NonDominatedSet()
+        assert nd.insert(entry([1, 2])) is True
+        assert nd.insert(entry([0, 1])) is False
+        assert [b.tolist() for b in batches] == [[[1.0, 2.0]], [[0.0, 1.0]]]
+
+
 class TestHypervolume:
     def test_three_point_staircase(self):
         # Union of boxes 3x1, 2x2, 1x3 by inclusion-exclusion: 6.

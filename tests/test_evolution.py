@@ -384,6 +384,41 @@ class TestTrainingLoop:
         assert alive == held
         assert len(created) > len(held)
 
+    def test_rejected_snapshots_become_entries_only_to_join_the_population(self, monkeypatch):
+        # A generation commits its snapshots in one batch; a snapshot the
+        # archive rejects becomes an entry only as a lane's final snapshot
+        # joining the population (warm-up and ascent lanes), and none twice.
+        created, accepted, joined, offered = [], set(), set(), []
+        insert_many, step = NonDominatedSet.insert_many, Trainer._generation_step
+
+        def recording_entry(*args, **kwargs):
+            created.append(PolicyEntry(*args, **kwargs))
+            return created[-1]
+
+        def recording_insert_many(nd, objectives, build):
+            offered.append(len(objectives))
+
+            def recording_build(j):
+                made = build(j)
+                accepted.add(made.params_ref)
+                return made
+
+            return insert_many(nd, objectives, recording_build)
+
+        def recording_step(trainer, state, *args, **kwargs):
+            fallbacks = step(trainer, state, *args, **kwargs)
+            joined.update(e.params_ref for e in state.population)
+            return fallbacks
+
+        monkeypatch.setattr(evolution, "PolicyEntry", recording_entry)
+        monkeypatch.setattr(NonDominatedSet, "insert_many", recording_insert_many)
+        monkeypatch.setattr(Trainer, "_generation_step", recording_step)
+        make_trainer(M=4, M_ft=2).run_training()
+        refs = [e.params_ref for e in created]
+        assert len(set(refs)) == len(refs)
+        assert set(refs) == accepted | joined
+        assert joined - accepted and len(refs) < sum(offered)
+
     def test_metrics_row_fields(self):
         for row in make_trainer(M=1).run_training().metrics:
             assert set(row) == {

@@ -23,7 +23,7 @@ from moascent.policy import (
     run_episode,
 )
 
-from .oracles import normalize_mean_std, ppo_update_allocating
+from .oracles import gaussian_act, normalize_mean_std, ppo_update_allocating
 
 
 def finite_difference_log_prob(policy, params, state, action, h=1e-5):
@@ -63,26 +63,31 @@ class CountingGenerator:
 
 
 class TestAct:
+    """Rollout actions: the policy's mean, plus its std times the noise."""
+
     def test_zero_params_standard_normal(self):
-        policy = GaussianPolicy(3, 2, hidden=0)
+        env = make_env("mo_point", horizon=5)
+        policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=0)
         params = np.zeros(policy.num_params)  # zero net, log_std 0 -> N(0, I)
-        rng = np.random.default_rng(0)
-        draws = policy.act(params, np.ones((4000, 3)), rng.standard_normal((4000, 2)))
-        assert np.max(np.abs(draws.mean(axis=0))) < 0.06
-        assert np.max(np.abs(draws.std(axis=0) - 1.0)) < 0.06
+        noise = np.random.default_rng(0).standard_normal((6, 5, env.spec.action_dim))
+        actions = run_episode(env, policy, params, np.arange(6), noise)[1]
+        np.testing.assert_array_equal(actions, noise)
 
     def test_deterministic_mode_returns_mean(self):
-        policy = GaussianPolicy(2, 2, hidden=16)
+        env = make_env("mo_point", horizon=5)
+        policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=16)
         params = policy.init_params(np.random.default_rng(1), 0.7, -0.5)
-        states = np.array([[0.3, -0.8], [1.0, 0.5]])
-        np.testing.assert_array_equal(policy.act(params, states), policy.mean(params, states))
+        states, actions = run_episode(env, policy, params, np.arange(3))[:2]
+        for e in range(3):
+            np.testing.assert_array_equal(actions[e], gaussian_act(policy, params, states[e]))
 
     def test_same_rng_seed_same_action(self):
-        policy = GaussianPolicy(2, 2, hidden=32)
+        env = make_env("mo_point", horizon=5)
+        policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=32)
         params = policy.init_params(np.random.default_rng(2), 0.1, -0.5)
-        state = np.array([[0.1, 0.2]])
-        a1 = policy.act(params, state, np.random.default_rng(77).standard_normal((1, 2)))
-        a2 = policy.act(params, state, np.random.default_rng(77).standard_normal((1, 2)))
+        a1, a2 = (run_episode(env, policy, params, [7],
+                              np.random.default_rng(77).standard_normal((1, 5, 2)))[1]
+                  for _ in range(2))
         np.testing.assert_array_equal(a1, a2)
 
 
@@ -105,7 +110,7 @@ class TestLogProbGrad:
         policy = GaussianPolicy(3, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(4), 0.1, -0.5)
         state = np.array([0.5, -0.5, 1.0])
-        mean = policy.mean(params, state)[0]
+        mean = gaussian_act(policy, params, state)[0]
         grad = log_prob_grad(policy, params, state, mean)
         assert np.max(np.abs(grad[: policy.net.num_params])) == 0.0
 
@@ -115,7 +120,7 @@ class TestLogProbGrad:
         policy = GaussianPolicy(3, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(5), 0.1, -0.5)
         state = np.array([0.2, 0.4, -1.0])
-        mean = policy.mean(params, state)[0]
+        mean = gaussian_act(policy, params, state)[0]
         grad = log_prob_grad(policy, params, state, mean)
         np.testing.assert_allclose(grad[policy.net.num_params :], [-1.0, -1.0], atol=1e-12)
         numeric = finite_difference_log_prob(policy, params, state, mean)
@@ -546,7 +551,8 @@ class TestRollouts:
     @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic3"])
     def test_lockstep_matches_per_lane_step_loop(self, name):
         # Reference: each lane alone, its episodes stepped together by
-        # policy.act and env.step. A lane of the rollout computes exactly that.
+        # the policy's mean and noise and env.step. A lane of the rollout
+        # computes exactly that.
         env = make_env(name)
         spec = env.spec
         policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
@@ -564,8 +570,8 @@ class TestRollouts:
                     state = env.reset(seeds if seeds.ndim == 1 else seeds[lane])
                     states, actions, rewards = [], [], []
                     for t in range(spec.horizon):
-                        action = policy.act(params[lane], state,
-                                            None if lane_eps is None else lane_eps[:, t])
+                        action = gaussian_act(policy, params[lane], state,
+                                              None if lane_eps is None else lane_eps[:, t])
                         states.append(state)
                         actions.append(action)
                         state, reward, done = env.step(state, action)
@@ -596,7 +602,7 @@ class TestRollouts:
             state = env.reset(int(seeds[e]))
             ep_states, ep_rewards = [], []
             for t in range(T):
-                action = policy.mean(params, state)[0] + std * noise[e, t]
+                action = gaussian_act(policy, params, state)[0] + std * noise[e, t]
                 ep_states.append(state)
                 actions.append(action)
                 state, reward, _ = env.step(state, action)

@@ -25,6 +25,11 @@ Times one call of each function below, many times over, in this process:
   488 offers against a 2-D front of its archive's size: 200 random points
   on the positive unit circle, then 488 offers near it (random directions,
   radii ``1 + 0.003 * N(0, 1)``), about half of them accepted;
+- ``NonDominatedSet.insert_many`` per offer: ``2d_quad2`` commits those 488
+  offers to that front as one batch of 8 and three of 160, as the
+  ``quad2`` workload's generations do; ``3d_n1000`` offers one batch of 160
+  rows, drawn the same way, to a 3-D front of 1000 points (a ``quad3``
+  archive's size);
 - ``save_checkpoint`` writing the checkpoint store of a 1000-entry archive
   at the ``quad2`` workload's network sizes into a temporary directory;
   each call first removes the store the previous call wrote, and that
@@ -40,14 +45,33 @@ Each repeat times enough calls to last 0.2 s (0.01 s with ``--quick``) and
 divides; a row reports the median over its 9 repeats (3 with ``--quick``).
 One line per row is printed, then one JSON object as the last line:
 ``python``, ``numpy``, ``repeats`` and ``rows``, seconds per call (per step
-for ``run_episode``) by row name. The script uses the ``src/`` of the tree
-it sits in, so a copy of it measures another checkout. Set ``OPENBLAS_NUM_THREADS=1`` (as the benchmark does)
+for ``run_episode``, per offer for the archive rows) by row name. The
+script uses the ``src/`` of the tree it sits in, so a copy of it measures
+another checkout. Set ``OPENBLAS_NUM_THREADS=1`` (as the benchmark does)
 for numbers comparable with ``perfbench``.
+
+``--against <tree>`` compares this tree (the change) with another checkout
+(the parent) in one process:
+
+    python3 tools/microbench.py --against ../parent
+
+It imports ``<tree>/src/moascent`` as the package ``moascent_against``,
+builds both trees' rows at this tree's shapes, and for each row times 15
+rounds (5 with ``--quick``) of one repeat of each tree, the same number of
+calls each, the change first in even rounds and the parent first in odd
+ones. A row prints the medians of both and the median of the per-round
+change/parent ratios; on a shared 2-core host, two copies of one tree
+read 0.93-1.05. A row whose first call raises ``AttributeError`` in one
+tree (a function or method that tree lacks) is listed as skipped, with
+the error. The JSON line's ``rows`` then hold ``change``, ``parent`` and
+``ratio`` per row, and ``skipped`` the rows left out.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import platform
 import shutil
@@ -56,44 +80,41 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
+
+import numpy as np
+
+from parity import _benchmark_workloads
 
 HERE = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(HERE / "src"))
-
-import numpy as np  # noqa: E402
-
-from moascent.archive import NonDominatedSet, PolicyEntry, hypervolume  # noqa: E402
-from moascent.config import load_config, resolve_config  # noqa: E402
-from moascent.evolution import (  # noqa: E402
-    _GAE_LAMBDA,
-    _INIT_SCALE,
-    _LOG_STD_INIT,
-    _gap_edges,
-)
-from moascent.harness import build_trainer, save_checkpoint  # noqa: E402
-from moascent.pareto import min_norm_direction  # noqa: E402
-from moascent.policy import (  # noqa: E402
-    collect_batch,
-    estimate_gradient_set,
-    normalize_per_objective,
-    ppo_update,
-    run_episode,
-)
-from parity import _benchmark_workloads  # noqa: E402
+MODULES = ("archive", "config", "evolution", "harness", "pareto", "policy")
 
 
-def _trainer(workload: str):
+def load_tree(src: Path, name: str) -> SimpleNamespace:
+    """The ``moascent`` package in ``src`` imported as ``name``: its modules by short name."""
+    init = src / "moascent" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+
+
+def _trainer(mo, workload: str):
     config, overrides = _benchmark_workloads()[workload]
-    return build_trainer(resolve_config(load_config(HERE / config), overrides), seed=0)
+    return mo.harness.build_trainer(
+        mo.config.resolve_config(mo.config.load_config(HERE / config), overrides), seed=0)
 
 
-def _lanes(trainer):
+def _lanes(mo, trainer):
     """Initial ``(p, ·)`` policy and critic stacks and one generator per lane."""
+    ev = mo.evolution
     rng = np.random.default_rng(0)
     p = trainer.evolution.p
-    params = np.stack([trainer.policy.init_params(rng, _INIT_SCALE, _LOG_STD_INIT)
+    params = np.stack([trainer.policy.init_params(rng, ev._INIT_SCALE, ev._LOG_STD_INIT)
                        for _ in range(p)])
-    critic = np.stack([trainer.critic.init_params(rng, _INIT_SCALE) for _ in range(p)])
+    critic = np.stack([trainer.critic.init_params(rng, ev._INIT_SCALE) for _ in range(p)])
     return params, critic, [np.random.default_rng(lane) for lane in range(p)]
 
 
@@ -103,47 +124,62 @@ def _front(n: int, m: int, seed: int) -> np.ndarray:
     return P / np.linalg.norm(P, axis=1, keepdims=True)
 
 
-def _replay_offers(front: list, offers: list) -> None:
-    archive = NonDominatedSet(list(front))
+def _near_front(n: int, m: int, seed: int) -> np.ndarray:
+    """``n`` offers near the unit-sphere front: random directions, radii ``1 + 0.003 N(0, 1)``."""
+    radii = 1.0 + 0.003 * np.random.default_rng(seed + 1).standard_normal((n, 1))
+    return _front(n, m, seed) * radii
+
+
+def _replay_offers(archive_cls, front: list, offers: list) -> None:
+    archive = archive_cls(list(front))
     for entry in offers:
         archive.insert(entry)
 
 
-def _rewrite_store(store: Path, entries: list) -> None:
+def _replay_batches(archive_cls, front: list, offers: list, rows: np.ndarray, bounds) -> None:
+    archive = archive_cls(list(front))
+    for a, b in zip(bounds, bounds[1:]):
+        archive.insert_many(rows[a:b], lambda j, a=a: offers[a + j])
+
+
+def _rewrite_store(save_checkpoint, store: Path, entries: list) -> None:
     shutil.rmtree(store, ignore_errors=True)
     save_checkpoint(store, entries)
 
 
-def cases(full: bool, scratch: Path) -> list:
-    """(row name, per-call divisor, zero-argument call) for each row; files go under ``scratch``."""
+def cases(mo, full: bool, scratch: Path) -> list:
+    """(row name, per-call divisor, zero-argument call) for each row of the
+    tree ``mo`` (see ``load_tree``); files go under ``scratch``."""
+    ev, pol = mo.evolution, mo.policy
+    NonDominatedSet, PolicyEntry = mo.archive.NonDominatedSet, mo.archive.PolicyEntry
     out = []
-    point = _trainer("point")
-    params, _, rngs = _lanes(point)
+    point = _trainer(mo, "point")
+    params, _, rngs = _lanes(mo, point)
     spec, episodes = point.env.spec, point.update.batch_episodes
     seeds = np.stack([rng.integers(0, 2**31 - 1, size=episodes) for rng in rngs])
     noise = np.stack([rng.standard_normal((episodes, spec.horizon, spec.action_dim))
                       for rng in rngs])
     out.append(("run_episode.point_step", spec.horizon,
-                lambda: run_episode(point.env, point.policy, params, seeds, noise)))
+                lambda: pol.run_episode(point.env, point.policy, params, seeds, noise)))
     for workload in ("quad2", "point"):
-        t = _trainer(workload)
-        params, critic, rngs = _lanes(t)
-        batch = collect_batch(t.env, t.policy, params, t.critic, critic, t.update.batch_episodes,
-                              t.env.spec.gamma, _GAE_LAMBDA, rngs)
+        t = _trainer(mo, workload)
+        params, critic, rngs = _lanes(mo, t)
+        batch = pol.collect_batch(t.env, t.policy, params, t.critic, critic,
+                                  t.update.batch_episodes, t.env.spec.gamma, ev._GAE_LAMBDA, rngs)
         out.append((f"collect_batch.{workload}", 1,
                     lambda t=t, p=params, c=critic, r=rngs:
-                    collect_batch(t.env, t.policy, p, t.critic, c, t.update.batch_episodes,
-                                  t.env.spec.gamma, _GAE_LAMBDA, r)))
+                    pol.collect_batch(t.env, t.policy, p, t.critic, c, t.update.batch_episodes,
+                                      t.env.spec.gamma, ev._GAE_LAMBDA, r)))
         omega = np.full((len(rngs), t.env.spec.num_objectives), 1.0 / t.env.spec.num_objectives)
         out.append((f"ppo_update.{workload}", 1,
                     lambda t=t, p=params, c=critic, b=batch, w=omega:
-                    ppo_update(t.policy, p, t.critic, c, b, w, t.update)))
+                    pol.ppo_update(t.policy, p, t.critic, c, b, w, t.update)))
         if workload == "point":
             out.append(("estimate_gradient_set.point", 1,
                         lambda t=t, p=params, b=batch:
-                        estimate_gradient_set(t.policy, p, b, t.update.normalize_advantages)))
+                        pol.estimate_gradient_set(t.policy, p, b, t.update.normalize_advantages)))
             out.append(("normalize_per_objective.point", 1,
-                        lambda b=batch: normalize_per_objective(b.advantages)))
+                        lambda b=batch: pol.normalize_per_objective(b.advantages)))
             net = t.policy.net
             mu, cache = net.forward(t.policy._net_params(params), batch.states)
             d_mu = np.random.default_rng(0).standard_normal(mu.shape)
@@ -155,44 +191,91 @@ def cases(full: bool, scratch: Path) -> list:
     for shape in ((3, d), (4, d), (8, 2, d), (4, 3, d)):
         G = np.random.default_rng(shape[-2]).standard_normal(shape)
         name = f"m{shape[0]}" if len(shape) == 2 else f"{shape[0]}x{shape[1]}"
-        out.append((f"min_norm_direction.{name}", 1, lambda G=G: min_norm_direction(G)))
+        out.append((f"min_norm_direction.{name}", 1,
+                    lambda G=G: mo.pareto.min_norm_direction(G)))
     for m in (2, 3):
         P = _front(1000, m, seed=m)
-        out.append((f"hypervolume.{m}d_n1000", 1, lambda P=P, z=np.zeros(m): hypervolume(P, z)))
+        out.append((f"hypervolume.{m}d_n1000", 1,
+                    lambda P=P, z=np.zeros(m): mo.archive.hypervolume(P, z)))
     for n in (100, 250) + ((500,) if full else ()):
         P = _front(n, 3, seed=n)
-        out.append((f"gap_edges.3d_n{n}", 1, lambda P=P: _gap_edges(P)))
+        out.append((f"gap_edges.3d_n{n}", 1, lambda P=P: ev._gap_edges(P)))
     snapshot = np.zeros(1)
-    front = [PolicyEntry(f"ckpt_{k:06d}", row, 0, "warmup", snapshot, snapshot)
-             for k, row in enumerate(_front(200, 2, seed=2))]
-    radii = 1.0 + 0.003 * np.random.default_rng(4).standard_normal((488, 1))
-    offers = [PolicyEntry(f"ckpt_{200 + k:06d}", row, 1, "pareto_ascent", snapshot, snapshot)
-              for k, row in enumerate(_front(488, 2, seed=3) * radii)]
-    out.append(("archive.insert.2d_n200", len(offers),
-                lambda: _replay_offers(front, offers)))
-    quad2 = _trainer("quad2")
+    for name, (n, m, k), bounds in (("2d_quad2", (200, 2, 488), (0, 8, 168, 328, 488)),
+                                    ("3d_n1000", (1000, 3, 160), (0, 160))):
+        front = [PolicyEntry(f"ckpt_{i:06d}", row, 0, "warmup", snapshot, snapshot)
+                 for i, row in enumerate(_front(n, m, seed=m))]
+        rows = _near_front(k, m, seed=m + 1)
+        offers = [PolicyEntry(f"ckpt_{n + i:06d}", row, 1, "pareto_ascent", snapshot, snapshot)
+                  for i, row in enumerate(rows)]
+        if m == 2:
+            out.append(("archive.insert.2d_n200", k,
+                        lambda f=front, o=offers: _replay_offers(NonDominatedSet, f, o)))
+        out.append((f"archive.insert_many.{name}", k,
+                    lambda f=front, o=offers, r=rows, b=bounds:
+                    _replay_batches(NonDominatedSet, f, o, r, b)))
+    quad2 = _trainer(mo, "quad2")
     rng = np.random.default_rng(0)
     entries = [PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
                            rng.standard_normal(quad2.policy.num_params),
                            rng.standard_normal(quad2.critic.num_params))
                for k in range(1000)]
     out.append(("save_checkpoint.quad2_n1000", 1,
-                lambda: _rewrite_store(scratch / "checkpoints", entries)))
+                lambda: _rewrite_store(mo.harness.save_checkpoint, scratch / "checkpoints",
+                                       entries)))
     return out
 
 
 def time_call(call, repeats: int, min_repeat_s: float) -> float:
     """Median over ``repeats`` of the seconds per call of ``call``."""
+    number = _calls_per_repeat(call, min_repeat_s)
+    return statistics.median(_repeat(call, number) for _ in range(repeats))
+
+
+def _calls_per_repeat(call, min_repeat_s: float) -> int:
     start = perf_counter()
     call()
-    number = max(1, int(min_repeat_s / max(perf_counter() - start, 1e-9)))
-    times = []
-    for _ in range(repeats):
-        start = perf_counter()
-        for _ in range(number):
-            call()
-        times.append((perf_counter() - start) / number)
-    return statistics.median(times)
+    return max(1, int(min_repeat_s / max(perf_counter() - start, 1e-9)))
+
+
+def _repeat(call, number: int) -> float:
+    start = perf_counter()
+    for _ in range(number):
+        call()
+    return (perf_counter() - start) / number
+
+
+def _missing_api(call):
+    """None if ``call`` runs, else the AttributeError it raised, as text."""
+    try:
+        call()
+    except AttributeError as error:
+        return str(error)
+    return None
+
+
+def compare(change: list, parent: list, rounds: int, min_repeat_s: float):
+    """Interleaved A/B timing of the rows both trees run; returns (rows, skipped)."""
+    rows, skipped = {}, {}
+    for (name, divisor, call), (_, _, other) in zip(change, parent):
+        errors = [f"{tree}: {error}" for tree, error in
+                  (("change", _missing_api(call)), ("parent", _missing_api(other))) if error]
+        if errors:
+            skipped[name] = "; ".join(errors)
+            print(f"{name:30s} skipped ({skipped[name]})", flush=True)
+            continue
+        number = _calls_per_repeat(other, min_repeat_s)
+        ours, theirs = [], []
+        sides = ((call, ours), (other, theirs))
+        for r in range(rounds):
+            for fn, times in sides[::-1] if r % 2 else sides:
+                times.append(_repeat(fn, number) / divisor)
+        rows[name] = {"change": statistics.median(ours), "parent": statistics.median(theirs),
+                      "ratio": statistics.median(a / b for a, b in zip(ours, theirs))}
+        print(f"{name:30s} {rows[name]['change'] * 1e6:12.1f} us  parent "
+              f"{rows[name]['parent'] * 1e6:12.1f} us  ratio {rows[name]['ratio']:.3f}",
+              flush=True)
+    return rows, skipped
 
 
 def main(argv=None) -> int:
@@ -200,15 +283,29 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="3 repeats of at least 0.01 s each, for a smoke check")
     parser.add_argument("--full", action="store_true", help="add _gap_edges at n=500")
+    parser.add_argument("--against", type=Path, metavar="TREE",
+                        help="compare with the checkout TREE, interleaved in this process")
     args = parser.parse_args(argv)
     repeats, min_repeat_s = (3, 0.01) if args.quick else (9, 0.2)
-    rows = {}
     with tempfile.TemporaryDirectory(prefix="microbench-") as scratch:
-        for name, divisor, call in cases(args.full, Path(scratch)):
-            rows[name] = time_call(call, repeats, min_repeat_s) / divisor
-            print(f"{name:28s} {rows[name] * 1e6:12.1f} us", flush=True)
-    print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
-                      "repeats": repeats, "rows": rows}))
+        scratch = Path(scratch)
+        (scratch / "change").mkdir()
+        (scratch / "parent").mkdir()
+        change = cases(load_tree(HERE / "src", "moascent"), args.full, scratch / "change")
+        report = {"python": platform.python_version(), "numpy": np.__version__}
+        if args.against:
+            rounds = 5 if args.quick else 15
+            parent = cases(load_tree(args.against.resolve() / "src", "moascent_against"),
+                           args.full, scratch / "parent")
+            rows, skipped = compare(change, parent, rounds, min_repeat_s)
+            report.update(against=str(args.against), rounds=rounds, rows=rows, skipped=skipped)
+        else:
+            rows = {}
+            for name, divisor, call in change:
+                rows[name] = time_call(call, repeats, min_repeat_s) / divisor
+                print(f"{name:30s} {rows[name] * 1e6:12.1f} us", flush=True)
+            report.update(repeats=repeats, rows=rows)
+    print(json.dumps(report))
     return 0
 
 
