@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .archive import NonDominatedSet, PolicyEntry, hypervolume, sparsity
-from .config import EvolutionConfig, PolicyConfig, check_reference_point
-from .momdp import MOMDPEnv, mo_return
+from .config import Config, EvolutionConfig, check_reference_point
+from .momdp import make_env, mo_return
 from .pareto import min_norm_direction
 from .policy import (
     GaussianPolicy,
@@ -47,9 +47,8 @@ __all__ = [
 _SELECTION_STREAM = 1_000_000
 # Namespace for the fixed evaluation episode seeds of a run.
 _EVAL_STREAM = 2_000_000
-# Candidates per PGR region, and the GAE lambda (the discount is the env's).
+# Candidates per PGR region.
 _PGR_TOP_K = 2
-_GAE_LAMBDA = 0.95
 # Initial weight scale of the policy and critic, and the policy's initial log-std.
 _INIT_SCALE = 0.1
 _LOG_STD_INIT = -0.5
@@ -344,39 +343,29 @@ def ascent_weights(grads) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Trainer:
-    """Runs the warm-up (generation 0) and the generations on one environment.
+    """Runs the warm-up (generation 0) and the generations of one seed of a config.
 
     ``warmup`` and ``run_generation`` plan lanes for one train/evaluate/commit step.
-    ``evolution`` and ``update`` are the ``evolution`` and ``policy`` config
-    sections, used as they are (``evolution.reference_point`` must be set).
-    ``eval_episodes`` and ``paft_enabled`` are the ``eval.episodes`` and
-    ``paft.enabled`` values. Training and scoring share ``env.spec.gamma``.
+    The environment, policy and critic are built from ``cfg``, a
+    :func:`resolve_config` result, so their dimensions agree; a reference
+    point that is unset or not below every return raises ``ConfigError``.
+    ``evolution``, ``update`` and ``paft_enabled`` are the config's
+    ``evolution`` and ``policy`` sections and ``paft.enabled``. Training and
+    scoring share ``env.spec.gamma``.
     """
 
-    def __init__(
-        self,
-        env: MOMDPEnv,
-        policy: GaussianPolicy,
-        critic: VectorCritic,
-        evolution: EvolutionConfig,
-        update: PolicyConfig,
-        seed: int,
-        eval_episodes: int,
-        paft_enabled: bool,
-    ):
-        if policy.state_dim != env.spec.state_dim or policy.action_dim != env.spec.action_dim:
-            raise ValueError("policy dimensions do not match the environment")
-        if critic.num_objectives != env.spec.num_objectives:
-            raise ValueError("critic output count does not match the objectives")
-        check_reference_point(evolution.reference_point, env)
+    def __init__(self, cfg: Config, seed: int):
+        env = make_env(cfg.env.name, **cfg.env.params)
+        check_reference_point(cfg.evolution.reference_point, env)
+        spec, hidden = env.spec, cfg.policy.hidden
         self.env = env
-        self.policy = policy
-        self.critic = critic
-        self.evolution = evolution
-        self.update = update
+        self.policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden)
+        self.critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden)
+        self.evolution = cfg.evolution
+        self.update = cfg.policy
         self.seed = seed
-        self.paft_enabled = paft_enabled
-        self.eval_seeds = eval_seeds(seed, eval_episodes)
+        self.paft_enabled = cfg.paft.enabled
+        self.eval_seeds = eval_seeds(seed, cfg.eval.episodes)
 
     def _lane_rng(self, generation: int, lane: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))
@@ -409,18 +398,13 @@ class Trainer:
         fallbacks = 0
         snapshots = [] if iters else [(params, critic_params)]
         for it in range(iters):
-            batch = collect_batch(
-                self.env, self.policy, params, self.critic, critic_params,
-                upd.batch_episodes, self.env.spec.gamma, _GAE_LAMBDA, rngs,
-            )
+            batch = collect_batch(self.env, self.policy, params, self.critic, critic_params,
+                                  upd.batch_episodes, rngs)
             if it == 0 and ascent:
-                grads = estimate_gradient_set(self.policy, params, batch,
-                                              upd.normalize_advantages)
+                grads = estimate_gradient_set(self.policy, batch, upd.normalize_advantages)
                 weights[ascent], fell_back = ascent_weights(grads[ascent])
                 fallbacks = int(fell_back.sum())
-            params, critic_params = ppo_update(
-                self.policy, params, self.critic, critic_params, batch, weights, upd
-            )
+            params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd)
             if (it + 1) % snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
         snap_params = np.stack([p for p, _ in snapshots], axis=1)

@@ -14,9 +14,10 @@ The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 store holds no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
 through :func:`resolve_config` and require it to be its own resolution, as
 ``train`` writes it, and ``frontier.json``'s ``m`` and ``reference_point``
-to be the config's. ``eval`` builds the run's trainer with
-:func:`build_trainer`, as ``train`` does, and rolls the entry's policy out on
-the trainer's env and evaluation seeds (the first ``--episodes`` of them when
+to be the config's. A trainer is built from a resolved config and a seed
+alone (:func:`build_trainer`, which is ``Trainer(cfg, seed)``): ``eval``
+builds the run's as ``train`` does, and rolls the entry's policy out on the
+trainer's env and evaluation seeds (the first ``--episodes`` of them when
 given), which reproduce the entry's objectives.
 """
 
@@ -36,8 +37,8 @@ import yaml
 from .archive import PolicyEntry, frontier_document, frontier_entries, parse_frontier
 from .config import Config, ConfigError, load_config, resolve_config
 from .evolution import Trainer, eval_seeds
-from .momdp import make_env, mo_return
-from .policy import GaussianPolicy, VectorCritic, run_episode
+from .momdp import mo_return
+from .policy import run_episode
 
 __all__ = [
     "ConfigError",
@@ -55,12 +56,8 @@ METRICS_HEADER = ["generation", "hv", "sp", "archive_size", "stationary_fallback
 
 
 def build_trainer(cfg: Config, seed: int) -> Trainer:
-    """Instantiate the environment, networks, and trainer for one seed."""
-    env = make_env(cfg.env.name, **cfg.env.params)
-    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, cfg.policy.hidden)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, cfg.policy.hidden)
-    return Trainer(env, policy, critic, cfg.evolution, cfg.policy, seed,
-                   cfg.eval.episodes, cfg.paft.enabled)
+    """The trainer of one seed of ``cfg``, with its environment and networks."""
+    return Trainer(cfg, seed)
 
 
 def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:

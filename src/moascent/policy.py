@@ -25,9 +25,11 @@ states, actions and rewards.
 params once, splits their layers once as views into the copies, and
 allocates the outputs, the gradients, the optimizers' scratch and one set
 of hidden-layer buffers once. Each epoch is then one pass, one backprop
-and one in-place optimizer step per network. ``collect_batch`` keeps its
-critic pass in the batch (``CriticPass``), and the critic's first epoch
-backprops from it instead of running the same pass again.
+and one in-place optimizer step per network. A batch carries copies of the
+snapshot it was collected under (``params``, ``critic_params``) and the
+critic's pass over its states (``values``, ``critic_hidden``), so the
+gradient set and the update start from that snapshot and the critic's
+first epoch backprops from the pass instead of running it again.
 
 A sum over the rows axis of an ``(..., rows, k)`` array (backprop's bias
 gradients, the mean and std of ``normalize_per_objective``) is one
@@ -52,7 +54,6 @@ from .momdp import MOMDPEnv
 from .pareto import validate_weights
 
 __all__ = [
-    "CriticPass",
     "GaussianPolicy",
     "RolloutBatch",
     "VectorCritic",
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# GAE's lambda; the discount is the environment's.
+_GAE_LAMBDA = 0.95
 
 
 def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -288,51 +291,40 @@ class VectorCritic:
 
 
 @dataclass
-class CriticPass:
-    """The critic's pass over a batch's states, kept for the first update epoch.
-
-    ``values`` are the ``(..., n, m)`` outputs, ``activations`` the ``(...,
-    n, hidden)`` tanh activations of the hidden layer (None for a linear
-    critic) and ``params`` the ``(..., C)`` critic params the pass was made
-    under.
-    """
-
-    params: np.ndarray
-    values: np.ndarray
-    activations: np.ndarray | None
-
-
-@dataclass
 class RolloutBatch:
-    """Per-step learning signals of a batch, episodes concatenated in order.
+    """A batch's per-step learning signals and the snapshot they were collected under.
 
-    Every field is ``(..., n, ·)``: the leading lane axes of the collecting
-    params, then one row per step. ``actions`` are the raw sampled actions
-    (before environment clamping). Advantages and return targets carry one
-    component per objective. ``critic_pass`` is the critic's pass over
-    ``states`` that the advantages came from; ``ppo_update`` backprops its
-    first critic epoch from it. The batch holds no log-probabilities:
-    whoever needs them scores ``actions`` under the collecting snapshot.
+    ``params`` and ``critic_params`` are ``(..., ·)`` copies of the snapshot,
+    one row per lane; every other field is ``(..., n, ·)``, one row per step
+    of the episodes in order. ``actions`` are the raw sampled actions
+    (before environment clamping); advantages, return targets and ``values``
+    have one column per objective. ``values`` and ``critic_hidden`` (the
+    hidden layer's tanh activations, None for a linear critic) are the
+    critic's pass over ``states``. There are no log-probabilities: whoever
+    needs them scores ``actions`` under ``params``.
     """
 
     states: np.ndarray
     actions: np.ndarray
     advantages: np.ndarray
     returns: np.ndarray
-    critic_pass: CriticPass
+    params: np.ndarray
+    critic_params: np.ndarray
+    values: np.ndarray
+    critic_hidden: np.ndarray | None
 
     def __post_init__(self):
         rows = self.states.shape[:-1]
         if rows[-1] == 0:
             raise ValueError("empty rollout batch")
-        for name in ("actions", "advantages", "returns"):
-            if getattr(self, name).shape[:-1] != rows:
-                raise ValueError(f"batch field {name} disagrees in length")
-        carried = self.critic_pass
-        hid = carried.activations
-        if carried.values.shape[:-1] != rows or carried.params.shape[:-1] != rows[:-1] \
-                or (hid is not None and hid.shape[:-1] != rows):
-            raise ValueError("batch field critic_pass disagrees in length")
+        for name, lead in (("actions", rows), ("advantages", rows), ("returns", rows),
+                           ("values", rows), ("critic_hidden", rows),
+                           ("params", rows[:-1]), ("critic_params", rows[:-1])):
+            value = getattr(self, name)
+            if name == "critic_hidden" and value is None:
+                continue
+            if value.shape[:-1] != lead:
+                raise ValueError(f"batch field {name} disagrees with states in shape")
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, last_values: np.ndarray,
@@ -401,15 +393,16 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
 
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
                   critic: VectorCritic, critic_params: np.ndarray,
-                  episodes: int, gamma: float, lam: float, rng) -> RolloutBatch:
+                  episodes: int, rng) -> RolloutBatch:
     """Collect ``episodes`` episodes per lane, each lane under its own snapshot.
 
     ``rng`` is one generator for ``(d,)`` params, or one per lane for an
     ``(L, d)`` stack. Each generator makes two draws: first the
     ``(episodes,)`` reset seeds (``integers(0, 2**31 - 1)``), then the
     ``(episodes, T, action_dim)`` block of standard-normal action noise.
-    The batch keeps the critic's pass over its states (``critic_pass``),
-    made under a copy of ``critic_params``.
+    Advantages discount with ``env.spec.gamma`` and GAE's constant lambda.
+    The batch keeps copies of ``params`` and ``critic_params`` and the
+    critic's pass over its states.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
@@ -423,18 +416,22 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     n = episodes * T
     states = states.reshape(lead + (n, -1))
     actions = actions.reshape(lead + (n, -1))
-    values, (_, _, activations) = critic.net.forward(critic_params, states)
+    values, (_, _, critic_hidden) = critic.net.forward(critic_params, states)
     last_values = np.zeros(lead + (episodes, m))
     if not terminal.all():
         last_values = np.where(terminal[..., None], 0.0, critic.values(critic_params, final_states))
-    advantages = gae(rewards, values.reshape(lead + (episodes, T, m)), last_values, gamma, lam)
+    advantages = gae(rewards, values.reshape(lead + (episodes, T, m)), last_values,
+                     env.spec.gamma, _GAE_LAMBDA)
     advantages = advantages.reshape(lead + (n, m))
     return RolloutBatch(
         states=states,
         actions=actions,
         advantages=advantages,
         returns=advantages + values,
-        critic_pass=CriticPass(critic_params.copy(), values, activations),
+        params=params.copy(),
+        critic_params=critic_params.copy(),
+        values=values,
+        critic_hidden=critic_hidden,
     )
 
 
@@ -451,22 +448,20 @@ def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
     return centered
 
 
-def estimate_gradient_set(policy: GaussianPolicy, params: np.ndarray,
-                          batch: RolloutBatch,
+def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
                           normalize_advantages: bool) -> np.ndarray:
     """Per-objective policy-gradient estimates, one (d,) row per objective and lane.
 
-    ``params`` is ``(d,)`` or an ``(L, d)`` stack with a matching batch;
-    returns ``(m, d)`` or ``(L, m, d)``. Row i is the batch average of
-    ``advantage_i * grad log pi``, i.e. the gradient of objective i's
-    surrogate at the collecting snapshot (where all likelihood ratios equal
-    one).
+    Returns ``(m, d)`` for a batch of ``(d,)`` params or ``(L, m, d)`` for an
+    ``(L, d)`` stack. Row i is the batch average of ``advantage_i * grad log
+    pi``, i.e. the gradient of objective i's surrogate at the batch's
+    ``params`` (where all likelihood ratios equal one).
     """
     adv = batch.advantages
     if normalize_advantages:
         adv = normalize_per_objective(adv)
     n, m = adv.shape[-2:]
-    _, grad = policy.score(params, batch.states, batch.actions)
+    _, grad = policy.score(batch.params, batch.states, batch.actions)
     G = np.stack([grad(adv[..., i] / n) for i in range(m)], axis=-2)
     if not np.all(np.isfinite(G)):
         raise ValueError("gradient estimate has non-finite entries")
@@ -529,37 +524,29 @@ _OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
 _CLIP_EPS = 0.2  # PPO's clip range on the likelihood ratio
 
 
-def ppo_update(policy: GaussianPolicy, params: np.ndarray,
-               critic: VectorCritic, critic_params: np.ndarray,
-               batch: RolloutBatch, omega,
+def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch, omega,
                update: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clipped-surrogate ascent on the ``omega``-scalarized advantages.
 
-    ``params`` and ``critic_params`` are one lane or an ``(L, ·)`` stack with
-    a matching ``batch``; ``omega`` holds one weight vector per lane. The
-    batch must have been collected under ``params`` and ``critic_params``:
-    the likelihood ratios are taken against the log-probabilities of the
-    first epoch, where every ratio is exactly one, and the critic's first
-    epoch backprops from the batch's ``critic_pass``, so ``critic_params``
-    that differ from the pass's raise ValueError.
-    ``update`` is the ``policy`` config section; its ``epochs``, ``lr``,
-    ``normalize_advantages`` and ``optimizer`` set the update.
-    Advantages are (optionally) normalized per objective, then collapsed
-    with the simplex weights ``omega``; by linearity this ascends the same
-    direction as the omega-weighted combination of per-objective
+    The update starts from the snapshot the batch was collected under, its
+    ``params`` and ``critic_params`` (one lane or an ``(L, ·)`` stack);
+    ``omega`` holds one weight vector per lane. The likelihood ratios are
+    taken against the log-probabilities of the first epoch, where every
+    ratio is exactly one, and the critic's first epoch backprops from the
+    batch's critic pass. ``update`` is the ``policy`` config section; its
+    ``epochs``, ``lr``, ``normalize_advantages`` and ``optimizer`` set the
+    update. Advantages are (optionally) normalized per objective, then
+    collapsed with the simplex weights ``omega``; by linearity this ascends
+    the same direction as the omega-weighted combination of per-objective
     surrogates. The critic regresses its per-objective return targets with
     the same optimizer settings. Returns the updated (params, critic_params)
-    snapshots; inputs are not mutated.
+    snapshots; the batch is not mutated.
     """
     m = batch.advantages.shape[-1]
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-1:] != (m,):
         raise ValueError(f"omega has {omega.shape[-1:]} components, batch has {m} objectives")
     omega = validate_weights(omega)
-    carried = batch.critic_pass
-    if critic_params.shape != carried.params.shape \
-            or critic_params.tobytes() != carried.params.tobytes():
-        raise ValueError("critic_params differ from the params of the batch's critic pass")
     adv = batch.advantages
     if update.normalize_advantages:
         adv = normalize_per_objective(adv)
@@ -573,7 +560,7 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     # passes share one set of hidden-layer buffers, because the critic's
     # pass starts after the policy's backprop has read it.
     states, actions, rows = batch.states, batch.actions, batch.states.shape[:-1]
-    params, critic_params = params.copy(), critic_params.copy()
+    params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
     critic_layers = critic.net.split(critic_params)
     hid, work = policy.net.buffers(rows)
@@ -586,7 +573,7 @@ def ppo_update(policy: GaussianPolicy, params: np.ndarray,
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params.shape, lr if update.optimizer == "adam" else min(lr, 5e-3))
     # The critic's first epoch reads the batch's pass, made under these params.
-    critic_pass = (carried.values, (critic_layers, states, carried.activations))
+    critic_pass = (batch.values, (critic_layers, states, batch.critic_hidden))
     for epoch in range(update.epochs):
         policy.net.apply(layers, states, mu, hid)
         log_probs, grad = policy.score(params, states, actions, (mu, (layers, states, hid)))

@@ -315,18 +315,13 @@ class PerLaneTrainer(Trainer):
         fallbacks = 0
         snapshots = []
         for it in range(iters):
-            batch = collect_batch(
-                self.env, self.policy, params, self.critic, critic_params,
-                upd.batch_episodes, self.env.spec.gamma, evolution._GAE_LAMBDA, rng,
-            )
+            batch = collect_batch(self.env, self.policy, params, self.critic, critic_params,
+                                  upd.batch_episodes, rng)
             if weights is None:
-                grads = estimate_gradient_set(self.policy, params, batch,
-                                              upd.normalize_advantages)
+                grads = estimate_gradient_set(self.policy, batch, upd.normalize_advantages)
                 weights, fell_back = ascent_weights(grads)
                 fallbacks += int(fell_back)
-            params, critic_params = ppo_update(
-                self.policy, params, self.critic, critic_params, batch, weights, upd
-            )
+            params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd)
             if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
         return params, critic_params, snapshots, fallbacks
@@ -493,13 +488,14 @@ class _AllocatingSGD:
 _CLIP_EPS = 0.2
 
 
-def ppo_update_allocating(policy, params, critic, critic_params, batch, omega, update):
+def ppo_update_allocating(policy, critic, batch, omega, update):
     """``ppo_update`` as it was before its passes wrote into buffers.
 
     Every network pass allocates its hidden-layer arrays afresh and the
     optimizers rebuild their moment arrays each step; the result must
     match the buffered update byte for byte.
     """
+    params, critic_params = batch.params, batch.critic_params
     omega = validate_weights(np.asarray(omega, dtype=float))
     adv = batch.advantages
     if update.normalize_advantages:

@@ -17,8 +17,8 @@ from moascent.pareto import (
     min_norm_direction,
     project_to_simplex,
 )
-from moascent.policy import GaussianPolicy, VectorCritic
-from moascent.config import EvolutionConfig, PolicyConfig
+from moascent.policy import GaussianPolicy
+from moascent.config import PolicyConfig, resolve_config
 from moascent.evolution import Trainer
 
 from .oracles import (
@@ -189,21 +189,21 @@ def test_06_archive_invariants_bulk():
            elapsed, 30.0)
 
 
-def default_trainer(env, seed, **overrides):
-    m = env.spec.num_objectives
-    z = {2: np.array([-9.0, -9.0]), 3: np.array([-10.0, -10.0, -10.0])}[m]
-    gen_kw = dict(
-        M=10, M_ft=3, m_iters=20,
-        m_w=10, p=8, reference_point=z,
-    )
-    upd_kw = {}
+def default_trainer(env_name, seed, **overrides):
+    """The trainer of ``env_name`` at the default policy section, 8 eval
+    episodes and M=10; ``overrides`` go to the policy or evolution section
+    holding the field, ``paft_enabled`` to ``paft.enabled``."""
+    m = make_env(env_name).spec.num_objectives
+    z = {2: [-9.0, -9.0], 3: [-10.0, -10.0, -10.0]}[m]
+    evolution = dict(M=10, M_ft=3, m_iters=20, m_w=10, p=8, reference_point=z)
+    policy = {"hidden": 32}
     paft_enabled = overrides.pop("paft_enabled", True)
     for key, value in overrides.items():
-        (upd_kw if key in PolicyConfig.__dataclass_fields__ else gen_kw)[key] = value
-    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=32)
-    critic = VectorCritic(env.spec.state_dim, m, hidden=32)
-    return Trainer(env, policy, critic, EvolutionConfig(**gen_kw), PolicyConfig(**upd_kw), seed,
-                   eval_episodes=8, paft_enabled=paft_enabled)
+        (policy if key in PolicyConfig.__dataclass_fields__ else evolution)[key] = value
+    cfg = resolve_config({"experiment": "acceptance", "env": {"name": env_name},
+                          "policy": policy, "evolution": evolution, "eval": {"episodes": 8},
+                          "paft": {"enabled": paft_enabled}})
+    return Trainer(cfg, seed)
 
 
 def test_07_end_to_end_frontier_quality():
@@ -219,7 +219,7 @@ def test_07_end_to_end_frontier_quality():
 
     ratios = []
     for seed in range(6):
-        metrics = default_trainer(env, seed).run_training().metrics
+        metrics = default_trainer("mo_quadratic", seed).run_training().metrics
         ratios.append(metrics[-1]["hv"] / analytic_hv)
     elapsed = time.perf_counter() - start
     ok = float(np.median(ratios)) >= 0.95 and min(ratios) >= 0.90
@@ -235,12 +235,13 @@ def test_08_finetune_ablation_sparsity():
     # instead of blanketing the frontier by drift; that makes the sparsity
     # comparison measure targeted gap-filling rather than noise volume.
     start = time.perf_counter()
-    env = make_env("mo_quadratic")
     shared = dict(optimizer="sgd", lr=0.05, normalize_advantages=False, paft_pairs=2)
     sp_on, sp_off = [], []
     for seed in range(6):
-        state_on = default_trainer(env, seed, paft_enabled=True, **shared).run_training()
-        state_off = default_trainer(env, seed, paft_enabled=False, **shared).run_training()
+        state_on = default_trainer("mo_quadratic", seed, paft_enabled=True,
+                                   **shared).run_training()
+        state_off = default_trainer("mo_quadratic", seed, paft_enabled=False,
+                                    **shared).run_training()
         sp_on.append(state_on.metrics[-1]["sp"])
         sp_off.append(state_off.metrics[-1]["sp"])
     elapsed = time.perf_counter() - start
@@ -290,7 +291,7 @@ def test_10_three_objective_path():
 
     ratios = []
     for seed in range(3):
-        trainer = default_trainer(env, seed)
+        trainer = default_trainer("mo_quadratic3", seed)
         metrics = trainer.run_training().metrics
         ratios.append(metrics[-1]["hv"] / analytic_hv)
     elapsed = time.perf_counter() - start

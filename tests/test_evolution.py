@@ -3,13 +3,14 @@
 import gc
 import re
 import weakref
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from moascent.archive import NonDominatedSet, PolicyEntry
 from moascent import evolution
-from moascent.config import ConfigError, EvolutionConfig, PolicyConfig
+from moascent.config import ConfigError, EvolutionConfig, resolve_config
 from moascent.evolution import (
     Trainer,
     ascent_weights,
@@ -19,7 +20,6 @@ from moascent.evolution import (
     pgr_select,
 )
 from moascent.momdp import make_env
-from moascent.policy import GaussianPolicy, VectorCritic
 
 from .oracles import mutually_non_dominated
 
@@ -42,17 +42,27 @@ def gen_config(**kw):
     return EvolutionConfig(**base)
 
 
-def make_trainer(env_name="mo_quadratic", hidden=8, eval_episodes=2, upd=None, seed=0,
-                 paft_enabled=True, **gen_kw):
-    env = make_env(env_name)
-    m = env.spec.num_objectives
+def make_config(env_name="mo_quadratic", paft_enabled=True, **gen_kw):
+    """The resolved config of a small run: ``gen_config``'s evolution section,
+    hidden layers of 8, 4 episodes a batch, 2 epochs an update, 2 eval episodes."""
     if "reference_point" not in gen_kw:
-        gen_kw["reference_point"] = np.full(m, -10.0) if m == 3 else np.array([-9.0, -9.0])
-    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=hidden)
-    critic = VectorCritic(env.spec.state_dim, m, hidden=hidden)
-    upd = upd or PolicyConfig(batch_episodes=4, epochs=2)
-    return Trainer(env, policy, critic, gen_config(**gen_kw), upd, seed,
-                   eval_episodes=eval_episodes, paft_enabled=paft_enabled)
+        m = make_env(env_name).spec.num_objectives
+        gen_kw["reference_point"] = [-10.0] * 3 if m == 3 else [-9.0, -9.0]
+    return resolve_config({
+        "experiment": "evolution-test", "env": {"name": env_name},
+        "policy": {"hidden": 8, "batch_episodes": 4, "epochs": 2},
+        "evolution": asdict(gen_config(**gen_kw)), "eval": {"episodes": 2},
+        "paft": {"enabled": paft_enabled},
+    })
+
+
+def make_trainer(seed=0, **kw):
+    return Trainer(make_config(**kw), seed)
+
+
+def with_evolution(cfg, **fields):
+    """``cfg`` with these ``evolution`` fields replaced, not re-resolved."""
+    return replace(cfg, evolution=replace(cfg.evolution, **fields))
 
 
 class TestEvenlySpreadWeights:
@@ -304,9 +314,9 @@ class TestAscentWeights:
             calls["solve"].append(np.shape(G))
             return solve(G)
 
-        def counted_grads(policy, params, batch, normalize):
-            calls["grads"].append(params.shape[0])
-            return grads(policy, params, batch, normalize)
+        def counted_grads(policy, batch, normalize):
+            calls["grads"].append(batch.params.shape[0])
+            return grads(policy, batch, normalize)
 
         monkeypatch.setattr(evolution, "min_norm_direction", counted_solve)
         monkeypatch.setattr(evolution, "estimate_gradient_set", counted_grads)
@@ -456,15 +466,13 @@ class TestTrainingLoop:
     ], ids=["null", "three-numbers", "above-bound"])
     def test_bad_reference_point_rejected_at_construction(self, reference_point, message):
         # These used to pass construction and fail only after warmup had trained.
+        # resolve_config rejects them too; a Config built around it reaches Trainer.
+        cfg = with_evolution(make_config(), reference_point=reference_point)
         with pytest.raises(ConfigError, match=re.escape(message)):
-            make_trainer(reference_point=reference_point)
+            Trainer(cfg, 0)
 
     def test_warmup_requires_enough_policies(self):
-        env = make_env("mo_quadratic3")
-        policy = GaussianPolicy(1, 2, hidden=4)
-        critic = VectorCritic(1, 3, hidden=4)
-        cfg = gen_config(p=2, reference_point=np.full(3, -10.0))
-        trainer = Trainer(env, policy, critic, cfg, PolicyConfig(batch_episodes=2), 0, 8, True)
+        trainer = Trainer(with_evolution(make_config("mo_quadratic3"), p=2), 0)
         with pytest.raises(ValueError):
             trainer.run_training()
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from moascent import evolution
+from moascent import policy as policy_module
 from moascent.archive import (NonDominatedSet, PolicyEntry, frontier_document, frontier_entries,
                               hypervolume, parse_frontier, sparsity)
 from moascent.config import apply_overrides, load_config
@@ -223,24 +223,23 @@ class TestShippedConfigs:
         assert not (tmp_path / "runs").exists()
 
     def test_training_discounts_with_the_environment(self, tmp_path, monkeypatch):
-        # The discount of every training batch is the env's, the one every
-        # snapshot is scored with, also when an env param changes it.
+        # The discount of every training batch's GAE is the env's, the one
+        # every snapshot is scored with, also when an env param changes it.
         discounts = []
-        collect_batch = evolution.collect_batch
+        gae = policy_module.gae
 
-        def recording(env, policy, params, critic, critic_params, episodes, gamma, lam, rng):
-            discounts.append((gamma, env.spec.gamma))
-            return collect_batch(env, policy, params, critic, critic_params, episodes,
-                                 gamma, lam, rng)
+        def recording(rewards, values, last_values, gamma, lam):
+            discounts.append(gamma)
+            return gae(rewards, values, last_values, gamma, lam)
 
-        monkeypatch.setattr(evolution, "collect_batch", recording)
+        monkeypatch.setattr(policy_module, "gae", recording)
         argv = ["train", "--config", str(CONFIGS / "point.yaml"), "--seed", "0"]
         for text in ("env.params.gamma=0.9", "evolution.M=1", "evolution.m_w=1",
                      "evolution.m_iters=1", "evolution.p=2", "policy.batch_episodes=1",
                      "eval.episodes=1", f"output_dir={tmp_path / 'runs'}"):
             argv += ["--override", text]
         assert main(argv) == 0
-        assert discounts and all(gamma == spec == 0.9 for gamma, spec in discounts)
+        assert discounts and all(gamma == 0.9 for gamma in discounts)
 
 
 def train_keeping_state(tmp_path, monkeypatch):

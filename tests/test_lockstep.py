@@ -56,10 +56,7 @@ CASES = {
 
 def trainers(case, seed=0):
     cfg = resolve_config({"experiment": "lockstep", **case})
-    stacked = build_trainer(cfg, seed)
-    per_lane = PerLaneTrainer(stacked.env, stacked.policy, stacked.critic, cfg.evolution,
-                              cfg.policy, seed, cfg.eval.episodes, cfg.paft.enabled)
-    return stacked, per_lane
+    return build_trainer(cfg, seed), PerLaneTrainer(cfg, seed)
 
 
 def outputs(trainer):
@@ -114,16 +111,14 @@ def test_stacked_passes_are_row_bounded(name):
     rng = np.random.default_rng(0)
     params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(lanes)])
     critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(lanes)])
-    batch = collect_batch(env, policy, params, critic, critic_params,
-                          cfg.policy.batch_episodes, env.spec.gamma, 0.95,
+    batch = collect_batch(env, policy, params, critic, critic_params, cfg.policy.batch_episodes,
                           [np.random.default_rng(k) for k in range(lanes)])
     rows = batch.states.shape[-2]
     assert rows == lane_rows
     omega = np.full((lanes, env.spec.num_objectives), 1.0 / env.spec.num_objectives)
     tracemalloc.start()
     try:
-        ppo_update(policy, params, critic, critic_params, batch, omega,
-                   PolicyConfig(hidden=hidden))
+        ppo_update(policy, critic, batch, omega, PolicyConfig(hidden=hidden))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from moascent.config import ConfigError, PolicyConfig
 from moascent.momdp import MoPoint, MoQuadratic, make_env, mo_return
 from moascent.policy import (
-    CriticPass,
+    _GAE_LAMBDA,
     GaussianPolicy,
     RolloutBatch,
     VectorCritic,
@@ -138,7 +138,7 @@ def make_batch(env, policy, critic, seed=0, episodes=12):
     rng = np.random.default_rng(seed)
     params = policy.init_params(rng, 0.1, -0.5)
     critic_params = critic.init_params(rng, 0.1)
-    batch = collect_batch(env, policy, params, critic, critic_params, episodes, 1.0, 0.95, rng)
+    batch = collect_batch(env, policy, params, critic, critic_params, episodes, rng)
     return params, critic_params, batch
 
 
@@ -151,13 +151,13 @@ class TestGradientSet:
     def test_zero_advantages_zero_matrix(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
         zeroed = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
-        G = estimate_gradient_set(self.policy, params, zeroed, False)
+        G = estimate_gradient_set(self.policy, zeroed, False)
         np.testing.assert_array_equal(G, np.zeros_like(G))
 
     def test_uniform_advantages_identical_rows(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
         ones = dataclasses.replace(batch, advantages=np.ones_like(batch.advantages))
-        G = estimate_gradient_set(self.policy, params, ones, False)
+        G = estimate_gradient_set(self.policy, ones, False)
         np.testing.assert_allclose(G[0], G[1], atol=1e-12)
 
     def test_single_step_hand_advantage(self):
@@ -165,18 +165,18 @@ class TestGradientSet:
         # advantages times the step's score vector.
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic, episodes=1)
         single = dataclasses.replace(batch, advantages=np.array([[2.0, -1.0]]))
-        G = estimate_gradient_set(self.policy, params, single, False)
+        G = estimate_gradient_set(self.policy, single, False)
         g = log_prob_grad(self.policy, params, batch.states[0], batch.actions[0])
         np.testing.assert_allclose(G[0], 2.0 * g, atol=1e-12)
         np.testing.assert_allclose(G[1], -1.0 * g, atol=1e-12)
 
     def test_linear_in_per_objective_advantages(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
-        G = estimate_gradient_set(self.policy, params, batch, False)
+        G = estimate_gradient_set(self.policy, batch, False)
         scaled_adv = batch.advantages.copy()
         scaled_adv[:, 0] *= 3.5
         G_scaled = estimate_gradient_set(
-            self.policy, params, dataclasses.replace(batch, advantages=scaled_adv), False
+            self.policy, dataclasses.replace(batch, advantages=scaled_adv), False
         )
         np.testing.assert_allclose(G_scaled[0], 3.5 * G[0], atol=1e-10)
         np.testing.assert_allclose(G_scaled[1], G[1], atol=1e-12)
@@ -193,16 +193,13 @@ def test_gradient_set_stack_matches_lane_less_calls(env_name, normalize):
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(4)])
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(4)])
     rngs = [np.random.default_rng(lane) for lane in range(4)]
-    batch = collect_batch(env, policy, params, critic, critic_params, 6, spec.gamma, 0.95, rngs)
-    G = estimate_gradient_set(policy, params, batch, normalize)
+    batch = collect_batch(env, policy, params, critic, critic_params, 6, rngs)
+    G = estimate_gradient_set(policy, batch, normalize)
     assert G.shape == (4, spec.num_objectives, policy.num_params)
-    carried = batch.critic_pass
     for lane in range(4):
-        lane_pass = CriticPass(carried.params[lane], carried.values[lane],
-                               carried.activations[lane])
-        lane_batch = RolloutBatch(batch.states[lane], batch.actions[lane],
-                                  batch.advantages[lane], batch.returns[lane], lane_pass)
-        alone = estimate_gradient_set(policy, params[lane], lane_batch, normalize)
+        lane_batch = RolloutBatch(**{f.name: getattr(batch, f.name)[lane]
+                                     for f in dataclasses.fields(batch)})
+        alone = estimate_gradient_set(policy, lane_batch, normalize)
         assert G[lane].tobytes() == alone.tobytes(), lane
 
 
@@ -237,24 +234,15 @@ class TestScoringPasses:
         policy_passes = count_calls(self.policy.net, "apply", monkeypatch)
         critic_passes = count_calls(self.critic.net, "apply", monkeypatch)
         forwards = count_mean_net_passes(self.policy, monkeypatch)
-        ppo_update(self.policy, params, self.critic, critic_params, batch, [0.5, 0.5],
-                   PolicyConfig(epochs=epochs))
+        ppo_update(self.policy, self.critic, batch, [0.5, 0.5], PolicyConfig(epochs=epochs))
         assert len(policy_passes) == epochs
         assert len(critic_passes) == epochs - 1
         assert len(forwards) == 0
 
-    def test_ppo_update_rejects_critic_params_the_batch_was_not_collected_under(self):
-        params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
-        moved = critic_params.copy()
-        moved[0] = np.nextafter(moved[0], np.inf)
-        with pytest.raises(ValueError, match="critic_params"):
-            ppo_update(self.policy, params, self.critic, moved, batch, [0.5, 0.5],
-                       PolicyConfig())
-
     def test_gradient_set_runs_mean_network_once(self, monkeypatch):
-        params, _, batch = make_batch(self.env, self.policy, self.critic)
+        _, _, batch = make_batch(self.env, self.policy, self.critic)
         calls = count_mean_net_passes(self.policy, monkeypatch)
-        estimate_gradient_set(self.policy, params, batch, False)
+        estimate_gradient_set(self.policy, batch, False)
         assert len(calls) == 1
 
     def test_collect_batch_runs_mean_network_once_per_step(self, monkeypatch):
@@ -269,7 +257,7 @@ class TestScoringPasses:
         forwards = count_mean_net_passes(policy, monkeypatch)
         steps = count_calls(policy.net, "apply", monkeypatch)
         splits = count_calls(policy.net, "split", monkeypatch)
-        collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
+        collect_batch(env, policy, params, critic, critic_params, 4,
                       [np.random.default_rng(lane) for lane in range(3)])
         assert len(forwards) == 0
         assert len(steps) == env.spec.horizon
@@ -320,9 +308,8 @@ class TestPPOUpdate:
     def test_zero_advantages_leave_policy_unchanged(self):
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         zeroed = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
-        new_params, new_critic = ppo_update(
-            self.policy, params, self.critic, critic_params, zeroed, [0.5, 0.5], PolicyConfig()
-        )
+        new_params, new_critic = ppo_update(self.policy, self.critic, zeroed, [0.5, 0.5],
+                                            PolicyConfig())
         np.testing.assert_array_equal(new_params, params)
         assert not np.array_equal(new_critic, critic_params)  # regression still runs
 
@@ -333,13 +320,9 @@ class TestPPOUpdate:
         garbled = batch.advantages.copy()
         garbled[:, 1] = np.random.default_rng(8).uniform(-9, 9, size=garbled.shape[0])
         raw = PolicyConfig(normalize_advantages=False)
-        p1, _ = ppo_update(
-            self.policy, params, self.critic, critic_params, batch, [1.0, 0.0], raw,
-        )
-        p2, _ = ppo_update(
-            self.policy, params, self.critic, critic_params,
-            dataclasses.replace(batch, advantages=garbled), [1.0, 0.0], raw,
-        )
+        p1, _ = ppo_update(self.policy, self.critic, batch, [1.0, 0.0], raw)
+        p2, _ = ppo_update(self.policy, self.critic,
+                           dataclasses.replace(batch, advantages=garbled), [1.0, 0.0], raw)
         np.testing.assert_array_equal(p1, p2)
 
     def test_rows_with_only_other_objective_signal_contribute_nothing(self):
@@ -350,27 +333,21 @@ class TestPPOUpdate:
         silenced = adv.copy()
         silenced[:5, 1] = 0.0
         raw = PolicyConfig(normalize_advantages=False)
-        p1, _ = ppo_update(self.policy, params, self.critic, critic_params,
-                           with_noise, [1.0, 0.0], raw)
-        p2, _ = ppo_update(self.policy, params, self.critic, critic_params,
+        p1, _ = ppo_update(self.policy, self.critic, with_noise, [1.0, 0.0], raw)
+        p2, _ = ppo_update(self.policy, self.critic,
                            dataclasses.replace(batch, advantages=silenced), [1.0, 0.0], raw)
         np.testing.assert_array_equal(p1, p2)
 
     def test_off_simplex_omega_rejected(self):
-        params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
+        _, _, batch = make_batch(self.env, self.policy, self.critic)
         with pytest.raises(ValueError):
-            ppo_update(self.policy, params, self.critic, critic_params, batch, [0.7, 0.7],
-                       PolicyConfig())
+            ppo_update(self.policy, self.critic, batch, [0.7, 0.7], PolicyConfig())
         with pytest.raises(ValueError):
-            ppo_update(self.policy, params, self.critic, critic_params, batch, [1.1, -0.1],
-                       PolicyConfig())
+            ppo_update(self.policy, self.critic, batch, [1.1, -0.1], PolicyConfig())
 
     def test_within_tolerance_omega_accepted(self):
-        params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
-        ppo_update(
-            self.policy, params, self.critic, critic_params, batch,
-            [0.5 + 4e-7, 0.5 + 4e-7], PolicyConfig(),
-        )
+        _, _, batch = make_batch(self.env, self.policy, self.critic)
+        ppo_update(self.policy, self.critic, batch, [0.5 + 4e-7, 0.5 + 4e-7], PolicyConfig())
 
     def test_scalarized_return_trend_upwards(self):
         # Ten rounds of collect-and-update on fresh batches must not end
@@ -389,16 +366,13 @@ class TestPPOUpdate:
 
         start = scalarized(params)
         for _ in range(10):
-            batch = collect_batch(env, policy, params, critic, critic_params, 32, 1.0, 0.95, rng)
-            params, critic_params = ppo_update(
-                policy, params, critic, critic_params, batch, omega, PolicyConfig(lr=5e-3)
-            )
+            batch = collect_batch(env, policy, params, critic, critic_params, 32, rng)
+            params, critic_params = ppo_update(policy, critic, batch, omega, PolicyConfig(lr=5e-3))
         assert scalarized(params) >= start
 
     def test_sgd_optimizer_runs_and_unknown_rejected(self):
-        params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
-        ppo_update(self.policy, params, self.critic, critic_params, batch,
-                   [0.5, 0.5], PolicyConfig(optimizer="sgd"))
+        _, _, batch = make_batch(self.env, self.policy, self.critic)
+        ppo_update(self.policy, self.critic, batch, [0.5, 0.5], PolicyConfig(optimizer="sgd"))
         # The config section is the one place an optimizer name is checked.
         with pytest.raises(ConfigError, match="policy.optimizer"):
             PolicyConfig(optimizer="rmsprop")
@@ -456,7 +430,7 @@ def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, nor
     # byte, with one log-std component held at its lower clamp. A hidden
     # layer of 1 and a 1-D action give bias gradients that np.sum adds
     # pairwise over the batch's 20 rows.
-    env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic([[1.0], [-0.5]])
+    env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic([[1.0], [-0.5]], gamma=0.99)
     episodes = 20 // env.spec.horizon
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
@@ -467,13 +441,12 @@ def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, nor
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(count)])
     params, critic_params = params.reshape(lanes + (-1,)), critic_params.reshape(lanes + (-1,))
     rngs = rng if not lanes else [np.random.default_rng(lane) for lane in range(count)]
-    batch = collect_batch(env, policy, params, critic, critic_params, episodes, 0.99, 0.95,
-                          rngs)
+    batch = collect_batch(env, policy, params, critic, critic_params, episodes, rngs)
     omega = np.broadcast_to([0.3, 0.7], lanes + (2,))
     update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer,
                           normalize_advantages=normalize)
-    got = ppo_update(policy, params, critic, critic_params, batch, omega, update)
-    want = ppo_update_allocating(policy, params, critic, critic_params, batch, omega, update)
+    got = ppo_update(policy, critic, batch, omega, update)
+    want = ppo_update_allocating(policy, critic, batch, omega, update)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     clamped = policy.net.num_params
@@ -483,35 +456,83 @@ def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, nor
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("hidden", [0, 8])
 def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
-    # The update steps its own copies in place and backprops its first critic
-    # epoch from the batch's pass without writing into it, so a second call
-    # on the same inputs returns the same bytes.
+    # The update steps its own copies of the batch's snapshot in place and
+    # backprops its first critic epoch from the batch's pass without writing
+    # into it, so a second call on the same inputs returns the same bytes.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
     rng = np.random.default_rng(3)
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(2)])
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(2)])
-    batch = collect_batch(env, policy, params, critic, critic_params, 4, 0.99, 0.95,
+    batch = collect_batch(env, policy, params, critic, critic_params, 4,
                           [np.random.default_rng(lane) for lane in range(2)])
-    carried = batch.critic_pass
-    inputs = {"params": params, "critic_params": critic_params, "states": batch.states,
-              "actions": batch.actions, "advantages": batch.advantages,
-              "returns": batch.returns, "critic_pass.params": carried.params,
-              "critic_pass.values": carried.values,
-              "critic_pass.activations": carried.activations}
+    inputs = {"params": params, "critic_params": critic_params,
+              **{f"batch.{f.name}": getattr(batch, f.name) for f in dataclasses.fields(batch)}}
     before = {name: None if a is None else a.tobytes() for name, a in inputs.items()}
-    assert (before["critic_pass.activations"] is None) == (hidden == 0)
+    assert (before["batch.critic_hidden"] is None) == (hidden == 0)
     update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer)
     omega = [[0.3, 0.7], [0.6, 0.4]]
-    first = ppo_update(policy, params, critic, critic_params, batch, omega, update)
-    second = ppo_update(policy, params, critic, critic_params, batch, omega, update)
+    first = ppo_update(policy, critic, batch, omega, update)
+    second = ppo_update(policy, critic, batch, omega, update)
     for name, a in inputs.items():
         assert (None if a is None else a.tobytes()) == before[name], name
     assert first[0].tobytes() == second[0].tobytes()
     assert first[1].tobytes() == second[1].tobytes()
     assert first[0].tobytes() != params.tobytes()
     assert first[1].tobytes() != critic_params.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [(), (2,)], ids=["lane-less", "stack"])
+def test_batch_keeps_its_snapshot_when_the_callers_params_change(lanes):
+    # The batch carries copies of the snapshot it was collected under, so
+    # writing into the caller's params and critic params afterwards leaves
+    # the gradient set and the update as they were, bit for bit.
+    env = MoPoint(horizon=5)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
+    rng = np.random.default_rng(4)
+    count = int(np.prod(lanes))
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)]).reshape(
+        lanes + (-1,))
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(count)]).reshape(
+        lanes + (-1,))
+    rngs = rng if not lanes else [np.random.default_rng(lane) for lane in range(count)]
+    batch = collect_batch(env, policy, params, critic, critic_params, 3, rngs)
+    omega = np.broadcast_to([0.4, 0.6], lanes + (2,))
+    update = PolicyConfig(hidden=8, lr=0.05, epochs=3)
+
+    def results():
+        G = estimate_gradient_set(policy, batch, True)
+        new_params, new_critic = ppo_update(policy, critic, batch, omega, update)
+        return G.tobytes(), new_params.tobytes(), new_critic.tobytes()
+
+    want = results()
+    params += 0.5
+    critic_params *= -1.0
+    assert results() == want
+
+
+def test_rollout_batch_rejects_each_field_that_disagrees_with_states():
+    env = MoPoint(horizon=3)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=4)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=4)
+    rng = np.random.default_rng(6)
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(2)])
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(2)])
+    batch = collect_batch(env, policy, params, critic, critic_params, 2,
+                          [np.random.default_rng(lane) for lane in range(2)])
+    # A linear critic has no hidden layer to keep.
+    dataclasses.replace(batch, critic_hidden=None)
+    with pytest.raises(ValueError, match="empty rollout batch"):
+        dataclasses.replace(batch, states=batch.states[:, :0])
+    bad = {name: getattr(batch, name)[:, 1:]
+           for name in ("actions", "advantages", "returns", "values", "critic_hidden")}
+    bad["params"] = batch.params[:1]  # one lane where states has two
+    bad["critic_params"] = batch.critic_params[0]  # lane-less against a stack
+    for name, value in bad.items():
+        with pytest.raises(ValueError, match=f"batch field {name} disagrees"):
+            dataclasses.replace(batch, **{name: value})
 
 
 class TestRollouts:
@@ -521,10 +542,8 @@ class TestRollouts:
         critic = VectorCritic(4, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(10), 0.1, -0.5)
         cp = critic.init_params(np.random.default_rng(10), 0.1)
-        b1 = collect_batch(env, policy, params, critic, cp, 3, 0.99, 0.95,
-                           np.random.default_rng(55))
-        b2 = collect_batch(env, policy, params, critic, cp, 3, 0.99, 0.95,
-                           np.random.default_rng(55))
+        b1 = collect_batch(env, policy, params, critic, cp, 3, np.random.default_rng(55))
+        b2 = collect_batch(env, policy, params, critic, cp, 3, np.random.default_rng(55))
         np.testing.assert_array_equal(b1.states, b2.states)
         np.testing.assert_array_equal(b1.actions, b2.actions)
         np.testing.assert_array_equal(b1.advantages, b2.advantages)
@@ -584,15 +603,16 @@ class TestRollouts:
     def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
         # Reference: the documented order written as a plain loop. The
         # generator gives every reset seed, then one (episodes, T, 2) noise
-        # block; each episode is stepped alone from its own reset.
-        env = make_env("mo_point", horizon=5)
+        # block; each episode is stepped alone from its own reset, and GAE
+        # discounts with the env's gamma.
+        env = make_env("mo_point", horizon=5, gamma=0.9)
         T = env.spec.horizon
         policy = GaussianPolicy(4, 2, hidden=8)
         critic = VectorCritic(4, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(13), 0.1, -0.5)
         cp = critic.init_params(np.random.default_rng(14), 0.1)
         rng = np.random.default_rng(15)
-        batch = collect_batch(env, policy, params, critic, cp, 3, 0.9, 0.8, rng)
+        batch = collect_batch(env, policy, params, critic, cp, 3, rng)
         ref_rng = np.random.default_rng(15)
         seeds = ref_rng.integers(0, 2**31 - 1, size=3)
         noise = ref_rng.standard_normal((3, T, 2))
@@ -609,7 +629,8 @@ class TestRollouts:
                 ep_rewards.append(reward)
             values = critic.values(cp, np.array(ep_states))
             tail = critic.values(cp, state)  # truncated: bootstrap from the critic
-            advantages.append(gae(np.array(ep_rewards)[None], values[None], tail, 0.9, 0.8)[0])
+            advantages.append(gae(np.array(ep_rewards)[None], values[None], tail, 0.9,
+                                  _GAE_LAMBDA)[0])
             states.extend(ep_states)
         np.testing.assert_allclose(batch.states, states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(batch.actions, actions, rtol=0, atol=1e-12)
@@ -639,11 +660,11 @@ class TestRollouts:
         assert resets == [(4,), (5,)]
 
         lanes = [CountingGenerator(lane) for lane in range(3)]
-        collect_batch(env, policy, params, critic, cp, 6, 0.9, 0.8, lanes)
+        collect_batch(env, policy, params, critic, cp, 6, lanes)
         assert resets[2:] == [(3, 6)]
         assert [lane.calls for lane in lanes] == [["integers", "standard_normal"]] * 3
         lone = CountingGenerator(3)
-        collect_batch(env, policy, params[0], critic, cp[0], 6, 0.9, 0.8, lone)
+        collect_batch(env, policy, params[0], critic, cp[0], 6, lone)
         assert lone.calls == ["integers", "standard_normal"]
 
     def test_episode_ending_before_horizon_rejected(self):

@@ -5,8 +5,8 @@ Times one call of each function below, many times over, in this process:
 - ``run_episode`` per step, on the ``point`` workload's ``(p, episodes)``
   stack with action noise (the training rollout);
 - ``collect_batch`` at the ``quad2`` and ``point`` workloads' shapes
-  (rollout, critic pass and GAE; the batch keeps the critic pass), on
-  generators that advance from call to call;
+  (rollout, critic pass and GAE; the batch keeps copies of the snapshot and
+  the critic pass), on generators that advance from call to call;
 - ``ppo_update`` on a batch collected at the ``quad2`` and ``point``
   workloads' shapes, with their update settings;
 - ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
@@ -61,15 +61,18 @@ rounds (5 with ``--quick``) of one repeat of each tree, the same number of
 calls each, the change first in even rounds and the parent first in odd
 ones. A row prints the medians of both and the median of the per-round
 change/parent ratios; on a shared 2-core host, two copies of one tree
-read 0.93-1.05. A row whose first call raises ``AttributeError`` in one
-tree (a function or method that tree lacks) is listed as skipped, with
-the error. The JSON line's ``rows`` then hold ``change``, ``parent`` and
+read 0.93-1.05. A row whose first call raises ``AttributeError`` or
+``TypeError`` in one tree (a function or method that tree lacks, or takes
+other arguments) is listed as skipped, with the error; the update rows
+build their batch at their first call, so they skip with the tree's
+``collect_batch``. The JSON line's ``rows`` then hold ``change``, ``parent`` and
 ``ratio`` per row, and ``skipped`` the rows left out.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import json
@@ -142,6 +145,16 @@ def _replay_batches(archive_cls, front: list, offers: list, rows: np.ndarray, bo
         archive.insert_many(rows[a:b], lambda j, a=a: offers[a + j])
 
 
+def _backprop_args(policy, params: np.ndarray, states: np.ndarray) -> tuple:
+    """``(cache, d_mu, grad, work)`` of the mean network's backprop from one
+    pass of ``params`` over ``states``, into a caller-owned gradient and buffers."""
+    net = policy.net
+    mu, cache = net.forward(policy._net_params(params), states)
+    d_mu = np.random.default_rng(0).standard_normal(mu.shape)
+    _, work = net.buffers(mu.shape[:-1])
+    return cache, d_mu, np.empty(params.shape[:-1] + (net.num_params,)), work
+
+
 def _rewrite_store(save_checkpoint, store: Path, entries: list) -> None:
     shutil.rmtree(store, ignore_errors=True)
     save_checkpoint(store, entries)
@@ -164,29 +177,31 @@ def cases(mo, full: bool, scratch: Path) -> list:
     for workload in ("quad2", "point"):
         t = _trainer(mo, workload)
         params, critic, rngs = _lanes(mo, t)
-        batch = pol.collect_batch(t.env, t.policy, params, t.critic, critic,
-                                  t.update.batch_episodes, t.env.spec.gamma, ev._GAE_LAMBDA, rngs)
+        # The batch the update rows time, collected under the same snapshot at
+        # its rows' first call, so a tree whose collect_batch takes other
+        # arguments skips them (see ``_missing_api``) instead of stopping here.
+        batch = functools.cache(lambda t=t, p=params, c=critic, r=_lanes(mo, t)[2]:
+                                pol.collect_batch(t.env, t.policy, p, t.critic, c,
+                                                  t.update.batch_episodes, r))
         out.append((f"collect_batch.{workload}", 1,
                     lambda t=t, p=params, c=critic, r=rngs:
                     pol.collect_batch(t.env, t.policy, p, t.critic, c, t.update.batch_episodes,
-                                      t.env.spec.gamma, ev._GAE_LAMBDA, r)))
+                                      r)))
         omega = np.full((len(rngs), t.env.spec.num_objectives), 1.0 / t.env.spec.num_objectives)
         out.append((f"ppo_update.{workload}", 1,
-                    lambda t=t, p=params, c=critic, b=batch, w=omega:
-                    pol.ppo_update(t.policy, p, t.critic, c, b, w, t.update)))
+                    lambda t=t, b=batch, w=omega: pol.ppo_update(t.policy, t.critic, b(), w,
+                                                                 t.update)))
         if workload == "point":
             out.append(("estimate_gradient_set.point", 1,
-                        lambda t=t, p=params, b=batch:
-                        pol.estimate_gradient_set(t.policy, p, b, t.update.normalize_advantages)))
+                        lambda t=t, b=batch:
+                        pol.estimate_gradient_set(t.policy, b(), t.update.normalize_advantages)))
             out.append(("normalize_per_objective.point", 1,
-                        lambda b=batch: pol.normalize_per_objective(b.advantages)))
+                        lambda b=batch: pol.normalize_per_objective(b().advantages)))
             net = t.policy.net
-            mu, cache = net.forward(t.policy._net_params(params), batch.states)
-            d_mu = np.random.default_rng(0).standard_normal(mu.shape)
-            _, work = net.buffers(mu.shape[:-1])
-            grad = np.empty(params.shape[:-1] + (net.num_params,))
+            backprop_args = functools.cache(lambda t=t, p=params, b=batch:
+                                            _backprop_args(t.policy, p, b().states))
             out.append(("backprop.point", 1,
-                        lambda net=net, c=cache, d=d_mu, g=grad, w=work: net.backprop(c, d, g, w)))
+                        lambda net=net, a=backprop_args: net.backprop(*a())))
     d = point.policy.num_params
     for shape in ((3, d), (4, d), (8, 2, d), (4, 3, d)):
         G = np.random.default_rng(shape[-2]).standard_normal(shape)
@@ -246,10 +261,10 @@ def _repeat(call, number: int) -> float:
 
 
 def _missing_api(call):
-    """None if ``call`` runs, else the AttributeError it raised, as text."""
+    """None if ``call`` runs, else the AttributeError or TypeError it raised, as text."""
     try:
         call()
-    except AttributeError as error:
+    except (AttributeError, TypeError) as error:
         return str(error)
     return None
 
