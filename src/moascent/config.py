@@ -2,9 +2,11 @@
 
 Each field is declared once, with its YAML name, its default, and the
 condition its value must meet; constructing a section checks every field
-and raises :class:`ConfigError` naming the offending one. ``resolve_config``
-builds the sections from a raw mapping, fills the values derived from the
-environment, and makes the checks that need the environment. The resolved
+and raises :class:`ConfigError` naming the offending one. Constructing a
+:class:`Config` then makes the checks that need the environment and fills
+the values derived from it, so every ``Config`` is resolved, however it is
+made (``resolve_config``, or ``dataclasses.replace`` of another).
+``resolve_config`` builds one from a raw mapping. The resolved
 :class:`Config`, as a plain dict, is the run's ``config.yaml``.
 """
 
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .momdp import DEFAULT_REFERENCE_POINTS, make_env
+from .momdp import ENVIRONMENTS, make_env
 
 __all__ = [
     "Config",
@@ -29,7 +31,6 @@ __all__ = [
     "PaftConfig",
     "PolicyConfig",
     "apply_overrides",
-    "check_reference_point",
     "load_config",
     "parse_override",
     "resolve_config",
@@ -118,7 +119,7 @@ class EvolutionConfig(_Section):
     means ``max(1, M // 3)``.
     A null ``paft_pairs`` is the pair budget left after the per-objective
     extremes, and a null ``reference_point`` the environment's default,
-    filled by :func:`resolve_config`.
+    filled by :class:`Config`.
     """
 
     _prefix = "evolution."
@@ -160,7 +161,14 @@ class EvalConfig(_Section):
 
 @dataclass(frozen=True, kw_only=True)
 class Config(_Section):
-    """A whole experiment: the top-level fields and one object per section."""
+    """A whole experiment: the top-level fields and one object per section.
+
+    After the field checks, construction builds the environment and checks
+    the config against it: at most 3 objectives, a population ``p`` that
+    covers them, and a reference point (the environment's default when null)
+    with one number per objective, each below every return the environment
+    admits. ``dataclasses.replace`` re-runs these checks.
+    """
 
     experiment: str = _knob(None, "an experiment id", _nonempty_str)
     env: EnvConfig = _section(EnvConfig)
@@ -174,6 +182,34 @@ class Config(_Section):
         lambda v: (isinstance(v, list) and len(v) > 0
                    and all(_is_int(s) and s >= 0 for s in v) and len(set(v)) == len(v)),
     )
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            env = make_env(self.env.name, **self.env.params)
+        except ValueError as exc:
+            raise ConfigError(f"env: {exc}") from exc
+        m = env.spec.num_objectives
+        if m > 3:
+            raise ConfigError("env: hypervolume metrics support at most 3 objectives")
+
+        evo = self.evolution
+        if evo.p < m:
+            raise ConfigError(f"evolution.p: population {evo.p} cannot cover {m} objectives")
+        z = evo.reference_point
+        if z is None:
+            _, _, z = ENVIRONMENTS[self.env.name]
+        z = [float(v) for v in z]
+        if len(z) != m:
+            raise ConfigError(f"evolution.reference_point: need {m} numbers, got {z!r}")
+        # Every evaluated return must strictly dominate the reference point.
+        low = env.return_lower_bound()
+        if not np.all(np.array(z) < low):
+            raise ConfigError(
+                f"evolution.reference_point: {z!r} must lie strictly below the lowest "
+                f"return the environment admits, {low.tolist()!r}"
+            )
+        object.__setattr__(self, "evolution", replace(evo, reference_point=z))
 
 
 def load_config(path) -> dict:
@@ -242,40 +278,9 @@ def _build(cls, raw):
 
 
 def resolve_config(raw: dict, overrides=()) -> Config:
-    """Apply overrides, check every field, fill derived values, check against the env.
+    """Apply overrides and build the :class:`Config`, which checks and resolves itself.
 
-    Returns the fully resolved config: dumping it back to YAML and
-    re-running it reproduces the run bit for bit.
+    Dumping the result back to YAML and re-running it reproduces the run
+    bit for bit.
     """
-    cfg = _build(Config, apply_overrides(raw, overrides))
-    try:
-        env = make_env(cfg.env.name, **cfg.env.params)
-    except ValueError as exc:
-        raise ConfigError(f"env: {exc}") from exc
-    m = env.spec.num_objectives
-    if m > 3:
-        raise ConfigError("env: hypervolume metrics support at most 3 objectives")
-
-    evo = cfg.evolution
-    if evo.p < m:
-        raise ConfigError(f"evolution.p: population {evo.p} cannot cover {m} objectives")
-    z = evo.reference_point
-    if z is None:
-        z = DEFAULT_REFERENCE_POINTS[cfg.env.name]
-    return replace(cfg, evolution=replace(evo, reference_point=check_reference_point(z, env)))
-
-
-def check_reference_point(z, env) -> list[float]:
-    """``z`` as floats: one number per objective, each below every return ``env`` admits."""
-    m = env.spec.num_objectives
-    z = None if z is None else [float(v) for v in z]
-    if z is None or len(z) != m:
-        raise ConfigError(f"evolution.reference_point: need {m} numbers, got {z!r}")
-    # Every evaluated return must strictly dominate the reference point.
-    low = env.return_lower_bound()
-    if not np.all(np.array(z) < low):
-        raise ConfigError(
-            f"evolution.reference_point: {z!r} must lie strictly below the lowest "
-            f"return the environment admits, {low.tolist()!r}"
-        )
-    return z
+    return _build(Config, apply_overrides(raw, overrides))

@@ -13,6 +13,7 @@ generation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -20,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .archive import NonDominatedSet, PolicyEntry, hypervolume, sparsity
-from .config import Config, EvolutionConfig, check_reference_point
+from .config import Config, EvolutionConfig
 from .momdp import make_env, mo_return
 from .pareto import min_norm_direction
 from .policy import (
@@ -104,7 +105,7 @@ def evenly_spread_weights(num_objectives: int, count: int) -> np.ndarray:
         first = np.linspace(0.0, 1.0, p)
         return np.stack([first, 1.0 - first], axis=1)
     degree = m - 1
-    while _lattice_size(degree, m) < p:
+    while math.comb(degree + m - 1, m - 1) < p:
         degree += 1
     lattice = np.array(_simplex_lattice(degree, m), dtype=float) / degree
     if lattice.shape[0] == p:
@@ -119,13 +120,6 @@ def evenly_spread_weights(num_objectives: int, count: int) -> np.ndarray:
         pick = remaining.pop(int(np.argmax(dists)))
         chosen.append(pick)
     return lattice[sorted(chosen)]
-
-
-def _lattice_size(degree: int, m: int) -> int:
-    size = 1
-    for i in range(1, m):
-        size = size * (degree + i) // i
-    return size
 
 
 def _simplex_lattice(degree: int, m: int) -> list[tuple[int, ...]]:
@@ -346,9 +340,8 @@ class Trainer:
     """Runs the warm-up (generation 0) and the generations of one seed of a config.
 
     ``warmup`` and ``run_generation`` plan lanes for one train/evaluate/commit step.
-    The environment, policy and critic are built from ``cfg``, a
-    :func:`resolve_config` result, so their dimensions agree; a reference
-    point that is unset or not below every return raises ``ConfigError``.
+    The environment, policy and critic are built from ``cfg``, which has
+    checked itself against that environment, so their dimensions agree.
     ``evolution``, ``update`` and ``paft_enabled`` are the config's
     ``evolution`` and ``policy`` sections and ``paft.enabled``. Training and
     scoring share ``env.spec.gamma``.
@@ -356,7 +349,6 @@ class Trainer:
 
     def __init__(self, cfg: Config, seed: int):
         env = make_env(cfg.env.name, **cfg.env.params)
-        check_reference_point(cfg.evolution.reference_point, env)
         spec, hidden = env.spec, cfg.policy.hidden
         self.env = env
         self.policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden)

@@ -252,28 +252,22 @@ _DEFAULT_TARGETS_3 = (
 )
 
 
-# name -> (environment class, the constructor arguments it gets by default)
-ENV_BUILDERS = {
-    "mo_point": (MoPoint, {}),
-    "mo_quadratic": (MoQuadratic, {"targets": _DEFAULT_TARGETS_2}),
-    "mo_quadratic3": (MoQuadratic, {"targets": _DEFAULT_TARGETS_3}),
-}
-
-#: Reference points strictly below ``return_lower_bound`` of the default
-#: environments; ``resolve_config`` checks them against the actual params.
-DEFAULT_REFERENCE_POINTS = {
-    "mo_point": (-50.0, 0.0),
-    "mo_quadratic": (-9.0, -9.0),
-    "mo_quadratic3": (-10.0, -10.0, -10.0),
+# name -> (environment class, the constructor arguments it gets by default, a
+# reference point strictly below the return_lower_bound of those defaults;
+# a Config checks the point against its own params)
+ENVIRONMENTS = {
+    "mo_point": (MoPoint, {}, (-50.0, 0.0)),
+    "mo_quadratic": (MoQuadratic, {"targets": _DEFAULT_TARGETS_2}, (-9.0, -9.0)),
+    "mo_quadratic3": (MoQuadratic, {"targets": _DEFAULT_TARGETS_3}, (-10.0, -10.0, -10.0)),
 }
 
 
 def make_env(name: str, **params) -> MOMDPEnv:
     """Instantiate a built-in environment by name; ``params`` override its defaults."""
     try:
-        cls, defaults = ENV_BUILDERS[name]
+        cls, defaults, _ = ENVIRONMENTS[name]
     except KeyError:
-        known = ", ".join(sorted(ENV_BUILDERS))
+        known = ", ".join(sorted(ENVIRONMENTS))
         raise ValueError(f"unknown environment {name!r}; known environments: {known}") from None
     try:
         return cls(**{**defaults, **params})

@@ -61,7 +61,8 @@ def make_trainer(seed=0, **kw):
 
 
 def with_evolution(cfg, **fields):
-    """``cfg`` with these ``evolution`` fields replaced, not re-resolved."""
+    """``cfg`` with these ``evolution`` fields replaced; ``replace`` re-checks it
+    against its environment and fills a null reference point, as ``resolve_config`` does."""
     return replace(cfg, evolution=replace(cfg.evolution, **fields))
 
 
@@ -459,22 +460,29 @@ class TestTrainingLoop:
             np.testing.assert_array_equal(member.params, expected)
 
     @pytest.mark.parametrize("reference_point, message", [
-        (None, "evolution.reference_point: need 2 numbers, got None"),
+        (None, None),
         ([-9, -9, -9], "evolution.reference_point: need 2 numbers, got [-9.0, -9.0, -9.0]"),
         ([0, 0], "evolution.reference_point: [0.0, 0.0] must lie strictly below the lowest "
                  "return the environment admits, [-8.5, -8.5]"),
     ], ids=["null", "three-numbers", "above-bound"])
     def test_bad_reference_point_rejected_at_construction(self, reference_point, message):
         # These used to pass construction and fail only after warmup had trained.
-        # resolve_config rejects them too; a Config built around it reaches Trainer.
-        cfg = with_evolution(make_config(), reference_point=reference_point)
+        # A Config checks itself, so replacing the point raises before any Trainer
+        # exists, and a null becomes the environment's default, as resolve_config makes it.
+        if message is None:
+            cfg = with_evolution(make_config(), reference_point=reference_point)
+            assert cfg.evolution.reference_point == [-9.0, -9.0]
+            assert cfg == make_config(reference_point=None)
+            return
         with pytest.raises(ConfigError, match=re.escape(message)):
-            Trainer(cfg, 0)
+            with_evolution(make_config(), reference_point=reference_point)
 
     def test_warmup_requires_enough_policies(self):
-        trainer = Trainer(with_evolution(make_config("mo_quadratic3"), p=2), 0)
-        with pytest.raises(ValueError):
-            trainer.run_training()
+        # Warm-up spreads p weights over the m-objective simplex. A replaced p < m
+        # used to construct a Trainer and fail only once run_training entered warmup.
+        with pytest.raises(ConfigError,
+                           match="evolution.p: population 2 cannot cover 3 objectives"):
+            with_evolution(make_config("mo_quadratic3"), p=2)
 
 
 class TestGenerationConfigValidation:

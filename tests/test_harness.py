@@ -23,7 +23,7 @@ from moascent.harness import (
     resolve_config,
     save_checkpoint,
 )
-from moascent.momdp import make_env, mo_return
+from moascent.momdp import ENVIRONMENTS, make_env, mo_return
 from moascent.policy import GaussianPolicy, run_episode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -168,6 +168,9 @@ class TestConfigValidation:
         named("overrides17", ["env.params.foo=1"],
               "env: environment 'mo_quadratic': MoQuadratic.__init__() "
               "got an unexpected keyword argument 'foo'"),
+        named("overrides18", ["env.name=mo_quadratic3", "evolution.p=2"], "evolution.p"),
+        named("overrides19", ["env.params.targets=[[1,0],[0,1],[-1,0],[0,-1]]"],
+              "at most 3 objectives"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -178,7 +181,7 @@ class TestConfigValidation:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("env_name", ["mo_point", "mo_quadratic", "mo_quadratic3"])
+    @pytest.mark.parametrize("env_name", sorted(ENVIRONMENTS))
     def test_default_reference_point_below_env_bound(self, env_name):
         cfg = resolve_config(dict(TINY, env={"name": env_name}))
         low = make_env(env_name).return_lower_bound()

@@ -33,7 +33,12 @@ Times one call of each function below, many times over, in this process:
 - ``save_checkpoint`` writing the checkpoint store of a 1000-entry archive
   at the ``quad2`` workload's network sizes into a temporary directory;
   each call first removes the store the previous call wrote, and that
-  removal is timed with it.
+  removal is timed with it;
+- ``config.resolve_config.point``: ``load_config`` and ``resolve_config`` of
+  the ``point`` workload's config file with its overrides;
+- ``config.replace_seeds.point``: ``dataclasses.replace(cfg, seeds=[0])`` of
+  that resolved config, which re-checks it against its environment, as
+  ``run_seed`` does once per seed.
 
 The shapes come from ``perfbench/run.py``'s workloads. Run from anywhere:
 
@@ -72,6 +77,7 @@ build their batch at their first call, so they skip with the tree's
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -104,10 +110,12 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
+def _resolve(mo, config: str, overrides: list):
+    return mo.config.resolve_config(mo.config.load_config(HERE / config), overrides)
+
+
 def _trainer(mo, workload: str):
-    config, overrides = _benchmark_workloads()[workload]
-    return mo.harness.build_trainer(
-        mo.config.resolve_config(mo.config.load_config(HERE / config), overrides), seed=0)
+    return mo.harness.build_trainer(_resolve(mo, *_benchmark_workloads()[workload]), seed=0)
 
 
 def _lanes(mo, trainer):
@@ -229,6 +237,10 @@ def cases(mo, full: bool, scratch: Path) -> list:
         out.append((f"archive.insert_many.{name}", k,
                     lambda f=front, o=offers, r=rows, b=bounds:
                     _replay_batches(NonDominatedSet, f, o, r, b)))
+    point_config = _benchmark_workloads()["point"]
+    out.append(("config.resolve_config.point", 1, lambda: _resolve(mo, *point_config)))
+    cfg = _resolve(mo, *point_config)
+    out.append(("config.replace_seeds.point", 1, lambda: dataclasses.replace(cfg, seeds=[0])))
     quad2 = _trainer(mo, "quad2")
     rng = np.random.default_rng(0)
     entries = [PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
