@@ -91,7 +91,8 @@ class EnvConfig(_Section):
 
     _prefix = "env."
     name: str = _knob(None, "an environment name", _nonempty_str)
-    params: dict = _knob({}, "a mapping", lambda v: isinstance(v, dict))
+    params: dict = _knob({}, "a mapping with string keys",
+                         lambda v: isinstance(v, dict) and all(isinstance(k, str) for k in v))
 
 
 @dataclass(frozen=True)

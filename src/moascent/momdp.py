@@ -1,13 +1,21 @@
 """Vector-reward decision processes and the built-in desk-scale environments.
 
-Environments here are pure: ``reset(seeds)`` returns the initial states and
-``step(states, actions)`` returns ``(next_states, rewards, terminal)``
-without touching shared mutable state. Both work on any number of leading
-batch axes: ``reset`` takes an int or an integer array of seeds and returns
-``shape(seeds) + (state_dim,)`` states, and one ``step`` call advances a
-whole batch of episodes in lockstep; rewards carry exactly
-``num_objectives`` components on the last axis. The horizon is enforced by
-the rollout, ``policy.run_episode``.
+Environments here are pure: they return new arrays and touch no shared
+mutable state. Each one implements three pieces, all on any number of
+leading batch axes:
+
+- ``reset(seeds)``: the initial states, ``shape(seeds) + (state_dim,)``,
+  for an int or an integer array of seeds;
+- ``transition(states, actions)``: the next states and the boolean terminal
+  flags under already clamped actions;
+- ``rewards(states, actions, next_states)``: the rewards of those steps,
+  exactly ``num_objectives`` components on the last axis. The leading axes
+  may be a whole trajectory's, so a rollout computes every step's rewards
+  in one call after its last step.
+
+``clamp`` clips actions into the spec's bounds, and ``step`` is the one
+composition of the pieces: clamp, then transition, then rewards. The
+horizon is enforced by the rollout, ``policy.run_episode``.
 """
 
 from __future__ import annotations
@@ -85,7 +93,13 @@ def mo_return(rewards, gamma: float) -> np.ndarray:
 
 
 class MOMDPEnv:
-    """Base class for the built-in environments."""
+    """Base class for the built-in environments.
+
+    A subclass sets ``spec`` and implements ``reset``, ``transition`` and
+    ``rewards``; it overrides ``clamp`` only for an action set other than
+    the spec's box. ``step`` is not overridden: it is the one composition
+    of the pieces, and the rollout calls the pieces themselves.
+    """
 
     spec: MOMDPSpec
 
@@ -108,13 +122,33 @@ class MOMDPEnv:
         """
         raise NotImplementedError
 
+    def transition(self, state, action) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``(..., state_dim)`` states from ``state`` under clamped ``action``.
+
+        Returns them with the boolean terminal flags of shape ``(...)``.
+        """
+        raise NotImplementedError
+
+    def rewards(self, state, action, next_state) -> np.ndarray:
+        """The ``(..., num_objectives)`` rewards of the steps ``state -> next_state``.
+
+        ``action`` is the clamped action of each step; the leading axes may
+        be a whole trajectory's. The result is a new array, laid out in the
+        order of the leading axes whatever the strides of the inputs.
+        """
+        raise NotImplementedError
+
     def step(self, state, action) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance ``(..., state_dim)`` states under ``(..., action_dim)`` actions.
 
+        Clamps the actions, then applies ``transition`` and ``rewards``.
         Returns the next states, the ``(..., num_objectives)`` rewards and the
         boolean terminal flags of shape ``(...)``.
         """
-        raise NotImplementedError
+        state = np.asarray(state, dtype=float)
+        action = self.clamp(action)
+        next_state, terminal = self.transition(state, action)
+        return next_state, self.rewards(state, action, next_state), terminal
 
 
 class MoPoint(MOMDPEnv):
@@ -175,18 +209,19 @@ class MoPoint(MOMDPEnv):
         )
         return states
 
-    def step(self, state, action):
-        state = np.asarray(state, dtype=float)
-        a = self.clamp(action)
-        velocity = self.damping * state[..., 2:] + self.dt * a
+    def transition(self, state, action):
+        velocity = self.damping * state[..., 2:] + self.dt * action
         position = state[..., :2] + self.dt * velocity
-        speed = velocity[..., 0] + self.r_alive
-        energy = -(a * a).sum(axis=-1) + self.r_alive + self.shift
-        next_state = np.concatenate([position, velocity], axis=-1)
-        rewards = np.empty(state.shape[:-1] + (2,))
-        rewards[..., 0] = speed
-        rewards[..., 1] = energy
-        return next_state, rewards, np.zeros(state.shape[:-1], bool)
+        return np.concatenate([position, velocity], axis=-1), np.zeros(state.shape[:-1], bool)
+
+    def rewards(self, state, action, next_state):
+        rewards = np.empty(next_state.shape[:-1] + (2,))
+        rewards[..., 0] = next_state[..., 2] + self.r_alive
+        # a_x^2 + a_y^2 is what np.sum over the two components adds, without
+        # its inner loop of two per step.
+        ax, ay = action[..., 0], action[..., 1]
+        rewards[..., 1] = -(ax * ax + ay * ay) + self.r_alive + self.shift
+        return rewards
 
     def return_lower_bound(self) -> np.ndarray:
         """Per-objective lower bound on the discounted return of any episode."""
@@ -231,12 +266,15 @@ class MoQuadratic(MOMDPEnv):
     def reset(self, seeds) -> np.ndarray:
         return np.zeros(np.shape(seeds) + (1,))
 
-    def step(self, state, action):
-        a = self.clamp(action)
-        diffs = a[..., None, :] - self.targets
-        reward = -np.einsum("...ij,...ij->...i", diffs, diffs)
-        batch = a.shape[:-1]
-        return np.zeros(batch + (1,)), reward, np.ones(batch, bool)
+    def transition(self, state, action):
+        batch = action.shape[:-1]
+        return np.zeros(batch + (1,)), np.ones(batch, bool)
+
+    def rewards(self, state, action, next_state):
+        # Into a C-order buffer, so the rewards follow the leading axes' order.
+        diffs = np.subtract(action[..., None, :], self.targets,
+                            out=np.empty(action.shape[:-1] + self.targets.shape))
+        return -np.einsum("...ij,...ij->...i", diffs, diffs)
 
     def return_lower_bound(self) -> np.ndarray:
         """Per-objective lower bound on the return of any episode."""

@@ -18,8 +18,9 @@ owns, not into per-operation temporaries. A rollout (``run_episode``)
 does its setup once: it splits the stack's weights into transposed layer
 views, allocates the hidden-layer buffer and scales the whole action-noise
 block by the clamped std. Each step is then one network pass, one add of
-that step's scaled noise, one ``env.step`` and the writes of the step's
-states, actions and rewards.
+that step's scaled noise, one ``env.clamp`` and one ``env.transition``,
+on time-major buffers; the rewards of the whole trajectory are one
+``env.rewards`` call after the last step.
 
 ``ppo_update`` prepares one update per call: it copies both networks'
 params once, splits their layers once as views into the copies, and
@@ -358,9 +359,16 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     terminal)``: the (..., B, T, ·) states, raw sampled actions (the
     environment clamps them) and rewards, then the (..., B, state_dim)
     states after the last step and their (..., B) terminal flags. An
-    episode that ends before the horizon is an error. The layers and the
-    std-scaled noise are set up once; a step is the mean network's pass, plus
-    the scaled noise, and ``env.step`` on each lane's episodes.
+    episode that ends before the horizon is an error.
+
+    The step buffers are time-major, ``(T, ..., B, ·)``: the states, with
+    one more row for the states after the last step, the raw and the
+    clamped actions, and the std-scaled noise, written once. A step is the
+    mean network's pass, plus its row of noise, ``env.clamp`` and
+    ``env.transition``. After the last step one ``env.rewards`` call takes
+    the whole trajectory, through lane-major views, so the rewards come out
+    contiguous in (..., B, T, m) order; the states and actions are returned
+    as lane-major views of their buffers.
     """
     spec = env.spec
     T = spec.horizon
@@ -368,27 +376,35 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     if seeds.size == 0:
         raise ValueError("need at least one episode")
     shape = params.shape[:-1] + (seeds.shape[-1],)
-    state = np.broadcast_to(env.reset(seeds), shape + (spec.state_dim,)).copy()
-    states = np.empty(shape + (T, spec.state_dim))
-    actions = np.empty(shape + (T, spec.action_dim))
-    rewards = np.empty(shape + (T, spec.num_objectives))
+    # (..., B, T, ·) <-> (T, ..., B, ·)
+    lead = len(shape)
+    to_time_major = (lead, *range(lead), lead + 1)
+    to_lane_major = (*range(1, lead + 1), 0, lead + 1)
+    states = np.empty((T + 1,) + shape + (spec.state_dim,))
+    states[0] = env.reset(seeds)
+    actions = np.empty((T,) + shape + (spec.action_dim,))
+    clamped = np.empty_like(actions)
     # The lanes' layers, the hidden buffer, and the action noise scaled by
     # their std, once per rollout.
     net = policy.net
     layers = net.split(policy._net_params(params))
     hid = None if net.hidden == 0 else np.empty(shape + (net.hidden,))
     if noise is not None:
-        noise = np.exp(policy.log_std(params))[..., None, None, :] * noise
+        noise = np.multiply(np.exp(policy.log_std(params))[..., None, :],
+                            noise.transpose(to_time_major), out=np.empty_like(actions))
     for t in range(T):
-        states[..., t, :] = state
-        action = actions[..., t, :]
-        net.apply(layers, state, action, hid)
+        action = actions[t]
+        net.apply(layers, states[t], action, hid)
         if noise is not None:
-            action += noise[..., t, :]
-        state, rewards[..., t, :], terminal = env.step(state, action)
+            action += noise[t]
+        clamped[t] = env.clamp(action)
+        states[t + 1], terminal = env.transition(states[t], clamped[t])
         if t < T - 1 and terminal.any():
             raise ValueError(f"an episode ended after {t + 1} steps, before the horizon {T}")
-    return states, actions, rewards, state, terminal
+    states = states.transpose(to_lane_major)
+    before, after = states[..., :-1, :], states[..., 1:, :]
+    rewards = env.rewards(before, clamped.transpose(to_lane_major), after)
+    return before, actions.transpose(to_lane_major), rewards, states[..., -1, :], terminal
 
 
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,

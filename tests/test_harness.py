@@ -580,6 +580,18 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 2
         assert "env.name" in capsys.readouterr().err
 
+    def test_env_params_key_that_is_not_a_string_exits_2_before_training(self, tmp_path,
+                                                                          capsys):
+        # A YAML file can give a non-string key, which an override cannot;
+        # it used to end the run with a TypeError traceback and exit 1.
+        cfg = dict(TINY, env={"name": "mo_quadratic", "params": {1: 2}},
+                   output_dir=str(tmp_path / "runs"))
+        path = write_config(tmp_path, cfg)
+        assert "1: 2" in path.read_text()
+        assert main(["train", "--config", str(path)]) == 2
+        assert "env.params: invalid value {1: 2}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_determinism_across_invocations(self, tmp_path):
         (run_a,) = train(tmp_path)
         (run_b,) = train(tmp_path)

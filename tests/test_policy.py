@@ -571,7 +571,7 @@ class TestRollouts:
     def test_lockstep_matches_per_lane_step_loop(self, name):
         # Reference: each lane alone, its episodes stepped together by
         # the policy's mean and noise and env.step. A lane of the rollout
-        # computes exactly that.
+        # computes exactly that, its rewards byte for byte.
         env = make_env(name)
         spec = env.spec
         policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
@@ -599,6 +599,16 @@ class TestRollouts:
                             state, done)
                     for got_field, want_field in zip(got, want):
                         np.testing.assert_array_equal(got_field[lane], want_field)
+                    assert got[2][lane].tobytes() == want[2].tobytes()
+                # The rollout's one rewards call over the whole trajectory
+                # gives C-order rewards, and the same bytes from contiguous
+                # copies of its inputs.
+                states, actions, rewards, final, _ = got
+                assert rewards.flags.c_contiguous
+                next_states = np.concatenate([states[..., 1:, :], final[..., None, :]], axis=-2)
+                trajectory = (states, env.clamp(actions), next_states)
+                assert env.rewards(*map(np.ascontiguousarray, trajectory)).tobytes() == \
+                    rewards.tobytes()
 
     def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
         # Reference: the documented order written as a plain loop. The
@@ -669,9 +679,9 @@ class TestRollouts:
 
     def test_episode_ending_before_horizon_rejected(self):
         class EndsAtOnce(MoPoint):
-            def step(self, state, action):
-                next_state, reward, _ = super().step(state, action)
-                return next_state, reward, np.ones(next_state.shape[:-1], bool)
+            def transition(self, state, action):
+                next_state, _ = super().transition(state, action)
+                return next_state, np.ones(next_state.shape[:-1], bool)
 
         env = EndsAtOnce(horizon=3)
         policy = GaussianPolicy(4, 2, hidden=0)

@@ -3,7 +3,10 @@
 Times one call of each function below, many times over, in this process:
 
 - ``run_episode`` per step, on the ``point`` workload's ``(p, episodes)``
-  stack with action noise (the training rollout);
+  stack with action noise (``point_step``, the training rollout), and on
+  the noiseless ``(p * K, eval.episodes)`` stack of a generation's K
+  snapshots per lane on its evaluation seeds (``point_eval_step``, the
+  rollout of ``Trainer.evaluate``);
 - ``collect_batch`` at the ``quad2`` and ``point`` workloads' shapes
   (rollout, critic pass and GAE; the batch keeps copies of the snapshot and
   the critic pass), on generators that advance from call to call;
@@ -182,6 +185,13 @@ def cases(mo, full: bool, scratch: Path) -> list:
                       for rng in rngs])
     out.append(("run_episode.point_step", spec.horizon,
                 lambda: pol.run_episode(point.env, point.policy, params, seeds, noise)))
+    # A generation snapshots each lane every snapshot_every iterations and after the last.
+    snapshots = -(-point.evolution.m_iters // point.evolution.snapshot_every)
+    rng = np.random.default_rng(1)
+    stack = np.stack([point.policy.init_params(rng, ev._INIT_SCALE, ev._LOG_STD_INIT)
+                      for _ in range(len(params) * snapshots)])
+    out.append(("run_episode.point_eval_step", spec.horizon,
+                lambda: pol.run_episode(point.env, point.policy, stack, point.eval_seeds)))
     for workload in ("quad2", "point"):
         t = _trainer(mo, workload)
         params, critic, rngs = _lanes(mo, t)
