@@ -368,7 +368,7 @@ class Trainer:
         ``params`` is one ``(d,)`` snapshot or an ``(S, d)`` stack, rolled out
         together; returns ``(m,)`` or ``(S, m)``.
         """
-        _, _, rewards, _, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
+        _, _, rewards, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
         return mo_return(rewards, self.env.spec.gamma).mean(axis=-2)
 
     def _train_lanes(self, params, critic_params, iters, snapshot_every, rngs, fixed_weights):

@@ -261,7 +261,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     trainer, params = load_checkpoint(args.run, args.entry)
     seeds = eval_seeds(trainer.seed, args.episodes) if args.episodes else trainer.eval_seeds
-    _, _, rewards, _, _ = run_episode(trainer.env, trainer.policy, params, seeds)
+    _, _, rewards, _ = run_episode(trainer.env, trainer.policy, params, seeds)
     rows = mo_return(rewards, trainer.env.spec.gamma)
     mean = rows.mean(axis=0)
     print("mean objectives:", " ".join(repr(float(v)) for v in mean))

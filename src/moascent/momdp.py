@@ -6,16 +6,16 @@ leading batch axes:
 
 - ``reset(seeds)``: the initial states, ``shape(seeds) + (state_dim,)``,
   for an int or an integer array of seeds;
-- ``transition(states, actions)``: the next states and the boolean terminal
-  flags under already clamped actions;
+- ``transition(states, actions)``: the next states under already clamped
+  actions;
 - ``rewards(states, actions, next_states)``: the rewards of those steps,
   exactly ``num_objectives`` components on the last axis. The leading axes
   may be a whole trajectory's, so a rollout computes every step's rewards
   in one call after its last step.
 
 ``clamp`` clips actions into the spec's bounds, and ``step`` is the one
-composition of the pieces: clamp, then transition, then rewards. The
-horizon is enforced by the rollout, ``policy.run_episode``.
+composition of the pieces: clamp, then transition, then rewards. Every
+episode runs the spec's horizon, and the spec alone says how it ends.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class MOMDPSpec:
     gamma: float
     action_low: np.ndarray
     action_high: np.ndarray
+    truncated: bool  # the horizon is a time limit (GAE bootstraps), not a true end
 
     def __post_init__(self):
         if self.state_dim < 1 or self.action_dim < 1:
@@ -95,10 +96,11 @@ def mo_return(rewards, gamma: float) -> np.ndarray:
 class MOMDPEnv:
     """Base class for the built-in environments.
 
-    A subclass sets ``spec`` and implements ``reset``, ``transition`` and
-    ``rewards``; it overrides ``clamp`` only for an action set other than
-    the spec's box. ``step`` is not overridden: it is the one composition
-    of the pieces, and the rollout calls the pieces themselves.
+    A subclass sets ``spec``, whose ``truncated`` states how its episodes
+    end, and implements ``reset``, ``transition`` and ``rewards``; it
+    overrides ``clamp`` only for an action set other than the spec's box.
+    ``step`` is not overridden: it is the one composition of the pieces,
+    and the rollout calls the pieces themselves.
     """
 
     spec: MOMDPSpec
@@ -122,11 +124,8 @@ class MOMDPEnv:
         """
         raise NotImplementedError
 
-    def transition(self, state, action) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``(..., state_dim)`` states from ``state`` under clamped ``action``.
-
-        Returns them with the boolean terminal flags of shape ``(...)``.
-        """
+    def transition(self, state, action) -> np.ndarray:
+        """The next ``(..., state_dim)`` states from ``state`` under clamped ``action``."""
         raise NotImplementedError
 
     def rewards(self, state, action, next_state) -> np.ndarray:
@@ -138,17 +137,16 @@ class MOMDPEnv:
         """
         raise NotImplementedError
 
-    def step(self, state, action) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, state, action) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``(..., state_dim)`` states under ``(..., action_dim)`` actions.
 
         Clamps the actions, then applies ``transition`` and ``rewards``.
-        Returns the next states, the ``(..., num_objectives)`` rewards and the
-        boolean terminal flags of shape ``(...)``.
+        Returns the next states and the ``(..., num_objectives)`` rewards.
         """
         state = np.asarray(state, dtype=float)
         action = self.clamp(action)
-        next_state, terminal = self.transition(state, action)
-        return next_state, self.rewards(state, action, next_state), terminal
+        next_state = self.transition(state, action)
+        return next_state, self.rewards(state, action, next_state)
 
 
 class MoPoint(MOMDPEnv):
@@ -159,8 +157,8 @@ class MoPoint(MOMDPEnv):
 
         v' = damping * v + dt * a        x' = x + dt * v'
 
-    Rewards per step (the alive bonus is granted on every step; episodes
-    end only at the horizon):
+    Rewards per step (the alive bonus is granted on every step; the
+    horizon is a time limit, so the spec is ``truncated``):
 
         speed  = vx' + r_alive
         energy = -sum(a_i^2) + r_alive + shift
@@ -196,6 +194,7 @@ class MoPoint(MOMDPEnv):
             gamma=gamma,
             action_low=np.full(2, -action_bound),
             action_high=np.full(2, action_bound),
+            truncated=True,
         )
 
     def reset(self, seeds) -> np.ndarray:
@@ -212,7 +211,7 @@ class MoPoint(MOMDPEnv):
     def transition(self, state, action):
         velocity = self.damping * state[..., 2:] + self.dt * action
         position = state[..., :2] + self.dt * velocity
-        return np.concatenate([position, velocity], axis=-1), np.zeros(state.shape[:-1], bool)
+        return np.concatenate([position, velocity], axis=-1)
 
     def rewards(self, state, action, next_state):
         rewards = np.empty(next_state.shape[:-1] + (2,))
@@ -243,7 +242,8 @@ class MoQuadratic(MOMDPEnv):
     convex hull of the targets: for simplex weights ``w`` the action
     ``sum_i w_i c_i`` maximizes the weighted reward, which makes the exact
     frontier available in closed form for oracle checks. The initial state
-    is the origin, independent of the seed.
+    is the origin, independent of the seed. An episode truly ends after its
+    one step: the spec is not ``truncated``.
     """
 
     def __init__(self, targets, action_bound: float = 1.5, gamma: float = 1.0):
@@ -261,14 +261,14 @@ class MoQuadratic(MOMDPEnv):
             gamma=gamma,
             action_low=np.full(targets.shape[1], -action_bound),
             action_high=np.full(targets.shape[1], action_bound),
+            truncated=False,
         )
 
     def reset(self, seeds) -> np.ndarray:
         return np.zeros(np.shape(seeds) + (1,))
 
     def transition(self, state, action):
-        batch = action.shape[:-1]
-        return np.zeros(batch + (1,)), np.ones(batch, bool)
+        return np.zeros(action.shape[:-1] + (1,))
 
     def rewards(self, state, action, next_state):
         # Into a C-order buffer, so the rewards follow the leading axes' order.

@@ -334,8 +334,8 @@ def gae(rewards: np.ndarray, values: np.ndarray, last_values: np.ndarray,
 
     ``rewards`` and ``values`` (the critic at each step's state) are
     (..., B, T, m); ``last_values`` (..., B, m) is the bootstrap after the
-    last step: the critic at the final state of a horizon-truncated episode,
-    zero for a terminal one. Each objective is treated independently.
+    last step: the critic at the final state of a truncated episode, zero
+    for one that truly ends. Each objective is treated independently.
     """
     next_values = np.concatenate([values[..., 1:, :], last_values[..., None, :]], axis=-2)
     deltas = rewards + gamma * next_values - values
@@ -355,11 +355,10 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     ``(B,)``, shared by every lane, or ``(L, B)``, and goes to one
     ``env.reset`` call. ``noise`` (..., B, T, action_dim) holds the
     standard-normal draws of a stochastic rollout; without it the policy
-    acts with its mean. Returns ``(states, actions, rewards, final_states,
-    terminal)``: the (..., B, T, ·) states, raw sampled actions (the
-    environment clamps them) and rewards, then the (..., B, state_dim)
-    states after the last step and their (..., B) terminal flags. An
-    episode that ends before the horizon is an error.
+    acts with its mean. Every episode runs the spec's horizon. Returns
+    ``(states, actions, rewards, final_states)``: the (..., B, T, ·)
+    states, raw sampled actions (the environment clamps them) and rewards,
+    then the (..., B, state_dim) states after the last step.
 
     The step buffers are time-major, ``(T, ..., B, ·)``: the states, with
     one more row for the states after the last step, the raw and the
@@ -398,13 +397,11 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
         if noise is not None:
             action += noise[t]
         clamped[t] = env.clamp(action)
-        states[t + 1], terminal = env.transition(states[t], clamped[t])
-        if t < T - 1 and terminal.any():
-            raise ValueError(f"an episode ended after {t + 1} steps, before the horizon {T}")
+        states[t + 1] = env.transition(states[t], clamped[t])
     states = states.transpose(to_lane_major)
     before, after = states[..., :-1, :], states[..., 1:, :]
     rewards = env.rewards(before, clamped.transpose(to_lane_major), after)
-    return before, actions.transpose(to_lane_major), rewards, states[..., -1, :], terminal
+    return before, actions.transpose(to_lane_major), rewards, states[..., -1, :]
 
 
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
@@ -417,15 +414,16 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     ``(episodes,)`` reset seeds (``integers(0, 2**31 - 1)``), then the
     ``(episodes, T, action_dim)`` block of standard-normal action noise.
     Advantages discount with ``env.spec.gamma`` and GAE's constant lambda.
-    The batch keeps copies of ``params`` and ``critic_params`` and the
-    critic's pass over its states.
+    They bootstrap from the critic at the final states when the spec is
+    ``truncated``, and from zero otherwise. The batch keeps copies of
+    ``params`` and ``critic_params`` and the critic's pass over its states.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
     seeds, noise = zip(*[(lane_rng.integers(0, 2**31 - 1, size=episodes),
                           lane_rng.standard_normal((episodes, T, a)))
                          for lane_rng in ([rng] if params.ndim == 1 else rng)])
-    states, actions, rewards, final_states, terminal = run_episode(
+    states, actions, rewards, final_states = run_episode(
         env, policy, params, np.reshape(seeds, lead + (episodes,)),
         np.reshape(noise, lead + (episodes, T, a)),
     )
@@ -433,9 +431,8 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     states = states.reshape(lead + (n, -1))
     actions = actions.reshape(lead + (n, -1))
     values, (_, _, critic_hidden) = critic.net.forward(critic_params, states)
-    last_values = np.zeros(lead + (episodes, m))
-    if not terminal.all():
-        last_values = np.where(terminal[..., None], 0.0, critic.values(critic_params, final_states))
+    last_values = critic.values(critic_params, final_states) if env.spec.truncated \
+        else np.zeros(lead + (episodes, m))
     advantages = gae(rewards, values.reshape(lead + (episodes, T, m)), last_values,
                      env.spec.gamma, _GAE_LAMBDA)
     advantages = advantages.reshape(lead + (n, m))
@@ -573,15 +570,14 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     # The update is prepared once: its own copies of both networks' params,
     # stepped in place, their layers split once as views into the copies,
     # and one output and gradient array each. The policy's and the critic's
-    # passes share one set of hidden-layer buffers, because the critic's
-    # pass starts after the policy's backprop has read it.
+    # passes share one set of hidden-layer buffers: one ``hidden`` sizes
+    # both, and the critic's pass starts after the policy's backprop has
+    # read it.
     states, actions, rows = batch.states, batch.actions, batch.states.shape[:-1]
     params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
     critic_layers = critic.net.split(critic_params)
     hid, work = policy.net.buffers(rows)
-    critic_hid, critic_work = (hid, work) if critic.hidden == policy.hidden \
-        else critic.net.buffers(rows)
     mu, values = np.empty(rows + (policy.action_dim,)), np.empty(rows + (m,))
     grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr
@@ -603,8 +599,8 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
             coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
         policy_opt.step(params, np.negative(grad(coeffs, grad_out, work), out=grad_out))
         if epoch > 0:
-            critic.net.apply(critic_layers, states, values, critic_hid)
-            critic_pass = (values, (critic_layers, states, critic_hid))
+            critic.net.apply(critic_layers, states, values, hid)
+            critic_pass = (values, (critic_layers, states, hid))
         critic_opt.step(critic_params,
-                        critic.mse_grad(critic_pass, batch.returns, critic_grad, critic_work))
+                        critic.mse_grad(critic_pass, batch.returns, critic_grad, work))
     return params, critic_params

@@ -710,7 +710,7 @@ class TestEvalCommand:
         params = policy.init_params(np.random.default_rng(3), 0.1, -0.5)
         run_dir = stored_run(tmp_path, [params])
         assert eval_run(run_dir, "--entry", "0", "--episodes", "1") == 0
-        _, _, rewards, _, _ = run_episode(env, policy, params, [0])
+        _, _, rewards, _ = run_episode(env, policy, params, [0])
         np.testing.assert_allclose(printed_means(capsys)[0], mo_return(rewards[0], env.spec.gamma),
                                    atol=1e-12)
 

@@ -17,27 +17,25 @@ def rollout_rewards(env, actions, seed=0):
     state = env.reset(seed)
     rewards = []
     for action in actions:
-        state, reward, terminal = env.step(state, action)
+        state, reward = env.step(state, action)
         rewards.append(reward)
-        if terminal:
-            break
     return np.array(rewards)
 
 
 class TestSpecValidation:
     def test_rejects_single_objective(self):
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 1, 10, 0.9, np.array([-1.0]), np.array([1.0]))
+            MOMDPSpec(1, 1, 1, 10, 0.9, np.array([-1.0]), np.array([1.0]), True)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 2, 10, 0.0, np.array([-1.0]), np.array([1.0]))
+            MOMDPSpec(1, 1, 2, 10, 0.0, np.array([-1.0]), np.array([1.0]), True)
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 2, 10, 1.5, np.array([-1.0]), np.array([1.0]))
+            MOMDPSpec(1, 1, 2, 10, 1.5, np.array([-1.0]), np.array([1.0]), True)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 2, 10, 0.9, np.array([1.0]), np.array([-1.0]))
+            MOMDPSpec(1, 1, 2, 10, 0.9, np.array([1.0]), np.array([-1.0]), True)
 
 
 class TestReset:
@@ -88,25 +86,25 @@ class TestStep:
         vx = 0.25 / 0.95
         state = np.array([0.0, 0.0, vx, 0.0])
         action = np.array([0.5, 0.5])
-        next_state, reward, terminal = env.step(state, action)
+        next_state, reward = env.step(state, action)
         assert next_state[2] == pytest.approx(0.3)
         assert reward[0] == pytest.approx(0.3 + 1.0)
         assert reward[1] == pytest.approx(-0.5 + 1.0 + 2.0)
-        assert not terminal
+        assert env.spec.truncated  # the horizon is a time limit
 
     def test_point_zero_action_zero_velocity(self):
         env = make_env("mo_point")
-        _, reward, _ = env.step(np.zeros(4), np.zeros(2))
+        _, reward = env.step(np.zeros(4), np.zeros(2))
         assert reward[0] == pytest.approx(env.r_alive)
         assert reward[1] == pytest.approx(env.r_alive + env.shift)
 
     def test_quadratic_reward_at_own_target(self):
         env = make_env("mo_quadratic")
         c1, c2 = env.targets
-        _, reward, terminal = env.step(env.reset(0), c1)
+        _, reward = env.step(env.reset(0), c1)
         assert reward[0] == pytest.approx(0.0)
         assert reward[1] == pytest.approx(-float(np.sum((c1 - c2) ** 2)))
-        assert terminal
+        assert not env.spec.truncated  # the one step is a true end
 
     def test_non_finite_action_rejected(self):
         for name in ("mo_point", "mo_quadratic"):
@@ -125,7 +123,7 @@ class TestStep:
         clamped = env.clamp(big)
         assert np.all(clamped == env.spec.action_high)
         # reward reflects the clamped action
-        _, reward, _ = env.step(env.reset(0), big)
+        _, reward = env.step(env.reset(0), big)
         diffs = clamped[None, :] - env.targets
         np.testing.assert_allclose(reward, -np.einsum("ij,ij->i", diffs, diffs))
 
@@ -137,14 +135,12 @@ class TestStep:
         rng = np.random.default_rng(3)
         states = rng.uniform(-1, 1, size=(3, 2, env.spec.state_dim))
         actions = rng.uniform(-2, 2, size=(3, 2, env.spec.action_dim))
-        next_states, rewards, terminal = env.step(states, actions)
+        next_states, rewards = env.step(states, actions)
         assert rewards.shape == (3, 2, env.spec.num_objectives)
-        assert terminal.shape == (3, 2)
         for i, j in itertools.product(range(3), range(2)):
-            one_next, one_reward, one_terminal = env.step(states[i, j], actions[i, j])
+            one_next, one_reward = env.step(states[i, j], actions[i, j])
             np.testing.assert_allclose(next_states[i, j], one_next, rtol=0, atol=1e-12)
             np.testing.assert_allclose(rewards[i, j], one_reward, rtol=0, atol=1e-12)
-            assert terminal[i, j] == one_terminal
 
     def test_wrong_action_width_rejected(self):
         env = make_env("mo_point")
@@ -156,12 +152,13 @@ class TestStep:
         for name in ("mo_point", "mo_quadratic", "mo_quadratic3"):
             env = make_env(name)
             state = env.reset(0)
-            for _ in range(20):
+            for t in range(20):
                 action = rng.uniform(-2, 2, size=env.spec.action_dim)
-                state_next, reward, terminal = env.step(state, action)
+                state, reward = env.step(state, action)
                 assert reward.shape == (env.spec.num_objectives,)
                 assert np.all(np.isfinite(reward))
-                state = env.reset(0) if terminal else state_next
+                if (t + 1) % env.spec.horizon == 0:
+                    state = env.reset(0)
 
 
 class TestMoReturn:
@@ -213,7 +210,7 @@ class TestQuadraticFrontOracle:
             best = quad_front_points(env.targets, w[None, :])[0]
             for _ in range(200):
                 a = rng.uniform(-1.5, 1.5, size=2)
-                _, reward, _ = env.step(env.reset(0), a)
+                _, reward = env.step(env.reset(0), a)
                 assert float(w @ reward) <= float(w @ best) + 1e-12
 
 

@@ -361,7 +361,7 @@ class TestPPOUpdate:
         omega = np.array([0.5, 0.5])
 
         def scalarized(p):
-            _, _, rewards, _, _ = run_episode(env, policy, p, [0])
+            _, _, rewards, _ = run_episode(env, policy, p, [0])
             return float(omega @ mo_return(rewards[0], 1.0))
 
         start = scalarized(params)
@@ -553,12 +553,11 @@ class TestRollouts:
         policy = GaussianPolicy(4, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(11), 0.1, 1.0)
         noise = np.random.default_rng(1).standard_normal((3, env.spec.horizon, 2))
-        states, raw, rewards, final, terminal = run_episode(env, policy, params, [4, 5, 6], noise)
+        states, raw, rewards, final = run_episode(env, policy, params, [4, 5, 6], noise)
         T = env.spec.horizon
         assert states.shape == (3, T, 4) and raw.shape == (3, T, 2) and rewards.shape == (3, T, 2)
-        assert not terminal.any()
         # Each step starts where the previous one ended.
-        next_states, _, _ = env.step(states, raw)
+        next_states, _ = env.step(states, raw)
         np.testing.assert_array_equal(next_states[:, :-1], states[:, 1:])
         np.testing.assert_array_equal(next_states[:, -1], final)
         # Raw actions may exceed the bounds; the applied ones never do, so the
@@ -593,39 +592,41 @@ class TestRollouts:
                                               None if lane_eps is None else lane_eps[:, t])
                         states.append(state)
                         actions.append(action)
-                        state, reward, done = env.step(state, action)
+                        state, reward = env.step(state, action)
                         rewards.append(reward)
                     want = (np.stack(states, 1), np.stack(actions, 1), np.stack(rewards, 1),
-                            state, done)
-                    for got_field, want_field in zip(got, want):
+                            state)
+                    for got_field, want_field in zip(got, want, strict=True):
                         np.testing.assert_array_equal(got_field[lane], want_field)
                     assert got[2][lane].tobytes() == want[2].tobytes()
                 # The rollout's one rewards call over the whole trajectory
                 # gives C-order rewards, and the same bytes from contiguous
                 # copies of its inputs.
-                states, actions, rewards, final, _ = got
+                states, actions, rewards, final = got
                 assert rewards.flags.c_contiguous
                 next_states = np.concatenate([states[..., 1:, :], final[..., None, :]], axis=-2)
                 trajectory = (states, env.clamp(actions), next_states)
                 assert env.rewards(*map(np.ascontiguousarray, trajectory)).tobytes() == \
                     rewards.tobytes()
 
-    def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
+    @staticmethod
+    def check_against_plain_loop(env, tail_from_critic):
         # Reference: the documented order written as a plain loop. The
-        # generator gives every reset seed, then one (episodes, T, 2) noise
+        # generator gives every reset seed, then one (episodes, T, a) noise
         # block; each episode is stepped alone from its own reset, and GAE
-        # discounts with the env's gamma.
-        env = make_env("mo_point", horizon=5, gamma=0.9)
-        T = env.spec.horizon
-        policy = GaussianPolicy(4, 2, hidden=8)
-        critic = VectorCritic(4, 2, hidden=8)
+        # discounts with the env's gamma. After the last step the tail is
+        # the critic's value of the final state or zero, as the caller says.
+        spec = env.spec
+        T, a = spec.horizon, spec.action_dim
+        policy = GaussianPolicy(spec.state_dim, a, hidden=8)
+        critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden=8)
         params = policy.init_params(np.random.default_rng(13), 0.1, -0.5)
         cp = critic.init_params(np.random.default_rng(14), 0.1)
         rng = np.random.default_rng(15)
         batch = collect_batch(env, policy, params, critic, cp, 3, rng)
         ref_rng = np.random.default_rng(15)
         seeds = ref_rng.integers(0, 2**31 - 1, size=3)
-        noise = ref_rng.standard_normal((3, T, 2))
+        noise = ref_rng.standard_normal((3, T, a))
         std = np.exp(policy.log_std(params))
         states, actions, advantages = [], [], []
         for e in range(3):
@@ -635,11 +636,12 @@ class TestRollouts:
                 action = gaussian_act(policy, params, state)[0] + std * noise[e, t]
                 ep_states.append(state)
                 actions.append(action)
-                state, reward, _ = env.step(state, action)
+                state, reward = env.step(state, action)
                 ep_rewards.append(reward)
             values = critic.values(cp, np.array(ep_states))
-            tail = critic.values(cp, state)  # truncated: bootstrap from the critic
-            advantages.append(gae(np.array(ep_rewards)[None], values[None], tail, 0.9,
+            tail = critic.values(cp, state) if tail_from_critic \
+                else np.zeros((1, spec.num_objectives))
+            advantages.append(gae(np.array(ep_rewards)[None], values[None], tail, spec.gamma,
                                   _GAE_LAMBDA)[0])
             states.extend(ep_states)
         np.testing.assert_allclose(batch.states, states, rtol=0, atol=1e-12)
@@ -649,6 +651,14 @@ class TestRollouts:
         np.testing.assert_allclose(batch.returns - batch.advantages,
                                    critic.values(cp, batch.states), rtol=0, atol=1e-12)
         assert rng.integers(0, 2**31 - 1) == ref_rng.integers(0, 2**31 - 1)
+
+    def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
+        # mo_point's horizon is a time limit: bootstrap from the critic.
+        self.check_against_plain_loop(make_env("mo_point", horizon=5, gamma=0.9), True)
+
+    def test_collect_batch_gives_a_true_end_a_zero_tail(self):
+        # mo_quadratic's one step is a true end: nothing follows the last state.
+        self.check_against_plain_loop(make_env("mo_quadratic", gamma=0.9), False)
 
     def test_one_reset_per_rollout_and_two_draws_per_lane(self, monkeypatch):
         env = make_env("mo_point", horizon=4)
@@ -676,15 +686,3 @@ class TestRollouts:
         lone = CountingGenerator(3)
         collect_batch(env, policy, params[0], critic, cp[0], 6, lone)
         assert lone.calls == ["integers", "standard_normal"]
-
-    def test_episode_ending_before_horizon_rejected(self):
-        class EndsAtOnce(MoPoint):
-            def transition(self, state, action):
-                next_state, _ = super().transition(state, action)
-                return next_state, np.ones(next_state.shape[:-1], bool)
-
-        env = EndsAtOnce(horizon=3)
-        policy = GaussianPolicy(4, 2, hidden=0)
-        params = policy.init_params(np.random.default_rng(16), 0.1, -0.5)
-        with pytest.raises(ValueError, match="before the horizon"):
-            run_episode(env, policy, params, [0, 1])
