@@ -236,14 +236,14 @@ def parse_override(text: str) -> tuple[list[str], object]:
     if "=" not in text:
         raise ConfigError(f"override {text!r} must look like section.key=value")
     key, _, value = text.partition("=")
-    key = key.strip()
-    if not key:
-        raise ConfigError(f"override {text!r} has an empty path")
+    path = key.strip().split(".")
+    if "" in path:
+        raise ConfigError(f"override {text!r} has an empty key in its path")
     try:
         parsed = yaml.safe_load(value)
     except yaml.YAMLError as exc:
         raise ConfigError(f"override {text!r} has an unparsable value: {exc}") from exc
-    return key.split("."), parsed
+    return path, parsed
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:

@@ -34,7 +34,7 @@ from .policy import (
 )
 
 __all__ = [
-    "FinetuneJob",
+    "Lane",
     "Trainer",
     "TrainingState",
     "eval_seeds",
@@ -64,13 +64,10 @@ def eval_seeds(seed: int, episodes: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence([seed, _EVAL_STREAM]).generate_state(episodes)]
 
 
-@dataclass(frozen=True)
-class FinetuneJob:
-    """A fine-tuning assignment: start policy, fixed weights, provenance."""
-
-    policy: PolicyEntry
-    weights: np.ndarray
-    kind: str  # "gap_pair" | "objective_extreme"
+# One update of a generation: its entry source, the entry it starts from
+# (None for a fresh warm-up policy) and its fixed scalarization weights
+# (None for the min-norm ascent weights).
+Lane = tuple[str, PolicyEntry | None, np.ndarray | None]
 
 
 @dataclass
@@ -288,13 +285,14 @@ def _gap_edges(P: np.ndarray) -> list[tuple[int, int, float]]:
     return edges
 
 
-def paft_select(ndset: NonDominatedSet, config: EvolutionConfig) -> list[FinetuneJob]:
-    """Plan the fine-tuning jobs for one generation.
+def paft_select(ndset: NonDominatedSet, config: EvolutionConfig) -> list[Lane]:
+    """Plan the fine-tuning lanes of one generation.
 
-    Emits two jobs per selected gap pair (weights pointing into the gap
-    from either side, widest gaps first) followed by one job per objective
-    for the current per-objective best entry (weights on that objective
-    alone); the list is truncated to the fine-tuning lane budget.
+    Emits two ``paft_pair`` lanes per selected gap pair (weights pointing
+    into the gap from either side, widest gaps first) followed by one
+    ``paft_extreme`` lane per objective from the current per-objective best
+    entry (weights on that objective alone); the list is truncated to the
+    fine-tuning lane budget.
     """
     entries = list(ndset)
     if len(entries) < 2:
@@ -306,21 +304,19 @@ def paft_select(ndset: NonDominatedSet, config: EvolutionConfig) -> list[Finetun
     if n_pairs is None:
         n_pairs = max(0, (p_b - m) // 2)
 
-    jobs: list[FinetuneJob] = []
+    lanes: list[Lane] = []
     if n_pairs > 0:
         for i, j, _ in _gap_edges(P)[:n_pairs]:
             w_i, w_j = gap_pair_weights(P[i], P[j])
-            jobs.append(FinetuneJob(entries[i], w_i, "gap_pair"))
-            jobs.append(FinetuneJob(entries[j], w_j, "gap_pair"))
+            lanes += [("paft_pair", entries[i], w_i), ("paft_pair", entries[j], w_j)]
     for objective in range(m):
         best = int(np.argmax(P[:, objective]))
-        weights = np.zeros(m)
-        weights[objective] = 1.0
-        jobs.append(FinetuneJob(entries[best], weights, "objective_extreme"))
-    return jobs[:p_b]
+        lanes.append(("paft_extreme", entries[best], np.eye(m)[objective]))
+    return lanes[:p_b]
 
 
-_JOB_SOURCE = {"gap_pair": "paft_pair", "objective_extreme": "paft_extreme"}
+# The ``job`` label of a fine-tuning lane's ``selection.jsonl`` record, by source.
+_JOB = {"paft_pair": "gap_pair", "paft_extreme": "objective_extreme"}
 
 
 def ascent_weights(grads) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +335,8 @@ def ascent_weights(grads) -> tuple[np.ndarray, np.ndarray]:
 class Trainer:
     """Runs the warm-up (generation 0) and the generations of one seed of a config.
 
-    ``warmup`` and ``run_generation`` plan lanes for one train/evaluate/commit step.
+    ``warmup`` and ``run_generation`` plan a generation's lanes, and
+    ``_generation_step`` trains, evaluates and commits them.
     The environment, policy and critic are built from ``cfg``, which has
     checked itself against that environment, so their dimensions agree.
     ``evolution``, ``update`` and ``paft_enabled`` are the config's
@@ -403,21 +400,29 @@ class Trainer:
         snap_critic = np.stack([c for _, c in snapshots], axis=1)
         return snap_params, snap_critic, fallbacks
 
-    def _generation_step(self, state: TrainingState, generation: int, lanes, params,
-                         critic_params, rngs, iters: int, snapshot_every: int) -> int:
-        """Train, evaluate and commit planned lanes; returns the stationary fallbacks.
+    def _generation_step(self, state: TrainingState, generation: int, lanes: list[Lane],
+                         iters: int, snapshot_every: int) -> int:
+        """Train, evaluate and commit a generation's lanes; returns the stationary fallbacks.
 
-        ``lanes`` holds one ``(source, origin entry or None, weights or None)``
-        per lane of the ``params``/``critic_params`` stacks and ``rngs``.
-        The snapshots ``ckpt_%06d``, numbered in lane, then snapshot order,
-        go to the archive in one ``insert_many`` call, and only the ones it
-        takes become entries. A lane's final snapshot then replaces its
-        origin (ascent) or is appended to the population (warm-up;
-        fine-tuning only if the archive took it), built as an entry if the
-        archive did not take it.
+        Lane k trains on its own generator, ``_lane_rng(generation, k)``,
+        from its origin's params, or, with no origin, from a fresh policy and
+        critic drawn from that generator first. The snapshots ``ckpt_%06d``,
+        numbered in lane, then snapshot order, go to the archive in one
+        ``insert_many`` call, and only the ones it takes become entries. A
+        lane's final snapshot then replaces its origin (ascent) or is
+        appended to the population (warm-up; fine-tuning only if the archive
+        took it), built as an entry if the archive did not take it.
         """
+        rngs = [self._lane_rng(generation, lane) for lane in range(len(lanes))]
+        starts = [
+            (self.policy.init_params(rng, _INIT_SCALE, _LOG_STD_INIT),
+             self.critic.init_params(rng, _INIT_SCALE)) if origin is None
+            else (origin.params, origin.critic_params)
+            for (_, origin, _), rng in zip(lanes, rngs)
+        ]
         snap_params, snap_critic, fallbacks = self._train_lanes(
-            params, critic_params, iters, snapshot_every, rngs, [w for _, _, w in lanes])
+            np.stack([p for p, _ in starts]), np.stack([c for _, c in starts]),
+            iters, snapshot_every, rngs, [w for _, _, w in lanes])
         L, K = snap_params.shape[:2]
         objectives = self.evaluate(snap_params.reshape(L * K, -1))
         first = state.next_ref
@@ -441,71 +446,46 @@ class Trainer:
         return fallbacks
 
     def warmup(self, state: TrainingState) -> int:
-        """Plan and run generation 0; returns its stationary fallbacks (always 0).
+        """Run generation 0; returns its stationary fallbacks (always 0).
 
-        Each lane draws a fresh policy, trains ``m_w`` iterations under its
-        evenly spread weight and offers only its final params.
+        One lane per evenly spread weight, with no origin: each trains a
+        fresh policy ``m_w`` iterations under its weight and offers only its
+        final params.
         """
         cfg = self.evolution
         weight_grid = evenly_spread_weights(self.env.spec.num_objectives, cfg.p)
-        rngs = [self._lane_rng(0, lane) for lane in range(cfg.p)]
-        inits = [
-            (self.policy.init_params(rng, _INIT_SCALE, _LOG_STD_INIT),
-             self.critic.init_params(rng, _INIT_SCALE))
-            for rng in rngs
-        ]
-        return self._generation_step(
-            state, 0, [("warmup", None, w) for w in weight_grid],
-            np.stack([p for p, _ in inits]), np.stack([c for _, c in inits]),
-            rngs, cfg.m_w, snapshot_every=cfg.m_w,
-        )
+        return self._generation_step(state, 0, [("warmup", None, w) for w in weight_grid],
+                                     cfg.m_w, snapshot_every=cfg.m_w)
 
     def run_generation(self, state: TrainingState, generation: int) -> int:
         """Plan and run generation ``generation`` (from 1); returns its stationary fallbacks.
 
         PGR picks the population members that ascend their min-norm
-        direction; generations after ``M_ft`` give half their lanes to
-        fine-tuning jobs from ``paft_select`` instead. Each lane starts from
-        its origin entry's params with its own RNG.
+        direction; generations after ``M_ft`` give half their lanes to the
+        fine-tuning lanes of ``paft_select`` instead, each logged as one
+        ``paft`` record.
         """
         cfg = self.evolution
-        p = cfg.p
         paft_active = self.paft_enabled and generation > cfg.M_ft
-        p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
-
-        sel_rng = self._lane_rng(generation, _SELECTION_STREAM)
+        p_a = cfg.p // 2 if paft_active else cfg.p
         # One angular region per ascent lane.
         selected = pgr_select(
             state.population, p_a, p_a, _PGR_TOP_K,
-            cfg.reference_point, sel_rng,
+            cfg.reference_point, self._lane_rng(generation, _SELECTION_STREAM),
             log=state.selection_log, generation=generation,
         )
-
-        jobs: list[FinetuneJob] = []
-        if p_b > 0 and len(state.archive) >= 2:
-            jobs = paft_select(state.archive, cfg)
-            for job in jobs:
-                state.selection_log.append(
-                    {
-                        "kind": "paft",
-                        "generation": generation,
-                        "job": job.kind,
-                        "policy": job.policy.params_ref,
-                        "weights": [float(w) for w in job.weights],
-                    }
-                )
-
-        lanes: list[tuple[str, PolicyEntry, np.ndarray | None]] = [
-            ("pareto_ascent", entry, None) for entry in selected
-        ]
-        lanes.extend((_JOB_SOURCE[j.kind], j.policy, j.weights) for j in jobs)
-        return self._generation_step(
-            state, generation, lanes,
-            np.stack([o.params for _, o, _ in lanes]),
-            np.stack([o.critic_params for _, o, _ in lanes]),
-            [self._lane_rng(generation, lane) for lane in range(len(lanes))],
-            cfg.m_iters, cfg.snapshot_every,
-        )
+        lanes: list[Lane] = [("pareto_ascent", entry, None) for entry in selected]
+        if paft_active and len(state.archive) >= 2:
+            for source, origin, weights in paft_select(state.archive, cfg):
+                state.selection_log.append({
+                    "kind": "paft",
+                    "generation": generation,
+                    "job": _JOB[source],
+                    "policy": origin.params_ref,
+                    "weights": [float(w) for w in weights],
+                })
+                lanes.append((source, origin, weights))
+        return self._generation_step(state, generation, lanes, cfg.m_iters, cfg.snapshot_every)
 
     def run_training(self) -> TrainingState:
         """Warmup (generation 0) plus all generations; returns the final state.

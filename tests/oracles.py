@@ -6,12 +6,12 @@ problem by grid search over the simplex, hypervolumes by Monte Carlo, and
 the quadratic-environment frontier by closed form / dense sampling,
 archive non-domination by a pairwise audit, the stacked minimum-norm solve
 by the one-lane solver it replaced, the stacked generation step by the
-per-lane training loop it replaced, the buffered PPO update by the
-allocating one it replaced (with the ``np.mean``/``np.std`` advantage
-normalization and ``np.sum`` bias gradients), a rollout's actions by the
-policy's mean from that update's network pass plus its std times the
-noise, and the archive's one-test and batch inserts by the three-test
-insert it replaced.
+per-lane training loop it replaced (on lanes the trainer plans), the
+buffered PPO update by the allocating one it replaced (with the
+``np.mean``/``np.std`` advantage normalization and ``np.sum`` bias
+gradients), a rollout's actions by the policy's mean from that update's
+network pass plus its std times the noise, and the archive's one-test and
+batch inserts by the three-test insert it replaced.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 
 from moascent import evolution
 from moascent.archive import NonDominatedSet, PolicyEntry
-from moascent.evolution import (
-    Trainer,
-    ascent_weights,
-    evenly_spread_weights,
-    paft_select,
-    pgr_select,
-)
+from moascent.evolution import Trainer, ascent_weights
 from moascent.pareto import validate_weights
 from moascent.policy import (
     collect_batch,
@@ -296,24 +290,19 @@ def simplex_weight_grid(m: int, divisions: int) -> np.ndarray:
 class PerLaneTrainer(Trainer):
     """The trainer with every lane trained alone and every snapshot evaluated alone.
 
-    This is the loop the stacked generation step replaced: each lane runs
-    its collect-and-update iterations on lane-less ``(d,)`` params, each
-    snapshot is evaluated by its own ``evaluate`` call and offered to the
-    archive as soon as it exists. The stacked trainer must reproduce it
-    byte for byte.
+    Only the generation step is replaced, by the loop the stacked one
+    replaced: each lane runs its collect-and-update iterations on lane-less
+    ``(d,)`` params, each snapshot is evaluated by its own ``evaluate`` call
+    and offered to the archive as soon as it exists. The planning of the
+    lanes is the trainer's own. The stacked trainer must reproduce it byte
+    for byte.
     """
 
-    def _snapshot_entry(self, state, params, critic_params, generation, source):
-        ref = f"ckpt_{state.next_ref:06d}"
-        state.next_ref += 1
-        return PolicyEntry(ref, self.evaluate(params), generation, source,
-                           params, critic_params)
-
-    def _train_lane(self, params, critic_params, iters, rng, fixed_weights):
+    def _train_lane(self, params, critic_params, iters, snapshot_every, rng, fixed_weights):
         upd = self.update
         weights = fixed_weights
         fallbacks = 0
-        snapshots = []
+        snapshots = [] if iters else [(params, critic_params)]
         for it in range(iters):
             batch = collect_batch(self.env, self.policy, params, self.critic, critic_params,
                                   upd.batch_episodes, rng)
@@ -322,62 +311,32 @@ class PerLaneTrainer(Trainer):
                 weights, fell_back = ascent_weights(grads)
                 fallbacks += int(fell_back)
             params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd)
-            if (it + 1) % self.evolution.snapshot_every == 0 or it == iters - 1:
+            if (it + 1) % snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
-        return params, critic_params, snapshots, fallbacks
+        return snapshots, fallbacks
 
-    def warmup(self, state):
-        cfg = self.evolution
-        weight_grid = evenly_spread_weights(self.env.spec.num_objectives, cfg.p)
-        for lane in range(cfg.p):
-            rng = self._lane_rng(0, lane)
-            params = self.policy.init_params(rng, evolution._INIT_SCALE, evolution._LOG_STD_INIT)
-            critic_params = self.critic.init_params(rng, evolution._INIT_SCALE)
-            if cfg.m_w > 0:
-                params, critic_params, _, _ = self._train_lane(
-                    params, critic_params, cfg.m_w, rng, fixed_weights=weight_grid[lane],
-                )
-            entry = self._snapshot_entry(state, params, critic_params, 0, "warmup")
-            state.population.append(entry)
-            state.archive.insert(entry)
-        return 0
-
-    def run_generation(self, state, generation):
-        cfg = self.evolution
-        p = cfg.p
-        paft_active = self.paft_enabled and generation > cfg.M_ft
-        p_a, p_b = (p // 2, p // 2) if paft_active else (p, 0)
-        sel_rng = self._lane_rng(generation, evolution._SELECTION_STREAM)
-        selected = pgr_select(
-            state.population, p_a, p_a, evolution._PGR_TOP_K,
-            cfg.reference_point, sel_rng,
-            log=state.selection_log, generation=generation,
-        )
+    def _generation_step(self, state, generation, lanes, iters, snapshot_every):
         ref_to_slot = {e.params_ref: i for i, e in enumerate(state.population)}
-        jobs = []
-        if p_b > 0 and len(state.archive) >= 2:
-            jobs = paft_select(state.archive, cfg)
-            for job in jobs:
-                state.selection_log.append({
-                    "kind": "paft", "generation": generation, "job": job.kind,
-                    "policy": job.policy.params_ref,
-                    "weights": [float(w) for w in job.weights],
-                })
-        lanes = [("pareto_ascent", entry, None) for entry in selected]
-        lanes.extend((evolution._JOB_SOURCE[j.kind], j.policy, j.weights) for j in jobs)
         total_fallbacks = 0
-        for lane_index, (source, origin, fixed_weights) in enumerate(lanes):
-            rng = self._lane_rng(generation, lane_index)
-            _, _, snapshots, fallbacks = self._train_lane(
-                origin.params, origin.critic_params, cfg.m_iters, rng, fixed_weights
-            )
+        for lane, (source, origin, fixed_weights) in enumerate(lanes):
+            rng = self._lane_rng(generation, lane)
+            if origin is None:
+                params = self.policy.init_params(rng, evolution._INIT_SCALE,
+                                                 evolution._LOG_STD_INIT)
+                critic_params = self.critic.init_params(rng, evolution._INIT_SCALE)
+            else:
+                params, critic_params = origin.params, origin.critic_params
+            snapshots, fallbacks = self._train_lane(
+                params, critic_params, iters, snapshot_every, rng, fixed_weights)
             total_fallbacks += fallbacks
             for snap_params, snap_critic in snapshots:
-                entry = self._snapshot_entry(state, snap_params, snap_critic, generation, source)
+                entry = PolicyEntry(f"ckpt_{state.next_ref:06d}", self.evaluate(snap_params),
+                                    generation, source, snap_params, snap_critic)
+                state.next_ref += 1
                 final_accepted = state.archive.insert(entry)
             if source == "pareto_ascent":
                 state.population[ref_to_slot[origin.params_ref]] = entry
-            elif final_accepted:
+            elif source == "warmup" or final_accepted:
                 state.population.append(entry)
         return total_fallbacks
 

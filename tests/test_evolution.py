@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from moascent.archive import NonDominatedSet, PolicyEntry
+from moascent.archive import POLICY_SOURCES, NonDominatedSet, PolicyEntry
 from moascent import evolution
 from moascent.config import ConfigError, EvolutionConfig, resolve_config
 from moascent.evolution import (
@@ -223,41 +223,38 @@ class TestPaftSelect:
         # flanks the widest empty region.
         nd = self.build_ndset([(0.0, 4.0), (1.0, 3.0), (3.0, 1.0), (4.0, 0.0)])
         cfg = gen_config(p=8, paft_pairs=1, reference_point=np.zeros(2))
-        jobs = paft_select(nd, cfg)
-        pair_jobs = [j for j in jobs if j.kind == "gap_pair"]
-        assert {tuple(j.policy.objectives) for j in pair_jobs} == {(1.0, 3.0), (3.0, 1.0)}
-        by_point = {tuple(j.policy.objectives): j.weights for j in pair_jobs}
+        pairs = [(o, w) for source, o, w in paft_select(nd, cfg) if source == "paft_pair"]
+        assert {tuple(o.objectives) for o, _ in pairs} == {(1.0, 3.0), (3.0, 1.0)}
+        by_point = {tuple(o.objectives): w for o, w in pairs}
         np.testing.assert_allclose(by_point[(1.0, 3.0)], [1.0, 0.0])
         np.testing.assert_allclose(by_point[(3.0, 1.0)], [0.0, 1.0])
 
     def test_extreme_jobs_carry_basis_weights(self):
         nd = self.build_ndset([(0.0, 4.0), (1.0, 3.0), (3.0, 1.0), (4.0, 0.0)])
         cfg = gen_config(p=8, paft_pairs=1, reference_point=np.zeros(2))
-        jobs = paft_select(nd, cfg)
-        extremes = {j.policy.params_ref: j.weights for j in jobs if j.kind == "objective_extreme"}
+        extremes = {o.params_ref: w for source, o, w in paft_select(nd, cfg)
+                    if source == "paft_extreme"}
         np.testing.assert_allclose(extremes["e3"], [1.0, 0.0])  # best objective 1 at (4, 0)
         np.testing.assert_allclose(extremes["e0"], [0.0, 1.0])  # best objective 2 at (0, 4)
 
     def test_jobs_capped_at_half_population(self):
         nd = self.build_ndset([(float(i), 8.0 - i) for i in range(9)])
         cfg = gen_config(p=4, paft_pairs=3, reference_point=np.zeros(2))
-        jobs = paft_select(nd, cfg)
-        assert len(jobs) == 2  # p_b = 2
+        assert len(paft_select(nd, cfg)) == 2  # p_b = 2
 
     def test_default_pair_budget(self):
         nd = self.build_ndset([(0.0, 4.0), (1.0, 3.0), (3.0, 1.0), (4.0, 0.0)])
         cfg = gen_config(p=8, reference_point=np.zeros(2))
-        jobs = paft_select(nd, cfg)  # p_b=4, m=2 -> 1 pair + 2 extremes
-        assert sum(j.kind == "gap_pair" for j in jobs) == 2
-        assert sum(j.kind == "objective_extreme" for j in jobs) == 2
+        sources = [source for source, _, _ in paft_select(nd, cfg)]  # p_b=4, m=2
+        assert sources == ["paft_pair", "paft_pair", "paft_extreme", "paft_extreme"]
 
     def test_pairs_sorted_by_descending_gap(self):
         rows = [(0.0, 10.0), (1.0, 9.0), (5.0, 5.0), (9.0, 1.0), (9.5, 0.5)]
         nd = self.build_ndset(rows)
         cfg = gen_config(p=12, paft_pairs=2, reference_point=np.zeros(2))
-        jobs = [j for j in paft_select(nd, cfg) if j.kind == "gap_pair"]
+        pairs = [o for source, o, _ in paft_select(nd, cfg) if source == "paft_pair"]
         gaps = [
-            float(np.linalg.norm(jobs[i].policy.objectives - jobs[i + 1].policy.objectives))
+            float(np.linalg.norm(pairs[i].objectives - pairs[i + 1].objectives))
             for i in (0, 2)
         ]
         assert gaps[0] >= gaps[1]
@@ -270,8 +267,8 @@ class TestPaftSelect:
         selected = {
             (min(a, b), max(a, b))
             for a, b in [
-                (rows.index(tuple(jobs[i].policy.objectives)),
-                 rows.index(tuple(jobs[i + 1].policy.objectives)))
+                (rows.index(tuple(pairs[i].objectives)),
+                 rows.index(tuple(pairs[i + 1].objectives)))
                 for i in (0, 2)
             ]
         }
@@ -358,6 +355,27 @@ class TestTrainingLoop:
                 assert len(pgr) == 4  # p_a = p
                 assert not paft
             assert len(pgr) + len(paft) <= 4
+
+    def test_paft_records_name_the_lanes_that_ran(self, monkeypatch):
+        # Each generation's paft records name its fine-tuning lanes, in the
+        # order the generation step trained them: origin, weights and job.
+        ran = {}
+        step = Trainer._generation_step
+
+        def recording_step(trainer, state, generation, lanes, *args, **kwargs):
+            ran[generation] = list(lanes)
+            return step(trainer, state, generation, lanes, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "_generation_step", recording_step)
+        log = make_trainer(M=4, M_ft=2, p=8).run_training().selection_log
+        assert set(evolution._JOB) == set(POLICY_SOURCES) - {"warmup", "pareto_ascent"}
+        assert sorted(ran) == [0, 1, 2, 3, 4]
+        assert {source for lanes in ran.values() for source, _, _ in lanes} == set(POLICY_SOURCES)
+        for generation, lanes in ran.items():
+            records = [(r["job"], r["policy"], r["weights"]) for r in log
+                       if r["generation"] == generation and r["kind"] == "paft"]
+            assert records == [(evolution._JOB[source], origin.params_ref, list(weights))
+                               for source, origin, weights in lanes if source in evolution._JOB]
 
     def test_paft_disabled_never_schedules_jobs(self):
         state = make_trainer(M=2, M_ft=1, paft_enabled=False).run_training()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -135,8 +136,16 @@ class TestConfigValidation:
         assert cfg.paft.enabled is False
 
     def test_bad_override_shape(self):
-        with pytest.raises(ConfigError):
-            apply_overrides({}, ["no-equals-sign"])
+        for text, message in [
+            ("no-equals-sign", "must look like section.key=value"),
+            # An empty segment used to be reported as a field with no name.
+            (".M=3", "has an empty key in its path"),
+            ("evolution..M=3", "has an empty key in its path"),
+            ("evolution.=3", "has an empty key in its path"),
+            ("=3", "has an empty key in its path"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(f"override {text!r} {message}")):
+                apply_overrides({}, [text])
 
     @pytest.mark.parametrize("overrides, field", [
         # Fields that left the schema are unknown, even at their former defaults.
@@ -171,6 +180,8 @@ class TestConfigValidation:
         named("overrides18", ["env.name=mo_quadratic3", "evolution.p=2"], "evolution.p"),
         named("overrides19", ["env.params.targets=[[1,0],[0,1],[-1,0],[0,-1]]"],
               "at most 3 objectives"),
+        named("overrides20", ["evolution..M=3"],
+              "override 'evolution..M=3' has an empty key in its path"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))

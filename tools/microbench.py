@@ -67,14 +67,19 @@ It imports ``<tree>/src/moascent`` as the package ``moascent_against``,
 builds both trees' rows at this tree's shapes, and for each row times 15
 rounds (5 with ``--quick``) of one repeat of each tree, the same number of
 calls each, the change first in even rounds and the parent first in odd
-ones. A row prints the medians of both and the median of the per-round
-change/parent ratios; on a shared 2-core host, two copies of one tree
-read 0.93-1.05. A row whose first call raises ``AttributeError`` or
-``TypeError`` in one tree (a function or method that tree lacks, or takes
-other arguments) is listed as skipped, with the error; the update rows
-build their batch at their first call, so they skip with the tree's
-``collect_batch``. The JSON line's ``rows`` then hold ``change``, ``parent`` and
-``ratio`` per row, and ``skipped`` the rows left out.
+ones. A row prints the medians of both, and the median and quartiles of
+the per-round change/parent ratios. A row whose quartiles span 1.0 is
+marked unresolved: it cannot tell the trees apart. The converse does not
+hold, so one run is no evidence of a change. On a shared 2-core host,
+two ``--quick --against .`` runs, each comparing the tree with itself,
+read medians of 0.944-1.197 and 0.829-1.046 across their 23 rows, and
+5 and 1 of those rows had both quartiles on one side of 1.0. A row
+whose first call raises ``AttributeError`` or ``TypeError`` in one tree
+(a function or method that tree lacks, or takes other arguments) is
+listed as skipped, with the error; the update rows build their batch at
+their first call, so they skip with the tree's ``collect_batch``. The
+JSON line's ``rows`` then hold ``change``, ``parent``, ``ratio``,
+``ratio_q1`` and ``ratio_q3`` per row, and ``skipped`` the rows left out.
 """
 
 from __future__ import annotations
@@ -307,10 +312,13 @@ def compare(change: list, parent: list, rounds: int, min_repeat_s: float):
         for r in range(rounds):
             for fn, times in sides[::-1] if r % 2 else sides:
                 times.append(_repeat(fn, number) / divisor)
+        ratios = [a / b for a, b in zip(ours, theirs)]
+        q1, ratio, q3 = statistics.quantiles(ratios, n=4)
         rows[name] = {"change": statistics.median(ours), "parent": statistics.median(theirs),
-                      "ratio": statistics.median(a / b for a, b in zip(ours, theirs))}
+                      "ratio": ratio, "ratio_q1": q1, "ratio_q3": q3}
         print(f"{name:30s} {rows[name]['change'] * 1e6:12.1f} us  parent "
-              f"{rows[name]['parent'] * 1e6:12.1f} us  ratio {rows[name]['ratio']:.3f}",
+              f"{rows[name]['parent'] * 1e6:12.1f} us  ratio {ratio:.3f} "
+              f"[{q1:.3f}, {q3:.3f}]{'' if q1 > 1.0 or q3 < 1.0 else '  unresolved'}",
               flush=True)
     return rows, skipped
 
