@@ -5,7 +5,7 @@ mutable state. Each one implements three pieces, all on any number of
 leading batch axes:
 
 - ``reset(seeds)``: the initial states, ``shape(seeds) + (state_dim,)``,
-  for an int or an integer array of seeds;
+  for a non-negative int or integer array of seeds;
 - ``transition(states, actions)``: the next states under already clamped
   actions;
 - ``rewards(states, actions, next_states)``: the rewards of those steps,
@@ -13,9 +13,11 @@ leading batch axes:
   may be a whole trajectory's, so a rollout computes every step's rewards
   in one call after its last step.
 
-``clamp`` clips actions into the spec's bounds, and ``step`` is the one
-composition of the pieces: clamp, then transition, then rewards. Every
-episode runs the spec's horizon, and the spec alone says how it ends.
+``clamp`` only clips actions into the spec's bounds. ``step`` is the one
+composition of the pieces: it rejects non-finite actions, then clamps,
+then applies transition and rewards. A rollout calls the pieces itself
+and checks all its actions once, after its last step. Every episode runs
+the spec's horizon, and the spec alone says how it ends.
 """
 
 from __future__ import annotations
@@ -106,21 +108,14 @@ class MOMDPEnv:
     spec: MOMDPSpec
 
     def clamp(self, action) -> np.ndarray:
-        """Clip ``(..., action_dim)`` actions into the spec's bounds, rejecting non-finite input."""
-        action = np.asarray(action, dtype=float)
-        if action.shape[-1:] != (self.spec.action_dim,):
-            raise ValueError(
-                f"action must have shape (..., {self.spec.action_dim}), got {action.shape}"
-            )
-        if not np.isfinite(action).all():
-            raise ValueError(f"non-finite action rejected: {action!r}")
-        return action.clip(self.spec.action_low, self.spec.action_high)
+        """Only clip ``(..., action_dim)`` actions into the spec's bounds; callers check them."""
+        return np.asarray(action, dtype=float).clip(self.spec.action_low, self.spec.action_high)
 
     def reset(self, seeds) -> np.ndarray:
         """Initial states of one episode per seed, ``shape(seeds) + (state_dim,)``.
 
-        ``seeds`` is an int or an integer array; a start state depends only
-        on its own seed.
+        ``seeds`` is a non-negative int or integer array; a start state
+        depends only on its own seed.
         """
         raise NotImplementedError
 
@@ -140,13 +135,29 @@ class MOMDPEnv:
     def step(self, state, action) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``(..., state_dim)`` states under ``(..., action_dim)`` actions.
 
-        Clamps the actions, then applies ``transition`` and ``rewards``.
-        Returns the next states and the ``(..., num_objectives)`` rewards.
+        Rejects actions of the wrong width or with a non-finite entry, then
+        clamps them and applies ``transition`` and ``rewards``. Returns the
+        next states and the ``(..., num_objectives)`` rewards.
         """
         state = np.asarray(state, dtype=float)
+        action = np.asarray(action, dtype=float)
+        if action.shape[-1:] != (self.spec.action_dim,):
+            raise ValueError(
+                f"action must have shape (..., {self.spec.action_dim}), got {action.shape}"
+            )
+        if not np.isfinite(action).all():
+            raise ValueError(f"non-finite action rejected: {action!r}")
         action = self.clamp(action)
         next_state = self.transition(state, action)
         return next_state, self.rewards(state, action, next_state)
+
+
+# SplitMix64's state increments for a seed's first two outputs, then its
+# mixing constants and shifts, as uint64 so no operand is a Python int.
+_INCREMENTS = np.array([1, 2], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 class MoPoint(MOMDPEnv):
@@ -163,10 +174,12 @@ class MoPoint(MOMDPEnv):
         speed  = vx' + r_alive
         energy = -sum(a_i^2) + r_alive + shift
 
-    where ``shift`` moves the energy reward into the positive range. The
-    initial state draws the position uniformly from
-    ``[-init_noise, init_noise]^2``; the velocity always starts at zero, so
-    two seeds differ only in the position components.
+    where ``shift`` moves the energy reward into the positive range. A
+    seed's start position is uniform on ``[-init_noise, init_noise]^2``:
+    coordinate ``i`` is ``-init_noise + 2 * init_noise * u``, ``u`` the top
+    53 bits of the seed's ``i``-th SplitMix64 output (Steele, Lea & Flood,
+    OOPSLA 2014) in [0, 1). The velocity starts at zero. A seed that is not
+    a non-negative integer below ``2**64`` is rejected.
     """
 
     def __init__(
@@ -199,13 +212,20 @@ class MoPoint(MOMDPEnv):
 
     def reset(self, seeds) -> np.ndarray:
         seeds = np.asarray(seeds)
+        bad = seeds[seeds < 0] if seeds.dtype.kind in "iu" else seeds.ravel()
+        if bad.size:
+            raise ValueError(f"seed {bad.tolist()[0]!r} is not a non-negative integer below 2**64")
+        # Each seed's first two SplitMix64 outputs, in one (seeds, 2) array:
+        # uint64 arithmetic wraps silently on arrays, but warns on 0-d scalars.
+        z = seeds.astype(np.uint64).reshape(-1, 1) + _INCREMENTS
+        z ^= z >> _U30
+        z *= _MIX1
+        z ^= z >> _U27
+        z *= _MIX2
+        z ^= z >> _U31
+        u = (z >> _U11) * 2.0**-53
         states = np.zeros(seeds.shape + (4,))
-        # One generator per seed, so a seed's start state is the same in any batch.
-        states[..., :2] = np.reshape(
-            [np.random.default_rng(int(seed)).uniform(-self.init_noise, self.init_noise, size=2)
-             for seed in seeds.ravel()],
-            seeds.shape + (2,),
-        )
+        states[..., :2] = (-self.init_noise + 2 * self.init_noise * u).reshape(seeds.shape + (2,))
         return states
 
     def transition(self, state, action):

@@ -19,8 +19,9 @@ does its setup once: it splits the stack's weights into transposed layer
 views, allocates the hidden-layer buffer and scales the whole action-noise
 block by the clamped std. Each step is then one network pass, one add of
 that step's scaled noise, one ``env.clamp`` and one ``env.transition``,
-on time-major buffers; the rewards of the whole trajectory are one
-``env.rewards`` call after the last step.
+on time-major buffers. After the last step one check rejects a non-finite
+action anywhere in the rollout, and the rewards of the whole trajectory
+are one ``env.rewards`` call.
 
 ``ppo_update`` prepares one update per call: it copies both networks'
 params once, splits their layers once as views into the copies, and
@@ -364,8 +365,10 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     one more row for the states after the last step, the raw and the
     clamped actions, and the std-scaled noise, written once. A step is the
     mean network's pass, plus its row of noise, ``env.clamp`` and
-    ``env.transition``. After the last step one ``env.rewards`` call takes
-    the whole trajectory, through lane-major views, so the rewards come out
+    ``env.transition``. After the last step the whole raw-action buffer is
+    checked once: a non-finite action raises ``ValueError`` naming the
+    first step that holds one. Then one ``env.rewards`` call takes the
+    whole trajectory, through lane-major views, so the rewards come out
     contiguous in (..., B, T, m) order; the states and actions are returned
     as lane-major views of their buffers.
     """
@@ -398,6 +401,9 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
             action += noise[t]
         clamped[t] = env.clamp(action)
         states[t + 1] = env.transition(states[t], clamped[t])
+    if not np.isfinite(actions).all():
+        step = np.argmin(np.isfinite(actions).reshape(T, -1).all(axis=1))
+        raise ValueError(f"non-finite action rejected at step {step} of {T}")
     states = states.transpose(to_lane_major)
     before, after = states[..., :-1, :], states[..., 1:, :]
     rewards = env.rewards(before, clamped.transpose(to_lane_major), after)

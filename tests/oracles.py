@@ -4,6 +4,7 @@ Everything here deliberately avoids the code paths under test: the simplex
 projection is solved by bisection on the KKT threshold, the minimum-norm
 problem by grid search over the simplex, hypervolumes by Monte Carlo, and
 the quadratic-environment frontier by closed form / dense sampling,
+``mo_point``'s start states by SplitMix64 on Python ints masked to 64 bits,
 archive non-domination by a pairwise audit, the stacked minimum-norm solve
 by the one-lane solver it replaced, the stacked generation step by the
 per-lane training loop it replaced (on lanes the trainer plans), the
@@ -283,6 +284,30 @@ def simplex_weight_grid(m: int, divisions: int) -> np.ndarray:
                 rows.append((i, j, divisions - i - j))
         return np.asarray(rows, dtype=float) / divisions
     raise ValueError("weight grids support 2 or 3 objectives")
+
+
+# --- mo_point start states ----------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int, n: int) -> list[int]:
+    """The first ``n`` outputs of SplitMix64 seeded with ``seed``, on Python ints."""
+    state, out = seed & _MASK64, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def point_start_position(seed: int, init_noise: float) -> list[float]:
+    """``mo_point``'s start position for ``seed``: the top 53 bits of each of
+    the first two SplitMix64 outputs as ``u`` in [0, 1), then
+    ``-init_noise + 2 * init_noise * u``, in Python floats."""
+    return [-init_noise + 2 * init_noise * ((z >> 11) * 2.0**-53)
+            for z in splitmix64(seed, 2)]
 
 
 # --- per-lane training path ---------------------------------------------

@@ -1,6 +1,8 @@
 """Environment and return tests."""
 
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from moascent.momdp import MOMDPSpec, make_env, mo_return
 
-from .oracles import quad_front_points
+from .oracles import point_start_position, quad_front_points, splitmix64
 
 
 def rollout_rewards(env, actions, seed=0):
@@ -69,10 +71,52 @@ class TestReset:
                            batch.shape + (env.spec.state_dim,)))
         assert env.reset(7).shape == (env.spec.state_dim,)
         if name == "mo_point":
-            # A seed's start state is the one its own generator draws, in any batch.
-            np.testing.assert_array_equal(
-                env.reset(seeds)[1, 1, :2],
-                np.random.default_rng(2**31 - 2).uniform(-env.init_noise, env.init_noise, 2))
+            # A seed's start position is the SplitMix64 reference's, byte for
+            # byte, in any batch. A 0-d seed is hashed like an array's, with no
+            # overflow warning, and seeds past 2**32 and 2**63 hash in full.
+            hashed = [0, 1, 2**31 - 2, 2**32 + 5, 2**63]
+            want = np.array([point_start_position(s, env.init_noise) for s in hashed])
+            grid = np.array([hashed, hashed[::-1]], dtype=np.uint64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for k, seed in enumerate(hashed):
+                    assert env.reset(seed)[:2].tobytes() == want[k].tobytes()
+                    assert env.reset(np.uint64(seed))[:2].tobytes() == want[k].tobytes()
+                assert env.reset(np.array(hashed, dtype=np.uint64))[:, :2].tobytes() \
+                    == want.tobytes()
+                assert env.reset(np.array(hashed[:4]))[:, :2].tobytes() == want[:4].tobytes()
+                assert env.reset(grid)[..., :2].tobytes() == np.stack([want, want[::-1]]).tobytes()
+
+    def test_splitmix64_reference_known_answers(self):
+        # The first outputs of SplitMix64 from seed 0, as published with its
+        # reference C implementation.
+        assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seeds, named", [
+        (3.7, "3.7"), (np.array([1.5]), "1.5"), (np.array([[4.0, 2.0]]), "4.0"),
+        (True, "True"), (-1, "-1"), (np.array([[4, -3], [-5, 0]]), "-3"), (2**64, str(2**64)),
+    ])
+    def test_point_rejects_non_integer_and_negative_seeds(self, seeds, named):
+        # A float seed used to be truncated to another seed's start state.
+        with pytest.raises(ValueError, match=f"seed {re.escape(named)}"):
+            make_env("mo_point").reset(seeds)
+
+    def test_point_start_distribution(self):
+        # Over 4096 consecutive seeds the start positions cover the noise box
+        # uniformly and independently: each coordinate's 8-bin histogram
+        # stays under chi-square's 0.999 quantile at 7 degrees of freedom
+        # (24.32), and the two coordinates are uncorrelated.
+        env = make_env("mo_point", init_noise=0.25)
+        states = env.reset(np.arange(4096))
+        position = states[:, :2]
+        assert np.all(np.abs(position) <= env.init_noise)
+        assert np.all(states[:, 2:] == 0.0)
+        for x in position.T:
+            counts, _ = np.histogram(x, bins=8, range=(-env.init_noise, env.init_noise))
+            assert np.sum((counts - 512) ** 2 / 512) < 24.32
+        assert abs(np.corrcoef(position.T)[0, 1]) < 0.1
+        still = make_env("mo_point", init_noise=0.0).reset(np.arange(4096))
+        assert still.tobytes() == np.zeros((4096, 4)).tobytes()
 
 
 class TestStep:

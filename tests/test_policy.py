@@ -90,6 +90,32 @@ class TestAct:
                   for _ in range(2))
         np.testing.assert_array_equal(a1, a2)
 
+    @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic"])
+    def test_non_finite_action_rejects_the_rollout(self, name):
+        # Lane 1 of a (3, d) stack has a NaN weight, so its mean action is
+        # NaN: the rollout raises, with noise (training) and without (the
+        # path of Trainer.evaluate).
+        env = make_env(name)
+        spec = env.spec
+        policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
+        rng = np.random.default_rng(6)
+        stack = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(3)])
+        stack[1, 0] = np.nan
+        noise = rng.standard_normal((3, 4, spec.horizon, spec.action_dim))
+        for eps in (noise, None):
+            with pytest.raises(ValueError, match="non-finite action rejected"):
+                run_episode(env, policy, stack, np.arange(4), eps)
+
+    def test_non_finite_action_error_names_the_first_bad_step(self):
+        env = make_env("mo_point", horizon=6)
+        policy = GaussianPolicy(4, 2, hidden=8)
+        params = policy.init_params(np.random.default_rng(7), 0.1, -0.5)
+        noise = np.random.default_rng(8).standard_normal((3, 6, 2))
+        noise[2, 4, 0] = np.inf
+        noise[1, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite action rejected at step 3"):
+            run_episode(env, policy, params, [0, 1, 2], noise)
+
 
 class TestLogProbGrad:
     @pytest.mark.parametrize("hidden", [0, 16])

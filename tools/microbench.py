@@ -7,6 +7,9 @@ Times one call of each function below, many times over, in this process:
   the noiseless ``(p * K, eval.episodes)`` stack of a generation's K
   snapshots per lane on its evaluation seeds (``point_eval_step``, the
   rollout of ``Trainer.evaluate``);
+- ``reset`` of the ``point`` workload's environment: on the ``(p, episodes)``
+  reset seeds of a training rollout (``reset.point``) and on the run's
+  ``(eval.episodes,)`` evaluation seeds (``reset.point_eval``);
 - ``collect_batch`` at the ``quad2`` and ``point`` workloads' shapes
   (rollout, critic pass and GAE; the batch keeps copies of the snapshot and
   the critic pass), on generators that advance from call to call;
@@ -197,6 +200,9 @@ def cases(mo, full: bool, scratch: Path) -> list:
                       for _ in range(len(params) * snapshots)])
     out.append(("run_episode.point_eval_step", spec.horizon,
                 lambda: pol.run_episode(point.env, point.policy, stack, point.eval_seeds)))
+    out.append(("reset.point", 1, lambda: point.env.reset(seeds)))
+    eval_seeds = np.asarray(point.eval_seeds)
+    out.append(("reset.point_eval", 1, lambda: point.env.reset(eval_seeds)))
     for workload in ("quad2", "point"):
         t = _trainer(mo, workload)
         params, critic, rngs = _lanes(mo, t)
