@@ -40,8 +40,17 @@ gradients, the mean and std of ``normalize_per_objective``) is one
 its bytes are ``np.sum``'s. Two cases stay on ``np.sum``, where numpy sums
 pairwise and einsum would give other bytes: a kept axis of length 1 (a
 hidden layer of 1, a 1-D action) and a rows axis that is the contiguous
-one. Sums over the last axis (the log-probability's over actions) stay
-``np.sum``.
+one.
+
+The Gaussian head (``GaussianPolicy.score`` and its ``grad``) does its
+per-row arithmetic action-major, on ``(..., a, n)`` arrays, so the
+per-action factors broadcast along the contiguous rows axis and numpy runs
+no inner loop over a few actions per row. The log-probability's sum over
+the actions is then ``_row_sum`` over that layout, which adds them in
+``np.sum(axis=-1)``'s order for up to 7 actions; from 8 numpy sums that
+axis pairwise, so a wider head keeps ``np.sum`` on a rows-major copy. The
+mean network's backprop and the log-std product take rows-major copies,
+since the order a matmul or a row sum adds in follows its operands' layout.
 """
 
 from __future__ import annotations
@@ -231,6 +240,13 @@ class GaussianPolicy:
         it here; with a pass, ``actions`` is taken as the float array it is.
         ``grad`` reads the pass, so its buffers stay untouched until it has
         been called.
+
+        The per-row arithmetic runs on an action-major ``(..., a, n)`` copy
+        of the residual ``actions - mu``. ``log_probs`` sums the squared
+        z-scores over the actions with ``_row_sum`` on that layout, or with
+        ``np.sum`` on a rows-major copy from 8 actions, where numpy adds the
+        axis pairwise; both give ``np.sum(axis=-1)``'s bytes. ``grad`` hands
+        backprop and the log-std product rows-major ``(..., n, a)`` copies.
         """
         if mean_pass is None:
             states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -240,20 +256,26 @@ class GaussianPolicy:
         k = self.net.num_params
         raw = params[..., k:]
         log_std = self.log_std(params)
-        residual = actions - mu
-        zscores = residual / np.exp(log_std)[..., None, :]
-        log_probs = -0.5 * np.sum(zscores * zscores, axis=-1) \
-            - log_std.sum(axis=-1)[..., None] - 0.5 * self.action_dim * _LOG_2PI
-        inv_var = np.exp(-2.0 * log_std)[..., None, :]
+        # Action-major (..., a, n): per-action factors broadcast as (..., a, 1).
+        residual = (actions - mu).swapaxes(-1, -2).copy()
+        zscores = residual / np.exp(log_std)[..., None]
+        zsq = zscores * zscores
+        # np.sum adds a contiguous axis in order up to 7 values, pairwise from 8.
+        sq_sum = _row_sum(zsq) if self.action_dim < 8 \
+            else np.sum(zsq.swapaxes(-1, -2).copy(), axis=-1)
+        log_probs = -0.5 * sq_sum - log_std.sum(axis=-1)[..., None] \
+            - 0.5 * self.action_dim * _LOG_2PI
+        inv_var = np.exp(-2.0 * log_std)[..., None]
         # d logp / d log_std_j = z_j^2 - 1; zero where the clamp is active.
-        zsq_minus_one = residual * residual * inv_var - 1.0
+        # Rows-major (..., n, a): the product in grad sums it in that layout's order.
+        zsq_minus_one = (residual * residual * inv_var - 1.0).swapaxes(-1, -2).copy()
         active = (raw > self.log_std_min) & (raw < self.log_std_max)
 
         def grad(coeffs, out: np.ndarray | None = None, work=None) -> np.ndarray:
             coeffs = np.asarray(coeffs, dtype=float)
             out = np.empty(params.shape) if out is None else out
-            d_mu = coeffs[..., None] * residual * inv_var
-            self.net.backprop(cache, d_mu, out[..., :k], work)
+            d_mu = coeffs[..., None, :] * residual * inv_var
+            self.net.backprop(cache, d_mu.swapaxes(-1, -2).copy(), out[..., :k], work)
             d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
             out[..., k:] = np.where(active, d_log_std, 0.0)
             return out

@@ -10,9 +10,11 @@ by the one-lane solver it replaced, the stacked generation step by the
 per-lane training loop it replaced (on lanes the trainer plans), the
 buffered PPO update by the allocating one it replaced (with the
 ``np.mean``/``np.std`` advantage normalization and ``np.sum`` bias
-gradients), a rollout's actions by the policy's mean from that update's
-network pass plus its std times the noise, and the archive's one-test and
-batch inserts by the three-test insert it replaced.
+gradients), the policy's scores and gradient set by the rows-major
+Gaussian head that update scores with, a rollout's actions by the
+policy's mean from that update's network pass plus its std times the
+noise, and the archive's one-test and batch inserts by the three-test
+insert it replaced.
 """
 
 from __future__ import annotations
@@ -438,6 +440,14 @@ def _policy_score(policy, params, states, actions):
         return out
 
     return log_probs, grad
+
+
+def gradient_set(policy, batch, normalize_advantages):
+    """``estimate_gradient_set`` through ``_policy_score`` and ``normalize_mean_std``."""
+    adv = normalize_mean_std(batch.advantages) if normalize_advantages else batch.advantages
+    n, m = adv.shape[-2:]
+    _, grad = _policy_score(policy, batch.params, batch.states, batch.actions)
+    return np.stack([grad(adv[..., i] / n) for i in range(m)], axis=-2)
 
 
 def _critic_grad(critic, params, states, targets):

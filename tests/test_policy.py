@@ -23,7 +23,13 @@ from moascent.policy import (
     run_episode,
 )
 
-from .oracles import gaussian_act, normalize_mean_std, ppo_update_allocating
+from .oracles import (
+    _policy_score,
+    gaussian_act,
+    gradient_set,
+    normalize_mean_std,
+    ppo_update_allocating,
+)
 
 
 def finite_difference_log_prob(policy, params, state, action, h=1e-5):
@@ -227,6 +233,38 @@ def test_gradient_set_stack_matches_lane_less_calls(env_name, normalize):
                                      for f in dataclasses.fields(batch)})
         alone = estimate_gradient_set(policy, lane_batch, normalize)
         assert G[lane].tobytes() == alone.tobytes(), lane
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
+@pytest.mark.parametrize("action_dim", range(1, 10))
+def test_score_and_gradient_set_match_the_oracle_bytes(action_dim, lanes, rows, hidden):
+    # The head's log-probabilities, its weighted gradient and the gradient set
+    # built from it reproduce the rows-major oracle byte for byte, with one
+    # log-std held at its lower clamp. Past 7 actions np.sum adds the action
+    # axis pairwise, not in order.
+    rng = np.random.default_rng(100 * action_dim + rows)
+    policy = GaussianPolicy(3, action_dim, hidden)
+    count = int(np.prod(lanes))
+    params = np.stack([policy.init_params(rng, 0.5, -0.5) for _ in range(count)])
+    params[:, policy.net.num_params :] += rng.uniform(-1.0, 1.0, (count, action_dim))
+    params[:, policy.net.num_params] = policy.log_std_min
+    params = params.reshape(lanes + (-1,))
+    states = rng.standard_normal(lanes + (rows, 3))
+    actions = 2.0 * rng.standard_normal(lanes + (rows, action_dim))
+    advantages = rng.standard_normal(lanes + (rows, 2))
+    coeffs = advantages[..., 0] / rows
+    log_probs, grad = policy.score(params, states, actions)
+    want_log_probs, want_grad = _policy_score(policy, params, states, actions)
+    assert log_probs.tobytes() == want_log_probs.tobytes()
+    assert grad(coeffs).tobytes() == want_grad(coeffs).tobytes()
+    batch = RolloutBatch(states=states, actions=actions, advantages=advantages,
+                         returns=advantages, params=params, critic_params=np.zeros(lanes + (1,)),
+                         values=advantages, critic_hidden=None)
+    for normalize in (True, False):
+        got = estimate_gradient_set(policy, batch, normalize)
+        assert got.tobytes() == gradient_set(policy, batch, normalize).tobytes(), normalize
 
 
 def count_calls(owner, name, monkeypatch):
@@ -449,14 +487,16 @@ def test_row_sums_and_normalization_match_numpy_bit_for_bit(x):
 @pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-@pytest.mark.parametrize("hidden, action_dim", [(0, 2), (8, 2), (1, 2), (8, 1)],
-                         ids=["0", "8", "1", "8-1d-action"])
+@pytest.mark.parametrize("hidden, action_dim", [(0, 2), (8, 2), (1, 2), (8, 1), (8, 3), (8, 8)],
+                         ids=["0", "8", "1", "8-1d-action", "8-3d-action", "8-8d-action"])
 def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, normalize, lanes):
     # The buffered update reproduces the allocating one it replaced, byte for
     # byte, with one log-std component held at its lower clamp. A hidden
     # layer of 1 and a 1-D action give bias gradients that np.sum adds
-    # pairwise over the batch's 20 rows.
-    env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic([[1.0], [-0.5]], gamma=0.99)
+    # pairwise over the batch's 20 rows; an 8-D action gives log-probabilities
+    # that np.sum adds pairwise over the action axis.
+    targets = [np.linspace(1.0, -0.5, action_dim), np.linspace(-0.5, 1.0, action_dim)]
+    env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic(targets, gamma=0.99)
     episodes = 20 // env.spec.horizon
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)

@@ -17,6 +17,9 @@ Times one call of each function below, many times over, in this process:
   workloads' shapes, with their update settings;
 - ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
   batch, with its advantage normalisation;
+- ``score.point``: ``GaussianPolicy.score`` of that batch's actions plus one
+  call of its ``grad``, from one pass of the stack over the batch's states,
+  in caller-owned buffers, as each epoch of ``ppo_update`` makes them;
 - ``normalize_per_objective`` on that batch's ``(p, n, m)`` advantages;
 - ``backprop.point``: the policy mean network's backprop at that batch's
   shape, from one pass of the stack over its states, into a caller-owned
@@ -68,15 +71,17 @@ for numbers comparable with ``perfbench``.
 
 It imports ``<tree>/src/moascent`` as the package ``moascent_against``,
 builds both trees' rows at this tree's shapes, and for each row times 15
-rounds (5 with ``--quick``) of one repeat of each tree, the same number of
+rounds (9 with ``--quick``) of one repeat of each tree, the same number of
 calls each, the change first in even rounds and the parent first in odd
-ones. A row prints the medians of both, and the median and quartiles of
-the per-round change/parent ratios. A row whose quartiles span 1.0 is
-marked unresolved: it cannot tell the trees apart. The converse does not
-hold, so one run is no evidence of a change. On a shared 2-core host,
+ones. A repeat makes as many calls as the faster tree needs to last
+0.05 s (0.2 s without ``--quick``). A row prints the medians of both, and
+the median and quartiles of the per-round change/parent ratios. A row
+whose quartiles span 1.0 is marked unresolved: it cannot tell the trees
+apart. The converse does not hold, so one run is no evidence of a change. On a shared 2-core host,
 two ``--quick --against .`` runs, each comparing the tree with itself,
-read medians of 0.944-1.197 and 0.829-1.046 across their 23 rows, and
-5 and 1 of those rows had both quartiles on one side of 1.0. A row
+read medians of 0.823-1.098 and 0.891-1.189 across their 26 rows, and
+4 and 2 of those rows had both quartiles on one side of 1.0;
+``backprop.point`` was one of them in both runs (0.823 and 0.891). A row
 whose first call raises ``AttributeError`` or ``TypeError`` in one tree
 (a function or method that tree lacks, or takes other arguments) is
 listed as skipped, with the error; the update rows build their batch at
@@ -108,6 +113,9 @@ from parity import _benchmark_workloads
 
 HERE = Path(__file__).resolve().parent.parent
 MODULES = ("archive", "config", "evolution", "harness", "pareto", "policy")
+# The shortest side of an --against round: at 0.01 s a round of the update
+# rows held one call, too few to tell the trees apart.
+MIN_ROUND_S = 0.05
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
@@ -174,6 +182,24 @@ def _backprop_args(policy, params: np.ndarray, states: np.ndarray) -> tuple:
     return cache, d_mu, np.empty(params.shape[:-1] + (net.num_params,)), work
 
 
+def _score_args(policy, batch) -> tuple:
+    """``(batch, mean_pass, coeffs, out, work)`` of ``ppo_update``'s first
+    epoch on ``batch``: the stack's pass over its states and the gradient's
+    weights, with a caller-owned gradient and backprop buffers."""
+    net, rows = policy.net, batch.states.shape[:-1]
+    layers = net.split(policy._net_params(batch.params))
+    hid, work = net.buffers(rows)
+    mu = np.empty(rows + (policy.action_dim,))
+    net.apply(layers, batch.states, mu, hid)
+    coeffs = batch.advantages[..., 0] / rows[-1]
+    return batch, (mu, (layers, batch.states, hid)), coeffs, np.empty_like(batch.params), work
+
+
+def _score(policy, batch, mean_pass, coeffs, out, work) -> np.ndarray:
+    _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
+    return grad(coeffs, out, work)
+
+
 def _rewrite_store(save_checkpoint, store: Path, entries: list) -> None:
     shutil.rmtree(store, ignore_errors=True)
     save_checkpoint(store, entries)
@@ -231,6 +257,9 @@ def cases(mo, full: bool, scratch: Path) -> list:
                                             _backprop_args(t.policy, p, b().states))
             out.append(("backprop.point", 1,
                         lambda net=net, a=backprop_args: net.backprop(*a())))
+            score_args = functools.cache(lambda t=t, b=batch: _score_args(t.policy, b()))
+            out.append(("score.point", 1,
+                        lambda t=t, a=score_args: _score(t.policy, *a())))
     d = point.policy.num_params
     for shape in ((3, d), (4, d), (8, 2, d), (4, 3, d)):
         G = np.random.default_rng(shape[-2]).standard_normal(shape)
@@ -312,7 +341,7 @@ def compare(change: list, parent: list, rounds: int, min_repeat_s: float):
             skipped[name] = "; ".join(errors)
             print(f"{name:30s} skipped ({skipped[name]})", flush=True)
             continue
-        number = _calls_per_repeat(other, min_repeat_s)
+        number = max(_calls_per_repeat(fn, min_repeat_s) for fn in (call, other))
         ours, theirs = [], []
         sides = ((call, ours), (other, theirs))
         for r in range(rounds):
@@ -332,7 +361,8 @@ def compare(change: list, parent: list, rounds: int, min_repeat_s: float):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
-                        help="3 repeats of at least 0.01 s each, for a smoke check")
+                        help="3 repeats of at least 0.01 s each (9 rounds of 0.05 s a side "
+                             "with --against), for a smoke check")
     parser.add_argument("--full", action="store_true", help="add _gap_edges at n=500")
     parser.add_argument("--against", type=Path, metavar="TREE",
                         help="compare with the checkout TREE, interleaved in this process")
@@ -345,10 +375,10 @@ def main(argv=None) -> int:
         change = cases(load_tree(HERE / "src", "moascent"), args.full, scratch / "change")
         report = {"python": platform.python_version(), "numpy": np.__version__}
         if args.against:
-            rounds = 5 if args.quick else 15
+            rounds = 9 if args.quick else 15
             parent = cases(load_tree(args.against.resolve() / "src", "moascent_against"),
                            args.full, scratch / "parent")
-            rows, skipped = compare(change, parent, rounds, min_repeat_s)
+            rows, skipped = compare(change, parent, rounds, max(min_repeat_s, MIN_ROUND_S))
             report.update(against=str(args.against), rounds=rounds, rows=rows, skipped=skipped)
         else:
             rows = {}
