@@ -29,6 +29,7 @@ from .policy import (
     VectorCritic,
     collect_batch,
     estimate_gradient_set,
+    hidden_workspace,
     ppo_update,
     run_episode,
 )
@@ -342,6 +343,13 @@ class Trainer:
     ``evolution``, ``update`` and ``paft_enabled`` are the config's
     ``evolution`` and ``policy`` sections and ``paft.enabled``. Training and
     scoring share ``env.spec.gamma``.
+
+    The trainer owns one hidden-layer ``workspace`` for the run (see
+    ``hidden_workspace``), sized for ``p`` lanes of one batch each and
+    allocated untouched; a linear network (``hidden: 0``) has none. Every
+    generation's collect, gradient set and PPO update write their passes
+    into its first L lanes, so the buffers are made once per run, not once
+    per call.
     """
 
     def __init__(self, cfg: Config, seed: int):
@@ -355,6 +363,8 @@ class Trainer:
         self.seed = seed
         self.paft_enabled = cfg.paft.enabled
         self.eval_seeds = eval_seeds(seed, cfg.eval.episodes)
+        self.workspace = hidden_workspace(
+            hidden, (cfg.evolution.p, cfg.policy.batch_episodes * spec.horizon))
 
     def _lane_rng(self, generation: int, lane: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))
@@ -378,22 +388,26 @@ class Trainer:
         falls back to uniform weights for the generation. Returns the
         ``(L, K, ·)`` stacks of the K snapshots, taken every ``snapshot_every``
         iterations and after the last (the start when ``iters`` is 0), and
-        the number of stationary fallbacks.
+        the number of stationary fallbacks. The passes write into the first L
+        lanes of the trainer's workspace.
         """
         upd = self.update
         m = self.env.spec.num_objectives
+        workspace = None if self.workspace is None else self.workspace[:, :len(params)]
         ascent = [lane for lane, w in enumerate(fixed_weights) if w is None]
         weights = np.array([np.zeros(m) if w is None else w for w in fixed_weights])
         fallbacks = 0
         snapshots = [] if iters else [(params, critic_params)]
         for it in range(iters):
             batch = collect_batch(self.env, self.policy, params, self.critic, critic_params,
-                                  upd.batch_episodes, rngs)
+                                  upd.batch_episodes, rngs, workspace)
             if it == 0 and ascent:
-                grads = estimate_gradient_set(self.policy, batch, upd.normalize_advantages)
+                grads = estimate_gradient_set(self.policy, batch, upd.normalize_advantages,
+                                              workspace)
                 weights[ascent], fell_back = ascent_weights(grads[ascent])
                 fallbacks = int(fell_back.sum())
-            params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd)
+            params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd,
+                                               workspace)
             if (it + 1) % snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
         snap_params = np.stack([p for p, _ in snapshots], axis=1)

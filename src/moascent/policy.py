@@ -25,13 +25,20 @@ are one ``env.rewards`` call.
 
 ``ppo_update`` prepares one update per call: it copies both networks'
 params once, splits their layers once as views into the copies, and
-allocates the outputs, the gradients, the optimizers' scratch and one set
-of hidden-layer buffers once. Each epoch is then one pass, one backprop
-and one in-place optimizer step per network. A batch carries copies of the
-snapshot it was collected under (``params``, ``critic_params``) and the
-critic's pass over its states (``values``, ``critic_hidden``), so the
-gradient set and the update start from that snapshot and the critic's
-first epoch backprops from the pass instead of running it again.
+allocates the outputs, the gradients and the optimizers' scratch once.
+Each epoch is then one pass, one backprop and one in-place optimizer step
+per network. A batch carries copies of the snapshot it was collected under
+(``params``, ``critic_params``) and the critic's pass over its states
+(``values``, ``critic_hidden``), so the gradient set and the update start
+from that snapshot and the critic's first epoch backprops from the pass
+instead of running it again.
+
+The batch-sized hidden-layer buffers of ``collect_batch``'s critic pass,
+``estimate_gradient_set`` and ``ppo_update`` come from a caller's
+workspace (``hidden_workspace``) when one is given: the trainer owns one
+per run and passes each generation its first L lanes, so a run makes them
+once instead of faulting in fresh pages every update. Without a workspace
+each call allocates its own, ``ppo_update`` one set of three.
 
 A sum over the rows axis of an ``(..., rows, k)`` array (backprop's bias
 gradients, the mean and std of ``normalize_per_objective``) is one
@@ -71,6 +78,7 @@ __all__ = [
     "collect_batch",
     "estimate_gradient_set",
     "gae",
+    "hidden_workspace",
     "normalize_per_objective",
     "ppo_update",
     "run_episode",
@@ -99,8 +107,8 @@ class _MeanNet:
     ``params`` is ``(..., num_params)`` and ``states`` is ``(..., N, in_dim)``
     with the same leading lane axes; a pass covers the whole stack at once.
     ``split`` views the layers of a parameter vector and ``apply`` runs one
-    pass of them into caller-owned outputs; ``forward`` does both into new
-    arrays. ``backprop`` takes a pass's cache ``(layers, states, hid)``, so a
+    pass of them into caller-owned outputs; ``forward`` does both into a new
+    output and a given or new hidden buffer. ``backprop`` takes a pass's cache ``(layers, states, hid)``, so a
     caller that splits once (a rollout, ``ppo_update``) runs every pass and
     gradient on the same layers and buffers. With a hidden layer a pass
     needs ``(..., N, hidden)`` buffers (``buffers``); a linear map needs none.
@@ -157,10 +165,15 @@ class _MeanNet:
         np.matmul(inputs, wt, out=out)
         out += b
 
-    def forward(self, params: np.ndarray, states: np.ndarray):
-        """Return (outputs, cache-for-backprop) for a batch of states, in new arrays."""
+    def forward(self, params: np.ndarray, states: np.ndarray, hid: np.ndarray | None = None):
+        """Return (outputs, cache-for-backprop) for a batch of states.
+
+        The outputs are a new array; the hidden layer goes into ``hid``, or
+        into a new array if None.
+        """
         out = np.empty(states.shape[:-1] + (self.out_dim,))
-        hid = None if self.hidden == 0 else np.empty(states.shape[:-1] + (self.hidden,))
+        if hid is None and self.hidden > 0:
+            hid = np.empty(states.shape[:-1] + (self.hidden,))
         layers = self.split(params)
         self.apply(layers, states, out, hid)
         return out, (layers, states, hid)
@@ -324,8 +337,10 @@ class RolloutBatch:
     (before environment clamping); advantages, return targets and ``values``
     have one column per objective. ``values`` and ``critic_hidden`` (the
     hidden layer's tanh activations, None for a linear critic) are the
-    critic's pass over ``states``. There are no log-probabilities: whoever
-    needs them scores ``actions`` under ``params``.
+    critic's pass over ``states``. ``critic_hidden`` may be a view of the
+    workspace ``collect_batch`` was given, valid until the next collect into
+    that workspace. There are no log-probabilities: whoever needs them
+    scores ``actions`` under ``params``.
     """
 
     states: np.ndarray
@@ -432,9 +447,28 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     return before, actions.transpose(to_lane_major), rewards, states[..., -1, :]
 
 
+def hidden_workspace(hidden: int, rows: tuple) -> np.ndarray | None:
+    """Untouched hidden-layer buffers for one batch of ``rows`` at a time, or None if linear.
+
+    A ``(4,) + rows + (hidden,)`` array: ``collect_batch`` writes its critic
+    pass into ``[0]``, and ``estimate_gradient_set`` and ``ppo_update``
+    write their passes and backprops into ``[1:]``, the ``hid``, ``d_hid``
+    and ``scratch`` of ``_MeanNet.buffers``. So a batch's ``critic_hidden``
+    stays valid until the next collect into the same workspace. The slice
+    ``[:, :L]`` serves a stack of the first L lanes.
+    """
+    return None if hidden == 0 else np.empty((4,) + rows + (hidden,))
+
+
+def _passes(workspace: np.ndarray):
+    """The ``(hid, (d_hid, scratch))`` buffers of a workspace, as ``_MeanNet.buffers`` gives them."""
+    _, hid, d_hid, scratch = workspace
+    return hid, (d_hid, scratch)
+
+
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
                   critic: VectorCritic, critic_params: np.ndarray,
-                  episodes: int, rng) -> RolloutBatch:
+                  episodes: int, rng, workspace: np.ndarray | None = None) -> RolloutBatch:
     """Collect ``episodes`` episodes per lane, each lane under its own snapshot.
 
     ``rng`` is one generator for ``(d,)`` params, or one per lane for an
@@ -444,7 +478,9 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     Advantages discount with ``env.spec.gamma`` and GAE's constant lambda.
     They bootstrap from the critic at the final states when the spec is
     ``truncated``, and from zero otherwise. The batch keeps copies of
-    ``params`` and ``critic_params`` and the critic's pass over its states.
+    ``params`` and ``critic_params`` and the critic's pass over its states,
+    whose hidden layer is written into ``workspace[0]`` (see
+    ``hidden_workspace``), or into a new array if None.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
@@ -458,7 +494,8 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     n = episodes * T
     states = states.reshape(lead + (n, -1))
     actions = actions.reshape(lead + (n, -1))
-    values, (_, _, critic_hidden) = critic.net.forward(critic_params, states)
+    values, (_, _, critic_hidden) = critic.net.forward(
+        critic_params, states, None if workspace is None else workspace[0])
     last_values = critic.values(critic_params, final_states) if env.spec.truncated \
         else np.zeros(lead + (episodes, m))
     advantages = gae(rewards, values.reshape(lead + (episodes, T, m)), last_values,
@@ -490,20 +527,25 @@ def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
 
 
 def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
-                          normalize_advantages: bool) -> np.ndarray:
+                          normalize_advantages: bool,
+                          workspace: np.ndarray | None = None) -> np.ndarray:
     """Per-objective policy-gradient estimates, one (d,) row per objective and lane.
 
     Returns ``(m, d)`` for a batch of ``(d,)`` params or ``(L, m, d)`` for an
     ``(L, d)`` stack. Row i is the batch average of ``advantage_i * grad log
     pi``, i.e. the gradient of objective i's surrogate at the batch's
-    ``params`` (where all likelihood ratios equal one).
+    ``params`` (where all likelihood ratios equal one). The mean network's
+    pass and backprops write into ``workspace[1:]`` (see
+    ``hidden_workspace``), or into new arrays if None.
     """
     adv = batch.advantages
     if normalize_advantages:
         adv = normalize_per_objective(adv)
     n, m = adv.shape[-2:]
-    _, grad = policy.score(batch.params, batch.states, batch.actions)
-    G = np.stack([grad(adv[..., i] / n) for i in range(m)], axis=-2)
+    hid, work = (None, None) if workspace is None else _passes(workspace)
+    mean_pass = policy.net.forward(policy._net_params(batch.params), batch.states, hid)
+    _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
+    G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2)
     if not np.all(np.isfinite(G)):
         raise ValueError("gradient estimate has non-finite entries")
     return G
@@ -566,7 +608,8 @@ _CLIP_EPS = 0.2  # PPO's clip range on the likelihood ratio
 
 
 def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch, omega,
-               update: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
+               update: PolicyConfig,
+               workspace: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Clipped-surrogate ascent on the ``omega``-scalarized advantages.
 
     The update starts from the snapshot the batch was collected under, its
@@ -580,8 +623,10 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     collapsed with the simplex weights ``omega``; by linearity this ascends
     the same direction as the omega-weighted combination of per-objective
     surrogates. The critic regresses its per-objective return targets with
-    the same optimizer settings. Returns the updated (params, critic_params)
-    snapshots; the batch is not mutated.
+    the same optimizer settings. Both networks' passes and backprops write
+    into ``workspace[1:]`` (see ``hidden_workspace``), or into one set of
+    ``_MeanNet.buffers`` made here if None. Returns the updated (params,
+    critic_params) snapshots; the batch is not mutated.
     """
     m = batch.advantages.shape[-1]
     omega = np.asarray(omega, dtype=float)
@@ -605,7 +650,7 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
     critic_layers = critic.net.split(critic_params)
-    hid, work = policy.net.buffers(rows)
+    hid, work = policy.net.buffers(rows) if workspace is None else _passes(workspace)
     mu, values = np.empty(rows + (policy.action_dim,)), np.empty(rows + (m,))
     grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr

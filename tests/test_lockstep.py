@@ -7,11 +7,14 @@ import pytest
 
 from moascent.config import PolicyConfig
 from moascent.harness import build_trainer, resolve_config
-from moascent.policy import collect_batch, ppo_update
+from moascent.policy import _MeanNet, collect_batch, hidden_workspace, ppo_update
 
 from .oracles import PerLaneTrainer
 
 CASES = {
+    # Generations after M_ft train 5 of the p=6 lanes (3 ascent lanes, 2
+    # objective extremes), so their passes write into a leading slice of the
+    # trainer's workspace.
     "quadratic": {
         "env": {"name": "mo_quadratic"},
         "policy": {"batch_episodes": 8, "epochs": 2, "hidden": 8},
@@ -25,6 +28,13 @@ CASES = {
     "point": {
         "env": {"name": "mo_point"},
         "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 8},
+        "evolution": {"M": 2, "m_iters": 2, "m_w": 2, "p": 4, "snapshot_every": 1},
+        "eval": {"episodes": 4},
+    },
+    # A linear network: the trainer has no workspace, and every pass allocates.
+    "linear": {
+        "env": {"name": "mo_point"},
+        "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 0},
         "evolution": {"M": 2, "m_iters": 2, "m_w": 2, "p": 4, "snapshot_every": 1},
         "eval": {"episodes": 4},
     },
@@ -88,6 +98,41 @@ def test_stacked_step_reproduces_per_lane_loop(monkeypatch, name):
         assert any(r.get("job") == "gap_pair" for r in got["selection"])
 
 
+def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
+    # The trainer allocates its hidden-layer workspace when it is built. Every
+    # pass and backprop over a training batch of the run writes into it, and
+    # no call makes a ``_MeanNet.buffers`` set or a batch-sized hidden layer
+    # of its own.
+    trainer, _ = trainers(CASES["point"])
+    workspace = trainer.workspace
+    rows = workspace.shape[-2]
+    made, elsewhere = [], []
+    buffers, apply, backprop = _MeanNet.buffers, _MeanNet.apply, _MeanNet.backprop
+
+    def counted_buffers(self, rows):
+        made.append(rows)
+        return buffers(self, rows)
+
+    def checked_apply(self, layers, inputs, out, hid):
+        if inputs.shape[-2] == rows and not np.shares_memory(hid, workspace):
+            elsewhere.append("apply")
+        apply(self, layers, inputs, out, hid)
+
+    def checked_backprop(self, cache, d_out, out=None, work=None):
+        if work is None or not all(np.shares_memory(w, workspace) for w in work):
+            elsewhere.append("backprop")
+        return backprop(self, cache, d_out, out, work)
+
+    monkeypatch.setattr(_MeanNet, "buffers", counted_buffers)
+    monkeypatch.setattr(_MeanNet, "apply", checked_apply)
+    monkeypatch.setattr(_MeanNet, "backprop", checked_backprop)
+    state = trainer.run_training()
+    assert workspace.shape == (4, trainer.evolution.p, rows, trainer.policy.hidden)
+    assert len(state.archive) > 0
+    assert made == []
+    assert elsewhere == []
+
+
 # Stacks for one PPO update: 4 point lanes of 8 episodes (512 rows a lane),
 # and 3 quadratic lanes of 150 one-step episodes (150 rows a lane).
 UPDATE_STACKS = {
@@ -102,24 +147,30 @@ def test_stacked_passes_are_row_bounded(name):
     # of (L, n, hidden) buffers, so its peak traced memory stays within a few
     # such arrays: bounded by the stack's rows, not by per-operation
     # temporaries. Fresh temporaries over the whole stack peaked at 5.6 of them.
+    # Given a caller's workspace, the update allocates no hidden-sized array,
+    # so its peak stays below one buffer. That arm runs at hidden 64: what it
+    # does allocate is action- and objective-sized, plus numpy's 64 KB
+    # iteration buffer, and came to 1.10 and 1.33 buffers at hidden 32.
     case, lanes, lane_rows = UPDATE_STACKS[name]
-    hidden = 32
-    cfg = resolve_config({"experiment": "lockstep", **case,
-                          "policy": {**case["policy"], "hidden": hidden}})
-    trainer = build_trainer(cfg, 0)
-    env, policy, critic = trainer.env, trainer.policy, trainer.critic
-    rng = np.random.default_rng(0)
-    params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(lanes)])
-    critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(lanes)])
-    batch = collect_batch(env, policy, params, critic, critic_params, cfg.policy.batch_episodes,
-                          [np.random.default_rng(k) for k in range(lanes)])
-    rows = batch.states.shape[-2]
-    assert rows == lane_rows
-    omega = np.full((lanes, env.spec.num_objectives), 1.0 / env.spec.num_objectives)
-    tracemalloc.start()
-    try:
-        ppo_update(policy, critic, batch, omega, PolicyConfig(hidden=hidden))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * lanes * rows * hidden * 8
+    for hidden, with_workspace, bound in ((32, False, 4.5), (64, True, 1.0)):
+        cfg = resolve_config({"experiment": "lockstep", **case,
+                              "policy": {**case["policy"], "hidden": hidden}})
+        trainer = build_trainer(cfg, 0)
+        env, policy, critic = trainer.env, trainer.policy, trainer.critic
+        rng = np.random.default_rng(0)
+        params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(lanes)])
+        critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(lanes)])
+        batch = collect_batch(env, policy, params, critic, critic_params,
+                              cfg.policy.batch_episodes,
+                              [np.random.default_rng(k) for k in range(lanes)])
+        rows = batch.states.shape[-2]
+        assert rows == lane_rows
+        omega = np.full((lanes, env.spec.num_objectives), 1.0 / env.spec.num_objectives)
+        workspace = hidden_workspace(hidden, (lanes, rows)) if with_workspace else None
+        tracemalloc.start()
+        try:
+            ppo_update(policy, critic, batch, omega, PolicyConfig(hidden=hidden), workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * lanes * rows * hidden * 8, (hidden, with_workspace)

@@ -18,6 +18,7 @@ from moascent.policy import (
     collect_batch,
     estimate_gradient_set,
     gae,
+    hidden_workspace,
     normalize_per_objective,
     ppo_update,
     run_episode,
@@ -577,6 +578,42 @@ def test_batch_keeps_its_snapshot_when_the_callers_params_change(lanes):
     params += 0.5
     critic_params *= -1.0
     assert results() == want
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+def test_workspace_passes_match_allocating_calls(normalize):
+    # Collect, gradient set and update write into the first 3 lanes of a
+    # 5-lane workspace and give the bytes of the calls that allocate their
+    # own buffers. The second collect writes into the same workspace as the
+    # first, and each batch's update runs straight after its own collect, as
+    # the trainer runs them.
+    env = MoPoint(horizon=5)
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
+    rng = np.random.default_rng(8)
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(3)])
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(3)])
+    episodes = 4
+    workspace = hidden_workspace(8, (5, episodes * env.spec.horizon))[:, :3]
+    update = PolicyConfig(hidden=8, lr=0.05, epochs=3, normalize_advantages=normalize)
+    omega = [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]
+    for draw in range(2):
+        def rngs():
+            return [np.random.default_rng([draw, lane]) for lane in range(3)]
+
+        want = collect_batch(env, policy, params, critic, critic_params, episodes, rngs())
+        got = collect_batch(env, policy, params, critic, critic_params, episodes, rngs(),
+                            workspace)
+        assert np.shares_memory(got.critic_hidden, workspace)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
+        G = estimate_gradient_set(policy, got, normalize, workspace)
+        assert G.tobytes() == estimate_gradient_set(policy, want, normalize).tobytes()
+        new = ppo_update(policy, critic, got, omega, update, workspace)
+        old = ppo_update(policy, critic, want, omega, update)
+        assert new[0].tobytes() == old[0].tobytes()
+        assert new[1].tobytes() == old[1].tobytes()
+        params, critic_params = new
 
 
 def test_rollout_batch_rejects_each_field_that_disagrees_with_states():

@@ -10,6 +10,17 @@ Times one call of each function below, many times over, in this process:
 - ``reset`` of the ``point`` workload's environment: on the ``(p, episodes)``
   reset seeds of a training rollout (``reset.point``) and on the run's
   ``(eval.episodes,)`` evaluation seeds (``reset.point_eval``);
+- ``train_lanes.point``: one ``Trainer._train_lanes`` call, the training
+  of one generation: the ``point`` workload's p ascent lanes, ``m_iters``
+  collect-and-update iterations with one gradient set, on a trainer built
+  once, whose lane generators advance from call to call. Unlike the
+  single-call update rows it sees allocation across calls as a run does:
+  counted with ``ru_minflt`` on a shared 2-core host, it took about
+  1,800-2,000 minor faults a call when each call allocated its own
+  hidden-layer buffers, and none with the trainer's workspace.
+  ``backprop.point`` and ``score.point`` take no fault a call in either
+  tree, and ``ppo_update.point`` 224 in both, so faults do not explain how
+  far memory placement moves those rows (see ``--against`` below);
 - ``collect_batch`` at the ``quad2`` and ``point`` workloads' shapes
   (rollout, critic pass and GAE; the batch keeps copies of the snapshot and
   the critic pass), on generators that advance from call to call;
@@ -229,6 +240,13 @@ def cases(mo, full: bool, scratch: Path) -> list:
     out.append(("reset.point", 1, lambda: point.env.reset(seeds)))
     eval_seeds = np.asarray(point.eval_seeds)
     out.append(("reset.point_eval", 1, lambda: point.env.reset(eval_seeds)))
+    # One generation's training of p ascent lanes on the trainer built above,
+    # whose lane generators advance from call to call.
+    train_params, train_critic, train_rngs = _lanes(mo, point)
+    out.append(("train_lanes.point", 1,
+                lambda: point._train_lanes(train_params, train_critic, point.evolution.m_iters,
+                                           point.evolution.snapshot_every, train_rngs,
+                                           [None] * len(train_rngs))))
     for workload in ("quad2", "point"):
         t = _trainer(mo, workload)
         params, critic, rngs = _lanes(mo, t)
