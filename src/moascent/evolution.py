@@ -36,6 +36,7 @@ from .policy import (
 
 __all__ = [
     "Lane",
+    "NETWORK_DTYPE",
     "Trainer",
     "TrainingState",
     "eval_seeds",
@@ -54,6 +55,10 @@ _PGR_TOP_K = 2
 # Initial weight scale of the policy and critic, and the policy's initial log-std.
 _INIT_SCALE = 0.1
 _LOG_STD_INIT = -0.5
+# The dtype of the trainer's policies, critics, optimizer state and
+# workspace. GAE, the gradient set the min-norm solve takes, the objectives
+# and the archive stay float64, so every stored snapshot is a float32 value.
+NETWORK_DTYPE = np.float32
 
 
 def eval_seeds(seed: int, episodes: int) -> list[int]:
@@ -344,12 +349,14 @@ class Trainer:
     ``evolution`` and ``policy`` sections and ``paft.enabled``. Training and
     scoring share ``env.spec.gamma``.
 
-    The trainer owns one hidden-layer ``workspace`` for the run (see
-    ``hidden_workspace``), sized for ``p`` lanes of one batch each and
-    allocated untouched; a linear network (``hidden: 0``) has none. Every
-    generation's collect, gradient set and PPO update write their passes
-    into its first L lanes, so the buffers are made once per run, not once
-    per call.
+    The networks run in ``NETWORK_DTYPE``: each generation casts its
+    lanes' start stack to it, and ``evaluate`` casts the params it rolls
+    out. The trainer owns one hidden-layer ``workspace`` of that dtype for
+    the run (see ``hidden_workspace``), sized for ``p`` lanes of one batch
+    each and allocated untouched; a linear network (``hidden: 0``) has none.
+    Every generation's collect, gradient set and PPO update write their
+    passes into its first L lanes, so the buffers are made once per run,
+    not once per call.
     """
 
     def __init__(self, cfg: Config, seed: int):
@@ -364,19 +371,28 @@ class Trainer:
         self.paft_enabled = cfg.paft.enabled
         self.eval_seeds = eval_seeds(seed, cfg.eval.episodes)
         self.workspace = hidden_workspace(
-            hidden, (cfg.evolution.p, cfg.policy.batch_episodes * spec.horizon))
+            hidden, (cfg.evolution.p, cfg.policy.batch_episodes * spec.horizon), NETWORK_DTYPE)
 
     def _lane_rng(self, generation: int, lane: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, generation, lane]))
+
+    def episode_returns(self, params: np.ndarray, seeds) -> np.ndarray:
+        """Discounted ``(..., E, m)`` returns of deterministic policies, one row per seed.
+
+        ``params``, one ``(d,)`` snapshot or an ``(S, d)`` stack rolled out
+        together, is cast to ``NETWORK_DTYPE`` first, as training casts it.
+        """
+        params = np.asarray(params, dtype=NETWORK_DTYPE)
+        _, _, rewards, _ = run_episode(self.env, self.policy, params, seeds)
+        return mo_return(rewards, self.env.spec.gamma)
 
     def evaluate(self, params: np.ndarray) -> np.ndarray:
         """Mean objective vectors of deterministic policies on the fixed eval episodes.
 
         ``params`` is one ``(d,)`` snapshot or an ``(S, d)`` stack, rolled out
-        together; returns ``(m,)`` or ``(S, m)``.
+        together; returns float64 ``(m,)`` or ``(S, m)``.
         """
-        _, _, rewards, _ = run_episode(self.env, self.policy, params, self.eval_seeds)
-        return mo_return(rewards, self.env.spec.gamma).mean(axis=-2)
+        return self.episode_returns(params, self.eval_seeds).mean(axis=-2)
 
     def _train_lanes(self, params, critic_params, iters, snapshot_every, rngs, fixed_weights):
         """Run ``iters`` collect-and-update iterations on a stack of L lanes.
@@ -420,7 +436,8 @@ class Trainer:
 
         Lane k trains on its own generator, ``_lane_rng(generation, k)``,
         from its origin's params, or, with no origin, from a fresh policy and
-        critic drawn from that generator first. The snapshots ``ckpt_%06d``,
+        critic drawn from that generator first; the start stack is cast to
+        ``NETWORK_DTYPE``. The snapshots ``ckpt_%06d``,
         numbered in lane, then snapshot order, go to the archive in one
         ``insert_many`` call, and only the ones it takes become entries. A
         lane's final snapshot then replaces its origin (ascent) or is
@@ -435,7 +452,8 @@ class Trainer:
             for (_, origin, _), rng in zip(lanes, rngs)
         ]
         snap_params, snap_critic, fallbacks = self._train_lanes(
-            np.stack([p for p, _ in starts]), np.stack([c for _, c in starts]),
+            np.stack([p for p, _ in starts], dtype=NETWORK_DTYPE),
+            np.stack([c for _, c in starts], dtype=NETWORK_DTYPE),
             iters, snapshot_every, rngs, [w for _, _, w in lanes])
         L, K = snap_params.shape[:2]
         objectives = self.evaluate(snap_params.reshape(L * K, -1))

@@ -11,14 +11,18 @@ directory is all they need.
 The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
 ``(n, P)`` and ``checkpoints/critic.npy`` ``(n, C)``, each written with one
 ``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
-store holds no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
+networks train in ``NETWORK_DTYPE`` (float32), so every stored number is a
+float32 value; the store reader rejects a row that is not, naming the file,
+since its policy would not reproduce the entry's objectives. The store holds
+no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
 through :func:`resolve_config` and require it to be its own resolution, as
 ``train`` writes it, and ``frontier.json``'s ``m`` and ``reference_point``
 to be the config's. A trainer is built from a resolved config and a seed
 alone (:func:`build_trainer`, which is ``Trainer(cfg, seed)``): ``eval``
 builds the run's as ``train`` does, and rolls the entry's policy out on the
 trainer's env and evaluation seeds (the first ``--episodes`` of them when
-given), which reproduce the entry's objectives.
+given), which reproduce the entry's objectives. It casts the row to the
+networks' dtype as ``Trainer.evaluate`` does (``Trainer.episode_returns``).
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ import yaml
 
 from .archive import PolicyEntry, frontier_document, frontier_entries, parse_frontier
 from .config import Config, ConfigError, load_config, resolve_config
-from .evolution import Trainer, eval_seeds
-from .momdp import mo_return
-from .policy import run_episode
+from .evolution import NETWORK_DTYPE, Trainer, eval_seeds
 
 __all__ = [
     "ConfigError",
@@ -119,7 +121,10 @@ def _read_frontier(run_dir: Path, cfg: Config) -> dict:
 
 
 def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
-    """A store file: a finite float64 ``(rows, width)`` array, else ValueError naming it."""
+    """A store file: a finite float64 ``(rows, width)`` array of float32 values.
+
+    Else ValueError naming the file.
+    """
     try:
         with path.open("rb") as fh:
             stack = np.load(fh, allow_pickle=False)
@@ -140,11 +145,22 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
     if not np.isfinite(stack).all():
         row = int(np.argmin(np.isfinite(stack).all(axis=1)))
         raise ValueError(f"checkpoint store {path} row {row} holds a non-finite value")
+    with np.errstate(over="ignore"):
+        exact = (stack.astype(NETWORK_DTYPE) == stack).all(axis=1)
+    if not exact.all():
+        row = int(np.argmin(exact))
+        name = np.dtype(NETWORK_DTYPE).name
+        raise ValueError(f"checkpoint store {path} row {row} is not {name}-exact: the "
+                         f"networks train in {name}, so this store was written by an older "
+                         "version or edited, and cannot reproduce its frontier")
     return stack
 
 
 def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
-    """A run's trainer, built as ``train`` builds it, and its frontier's ``entries[entry]``."""
+    """A run's trainer, built as ``train`` builds it, and its frontier's ``entries[entry]``.
+
+    Both store files, the policy's and the critic's, are read and checked.
+    """
     run_dir = Path(run_dir)
     cfg = _read_config(run_dir)
     n = len(_read_frontier(run_dir, cfg)["entries"])
@@ -153,6 +169,7 @@ def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
                          f"has {n} entries")
     trainer = build_trainer(cfg, cfg.seeds[0])
     stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, trainer.policy.num_params)
+    _read_stack(run_dir / "checkpoints" / "critic.npy", n, trainer.critic.num_params)
     return trainer, stack[entry]
 
 
@@ -261,8 +278,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     trainer, params = load_checkpoint(args.run, args.entry)
     seeds = eval_seeds(trainer.seed, args.episodes) if args.episodes else trainer.eval_seeds
-    _, _, rewards, _ = run_episode(trainer.env, trainer.policy, params, seeds)
-    rows = mo_return(rewards, trainer.env.spec.gamma)
+    rows = trainer.episode_returns(params, seeds)
     mean = rows.mean(axis=0)
     print("mean objectives:", " ".join(repr(float(v)) for v in mean))
     if args.out:

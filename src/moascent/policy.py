@@ -13,6 +13,19 @@ Stacked products go through ``np.matmul`` on ``swapaxes`` views, which
 repeats the 2-D BLAS call of each lane, so a lane of a stack computes bit
 for bit what it computes alone.
 
+The network side follows the dtype of its params: a pass, a backprop, the
+Gaussian head and its gradient, the optimizers' state and the hidden-layer
+buffers are arrays of that dtype, and float64 params give the bytes they
+always gave. The trainer holds float32 params (``evolution.NETWORK_DTYPE``).
+The learning signals stay float64: a rollout keeps the environment's
+float64 states and clamped actions, and its first layer multiplies those
+states by the weights straight into the hidden layer of the params' dtype
+(casting each step's states first measured no faster); ``collect_batch``
+casts the batch's states to the params' dtype and runs GAE on float64
+values, so advantages and return targets are float64; ``ppo_update`` casts
+the scalarized advantages and the targets to the params' dtype once per
+call; and ``estimate_gradient_set`` returns a float64 set.
+
 A network pass covers the whole stack and writes into buffers its caller
 owns, not into per-operation temporaries. A rollout (``run_episode``)
 does its setup once: it splits the stack's weights into transposed layer
@@ -123,16 +136,16 @@ class _MeanNet:
         else:
             self.num_params = out_dim * in_dim + out_dim
 
-    def buffers(self, rows: tuple):
+    def buffers(self, rows: tuple, dtype=np.float64):
         """The ``(hid, work)`` buffers of passes over ``rows + (in_dim,)`` states.
 
         ``hid`` is ``apply``'s hidden layer and ``work`` the ``(d_hid, scratch)``
-        pair ``backprop`` takes, all ``rows + (hidden,)`` arrays; a linear map
-        gets ``(None, None)``.
+        pair ``backprop`` takes, all ``rows + (hidden,)`` arrays of ``dtype``,
+        the params'; a linear map gets ``(None, None)``.
         """
         if self.hidden == 0:
             return None, None
-        hid, d_hid, scratch = (np.empty(rows + (self.hidden,)) for _ in range(3))
+        hid, d_hid, scratch = (np.empty(rows + (self.hidden,), dtype) for _ in range(3))
         return hid, (d_hid, scratch)
 
     def split(self, params: np.ndarray) -> list:
@@ -168,12 +181,12 @@ class _MeanNet:
     def forward(self, params: np.ndarray, states: np.ndarray, hid: np.ndarray | None = None):
         """Return (outputs, cache-for-backprop) for a batch of states.
 
-        The outputs are a new array; the hidden layer goes into ``hid``, or
-        into a new array if None.
+        The outputs are a new array of the params' dtype; the hidden layer
+        goes into ``hid``, or into a new array of that dtype if None.
         """
-        out = np.empty(states.shape[:-1] + (self.out_dim,))
+        out = np.empty(states.shape[:-1] + (self.out_dim,), params.dtype)
         if hid is None and self.hidden > 0:
-            hid = np.empty(states.shape[:-1] + (self.hidden,))
+            hid = np.empty(states.shape[:-1] + (self.hidden,), params.dtype)
         layers = self.split(params)
         self.apply(layers, states, out, hid)
         return out, (layers, states, hid)
@@ -182,12 +195,13 @@ class _MeanNet:
                  work=None) -> np.ndarray:
         """Flat gradient of ``sum(d_out * outputs)`` w.r.t. the parameters, per lane.
 
-        The gradient is written to ``out`` (a new array if None) and
-        returned. ``work`` is the ``(d_hid, scratch)`` pair of hidden-layer
-        buffers (new arrays if None).
+        The gradient is written to ``out`` (a new array of the layers' dtype
+        if None) and returned. ``work`` is the ``(d_hid, scratch)`` pair of
+        hidden-layer buffers (new arrays if None).
         """
         layers, states, hid = cache
-        grad = np.empty(d_out.shape[:-2] + (self.num_params,)) if out is None else out
+        grad = np.empty(d_out.shape[:-2] + (self.num_params,), layers[-1][0].dtype) \
+            if out is None else out
         if self.hidden > 0:
             d_hid, scratch = (np.empty_like(hid), np.empty_like(hid)) if work is None else work
             np.matmul(d_out, layers[1][0].swapaxes(-1, -2), out=d_hid)
@@ -250,7 +264,9 @@ class GaussianPolicy:
         ``work`` is the mean network's backprop pair of ``buffers``.
         ``mean_pass`` is the mean network's pass ``(mu, cache)`` over the
         states under ``params``, as ``forward`` returns it, or None to make
-        it here; with a pass, ``actions`` is taken as the float array it is.
+        it here from states and actions cast to the params' dtype; with a
+        pass, ``actions`` is taken as the array it is. ``grad`` casts
+        ``coeffs`` to the params' dtype.
         ``grad`` reads the pass, so its buffers stay untouched until it has
         been called.
 
@@ -262,8 +278,8 @@ class GaussianPolicy:
         backprop and the log-std product rows-major ``(..., n, a)`` copies.
         """
         if mean_pass is None:
-            states = np.atleast_2d(np.asarray(states, dtype=float))
-            actions = np.atleast_2d(np.asarray(actions, dtype=float))
+            states = np.atleast_2d(np.asarray(states, dtype=params.dtype))
+            actions = np.atleast_2d(np.asarray(actions, dtype=params.dtype))
             mean_pass = self.net.forward(self._net_params(params), states)
         mu, cache = mean_pass
         k = self.net.num_params
@@ -285,8 +301,8 @@ class GaussianPolicy:
         active = (raw > self.log_std_min) & (raw < self.log_std_max)
 
         def grad(coeffs, out: np.ndarray | None = None, work=None) -> np.ndarray:
-            coeffs = np.asarray(coeffs, dtype=float)
-            out = np.empty(params.shape) if out is None else out
+            coeffs = np.asarray(coeffs, dtype=params.dtype)
+            out = np.empty_like(params) if out is None else out
             d_mu = coeffs[..., None, :] * residual * inv_var
             self.net.backprop(cache, d_mu.swapaxes(-1, -2).copy(), out[..., :k], work)
             d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
@@ -310,7 +326,7 @@ class VectorCritic:
         return weight_scale * rng.standard_normal(self.num_params)
 
     def values(self, params: np.ndarray, states) -> np.ndarray:
-        out, _ = self.net.forward(params, np.atleast_2d(np.asarray(states, dtype=float)))
+        out, _ = self.net.forward(params, np.atleast_2d(np.asarray(states, dtype=params.dtype)))
         return out
 
     def mse_grad(self, forward_pass, targets: np.ndarray, out: np.ndarray | None = None,
@@ -337,10 +353,12 @@ class RolloutBatch:
     (before environment clamping); advantages, return targets and ``values``
     have one column per objective. ``values`` and ``critic_hidden`` (the
     hidden layer's tanh activations, None for a linear critic) are the
-    critic's pass over ``states``. ``critic_hidden`` may be a view of the
-    workspace ``collect_batch`` was given, valid until the next collect into
-    that workspace. There are no log-probabilities: whoever needs them
-    scores ``actions`` under ``params``.
+    critic's pass over ``states``. The states, actions and critic pass are
+    in the params' dtype, the advantages and return targets float64.
+    ``critic_hidden`` may be a view of the workspace ``collect_batch`` was
+    given, valid until the next collect into that workspace. There are no
+    log-probabilities: whoever needs them scores ``actions`` under
+    ``params``.
     """
 
     states: np.ndarray
@@ -396,7 +414,9 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     acts with its mean. Every episode runs the spec's horizon. Returns
     ``(states, actions, rewards, final_states)``: the (..., B, T, ·)
     states, raw sampled actions (the environment clamps them) and rewards,
-    then the (..., B, state_dim) states after the last step.
+    then the (..., B, state_dim) states after the last step. The raw
+    actions and the std-scaled noise are in the params' dtype; the states,
+    the clamped actions and the rewards are float64.
 
     The step buffers are time-major, ``(T, ..., B, ·)``: the states, with
     one more row for the states after the last step, the raw and the
@@ -421,13 +441,13 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     to_lane_major = (*range(1, lead + 1), 0, lead + 1)
     states = np.empty((T + 1,) + shape + (spec.state_dim,))
     states[0] = env.reset(seeds)
-    actions = np.empty((T,) + shape + (spec.action_dim,))
-    clamped = np.empty_like(actions)
+    actions = np.empty((T,) + shape + (spec.action_dim,), params.dtype)
+    clamped = np.empty(actions.shape)
     # The lanes' layers, the hidden buffer, and the action noise scaled by
     # their std, once per rollout.
     net = policy.net
     layers = net.split(policy._net_params(params))
-    hid = None if net.hidden == 0 else np.empty(shape + (net.hidden,))
+    hid = None if net.hidden == 0 else np.empty(shape + (net.hidden,), params.dtype)
     if noise is not None:
         noise = np.multiply(np.exp(policy.log_std(params))[..., None, :],
                             noise.transpose(to_time_major), out=np.empty_like(actions))
@@ -447,17 +467,18 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     return before, actions.transpose(to_lane_major), rewards, states[..., -1, :]
 
 
-def hidden_workspace(hidden: int, rows: tuple) -> np.ndarray | None:
+def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray | None:
     """Untouched hidden-layer buffers for one batch of ``rows`` at a time, or None if linear.
 
-    A ``(4,) + rows + (hidden,)`` array: ``collect_batch`` writes its critic
-    pass into ``[0]``, and ``estimate_gradient_set`` and ``ppo_update``
-    write their passes and backprops into ``[1:]``, the ``hid``, ``d_hid``
-    and ``scratch`` of ``_MeanNet.buffers``. So a batch's ``critic_hidden``
-    stays valid until the next collect into the same workspace. The slice
+    A ``(4,) + rows + (hidden,)`` array of ``dtype``, the networks' params'
+    dtype: ``collect_batch`` writes its critic pass into ``[0]``, and
+    ``estimate_gradient_set`` and ``ppo_update`` write their passes and
+    backprops into ``[1:]``, the ``hid``, ``d_hid`` and ``scratch`` of
+    ``_MeanNet.buffers``. So a batch's ``critic_hidden`` stays valid until
+    the next collect into the same workspace. The slice
     ``[:, :L]`` serves a stack of the first L lanes.
     """
-    return None if hidden == 0 else np.empty((4,) + rows + (hidden,))
+    return None if hidden == 0 else np.empty((4,) + rows + (hidden,), dtype)
 
 
 def _passes(workspace: np.ndarray):
@@ -479,8 +500,9 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     They bootstrap from the critic at the final states when the spec is
     ``truncated``, and from zero otherwise. The batch keeps copies of
     ``params`` and ``critic_params`` and the critic's pass over its states,
-    whose hidden layer is written into ``workspace[0]`` (see
-    ``hidden_workspace``), or into a new array if None.
+    cast to the params' dtype, whose hidden layer is written into
+    ``workspace[0]`` (see ``hidden_workspace``), or into a new array if None.
+    GAE runs on the critic's values cast to float64.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
@@ -492,20 +514,22 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
         np.reshape(noise, lead + (episodes, T, a)),
     )
     n = episodes * T
-    states = states.reshape(lead + (n, -1))
+    states = states.astype(params.dtype, order="C").reshape(lead + (n, -1))
     actions = actions.reshape(lead + (n, -1))
     values, (_, _, critic_hidden) = critic.net.forward(
         critic_params, states, None if workspace is None else workspace[0])
     last_values = critic.values(critic_params, final_states) if env.spec.truncated \
         else np.zeros(lead + (episodes, m))
-    advantages = gae(rewards, values.reshape(lead + (episodes, T, m)), last_values,
-                     env.spec.gamma, _GAE_LAMBDA)
+    # GAE and the return targets are float64 whatever the networks' dtype.
+    values64 = values.astype(np.float64, copy=False)
+    advantages = gae(rewards, values64.reshape(lead + (episodes, T, m)),
+                     last_values.astype(np.float64, copy=False), env.spec.gamma, _GAE_LAMBDA)
     advantages = advantages.reshape(lead + (n, m))
     return RolloutBatch(
         states=states,
         actions=actions,
         advantages=advantages,
-        returns=advantages + values,
+        returns=advantages + values64,
         params=params.copy(),
         critic_params=critic_params.copy(),
         values=values,
@@ -534,9 +558,10 @@ def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
     Returns ``(m, d)`` for a batch of ``(d,)`` params or ``(L, m, d)`` for an
     ``(L, d)`` stack. Row i is the batch average of ``advantage_i * grad log
     pi``, i.e. the gradient of objective i's surrogate at the batch's
-    ``params`` (where all likelihood ratios equal one). The mean network's
-    pass and backprops write into ``workspace[1:]`` (see
-    ``hidden_workspace``), or into new arrays if None.
+    ``params`` (where all likelihood ratios equal one), computed in the
+    params' dtype and returned as float64. The mean network's pass and
+    backprops write into ``workspace[1:]`` (see ``hidden_workspace``), or
+    into new arrays if None.
     """
     adv = batch.advantages
     if normalize_advantages:
@@ -545,20 +570,23 @@ def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
     hid, work = (None, None) if workspace is None else _passes(workspace)
     mean_pass = policy.net.forward(policy._net_params(batch.params), batch.states, hid)
     _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
-    G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2)
+    G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2,
+                 dtype=np.float64)
     if not np.all(np.isfinite(G)):
         raise ValueError("gradient estimate has non-finite entries")
     return G
 
 
 class _Adam:
+    """Adam on ``params``-shaped state of the params' dtype."""
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shape, lr: float):
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.scratch = np.empty(shape), np.empty(shape)
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.scratch = np.empty_like(params), np.empty_like(params)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -593,9 +621,9 @@ class _SGD:
     fine-tuning against undirected drift.
     """
 
-    def __init__(self, shape, lr: float):
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.scratch = np.empty(shape)
+        self.scratch = np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """``params -= lr * grad``, in place."""
@@ -623,8 +651,10 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     collapsed with the simplex weights ``omega``; by linearity this ascends
     the same direction as the omega-weighted combination of per-objective
     surrogates. The critic regresses its per-objective return targets with
-    the same optimizer settings. Both networks' passes and backprops write
-    into ``workspace[1:]`` (see ``hidden_workspace``), or into one set of
+    the same optimizer settings. The scalarized advantages and the return
+    targets are cast to the params' dtype once, and the optimizers' state is
+    of that dtype. Both networks' passes and backprops write into
+    ``workspace[1:]`` (see ``hidden_workspace``), or into one set of
     ``_MeanNet.buffers`` made here if None. Returns the updated (params,
     critic_params) snapshots; the batch is not mutated.
     """
@@ -636,7 +666,9 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     adv = batch.advantages
     if update.normalize_advantages:
         adv = normalize_per_objective(adv)
-    scalar_adv = (adv @ omega[..., None])[..., 0]
+    dtype = batch.params.dtype
+    scalar_adv = (adv @ omega[..., None])[..., 0].astype(dtype, copy=False)
+    returns = batch.returns.astype(dtype, copy=False)
     n = scalar_adv.shape[-1]
     positive = scalar_adv >= 0.0
 
@@ -650,13 +682,13 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
     critic_layers = critic.net.split(critic_params)
-    hid, work = policy.net.buffers(rows) if workspace is None else _passes(workspace)
-    mu, values = np.empty(rows + (policy.action_dim,)), np.empty(rows + (m,))
+    hid, work = policy.net.buffers(rows, dtype) if workspace is None else _passes(workspace)
+    mu, values = np.empty(rows + (policy.action_dim,), dtype), np.empty(rows + (m,), dtype)
     grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr
-    policy_opt = _OPTIMIZERS[update.optimizer](params.shape, lr)
+    policy_opt = _OPTIMIZERS[update.optimizer](params, lr)
     # The critic is plain regression; Adam keeps it robust under either choice.
-    critic_opt = _Adam(critic_params.shape, lr if update.optimizer == "adam" else min(lr, 5e-3))
+    critic_opt = _Adam(critic_params, lr if update.optimizer == "adam" else min(lr, 5e-3))
     # The critic's first epoch reads the batch's pass, made under these params.
     critic_pass = (batch.values, (critic_layers, states, batch.critic_hidden))
     for epoch in range(update.epochs):
@@ -675,5 +707,5 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
             critic.net.apply(critic_layers, states, values, hid)
             critic_pass = (values, (critic_layers, states, hid))
         critic_opt.step(critic_params,
-                        critic.mse_grad(critic_pass, batch.returns, critic_grad, work))
+                        critic.mse_grad(critic_pass, returns, critic_grad, work))
     return params, critic_params

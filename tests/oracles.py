@@ -319,10 +319,10 @@ class PerLaneTrainer(Trainer):
 
     Only the generation step is replaced, by the loop the stacked one
     replaced: each lane runs its collect-and-update iterations on lane-less
-    ``(d,)`` params, each snapshot is evaluated by its own ``evaluate`` call
-    and offered to the archive as soon as it exists. The planning of the
-    lanes is the trainer's own. The stacked trainer must reproduce it byte
-    for byte.
+    ``(d,)`` params, cast to the networks' dtype from its start, each
+    snapshot is evaluated by its own ``evaluate`` call and offered to the
+    archive as soon as it exists. The planning of the lanes is the trainer's
+    own. The stacked trainer must reproduce it byte for byte.
     """
 
     def _train_lane(self, params, critic_params, iters, snapshot_every, rng, fixed_weights):
@@ -353,8 +353,11 @@ class PerLaneTrainer(Trainer):
                 critic_params = self.critic.init_params(rng, evolution._INIT_SCALE)
             else:
                 params, critic_params = origin.params, origin.critic_params
+            # The lane trains in the networks' dtype, cast from its start as the trainer's is.
             snapshots, fallbacks = self._train_lane(
-                params, critic_params, iters, snapshot_every, rng, fixed_weights)
+                params.astype(evolution.NETWORK_DTYPE),
+                critic_params.astype(evolution.NETWORK_DTYPE),
+                iters, snapshot_every, rng, fixed_weights)
             total_fallbacks += fallbacks
             for snap_params, snap_critic in snapshots:
                 entry = PolicyEntry(f"ckpt_{state.next_ref:06d}", self.evaluate(snap_params),
@@ -369,6 +372,7 @@ class PerLaneTrainer(Trainer):
 
 
 # --- allocating PPO update ----------------------------------------------
+# Each oracle computes in its params' dtype, as the functions it checks do.
 
 def _net_forward(net, params, states):
     """Outputs, layers and hidden activations of ``net``, each product a new array."""
@@ -392,7 +396,7 @@ def gaussian_act(policy, params, states, noise=None):
 
 
 def _net_backprop(net, layers, states, hid, d_out):
-    grad = np.empty(d_out.shape[:-2] + (net.num_params,))
+    grad = np.empty(d_out.shape[:-2] + (net.num_params,), d_out.dtype)
     if net.hidden > 0:
         d_hid = (d_out @ layers[1][0].swapaxes(-1, -2)) * (1.0 - hid * hid)
         grads = [(d_hid, states), (d_out, hid)]
@@ -432,7 +436,8 @@ def _policy_score(policy, params, states, actions):
     active = (raw > policy.log_std_min) & (raw < policy.log_std_max)
 
     def grad(coeffs):
-        out = np.empty(params.shape)
+        coeffs = np.asarray(coeffs, dtype=params.dtype)
+        out = np.empty_like(params)
         d_mu = coeffs[..., None] * residual * inv_var
         out[..., :k] = _net_backprop(policy.net, layers, states, hid, d_mu)
         d_log_std = (coeffs[..., None, :] @ zsq_minus_one)[..., 0, :]
@@ -443,11 +448,11 @@ def _policy_score(policy, params, states, actions):
 
 
 def gradient_set(policy, batch, normalize_advantages):
-    """``estimate_gradient_set`` through ``_policy_score`` and ``normalize_mean_std``."""
+    """``estimate_gradient_set`` through ``_policy_score`` and ``normalize_mean_std``, as float64."""
     adv = normalize_mean_std(batch.advantages) if normalize_advantages else batch.advantages
     n, m = adv.shape[-2:]
     _, grad = _policy_score(policy, batch.params, batch.states, batch.actions)
-    return np.stack([grad(adv[..., i] / n) for i in range(m)], axis=-2)
+    return np.stack([grad(adv[..., i] / n) for i in range(m)], axis=-2).astype(np.float64)
 
 
 def _critic_grad(critic, params, states, targets):
@@ -459,8 +464,8 @@ def _critic_grad(critic, params, states, targets):
 class _AllocatingAdam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shape, lr):
-        self.lr, self.m, self.v, self.t = lr, np.zeros(shape), np.zeros(shape), 0
+    def __init__(self, params, lr):
+        self.lr, self.m, self.v, self.t = lr, np.zeros_like(params), np.zeros_like(params), 0
 
     def step(self, params, grad):
         self.t += 1
@@ -472,7 +477,7 @@ class _AllocatingAdam:
 
 
 class _AllocatingSGD:
-    def __init__(self, shape, lr):
+    def __init__(self, params, lr):
         self.lr = lr
 
     def step(self, params, grad):
@@ -487,20 +492,21 @@ def ppo_update_allocating(policy, critic, batch, omega, update):
 
     Every network pass allocates its hidden-layer arrays afresh and the
     optimizers rebuild their moment arrays each step; the result must
-    match the buffered update byte for byte.
+    match the buffered update byte for byte. The scalarized advantages and
+    the return targets are cast to the params' dtype.
     """
     params, critic_params = batch.params, batch.critic_params
     omega = validate_weights(np.asarray(omega, dtype=float))
     adv = batch.advantages
     if update.normalize_advantages:
         adv = normalize_mean_std(adv)
-    scalar_adv = (adv @ omega[..., None])[..., 0]
+    scalar_adv = (adv @ omega[..., None])[..., 0].astype(params.dtype)
+    returns = batch.returns.astype(params.dtype)
     n = scalar_adv.shape[-1]
     lr = update.lr
     opt = {"adam": _AllocatingAdam, "sgd": _AllocatingSGD}[update.optimizer]
-    policy_opt = opt(params.shape, lr)
-    critic_opt = _AllocatingAdam(critic_params.shape,
-                                 lr if update.optimizer == "adam" else min(lr, 5e-3))
+    policy_opt = opt(params, lr)
+    critic_opt = _AllocatingAdam(critic_params, lr if update.optimizer == "adam" else min(lr, 5e-3))
     for epoch in range(update.epochs):
         log_probs, grad = _policy_score(policy, params, batch.states, batch.actions)
         if epoch == 0:
@@ -509,7 +515,7 @@ def ppo_update_allocating(policy, critic, batch, omega, update):
         active = np.where(scalar_adv >= 0.0, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
         coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
         params = policy_opt.step(params, -grad(coeffs))
-        value_grad = _critic_grad(critic, critic_params, batch.states, batch.returns)
+        value_grad = _critic_grad(critic, critic_params, batch.states, returns)
         critic_params = critic_opt.step(critic_params, value_grad)
     return params, critic_params
 

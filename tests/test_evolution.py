@@ -467,14 +467,15 @@ class TestTrainingLoop:
 
     def test_zero_warmup_iters_keeps_random_init(self):
         # With no warmup budget the stored population parameters are the
-        # raw initializations from each lane's stream.
+        # raw initializations from each lane's stream, cast to the networks'
+        # dtype as the trainer casts every start.
         trainer = make_trainer(M=0, m_w=0)
         state = trainer.run_training()
         for lane, member in enumerate(state.population):
             rng = trainer._lane_rng(0, lane)
             expected = trainer.policy.init_params(
                 rng, weight_scale=evolution._INIT_SCALE, log_std_init=evolution._LOG_STD_INIT
-            )
+            ).astype(evolution.NETWORK_DTYPE)
             np.testing.assert_array_equal(member.params, expected)
 
     @pytest.mark.parametrize("reference_point, message", [

@@ -14,10 +14,11 @@ from moascent import policy as policy_module
 from moascent.archive import (NonDominatedSet, PolicyEntry, frontier_document, frontier_entries,
                               hypervolume, parse_frontier, sparsity)
 from moascent.config import apply_overrides, load_config
-from moascent.evolution import Trainer
+from moascent.evolution import NETWORK_DTYPE, Trainer
 from moascent.harness import (
     METRICS_HEADER,
     ConfigError,
+    _read_stack,
     load_checkpoint,
     main,
     read_metrics_csv,
@@ -61,16 +62,18 @@ def resolved_text(cfg) -> str:
 def stored_run(tmp_path, rows):
     """A run directory whose frontier entry k is the policy ``rows[k]``, stored as ``run_seed`` does.
 
-    ``config.yaml`` is ``TINY`` resolved.
+    ``config.yaml`` is ``TINY`` resolved, and each entry's critic is zeros.
+    Each row is cast to the networks' dtype, as every snapshot a run stores is.
     """
     cfg = resolve_config(TINY)
+    critic = np.zeros(Trainer(cfg, 0).critic.num_params)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / "config.yaml").write_text(yaml.safe_dump(asdict(cfg), sort_keys=True))
     archive = NonDominatedSet()
     for k, params in enumerate(rows):  # ascending objectives keep the rows in order
         archive.insert(PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
-                                   params, np.zeros(3)))
+                                   params.astype(NETWORK_DTYPE), critic))
     save_checkpoint(run_dir / "checkpoints", frontier_entries(archive))
     doc = frontier_document(archive, "tiny", cfg.evolution.reference_point)
     (run_dir / "frontier.json").write_text(json.dumps(doc))
@@ -304,6 +307,22 @@ class TestCheckpointIO:
             stack = np.load(run_dir / "checkpoints" / name, allow_pickle=False)
             assert stack.shape[0] == len(doc["entries"])
 
+    @pytest.mark.parametrize("name", ["policy.npy", "critic.npy"])
+    def test_store_rows_are_float32_exact(self, tmp_path, monkeypatch, name):
+        # The networks train in float32, so every row of both files is a
+        # float32 value: the store reader takes a trained store as written and
+        # names a row nudged by one float64 ulp.
+        run_dir, _, _ = train_keeping_state(tmp_path, monkeypatch)
+        path = run_dir / "checkpoints" / name
+        stack = np.load(path)
+        rows, width = stack.shape
+        assert _read_stack(path, rows, width).tobytes() == stack.tobytes()
+        stack[-1, 0] = np.nextafter(stack[-1, 0], -np.inf)
+        np.save(path, stack)
+        with pytest.raises(ValueError, match=re.escape(f"{path} row {rows - 1} is not "
+                                                       "float32-exact")):
+            _read_stack(path, rows, width)
+
     def test_corrupt_length_rejected(self, tmp_path):
         policy = GaussianPolicy(1, 2, hidden=8)
         run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)] * 2)
@@ -471,6 +490,22 @@ class TestDamagedStore(_StoredRunCase):
         np.save(path, stack)
         assert eval_run(run_dir, "--entry", "0") == 1
         self.assert_named(capsys, str(path), "row 2 holds a non-finite value")
+
+    @pytest.mark.parametrize("name", ["policy.npy", "critic.npy"])
+    def test_row_that_is_not_float32_exact_named(self, tmp_path, capsys, name):
+        # Networks train in float32, so every stored row is a float32 value. A
+        # store trained in float64 (or edited) would roll out other params than
+        # the ones its frontier.json scored, so eval refuses it by name. It
+        # reads the critic's file as well, which it used to skip.
+        run_dir = self.run(tmp_path)
+        path = run_dir / "checkpoints" / name
+        assert eval_run(run_dir, "--entry", "0") == 0
+        capsys.readouterr()
+        stack = np.load(path)
+        stack[1, 4] = np.nextafter(stack[1, 4], np.inf)
+        np.save(path, stack)
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, str(path), "row 1 is not float32-exact")
 
     @pytest.mark.parametrize("entry", ["3", "-1"])
     def test_entry_out_of_range_named(self, tmp_path, capsys, entry):
@@ -718,7 +753,8 @@ class TestEvalCommand:
     def test_single_episode_equals_mo_return(self, tmp_path, capsys):
         env = make_env("mo_quadratic")
         policy = GaussianPolicy(1, 2, hidden=8)
-        params = policy.init_params(np.random.default_rng(3), 0.1, -0.5)
+        # The stored row and the rollout both hold the params in the networks' dtype.
+        params = policy.init_params(np.random.default_rng(3), 0.1, -0.5).astype(NETWORK_DTYPE)
         run_dir = stored_run(tmp_path, [params])
         assert eval_run(run_dir, "--entry", "0", "--episodes", "1") == 0
         _, _, rewards, _ = run_episode(env, policy, params, [0])

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moascent.config import ConfigError, PolicyConfig
+from moascent import evolution
+from moascent import policy as policy_module
+from moascent.evolution import NETWORK_DTYPE
+from moascent.harness import build_trainer, resolve_config
 from moascent.momdp import MoPoint, MoQuadratic, make_env, mo_return
 from moascent.policy import (
     _GAE_LAMBDA,
@@ -25,6 +29,8 @@ from moascent.policy import (
 )
 
 from .oracles import (
+    _net_backprop,
+    _net_forward,
     _policy_score,
     gaussian_act,
     gradient_set,
@@ -518,6 +524,140 @@ def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, nor
     assert got[1].tobytes() == want[1].tobytes()
     clamped = policy.net.num_params
     assert got[0][..., clamped].tobytes() == params[..., clamped].tobytes()
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
+@pytest.mark.parametrize("hidden", [0, 1, 8])
+@pytest.mark.parametrize("action_dim", [1, 2, 3, 8])
+def test_float32_passes_match_the_oracle_bytes(action_dim, hidden, lanes):
+    # With float32 params every pass, backprop and head computes in float32
+    # and gives the bytes of the oracles run at float32; the gradient set
+    # comes back as float64. A hidden layer of 1, a 1-D and an 8-D action
+    # take the np.sum branches of the row sums.
+    rng = np.random.default_rng(10 * action_dim + hidden)
+    policy = GaussianPolicy(3, action_dim, hidden)
+    net, k, count = policy.net, policy.net.num_params, int(np.prod(lanes))
+    params = np.stack([policy.init_params(rng, 0.5, -0.5) for _ in range(count)])
+    params[:, k:] += rng.uniform(-1.0, 1.0, (count, action_dim))
+    params[:, k] = policy.log_std_min
+    params = params.reshape(lanes + (-1,)).astype(np.float32)
+    rows = 64
+    states = rng.standard_normal(lanes + (rows, 3)).astype(np.float32)
+    actions = 2.0 * rng.standard_normal(lanes + (rows, action_dim)).astype(np.float32)
+    d_out = rng.standard_normal(lanes + (rows, action_dim)).astype(np.float32)
+    advantages = rng.standard_normal(lanes + (rows, 2))
+
+    mu, cache = net.forward(params[..., :k], states)
+    want_mu, layers, hid = _net_forward(net, params[..., :k], states)
+    assert mu.dtype == np.float32 and mu.tobytes() == want_mu.tobytes()
+    assert hid is None or cache[2].tobytes() == hid.tobytes()
+    grad = net.backprop(cache, d_out)
+    assert grad.dtype == np.float32
+    assert grad.tobytes() == _net_backprop(net, layers, states, hid, d_out).tobytes()
+
+    log_probs, score_grad = policy.score(params, states, actions)
+    want_log_probs, want_grad = _policy_score(policy, params, states, actions)
+    coeffs = advantages[..., 0] / rows
+    assert log_probs.dtype == np.float32 and log_probs.tobytes() == want_log_probs.tobytes()
+    got = score_grad(coeffs)
+    assert got.dtype == np.float32 and got.tobytes() == want_grad(coeffs).tobytes()
+
+    batch = RolloutBatch(states=states, actions=actions, advantages=advantages,
+                         returns=advantages, params=params,
+                         critic_params=np.zeros(lanes + (1,), np.float32),
+                         values=advantages.astype(np.float32), critic_hidden=None)
+    for normalize in (True, False):
+        G = estimate_gradient_set(policy, batch, normalize)
+        assert G.dtype == np.float64
+        assert G.tobytes() == gradient_set(policy, batch, normalize).tobytes(), normalize
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("hidden, action_dim", [(0, 2), (8, 2), (1, 2), (8, 1), (8, 8)],
+                         ids=["0", "8", "1", "8-1d-action", "8-8d-action"])
+def test_float32_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, normalize,
+                                                      lanes):
+    # The float32 update, its optimizer state included, reproduces the
+    # allocating oracle run on the same float32 batch, byte for byte.
+    targets = [np.linspace(1.0, -0.5, action_dim), np.linspace(-0.5, 1.0, action_dim)]
+    env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic(targets, gamma=0.99)
+    episodes = 20 // env.spec.horizon
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
+    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
+    rng = np.random.default_rng(22)
+    count = int(np.prod(lanes))
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)])
+    params[:, policy.net.num_params] = policy.log_std_min
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(count)])
+    params = params.reshape(lanes + (-1,)).astype(np.float32)
+    critic_params = critic_params.reshape(lanes + (-1,)).astype(np.float32)
+    rngs = rng if not lanes else [np.random.default_rng(lane) for lane in range(count)]
+    batch = collect_batch(env, policy, params, critic, critic_params, episodes, rngs)
+    omega = np.broadcast_to([0.3, 0.7], lanes + (2,))
+    update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer,
+                          normalize_advantages=normalize)
+    got = ppo_update(policy, critic, batch, omega, update)
+    want = ppo_update_allocating(policy, critic, batch, omega, update)
+    assert got[0].dtype == got[1].dtype == np.float32
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[0].tobytes() != params.tobytes()
+
+
+def test_trainer_passes_stay_in_the_network_dtype(monkeypatch):
+    # One collect, gradient set and update at the point workload's shapes,
+    # on the trainer's workspace. Every network-side array stays float32 and
+    # every learning signal the solver, GAE and the archive read stays
+    # float64. A silent upcast would keep every output valid and only cost
+    # the speed, so nothing else would catch it.
+    cfg = resolve_config({"experiment": "dtype", "env": {"name": "mo_point"},
+                          "evolution": {"M": 2, "p": 4, "m_w": 5, "m_iters": 5}})
+    trainer = build_trainer(cfg, 0)
+    policy, critic, workspace = trainer.policy, trainer.critic, trainer.workspace
+    rng = np.random.default_rng(0)
+    params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(4)],
+                      dtype=NETWORK_DTYPE)
+    critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(4)],
+                             dtype=NETWORK_DTYPE)
+    assert NETWORK_DTYPE == np.float32 and workspace.dtype == np.float32
+    gae_inputs = []
+
+    def recording_gae(rewards, values, last_values, gamma, lam):
+        gae_inputs.append((rewards.dtype, values.dtype, last_values.dtype))
+        return gae(rewards, values, last_values, gamma, lam)
+
+    monkeypatch.setattr(policy_module, "gae", recording_gae)
+    batch = collect_batch(trainer.env, policy, params, critic, critic_params,
+                          cfg.policy.batch_episodes, [np.random.default_rng(k) for k in range(4)],
+                          workspace)
+    G = estimate_gradient_set(policy, batch, cfg.policy.normalize_advantages, workspace)
+    new_params, new_critic = ppo_update(policy, critic, batch, np.full((4, 2), 0.5), cfg.policy,
+                                        workspace)
+    for name, array in (("params", new_params), ("critic_params", new_critic),
+                        ("states", batch.states), ("actions", batch.actions),
+                        ("values", batch.values), ("critic_hidden", batch.critic_hidden),
+                        ("batch.params", batch.params), ("workspace", workspace)):
+        assert array.dtype == np.float32, name
+    assert np.shares_memory(batch.critic_hidden, workspace)
+    assert gae_inputs == [(np.dtype(np.float64),) * 3]
+    for name, array in (("advantages", batch.advantages), ("returns", batch.returns),
+                        ("G", G), ("objectives", trainer.evaluate(new_params))):
+        assert array.dtype == np.float64, name
+    assert G.shape == (4, 2, policy.num_params)
+
+    # The trainer casts every lane's start, so each of its updates runs on float32.
+    updated = []
+
+    def recording(policy, critic, batch, *args):
+        updated.append((batch.params.dtype, batch.critic_params.dtype))
+        return ppo_update(policy, critic, batch, *args)
+
+    monkeypatch.setattr(evolution, "ppo_update", recording)
+    state = trainer.run_training()
+    assert updated and set(updated) == {(np.dtype(np.float32),) * 2}
+    assert all(e.params.dtype == np.float64 for e in state.archive)
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

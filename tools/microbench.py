@@ -75,30 +75,43 @@ script uses the ``src/`` of the tree it sits in, so a copy of it measures
 another checkout. Set ``OPENBLAS_NUM_THREADS=1`` (as the benchmark does)
 for numbers comparable with ``perfbench``.
 
+The network rows (rollouts, collects, updates, the gradient set,
+``score`` and ``backprop``) run their params, buffers and gradients in the
+dtype the tree's trainer runs its networks in, ``NETWORK_DTYPE`` (float64
+in a tree without one), so they time what a run runs.
+
 ``--against <tree>`` compares this tree (the change) with another checkout
-(the parent) in one process:
+(the parent), each tree in processes of its own:
 
     python3 tools/microbench.py --against ../parent
 
-It imports ``<tree>/src/moascent`` as the package ``moascent_against``,
-builds both trees' rows at this tree's shapes, and for each row times 15
-rounds (9 with ``--quick``) of one repeat of each tree, the same number of
-calls each, the change first in even rounds and the parent first in odd
-ones. A repeat makes as many calls as the faster tree needs to last
-0.05 s (0.2 s without ``--quick``). A row prints the medians of both, and
-the median and quartiles of the per-round change/parent ratios. A row
-whose quartiles span 1.0 is marked unresolved: it cannot tell the trees
-apart. The converse does not hold, so one run is no evidence of a change. On a shared 2-core host,
-two ``--quick --against .`` runs, each comparing the tree with itself,
-read medians of 0.823-1.098 and 0.891-1.189 across their 26 rows, and
-4 and 2 of those rows had both quartiles on one side of 1.0;
-``backprop.point`` was one of them in both runs (0.823 and 0.891). A row
-whose first call raises ``AttributeError`` or ``TypeError`` in one tree
-(a function or method that tree lacks, or takes other arguments) is
-listed as skipped, with the error; the update rows build their batch at
-their first call, so they skip with the tree's ``collect_batch``. The
-JSON line's ``rows`` then hold ``change``, ``parent``, ``ratio``,
-``ratio_q1`` and ``ratio_q3`` per row, and ``skipped`` the rows left out.
+Every process is a fresh interpreter running this script on one tree's
+``src/``, at this tree's shapes; it times each row once, after one untimed
+call, and prints one JSON line. A first process per tree finds how many
+calls each row makes: as many as the faster tree needs to last 0.05 s
+(0.2 s without ``--quick``). Then 15 rounds (9 with ``--quick``) each run
+one process per tree, the change first in even rounds and the parent first
+in odd ones, as the benchmark's paired runs alternate. So neither tree
+shares the other's allocator state, and where each tree's arrays land in
+memory is drawn afresh every round rather than fixed for the whole
+comparison. An in-process A/B could not see allocation: with both trees in
+one process, glibc's raised mmap and trim thresholds hid the parent's page
+faults (0-4 a full-length ``point`` run instead of 73,000-74,800), and a
+tree's memory placement moved some rows by 10-20% for the whole run. A row
+prints the medians of both, and the median and quartiles of the per-round
+change/parent ratios. A row whose quartiles span 1.0 is marked
+unresolved: it cannot tell the trees apart. The converse does not hold, so
+one run is no evidence of a change: on a shared 2-core host one
+``--quick --against .`` run read medians of 0.92-1.17 across its 27 rows,
+none of them resolved, but a ``--quick`` run against a parent whose
+archive code was the same read ``archive.insert_many.3d_n1000`` at 1.202
+[1.058, 1.299]. A row whose first call raises
+``AttributeError`` or ``TypeError`` in one tree (a function or method that
+tree lacks, or takes other arguments) is listed as skipped, with the
+error; the update rows build their batch at their first call, so they
+skip with the tree's ``collect_batch``. The JSON line's ``rows`` then hold
+``change``, ``parent``, ``ratio``, ``ratio_q1`` and ``ratio_q3`` per row,
+and ``skipped`` the rows left out.
 """
 
 from __future__ import annotations
@@ -112,6 +125,7 @@ import json
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -148,14 +162,20 @@ def _trainer(mo, workload: str):
     return mo.harness.build_trainer(_resolve(mo, *_benchmark_workloads()[workload]), seed=0)
 
 
+def _dtype(mo):
+    """The dtype the tree's trainer runs its networks in (float64 before it had one)."""
+    return getattr(mo.evolution, "NETWORK_DTYPE", np.float64)
+
+
 def _lanes(mo, trainer):
-    """Initial ``(p, ·)`` policy and critic stacks and one generator per lane."""
+    """Initial ``(p, ·)`` policy and critic stacks in the trainer's dtype, one generator per lane."""
     ev = mo.evolution
     rng = np.random.default_rng(0)
     p = trainer.evolution.p
     params = np.stack([trainer.policy.init_params(rng, ev._INIT_SCALE, ev._LOG_STD_INIT)
-                       for _ in range(p)])
-    critic = np.stack([trainer.critic.init_params(rng, ev._INIT_SCALE) for _ in range(p)])
+                       for _ in range(p)]).astype(_dtype(mo))
+    critic = np.stack([trainer.critic.init_params(rng, ev._INIT_SCALE)
+                       for _ in range(p)]).astype(_dtype(mo))
     return params, critic, [np.random.default_rng(lane) for lane in range(p)]
 
 
@@ -183,24 +203,37 @@ def _replay_batches(archive_cls, front: list, offers: list, rows: np.ndarray, bo
         archive.insert_many(rows[a:b], lambda j, a=a: offers[a + j])
 
 
+def _hidden(net, rows: tuple, dtype, count: int) -> list:
+    """``count`` ``rows + (hidden,)`` buffers of ``dtype`` (None each for a linear network).
+
+    Made here rather than by ``_MeanNet.buffers``, which takes no dtype in a
+    tree from before ``NETWORK_DTYPE``, so ``--against`` such a tree still
+    runs the rows that use them.
+    """
+    return [None if net.hidden == 0 else np.empty(rows + (net.hidden,), dtype)
+            for _ in range(count)]
+
+
 def _backprop_args(policy, params: np.ndarray, states: np.ndarray) -> tuple:
     """``(cache, d_mu, grad, work)`` of the mean network's backprop from one
-    pass of ``params`` over ``states``, into a caller-owned gradient and buffers."""
+    pass of ``params`` over ``states``, into a caller-owned gradient and
+    buffers, all in the params' dtype."""
     net = policy.net
     mu, cache = net.forward(policy._net_params(params), states)
-    d_mu = np.random.default_rng(0).standard_normal(mu.shape)
-    _, work = net.buffers(mu.shape[:-1])
-    return cache, d_mu, np.empty(params.shape[:-1] + (net.num_params,)), work
+    d_mu = np.random.default_rng(0).standard_normal(mu.shape).astype(mu.dtype)
+    work = tuple(_hidden(net, mu.shape[:-1], params.dtype, 2))
+    return cache, d_mu, np.empty(params.shape[:-1] + (net.num_params,), params.dtype), work
 
 
 def _score_args(policy, batch) -> tuple:
     """``(batch, mean_pass, coeffs, out, work)`` of ``ppo_update``'s first
     epoch on ``batch``: the stack's pass over its states and the gradient's
-    weights, with a caller-owned gradient and backprop buffers."""
-    net, rows = policy.net, batch.states.shape[:-1]
+    weights, with a caller-owned gradient and backprop buffers, all in the
+    params' dtype."""
+    net, rows, dtype = policy.net, batch.states.shape[:-1], batch.params.dtype
     layers = net.split(policy._net_params(batch.params))
-    hid, work = net.buffers(rows)
-    mu = np.empty(rows + (policy.action_dim,))
+    hid, *work = _hidden(net, rows, dtype, 3)
+    mu = np.empty(rows + (policy.action_dim,), dtype)
     net.apply(layers, batch.states, mu, hid)
     coeffs = batch.advantages[..., 0] / rows[-1]
     return batch, (mu, (layers, batch.states, hid)), coeffs, np.empty_like(batch.params), work
@@ -234,7 +267,7 @@ def cases(mo, full: bool, scratch: Path) -> list:
     snapshots = -(-point.evolution.m_iters // point.evolution.snapshot_every)
     rng = np.random.default_rng(1)
     stack = np.stack([point.policy.init_params(rng, ev._INIT_SCALE, ev._LOG_STD_INIT)
-                      for _ in range(len(params) * snapshots)])
+                      for _ in range(len(params) * snapshots)]).astype(_dtype(mo))
     out.append(("run_episode.point_eval_step", spec.horizon,
                 lambda: pol.run_episode(point.env, point.policy, stack, point.eval_seeds)))
     out.append(("reset.point", 1, lambda: point.env.reset(seeds)))
@@ -349,30 +382,69 @@ def _missing_api(call):
     return None
 
 
-def compare(change: list, parent: list, rounds: int, min_repeat_s: float):
-    """Interleaved A/B timing of the rows both trees run; returns (rows, skipped)."""
-    rows, skipped = {}, {}
-    for (name, divisor, call), (_, _, other) in zip(change, parent):
-        errors = [f"{tree}: {error}" for tree, error in
-                  (("change", _missing_api(call)), ("parent", _missing_api(other))) if error]
-        if errors:
-            skipped[name] = "; ".join(errors)
-            print(f"{name:30s} skipped ({skipped[name]})", flush=True)
+def time_rows(rows: list, calls: dict | None, min_repeat_s: float) -> dict:
+    """One repeat of each row, after one untimed call: ``{"rows", "calls", "skipped"}``.
+
+    ``calls`` gives each row's number of calls; a row missing from it makes
+    as many as last ``min_repeat_s``. A row whose untimed call raises
+    ``AttributeError`` or ``TypeError`` is skipped, with the error.
+    """
+    out = {"rows": {}, "calls": {}, "skipped": {}}
+    for name, divisor, call in rows:
+        error = _missing_api(call)
+        if error:
+            out["skipped"][name] = error
             continue
-        number = max(_calls_per_repeat(fn, min_repeat_s) for fn in (call, other))
-        ours, theirs = [], []
-        sides = ((call, ours), (other, theirs))
-        for r in range(rounds):
-            for fn, times in sides[::-1] if r % 2 else sides:
-                times.append(_repeat(fn, number) / divisor)
-        ratios = [a / b for a, b in zip(ours, theirs)]
-        q1, ratio, q3 = statistics.quantiles(ratios, n=4)
+        number = (calls or {}).get(name) or _calls_per_repeat(call, min_repeat_s)
+        out["calls"][name] = number
+        out["rows"][name] = _repeat(call, number) / divisor
+    return out
+
+
+def _tree_process(tree: Path, args, calls: dict | None) -> dict:
+    """``time_rows`` of ``tree``'s rows, run in a fresh interpreter of its own."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--tree", str(tree)]
+    argv += ["--quick"] * args.quick + ["--full"] * args.full
+    if calls is not None:
+        argv += ["--calls", json.dumps(calls)]
+    done = subprocess.run(argv, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def compare(args, rounds: int) -> tuple[dict, dict]:
+    """Per-row change/parent ratios over alternating rounds of one process per tree.
+
+    A first process per tree finds each row's number of calls, the larger
+    of the two; then each round times every row once in a fresh process of
+    each tree, the change first in even rounds and the parent first in odd
+    ones. Returns (rows, skipped).
+    """
+    trees = {"change": HERE, "parent": args.against.resolve()}
+    first = {side: _tree_process(tree, args, None) for side, tree in trees.items()}
+    skipped = {}
+    for side, report in first.items():
+        for name, error in report["skipped"].items():
+            skipped[name] = "; ".join(filter(None, [skipped.get(name), f"{side}: {error}"]))
+    calls = {name: max(first["change"]["calls"][name], first["parent"]["calls"][name])
+             for name in first["change"]["calls"] if name not in skipped}
+    times = {side: {name: [] for name in calls} for side in trees}
+    for r in range(rounds):
+        for side in (("parent", "change") if r % 2 else ("change", "parent")):
+            report = _tree_process(trees[side], args, calls)
+            for name in calls:
+                times[side][name].append(report["rows"][name])
+    rows = {}
+    for name in calls:
+        ours, theirs = times["change"][name], times["parent"][name]
+        q1, ratio, q3 = statistics.quantiles([a / b for a, b in zip(ours, theirs)], n=4)
         rows[name] = {"change": statistics.median(ours), "parent": statistics.median(theirs),
                       "ratio": ratio, "ratio_q1": q1, "ratio_q3": q3}
         print(f"{name:30s} {rows[name]['change'] * 1e6:12.1f} us  parent "
               f"{rows[name]['parent'] * 1e6:12.1f} us  ratio {ratio:.3f} "
               f"[{q1:.3f}, {q3:.3f}]{'' if q1 > 1.0 or q3 < 1.0 else '  unresolved'}",
               flush=True)
+    for name, error in skipped.items():
+        print(f"{name:30s} skipped ({error})", flush=True)
     return rows, skipped
 
 
@@ -383,23 +455,26 @@ def main(argv=None) -> int:
                              "with --against), for a smoke check")
     parser.add_argument("--full", action="store_true", help="add _gap_edges at n=500")
     parser.add_argument("--against", type=Path, metavar="TREE",
-                        help="compare with the checkout TREE, interleaved in this process")
+                        help="compare with the checkout TREE, one process per tree and round")
+    # One process of --against: time the rows of TREE's src/ once, print one JSON line.
+    parser.add_argument("--tree", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--calls", type=json.loads, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     repeats, min_repeat_s = (3, 0.01) if args.quick else (9, 0.2)
     with tempfile.TemporaryDirectory(prefix="microbench-") as scratch:
         scratch = Path(scratch)
-        (scratch / "change").mkdir()
-        (scratch / "parent").mkdir()
-        change = cases(load_tree(HERE / "src", "moascent"), args.full, scratch / "change")
         report = {"python": platform.python_version(), "numpy": np.__version__}
+        if args.tree:
+            change = cases(load_tree(args.tree.resolve() / "src", "moascent"), args.full, scratch)
+            print(json.dumps(time_rows(change, args.calls, max(min_repeat_s, MIN_ROUND_S))))
+            return 0
         if args.against:
             rounds = 9 if args.quick else 15
-            parent = cases(load_tree(args.against.resolve() / "src", "moascent_against"),
-                           args.full, scratch / "parent")
-            rows, skipped = compare(change, parent, rounds, max(min_repeat_s, MIN_ROUND_S))
+            rows, skipped = compare(args, rounds)
             report.update(against=str(args.against), rounds=rounds, rows=rows, skipped=skipped)
         else:
             rows = {}
+            change = cases(load_tree(HERE / "src", "moascent"), args.full, scratch)
             for name, divisor, call in change:
                 rows[name] = time_call(call, repeats, min_repeat_s) / divisor
                 print(f"{name:30s} {rows[name] * 1e6:12.1f} us", flush=True)
