@@ -375,14 +375,18 @@ class PerLaneTrainer(Trainer):
 # Each oracle computes in its params' dtype, as the functions it checks do.
 
 def _net_forward(net, params, states):
-    """Outputs, layers and hidden activations of ``net``, each product a new array."""
+    """Outputs, layers and hidden activations of ``net``, each product a new array.
+
+    Each product is rounded to the params' dtype before its bias is added,
+    as a pass of float64 states through float32 params rounds it.
+    """
     layers = net.split(params)
     inputs, hid = states, None
     if net.hidden > 0:
         w1t, b1 = layers[0]
-        hid = inputs = np.tanh(states @ w1t + b1)
+        hid = inputs = np.tanh((states @ w1t).astype(params.dtype, copy=False) + b1)
     wt, b = layers[-1]
-    return inputs @ wt + b, layers, hid
+    return (inputs @ wt).astype(params.dtype, copy=False) + b, layers, hid
 
 
 def gaussian_act(policy, params, states, noise=None):

@@ -18,6 +18,7 @@ from moascent.policy import (
     GaussianPolicy,
     RolloutBatch,
     VectorCritic,
+    _MeanNet,
     _row_sum,
     collect_batch,
     estimate_gradient_set,
@@ -570,6 +571,37 @@ def test_float32_passes_match_the_oracle_bytes(action_dim, hidden, lanes):
         G = estimate_gradient_set(policy, batch, normalize)
         assert G.dtype == np.float64
         assert G.tobytes() == gradient_set(policy, batch, normalize).tobytes(), normalize
+
+
+@pytest.mark.parametrize("rows", [1, 32, 150])
+@pytest.mark.parametrize("lanes", [(), (8,), (2, 3)], ids=["lane-less", "stack", "grid"])
+@pytest.mark.parametrize("hidden", [0, 1, 32])
+@pytest.mark.parametrize("in_dim", [1, 3])
+@pytest.mark.parametrize("states_dtype, params_dtype",
+                         [(np.float32, np.float32), (np.float64, np.float64),
+                          (np.float64, np.float32)], ids=["float32", "float64", "rollout"])
+def test_length_one_products_match_the_matmul_oracle(states_dtype, params_dtype, in_dim, hidden,
+                                                     lanes, rows):
+    # A one-input first layer or linear map, and a hidden-1 output layer,
+    # contract over one value; each pass gives the plain-@ oracle's bytes,
+    # its hidden layer included. Zero states (quad's are all zero) and
+    # biases with exact -0.0 entries keep the sign of each zero product:
+    # a matmul adds it to +0.0, so 0.0 * w and -0.0 * w come out +0.0.
+    rng = np.random.default_rng(100 * in_dim + hidden + rows)
+    net = _MeanNet(in_dim, 2, hidden)
+    params = (0.5 * rng.standard_normal(lanes + (net.num_params,))).astype(params_dtype)
+    for _, bias in net.split(params):
+        bias[..., 0::2] = -0.0
+        bias[..., 1::4] = 0.0
+    states = rng.standard_normal(lanes + (rows, in_dim)).astype(states_dtype)
+    states[..., 0::3, :] = 0.0
+    states[..., 1::3, :] = -0.0
+
+    out, (_, _, hid) = net.forward(params, states)
+    want_out, _, want_hid = _net_forward(net, params, states)
+    assert out.dtype == want_out.dtype == params_dtype
+    assert out.tobytes() == want_out.tobytes()
+    assert hid is None or hid.tobytes() == want_hid.tobytes()
 
 
 @pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])

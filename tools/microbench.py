@@ -10,14 +10,15 @@ Times one call of each function below, many times over, in this process:
 - ``reset`` of the ``point`` workload's environment: on the ``(p, episodes)``
   reset seeds of a training rollout (``reset.point``) and on the run's
   ``(eval.episodes,)`` evaluation seeds (``reset.point_eval``);
-- ``train_lanes.point``: one ``Trainer._train_lanes`` call, the training
-  of one generation: the ``point`` workload's p ascent lanes, ``m_iters``
-  collect-and-update iterations with one gradient set, on a trainer built
-  once, whose lane generators advance from call to call. Unlike the
-  single-call update rows it sees allocation across calls as a run does:
-  counted with ``ru_minflt`` on a shared 2-core host, it took about
-  1,800-2,000 minor faults a call when each call allocated its own
-  hidden-layer buffers, and none with the trainer's workspace.
+- ``train_lanes`` at the ``quad2`` and ``point`` workloads' shapes: one
+  ``Trainer._train_lanes`` call, the training of one generation: the
+  workload's p ascent lanes, ``m_iters`` collect-and-update iterations
+  with one gradient set, on a trainer built once, whose lane generators
+  advance from call to call. Unlike the single-call update rows it sees
+  allocation across calls as a run does: counted with ``ru_minflt`` on a
+  shared 2-core host, ``train_lanes.point`` took about 1,800-2,000 minor
+  faults a call when each call allocated its own hidden-layer buffers,
+  and none with the trainer's workspace.
   ``backprop.point`` and ``score.point`` take no fault a call in either
   tree, and ``ppo_update.point`` 224 in both, so faults do not explain how
   far memory placement moves those rows (see ``--against`` below);
@@ -28,6 +29,9 @@ Times one call of each function below, many times over, in this process:
   workloads' shapes, with their update settings;
 - ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
   batch, with its advantage normalisation;
+- ``apply.quad2``: one ``_MeanNet.apply`` of the policy's mean network
+  over the ``quad2`` workload's update batch (its p lanes, one input per
+  row), into caller-owned buffers, as each epoch of ``ppo_update`` runs it;
 - ``score.point``: ``GaussianPolicy.score`` of that batch's actions plus one
   call of its ``grad``, from one pass of the stack over the batch's states,
   in caller-owned buffers, as each epoch of ``ppo_update`` makes them;
@@ -225,18 +229,27 @@ def _backprop_args(policy, params: np.ndarray, states: np.ndarray) -> tuple:
     return cache, d_mu, np.empty(params.shape[:-1] + (net.num_params,), params.dtype), work
 
 
+def _apply_args(policy, batch) -> tuple:
+    """``(layers, states, out, hid)`` of the mean network's pass over
+    ``batch``'s states, as ``ppo_update`` runs it: the stack's split layers
+    and caller-owned outputs, in the params' dtype."""
+    net, rows, dtype = policy.net, batch.states.shape[:-1], batch.params.dtype
+    hid, = _hidden(net, rows, dtype, 1)
+    mu = np.empty(rows + (policy.action_dim,), dtype)
+    return net.split(policy._net_params(batch.params)), batch.states, mu, hid
+
+
 def _score_args(policy, batch) -> tuple:
     """``(batch, mean_pass, coeffs, out, work)`` of ``ppo_update``'s first
     epoch on ``batch``: the stack's pass over its states and the gradient's
     weights, with a caller-owned gradient and backprop buffers, all in the
     params' dtype."""
-    net, rows, dtype = policy.net, batch.states.shape[:-1], batch.params.dtype
-    layers = net.split(policy._net_params(batch.params))
-    hid, *work = _hidden(net, rows, dtype, 3)
-    mu = np.empty(rows + (policy.action_dim,), dtype)
-    net.apply(layers, batch.states, mu, hid)
+    net, rows = policy.net, batch.states.shape[:-1]
+    layers, states, mu, hid = _apply_args(policy, batch)
+    net.apply(layers, states, mu, hid)
+    work = _hidden(net, rows, batch.params.dtype, 2)
     coeffs = batch.advantages[..., 0] / rows[-1]
-    return batch, (mu, (layers, batch.states, hid)), coeffs, np.empty_like(batch.params), work
+    return batch, (mu, (layers, states, hid)), coeffs, np.empty_like(batch.params), work
 
 
 def _score(policy, batch, mean_pass, coeffs, out, work) -> np.ndarray:
@@ -273,15 +286,14 @@ def cases(mo, full: bool, scratch: Path) -> list:
     out.append(("reset.point", 1, lambda: point.env.reset(seeds)))
     eval_seeds = np.asarray(point.eval_seeds)
     out.append(("reset.point_eval", 1, lambda: point.env.reset(eval_seeds)))
-    # One generation's training of p ascent lanes on the trainer built above,
-    # whose lane generators advance from call to call.
-    train_params, train_critic, train_rngs = _lanes(mo, point)
-    out.append(("train_lanes.point", 1,
-                lambda: point._train_lanes(train_params, train_critic, point.evolution.m_iters,
-                                           point.evolution.snapshot_every, train_rngs,
-                                           [None] * len(train_rngs))))
     for workload in ("quad2", "point"):
         t = _trainer(mo, workload)
+        # One generation's training of p ascent lanes, whose lane generators
+        # advance from call to call.
+        out.append((f"train_lanes.{workload}", 1,
+                    lambda t=t, a=_lanes(mo, t):
+                    t._train_lanes(a[0], a[1], t.evolution.m_iters, t.evolution.snapshot_every,
+                                   a[2], [None] * len(a[2]))))
         params, critic, rngs = _lanes(mo, t)
         # The batch the update rows time, collected under the same snapshot at
         # its rows' first call, so a tree whose collect_batch takes other
@@ -297,6 +309,10 @@ def cases(mo, full: bool, scratch: Path) -> list:
         out.append((f"ppo_update.{workload}", 1,
                     lambda t=t, b=batch, w=omega: pol.ppo_update(t.policy, t.critic, b(), w,
                                                                  t.update)))
+        if workload == "quad2":
+            apply_args = functools.cache(lambda t=t, b=batch: _apply_args(t.policy, b()))
+            out.append(("apply.quad2", 1,
+                        lambda net=t.policy.net, a=apply_args: net.apply(*a())))
         if workload == "point":
             out.append(("estimate_gradient_set.point", 1,
                         lambda t=t, b=batch:
