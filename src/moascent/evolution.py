@@ -353,10 +353,11 @@ class Trainer:
     lanes' start stack to it, and ``evaluate`` casts the params it rolls
     out. The trainer owns one hidden-layer ``workspace`` of that dtype for
     the run (see ``hidden_workspace``), sized for ``p`` lanes of one batch
-    each and allocated untouched; a linear network (``hidden: 0``) has none.
-    Every generation's collect, gradient set and PPO update write their
-    passes into its first L lanes, so the buffers are made once per run,
-    not once per call.
+    each and allocated untouched, zero-width for a linear network
+    (``hidden: 0``). Every generation's collects take its first L lanes,
+    and each batch's gradient set and PPO update write their passes into
+    the batch's buffers, so the buffers are made once per run, not once per
+    call.
     """
 
     def __init__(self, cfg: Config, seed: int):
@@ -404,12 +405,12 @@ class Trainer:
         falls back to uniform weights for the generation. Returns the
         ``(L, K, ·)`` stacks of the K snapshots, taken every ``snapshot_every``
         iterations and after the last (the start when ``iters`` is 0), and
-        the number of stationary fallbacks. The passes write into the first L
-        lanes of the trainer's workspace.
+        the number of stationary fallbacks. Each batch is collected into the
+        first L lanes of the trainer's workspace.
         """
         upd = self.update
         m = self.env.spec.num_objectives
-        workspace = None if self.workspace is None else self.workspace[:, :len(params)]
+        workspace = self.workspace[:, :len(params)]
         ascent = [lane for lane, w in enumerate(fixed_weights) if w is None]
         weights = np.array([np.zeros(m) if w is None else w for w in fixed_weights])
         fallbacks = 0
@@ -418,12 +419,10 @@ class Trainer:
             batch = collect_batch(self.env, self.policy, params, self.critic, critic_params,
                                   upd.batch_episodes, rngs, workspace)
             if it == 0 and ascent:
-                grads = estimate_gradient_set(self.policy, batch, upd.normalize_advantages,
-                                              workspace)
+                grads = estimate_gradient_set(self.policy, batch, upd.normalize_advantages)
                 weights[ascent], fell_back = ascent_weights(grads[ascent])
                 fallbacks = int(fell_back.sum())
-            params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd,
-                                               workspace)
+            params, critic_params = ppo_update(self.policy, self.critic, batch, weights, upd)
             if (it + 1) % snapshot_every == 0 or it == iters - 1:
                 snapshots.append((params, critic_params))
         snap_params = np.stack([p for p, _ in snapshots], axis=1)

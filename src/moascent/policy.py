@@ -53,17 +53,19 @@ params once, splits their layers once as views into the copies, and
 allocates the outputs, the gradients and the optimizers' scratch once.
 Each epoch is then one pass, one backprop and one in-place optimizer step
 per network. A batch carries copies of the snapshot it was collected under
-(``params``, ``critic_params``) and the critic's pass over its states
-(``values``, ``critic_hidden``), so the gradient set and the update start
-from that snapshot and the critic's first epoch backprops from the pass
-instead of running it again.
+(``params``, ``critic_params``), the critic's pass over its states
+(``values`` and ``workspace[0]``) and its hidden-layer buffers, so the
+gradient set and the update start from that snapshot and the critic's
+first epoch backprops from the pass instead of running it again.
 
-The batch-sized hidden-layer buffers of ``collect_batch``'s critic pass,
-``estimate_gradient_set`` and ``ppo_update`` come from a caller's
-workspace (``hidden_workspace``) when one is given: the trainer owns one
-per run and passes each generation its first L lanes, so a run makes them
-once instead of faulting in fresh pages every update. Without a workspace
-each call allocates its own, ``ppo_update`` one set of three.
+``collect_batch`` is the one place a batch's hidden-layer buffers come
+from: the ``workspace`` (``hidden_workspace``) its caller gives it, or one
+it makes. ``estimate_gradient_set`` and ``ppo_update`` write their passes
+and backprops into the batch's buffers and allocate no hidden-layer array
+of their own. The trainer owns one workspace per run and passes each
+generation's collects its first L lanes, so a run makes the buffers once
+instead of faulting in fresh pages every update. A linear network's
+buffers are zero-width, and no pass touches them.
 
 A sum over the rows axis of an ``(..., rows, k)`` array (backprop's bias
 gradients, the mean and std of ``normalize_per_objective``) is one
@@ -147,10 +149,11 @@ class _MeanNet:
     with the same leading lane axes; a pass covers the whole stack at once.
     ``split`` views the layers of a parameter vector and ``apply`` runs one
     pass of them into caller-owned outputs; ``forward`` does both into a new
-    output and a given or new hidden buffer. ``backprop`` takes a pass's cache ``(layers, states, hid)``, so a
-    caller that splits once (a rollout, ``ppo_update``) runs every pass and
-    gradient on the same layers and buffers. With a hidden layer a pass
-    needs ``(..., N, hidden)`` buffers (``buffers``); a linear map needs none.
+    output and a given or new hidden buffer. ``backprop`` takes a pass's
+    cache ``(layers, states, hid)``, so a caller that splits once (a
+    rollout, ``ppo_update``) runs every pass and gradient on the same layers
+    and buffers. Its hidden-layer buffers are ``(..., N, hidden)`` arrays,
+    zero-width for a linear map, which never touches them.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int):
@@ -161,18 +164,6 @@ class _MeanNet:
             self.num_params = hidden * in_dim + hidden + out_dim * hidden + out_dim
         else:
             self.num_params = out_dim * in_dim + out_dim
-
-    def buffers(self, rows: tuple, dtype=np.float64):
-        """The ``(hid, work)`` buffers of passes over ``rows + (in_dim,)`` states.
-
-        ``hid`` is ``apply``'s hidden layer and ``work`` the ``(d_hid, scratch)``
-        pair ``backprop`` takes, all ``rows + (hidden,)`` arrays of ``dtype``,
-        the params'; a linear map gets ``(None, None)``.
-        """
-        if self.hidden == 0:
-            return None, None
-        hid, d_hid, scratch = (np.empty(rows + (self.hidden,), dtype) for _ in range(3))
-        return hid, (d_hid, scratch)
 
     def split(self, params: np.ndarray) -> list:
         """The layers of ``params``: per layer, the transposed weights
@@ -189,11 +180,11 @@ class _MeanNet:
         return layers
 
     def apply(self, layers: list, inputs: np.ndarray, out: np.ndarray,
-              hid: np.ndarray | None) -> None:
+              hid: np.ndarray) -> None:
         """One pass of split ``layers`` over ``inputs``, written to ``out``.
 
-        With a hidden layer, its tanh activations are computed in ``hid``
-        (``inputs.shape[:-1] + (hidden,)``); a linear map takes None.
+        The hidden layer's tanh activations are computed in ``hid``
+        (``inputs.shape[:-1] + (hidden,)``), which a linear map leaves untouched.
         """
         if self.hidden > 0:
             w1t, b1 = layers[0]
@@ -211,7 +202,7 @@ class _MeanNet:
         goes into ``hid``, or into a new array of that dtype if None.
         """
         out = np.empty(states.shape[:-1] + (self.out_dim,), params.dtype)
-        if hid is None and self.hidden > 0:
+        if hid is None:
             hid = np.empty(states.shape[:-1] + (self.hidden,), params.dtype)
         layers = self.split(params)
         self.apply(layers, states, out, hid)
@@ -287,7 +278,8 @@ class GaussianPolicy:
         states[t])`` and a function ``grad(coeffs, out=None, work=None)``
         giving the flat gradient of ``sum_t coeffs[t] * log pi(actions[t] |
         states[t])``, per lane, written to ``out`` (a new array if None);
-        ``work`` is the mean network's backprop pair of ``buffers``.
+        ``work`` is the mean network's backprop pair ``(d_hid, scratch)``
+        (new arrays if None).
         ``mean_pass`` is the mean network's pass ``(mu, cache)`` over the
         states under ``params``, as ``forward`` returns it, or None to make
         it here from states and actions cast to the params' dtype; with a
@@ -355,19 +347,6 @@ class VectorCritic:
         out, _ = self.net.forward(params, np.atleast_2d(np.asarray(states, dtype=params.dtype)))
         return out
 
-    def mse_grad(self, forward_pass, targets: np.ndarray, out: np.ndarray | None = None,
-                 work=None) -> np.ndarray:
-        """Gradient of ``0.5 * mean((V(s) - target)^2)``, per lane.
-
-        ``forward_pass`` is the network's pass ``(values, cache)`` over the
-        states, as ``forward`` returns it. The gradient is written to
-        ``out`` (a new array if None); ``work`` is the backprop pair of the
-        network's ``buffers``, or None to allocate.
-        """
-        values, cache = forward_pass
-        count = values.shape[-2] * values.shape[-1]
-        return self.net.backprop(cache, (values - targets) / count, out, work)
-
 
 @dataclass
 class RolloutBatch:
@@ -377,11 +356,14 @@ class RolloutBatch:
     one row per lane; every other field is ``(..., n, ·)``, one row per step
     of the episodes in order. ``actions`` are the raw sampled actions
     (before environment clamping); advantages, return targets and ``values``
-    have one column per objective. ``values`` and ``critic_hidden`` (the
-    hidden layer's tanh activations, None for a linear critic) are the
-    critic's pass over ``states``. The states, actions and critic pass are
-    in the params' dtype, the advantages and return targets float64.
-    ``critic_hidden`` may be a view of the workspace ``collect_batch`` was
+    have one column per objective. ``workspace`` is the batch's
+    ``(4, ..., n, hidden)`` array of hidden-layer buffers (see
+    ``hidden_workspace``): ``values`` and ``workspace[0]`` (the hidden
+    layer's tanh activations) are the critic's pass over ``states``, and
+    ``workspace[1:]`` are the buffers the gradient set and the update write
+    their passes into. The states, actions, critic pass and buffers are in
+    the params' dtype, the advantages and return targets float64.
+    ``workspace`` may be a view of the workspace ``collect_batch`` was
     given, valid until the next collect into that workspace. There are no
     log-probabilities: whoever needs them scores ``actions`` under
     ``params``.
@@ -394,19 +376,16 @@ class RolloutBatch:
     params: np.ndarray
     critic_params: np.ndarray
     values: np.ndarray
-    critic_hidden: np.ndarray | None
+    workspace: np.ndarray
 
     def __post_init__(self):
         rows = self.states.shape[:-1]
         if rows[-1] == 0:
             raise ValueError("empty rollout batch")
         for name, lead in (("actions", rows), ("advantages", rows), ("returns", rows),
-                           ("values", rows), ("critic_hidden", rows),
+                           ("values", rows), ("workspace", (4,) + rows),
                            ("params", rows[:-1]), ("critic_params", rows[:-1])):
-            value = getattr(self, name)
-            if name == "critic_hidden" and value is None:
-                continue
-            if value.shape[:-1] != lead:
+            if getattr(self, name).shape[:-1] != lead:
                 raise ValueError(f"batch field {name} disagrees with states in shape")
 
 
@@ -473,7 +452,7 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     # their std, once per rollout.
     net = policy.net
     layers = net.split(policy._net_params(params))
-    hid = None if net.hidden == 0 else np.empty(shape + (net.hidden,), params.dtype)
+    hid = np.empty(shape + (net.hidden,), params.dtype)
     if noise is not None:
         noise = np.multiply(np.exp(policy.log_std(params))[..., None, :],
                             noise.transpose(to_time_major), out=np.empty_like(actions))
@@ -493,22 +472,23 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     return before, actions.transpose(to_lane_major), rewards, states[..., -1, :]
 
 
-def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray | None:
-    """Untouched hidden-layer buffers for one batch of ``rows`` at a time, or None if linear.
+def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray:
+    """Untouched hidden-layer buffers for one batch of ``rows`` at a time.
 
     A ``(4,) + rows + (hidden,)`` array of ``dtype``, the networks' params'
-    dtype: ``collect_batch`` writes its critic pass into ``[0]``, and
-    ``estimate_gradient_set`` and ``ppo_update`` write their passes and
-    backprops into ``[1:]``, the ``hid``, ``d_hid`` and ``scratch`` of
-    ``_MeanNet.buffers``. So a batch's ``critic_hidden`` stays valid until
-    the next collect into the same workspace. The slice
-    ``[:, :L]`` serves a stack of the first L lanes.
+    dtype, zero-width for a linear network: ``collect_batch`` writes its
+    critic pass into ``[0]``, and ``estimate_gradient_set`` and
+    ``ppo_update`` write their passes and backprops into ``[1:]``, the
+    ``hid``, ``d_hid`` and ``scratch`` of ``_passes``. So a batch's critic
+    pass stays valid until the next collect into the same workspace. The
+    slice ``[:, :L]`` serves a stack of the first L lanes.
     """
-    return None if hidden == 0 else np.empty((4,) + rows + (hidden,), dtype)
+    return np.empty((4,) + rows + (hidden,), dtype)
 
 
 def _passes(workspace: np.ndarray):
-    """The ``(hid, (d_hid, scratch))`` buffers of a workspace, as ``_MeanNet.buffers`` gives them."""
+    """The ``(hid, (d_hid, scratch))`` buffers of a workspace: ``apply``'s
+    hidden layer and ``backprop``'s ``work`` pair."""
     _, hid, d_hid, scratch = workspace
     return hid, (d_hid, scratch)
 
@@ -525,10 +505,11 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     Advantages discount with ``env.spec.gamma`` and GAE's constant lambda.
     They bootstrap from the critic at the final states when the spec is
     ``truncated``, and from zero otherwise. The batch keeps copies of
-    ``params`` and ``critic_params`` and the critic's pass over its states,
-    cast to the params' dtype, whose hidden layer is written into
-    ``workspace[0]`` (see ``hidden_workspace``), or into a new array if None.
-    GAE runs on the critic's values cast to float64.
+    ``params`` and ``critic_params``, the critic's pass over its states,
+    cast to the params' dtype, and its hidden-layer buffers: ``workspace``
+    (see ``hidden_workspace``), or one made here for the batch if None. The
+    critic pass's hidden layer is written into ``workspace[0]``. GAE runs on
+    the critic's values cast to float64.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
     lead = params.shape[:-1]
@@ -542,8 +523,9 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     n = episodes * T
     states = states.astype(params.dtype, order="C").reshape(lead + (n, -1))
     actions = actions.reshape(lead + (n, -1))
-    values, (_, _, critic_hidden) = critic.net.forward(
-        critic_params, states, None if workspace is None else workspace[0])
+    if workspace is None:
+        workspace = hidden_workspace(critic.hidden, lead + (n,), params.dtype)
+    values, _ = critic.net.forward(critic_params, states, workspace[0])
     last_values = critic.values(critic_params, final_states) if env.spec.truncated \
         else np.zeros(lead + (episodes, m))
     # GAE and the return targets are float64 whatever the networks' dtype.
@@ -559,7 +541,7 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
         params=params.copy(),
         critic_params=critic_params.copy(),
         values=values,
-        critic_hidden=critic_hidden,
+        workspace=workspace,
     )
 
 
@@ -577,8 +559,7 @@ def normalize_per_objective(advantages: np.ndarray) -> np.ndarray:
 
 
 def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
-                          normalize_advantages: bool,
-                          workspace: np.ndarray | None = None) -> np.ndarray:
+                          normalize_advantages: bool) -> np.ndarray:
     """Per-objective policy-gradient estimates, one (d,) row per objective and lane.
 
     Returns ``(m, d)`` for a batch of ``(d,)`` params or ``(L, m, d)`` for an
@@ -586,14 +567,13 @@ def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
     pi``, i.e. the gradient of objective i's surrogate at the batch's
     ``params`` (where all likelihood ratios equal one), computed in the
     params' dtype and returned as float64. The mean network's pass and
-    backprops write into ``workspace[1:]`` (see ``hidden_workspace``), or
-    into new arrays if None.
+    backprops write into the batch's ``workspace[1:]``.
     """
     adv = batch.advantages
     if normalize_advantages:
         adv = normalize_per_objective(adv)
     n, m = adv.shape[-2:]
-    hid, work = (None, None) if workspace is None else _passes(workspace)
+    hid, work = _passes(batch.workspace)
     mean_pass = policy.net.forward(policy._net_params(batch.params), batch.states, hid)
     _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
     G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2,
@@ -662,8 +642,7 @@ _CLIP_EPS = 0.2  # PPO's clip range on the likelihood ratio
 
 
 def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch, omega,
-               update: PolicyConfig,
-               workspace: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               update: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clipped-surrogate ascent on the ``omega``-scalarized advantages.
 
     The update starts from the snapshot the batch was collected under, its
@@ -677,12 +656,13 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     collapsed with the simplex weights ``omega``; by linearity this ascends
     the same direction as the omega-weighted combination of per-objective
     surrogates. The critic regresses its per-objective return targets with
-    the same optimizer settings. The scalarized advantages and the return
+    the same optimizer settings, on ``0.5 * mean((V(s) - target)^2)`` over
+    the rows and objectives. The scalarized advantages and the return
     targets are cast to the params' dtype once, and the optimizers' state is
-    of that dtype. Both networks' passes and backprops write into
-    ``workspace[1:]`` (see ``hidden_workspace``), or into one set of
-    ``_MeanNet.buffers`` made here if None. Returns the updated (params,
-    critic_params) snapshots; the batch is not mutated.
+    of that dtype. Both networks' passes and backprops write into the
+    batch's ``workspace[1:]``. Returns the updated (params, critic_params)
+    snapshots; the batch's snapshot, learning signals and critic pass are
+    not mutated.
     """
     m = batch.advantages.shape[-1]
     omega = np.asarray(omega, dtype=float)
@@ -701,14 +681,14 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     # The update is prepared once: its own copies of both networks' params,
     # stepped in place, their layers split once as views into the copies,
     # and one output and gradient array each. The policy's and the critic's
-    # passes share one set of hidden-layer buffers: one ``hidden`` sizes
+    # passes share the batch's hidden-layer buffers: one ``hidden`` sizes
     # both, and the critic's pass starts after the policy's backprop has
-    # read it.
+    # read them.
     states, actions, rows = batch.states, batch.actions, batch.states.shape[:-1]
     params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
     critic_layers = critic.net.split(critic_params)
-    hid, work = policy.net.buffers(rows, dtype) if workspace is None else _passes(workspace)
+    hid, work = _passes(batch.workspace)
     mu, values = np.empty(rows + (policy.action_dim,), dtype), np.empty(rows + (m,), dtype)
     grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr
@@ -716,7 +696,7 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params, lr if update.optimizer == "adam" else min(lr, 5e-3))
     # The critic's first epoch reads the batch's pass, made under these params.
-    critic_pass = (batch.values, (critic_layers, states, batch.critic_hidden))
+    critic_values, critic_hid = batch.values, batch.workspace[0]
     for epoch in range(update.epochs):
         policy.net.apply(layers, states, mu, hid)
         log_probs, grad = policy.score(params, states, actions, (mu, (layers, states, hid)))
@@ -731,7 +711,8 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
         policy_opt.step(params, np.negative(grad(coeffs, grad_out, work), out=grad_out))
         if epoch > 0:
             critic.net.apply(critic_layers, states, values, hid)
-            critic_pass = (values, (critic_layers, states, hid))
-        critic_opt.step(critic_params,
-                        critic.mse_grad(critic_pass, returns, critic_grad, work))
+            critic_values, critic_hid = values, hid
+        critic_opt.step(critic_params, critic.net.backprop(
+            (critic_layers, states, critic_hid), (critic_values - returns) / (n * m),
+            critic_grad, work))
     return params, critic_params

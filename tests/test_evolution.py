@@ -312,9 +312,9 @@ class TestAscentWeights:
             calls["solve"].append(np.shape(G))
             return solve(G)
 
-        def counted_grads(policy, batch, normalize, workspace):
+        def counted_grads(policy, batch, normalize):
             calls["grads"].append(batch.params.shape[0])
-            return grads(policy, batch, normalize, workspace)
+            return grads(policy, batch, normalize)
 
         monkeypatch.setattr(evolution, "min_norm_direction", counted_solve)
         monkeypatch.setattr(evolution, "estimate_gradient_set", counted_grads)

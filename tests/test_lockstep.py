@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from moascent import evolution
+from moascent import policy as policy_module
 from moascent.config import PolicyConfig
 from moascent.harness import build_trainer, resolve_config
 from moascent.policy import _MeanNet, collect_batch, hidden_workspace, ppo_update
@@ -31,7 +33,7 @@ CASES = {
         "evolution": {"M": 2, "m_iters": 2, "m_w": 2, "p": 4, "snapshot_every": 1},
         "eval": {"episodes": 4},
     },
-    # A linear network: the trainer has no workspace, and every pass allocates.
+    # A linear network: the trainer's workspace and every batch's are zero-width.
     "linear": {
         "env": {"name": "mo_point"},
         "policy": {"batch_episodes": 4, "epochs": 2, "hidden": 0},
@@ -101,17 +103,17 @@ def test_stacked_step_reproduces_per_lane_loop(monkeypatch, name):
 def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
     # The trainer allocates its hidden-layer workspace when it is built. Every
     # pass and backprop over a training batch of the run writes into it, and
-    # no call makes a ``_MeanNet.buffers`` set or a batch-sized hidden layer
-    # of its own.
+    # no call makes a ``hidden_workspace`` or a batch-sized hidden layer of
+    # its own.
     trainer, _ = trainers(CASES["point"])
     workspace = trainer.workspace
     rows = workspace.shape[-2]
     made, elsewhere = [], []
-    buffers, apply, backprop = _MeanNet.buffers, _MeanNet.apply, _MeanNet.backprop
+    make, apply, backprop = policy_module.hidden_workspace, _MeanNet.apply, _MeanNet.backprop
 
-    def counted_buffers(self, rows):
-        made.append(rows)
-        return buffers(self, rows)
+    def counted_workspace(*args):
+        made.append(args)
+        return make(*args)
 
     def checked_apply(self, layers, inputs, out, hid):
         if inputs.shape[-2] == rows and not np.shares_memory(hid, workspace):
@@ -123,7 +125,7 @@ def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
             elsewhere.append("backprop")
         return backprop(self, cache, d_out, out, work)
 
-    monkeypatch.setattr(_MeanNet, "buffers", counted_buffers)
+    monkeypatch.setattr(policy_module, "hidden_workspace", counted_workspace)
     monkeypatch.setattr(_MeanNet, "apply", checked_apply)
     monkeypatch.setattr(_MeanNet, "backprop", checked_backprop)
     state = trainer.run_training()
@@ -131,6 +133,26 @@ def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
     assert len(state.archive) > 0
     assert made == []
     assert elsewhere == []
+
+
+def test_a_linear_run_carries_zero_width_buffers(monkeypatch):
+    # A linear network's workspace is a zero-width array, not None, and
+    # every batch of the run is collected into a view of it.
+    trainer, _ = trainers(CASES["linear"])
+    workspace = trainer.workspace
+    bases = []
+
+    def recording_collect(*args):
+        batch = collect_batch(*args)
+        bases.append((batch.workspace.base is workspace, batch.workspace.shape[-1]))
+        return batch
+
+    monkeypatch.setattr(evolution, "collect_batch", recording_collect)
+    state = trainer.run_training()
+    assert workspace.shape == (4, trainer.evolution.p, workspace.shape[-2], 0)
+    assert workspace.dtype == evolution.NETWORK_DTYPE
+    assert len(state.archive) > 0
+    assert bases and set(bases) == {(True, 0)}
 
 
 # Stacks for one PPO update: 4 point lanes of 8 episodes (512 rows a lane),
@@ -143,16 +165,16 @@ UPDATE_STACKS = {
 
 @pytest.mark.parametrize("name", sorted(UPDATE_STACKS))
 def test_stacked_passes_are_row_bounded(name):
-    # A PPO update over a whole stack writes its network passes into one set
-    # of (L, n, hidden) buffers, so its peak traced memory stays within a few
-    # such arrays: bounded by the stack's rows, not by per-operation
-    # temporaries. Fresh temporaries over the whole stack peaked at 5.6 of them.
-    # Given a caller's workspace, the update allocates no hidden-sized array,
-    # so its peak stays below one buffer. That arm runs at hidden 64: what it
-    # does allocate is action- and objective-sized, plus numpy's 64 KB
-    # iteration buffer, and came to 1.10 and 1.33 buffers at hidden 32.
+    # A PPO update over a whole stack writes its network passes into the
+    # batch's (L, n, hidden) buffers, so its peak traced memory stays bounded
+    # by the stack's rows, not by per-operation temporaries. Fresh
+    # temporaries over the whole stack peaked at 5.6 such arrays. The update
+    # allocates no hidden-sized array, whether the batch was collected into
+    # a caller's workspace or into buffers of its own: what it does allocate
+    # is action- and objective-sized, plus numpy's 64 KB iteration buffer,
+    # 1.10 and 1.33 buffers at hidden 32, and below one at hidden 64.
     case, lanes, lane_rows = UPDATE_STACKS[name]
-    for hidden, with_workspace, bound in ((32, False, 4.5), (64, True, 1.0)):
+    for hidden, with_workspace, bound in ((32, False, 1.5), (64, True, 1.0)):
         cfg = resolve_config({"experiment": "lockstep", **case,
                               "policy": {**case["policy"], "hidden": hidden}})
         trainer = build_trainer(cfg, 0)
@@ -160,16 +182,16 @@ def test_stacked_passes_are_row_bounded(name):
         rng = np.random.default_rng(0)
         params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(lanes)])
         critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(lanes)])
+        rows = cfg.policy.batch_episodes * env.spec.horizon
+        assert rows == lane_rows
+        workspace = hidden_workspace(hidden, (lanes, rows)) if with_workspace else None
         batch = collect_batch(env, policy, params, critic, critic_params,
                               cfg.policy.batch_episodes,
-                              [np.random.default_rng(k) for k in range(lanes)])
-        rows = batch.states.shape[-2]
-        assert rows == lane_rows
+                              [np.random.default_rng(k) for k in range(lanes)], workspace)
         omega = np.full((lanes, env.spec.num_objectives), 1.0 / env.spec.num_objectives)
-        workspace = hidden_workspace(hidden, (lanes, rows)) if with_workspace else None
         tracemalloc.start()
         try:
-            ppo_update(policy, critic, batch, omega, PolicyConfig(hidden=hidden), workspace)
+            ppo_update(policy, critic, batch, omega, PolicyConfig(hidden=hidden))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -225,20 +225,24 @@ class TestGradientSet:
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("env_name", ["mo_quadratic", "mo_point"])
 def test_gradient_set_stack_matches_lane_less_calls(env_name, normalize):
+    # 3 lanes, so a lane's workspace taken as workspace[lane] instead of
+    # workspace[:, lane] has the wrong leading axis and the batch rejects it.
     env = make_env(env_name)
     spec = env.spec
     policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
     critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden=8)
     rng = np.random.default_rng(5)
-    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(4)])
-    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(4)])
-    rngs = [np.random.default_rng(lane) for lane in range(4)]
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(3)])
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(3)])
+    rngs = [np.random.default_rng(lane) for lane in range(3)]
     batch = collect_batch(env, policy, params, critic, critic_params, 6, rngs)
     G = estimate_gradient_set(policy, batch, normalize)
-    assert G.shape == (4, spec.num_objectives, policy.num_params)
-    for lane in range(4):
+    assert G.shape == (3, spec.num_objectives, policy.num_params)
+    for lane in range(3):
         lane_batch = RolloutBatch(**{f.name: getattr(batch, f.name)[lane]
-                                     for f in dataclasses.fields(batch)})
+                                     for f in dataclasses.fields(batch)
+                                     if f.name != "workspace"},
+                                  workspace=batch.workspace[:, lane])
         alone = estimate_gradient_set(policy, lane_batch, normalize)
         assert G[lane].tobytes() == alone.tobytes(), lane
 
@@ -269,7 +273,7 @@ def test_score_and_gradient_set_match_the_oracle_bytes(action_dim, lanes, rows, 
     assert grad(coeffs).tobytes() == want_grad(coeffs).tobytes()
     batch = RolloutBatch(states=states, actions=actions, advantages=advantages,
                          returns=advantages, params=params, critic_params=np.zeros(lanes + (1,)),
-                         values=advantages, critic_hidden=None)
+                         values=advantages, workspace=hidden_workspace(hidden, lanes + (rows,)))
     for normalize in (True, False):
         got = estimate_gradient_set(policy, batch, normalize)
         assert got.tobytes() == gradient_set(policy, batch, normalize).tobytes(), normalize
@@ -566,7 +570,8 @@ def test_float32_passes_match_the_oracle_bytes(action_dim, hidden, lanes):
     batch = RolloutBatch(states=states, actions=actions, advantages=advantages,
                          returns=advantages, params=params,
                          critic_params=np.zeros(lanes + (1,), np.float32),
-                         values=advantages.astype(np.float32), critic_hidden=None)
+                         values=advantages.astype(np.float32),
+                         workspace=hidden_workspace(hidden, lanes + (rows,), np.float32))
     for normalize in (True, False):
         G = estimate_gradient_set(policy, batch, normalize)
         assert G.dtype == np.float64
@@ -601,7 +606,8 @@ def test_length_one_products_match_the_matmul_oracle(states_dtype, params_dtype,
     want_out, _, want_hid = _net_forward(net, params, states)
     assert out.dtype == want_out.dtype == params_dtype
     assert out.tobytes() == want_out.tobytes()
-    assert hid is None or hid.tobytes() == want_hid.tobytes()
+    assert hid.shape == lanes + (rows, hidden)
+    assert want_hid is None or hid.tobytes() == want_hid.tobytes()
 
 
 @pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
@@ -639,11 +645,11 @@ def test_float32_ppo_update_matches_allocating_oracle(hidden, action_dim, optimi
 
 
 def test_trainer_passes_stay_in_the_network_dtype(monkeypatch):
-    # One collect, gradient set and update at the point workload's shapes,
-    # on the trainer's workspace. Every network-side array stays float32 and
-    # every learning signal the solver, GAE and the archive read stays
-    # float64. A silent upcast would keep every output valid and only cost
-    # the speed, so nothing else would catch it.
+    # One collect into the trainer's workspace at the point workload's
+    # shapes, then the batch's gradient set and update. Every network-side
+    # array stays float32 and every learning signal the solver, GAE and the
+    # archive read stays float64. A silent upcast would keep every output
+    # valid and only cost the speed, so nothing else would catch it.
     cfg = resolve_config({"experiment": "dtype", "env": {"name": "mo_point"},
                           "evolution": {"M": 2, "p": 4, "m_w": 5, "m_iters": 5}})
     trainer = build_trainer(cfg, 0)
@@ -664,15 +670,14 @@ def test_trainer_passes_stay_in_the_network_dtype(monkeypatch):
     batch = collect_batch(trainer.env, policy, params, critic, critic_params,
                           cfg.policy.batch_episodes, [np.random.default_rng(k) for k in range(4)],
                           workspace)
-    G = estimate_gradient_set(policy, batch, cfg.policy.normalize_advantages, workspace)
-    new_params, new_critic = ppo_update(policy, critic, batch, np.full((4, 2), 0.5), cfg.policy,
-                                        workspace)
+    G = estimate_gradient_set(policy, batch, cfg.policy.normalize_advantages)
+    new_params, new_critic = ppo_update(policy, critic, batch, np.full((4, 2), 0.5), cfg.policy)
     for name, array in (("params", new_params), ("critic_params", new_critic),
                         ("states", batch.states), ("actions", batch.actions),
-                        ("values", batch.values), ("critic_hidden", batch.critic_hidden),
+                        ("values", batch.values), ("batch.workspace", batch.workspace),
                         ("batch.params", batch.params), ("workspace", workspace)):
         assert array.dtype == np.float32, name
-    assert np.shares_memory(batch.critic_hidden, workspace)
+    assert np.shares_memory(batch.workspace, workspace)
     assert gae_inputs == [(np.dtype(np.float64),) * 3]
     for name, array in (("advantages", batch.advantages), ("returns", batch.returns),
                         ("G", G), ("objectives", trainer.evaluate(new_params))):
@@ -698,6 +703,8 @@ def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
     # The update steps its own copies of the batch's snapshot in place and
     # backprops its first critic epoch from the batch's pass without writing
     # into it, so a second call on the same inputs returns the same bytes.
+    # Only the batch's buffers past the critic pass, ``workspace[1:]``, are
+    # the update's to write.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
@@ -707,15 +714,16 @@ def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
     batch = collect_batch(env, policy, params, critic, critic_params, 4,
                           [np.random.default_rng(lane) for lane in range(2)])
     inputs = {"params": params, "critic_params": critic_params,
-              **{f"batch.{f.name}": getattr(batch, f.name) for f in dataclasses.fields(batch)}}
-    before = {name: None if a is None else a.tobytes() for name, a in inputs.items()}
-    assert (before["batch.critic_hidden"] is None) == (hidden == 0)
+              **{f"batch.{f.name}": getattr(batch, f.name) for f in dataclasses.fields(batch)},
+              "batch.workspace": batch.workspace[0]}
+    before = {name: a.tobytes() for name, a in inputs.items()}
+    assert batch.workspace.shape == (4, 2, 4 * env.spec.horizon, hidden)
     update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer)
     omega = [[0.3, 0.7], [0.6, 0.4]]
     first = ppo_update(policy, critic, batch, omega, update)
     second = ppo_update(policy, critic, batch, omega, update)
     for name, a in inputs.items():
-        assert (None if a is None else a.tobytes()) == before[name], name
+        assert a.tobytes() == before[name], name
     assert first[0].tobytes() == second[0].tobytes()
     assert first[1].tobytes() == second[1].tobytes()
     assert first[0].tobytes() != params.tobytes()
@@ -754,11 +762,12 @@ def test_batch_keeps_its_snapshot_when_the_callers_params_change(lanes):
 
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
 def test_workspace_passes_match_allocating_calls(normalize):
-    # Collect, gradient set and update write into the first 3 lanes of a
-    # 5-lane workspace and give the bytes of the calls that allocate their
-    # own buffers. The second collect writes into the same workspace as the
-    # first, and each batch's update runs straight after its own collect, as
-    # the trainer runs them.
+    # A batch collected into the first 3 lanes of a 5-lane workspace gives
+    # the bytes of one whose collect made its own buffers, and so do its
+    # gradient set and update, which write into the batch's buffers. The
+    # second collect writes into the same workspace as the first, and each
+    # batch's update runs straight after its own collect, as the trainer
+    # runs them.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
     critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
@@ -776,12 +785,15 @@ def test_workspace_passes_match_allocating_calls(normalize):
         want = collect_batch(env, policy, params, critic, critic_params, episodes, rngs())
         got = collect_batch(env, policy, params, critic, critic_params, episodes, rngs(),
                             workspace)
-        assert np.shares_memory(got.critic_hidden, workspace)
+        assert np.shares_memory(got.workspace, workspace)
+        assert not np.shares_memory(want.workspace, workspace)
+        assert got.workspace[0].tobytes() == want.workspace[0].tobytes()
         for field in dataclasses.fields(want):
-            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
-        G = estimate_gradient_set(policy, got, normalize, workspace)
+            if field.name != "workspace":
+                assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
+        G = estimate_gradient_set(policy, got, normalize)
         assert G.tobytes() == estimate_gradient_set(policy, want, normalize).tobytes()
-        new = ppo_update(policy, critic, got, omega, update, workspace)
+        new = ppo_update(policy, critic, got, omega, update)
         old = ppo_update(policy, critic, want, omega, update)
         assert new[0].tobytes() == old[0].tobytes()
         assert new[1].tobytes() == old[1].tobytes()
@@ -797,12 +809,11 @@ def test_rollout_batch_rejects_each_field_that_disagrees_with_states():
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(2)])
     batch = collect_batch(env, policy, params, critic, critic_params, 2,
                           [np.random.default_rng(lane) for lane in range(2)])
-    # A linear critic has no hidden layer to keep.
-    dataclasses.replace(batch, critic_hidden=None)
     with pytest.raises(ValueError, match="empty rollout batch"):
         dataclasses.replace(batch, states=batch.states[:, :0])
     bad = {name: getattr(batch, name)[:, 1:]
-           for name in ("actions", "advantages", "returns", "values", "critic_hidden")}
+           for name in ("actions", "advantages", "returns", "values")}
+    bad["workspace"] = batch.workspace[..., 1:, :]  # one row short in every lane
     bad["params"] = batch.params[:1]  # one lane where states has two
     bad["critic_params"] = batch.critic_params[0]  # lane-less against a stack
     for name, value in bad.items():
