@@ -41,7 +41,9 @@ class PolicyEntry:
     """An evaluated policy snapshot: reference, objective vector, provenance, parameters.
 
     ``params`` and ``critic_params`` are read-only copies of the snapshot,
-    so a snapshot lives exactly as long as some entry holds it.
+    so a snapshot lives exactly as long as some entry holds it. A copy keeps
+    its snapshot's float dtype (the trainer's float32); anything else is
+    copied as float64.
     """
 
     params_ref: str
@@ -61,7 +63,8 @@ class PolicyEntry:
             raise ValueError(f"unknown source {self.source!r}, expected one of {POLICY_SOURCES}")
         object.__setattr__(self, "objectives", objectives)
         for name in ("params", "critic_params"):
-            snapshot = np.array(getattr(self, name), dtype=float)
+            snapshot = np.asarray(getattr(self, name))
+            snapshot = np.array(snapshot, dtype=np.promote_types(snapshot.dtype, np.float32))
             snapshot.flags.writeable = False
             object.__setattr__(self, name, snapshot)
 
@@ -143,28 +146,29 @@ class NonDominatedSet:
         return taken
 
 
-def _hv2(points: np.ndarray, z: np.ndarray) -> float:
-    # Area of the union of boxes [z, p]: sweep in descending x, each point
-    # adds the horizontal slab above the best y seen so far.
-    order = np.lexsort((-points[:, 1], -points[:, 0]))
-    x = points[order, 0]
-    y = points[order, 1]
+def _hv2(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    # Area of the union of boxes [z, p], points in descending x (ties in
+    # descending y): each point adds the horizontal slab above the best y
+    # seen so far.
     prev_best = np.maximum.accumulate(np.concatenate(([z[1]], y[:-1])))
     slabs = np.clip(y - prev_best, 0.0, None)
     return float(slabs @ (x - z[0]))
 
 
 def _hv3(points: np.ndarray, z: np.ndarray) -> float:
-    # Slice along the third objective and sweep each slab in 2-D.
-    levels = np.unique(points[:, 2])[::-1]
+    # Slice along the third objective and sweep each slab in 2-D. The points
+    # come in _hv2's order, and a level's active points keep it.
+    x, y, h = points.T.copy()
+    levels = np.sort(h)
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))][::-1]
     volume = 0.0
     for k, level in enumerate(levels):
         lower = levels[k + 1] if k + 1 < len(levels) else z[2]
         thickness = level - lower
         if thickness == 0.0:
             continue
-        active = points[points[:, 2] >= level][:, :2]
-        volume += _hv2(active, z[:2]) * thickness
+        active = h >= level
+        volume += _hv2(x[active], y[active], z[:2]) * thickness
     return float(volume)
 
 
@@ -189,24 +193,31 @@ def hypervolume(points, z) -> float:
         raise ValueError(
             f"point {P[np.argmax(bad)]} does not dominate the reference point {z}"
         )
+    # One stable sort in _hv2's order: a subset masked from it is in its order too.
+    P = P[np.lexsort((-P[:, 1], -P[:, 0]))]
     if z.size == 2:
-        return _hv2(P, z)
+        return _hv2(P[:, 0], P[:, 1], z)
     return _hv3(P, z)
 
 
 def sparsity(points) -> float | None:
     """Mean squared gap of per-objective sorted value lists.
 
-    Duplicated points are collapsed first. With fewer than two distinct
-    points the quantity is undefined and None is returned (a singleton
-    frontier is not "perfectly dense").
+    Duplicated points are collapsed first: one lexicographic sort, keeping
+    each row that differs from the one before (0.0 and -0.0 are equal).
+    With fewer than two distinct points the quantity is undefined and None
+    is returned (a singleton frontier is not "perfectly dense"). Every
+    point must be finite.
     """
     P = np.asarray(list(points), dtype=float)
     if P.size == 0:
         return None
     if P.ndim != 2:
         raise ValueError(f"points must be a 2-D collection, got shape {P.shape}")
-    P = np.unique(P, axis=0)
+    if not np.all(np.isfinite(P)):
+        raise ValueError("points have non-finite entries")
+    P = P[np.lexsort(P.T)]
+    P = P[np.concatenate(([True], np.any(P[1:] != P[:-1], axis=1)))]
     n = P.shape[0]
     if n <= 1:
         return None

@@ -55,9 +55,10 @@ _PGR_TOP_K = 2
 # Initial weight scale of the policy and critic, and the policy's initial log-std.
 _INIT_SCALE = 0.1
 _LOG_STD_INIT = -0.5
-# The dtype of the trainer's policies, critics, optimizer state and
-# workspace. GAE, the gradient set the min-norm solve takes, the objectives
-# and the archive stay float64, so every stored snapshot is a float32 value.
+# The dtype of the trainer's policies, critics, optimizer state, workspace
+# and archive snapshots. GAE, the gradient set the min-norm solve takes, the
+# objectives and the checkpoint store stay float64, so every stored snapshot
+# is a float32 value.
 NETWORK_DTYPE = np.float32
 
 

@@ -63,10 +63,11 @@ def build_trainer(cfg: Config, seed: int) -> Trainer:
 
 
 def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:
-    """Write the checkpoint store: row k of each stack holds ``entries[k]``."""
+    """Write the checkpoint store: row k of each stack holds ``entries[k]``, as float64."""
     checkpoint_dir.mkdir()
-    np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries]))
-    np.save(checkpoint_dir / "critic.npy", np.stack([e.critic_params for e in entries]))
+    np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries], dtype=np.float64))
+    np.save(checkpoint_dir / "critic.npy",
+            np.stack([e.critic_params for e in entries], dtype=np.float64))
 
 
 def _unresolved_fields(raw: dict, resolved: dict, prefix: str = ""):

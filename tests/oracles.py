@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the simplex
 projection is solved by bisection on the KKT threshold, the minimum-norm
-problem by grid search over the simplex, hypervolumes by Monte Carlo, and
+problem by grid search over the simplex, hypervolumes by Monte Carlo (and
+the 3-D one, bit for bit, by the per-level loop that sorted every level
+again), sparsity's distinct rows by ``np.unique``, and
 the quadratic-environment frontier by closed form / dense sampling,
 ``mo_point``'s start states by SplitMix64 on Python ints masked to 64 bits,
 archive non-domination by a pairwise audit, the stacked minimum-norm solve
@@ -245,6 +247,54 @@ def mc_hypervolume(points: np.ndarray, z: np.ndarray, samples: int,
     p_hat = hits / samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / samples)) * box
     return p_hat * box, se
+
+
+def hv2_sweep(points, z) -> float:
+    """2-D hypervolume by the archive's sweep as it was before it shared one sort with 3-D."""
+    points = np.asarray(points, dtype=float)
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    x = points[order, 0]
+    y = points[order, 1]
+    prev_best = np.maximum.accumulate(np.concatenate(([z[1]], y[:-1])))
+    slabs = np.clip(y - prev_best, 0.0, None)
+    return float(slabs @ (x - z[0]))
+
+
+def hv3_per_level(points, z) -> float:
+    """3-D hypervolume by the per-level loop the archive ran before it sorted once.
+
+    The levels come from ``np.unique``, and each level's active points are
+    sorted again by the 2-D sweep. The points must dominate ``z``.
+    """
+    points = np.asarray(points, dtype=float)
+    z = np.asarray(z, dtype=float)
+    levels = np.unique(points[:, 2])[::-1]
+    volume = 0.0
+    for k, level in enumerate(levels):
+        lower = levels[k + 1] if k + 1 < len(levels) else z[2]
+        thickness = level - lower
+        if thickness == 0.0:
+            continue
+        active = points[points[:, 2] >= level][:, :2]
+        volume += hv2_sweep(active, z[:2]) * thickness
+    return float(volume)
+
+
+def sparsity_unique(points) -> float | None:
+    """Sparsity with distinct rows from ``np.unique(P, axis=0)``, as the archive computed it
+    before it found them by one sort; None with fewer than two distinct rows."""
+    P = np.asarray(list(points), dtype=float)
+    if P.size == 0:
+        return None
+    P = np.unique(P, axis=0)
+    n = P.shape[0]
+    if n <= 1:
+        return None
+    total = 0.0
+    for i in range(P.shape[1]):
+        gaps = np.diff(np.sort(P[:, i]))
+        total += float(gaps @ gaps)
+    return total / (n - 1)
 
 
 # --- quadratic environment frontier ------------------------------------

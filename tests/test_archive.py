@@ -21,9 +21,34 @@ from .oracles import (
     dominated_mask,
     dominated_mask_bruteforce,
     dominates,
+    hv2_sweep,
+    hv3_per_level,
     mc_hypervolume,
     mutually_non_dominated,
+    sparsity_unique,
 )
+
+
+def fronts(m: int, count: int, max_n: int, seed: int):
+    """``count`` random positive ``(n, m)`` point sets, many with ties:
+    uniform, integer-grid, 2-decimal, unit-sphere with badly scaled axes,
+    and rows drawn again from one set; the first has ``max_n`` rows."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = max_n if k == 0 else int(rng.integers(1, min(max_n, 300) + 1))
+        kind = k % 5
+        if kind == 0:
+            P = rng.uniform(0.01, 1.0, (n, m))
+        elif kind == 1:
+            P = rng.integers(1, 6, (n, m)) / 5.0
+        elif kind == 2:
+            P = np.round(rng.uniform(0.01, 1.0, (n, m)), 2)
+        elif kind == 3:
+            P = np.abs(rng.standard_normal((n, m))) + 0.01
+            P = P / np.linalg.norm(P, axis=1, keepdims=True) * np.logspace(-3, 3, m)
+        else:
+            P = rng.uniform(0.01, 1.0, (n, m))[rng.integers(0, n, n)]
+        yield P
 
 
 def entry(objs, ref="r", generation=0, source="warmup"):
@@ -42,6 +67,14 @@ class TestPolicyEntry:
         with pytest.raises(ValueError):
             made.critic_params[0] = 5.0
         assert "params=" not in repr(made)
+
+    def test_snapshot_keeps_its_float_dtype(self):
+        # The trainer's float32 snapshots stay float32 in the archive (half
+        # the bytes); a snapshot given as ints or a list is copied as float64.
+        params = np.arange(4, dtype=np.float32)
+        made = PolicyEntry("ckpt_000000", [1.0, 2.0], 0, "warmup", params, [1, 2])
+        assert made.params.dtype == np.float32 and not np.shares_memory(made.params, params)
+        assert made.critic_params.dtype == np.float64
 
 
 class TestDominates:
@@ -312,6 +345,21 @@ class TestHypervolume:
                 estimate, se = mc_hypervolume(P, z, 100_000, rng)
                 assert abs(exact - estimate) <= 4.0 * max(se, 1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_the_per_level_oracle_bit_for_bit(self, m):
+        # The levels and the 2-D sweep's order come from one sort each; every
+        # slab's accumulate, clip and dot must still see the vectors the
+        # per-level loop built, so the volume keeps its last bit.
+        oracle = hv2_sweep if m == 2 else hv3_per_level
+        for P in fronts(m, 60, 1500, seed=31 + m):
+            for z in (np.zeros(m), np.full(m, -0.5)):
+                assert hypervolume(P, z).hex() == oracle(P, z).hex()
+
+    def test_signed_zero_levels_match_the_oracle(self):
+        P = np.array([[1.0, 2.0, -0.0], [2.0, 1.0, 0.0], [0.5, 0.5, 1.0], [1.0, 2.0, 0.0]])
+        z = np.full(3, -1.0)
+        assert hypervolume(P, z).hex() == hv3_per_level(P, z).hex()
+
     def test_pareto_compliance(self):
         # A set whose members collectively dominate another set has a
         # strictly larger hypervolume.
@@ -337,6 +385,37 @@ class TestSparsity:
     def test_singleton_and_empty_undefined(self):
         assert sparsity([(1, 2)]) is None
         assert sparsity([]) is None
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_the_unique_oracle_bit_for_bit(self, m):
+        for P in fronts(m, 100, 200, seed=37 + m):
+            P = np.concatenate([P, P[: len(P) // 3]])  # duplicated rows
+            got, want = sparsity(P), sparsity_unique(P)
+            assert (got is None and want is None) or got.hex() == want.hex()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_signed_zeros_and_ties_match_the_unique_oracle(self, m):
+        # Rows that differ only in 0.0 against -0.0 are one point, and tied
+        # columns give zero gaps.
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            P = rng.integers(-1, 2, (int(rng.integers(1, 12)), m)).astype(float)
+            P[rng.uniform(size=P.shape) < 0.4] = -0.0
+            got, want = sparsity(P), sparsity_unique(P)
+            assert (got is None and want is None) or got.hex() == want.hex()
+        pair = [(0.0, 1.0), (-0.0, 1.0)]
+        assert sparsity(pair) is None and sparsity_unique(pair) is None
+
+    def test_none_cases_match_the_unique_oracle(self):
+        for points in ([], np.empty((0, 2)), [(1.0, 2.0, 3.0)], [(1.0, 2.0)] * 4):
+            assert sparsity(points) is None
+            assert sparsity_unique(points) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_raise(self, bad):
+        # Refused as hypervolume refuses them: a NaN row has no distinct-row equality.
+        with pytest.raises(ValueError, match="points have non-finite entries"):
+            sparsity([(1.0, 2.0), (bad, 0.5), (2.0, 1.0)])
 
     # Dyadic coordinates keep the shifted sums exact; arbitrary floats can
     # absorb tiny gaps and spuriously merge points.

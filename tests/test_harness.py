@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+from moascent import harness as harness_module
 from moascent import policy as policy_module
 from moascent.archive import (NonDominatedSet, PolicyEntry, frontier_document, frontier_entries,
                               hypervolume, parse_frontier, sparsity)
@@ -287,8 +292,8 @@ class TestCheckpointIO:
         for k, item in enumerate(doc["entries"]):
             entry = archive[item["params_ref"]]
             assert item["objectives"] == entry.objectives.tolist()
-            assert policy[k].tobytes() == entry.params.tobytes()
-            assert critic[k].tobytes() == entry.critic_params.tobytes()
+            assert policy[k].tobytes() == entry.params.astype(np.float64).tobytes()
+            assert critic[k].tobytes() == entry.critic_params.astype(np.float64).tobytes()
 
     def test_stack_evaluates_to_the_frontier(self, tmp_path, monkeypatch):
         run_dir, trainer, _ = train_keeping_state(tmp_path, monkeypatch)
@@ -671,6 +676,35 @@ class TestTrainCommand:
         doc, objectives = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
         final = read_metrics_csv(run_dir / "metrics.csv")[-1]
         assert final["hv"] == hypervolume(objectives, doc["reference_point"])
+
+    def test_training_imports_no_masked_arrays(self, tmp_path):
+        # numpy.ma costs a process about 1.2 MB and 12-16 ms, and no run uses a
+        # masked array; np.unique imports it for its masked-array check. Other
+        # tests import numpy.ma in this process, so a fresh interpreter trains
+        # a 2-objective and a 3-objective run.
+        script = textwrap.dedent("""
+            import sys
+            import moascent.harness as harness
+            if "numpy.ma" in sys.modules:
+                print("loaded at import")
+                sys.exit()
+            for path in sys.argv[1:]:
+                assert harness.main(["train", "--config", path]) == 0
+            print("loaded" if "numpy.ma" in sys.modules else "not loaded")
+        """)
+        configs = [write_config(tmp_path, dict(TINY, env={"name": name},
+                                               output_dir=str(tmp_path / "runs")), f"{name}.yaml")
+                   for name in ("mo_quadratic", "mo_quadratic3")]
+        src = str(Path(harness_module.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, *map(str, configs)], env=env,
+                              capture_output=True, text=True, check=True)
+        verdict = done.stdout.splitlines()[-1]
+        if verdict == "loaded at import":
+            pytest.skip("importing moascent.harness loads numpy.ma (numpy 1.x does)")
+        assert verdict == "not loaded"
+        assert len(list((tmp_path / "runs").iterdir())) == 2
 
 
 class TestEvalCommand:

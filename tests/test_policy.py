@@ -694,7 +694,8 @@ def test_trainer_passes_stay_in_the_network_dtype(monkeypatch):
     monkeypatch.setattr(evolution, "ppo_update", recording)
     state = trainer.run_training()
     assert updated and set(updated) == {(np.dtype(np.float32),) * 2}
-    assert all(e.params.dtype == np.float64 for e in state.archive)
+    assert {(e.params.dtype, e.critic_params.dtype) for e in state.archive} == {
+        (np.dtype(np.float32),) * 2}
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

@@ -50,7 +50,10 @@ Times one call of each function below, many times over, in this process:
 - ``min_norm_direction`` on random ``(m, d)`` gradients, at m=3 and m=4,
   and on ``(8, 2, d)`` and ``(4, 3, d)`` stacks of them, with d the size of
   the ``point`` policy;
-- ``hypervolume`` of random 2-D and 3-D fronts of 1000 points;
+- ``hypervolume`` of random 2-D and 3-D fronts of 1000 points, and of a
+  3-D front of 3000 (a 30-generation ``quad3`` archive's size);
+- ``sparsity`` of a random 2-D front of 200 points (the ``quad2``
+  workload's archive size);
 - ``_gap_edges`` (PA-FT's gap search) on random 3-objective fronts of 100
   and 250 points, and of 500 with ``--full`` (several seconds a call).
 - ``NonDominatedSet.insert`` per offer, replaying the ``quad2`` workload's
@@ -339,10 +342,12 @@ def cases(mo, full: bool, scratch: Path) -> list:
         name = f"m{shape[0]}" if len(shape) == 2 else f"{shape[0]}x{shape[1]}"
         out.append((f"min_norm_direction.{name}", 1,
                     lambda G=G: mo.pareto.min_norm_direction(G)))
-    for m in (2, 3):
-        P = _front(1000, m, seed=m)
-        out.append((f"hypervolume.{m}d_n1000", 1,
+    for m, n in ((2, 1000), (3, 1000), (3, 3000)):
+        P = _front(n, m, seed=m)
+        out.append((f"hypervolume.{m}d_n{n}", 1,
                     lambda P=P, z=np.zeros(m): mo.archive.hypervolume(P, z)))
+    P = _front(200, 2, seed=2)
+    out.append(("sparsity.2d_n200", 1, lambda P=P: mo.archive.sparsity(P)))
     for n in (100, 250) + ((500,) if full else ()):
         P = _front(n, 3, seed=n)
         out.append((f"gap_edges.3d_n{n}", 1, lambda P=P: ev._gap_edges(P)))
