@@ -352,13 +352,8 @@ class Trainer:
 
     The networks run in ``NETWORK_DTYPE``: each generation casts its
     lanes' start stack to it, and ``evaluate`` casts the params it rolls
-    out. The trainer owns one hidden-layer ``workspace`` of that dtype for
-    the run (see ``hidden_workspace``), sized for ``p`` lanes of one batch
-    each and allocated untouched, zero-width for a linear network
-    (``hidden: 0``). Every generation's collects take its first L lanes,
-    and each batch's gradient set and PPO update write their passes into
-    the batch's buffers, so the buffers are made once per run, not once per
-    call.
+    out. The trainer's ``workspace`` is one ``hidden_workspace`` of that
+    dtype for the run, sized for ``p`` lanes of one batch each.
     """
 
     def __init__(self, cfg: Config, seed: int):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime
@@ -54,7 +55,11 @@ __all__ = [
     "save_checkpoint",
 ]
 
-METRICS_HEADER = ["generation", "hv", "sp", "archive_size", "stationary_fallbacks", "seconds"]
+# How read_metrics_csv parses each column of metrics.csv, in the file's order.
+_METRICS_TYPES = {"generation": int, "hv": float,
+                  "sp": lambda text: None if text == "undefined" else float(text),
+                  "archive_size": int, "stationary_fallbacks": int, "seconds": float}
+METRICS_HEADER = list(_METRICS_TYPES)
 
 
 def build_trainer(cfg: Config, seed: int) -> Trainer:
@@ -195,16 +200,11 @@ def write_metrics_csv(path: Path, metrics: list[dict]) -> None:
             writer.writerow([_format_value(row[key]) for key in METRICS_HEADER])
 
 
-# How read_metrics_csv parses each column of METRICS_HEADER.
-_METRICS_TYPES = {"generation": int, "hv": float,
-                  "sp": lambda text: None if text == "undefined" else float(text),
-                  "archive_size": int, "stationary_fallbacks": int, "seconds": float}
-
-
 def read_metrics_csv(path) -> list[dict]:
     """The rows of a ``metrics.csv``: at least one, row k of generation k.
 
-    Else ValueError naming the line and field.
+    Every value is a finite number >= 0, or ``undefined`` for ``sp``. Else
+    ValueError naming the line and field.
     """
     rows = []
     with Path(path).open(newline="") as fh:
@@ -225,6 +225,9 @@ def read_metrics_csv(path) -> list[dict]:
                 except ValueError:
                     raise ValueError(f"{path} line {reader.line_num} field {key!r} "
                                      f"cannot be read: {text!r}") from None
+                if row[key] is not None and not 0 <= row[key] < math.inf:
+                    raise ValueError(f"{path} line {reader.line_num} field {key!r} "
+                                     f"must be a finite number >= 0, got {text!r}")
             if row["generation"] != len(rows):
                 raise ValueError(f"{path} line {reader.line_num} field 'generation' is "
                                  f"{row['generation']}, expected {len(rows)}")

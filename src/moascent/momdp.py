@@ -1,23 +1,12 @@
 """Vector-reward decision processes and the built-in desk-scale environments.
 
 Environments here are pure: they return new arrays and touch no shared
-mutable state. Each one implements three pieces, all on any number of
-leading batch axes:
-
-- ``reset(seeds)``: the initial states, ``shape(seeds) + (state_dim,)``,
-  for a non-negative int or integer array of seeds;
-- ``transition(states, actions)``: the next states under already clamped
-  actions;
-- ``rewards(states, actions, next_states)``: the rewards of those steps,
-  exactly ``num_objectives`` components on the last axis. The leading axes
-  may be a whole trajectory's, so a rollout computes every step's rewards
-  in one call after its last step.
-
-``clamp`` only clips actions into the spec's bounds. ``step`` is the one
-composition of the pieces: it rejects non-finite actions, then clamps,
-then applies transition and rewards. A rollout calls the pieces itself
-and checks all its actions once, after its last step. Every episode runs
-the spec's horizon, and the spec alone says how it ends.
+mutable state. ``MOMDPEnv`` states their contract. A rollout composes
+its pieces itself: it clamps each step's actions, calls ``transition``,
+checks all its actions once after its last step, and scores the whole
+trajectory with one ``rewards`` call. The test suite's ``env_step``
+(``tests/oracles.py``) is the reference composition of one step. Every
+episode runs the spec's horizon, and the spec alone says how it ends.
 """
 
 from __future__ import annotations
@@ -98,11 +87,11 @@ def mo_return(rewards, gamma: float) -> np.ndarray:
 class MOMDPEnv:
     """Base class for the built-in environments.
 
-    A subclass sets ``spec``, whose ``truncated`` states how its episodes
-    end, and implements ``reset``, ``transition`` and ``rewards``; it
-    overrides ``clamp`` only for an action set other than the spec's box.
-    ``step`` is not overridden: it is the one composition of the pieces,
-    and the rollout calls the pieces themselves.
+    An environment is ``reset``, ``transition``, ``rewards`` and ``clamp``,
+    each on any number of leading batch axes. A subclass sets ``spec``,
+    whose ``truncated`` states how its episodes end, and implements the
+    first three; it overrides ``clamp`` only for an action set other than
+    the spec's box.
     """
 
     spec: MOMDPSpec
@@ -131,25 +120,6 @@ class MOMDPEnv:
         order of the leading axes whatever the strides of the inputs.
         """
         raise NotImplementedError
-
-    def step(self, state, action) -> tuple[np.ndarray, np.ndarray]:
-        """Advance ``(..., state_dim)`` states under ``(..., action_dim)`` actions.
-
-        Rejects actions of the wrong width or with a non-finite entry, then
-        clamps them and applies ``transition`` and ``rewards``. Returns the
-        next states and the ``(..., num_objectives)`` rewards.
-        """
-        state = np.asarray(state, dtype=float)
-        action = np.asarray(action, dtype=float)
-        if action.shape[-1:] != (self.spec.action_dim,):
-            raise ValueError(
-                f"action must have shape (..., {self.spec.action_dim}), got {action.shape}"
-            )
-        if not np.isfinite(action).all():
-            raise ValueError(f"non-finite action rejected: {action!r}")
-        action = self.clamp(action)
-        next_state = self.transition(state, action)
-        return next_state, self.rewards(state, action, next_state)
 
 
 # SplitMix64's state increments for a seed's first two outputs, then its

@@ -11,80 +11,15 @@ Every primitive also takes a stack of lanes: ``(L, d)`` parameters with
 vector is the lane-less case; a stack's gradient set is ``(L, m, d)``.
 Stacked products go through ``np.matmul`` on ``swapaxes`` views, which
 repeats the 2-D BLAS call of each lane, so a lane of a stack computes bit
-for bit what it computes alone.
+for bit what it computes alone. Where a function keeps numpy's bytes by
+another route, its docstring says how.
 
-A network layer's product over a length-1 axis (the first layer of a
-one-input network, a one-input linear map, the output layer of a hidden-1
-network) goes through ``np.einsum`` instead (``_product``): numpy's stacked
-matmul is slow there, about 16 against 7 µs at the ``quad2`` update's
-float32 ``(8, 32, 1) @ (8, 1, 32)`` on one core of a Xeon host. Einsum
-adds the one product to a zeroed output, as matmul does, so it gives
-matmul's bytes, a zero product's +0.0 included, and allocates nothing at
-float32. A broadcast multiply would not: it writes -0.0 where matmul
-writes +0.0, and allocates numpy's iteration buffers on every call. Over
-a longer axis einsum adds in another order than BLAS, so those products
-stay on matmul.
-
-The network side follows the dtype of its params: a pass, a backprop, the
-Gaussian head and its gradient, the optimizers' state and the hidden-layer
-buffers are arrays of that dtype, and float64 params give the bytes they
-always gave. The trainer holds float32 params (``evolution.NETWORK_DTYPE``).
-The learning signals stay float64: a rollout keeps the environment's
-float64 states and clamped actions, and its first layer multiplies those
-states by the weights straight into the hidden layer of the params' dtype
-(casting each step's states first measured no faster); ``collect_batch``
-casts the batch's states to the params' dtype and runs GAE on float64
-values, so advantages and return targets are float64; ``ppo_update`` casts
-the scalarized advantages and the targets to the params' dtype once per
-call; and ``estimate_gradient_set`` returns a float64 set.
-
-A network pass covers the whole stack and writes into buffers its caller
-owns, not into per-operation temporaries. A rollout (``run_episode``)
-does its setup once: it splits the stack's weights into transposed layer
-views, allocates the hidden-layer buffer and scales the whole action-noise
-block by the clamped std. Each step is then one network pass, one add of
-that step's scaled noise, one ``env.clamp`` and one ``env.transition``,
-on time-major buffers. After the last step one check rejects a non-finite
-action anywhere in the rollout, and the rewards of the whole trajectory
-are one ``env.rewards`` call.
-
-``ppo_update`` prepares one update per call: it copies both networks'
-params once, splits their layers once as views into the copies, and
-allocates the outputs, the gradients and the optimizers' scratch once.
-Each epoch is then one pass, one backprop and one in-place optimizer step
-per network. A batch carries copies of the snapshot it was collected under
-(``params``, ``critic_params``), the critic's pass over its states
-(``values`` and ``workspace[0]``) and its hidden-layer buffers, so the
-gradient set and the update start from that snapshot and the critic's
-first epoch backprops from the pass instead of running it again.
-
-``collect_batch`` is the one place a batch's hidden-layer buffers come
-from: the ``workspace`` (``hidden_workspace``) its caller gives it, or one
-it makes. ``estimate_gradient_set`` and ``ppo_update`` write their passes
-and backprops into the batch's buffers and allocate no hidden-layer array
-of their own. The trainer owns one workspace per run and passes each
-generation's collects its first L lanes, so a run makes the buffers once
-instead of faulting in fresh pages every update. A linear network's
-buffers are zero-width, and no pass touches them.
-
-A sum over the rows axis of an ``(..., rows, k)`` array (backprop's bias
-gradients, the mean and std of ``normalize_per_objective``) is one
-``np.einsum`` pass (``_row_sum``). It adds the rows one after another, as
-``np.sum(axis=-2)`` does, but without numpy's inner loop of k per row, so
-its bytes are ``np.sum``'s. Two cases stay on ``np.sum``, where numpy sums
-pairwise and einsum would give other bytes: a kept axis of length 1 (a
-hidden layer of 1, a 1-D action) and a rows axis that is the contiguous
-one.
-
-The Gaussian head (``GaussianPolicy.score`` and its ``grad``) does its
-per-row arithmetic action-major, on ``(..., a, n)`` arrays, so the
-per-action factors broadcast along the contiguous rows axis and numpy runs
-no inner loop over a few actions per row. The log-probability's sum over
-the actions is then ``_row_sum`` over that layout, which adds them in
-``np.sum(axis=-1)``'s order for up to 7 actions; from 8 numpy sums that
-axis pairwise, so a wider head keeps ``np.sum`` on a rows-major copy. The
-mean network's backprop and the log-std product take rows-major copies,
-since the order a matmul or a row sum adds in follows its operands' layout.
+The network side follows the dtype of its params: passes, backprops, the
+Gaussian head, the optimizers' state and the hidden-layer buffers are
+arrays of that dtype, and float64 params give the bytes they always gave.
+The trainer holds float32 params (``evolution.NETWORK_DTYPE``). The
+learning signals stay float64: a rollout's states, clamped actions and
+rewards, the advantages and return targets, and the gradient set.
 """
 
 from __future__ import annotations
@@ -119,9 +54,13 @@ _GAE_LAMBDA = 0.95
 def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.sum(x, axis=-2)`` of an ``(..., rows, k)`` array, bit for bit, into ``out``.
 
-    ``out`` is a new array if None. numpy sums pairwise where the kept axis
-    has length 1 or the rows axis the smaller stride, so those stay on
-    ``np.sum``; otherwise it adds the rows in order, as one einsum pass does.
+    ``out`` is a new array if None. Backprop's bias gradients, the mean and
+    std of ``normalize_per_objective`` and the log-probabilities' sum over
+    actions go through it. One einsum pass adds the rows one after another,
+    as ``np.sum`` does, but without numpy's inner loop of k per row. numpy
+    sums pairwise where the kept axis has length 1 (a hidden layer of 1, a
+    1-D action) or the rows axis has the smaller stride, so those stay on
+    ``np.sum``.
     """
     if x.shape[-1] > 1 and abs(x.strides[-1]) < abs(x.strides[-2]):
         return np.einsum("...nk->...k", x, out=out)
@@ -131,10 +70,18 @@ def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _product(inputs: np.ndarray, wt: np.ndarray, out: np.ndarray) -> None:
     """``inputs @ wt`` of ``(..., n, i)`` by ``(..., i, h)`` arrays, bit for bit, into ``out``.
 
-    numpy's stacked matmul is slow over a length-1 ``i``, so that product
-    goes through einsum, which gives its bytes, a zero product's +0.0 too.
-    Its ``casting`` lets a rollout's float64 states write a float32 ``out``,
-    as matmul's default does.
+    numpy's stacked matmul is slow over a length-1 ``i`` (the first layer
+    of a one-input network, a one-input linear map, the output layer of a
+    hidden-1 network): about 16 against 7 µs at the ``quad2`` update's
+    float32 ``(8, 32, 1) @ (8, 1, 32)`` on one core of a Xeon host. So that
+    product goes through einsum, which adds the one product to a zeroed
+    output, as matmul does: it gives matmul's bytes, a zero product's +0.0
+    too, and allocates nothing at float32. A broadcast multiply would write
+    -0.0 where matmul writes +0.0, and allocate numpy's iteration buffers
+    on every call. Over a longer axis einsum adds in another order than
+    BLAS, so those products stay on matmul. The einsum's ``casting`` lets a
+    rollout's float64 states write a float32 ``out``, as matmul's default
+    does.
     """
     if inputs.shape[-1] == 1:
         np.einsum("...ni,...ih->...nh", inputs, wt, out=out, casting="same_kind")
@@ -289,11 +236,14 @@ class GaussianPolicy:
         been called.
 
         The per-row arithmetic runs on an action-major ``(..., a, n)`` copy
-        of the residual ``actions - mu``. ``log_probs`` sums the squared
-        z-scores over the actions with ``_row_sum`` on that layout, or with
-        ``np.sum`` on a rows-major copy from 8 actions, where numpy adds the
-        axis pairwise; both give ``np.sum(axis=-1)``'s bytes. ``grad`` hands
-        backprop and the log-std product rows-major ``(..., n, a)`` copies.
+        of the residual ``actions - mu``, so the per-action factors broadcast
+        along the contiguous rows axis and numpy runs no inner loop over a
+        few actions per row. ``log_probs`` sums the squared z-scores over the
+        actions with ``_row_sum`` on that layout, or with ``np.sum`` on a
+        rows-major copy from 8 actions, where numpy adds the axis pairwise;
+        both give ``np.sum(axis=-1)``'s bytes. ``grad`` hands backprop and
+        the log-std product rows-major ``(..., n, a)`` copies, since the
+        order a matmul or a row sum adds in follows its operands' layout.
         """
         if mean_pass is None:
             states = np.atleast_2d(np.asarray(states, dtype=params.dtype))
@@ -423,16 +373,21 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     actions and the std-scaled noise are in the params' dtype; the states,
     the clamped actions and the rewards are float64.
 
-    The step buffers are time-major, ``(T, ..., B, ·)``: the states, with
-    one more row for the states after the last step, the raw and the
-    clamped actions, and the std-scaled noise, written once. A step is the
-    mean network's pass, plus its row of noise, ``env.clamp`` and
-    ``env.transition``. After the last step the whole raw-action buffer is
-    checked once: a non-finite action raises ``ValueError`` naming the
-    first step that holds one. Then one ``env.rewards`` call takes the
-    whole trajectory, through lane-major views, so the rewards come out
-    contiguous in (..., B, T, m) order; the states and actions are returned
-    as lane-major views of their buffers.
+    Once per rollout the lanes' weights are split into transposed layer
+    views, the hidden-layer buffer is allocated, and the whole noise block
+    is scaled by the clamped std. The step buffers are time-major,
+    ``(T, ..., B, ·)``: the states, with one more row for the states after
+    the last step, the raw and the clamped actions, and the std-scaled
+    noise. A step is the mean network's pass, plus its row of noise,
+    ``env.clamp`` and ``env.transition``. The pass's first layer multiplies
+    the float64 states by the weights straight into the hidden layer of the
+    params' dtype (casting each step's states first measured no faster).
+    After the last step the whole raw-action buffer is checked once: a
+    non-finite action raises ``ValueError`` naming the first step that
+    holds one. Then one ``env.rewards`` call takes the whole trajectory,
+    through lane-major views, so the rewards come out contiguous in
+    (..., B, T, m) order; the states and actions are returned as lane-major
+    views of their buffers.
     """
     spec = env.spec
     T = spec.horizon
@@ -448,8 +403,6 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     states[0] = env.reset(seeds)
     actions = np.empty((T,) + shape + (spec.action_dim,), params.dtype)
     clamped = np.empty(actions.shape)
-    # The lanes' layers, the hidden buffer, and the action noise scaled by
-    # their std, once per rollout.
     net = policy.net
     layers = net.split(policy._net_params(params))
     hid = np.empty(shape + (net.hidden,), params.dtype)
@@ -482,6 +435,13 @@ def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray:
     ``hid``, ``d_hid`` and ``scratch`` of ``_passes``. So a batch's critic
     pass stays valid until the next collect into the same workspace. The
     slice ``[:, :L]`` serves a stack of the first L lanes.
+
+    ``collect_batch`` is the one place a batch's buffers come from: the
+    workspace it is given, or one it makes. The gradient set and the update
+    allocate no hidden-layer array of their own. A caller that keeps one
+    workspace, as the trainer keeps one per run and gives each generation's
+    collects its first L lanes, makes the buffers once instead of faulting
+    in fresh pages every update.
     """
     return np.empty((4,) + rows + (hidden,), dtype)
 
@@ -659,10 +619,11 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     the same optimizer settings, on ``0.5 * mean((V(s) - target)^2)`` over
     the rows and objectives. The scalarized advantages and the return
     targets are cast to the params' dtype once, and the optimizers' state is
-    of that dtype. Both networks' passes and backprops write into the
-    batch's ``workspace[1:]``. Returns the updated (params, critic_params)
-    snapshots; the batch's snapshot, learning signals and critic pass are
-    not mutated.
+    of that dtype. Each epoch is one pass, one backprop and one in-place
+    optimizer step per network, and both networks' passes and backprops
+    write into the batch's ``workspace[1:]``. Returns the updated (params,
+    critic_params) snapshots; the batch's snapshot, learning signals and
+    critic pass are not mutated.
     """
     m = batch.advantages.shape[-1]
     omega = np.asarray(omega, dtype=float)

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: the simplex
 projection is solved by bisection on the KKT threshold, the minimum-norm
 problem by grid search over the simplex, hypervolumes by Monte Carlo (and
 the 3-D one, bit for bit, by the per-level loop that sorted every level
-again), sparsity's distinct rows by ``np.unique``, and
-the quadratic-environment frontier by closed form / dense sampling,
+again), sparsity's distinct rows by ``np.unique``, an environment step
+by ``env_step``, the reference composition of the pieces a rollout
+composes itself (``clamp``, ``transition`` and ``rewards``), the
+quadratic-environment frontier by closed form / dense sampling,
 ``mo_point``'s start states by SplitMix64 on Python ints masked to 64 bits,
 archive non-domination by a pairwise audit, the stacked minimum-norm solve
 by the one-lane solver it replaced, the stacked generation step by the
@@ -295,6 +297,28 @@ def sparsity_unique(points) -> float | None:
         gaps = np.diff(np.sort(P[:, i]))
         total += float(gaps @ gaps)
     return total / (n - 1)
+
+
+# --- one environment step -----------------------------------------------
+
+def env_step(env, state, action):
+    """Advance ``(..., state_dim)`` states under ``(..., action_dim)`` actions.
+
+    The reference composition of the environment's pieces: reject actions
+    of the wrong width or with a non-finite entry, then clamp them and apply
+    ``transition`` and ``rewards``. Returns the next states and the
+    ``(..., num_objectives)`` rewards.
+    """
+    state = np.asarray(state, dtype=float)
+    action = np.asarray(action, dtype=float)
+    if action.shape[-1:] != (env.spec.action_dim,):
+        raise ValueError(
+            f"action must have shape (..., {env.spec.action_dim}), got {action.shape}")
+    if not np.isfinite(action).all():
+        raise ValueError(f"non-finite action rejected: {action!r}")
+    action = env.clamp(action)
+    next_state = env.transition(state, action)
+    return next_state, env.rewards(state, action, next_state)
 
 
 # --- quadratic environment frontier ------------------------------------

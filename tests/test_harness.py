@@ -1012,6 +1012,21 @@ class TestReportCommand:
         pytest.param([["0", "1.0", "0.5", "1", "0", "0.1"],
                       ["5", "1.5", "0.5", "1", "0", "0.1"]],
                      "line 3 field 'generation' is 5, expected 1", id="generation-gap"),
+        # Each of these used to pass into summary.csv.
+        pytest.param([["0", "nan", "0.5", "1", "0", "0.1"]],
+                     "line 2 field 'hv' must be a finite number >= 0, got 'nan'", id="hv-nan"),
+        pytest.param([["0", "1.0", "-0.5", "1", "0", "0.1"]],
+                     "line 2 field 'sp' must be a finite number >= 0, got '-0.5'",
+                     id="sp-negative"),
+        pytest.param([["0", "1.0", "0.5", "-4", "0", "0.1"]],
+                     "line 2 field 'archive_size' must be a finite number >= 0, got '-4'",
+                     id="archive-size-negative"),
+        pytest.param([["0", "1.0", "0.5", "1", "-1", "0.1"]],
+                     "line 2 field 'stationary_fallbacks' must be a finite number >= 0, got '-1'",
+                     id="fallbacks-negative"),
+        pytest.param([["0", "1.0", "0.5", "1", "0", "0.1"], ["1", "1.5", "0.5", "1", "0", "inf"]],
+                     "line 3 field 'seconds' must be a finite number >= 0, got 'inf'",
+                     id="seconds-inf"),
     ])
     def test_damaged_metrics_named(self, tmp_path, capsys, rows, message):
         def damage(run_dir):

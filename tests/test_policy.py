@@ -33,6 +33,7 @@ from .oracles import (
     _net_backprop,
     _net_forward,
     _policy_score,
+    env_step,
     gaussian_act,
     gradient_set,
     normalize_mean_std,
@@ -844,7 +845,7 @@ class TestRollouts:
         T = env.spec.horizon
         assert states.shape == (3, T, 4) and raw.shape == (3, T, 2) and rewards.shape == (3, T, 2)
         # Each step starts where the previous one ended.
-        next_states, _ = env.step(states, raw)
+        next_states, _ = env_step(env, states, raw)
         np.testing.assert_array_equal(next_states[:, :-1], states[:, 1:])
         np.testing.assert_array_equal(next_states[:, -1], final)
         # Raw actions may exceed the bounds; the applied ones never do, so the
@@ -856,7 +857,7 @@ class TestRollouts:
     @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic3"])
     def test_lockstep_matches_per_lane_step_loop(self, name):
         # Reference: each lane alone, its episodes stepped together by
-        # the policy's mean and noise and env.step. A lane of the rollout
+        # the policy's mean and noise and env_step. A lane of the rollout
         # computes exactly that, its rewards byte for byte.
         env = make_env(name)
         spec = env.spec
@@ -879,7 +880,7 @@ class TestRollouts:
                                               None if lane_eps is None else lane_eps[:, t])
                         states.append(state)
                         actions.append(action)
-                        state, reward = env.step(state, action)
+                        state, reward = env_step(env, state, action)
                         rewards.append(reward)
                     want = (np.stack(states, 1), np.stack(actions, 1), np.stack(rewards, 1),
                             state)
@@ -923,7 +924,7 @@ class TestRollouts:
                 action = gaussian_act(policy, params, state)[0] + std * noise[e, t]
                 ep_states.append(state)
                 actions.append(action)
-                state, reward = env.step(state, action)
+                state, reward = env_step(env, state, action)
                 ep_rewards.append(reward)
             values = critic.values(cp, np.array(ep_states))
             tail = critic.values(cp, state) if tail_from_critic \
