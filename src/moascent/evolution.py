@@ -55,10 +55,9 @@ _PGR_TOP_K = 2
 # Initial weight scale of the policy and critic, and the policy's initial log-std.
 _INIT_SCALE = 0.1
 _LOG_STD_INIT = -0.5
-# The dtype of the trainer's policies, critics, optimizer state, workspace
-# and archive snapshots. GAE, the gradient set the min-norm solve takes, the
-# objectives and the checkpoint store stay float64, so every stored snapshot
-# is a float32 value.
+# The dtype of the trainer's policies, critics, optimizer state, workspace,
+# archive snapshots and checkpoint store. GAE, the gradient set the min-norm
+# solve takes and the objectives stay float64.
 NETWORK_DTYPE = np.float32
 
 

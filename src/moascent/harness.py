@@ -8,21 +8,19 @@ the frontier JSON, the checkpoint store, and the selection log. ``train``
 writes such directories; ``eval`` and ``report`` only read them, and a run
 directory is all they need.
 
-The checkpoint store is two float64 ``.npy`` stacks, ``checkpoints/policy.npy``
-``(n, P)`` and ``checkpoints/critic.npy`` ``(n, C)``, each written with one
-``np.save``: row k holds the parameters of the frontier's ``entries[k]``. The
-networks train in ``NETWORK_DTYPE`` (float32), so every stored number is a
-float32 value; the store reader rejects a row that is not, naming the file,
-since its policy would not reproduce the entry's objectives. The store holds
-no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
+The checkpoint store is two ``.npy`` stacks in the networks' dtype,
+``NETWORK_DTYPE`` (float32): ``checkpoints/policy.npy`` ``(n, P)`` and
+``checkpoints/critic.npy`` ``(n, C)``, each written with one ``np.save``. Row k
+holds the parameters of the frontier's ``entries[k]``, as the archive keeps
+them. The store reader rejects a file of another dtype, naming it. The store
+holds no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
 through :func:`resolve_config` and require it to be its own resolution, as
 ``train`` writes it, and ``frontier.json``'s ``m`` and ``reference_point``
 to be the config's. A trainer is built from a resolved config and a seed
 alone (:func:`build_trainer`, which is ``Trainer(cfg, seed)``): ``eval``
 builds the run's as ``train`` does, and rolls the entry's policy out on the
 trainer's env and evaluation seeds (the first ``--episodes`` of them when
-given), which reproduce the entry's objectives. It casts the row to the
-networks' dtype as ``Trainer.evaluate`` does (``Trainer.episode_returns``).
+given), which reproduce the entry's objectives.
 """
 
 from __future__ import annotations
@@ -68,11 +66,10 @@ def build_trainer(cfg: Config, seed: int) -> Trainer:
 
 
 def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:
-    """Write the checkpoint store: row k of each stack holds ``entries[k]``, as float64."""
+    """Write the checkpoint store: row k of each stack holds ``entries[k]``'s own arrays."""
     checkpoint_dir.mkdir()
-    np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries], dtype=np.float64))
-    np.save(checkpoint_dir / "critic.npy",
-            np.stack([e.critic_params for e in entries], dtype=np.float64))
+    np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries]))
+    np.save(checkpoint_dir / "critic.npy", np.stack([e.critic_params for e in entries]))
 
 
 def _unresolved_fields(raw: dict, resolved: dict, prefix: str = ""):
@@ -127,7 +124,7 @@ def _read_frontier(run_dir: Path, cfg: Config) -> dict:
 
 
 def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
-    """A store file: a finite float64 ``(rows, width)`` array of float32 values.
+    """A store file: a finite ``NETWORK_DTYPE`` ``(rows, width)`` array.
 
     Else ValueError naming the file.
     """
@@ -138,8 +135,9 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
         raise ValueError(f"checkpoint store {path} is not a readable .npy array: {exc}") from None
     if not isinstance(stack, np.ndarray):
         raise ValueError(f"checkpoint store {path} is not a .npy array")
-    if stack.dtype != np.float64:
-        raise ValueError(f"checkpoint store {path} must hold float64, got {stack.dtype}")
+    if stack.dtype != NETWORK_DTYPE:
+        raise ValueError(f"checkpoint store {path} must hold {np.dtype(NETWORK_DTYPE)}, "
+                         f"got {stack.dtype}")
     if stack.ndim != 2:
         raise ValueError(f"checkpoint store {path} must be a 2-D stack, got shape {stack.shape}")
     if stack.shape[1] != width:
@@ -151,21 +149,14 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
     if not np.isfinite(stack).all():
         row = int(np.argmin(np.isfinite(stack).all(axis=1)))
         raise ValueError(f"checkpoint store {path} row {row} holds a non-finite value")
-    with np.errstate(over="ignore"):
-        exact = (stack.astype(NETWORK_DTYPE) == stack).all(axis=1)
-    if not exact.all():
-        row = int(np.argmin(exact))
-        name = np.dtype(NETWORK_DTYPE).name
-        raise ValueError(f"checkpoint store {path} row {row} is not {name}-exact: the "
-                         f"networks train in {name}, so this store was written by an older "
-                         "version or edited, and cannot reproduce its frontier")
     return stack
 
 
 def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
     """A run's trainer, built as ``train`` builds it, and its frontier's ``entries[entry]``.
 
-    Both store files, the policy's and the critic's, are read and checked.
+    Both store files, the policy's and the critic's, are read and checked; the
+    entry's row is in the networks' dtype, as the archive kept it.
     """
     run_dir = Path(run_dir)
     cfg = _read_config(run_dir)

@@ -71,7 +71,7 @@ def stored_run(tmp_path, rows):
     Each row is cast to the networks' dtype, as every snapshot a run stores is.
     """
     cfg = resolve_config(TINY)
-    critic = np.zeros(Trainer(cfg, 0).critic.num_params)
+    critic = np.zeros(Trainer(cfg, 0).critic.num_params, NETWORK_DTYPE)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / "config.yaml").write_text(yaml.safe_dump(asdict(cfg), sort_keys=True))
@@ -283,17 +283,23 @@ class TestCheckpointIO:
     """The checkpoint store: row k of each stack holds frontier.json's entries[k]."""
 
     def test_round_trip(self, tmp_path, monkeypatch):
+        # Each file stacks the archive entries' own NETWORK_DTYPE arrays, and
+        # the store reader takes it as written.
         run_dir, _, state = train_keeping_state(tmp_path, monkeypatch)
         doc, _ = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
         policy = np.load(run_dir / "checkpoints" / "policy.npy", allow_pickle=False)
         critic = np.load(run_dir / "checkpoints" / "critic.npy", allow_pickle=False)
         archive = {e.params_ref: e for e in state.archive}
         assert policy.shape[0] == critic.shape[0] == len(doc["entries"]) == len(archive) > 1
+        for name, stack in (("policy.npy", policy), ("critic.npy", critic)):
+            assert stack.dtype == NETWORK_DTYPE
+            read = _read_stack(run_dir / "checkpoints" / name, *stack.shape)
+            assert read.dtype == NETWORK_DTYPE and read.tobytes() == stack.tobytes()
         for k, item in enumerate(doc["entries"]):
             entry = archive[item["params_ref"]]
             assert item["objectives"] == entry.objectives.tolist()
-            assert policy[k].tobytes() == entry.params.astype(np.float64).tobytes()
-            assert critic[k].tobytes() == entry.critic_params.astype(np.float64).tobytes()
+            assert policy[k].tobytes() == entry.params.tobytes()
+            assert critic[k].tobytes() == entry.critic_params.tobytes()
 
     def test_stack_evaluates_to_the_frontier(self, tmp_path, monkeypatch):
         run_dir, trainer, _ = train_keeping_state(tmp_path, monkeypatch)
@@ -312,26 +318,11 @@ class TestCheckpointIO:
             stack = np.load(run_dir / "checkpoints" / name, allow_pickle=False)
             assert stack.shape[0] == len(doc["entries"])
 
-    @pytest.mark.parametrize("name", ["policy.npy", "critic.npy"])
-    def test_store_rows_are_float32_exact(self, tmp_path, monkeypatch, name):
-        # The networks train in float32, so every row of both files is a
-        # float32 value: the store reader takes a trained store as written and
-        # names a row nudged by one float64 ulp.
-        run_dir, _, _ = train_keeping_state(tmp_path, monkeypatch)
-        path = run_dir / "checkpoints" / name
-        stack = np.load(path)
-        rows, width = stack.shape
-        assert _read_stack(path, rows, width).tobytes() == stack.tobytes()
-        stack[-1, 0] = np.nextafter(stack[-1, 0], -np.inf)
-        np.save(path, stack)
-        with pytest.raises(ValueError, match=re.escape(f"{path} row {rows - 1} is not "
-                                                       "float32-exact")):
-            _read_stack(path, rows, width)
-
     def test_corrupt_length_rejected(self, tmp_path):
         policy = GaussianPolicy(1, 2, hidden=8)
         run_dir = stored_run(tmp_path, [np.zeros(policy.num_params)] * 2)
-        np.save(run_dir / "checkpoints" / "policy.npy", np.zeros((2, policy.num_params + 1)))
+        np.save(run_dir / "checkpoints" / "policy.npy",
+                np.zeros((2, policy.num_params + 1), NETWORK_DTYPE))
         with pytest.raises(ValueError, match="parameters"):
             load_checkpoint(run_dir, 0)
 
@@ -457,7 +448,7 @@ class TestCheckpointHeader(_StoredRunCase):
         pytest.param(_edit_policy_stack(lambda path, stack: np.save(path, stack.astype(object))),
                      "is not a readable .npy array", id=f"values-value11-{VALUES}"),
         pytest.param(_edit_policy_stack(lambda path, stack: np.save(path, stack > 0)),
-                     "must hold float64, got bool", id=f"values-value12-{VALUES}"),
+                     "must hold float32, got bool", id=f"values-value12-{VALUES}"),
     ])
     def test_bad_policy_value_named(self, tmp_path, capsys, damage, message):
         self.assert_eval_names(tmp_path, capsys, damage, message)
@@ -470,8 +461,9 @@ class TestDamagedStore(_StoredRunCase):
     DAMAGE = [
         ("empty", lambda path, stack: path.write_bytes(b""), "is not a readable .npy array"),
         ("zip-archive", _save_zip, "is not a .npy array"),
-        ("float32", lambda path, stack: np.save(path, stack.astype(np.float32)),
-         "must hold float64, got float32"),
+        # The id names the dtype the store must hold.
+        ("float32", lambda path, stack: np.save(path, stack.astype(np.float16)),
+         "must hold float32, got float16"),
         ("one-dimensional", lambda path, stack: np.save(path, stack[0]),
          "must be a 2-D stack, got shape"),
         ("width", lambda path, stack: np.save(path, stack[:, :-1]),
@@ -497,20 +489,17 @@ class TestDamagedStore(_StoredRunCase):
         self.assert_named(capsys, str(path), "row 2 holds a non-finite value")
 
     @pytest.mark.parametrize("name", ["policy.npy", "critic.npy"])
-    def test_row_that_is_not_float32_exact_named(self, tmp_path, capsys, name):
-        # Networks train in float32, so every stored row is a float32 value. A
-        # store trained in float64 (or edited) would roll out other params than
-        # the ones its frontier.json scored, so eval refuses it by name. It
-        # reads the critic's file as well, which it used to skip.
+    def test_float64_store_of_earlier_versions_named(self, tmp_path, capsys, name):
+        # Earlier versions widened each float32 snapshot to float64 on save.
+        # Such a store holds the same values, and eval refuses it by name, as
+        # it refuses a version-1 frontier; it reads the critic's file as well.
         run_dir = self.run(tmp_path)
         path = run_dir / "checkpoints" / name
         assert eval_run(run_dir, "--entry", "0") == 0
         capsys.readouterr()
-        stack = np.load(path)
-        stack[1, 4] = np.nextafter(stack[1, 4], np.inf)
-        np.save(path, stack)
+        np.save(path, np.load(path).astype(np.float64))
         assert eval_run(run_dir, "--entry", "0") == 1
-        self.assert_named(capsys, str(path), "row 1 is not float32-exact")
+        self.assert_named(capsys, str(path), "must hold float32, got float64")
 
     @pytest.mark.parametrize("entry", ["3", "-1"])
     def test_entry_out_of_range_named(self, tmp_path, capsys, entry):

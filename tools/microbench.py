@@ -66,9 +66,10 @@ Times one call of each function below, many times over, in this process:
   rows, drawn the same way, to a 3-D front of 1000 points (a ``quad3``
   archive's size);
 - ``save_checkpoint`` writing the checkpoint store of a 1000-entry archive
-  at the ``quad2`` workload's network sizes into a temporary directory;
-  each call first removes the store the previous call wrote, and that
-  removal is timed with it;
+  at the ``quad2`` workload's network sizes, its snapshots in the tree's
+  network dtype as a run's are, into a temporary directory; each call first
+  removes the store the previous call wrote, and that removal is timed with
+  it;
 - ``config.resolve_config.point``: ``load_config`` and ``resolve_config`` of
   the ``point`` workload's config file with its overrides;
 - ``config.replace_seeds.point``: ``dataclasses.replace(cfg, seeds=[0])`` of
@@ -372,8 +373,8 @@ def cases(mo, full: bool, scratch: Path) -> list:
     quad2 = _trainer(mo, "quad2")
     rng = np.random.default_rng(0)
     entries = [PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
-                           rng.standard_normal(quad2.policy.num_params),
-                           rng.standard_normal(quad2.critic.num_params))
+                           rng.standard_normal(quad2.policy.num_params).astype(_dtype(mo)),
+                           rng.standard_normal(quad2.critic.num_params).astype(_dtype(mo)))
                for k in range(1000)]
     out.append(("save_checkpoint.quad2_n1000", 1,
                 lambda: _rewrite_store(mo.harness.save_checkpoint, scratch / "checkpoints",
