@@ -18,8 +18,8 @@ from .pareto import (
 )
 from .policy import (
     GaussianPolicy,
+    Network,
     RolloutBatch,
-    VectorCritic,
     collect_batch,
     estimate_gradient_set,
     gae,
@@ -34,12 +34,12 @@ __all__ = [
     "EvolutionConfig",
     "GaussianPolicy",
     "MOMDPSpec",
+    "Network",
     "NonDominatedSet",
     "PolicyConfig",
     "PolicyEntry",
     "RolloutBatch",
     "Trainer",
-    "VectorCritic",
     "analytic_two_objective_alpha",
     "collect_batch",
     "estimate_gradient_set",

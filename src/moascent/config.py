@@ -118,9 +118,11 @@ class EvolutionConfig(_Section):
     Generations count from 1 after the warm-up, and those after ``M_ft``
     split the budget between ascent updates and fine-tuning; a null ``M_ft``
     means ``max(1, M // 3)``.
-    A null ``paft_pairs`` is the pair budget left after the per-objective
-    extremes, and a null ``reference_point`` the environment's default,
-    filled by :class:`Config`.
+    A null ``reference_point`` is the environment's default, filled by
+    :class:`Config`. A null ``paft_pairs`` stays null, in ``config.yaml``
+    too: ``paft_select`` takes it as ``max(0, (p // 2 - m) // 2)`` each
+    generation, the pair budget left after the ``m`` per-objective extremes,
+    so ``quad3.yaml`` (p=8, m=3) fills no gap pairs.
     """
 
     _prefix = "evolution."

@@ -26,7 +26,7 @@ from .momdp import make_env, mo_return
 from .pareto import min_norm_direction
 from .policy import (
     GaussianPolicy,
-    VectorCritic,
+    Network,
     collect_batch,
     estimate_gradient_set,
     hidden_workspace,
@@ -343,11 +343,11 @@ class Trainer:
 
     ``warmup`` and ``run_generation`` plan a generation's lanes, and
     ``_generation_step`` trains, evaluates and commits them.
-    The environment, policy and critic are built from ``cfg``, which has
-    checked itself against that environment, so their dimensions agree.
-    ``evolution``, ``update`` and ``paft_enabled`` are the config's
-    ``evolution`` and ``policy`` sections and ``paft.enabled``. Training and
-    scoring share ``env.spec.gamma``.
+    The environment, the policy and the critic, a ``Network`` with one
+    output per objective, are built from ``cfg``, which has checked itself
+    against that environment, so their dimensions agree; the trainer keeps
+    ``cfg`` and reads its settings from it. Training and scoring share
+    ``env.spec.gamma``.
 
     The networks run in ``NETWORK_DTYPE``: each generation casts its
     lanes' start stack to it, and ``evaluate`` casts the params it rolls
@@ -360,11 +360,9 @@ class Trainer:
         spec, hidden = env.spec, cfg.policy.hidden
         self.env = env
         self.policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden)
-        self.critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden)
-        self.evolution = cfg.evolution
-        self.update = cfg.policy
+        self.critic = Network(spec.state_dim, spec.num_objectives, hidden)
+        self.cfg = cfg
         self.seed = seed
-        self.paft_enabled = cfg.paft.enabled
         self.eval_seeds = eval_seeds(seed, cfg.eval.episodes)
         self.workspace = hidden_workspace(
             hidden, (cfg.evolution.p, cfg.policy.batch_episodes * spec.horizon), NETWORK_DTYPE)
@@ -403,7 +401,7 @@ class Trainer:
         the number of stationary fallbacks. Each batch is collected into the
         first L lanes of the trainer's workspace.
         """
-        upd = self.update
+        upd = self.cfg.policy
         m = self.env.spec.num_objectives
         workspace = self.workspace[:, :len(params)]
         ascent = [lane for lane, w in enumerate(fixed_weights) if w is None]
@@ -478,7 +476,7 @@ class Trainer:
         fresh policy ``m_w`` iterations under its weight and offers only its
         final params.
         """
-        cfg = self.evolution
+        cfg = self.cfg.evolution
         weight_grid = evenly_spread_weights(self.env.spec.num_objectives, cfg.p)
         return self._generation_step(state, 0, [("warmup", None, w) for w in weight_grid],
                                      cfg.m_w, snapshot_every=cfg.m_w)
@@ -491,8 +489,8 @@ class Trainer:
         fine-tuning lanes of ``paft_select`` instead, each logged as one
         ``paft`` record.
         """
-        cfg = self.evolution
-        paft_active = self.paft_enabled and generation > cfg.M_ft
+        cfg = self.cfg.evolution
+        paft_active = self.cfg.paft.enabled and generation > cfg.M_ft
         p_a = cfg.p // 2 if paft_active else cfg.p
         # One angular region per ascent lane.
         selected = pgr_select(
@@ -520,7 +518,7 @@ class Trainer:
         the configured seed.
         """
         state = TrainingState(population=[], archive=NonDominatedSet())
-        for generation in range(self.evolution.M + 1):
+        for generation in range(self.cfg.evolution.M + 1):
             start = time.perf_counter()
             fallbacks = (self.warmup(state) if generation == 0
                          else self.run_generation(state, generation))
@@ -528,7 +526,7 @@ class Trainer:
             points = state.archive.objectives_matrix()
             state.metrics.append({
                 "generation": generation,
-                "hv": hypervolume(points, self.evolution.reference_point),
+                "hv": hypervolume(points, self.cfg.evolution.reference_point),
                 "sp": sparsity(points),
                 "archive_size": len(state.archive),
                 "stationary_fallbacks": fallbacks,

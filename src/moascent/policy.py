@@ -1,7 +1,8 @@
 """Stochastic policies, per-objective gradients, and the scalarized PPO update.
 
-The policy is a diagonal Gaussian whose mean comes from a linear map or a
-one-hidden-layer tanh network; all parameters live in a single flat vector
+The policy is a diagonal Gaussian whose mean comes from a ``Network``, a
+linear map or a one-hidden-layer tanh network; the critic is a ``Network``
+with one output per objective. All parameters live in a single flat vector
 so per-objective policy gradients stack into an (m, d) matrix. Gradients
 are computed analytically (closed-form backprop), which keeps them exactly
 finite-difference-checkable.
@@ -35,8 +36,8 @@ from .pareto import validate_weights
 
 __all__ = [
     "GaussianPolicy",
+    "Network",
     "RolloutBatch",
-    "VectorCritic",
     "collect_batch",
     "estimate_gradient_set",
     "gae",
@@ -89,14 +90,16 @@ def _product(inputs: np.ndarray, wt: np.ndarray, out: np.ndarray) -> None:
         np.matmul(inputs, wt, out=out)
 
 
-class _MeanNet:
+class Network:
     """Flat-vector linear or one-hidden-layer tanh network with backprop.
 
-    ``params`` is ``(..., num_params)`` and ``states`` is ``(..., N, in_dim)``
-    with the same leading lane axes; a pass covers the whole stack at once.
-    ``split`` views the layers of a parameter vector and ``apply`` runs one
-    pass of them into caller-owned outputs; ``forward`` does both into a new
-    output and a given or new hidden buffer. ``backprop`` takes a pass's
+    The policy's mean network is one, and so is the critic, with one output
+    per objective. ``params`` is ``(..., num_params)`` and ``states`` is
+    ``(..., N, in_dim)`` with the same leading lane axes; a pass covers the
+    whole stack at once. ``split`` views the layers of a parameter vector
+    and ``apply`` runs one pass of them into caller-owned outputs;
+    ``forward`` does both into a new output and a given or new hidden
+    buffer. ``backprop`` takes a pass's
     cache ``(layers, states, hid)``, so a caller that splits once (a
     rollout, ``ppo_update``) runs every pass and gradient on the same layers
     and buffers. Its hidden-layer buffers are ``(..., N, hidden)`` arrays,
@@ -111,6 +114,10 @@ class _MeanNet:
             self.num_params = hidden * in_dim + hidden + out_dim * hidden + out_dim
         else:
             self.num_params = out_dim * in_dim + out_dim
+
+    def init_params(self, rng: np.random.Generator, weight_scale: float) -> np.ndarray:
+        """Float64 weights and biases, each a standard normal draw times ``weight_scale``."""
+        return weight_scale * rng.standard_normal(self.num_params)
 
     def split(self, params: np.ndarray) -> list:
         """The layers of ``params``: per layer, the transposed weights
@@ -146,7 +153,8 @@ class _MeanNet:
         """Return (outputs, cache-for-backprop) for a batch of states.
 
         The outputs are a new array of the params' dtype; the hidden layer
-        goes into ``hid``, or into a new array of that dtype if None.
+        goes into ``hid``, or into a new array of that dtype if None. The
+        states are not cast: the first layer multiplies them as they are.
         """
         out = np.empty(states.shape[:-1] + (self.out_dim,), params.dtype)
         if hid is None:
@@ -201,13 +209,14 @@ class GaussianPolicy:
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.hidden = hidden
-        self.net = _MeanNet(state_dim, action_dim, hidden)
+        self.net = Network(state_dim, action_dim, hidden)
         self.num_params = self.net.num_params + action_dim
 
     def init_params(self, rng: np.random.Generator, weight_scale: float,
                     log_std_init: float) -> np.ndarray:
+        """The mean network's ``init_params``, then ``log_std_init`` for every action."""
         params = np.empty(self.num_params)
-        params[: self.net.num_params] = weight_scale * rng.standard_normal(self.net.num_params)
+        params[: self.net.num_params] = self.net.init_params(rng, weight_scale)
         params[self.net.num_params :] = log_std_init
         return params
 
@@ -278,24 +287,6 @@ class GaussianPolicy:
             return out
 
         return log_probs, grad
-
-
-class VectorCritic:
-    """State-value network with one output head per objective."""
-
-    def __init__(self, state_dim: int, num_objectives: int, hidden: int):
-        self.state_dim = state_dim
-        self.num_objectives = num_objectives
-        self.hidden = hidden
-        self.net = _MeanNet(state_dim, num_objectives, hidden)
-        self.num_params = self.net.num_params
-
-    def init_params(self, rng: np.random.Generator, weight_scale: float) -> np.ndarray:
-        return weight_scale * rng.standard_normal(self.num_params)
-
-    def values(self, params: np.ndarray, states) -> np.ndarray:
-        out, _ = self.net.forward(params, np.atleast_2d(np.asarray(states, dtype=params.dtype)))
-        return out
 
 
 @dataclass
@@ -431,10 +422,11 @@ def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray:
     A ``(4,) + rows + (hidden,)`` array of ``dtype``, the networks' params'
     dtype, zero-width for a linear network: ``collect_batch`` writes its
     critic pass into ``[0]``, and ``estimate_gradient_set`` and
-    ``ppo_update`` write their passes and backprops into ``[1:]``, the
-    ``hid``, ``d_hid`` and ``scratch`` of ``_passes``. So a batch's critic
-    pass stays valid until the next collect into the same workspace. The
-    slice ``[:, :L]`` serves a stack of the first L lanes.
+    ``ppo_update`` write their passes and backprops into ``[1:]``: the
+    hidden layer ``apply`` fills, then backprop's ``work`` pair ``(d_hid,
+    scratch)``. So a batch's critic pass stays valid until the next collect
+    into the same workspace. The slice ``[:, :L]`` serves a stack of the
+    first L lanes.
 
     ``collect_batch`` is the one place a batch's buffers come from: the
     workspace it is given, or one it makes. The gradient set and the update
@@ -446,15 +438,8 @@ def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray:
     return np.empty((4,) + rows + (hidden,), dtype)
 
 
-def _passes(workspace: np.ndarray):
-    """The ``(hid, (d_hid, scratch))`` buffers of a workspace: ``apply``'s
-    hidden layer and ``backprop``'s ``work`` pair."""
-    _, hid, d_hid, scratch = workspace
-    return hid, (d_hid, scratch)
-
-
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
-                  critic: VectorCritic, critic_params: np.ndarray,
+                  critic: Network, critic_params: np.ndarray,
                   episodes: int, rng, workspace: np.ndarray | None = None) -> RolloutBatch:
     """Collect ``episodes`` episodes per lane, each lane under its own snapshot.
 
@@ -464,14 +449,15 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     ``(episodes, T, action_dim)`` block of standard-normal action noise.
     Advantages discount with ``env.spec.gamma`` and GAE's constant lambda.
     They bootstrap from the critic at the final states when the spec is
-    ``truncated``, and from zero otherwise. The batch keeps copies of
+    ``truncated``, and from zero otherwise; the final states are cast to the
+    critic params' dtype for that pass. The batch keeps copies of
     ``params`` and ``critic_params``, the critic's pass over its states,
     cast to the params' dtype, and its hidden-layer buffers: ``workspace``
     (see ``hidden_workspace``), or one made here for the batch if None. The
     critic pass's hidden layer is written into ``workspace[0]``. GAE runs on
     the critic's values cast to float64.
     """
-    T, a, m = env.spec.horizon, env.spec.action_dim, critic.num_objectives
+    T, a, m = env.spec.horizon, env.spec.action_dim, critic.out_dim
     lead = params.shape[:-1]
     seeds, noise = zip(*[(lane_rng.integers(0, 2**31 - 1, size=episodes),
                           lane_rng.standard_normal((episodes, T, a)))
@@ -485,9 +471,9 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     actions = actions.reshape(lead + (n, -1))
     if workspace is None:
         workspace = hidden_workspace(critic.hidden, lead + (n,), params.dtype)
-    values, _ = critic.net.forward(critic_params, states, workspace[0])
-    last_values = critic.values(critic_params, final_states) if env.spec.truncated \
-        else np.zeros(lead + (episodes, m))
+    values, _ = critic.forward(critic_params, states, workspace[0])
+    last_values = critic.forward(critic_params, final_states.astype(critic_params.dtype))[0] \
+        if env.spec.truncated else np.zeros(lead + (episodes, m))
     # GAE and the return targets are float64 whatever the networks' dtype.
     values64 = values.astype(np.float64, copy=False)
     advantages = gae(rewards, values64.reshape(lead + (episodes, T, m)),
@@ -533,7 +519,7 @@ def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
     if normalize_advantages:
         adv = normalize_per_objective(adv)
     n, m = adv.shape[-2:]
-    hid, work = _passes(batch.workspace)
+    _, hid, *work = batch.workspace
     mean_pass = policy.net.forward(policy._net_params(batch.params), batch.states, hid)
     _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
     G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2,
@@ -601,7 +587,7 @@ _OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
 _CLIP_EPS = 0.2  # PPO's clip range on the likelihood ratio
 
 
-def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch, omega,
+def ppo_update(policy: GaussianPolicy, critic: Network, batch: RolloutBatch, omega,
                update: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clipped-surrogate ascent on the ``omega``-scalarized advantages.
 
@@ -648,8 +634,8 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
     states, actions, rows = batch.states, batch.actions, batch.states.shape[:-1]
     params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
-    critic_layers = critic.net.split(critic_params)
-    hid, work = _passes(batch.workspace)
+    critic_layers = critic.split(critic_params)
+    _, hid, *work = batch.workspace
     mu, values = np.empty(rows + (policy.action_dim,), dtype), np.empty(rows + (m,), dtype)
     grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr
@@ -671,9 +657,9 @@ def ppo_update(policy: GaussianPolicy, critic: VectorCritic, batch: RolloutBatch
             coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
         policy_opt.step(params, np.negative(grad(coeffs, grad_out, work), out=grad_out))
         if epoch > 0:
-            critic.net.apply(critic_layers, states, values, hid)
+            critic.apply(critic_layers, states, values, hid)
             critic_values, critic_hid = values, hid
-        critic_opt.step(critic_params, critic.net.backprop(
+        critic_opt.step(critic_params, critic.backprop(
             (critic_layers, states, critic_hid), (critic_values - returns) / (n * m),
             critic_grad, work))
     return params, critic_params

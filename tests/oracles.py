@@ -400,7 +400,7 @@ class PerLaneTrainer(Trainer):
     """
 
     def _train_lane(self, params, critic_params, iters, snapshot_every, rng, fixed_weights):
-        upd = self.update
+        upd = self.cfg.policy
         weights = fixed_weights
         fallbacks = 0
         snapshots = [] if iters else [(params, critic_params)]
@@ -534,9 +534,9 @@ def gradient_set(policy, batch, normalize_advantages):
 
 
 def _critic_grad(critic, params, states, targets):
-    values, layers, hid = _net_forward(critic.net, params, states)
+    values, layers, hid = _net_forward(critic, params, states)
     count = values.shape[-2] * values.shape[-1]
-    return _net_backprop(critic.net, layers, states, hid, (values - targets) / count)
+    return _net_backprop(critic, layers, states, hid, (values - targets) / count)
 
 
 class _AllocatingAdam:

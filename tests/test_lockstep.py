@@ -9,7 +9,7 @@ from moascent import evolution
 from moascent import policy as policy_module
 from moascent.config import PolicyConfig
 from moascent.harness import build_trainer, resolve_config
-from moascent.policy import _MeanNet, collect_batch, hidden_workspace, ppo_update
+from moascent.policy import Network, collect_batch, hidden_workspace, ppo_update
 
 from .oracles import PerLaneTrainer
 
@@ -109,7 +109,7 @@ def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
     workspace = trainer.workspace
     rows = workspace.shape[-2]
     made, elsewhere = [], []
-    make, apply, backprop = policy_module.hidden_workspace, _MeanNet.apply, _MeanNet.backprop
+    make, apply, backprop = policy_module.hidden_workspace, Network.apply, Network.backprop
 
     def counted_workspace(*args):
         made.append(args)
@@ -126,10 +126,10 @@ def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
         return backprop(self, cache, d_out, out, work)
 
     monkeypatch.setattr(policy_module, "hidden_workspace", counted_workspace)
-    monkeypatch.setattr(_MeanNet, "apply", checked_apply)
-    monkeypatch.setattr(_MeanNet, "backprop", checked_backprop)
+    monkeypatch.setattr(Network, "apply", checked_apply)
+    monkeypatch.setattr(Network, "backprop", checked_backprop)
     state = trainer.run_training()
-    assert workspace.shape == (4, trainer.evolution.p, rows, trainer.policy.hidden)
+    assert workspace.shape == (4, trainer.cfg.evolution.p, rows, trainer.policy.hidden)
     assert len(state.archive) > 0
     assert made == []
     assert elsewhere == []
@@ -149,7 +149,7 @@ def test_a_linear_run_carries_zero_width_buffers(monkeypatch):
 
     monkeypatch.setattr(evolution, "collect_batch", recording_collect)
     state = trainer.run_training()
-    assert workspace.shape == (4, trainer.evolution.p, workspace.shape[-2], 0)
+    assert workspace.shape == (4, trainer.cfg.evolution.p, workspace.shape[-2], 0)
     assert workspace.dtype == evolution.NETWORK_DTYPE
     assert len(state.archive) > 0
     assert bases and set(bases) == {(True, 0)}

@@ -16,9 +16,8 @@ from moascent.momdp import MoPoint, MoQuadratic, make_env, mo_return
 from moascent.policy import (
     _GAE_LAMBDA,
     GaussianPolicy,
+    Network,
     RolloutBatch,
-    VectorCritic,
-    _MeanNet,
     _row_sum,
     collect_batch,
     estimate_gradient_set,
@@ -187,7 +186,7 @@ class TestGradientSet:
     def setup_method(self):
         self.env = make_env("mo_quadratic")
         self.policy = GaussianPolicy(1, 2, hidden=8)
-        self.critic = VectorCritic(1, 2, hidden=8)
+        self.critic = Network(1, 2, hidden=8)
 
     def test_zero_advantages_zero_matrix(self):
         params, _, batch = make_batch(self.env, self.policy, self.critic)
@@ -231,7 +230,7 @@ def test_gradient_set_stack_matches_lane_less_calls(env_name, normalize):
     env = make_env(env_name)
     spec = env.spec
     policy = GaussianPolicy(spec.state_dim, spec.action_dim, hidden=8)
-    critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden=8)
+    critic = Network(spec.state_dim, spec.num_objectives, hidden=8)
     rng = np.random.default_rng(5)
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(3)])
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(3)])
@@ -301,7 +300,7 @@ class TestScoringPasses:
     def setup_method(self):
         self.env = make_env("mo_quadratic")
         self.policy = GaussianPolicy(1, 2, hidden=8)
-        self.critic = VectorCritic(1, 2, hidden=8)
+        self.critic = Network(1, 2, hidden=8)
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_ppo_update_runs_mean_network_once_per_epoch(self, monkeypatch, epochs):
@@ -309,7 +308,7 @@ class TestScoringPasses:
         # the pass collect_batch made, so the critic runs one pass fewer.
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         policy_passes = count_calls(self.policy.net, "apply", monkeypatch)
-        critic_passes = count_calls(self.critic.net, "apply", monkeypatch)
+        critic_passes = count_calls(self.critic, "apply", monkeypatch)
         forwards = count_mean_net_passes(self.policy, monkeypatch)
         ppo_update(self.policy, self.critic, batch, [0.5, 0.5], PolicyConfig(epochs=epochs))
         assert len(policy_passes) == epochs
@@ -327,7 +326,7 @@ class TestScoringPasses:
         # split once per rollout; the batch is not scored again afterwards.
         env = MoPoint(horizon=6)
         policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
-        critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
+        critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden=8)
         rng = np.random.default_rng(0)
         params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(3)])
         critic_params = np.stack([critic.init_params(rng, 0.1) for _ in range(3)])
@@ -343,11 +342,11 @@ class TestScoringPasses:
 
 class TestGAE:
     def test_lambda_zero_is_td_residual(self):
-        critic = VectorCritic(2, 2, hidden=4)
+        critic = Network(2, 2, hidden=4)
         cp = critic.init_params(np.random.default_rng(7), weight_scale=0.5)
         states = np.random.default_rng(8).uniform(-1, 1, size=(4, 2))  # s_0..s_3
         rewards = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        V = critic.values(cp, states)
+        V, _ = critic.forward(cp, states)
         adv = gae(rewards[None], V[None, :3], V[None, 3], 0.9, 0.0)[0]
         expected = rewards + 0.9 * V[1:] - V[:3]
         np.testing.assert_allclose(adv, expected, atol=1e-12)
@@ -380,7 +379,7 @@ class TestPPOUpdate:
     def setup_method(self):
         self.env = make_env("mo_quadratic")
         self.policy = GaussianPolicy(1, 2, hidden=8)
-        self.critic = VectorCritic(1, 2, hidden=8)
+        self.critic = Network(1, 2, hidden=8)
 
     def test_zero_advantages_leave_policy_unchanged(self):
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
@@ -431,7 +430,7 @@ class TestPPOUpdate:
         # below the starting scalarized return (trend, not per step).
         env = self.env
         policy = GaussianPolicy(1, 2, hidden=32)
-        critic = VectorCritic(1, 2, hidden=32)
+        critic = Network(1, 2, hidden=32)
         rng = np.random.default_rng(9)
         params = policy.init_params(rng, 0.1, -0.5)
         critic_params = critic.init_params(rng, 0.1)
@@ -512,7 +511,7 @@ def test_ppo_update_matches_allocating_oracle(hidden, action_dim, optimizer, nor
     env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic(targets, gamma=0.99)
     episodes = 20 // env.spec.horizon
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden)
     rng = np.random.default_rng(21)
     count = int(np.prod(lanes))
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)])
@@ -594,7 +593,7 @@ def test_length_one_products_match_the_matmul_oracle(states_dtype, params_dtype,
     # biases with exact -0.0 entries keep the sign of each zero product:
     # a matmul adds it to +0.0, so 0.0 * w and -0.0 * w come out +0.0.
     rng = np.random.default_rng(100 * in_dim + hidden + rows)
-    net = _MeanNet(in_dim, 2, hidden)
+    net = Network(in_dim, 2, hidden)
     params = (0.5 * rng.standard_normal(lanes + (net.num_params,))).astype(params_dtype)
     for _, bias in net.split(params):
         bias[..., 0::2] = -0.0
@@ -624,7 +623,7 @@ def test_float32_ppo_update_matches_allocating_oracle(hidden, action_dim, optimi
     env = MoPoint(horizon=5) if action_dim == 2 else MoQuadratic(targets, gamma=0.99)
     episodes = 20 // env.spec.horizon
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden)
     rng = np.random.default_rng(22)
     count = int(np.prod(lanes))
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)])
@@ -699,6 +698,63 @@ def test_trainer_passes_stay_in_the_network_dtype(monkeypatch):
         (np.dtype(np.float32),) * 2}
 
 
+@pytest.mark.parametrize("hidden", [0, 8])
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=["lane-less", "stack"])
+def test_bootstrap_values_are_the_critic_pass_over_cast_final_states(monkeypatch, lanes, hidden):
+    # mo_point's horizon is a time limit, so GAE bootstraps from the critic
+    # at the rollout's float64 final states. collect_batch casts them to the
+    # critic params' dtype before that pass; a float64 first layer into
+    # float32 weights gives other bytes, so every run would train otherwise.
+    env = make_env("mo_point")
+    assert env.spec.truncated
+    policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden)
+    rng = np.random.default_rng(3)
+    count = int(np.prod(lanes))
+    params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)],
+                      dtype=NETWORK_DTYPE).reshape(lanes + (-1,))
+    critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(count)],
+                             dtype=NETWORK_DTYPE).reshape(lanes + (-1,))
+    rollouts, bootstraps = [], []
+
+    def recording_run_episode(*args):
+        rollouts.append(run_episode(*args))
+        return rollouts[-1]
+
+    def recording_gae(rewards, values, last_values, gamma, lam):
+        bootstraps.append(last_values)
+        return gae(rewards, values, last_values, gamma, lam)
+
+    monkeypatch.setattr(policy_module, "run_episode", recording_run_episode)
+    monkeypatch.setattr(policy_module, "gae", recording_gae)
+    rngs = rng if not lanes else [np.random.default_rng(lane) for lane in range(count)]
+    collect_batch(env, policy, params, critic, critic_params, 4, rngs)
+    (*_, final_states), = rollouts
+    (last_values,) = bootstraps
+    assert final_states.dtype == np.float64
+    cast, _ = critic.forward(critic_params, final_states.astype(NETWORK_DTYPE))
+    uncast, _ = critic.forward(critic_params, final_states)
+    assert last_values.dtype == np.float64 and last_values.shape == lanes + (4, 2)
+    assert last_values.tobytes() == cast.astype(np.float64).tobytes()
+    assert last_values.tobytes() != uncast.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_network_init_params_is_the_one_initial_draw(hidden):
+    # A policy's initial params are its mean network's draw, then one
+    # log-std per action; a critic's are the network's draw, weight_scale
+    # times standard normals. Same generator seed, same bytes.
+    policy = GaussianPolicy(4, 3, hidden)
+    got = policy.init_params(np.random.default_rng(11), 0.3, -0.7)
+    want = np.concatenate([policy.net.init_params(np.random.default_rng(11), 0.3),
+                           np.full(3, -0.7)])
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    critic = Network(4, 2, hidden)
+    draw = 0.3 * np.random.default_rng(12).standard_normal(critic.num_params)
+    assert critic.init_params(np.random.default_rng(12), 0.3).tobytes() == draw.tobytes()
+
+
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("hidden", [0, 8])
 def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
@@ -709,7 +765,7 @@ def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
     # the update's to write.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden)
     rng = np.random.default_rng(3)
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(2)])
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(2)])
@@ -739,7 +795,7 @@ def test_batch_keeps_its_snapshot_when_the_callers_params_change(lanes):
     # the gradient set and the update as they were, bit for bit.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden=8)
     rng = np.random.default_rng(4)
     count = int(np.prod(lanes))
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(count)]).reshape(
@@ -772,7 +828,7 @@ def test_workspace_passes_match_allocating_calls(normalize):
     # runs them.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=8)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=8)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden=8)
     rng = np.random.default_rng(8)
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(3)])
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(3)])
@@ -805,7 +861,7 @@ def test_workspace_passes_match_allocating_calls(normalize):
 def test_rollout_batch_rejects_each_field_that_disagrees_with_states():
     env = MoPoint(horizon=3)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden=4)
-    critic = VectorCritic(env.spec.state_dim, env.spec.num_objectives, hidden=4)
+    critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden=4)
     rng = np.random.default_rng(6)
     params = np.stack([policy.init_params(rng, 0.3, -0.5) for _ in range(2)])
     critic_params = np.stack([critic.init_params(rng, 0.3) for _ in range(2)])
@@ -827,7 +883,7 @@ class TestRollouts:
     def test_batch_under_snapshot_is_reproducible(self):
         env = make_env("mo_point")
         policy = GaussianPolicy(4, 2, hidden=8)
-        critic = VectorCritic(4, 2, hidden=8)
+        critic = Network(4, 2, hidden=8)
         params = policy.init_params(np.random.default_rng(10), 0.1, -0.5)
         cp = critic.init_params(np.random.default_rng(10), 0.1)
         b1 = collect_batch(env, policy, params, critic, cp, 3, np.random.default_rng(55))
@@ -907,7 +963,7 @@ class TestRollouts:
         spec = env.spec
         T, a = spec.horizon, spec.action_dim
         policy = GaussianPolicy(spec.state_dim, a, hidden=8)
-        critic = VectorCritic(spec.state_dim, spec.num_objectives, hidden=8)
+        critic = Network(spec.state_dim, spec.num_objectives, hidden=8)
         params = policy.init_params(np.random.default_rng(13), 0.1, -0.5)
         cp = critic.init_params(np.random.default_rng(14), 0.1)
         rng = np.random.default_rng(15)
@@ -926,8 +982,8 @@ class TestRollouts:
                 actions.append(action)
                 state, reward = env_step(env, state, action)
                 ep_rewards.append(reward)
-            values = critic.values(cp, np.array(ep_states))
-            tail = critic.values(cp, state) if tail_from_critic \
+            values, _ = critic.forward(cp, np.array(ep_states))
+            tail = critic.forward(cp, state[None])[0] if tail_from_critic \
                 else np.zeros((1, spec.num_objectives))
             advantages.append(gae(np.array(ep_rewards)[None], values[None], tail, spec.gamma,
                                   _GAE_LAMBDA)[0])
@@ -937,7 +993,7 @@ class TestRollouts:
         np.testing.assert_allclose(batch.advantages, np.concatenate(advantages),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(batch.returns - batch.advantages,
-                                   critic.values(cp, batch.states), rtol=0, atol=1e-12)
+                                   critic.forward(cp, batch.states)[0], rtol=0, atol=1e-12)
         assert rng.integers(0, 2**31 - 1) == ref_rng.integers(0, 2**31 - 1)
 
     def test_collect_batch_draws_all_seeds_then_one_noise_block(self):
@@ -951,7 +1007,7 @@ class TestRollouts:
     def test_one_reset_per_rollout_and_two_draws_per_lane(self, monkeypatch):
         env = make_env("mo_point", horizon=4)
         policy = GaussianPolicy(4, 2, hidden=8)
-        critic = VectorCritic(4, 2, hidden=8)
+        critic = Network(4, 2, hidden=8)
         rng = np.random.default_rng(17)
         params = np.stack([policy.init_params(rng, 0.1, -0.5) for _ in range(3)])
         cp = np.stack([critic.init_params(rng, 0.1) for _ in range(3)])

@@ -37,7 +37,7 @@ Times one call of each function below, many times over, in this process:
   rounds read ``estimate_gradient_set.point`` at 0.65 and
   ``ppo_update.point`` at 0.91 of that tree. The ``train_lanes`` rows time
   the trainer, which collects into a workspace of its own in both trees;
-- ``apply.quad2``: one ``_MeanNet.apply`` of the policy's mean network
+- ``apply.quad2``: one ``Network.apply`` of the policy's mean network
   over the ``quad2`` workload's update batch (its p lanes, one input per
   row), into caller-owned buffers, as each epoch of ``ppo_update`` runs it;
 - ``score.point``: ``GaussianPolicy.score`` of that batch's actions plus one
@@ -76,7 +76,12 @@ Times one call of each function below, many times over, in this process:
   that resolved config, which re-checks it against its environment, as
   ``run_seed`` does once per seed.
 
-The shapes come from ``perfbench/run.py``'s workloads. Run from anywhere:
+The shapes come from ``perfbench/run.py``'s workloads, and each row's
+settings (``p``, ``m_iters``, ``snapshot_every``, ``batch_episodes``,
+``normalize_advantages`` and the ``policy`` section ``ppo_update`` takes)
+from the resolved config its trainer is built from, which every tree has,
+so ``--against`` times every row across trees whose trainers hold their
+settings differently. Run from anywhere:
 
     python3 tools/microbench.py            # about 20 s
     python3 tools/microbench.py --quick    # fewer repeats, a few seconds
@@ -175,7 +180,9 @@ def _resolve(mo, config: str, overrides: list):
 
 
 def _trainer(mo, workload: str):
-    return mo.harness.build_trainer(_resolve(mo, *_benchmark_workloads()[workload]), seed=0)
+    """The workload's trainer at seed 0 and the resolved config it is built from."""
+    cfg = _resolve(mo, *_benchmark_workloads()[workload])
+    return mo.harness.build_trainer(cfg, seed=0), cfg
 
 
 def _dtype(mo):
@@ -183,11 +190,10 @@ def _dtype(mo):
     return getattr(mo.evolution, "NETWORK_DTYPE", np.float64)
 
 
-def _lanes(mo, trainer):
+def _lanes(mo, trainer, p: int):
     """Initial ``(p, ·)`` policy and critic stacks in the trainer's dtype, one generator per lane."""
     ev = mo.evolution
     rng = np.random.default_rng(0)
-    p = trainer.evolution.p
     params = np.stack([trainer.policy.init_params(rng, ev._INIT_SCALE, ev._LOG_STD_INIT)
                        for _ in range(p)]).astype(_dtype(mo))
     critic = np.stack([trainer.critic.init_params(rng, ev._INIT_SCALE)
@@ -278,16 +284,16 @@ def cases(mo, full: bool, scratch: Path) -> list:
     ev, pol = mo.evolution, mo.policy
     NonDominatedSet, PolicyEntry = mo.archive.NonDominatedSet, mo.archive.PolicyEntry
     out = []
-    point = _trainer(mo, "point")
-    params, _, rngs = _lanes(mo, point)
-    spec, episodes = point.env.spec, point.update.batch_episodes
+    point, point_cfg = _trainer(mo, "point")
+    params, _, rngs = _lanes(mo, point, point_cfg.evolution.p)
+    spec, episodes = point.env.spec, point_cfg.policy.batch_episodes
     seeds = np.stack([rng.integers(0, 2**31 - 1, size=episodes) for rng in rngs])
     noise = np.stack([rng.standard_normal((episodes, spec.horizon, spec.action_dim))
                       for rng in rngs])
     out.append(("run_episode.point_step", spec.horizon,
                 lambda: pol.run_episode(point.env, point.policy, params, seeds, noise)))
     # A generation snapshots each lane every snapshot_every iterations and after the last.
-    snapshots = -(-point.evolution.m_iters // point.evolution.snapshot_every)
+    snapshots = -(-point_cfg.evolution.m_iters // point_cfg.evolution.snapshot_every)
     rng = np.random.default_rng(1)
     stack = np.stack([point.policy.init_params(rng, ev._INIT_SCALE, ev._LOG_STD_INIT)
                       for _ in range(len(params) * snapshots)]).astype(_dtype(mo))
@@ -297,36 +303,36 @@ def cases(mo, full: bool, scratch: Path) -> list:
     eval_seeds = np.asarray(point.eval_seeds)
     out.append(("reset.point_eval", 1, lambda: point.env.reset(eval_seeds)))
     for workload in ("quad2", "point"):
-        t = _trainer(mo, workload)
+        t, cfg = _trainer(mo, workload)
+        evo, upd = cfg.evolution, cfg.policy
         # One generation's training of p ascent lanes, whose lane generators
         # advance from call to call.
         out.append((f"train_lanes.{workload}", 1,
-                    lambda t=t, a=_lanes(mo, t):
-                    t._train_lanes(a[0], a[1], t.evolution.m_iters, t.evolution.snapshot_every,
+                    lambda t=t, e=evo, a=_lanes(mo, t, evo.p):
+                    t._train_lanes(a[0], a[1], e.m_iters, e.snapshot_every,
                                    a[2], [None] * len(a[2]))))
-        params, critic, rngs = _lanes(mo, t)
+        params, critic, rngs = _lanes(mo, t, evo.p)
         # The batch the update rows time, collected under the same snapshot at
         # its rows' first call, so a tree whose collect_batch takes other
         # arguments skips them (see ``_missing_api``) instead of stopping here.
-        batch = functools.cache(lambda t=t, p=params, c=critic, r=_lanes(mo, t)[2]:
+        batch = functools.cache(lambda t=t, u=upd, p=params, c=critic, r=_lanes(mo, t, evo.p)[2]:
                                 pol.collect_batch(t.env, t.policy, p, t.critic, c,
-                                                  t.update.batch_episodes, r))
+                                                  u.batch_episodes, r))
         out.append((f"collect_batch.{workload}", 1,
-                    lambda t=t, p=params, c=critic, r=rngs:
-                    pol.collect_batch(t.env, t.policy, p, t.critic, c, t.update.batch_episodes,
-                                      r)))
+                    lambda t=t, u=upd, p=params, c=critic, r=rngs:
+                    pol.collect_batch(t.env, t.policy, p, t.critic, c, u.batch_episodes, r)))
         omega = np.full((len(rngs), t.env.spec.num_objectives), 1.0 / t.env.spec.num_objectives)
         out.append((f"ppo_update.{workload}", 1,
-                    lambda t=t, b=batch, w=omega: pol.ppo_update(t.policy, t.critic, b(), w,
-                                                                 t.update)))
+                    lambda t=t, u=upd, b=batch, w=omega:
+                    pol.ppo_update(t.policy, t.critic, b(), w, u)))
         if workload == "quad2":
             apply_args = functools.cache(lambda t=t, b=batch: _apply_args(t.policy, b()))
             out.append(("apply.quad2", 1,
                         lambda net=t.policy.net, a=apply_args: net.apply(*a())))
         if workload == "point":
             out.append(("estimate_gradient_set.point", 1,
-                        lambda t=t, b=batch:
-                        pol.estimate_gradient_set(t.policy, b(), t.update.normalize_advantages)))
+                        lambda t=t, u=upd, b=batch:
+                        pol.estimate_gradient_set(t.policy, b(), u.normalize_advantages)))
             out.append(("normalize_per_objective.point", 1,
                         lambda b=batch: pol.normalize_per_objective(b().advantages)))
             net = t.policy.net
@@ -370,7 +376,7 @@ def cases(mo, full: bool, scratch: Path) -> list:
     out.append(("config.resolve_config.point", 1, lambda: _resolve(mo, *point_config)))
     cfg = _resolve(mo, *point_config)
     out.append(("config.replace_seeds.point", 1, lambda: dataclasses.replace(cfg, seeds=[0])))
-    quad2 = _trainer(mo, "quad2")
+    quad2, _ = _trainer(mo, "quad2")
     rng = np.random.default_rng(0)
     entries = [PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
                            rng.standard_normal(quad2.policy.num_params).astype(_dtype(mo)),
