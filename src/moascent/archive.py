@@ -76,7 +76,9 @@ class NonDominatedSet:
     Candidates dominated by a member are rejected; accepted candidates
     evict every member they dominate. Exact duplicates of an existing
     objective vector are rejected (the earlier entry wins). ``insert_many``
-    offers a batch of rows in one pass; ``insert`` is its one-row call.
+    offers a batch of rows in one pass; ``insert`` is its one-row call, and
+    construction offers the given entries to an empty set through it, in
+    order.
     """
 
     entries: list[PolicyEntry] = field(default_factory=list)
@@ -84,8 +86,9 @@ class NonDominatedSet:
     _objectives: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._objectives = np.stack([e.objectives for e in self.entries]) if self.entries \
-            else np.empty((0, 0))
+        offered, self.entries, self._objectives = self.entries, [], np.empty((0, 0))
+        if offered:
+            self.insert_many([e.objectives for e in offered], offered.__getitem__)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -66,7 +66,16 @@ def build_trainer(cfg: Config, seed: int) -> Trainer:
 
 
 def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:
-    """Write the checkpoint store: row k of each stack holds ``entries[k]``'s own arrays."""
+    """Write the checkpoint store: row k of each stack holds ``entries[k]``'s own arrays.
+
+    Every snapshot must be in ``NETWORK_DTYPE``, as the store's reader
+    requires; else ValueError naming the entry, before anything is written.
+    """
+    for e in entries:
+        for name, snapshot in (("params", e.params), ("critic_params", e.critic_params)):
+            if snapshot.dtype != NETWORK_DTYPE:
+                raise ValueError(f"entry {e.params_ref} holds {name} of {snapshot.dtype}, "
+                                 f"the checkpoint store holds {np.dtype(NETWORK_DTYPE)}")
     checkpoint_dir.mkdir()
     np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries]))
     np.save(checkpoint_dir / "critic.npy", np.stack([e.critic_params for e in entries]))

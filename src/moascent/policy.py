@@ -296,18 +296,14 @@ class RolloutBatch:
     ``params`` and ``critic_params`` are ``(..., ·)`` copies of the snapshot,
     one row per lane; every other field is ``(..., n, ·)``, one row per step
     of the episodes in order. ``actions`` are the raw sampled actions
-    (before environment clamping); advantages, return targets and ``values``
-    have one column per objective. ``workspace`` is the batch's
-    ``(4, ..., n, hidden)`` array of hidden-layer buffers (see
-    ``hidden_workspace``): ``values`` and ``workspace[0]`` (the hidden
-    layer's tanh activations) are the critic's pass over ``states``, and
-    ``workspace[1:]`` are the buffers the gradient set and the update write
-    their passes into. The states, actions, critic pass and buffers are in
-    the params' dtype, the advantages and return targets float64.
-    ``workspace`` may be a view of the workspace ``collect_batch`` was
-    given, valid until the next collect into that workspace. There are no
-    log-probabilities: whoever needs them scores ``actions`` under
-    ``params``.
+    (before environment clamping); advantages and return targets have one
+    column per objective. ``workspace`` is the batch's ``(3, ..., n,
+    hidden)`` array of hidden-layer buffers (see ``hidden_workspace``),
+    scratch that the gradient set and the update write their passes into;
+    it may be a view of the workspace ``collect_batch`` was given. The
+    states, actions and buffers are in the params' dtype, the advantages
+    and return targets float64. There are no log-probabilities: whoever
+    needs them scores ``actions`` under ``params``.
     """
 
     states: np.ndarray
@@ -316,7 +312,6 @@ class RolloutBatch:
     returns: np.ndarray
     params: np.ndarray
     critic_params: np.ndarray
-    values: np.ndarray
     workspace: np.ndarray
 
     def __post_init__(self):
@@ -324,7 +319,7 @@ class RolloutBatch:
         if rows[-1] == 0:
             raise ValueError("empty rollout batch")
         for name, lead in (("actions", rows), ("advantages", rows), ("returns", rows),
-                           ("values", rows), ("workspace", (4,) + rows),
+                           ("workspace", (3,) + rows),
                            ("params", rows[:-1]), ("critic_params", rows[:-1])):
             if getattr(self, name).shape[:-1] != lead:
                 raise ValueError(f"batch field {name} disagrees with states in shape")
@@ -419,13 +414,12 @@ def run_episode(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
 def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray:
     """Untouched hidden-layer buffers for one batch of ``rows`` at a time.
 
-    A ``(4,) + rows + (hidden,)`` array of ``dtype``, the networks' params'
-    dtype, zero-width for a linear network: ``collect_batch`` writes its
-    critic pass into ``[0]``, and ``estimate_gradient_set`` and
-    ``ppo_update`` write their passes and backprops into ``[1:]``: the
-    hidden layer ``apply`` fills, then backprop's ``work`` pair ``(d_hid,
-    scratch)``. So a batch's critic pass stays valid until the next collect
-    into the same workspace. The slice ``[:, :L]`` serves a stack of the
+    A ``(3,) + rows + (hidden,)`` array of ``dtype``, the networks' params'
+    dtype, zero-width for a linear network: the hidden layer ``apply``
+    fills, then backprop's ``work`` pair ``(d_hid, scratch)``.
+    ``collect_batch`` writes its critic pass into ``[0]``, and
+    ``estimate_gradient_set`` and ``ppo_update`` write their passes and
+    backprops into all three. The slice ``[:, :L]`` serves a stack of the
     first L lanes.
 
     ``collect_batch`` is the one place a batch's buffers come from: the
@@ -435,7 +429,7 @@ def hidden_workspace(hidden: int, rows: tuple, dtype=np.float64) -> np.ndarray:
     collects its first L lanes, makes the buffers once instead of faulting
     in fresh pages every update.
     """
-    return np.empty((4,) + rows + (hidden,), dtype)
+    return np.empty((3,) + rows + (hidden,), dtype)
 
 
 def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
@@ -450,12 +444,12 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
     Advantages discount with ``env.spec.gamma`` and GAE's constant lambda.
     They bootstrap from the critic at the final states when the spec is
     ``truncated``, and from zero otherwise; the final states are cast to the
-    critic params' dtype for that pass. The batch keeps copies of
-    ``params`` and ``critic_params``, the critic's pass over its states,
-    cast to the params' dtype, and its hidden-layer buffers: ``workspace``
-    (see ``hidden_workspace``), or one made here for the batch if None. The
-    critic pass's hidden layer is written into ``workspace[0]``. GAE runs on
-    the critic's values cast to float64.
+    critic params' dtype for that pass. The batch keeps its states, cast to
+    the params' dtype, copies of ``params`` and ``critic_params``, and its
+    hidden-layer buffers: ``workspace`` (see ``hidden_workspace``), or one
+    made here for the batch if None. The critic's pass over the states
+    writes its hidden layer into ``workspace[0]``; GAE runs on its values
+    cast to float64.
     """
     T, a, m = env.spec.horizon, env.spec.action_dim, critic.out_dim
     lead = params.shape[:-1]
@@ -486,7 +480,6 @@ def collect_batch(env: MOMDPEnv, policy: GaussianPolicy, params: np.ndarray,
         returns=advantages + values64,
         params=params.copy(),
         critic_params=critic_params.copy(),
-        values=values,
         workspace=workspace,
     )
 
@@ -513,13 +506,13 @@ def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
     pi``, i.e. the gradient of objective i's surrogate at the batch's
     ``params`` (where all likelihood ratios equal one), computed in the
     params' dtype and returned as float64. The mean network's pass and
-    backprops write into the batch's ``workspace[1:]``.
+    backprops write into the batch's ``workspace``.
     """
     adv = batch.advantages
     if normalize_advantages:
         adv = normalize_per_objective(adv)
     n, m = adv.shape[-2:]
-    _, hid, *work = batch.workspace
+    hid, *work = batch.workspace
     mean_pass = policy.net.forward(policy._net_params(batch.params), batch.states, hid)
     _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
     G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2,
@@ -595,8 +588,7 @@ def ppo_update(policy: GaussianPolicy, critic: Network, batch: RolloutBatch, ome
     ``params`` and ``critic_params`` (one lane or an ``(L, ·)`` stack);
     ``omega`` holds one weight vector per lane. The likelihood ratios are
     taken against the log-probabilities of the first epoch, where every
-    ratio is exactly one, and the critic's first epoch backprops from the
-    batch's critic pass. ``update`` is the ``policy`` config section; its
+    ratio is exactly one. ``update`` is the ``policy`` config section; its
     ``epochs``, ``lr``, ``normalize_advantages`` and ``optimizer`` set the
     update. Advantages are (optionally) normalized per objective, then
     collapsed with the simplex weights ``omega``; by linearity this ascends
@@ -607,9 +599,9 @@ def ppo_update(policy: GaussianPolicy, critic: Network, batch: RolloutBatch, ome
     targets are cast to the params' dtype once, and the optimizers' state is
     of that dtype. Each epoch is one pass, one backprop and one in-place
     optimizer step per network, and both networks' passes and backprops
-    write into the batch's ``workspace[1:]``. Returns the updated (params,
-    critic_params) snapshots; the batch's snapshot, learning signals and
-    critic pass are not mutated.
+    write into the batch's ``workspace``. Returns the updated (params,
+    critic_params) snapshots; the batch's snapshot and learning signals are
+    not mutated.
     """
     m = batch.advantages.shape[-1]
     omega = np.asarray(omega, dtype=float)
@@ -635,15 +627,13 @@ def ppo_update(policy: GaussianPolicy, critic: Network, batch: RolloutBatch, ome
     params, critic_params = batch.params.copy(), batch.critic_params.copy()
     layers = policy.net.split(policy._net_params(params))
     critic_layers = critic.split(critic_params)
-    _, hid, *work = batch.workspace
+    hid, *work = batch.workspace
     mu, values = np.empty(rows + (policy.action_dim,), dtype), np.empty(rows + (m,), dtype)
     grad_out, critic_grad = np.empty_like(params), np.empty_like(critic_params)
     lr = update.lr
     policy_opt = _OPTIMIZERS[update.optimizer](params, lr)
     # The critic is plain regression; Adam keeps it robust under either choice.
     critic_opt = _Adam(critic_params, lr if update.optimizer == "adam" else min(lr, 5e-3))
-    # The critic's first epoch reads the batch's pass, made under these params.
-    critic_values, critic_hid = batch.values, batch.workspace[0]
     for epoch in range(update.epochs):
         policy.net.apply(layers, states, mu, hid)
         log_probs, grad = policy.score(params, states, actions, (mu, (layers, states, hid)))
@@ -656,10 +646,7 @@ def ppo_update(policy: GaussianPolicy, critic: Network, batch: RolloutBatch, ome
             active = np.where(positive, ratio <= 1.0 + _CLIP_EPS, ratio >= 1.0 - _CLIP_EPS)
             coeffs = np.where(active, ratio * scalar_adv, 0.0) / n
         policy_opt.step(params, np.negative(grad(coeffs, grad_out, work), out=grad_out))
-        if epoch > 0:
-            critic.apply(critic_layers, states, values, hid)
-            critic_values, critic_hid = values, hid
+        critic.apply(critic_layers, states, values, hid)
         critic_opt.step(critic_params, critic.backprop(
-            (critic_layers, states, critic_hid), (critic_values - returns) / (n * m),
-            critic_grad, work))
+            (critic_layers, states, hid), (values - returns) / (n * m), critic_grad, work))
     return params, critic_params

@@ -76,6 +76,22 @@ class TestPolicyEntry:
         assert made.params.dtype == np.float32 and not np.shares_memory(made.params, params)
         assert made.critic_params.dtype == np.float64
 
+    def test_unknown_source_rejected(self):
+        # frontier_document would write it, and parse_frontier refuse it.
+        with pytest.raises(ValueError, match="unknown source 'gap_fill', expected one of"):
+            entry([1.0, 2.0], source="gap_fill")
+
+    @pytest.mark.parametrize("objs, message", [
+        pytest.param([1.0, np.inf], "objectives must be finite", id="inf"),
+        pytest.param([np.nan, 2.0], "objectives must be finite", id="nan"),
+        pytest.param([[1.0, 2.0]], r"objectives must be a 1-D vector, got shape \(1, 2\)",
+                     id="2-D"),
+        pytest.param([], r"objectives must be a 1-D vector, got shape \(0,\)", id="empty"),
+    ])
+    def test_bad_objectives_rejected(self, objs, message):
+        with pytest.raises(ValueError, match=message):
+            entry(objs)
+
 
 class TestDominates:
     def test_strict_improvement(self):
@@ -115,6 +131,21 @@ class TestInsert:
         nd.insert(entry([1, 4]))
         assert nd.insert(entry([3, 3]))
         assert sorted(tuple(e.objectives) for e in nd) == [(1, 4), (3, 3)]
+
+    @pytest.mark.parametrize("order, kept", [("abc", "a"), ("bac", "a"), ("cba", "c")])
+    def test_construction_offers_the_entries_in_order(self, order, kept):
+        # a dominates b and c duplicates a: the constructor holds what
+        # inserting the entries one at a time holds, never all three.
+        given = {"a": entry([2, 2], ref="a"), "b": entry([1, 1], ref="b"),
+                 "c": entry([2, 2], ref="c")}
+        offers = [given[name] for name in order]
+        want = NonDominatedSet()
+        for offer in offers:
+            want.insert(offer)
+        got = NonDominatedSet(offers)
+        assert [e.params_ref for e in got] == [e.params_ref for e in want] == [kept]
+        assert got.objectives_matrix().tobytes() == want.objectives_matrix().tobytes()
+        assert [e.params_ref for e in offers] == list(order)
 
     def test_duplicate_keeps_earlier(self):
         nd = NonDominatedSet()
@@ -317,6 +348,16 @@ class TestHypervolume:
             hypervolume([(1, -1)], (0, 0))
         with pytest.raises(ValueError):
             hypervolume([(0, 0)], (0, 0))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_points_raise(self, m, bad):
+        # A +inf coordinate dominates the reference point and would give an
+        # infinite volume.
+        P = np.ones((2, m))
+        P[1, 0] = bad
+        with pytest.raises(ValueError, match="points have non-finite entries"):
+            hypervolume(P, np.zeros(m))
 
     def test_four_objectives_unsupported(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,10 @@ class TestConfigValidation:
               "at most 3 objectives"),
         named("overrides20", ["evolution..M=3"],
               "override 'evolution..M=3' has an empty key in its path"),
+        # Without its check this ended in a TypeError traceback.
+        named("overrides21", ["experiment.x=1"],
+              "override path experiment.x crosses a non-section value"),
+        named("overrides22", ["policy.lr=["], "override 'policy.lr=[' has an unparsable value"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -317,6 +321,22 @@ class TestCheckpointIO:
         for name in ("critic.npy", "policy.npy"):
             stack = np.load(run_dir / "checkpoints" / name, allow_pickle=False)
             assert stack.shape[0] == len(doc["entries"])
+
+    @pytest.mark.parametrize("name", ["params", "critic_params"])
+    def test_save_refuses_a_snapshot_the_reader_would_refuse(self, tmp_path, name):
+        # A float64 snapshot used to be stacked as it was, into a store that
+        # eval then refused; now nothing is written.
+        snapshots = {"params": np.zeros(3, NETWORK_DTYPE),
+                     "critic_params": np.zeros(2, NETWORK_DTYPE)}
+        snapshots[name] = snapshots[name].astype(np.float64)
+        entries = [PolicyEntry("ckpt_000000", [1.0, 2.0], 0, "warmup",
+                               np.zeros(3, NETWORK_DTYPE), np.zeros(2, NETWORK_DTYPE)),
+                   PolicyEntry("ckpt_000007", [2.0, 1.0], 0, "warmup", **snapshots)]
+        store = tmp_path / "checkpoints"
+        with pytest.raises(ValueError, match=f"entry ckpt_000007 holds {name} of float64, "
+                                             "the checkpoint store holds float32"):
+            save_checkpoint(store, entries)
+        assert not store.exists()
 
     def test_corrupt_length_rejected(self, tmp_path):
         policy = GaussianPolicy(1, 2, hidden=8)
@@ -614,6 +634,18 @@ class TestTrainCommand:
         assert resolved["evolution"]["M"] == 1
         rows = read_metrics_csv(run_dir / "metrics.csv")
         assert rows[-1]["generation"] == 1
+
+    def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.yaml"
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+
+    def test_metrics_header_that_differs_named(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([METRICS_HEADER[::-1], ["0"] * len(METRICS_HEADER)])
+        with pytest.raises(ValueError, match=re.escape(f"unexpected metrics header in {path}")):
+            read_metrics_csv(path)
 
     def test_invalid_config_exit_code_and_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "x"})

@@ -129,7 +129,7 @@ def test_a_run_makes_its_hidden_layer_buffers_once(monkeypatch):
     monkeypatch.setattr(Network, "apply", checked_apply)
     monkeypatch.setattr(Network, "backprop", checked_backprop)
     state = trainer.run_training()
-    assert workspace.shape == (4, trainer.cfg.evolution.p, rows, trainer.policy.hidden)
+    assert workspace.shape == (3, trainer.cfg.evolution.p, rows, trainer.policy.hidden)
     assert len(state.archive) > 0
     assert made == []
     assert elsewhere == []
@@ -149,7 +149,7 @@ def test_a_linear_run_carries_zero_width_buffers(monkeypatch):
 
     monkeypatch.setattr(evolution, "collect_batch", recording_collect)
     state = trainer.run_training()
-    assert workspace.shape == (4, trainer.cfg.evolution.p, workspace.shape[-2], 0)
+    assert workspace.shape == (3, trainer.cfg.evolution.p, workspace.shape[-2], 0)
     assert workspace.dtype == evolution.NETWORK_DTYPE
     assert len(state.archive) > 0
     assert bases and set(bases) == {(True, 0)}

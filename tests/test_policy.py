@@ -273,7 +273,7 @@ def test_score_and_gradient_set_match_the_oracle_bytes(action_dim, lanes, rows, 
     assert grad(coeffs).tobytes() == want_grad(coeffs).tobytes()
     batch = RolloutBatch(states=states, actions=actions, advantages=advantages,
                          returns=advantages, params=params, critic_params=np.zeros(lanes + (1,)),
-                         values=advantages, workspace=hidden_workspace(hidden, lanes + (rows,)))
+                         workspace=hidden_workspace(hidden, lanes + (rows,)))
     for normalize in (True, False):
         got = estimate_gradient_set(policy, batch, normalize)
         assert got.tobytes() == gradient_set(policy, batch, normalize).tobytes(), normalize
@@ -304,15 +304,14 @@ class TestScoringPasses:
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_ppo_update_runs_mean_network_once_per_epoch(self, monkeypatch, epochs):
-        # One policy pass per epoch; the critic's first epoch backprops from
-        # the pass collect_batch made, so the critic runs one pass fewer.
+        # One policy pass and one critic pass per epoch.
         params, critic_params, batch = make_batch(self.env, self.policy, self.critic)
         policy_passes = count_calls(self.policy.net, "apply", monkeypatch)
         critic_passes = count_calls(self.critic, "apply", monkeypatch)
         forwards = count_mean_net_passes(self.policy, monkeypatch)
         ppo_update(self.policy, self.critic, batch, [0.5, 0.5], PolicyConfig(epochs=epochs))
         assert len(policy_passes) == epochs
-        assert len(critic_passes) == epochs - 1
+        assert len(critic_passes) == epochs
         assert len(forwards) == 0
 
     def test_gradient_set_runs_mean_network_once(self, monkeypatch):
@@ -388,6 +387,13 @@ class TestPPOUpdate:
                                             PolicyConfig())
         np.testing.assert_array_equal(new_params, params)
         assert not np.array_equal(new_critic, critic_params)  # regression still runs
+
+    def test_omega_of_the_wrong_width_named(self):
+        # A valid 3-weight simplex against a 2-objective batch.
+        _, _, batch = make_batch(self.env, self.policy, self.critic)
+        with pytest.raises(ValueError,
+                           match=r"omega has \(3,\) components, batch has 2 objectives"):
+            ppo_update(self.policy, self.critic, batch, [0.2, 0.3, 0.5], PolicyConfig())
 
     def test_degenerate_weight_matches_single_objective(self):
         # omega = e_1 must ignore the other objective's advantages entirely
@@ -570,7 +576,6 @@ def test_float32_passes_match_the_oracle_bytes(action_dim, hidden, lanes):
     batch = RolloutBatch(states=states, actions=actions, advantages=advantages,
                          returns=advantages, params=params,
                          critic_params=np.zeros(lanes + (1,), np.float32),
-                         values=advantages.astype(np.float32),
                          workspace=hidden_workspace(hidden, lanes + (rows,), np.float32))
     for normalize in (True, False):
         G = estimate_gradient_set(policy, batch, normalize)
@@ -674,7 +679,7 @@ def test_trainer_passes_stay_in_the_network_dtype(monkeypatch):
     new_params, new_critic = ppo_update(policy, critic, batch, np.full((4, 2), 0.5), cfg.policy)
     for name, array in (("params", new_params), ("critic_params", new_critic),
                         ("states", batch.states), ("actions", batch.actions),
-                        ("values", batch.values), ("batch.workspace", batch.workspace),
+                        ("batch.workspace", batch.workspace),
                         ("batch.params", batch.params), ("workspace", workspace)):
         assert array.dtype == np.float32, name
     assert np.shares_memory(batch.workspace, workspace)
@@ -758,11 +763,9 @@ def test_network_init_params_is_the_one_initial_draw(hidden):
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("hidden", [0, 8])
 def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
-    # The update steps its own copies of the batch's snapshot in place and
-    # backprops its first critic epoch from the batch's pass without writing
-    # into it, so a second call on the same inputs returns the same bytes.
-    # Only the batch's buffers past the critic pass, ``workspace[1:]``, are
-    # the update's to write.
+    # The update steps its own copies of the batch's snapshot in place, so
+    # a second call on the same inputs returns the same bytes. Only the
+    # batch's hidden-layer buffers, ``workspace``, are the update's to write.
     env = MoPoint(horizon=5)
     policy = GaussianPolicy(env.spec.state_dim, env.spec.action_dim, hidden)
     critic = Network(env.spec.state_dim, env.spec.num_objectives, hidden)
@@ -772,10 +775,10 @@ def test_ppo_update_leaves_its_inputs_and_batch_untouched(hidden, optimizer):
     batch = collect_batch(env, policy, params, critic, critic_params, 4,
                           [np.random.default_rng(lane) for lane in range(2)])
     inputs = {"params": params, "critic_params": critic_params,
-              **{f"batch.{f.name}": getattr(batch, f.name) for f in dataclasses.fields(batch)},
-              "batch.workspace": batch.workspace[0]}
+              **{f"batch.{f.name}": getattr(batch, f.name) for f in dataclasses.fields(batch)
+                 if f.name != "workspace"}}
     before = {name: a.tobytes() for name, a in inputs.items()}
-    assert batch.workspace.shape == (4, 2, 4 * env.spec.horizon, hidden)
+    assert batch.workspace.shape == (3, 2, 4 * env.spec.horizon, hidden)
     update = PolicyConfig(hidden=hidden, lr=0.05, epochs=3, optimizer=optimizer)
     omega = [[0.3, 0.7], [0.6, 0.4]]
     first = ppo_update(policy, critic, batch, omega, update)
@@ -870,7 +873,7 @@ def test_rollout_batch_rejects_each_field_that_disagrees_with_states():
     with pytest.raises(ValueError, match="empty rollout batch"):
         dataclasses.replace(batch, states=batch.states[:, :0])
     bad = {name: getattr(batch, name)[:, 1:]
-           for name in ("actions", "advantages", "returns", "values")}
+           for name in ("actions", "advantages", "returns")}
     bad["workspace"] = batch.workspace[..., 1:, :]  # one row short in every lane
     bad["params"] = batch.params[:1]  # one lane where states has two
     bad["critic_params"] = batch.critic_params[0]  # lane-less against a stack
@@ -880,6 +883,14 @@ def test_rollout_batch_rejects_each_field_that_disagrees_with_states():
 
 
 class TestRollouts:
+    @pytest.mark.parametrize("seeds", [[], np.empty((2, 0), dtype=int)], ids=["flat", "lanes"])
+    def test_run_episode_rejects_empty_seeds(self, seeds):
+        env = make_env("mo_point")
+        policy = GaussianPolicy(4, 2, hidden=8)
+        params = policy.init_params(np.random.default_rng(11), 0.1, -0.5)
+        with pytest.raises(ValueError, match="need at least one episode"):
+            run_episode(env, policy, params, seeds)
+
     def test_batch_under_snapshot_is_reproducible(self):
         env = make_env("mo_point")
         policy = GaussianPolicy(4, 2, hidden=8)

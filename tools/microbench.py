@@ -23,8 +23,8 @@ Times one call of each function below, many times over, in this process:
   tree, and ``ppo_update.point`` 224 in both, so faults do not explain how
   far memory placement moves those rows (see ``--against`` below);
 - ``collect_batch`` at the ``quad2`` and ``point`` workloads' shapes
-  (rollout, critic pass and GAE; the batch keeps copies of the snapshot and
-  the critic pass), on generators that advance from call to call;
+  (rollout, critic pass and GAE; the batch keeps copies of the snapshot),
+  on generators that advance from call to call;
 - ``ppo_update`` on a batch collected at the ``quad2`` and ``point``
   workloads' shapes, with their update settings;
 - ``estimate_gradient_set`` on the ``point`` workload's ``(p, ·)`` stack and
@@ -64,7 +64,10 @@ Times one call of each function below, many times over, in this process:
   offers to that front as one batch of 8 and three of 160, as the
   ``quad2`` workload's generations do; ``3d_n1000`` offers one batch of 160
   rows, drawn the same way, to a 3-D front of 1000 points (a ``quad3``
-  archive's size);
+  archive's size). Each front's archive is built once, outside the timing;
+  a call replays its offers on a ``copy.copy`` of it, which is safe since
+  an insert replaces the archive's ``entries`` and ``_objectives`` rather
+  than writing into them;
 - ``save_checkpoint`` writing the checkpoint store of a 1000-entry archive
   at the ``quad2`` workload's network sizes, its snapshots in the tree's
   network dtype as a run's are, into a temporary directory; each call first
@@ -138,6 +141,7 @@ and ``skipped`` the rows left out.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import importlib
@@ -213,14 +217,14 @@ def _near_front(n: int, m: int, seed: int) -> np.ndarray:
     return _front(n, m, seed) * radii
 
 
-def _replay_offers(archive_cls, front: list, offers: list) -> None:
-    archive = archive_cls(list(front))
+def _replay_offers(front, offers: list) -> None:
+    archive = copy.copy(front)
     for entry in offers:
         archive.insert(entry)
 
 
-def _replay_batches(archive_cls, front: list, offers: list, rows: np.ndarray, bounds) -> None:
-    archive = archive_cls(list(front))
+def _replay_batches(front, offers: list, rows: np.ndarray, bounds) -> None:
+    archive = copy.copy(front)
     for a, b in zip(bounds, bounds[1:]):
         archive.insert_many(rows[a:b], lambda j, a=a: offers[a + j])
 
@@ -361,17 +365,17 @@ def cases(mo, full: bool, scratch: Path) -> list:
     snapshot = np.zeros(1)
     for name, (n, m, k), bounds in (("2d_quad2", (200, 2, 488), (0, 8, 168, 328, 488)),
                                     ("3d_n1000", (1000, 3, 160), (0, 160))):
-        front = [PolicyEntry(f"ckpt_{i:06d}", row, 0, "warmup", snapshot, snapshot)
-                 for i, row in enumerate(_front(n, m, seed=m))]
+        front = NonDominatedSet([
+            PolicyEntry(f"ckpt_{i:06d}", row, 0, "warmup", snapshot, snapshot)
+            for i, row in enumerate(_front(n, m, seed=m))])
         rows = _near_front(k, m, seed=m + 1)
         offers = [PolicyEntry(f"ckpt_{n + i:06d}", row, 1, "pareto_ascent", snapshot, snapshot)
                   for i, row in enumerate(rows)]
         if m == 2:
             out.append(("archive.insert.2d_n200", k,
-                        lambda f=front, o=offers: _replay_offers(NonDominatedSet, f, o)))
+                        lambda f=front, o=offers: _replay_offers(f, o)))
         out.append((f"archive.insert_many.{name}", k,
-                    lambda f=front, o=offers, r=rows, b=bounds:
-                    _replay_batches(NonDominatedSet, f, o, r, b)))
+                    lambda f=front, o=offers, r=rows, b=bounds: _replay_batches(f, o, r, b)))
     point_config = _benchmark_workloads()["point"]
     out.append(("config.resolve_config.point", 1, lambda: _resolve(mo, *point_config)))
     cfg = _resolve(mo, *point_config)

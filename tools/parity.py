@@ -22,7 +22,6 @@ run differs or fails, else 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import os
 import subprocess
@@ -34,13 +33,16 @@ import yaml
 
 HERE = Path(__file__).resolve().parent.parent
 
+# The benchmark's runner, loaded once: its workloads and its metrics.csv reader.
+_spec = importlib.util.spec_from_file_location("perfbench_run", HERE / "perfbench" / "run.py")
+_perfbench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_perfbench)
+_metrics_rows = _perfbench._metrics_rows
+
 
 def _benchmark_workloads() -> dict:
     """``perfbench/run.py``'s ``WORKLOADS``: name -> (config, overrides)."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", HERE / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return _perfbench.WORKLOADS
 
 
 # name -> (config, overrides): the shipped configs, both ablation arms, and
@@ -68,13 +70,6 @@ def train(tree: Path, config: str, seed: int, overrides: list[str], out: Path) -
         raise RuntimeError(f"{tree} exited {proc.returncode}: {proc.stderr.strip()[-300:]}")
     (run_dir,) = out.iterdir()
     return run_dir
-
-
-def _metrics_rows(path: Path) -> list[list[str]]:
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if name != "seconds"]
-    return [[row[i] for i in keep] for row in rows]
 
 
 def _config(path: Path) -> dict:
