@@ -21,6 +21,7 @@ from .config import _is_int, _is_real
 
 __all__ = [
     "FRONTIER_SCHEMA_VERSION",
+    "NETWORK_DTYPE",
     "NonDominatedSet",
     "PolicyEntry",
     "frontier_document",
@@ -35,15 +36,20 @@ POLICY_SOURCES = ("warmup", "pareto_ascent", "paft_pair", "paft_extreme")
 
 FRONTIER_SCHEMA_VERSION = 2
 
+# The dtype of the trainer's policies, critics, optimizer state and
+# workspace, and so of every snapshot an entry holds and of the checkpoint
+# store. GAE, the gradient set the min-norm solve takes and the objectives
+# stay float64.
+NETWORK_DTYPE = np.float32
+
 
 @dataclass(frozen=True)
 class PolicyEntry:
     """An evaluated policy snapshot: reference, objective vector, provenance, parameters.
 
-    ``params`` and ``critic_params`` are read-only copies of the snapshot,
-    so a snapshot lives exactly as long as some entry holds it. A copy keeps
-    its snapshot's float dtype (the trainer's float32); anything else is
-    copied as float64.
+    ``params`` and ``critic_params`` are read-only ``NETWORK_DTYPE`` copies
+    of the snapshot, so a snapshot lives exactly as long as some entry holds
+    it, in the dtype the networks train in and the checkpoint store holds.
     """
 
     params_ref: str
@@ -63,8 +69,7 @@ class PolicyEntry:
             raise ValueError(f"unknown source {self.source!r}, expected one of {POLICY_SOURCES}")
         object.__setattr__(self, "objectives", objectives)
         for name in ("params", "critic_params"):
-            snapshot = np.asarray(getattr(self, name))
-            snapshot = np.array(snapshot, dtype=np.promote_types(snapshot.dtype, np.float32))
+            snapshot = np.array(getattr(self, name), dtype=NETWORK_DTYPE)
             snapshot.flags.writeable = False
             object.__setattr__(self, name, snapshot)
 
@@ -167,11 +172,8 @@ def _hv3(points: np.ndarray, z: np.ndarray) -> float:
     volume = 0.0
     for k, level in enumerate(levels):
         lower = levels[k + 1] if k + 1 < len(levels) else z[2]
-        thickness = level - lower
-        if thickness == 0.0:
-            continue
         active = h >= level
-        volume += _hv2(x[active], y[active], z[:2]) * thickness
+        volume += _hv2(x[active], y[active], z[:2]) * (level - lower)
     return float(volume)
 
 

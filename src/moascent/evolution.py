@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .archive import NonDominatedSet, PolicyEntry, hypervolume, sparsity
+from .archive import NETWORK_DTYPE, NonDominatedSet, PolicyEntry, hypervolume, sparsity
 from .config import Config, EvolutionConfig
 from .momdp import make_env, mo_return
 from .pareto import min_norm_direction
@@ -36,7 +36,6 @@ from .policy import (
 
 __all__ = [
     "Lane",
-    "NETWORK_DTYPE",
     "Trainer",
     "TrainingState",
     "eval_seeds",
@@ -55,10 +54,6 @@ _PGR_TOP_K = 2
 # Initial weight scale of the policy and critic, and the policy's initial log-std.
 _INIT_SCALE = 0.1
 _LOG_STD_INIT = -0.5
-# The dtype of the trainer's policies, critics, optimizer state, workspace,
-# archive snapshots and checkpoint store. GAE, the gradient set the min-norm
-# solve takes and the objectives stay float64.
-NETWORK_DTYPE = np.float32
 
 
 def eval_seeds(seed: int, episodes: int) -> list[int]:

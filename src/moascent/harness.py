@@ -8,15 +8,15 @@ the frontier JSON, the checkpoint store, and the selection log. ``train``
 writes such directories; ``eval`` and ``report`` only read them, and a run
 directory is all they need.
 
-The checkpoint store is two ``.npy`` stacks in the networks' dtype,
-``NETWORK_DTYPE`` (float32): ``checkpoints/policy.npy`` ``(n, P)`` and
-``checkpoints/critic.npy`` ``(n, C)``, each written with one ``np.save``. Row k
-holds the parameters of the frontier's ``entries[k]``, as the archive keeps
-them. The store reader rejects a file of another dtype, naming it. The store
-holds no shapes. ``eval`` and ``report`` read a run's ``config.yaml``
-through :func:`resolve_config` and require it to be its own resolution, as
-``train`` writes it, and ``frontier.json``'s ``m`` and ``reference_point``
-to be the config's. A trainer is built from a resolved config and a seed
+The checkpoint store is the policy set: ``checkpoints/policy.npy``, one
+``(n, P)`` stack in the networks' dtype, ``NETWORK_DTYPE`` (float32), written
+with one ``np.save``. Row k holds the policy parameters of the frontier's
+``entries[k]``, as the archive keeps them. The store reader rejects a file of
+another dtype, naming it. The store holds no shapes. ``eval`` and
+``report`` read a run's ``config.yaml`` through :func:`resolve_config` and
+require it to be its own resolution, of the run's one seed, as ``train``
+writes it, and ``frontier.json``'s ``m`` and ``reference_point`` to be the
+config's. A trainer is built from a resolved config and a seed
 alone (:func:`build_trainer`, which is ``Trainer(cfg, seed)``): ``eval``
 builds the run's as ``train`` does, and rolls the entry's policy out on the
 trainer's env and evaluation seeds (the first ``--episodes`` of them when
@@ -37,9 +37,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .archive import PolicyEntry, frontier_document, frontier_entries, parse_frontier
+from .archive import NETWORK_DTYPE, PolicyEntry, frontier_document, frontier_entries, parse_frontier
 from .config import Config, ConfigError, load_config, resolve_config
-from .evolution import NETWORK_DTYPE, Trainer, eval_seeds
+from .evolution import Trainer, eval_seeds
 
 __all__ = [
     "ConfigError",
@@ -66,19 +66,13 @@ def build_trainer(cfg: Config, seed: int) -> Trainer:
 
 
 def save_checkpoint(checkpoint_dir: Path, entries: list[PolicyEntry]) -> None:
-    """Write the checkpoint store: row k of each stack holds ``entries[k]``'s own arrays.
+    """Write the checkpoint store: row k of ``policy.npy`` is ``entries[k].params``.
 
-    Every snapshot must be in ``NETWORK_DTYPE``, as the store's reader
-    requires; else ValueError naming the entry, before anything is written.
+    An entry holds its snapshot in ``NETWORK_DTYPE``, so the stack is in the
+    dtype the store's reader requires.
     """
-    for e in entries:
-        for name, snapshot in (("params", e.params), ("critic_params", e.critic_params)):
-            if snapshot.dtype != NETWORK_DTYPE:
-                raise ValueError(f"entry {e.params_ref} holds {name} of {snapshot.dtype}, "
-                                 f"the checkpoint store holds {np.dtype(NETWORK_DTYPE)}")
     checkpoint_dir.mkdir()
     np.save(checkpoint_dir / "policy.npy", np.stack([e.params for e in entries]))
-    np.save(checkpoint_dir / "critic.npy", np.stack([e.critic_params for e in entries]))
 
 
 def _unresolved_fields(raw: dict, resolved: dict, prefix: str = ""):
@@ -94,7 +88,10 @@ def _unresolved_fields(raw: dict, resolved: dict, prefix: str = ""):
 
 
 def _read_config(run_dir: Path) -> Config:
-    """A run's ``config.yaml``, which must be its own resolution; else ValueError naming it."""
+    """A run's ``config.yaml``: its own resolution, of one seed, as ``run_seed`` writes it.
+
+    Else ValueError naming it.
+    """
     path = run_dir / "config.yaml"
     try:
         raw = load_config(path)
@@ -107,6 +104,9 @@ def _read_config(run_dir: Path) -> Config:
     problem = next(_unresolved_fields(raw, asdict(cfg)), None)
     if problem:
         raise ValueError(f"run config {path} is not a resolved config: {problem}")
+    if len(cfg.seeds) != 1:
+        raise ValueError(f"run config {path} field 'seeds' must hold the run's one seed, "
+                         f"got {cfg.seeds}")
     return cfg
 
 
@@ -164,8 +164,8 @@ def _read_stack(path: Path, rows: int, width: int) -> np.ndarray:
 def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
     """A run's trainer, built as ``train`` builds it, and its frontier's ``entries[entry]``.
 
-    Both store files, the policy's and the critic's, are read and checked; the
-    entry's row is in the networks' dtype, as the archive kept it.
+    The store, ``policy.npy``, is read and checked whole; the entry's row is
+    in the networks' dtype, as the archive kept it.
     """
     run_dir = Path(run_dir)
     cfg = _read_config(run_dir)
@@ -175,7 +175,6 @@ def load_checkpoint(run_dir, entry: int) -> tuple[Trainer, np.ndarray]:
                          f"has {n} entries")
     trainer = build_trainer(cfg, cfg.seeds[0])
     stack = _read_stack(run_dir / "checkpoints" / "policy.npy", n, trainer.policy.num_params)
-    _read_stack(run_dir / "checkpoints" / "critic.npy", n, trainer.critic.num_params)
     return trainer, stack[entry]
 
 

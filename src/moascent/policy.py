@@ -18,7 +18,7 @@ another route, its docstring says how.
 The network side follows the dtype of its params: passes, backprops, the
 Gaussian head, the optimizers' state and the hidden-layer buffers are
 arrays of that dtype, and float64 params give the bytes they always gave.
-The trainer holds float32 params (``evolution.NETWORK_DTYPE``). The
+The trainer holds float32 params (``archive.NETWORK_DTYPE``). The
 learning signals stay float64: a rollout's states, clamped actions and
 rewards, the advantages and return targets, and the gradient set.
 """

@@ -1,6 +1,7 @@
 """Tests for dominance, the non-dominated set, hypervolume, and sparsity."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moascent.archive import (
+    NETWORK_DTYPE,
     NonDominatedSet,
     PolicyEntry,
     frontier_document,
@@ -68,13 +70,18 @@ class TestPolicyEntry:
             made.critic_params[0] = 5.0
         assert "params=" not in repr(made)
 
-    def test_snapshot_keeps_its_float_dtype(self):
-        # The trainer's float32 snapshots stay float32 in the archive (half
-        # the bytes); a snapshot given as ints or a list is copied as float64.
+    def test_snapshot_held_in_network_dtype(self):
+        # Whatever it is given (the trainer's float32 snapshots, float64
+        # arrays, ints in a list), an entry copies it as NETWORK_DTYPE, the
+        # dtype the networks train in and the checkpoint store holds.
         params = np.arange(4, dtype=np.float32)
         made = PolicyEntry("ckpt_000000", [1.0, 2.0], 0, "warmup", params, [1, 2])
-        assert made.params.dtype == np.float32 and not np.shares_memory(made.params, params)
-        assert made.critic_params.dtype == np.float64
+        assert made.params.dtype == NETWORK_DTYPE and not np.shares_memory(made.params, params)
+        assert made.critic_params.dtype == NETWORK_DTYPE
+        assert made.critic_params.tolist() == [1.0, 2.0]
+        made = PolicyEntry("ckpt_000000", [1.0, 2.0], 0, "warmup", np.full(2, 0.1), np.ones(3))
+        assert made.params.dtype == made.critic_params.dtype == NETWORK_DTYPE
+        assert made.params.tolist() == [np.float32(0.1)] * 2
 
     def test_unknown_source_rejected(self):
         # frontier_document would write it, and parse_frontier refuse it.
@@ -359,6 +366,14 @@ class TestHypervolume:
         with pytest.raises(ValueError, match="points have non-finite entries"):
             hypervolume(P, np.zeros(m))
 
+    @pytest.mark.parametrize("z", [(0, 0), (0, 0, 0)])
+    def test_empty_front_has_zero_volume(self, z):
+        assert hypervolume([], z) == 0.0
+
+    def test_points_of_another_width_raise(self):
+        with pytest.raises(ValueError, match=re.escape("points must be (n, 2), got shape (2, 3)")):
+            hypervolume(np.ones((2, 3)), (0, 0))
+
     def test_four_objectives_unsupported(self):
         with pytest.raises(ValueError):
             hypervolume([(1, 1, 1, 1)], (0, 0, 0, 0))
@@ -395,6 +410,17 @@ class TestHypervolume:
         for P in fronts(m, 60, 1500, seed=31 + m):
             for z in (np.zeros(m), np.full(m, -0.5)):
                 assert hypervolume(P, z).hex() == oracle(P, z).hex()
+
+    def test_points_on_the_reference_plane_match_the_oracle(self):
+        # A point whose third objective is z[2] makes the bottom slab zero
+        # thick; its +0.0 leaves the non-negative volume's bits as they were.
+        rng = np.random.default_rng(43)
+        for P in fronts(3, 60, 300, seed=41):
+            for z in (np.zeros(3), np.full(3, -0.5)):
+                on_plane = P.copy()
+                on_plane[rng.random(len(P)) < 0.3, 2] = z[2]
+                on_plane[0, 2] = z[2]
+                assert hypervolume(on_plane, z).hex() == hv3_per_level(on_plane, z).hex()
 
     def test_signed_zero_levels_match_the_oracle(self):
         P = np.array([[1.0, 2.0, -0.0], [2.0, 1.0, 0.0], [0.5, 0.5, 1.0], [1.0, 2.0, 0.0]])
@@ -451,6 +477,11 @@ class TestSparsity:
         for points in ([], np.empty((0, 2)), [(1.0, 2.0, 3.0)], [(1.0, 2.0)] * 4):
             assert sparsity(points) is None
             assert sparsity_unique(points) is None
+
+    def test_one_dimensional_points_raise(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("points must be a 2-D collection, got shape (2,)")):
+            sparsity([1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_raise(self, bad):

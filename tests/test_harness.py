@@ -68,17 +68,17 @@ def stored_run(tmp_path, rows):
     """A run directory whose frontier entry k is the policy ``rows[k]``, stored as ``run_seed`` does.
 
     ``config.yaml`` is ``TINY`` resolved, and each entry's critic is zeros.
-    Each row is cast to the networks' dtype, as every snapshot a run stores is.
+    The entries hold the rows in the networks' dtype, whatever dtype they come in.
     """
     cfg = resolve_config(TINY)
-    critic = np.zeros(Trainer(cfg, 0).critic.num_params, NETWORK_DTYPE)
+    critic = np.zeros(Trainer(cfg, 0).critic.num_params)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / "config.yaml").write_text(yaml.safe_dump(asdict(cfg), sort_keys=True))
     archive = NonDominatedSet()
     for k, params in enumerate(rows):  # ascending objectives keep the rows in order
         archive.insert(PolicyEntry(f"ckpt_{k:06d}", [float(k), -float(k)], 0, "warmup",
-                                   params.astype(NETWORK_DTYPE), critic))
+                                   params, critic))
     save_checkpoint(run_dir / "checkpoints", frontier_entries(archive))
     doc = frontier_document(archive, "tiny", cfg.evolution.reference_point)
     (run_dir / "frontier.json").write_text(json.dumps(doc))
@@ -194,6 +194,10 @@ class TestConfigValidation:
         named("overrides21", ["experiment.x=1"],
               "override path experiment.x crosses a non-section value"),
         named("overrides22", ["policy.lr=["], "override 'policy.lr=[' has an unparsable value"),
+        named("overrides23", ["env.name=mo_point", "env.params.horizon=0"],
+              "horizon must be >= 1, got 0"),
+        named("overrides24", ["env.params.targets=[[1, 0]]"],
+              "need at least two targets, got shape (1, 2)"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
@@ -284,26 +288,23 @@ def train_keeping_state(tmp_path, monkeypatch):
 
 
 class TestCheckpointIO:
-    """The checkpoint store: row k of each stack holds frontier.json's entries[k]."""
+    """The checkpoint store: row k of policy.npy holds frontier.json's entries[k]."""
 
     def test_round_trip(self, tmp_path, monkeypatch):
-        # Each file stacks the archive entries' own NETWORK_DTYPE arrays, and
+        # The file stacks the archive entries' own NETWORK_DTYPE arrays, and
         # the store reader takes it as written.
         run_dir, _, state = train_keeping_state(tmp_path, monkeypatch)
         doc, _ = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
         policy = np.load(run_dir / "checkpoints" / "policy.npy", allow_pickle=False)
-        critic = np.load(run_dir / "checkpoints" / "critic.npy", allow_pickle=False)
         archive = {e.params_ref: e for e in state.archive}
-        assert policy.shape[0] == critic.shape[0] == len(doc["entries"]) == len(archive) > 1
-        for name, stack in (("policy.npy", policy), ("critic.npy", critic)):
-            assert stack.dtype == NETWORK_DTYPE
-            read = _read_stack(run_dir / "checkpoints" / name, *stack.shape)
-            assert read.dtype == NETWORK_DTYPE and read.tobytes() == stack.tobytes()
+        assert policy.shape[0] == len(doc["entries"]) == len(archive) > 1
+        assert policy.dtype == NETWORK_DTYPE
+        read = _read_stack(run_dir / "checkpoints" / "policy.npy", *policy.shape)
+        assert read.dtype == NETWORK_DTYPE and read.tobytes() == policy.tobytes()
         for k, item in enumerate(doc["entries"]):
             entry = archive[item["params_ref"]]
             assert item["objectives"] == entry.objectives.tolist()
             assert policy[k].tobytes() == entry.params.tobytes()
-            assert critic[k].tobytes() == entry.critic_params.tobytes()
 
     def test_stack_evaluates_to_the_frontier(self, tmp_path, monkeypatch):
         run_dir, trainer, _ = train_keeping_state(tmp_path, monkeypatch)
@@ -312,31 +313,24 @@ class TestCheckpointIO:
         assert trainer.evaluate(policy).tobytes() == objectives.tobytes()
 
     @pytest.mark.parametrize("evolution_m", [0, 3])
-    def test_store_is_two_files_whatever_the_archive_size(self, tmp_path, evolution_m):
+    def test_store_is_one_file_whatever_the_archive_size(self, tmp_path, evolution_m):
         cfg = dict(TINY, evolution=dict(TINY["evolution"], M=evolution_m, M_ft=None))
         (run_dir,) = train(tmp_path, cfg)
         doc, _ = parse_frontier(json.loads((run_dir / "frontier.json").read_text()))
-        assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == [
-            "critic.npy", "policy.npy"]
-        for name in ("critic.npy", "policy.npy"):
-            stack = np.load(run_dir / "checkpoints" / name, allow_pickle=False)
-            assert stack.shape[0] == len(doc["entries"])
+        assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["policy.npy"]
+        stack = np.load(run_dir / "checkpoints" / "policy.npy", allow_pickle=False)
+        assert stack.shape[0] == len(doc["entries"])
 
-    @pytest.mark.parametrize("name", ["params", "critic_params"])
-    def test_save_refuses_a_snapshot_the_reader_would_refuse(self, tmp_path, name):
-        # A float64 snapshot used to be stacked as it was, into a store that
-        # eval then refused; now nothing is written.
-        snapshots = {"params": np.zeros(3, NETWORK_DTYPE),
-                     "critic_params": np.zeros(2, NETWORK_DTYPE)}
-        snapshots[name] = snapshots[name].astype(np.float64)
-        entries = [PolicyEntry("ckpt_000000", [1.0, 2.0], 0, "warmup",
-                               np.zeros(3, NETWORK_DTYPE), np.zeros(2, NETWORK_DTYPE)),
-                   PolicyEntry("ckpt_000007", [2.0, 1.0], 0, "warmup", **snapshots)]
-        store = tmp_path / "checkpoints"
-        with pytest.raises(ValueError, match=f"entry ckpt_000007 holds {name} of float64, "
-                                             "the checkpoint store holds float32"):
-            save_checkpoint(store, entries)
-        assert not store.exists()
+    def test_float64_snapshots_save_a_store_eval_reads(self, tmp_path, capsys):
+        # An entry holds what it is given in NETWORK_DTYPE, so a store saved
+        # from float64 arrays is one the reader takes, and eval rolls the
+        # policy out as the trainer evaluates it.
+        trainer = Trainer(resolve_config(TINY), 0)
+        params = trainer.policy.init_params(np.random.default_rng(1), 0.1, -0.5)
+        assert params.dtype == np.float64
+        run_dir = stored_run(tmp_path, [params])
+        assert eval_run(run_dir, "--entry", "0") == 0
+        assert printed_means(capsys) == [trainer.evaluate(params).tolist()]
 
     def test_corrupt_length_rejected(self, tmp_path):
         policy = GaussianPolicy(1, 2, hidden=8)
@@ -375,10 +369,15 @@ def _edit_config_text(old, new):
 
 
 # Edits of one field of a resolved config.yaml that resolve_config would fill
-# in or reject, and the message that names the field. A run's config.yaml
-# must be its own resolution, so none of them is read as a default.
+# in or reject, or that no run writes, and the message that names the field.
+# A run's config.yaml must be its own resolution, so none of them is read as
+# a default.
 UNRESOLVED = [
     pytest.param(lambda cfg: cfg.pop("seeds"), "field 'seeds' is missing", id="seeds-deleted"),
+    # Two seeds resolve to themselves: eval used to roll out the first seed's
+    # evaluation episodes, and report to label the run with it, both exit 0.
+    pytest.param(lambda cfg: cfg.update(seeds=[0, 1]),
+                 "field 'seeds' must hold the run's one seed, got [0, 1]", id="two-seeds"),
     pytest.param(lambda cfg: cfg["evolution"].update(M_ft=None),
                  "field 'evolution.M_ft' is None, which resolves to 1", id="M_ft-null"),
     pytest.param(lambda cfg: cfg["policy"].update(init_scale=0.1),
@@ -508,11 +507,12 @@ class TestDamagedStore(_StoredRunCase):
         assert eval_run(run_dir, "--entry", "0") == 1
         self.assert_named(capsys, str(path), "row 2 holds a non-finite value")
 
-    @pytest.mark.parametrize("name", ["policy.npy", "critic.npy"])
+    # The case keeps the id it had when the store was two files.
+    @pytest.mark.parametrize("name", ["policy.npy"])
     def test_float64_store_of_earlier_versions_named(self, tmp_path, capsys, name):
         # Earlier versions widened each float32 snapshot to float64 on save.
         # Such a store holds the same values, and eval refuses it by name, as
-        # it refuses a version-1 frontier; it reads the critic's file as well.
+        # it refuses a version-1 frontier.
         run_dir = self.run(tmp_path)
         path = run_dir / "checkpoints" / name
         assert eval_run(run_dir, "--entry", "0") == 0
@@ -537,6 +537,21 @@ class TestDamagedStore(_StoredRunCase):
         (run_dir / "frontier.json").write_text(json.dumps(doc))
         assert eval_run(run_dir, "--entry", "0") == 1
         self.assert_named(capsys, "unsupported frontier schema_version: 1")
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda item: item.pop("params_ref"),
+                     "frontier entry missing field 'params_ref'", id="no-params_ref"),
+        pytest.param(lambda item: item.update(params_ref=7),
+                     "frontier entry field 'params_ref' must be a string, got 7",
+                     id="params_ref-not-a-string"),
+    ])
+    def test_damaged_frontier_entry_named(self, tmp_path, capsys, edit, message):
+        run_dir = self.run(tmp_path)
+        doc = json.loads((run_dir / "frontier.json").read_text())
+        edit(doc["entries"][1])
+        (run_dir / "frontier.json").write_text(json.dumps(doc))
+        assert eval_run(run_dir, "--entry", "0") == 1
+        self.assert_named(capsys, message)
 
     def test_frontier_that_is_not_json_named(self, tmp_path, capsys):
         run_dir = self.run(tmp_path)
@@ -651,6 +666,12 @@ class TestTrainCommand:
         path = write_config(tmp_path, {"experiment": "x"})
         assert main(["train", "--config", str(path)]) == 2
         assert "env.name" in capsys.readouterr().err
+
+    def test_empty_config_file_exits_2_naming_the_first_missing_field(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("")
+        assert main(["train", "--config", str(path)]) == 2
+        assert "env.name: missing value" in capsys.readouterr().err
 
     def test_env_params_key_that_is_not_a_string_exits_2_before_training(self, tmp_path,
                                                                           capsys):
@@ -771,9 +792,10 @@ class TestEvalCommand:
             assert eval_run(run_dir, "--entry", str(k)) == 0
             assert printed_means(capsys) == [item["objectives"]], k
 
-    @pytest.mark.parametrize("episodes", ["0", "-1"])
+    @pytest.mark.parametrize("episodes", ["0", "-1", "x"])
     def test_episodes_below_one_is_a_usage_error(self, tmp_path, capsys, episodes):
-        # -1 used to end in numpy's "negative dimensions are not allowed".
+        # -1 used to end in numpy's "negative dimensions are not allowed"; a
+        # non-integer gets the same message, not argparse's own.
         run_dir = stored_run(tmp_path, [np.zeros(GaussianPolicy(1, 2, hidden=8).num_params)])
         with pytest.raises(SystemExit) as exc:
             eval_run(run_dir, "--entry", "0", "--episodes", episodes)
@@ -815,6 +837,19 @@ class TestEvalCommand:
         _, _, rewards, _ = run_episode(env, policy, params, [0])
         np.testing.assert_allclose(printed_means(capsys)[0], mo_return(rewards[0], env.spec.gamma),
                                    atol=1e-12)
+
+    def test_run_of_an_earlier_version_with_its_critic_store_replays(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Earlier versions also wrote checkpoints/critic.npy, row k the critic
+        # of entries[k]; eval reads policy.npy alone and ignores the file.
+        run_dir, _, state = train_keeping_state(tmp_path, monkeypatch)
+        np.save(run_dir / "checkpoints" / "critic.npy",
+                np.stack([e.critic_params for e in frontier_entries(state.archive)]))
+        capsys.readouterr()
+        doc = json.loads((run_dir / "frontier.json").read_text())
+        for k, item in enumerate(doc["entries"]):
+            assert eval_run(run_dir, "--entry", str(k)) == 0
+            assert printed_means(capsys) == [item["objectives"]], k
 
     def test_trained_run_replays_its_frontier(self, tmp_path, capsys):
         # Every entry of a trained run loads from the store and rolls out.

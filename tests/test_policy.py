@@ -221,6 +221,14 @@ class TestGradientSet:
         np.testing.assert_allclose(G_scaled[0], 3.5 * G[0], atol=1e-10)
         np.testing.assert_allclose(G_scaled[1], G[1], atol=1e-12)
 
+    def test_non_finite_advantage_raises(self):
+        _, _, batch = make_batch(self.env, self.policy, self.critic)
+        advantages = batch.advantages.copy()
+        advantages[3, 1] = np.nan
+        with pytest.raises(ValueError, match="gradient estimate has non-finite entries"):
+            estimate_gradient_set(self.policy, dataclasses.replace(batch, advantages=advantages),
+                                  False)
+
 
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("env_name", ["mo_quadratic", "mo_point"])

@@ -5,7 +5,8 @@ Trains every shipped config, and every benchmark workload of
 ``<other-tree>`` at each seed, and compares what the runs write:
 
 - ``frontier.json``, ``selection.jsonl`` and the checkpoint store
-  (``checkpoints/policy.npy`` and ``checkpoints/critic.npy``) byte for byte;
+  (``checkpoints/policy.npy``, and any other file ``checkpoints/`` holds)
+  byte for byte;
 - ``metrics.csv`` without its wall-clock ``seconds`` column;
 - ``config.yaml`` without ``output_dir``.
 
