@@ -287,24 +287,24 @@ def parse_frontier(doc: dict) -> tuple[dict, np.ndarray]:
     if not isinstance(doc["entries"], list):
         raise ValueError("frontier field 'entries' must be a list")
     rows = []
-    for entry in doc["entries"]:
+    for k, entry in enumerate(doc["entries"]):
         if not isinstance(entry, dict):
-            raise ValueError(f"frontier entry must be a mapping, got {entry!r}")
+            raise ValueError(f"frontier entry {k} must be a mapping, got {entry!r}")
         for key in ("objectives", "generation", "source", "params_ref"):
             if key not in entry:
-                raise ValueError(f"frontier entry missing field {key!r}")
+                raise ValueError(f"frontier entry {k} missing field {key!r}")
         if not _is_int(entry["generation"]) or entry["generation"] < 0:
-            raise ValueError(f"frontier entry field 'generation' must be an integer >= 0, "
+            raise ValueError(f"frontier entry {k} field 'generation' must be an integer >= 0, "
                              f"got {entry['generation']!r}")
         if entry["source"] not in POLICY_SOURCES:
-            raise ValueError(f"frontier entry field 'source' must be one of {POLICY_SOURCES}, "
-                             f"got {entry['source']!r}")
+            raise ValueError(f"frontier entry {k} field 'source' must be one of "
+                             f"{POLICY_SOURCES}, got {entry['source']!r}")
         if not isinstance(entry["params_ref"], str):
-            raise ValueError(
-                f"frontier entry field 'params_ref' must be a string, got {entry['params_ref']!r}")
+            raise ValueError(f"frontier entry {k} field 'params_ref' must be a string, "
+                             f"got {entry['params_ref']!r}")
         if not _real_list(entry["objectives"], m):
-            raise ValueError(
-                f"frontier entry field 'objectives' must be a list of m={m} finite numbers")
+            raise ValueError(f"frontier entry {k} field 'objectives' must be a list of "
+                             f"m={m} finite numbers")
         rows.append([float(v) for v in entry["objectives"]])
     objectives = np.asarray(rows, dtype=float) if rows else np.empty((0, m))
     return doc, objectives

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .momdp import ENVIRONMENTS, make_env
+from .momdp import ENVIRONMENTS, make_env, yaml_text_note
 
 __all__ = [
     "Config",
@@ -81,8 +81,8 @@ class _Section:
             value = getattr(self, f.name)
             if not f.metadata["ok"](value):
                 problem = "missing value" if value is None else f"invalid value {value!r}"
-                raise ConfigError(
-                    f"{self._prefix}{f.name}: {problem}, expected {f.metadata['what']}")
+                raise ConfigError(f"{self._prefix}{f.name}: {problem}, expected "
+                                  f"{f.metadata['what']}{yaml_text_note(value)}")
 
 
 @dataclass(frozen=True)

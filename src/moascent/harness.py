@@ -118,10 +118,11 @@ def _read_frontier(run_dir: Path, cfg: Config) -> dict:
     """
     path = run_dir / "frontier.json"
     try:
-        doc = json.loads(path.read_text())
+        doc, _ = parse_frontier(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    doc, _ = parse_frontier(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     reference_point = [float(v) for v in cfg.evolution.reference_point]
     if doc["m"] != len(reference_point):
         raise ValueError(f"{path} field 'm' is {doc['m']}, the run's config has "

@@ -12,6 +12,7 @@ episode runs the spec's horizon, and the spec alone says how it ends.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,38 @@ __all__ = [
 ]
 
 
+# A number in exponent form: sign, integer digits, fraction, exponent sign, exponent.
+_EXPONENT_FORM = re.compile(r"([-+]?)([0-9_]*)(\.[0-9_]*)?[eE]([-+]?)([0-9]+)")
+
+
+def yaml_text_note(value) -> str:
+    """A note for a rejected config ``value`` that is text ``float()`` reads, else "".
+
+    YAML 1.1, which configs are read with, takes exponent form as a float
+    only with a decimal point and a signed exponent: ``1e-3`` and ``1.0e3``
+    are text, ``1.0e-3`` is a number. The note says so and spells the
+    number; the text is not converted, so a config keeps one way to write a
+    number.
+    """
+    if not isinstance(value, str):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    form = _EXPONENT_FORM.fullmatch(value.strip())
+    if form is None:
+        return " (YAML read it as text)"
+    sign, whole, fraction, exp_sign, exponent = form.groups()
+    return (f" (YAML read it as text: write it as "
+            f"{sign}{whole or '0'}{fraction or '.0'}e{exp_sign or '+'}{exponent})")
+
+
 def _finite(name: str, value) -> float:
     """``value`` as a float; a bool, a non-number or a non-finite number is rejected by name."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
             or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {value!r}{yaml_text_note(value)}")
     return float(value)
 
 
@@ -43,18 +71,22 @@ def _ranged(name: str, value, ok, expected: str) -> float:
 
 @dataclass(frozen=True)
 class MOMDPSpec:
-    """Static description of a vector-reward control problem."""
+    """Static description of a vector-reward control problem.
+
+    Every action dimension has the box ``[-action_bound, action_bound]``.
+    """
 
     state_dim: int
     action_dim: int
     num_objectives: int
     horizon: int
     gamma: float
-    action_low: np.ndarray
-    action_high: np.ndarray
+    action_bound: float
     truncated: bool  # the horizon is a time limit (GAE bootstraps), not a true end
 
     def __post_init__(self):
+        object.__setattr__(self, "action_bound",
+                           _ranged("action_bound", self.action_bound, lambda v: v > 0, "> 0"))
         if self.state_dim < 1 or self.action_dim < 1:
             raise ValueError("state_dim and action_dim must be positive")
         if self.num_objectives < 2:
@@ -65,14 +97,6 @@ class MOMDPSpec:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 < _finite("gamma", self.gamma) <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        low = np.asarray(self.action_low, dtype=float)
-        high = np.asarray(self.action_high, dtype=float)
-        if low.shape != (self.action_dim,) or high.shape != (self.action_dim,):
-            raise ValueError("action bounds must have shape (action_dim,)")
-        if np.any(low >= high):
-            raise ValueError("action_low must be strictly below action_high")
-        object.__setattr__(self, "action_low", low)
-        object.__setattr__(self, "action_high", high)
 
 
 def mo_return(rewards, gamma: float) -> np.ndarray:
@@ -87,18 +111,20 @@ def mo_return(rewards, gamma: float) -> np.ndarray:
 class MOMDPEnv:
     """Base class for the built-in environments.
 
-    An environment is ``reset``, ``transition``, ``rewards`` and ``clamp``,
-    each on any number of leading batch axes. A subclass sets ``spec``,
-    whose ``truncated`` states how its episodes end, and implements the
-    first three; it overrides ``clamp`` only for an action set other than
-    the spec's box.
+    An environment is ``reset``, ``transition``, ``rewards``, ``clamp`` and
+    ``return_lower_bound``; the first four take any number of leading batch
+    axes. A subclass sets ``spec``, whose ``truncated`` states how its
+    episodes end and whose ``action_bound`` states its action box, and
+    implements every piece but ``clamp``.
     """
 
     spec: MOMDPSpec
 
     def clamp(self, action) -> np.ndarray:
-        """Only clip ``(..., action_dim)`` actions into the spec's bounds; callers check them."""
-        return np.asarray(action, dtype=float).clip(self.spec.action_low, self.spec.action_high)
+        """Only clip ``(..., action_dim)`` actions, cast to float64 first, into the
+        spec's box ``[-action_bound, action_bound]``; callers check them."""
+        bound = self.spec.action_bound
+        return np.asarray(action, dtype=float).clip(-bound, bound)
 
     def reset(self, seeds) -> np.ndarray:
         """Initial states of one episode per seed, ``shape(seeds) + (state_dim,)``.
@@ -118,6 +144,15 @@ class MOMDPEnv:
         ``action`` is the clamped action of each step; the leading axes may
         be a whole trajectory's. The result is a new array, laid out in the
         order of the leading axes whatever the strides of the inputs.
+        """
+        raise NotImplementedError
+
+    def return_lower_bound(self) -> np.ndarray:
+        """The ``(num_objectives,)`` floor of every episode's discounted return.
+
+        No episode returns less on any objective, whatever its start state
+        and its raw actions; a config's reference point must lie strictly
+        below it.
         """
         raise NotImplementedError
 
@@ -168,15 +203,13 @@ class MoPoint(MOMDPEnv):
         self.r_alive = _finite("r_alive", r_alive)
         self.shift = _finite("shift", shift)
         self.init_noise = _ranged("init_noise", init_noise, lambda v: v >= 0, ">= 0")
-        action_bound = _ranged("action_bound", action_bound, lambda v: v > 0, "> 0")
         self.spec = MOMDPSpec(
             state_dim=4,
             action_dim=2,
             num_objectives=2,
             horizon=horizon,
             gamma=gamma,
-            action_low=np.full(2, -action_bound),
-            action_high=np.full(2, action_bound),
+            action_bound=action_bound,
             truncated=True,
         )
 
@@ -213,10 +246,9 @@ class MoPoint(MOMDPEnv):
         return rewards
 
     def return_lower_bound(self) -> np.ndarray:
-        """Per-objective lower bound on the discounted return of any episode."""
         # From rest, |vx| after step t is at most dt * bound * sum_{k<=t} damping^k,
         # and each clamped action costs at most action_dim * bound^2 energy.
-        bound = self.spec.action_high[0]
+        bound = self.spec.action_bound
         steps = np.arange(self.spec.horizon)
         discounts = self.spec.gamma ** steps
         reach = self.dt * bound * np.cumsum(self.damping ** steps)
@@ -241,7 +273,6 @@ class MoQuadratic(MOMDPEnv):
         if targets.ndim != 2 or targets.shape[0] < 2:
             raise ValueError(f"need at least two targets, got shape {targets.shape}")
         targets = np.array([_finite("targets", v) for v in targets.flat]).reshape(targets.shape)
-        action_bound = _ranged("action_bound", action_bound, lambda v: v > 0, "> 0")
         self.targets = targets
         self.spec = MOMDPSpec(
             state_dim=1,
@@ -249,8 +280,7 @@ class MoQuadratic(MOMDPEnv):
             num_objectives=targets.shape[0],
             horizon=1,
             gamma=gamma,
-            action_low=np.full(targets.shape[1], -action_bound),
-            action_high=np.full(targets.shape[1], action_bound),
+            action_bound=action_bound,
             truncated=False,
         )
 
@@ -267,9 +297,8 @@ class MoQuadratic(MOMDPEnv):
         return -np.einsum("...ij,...ij->...i", diffs, diffs)
 
     def return_lower_bound(self) -> np.ndarray:
-        """Per-objective lower bound on the return of any episode."""
         # One step; each objective is lowest at the action-box corner farthest from its target.
-        return -np.sum((self.spec.action_high + np.abs(self.targets)) ** 2, axis=1)
+        return -np.sum((self.spec.action_bound + np.abs(self.targets)) ** 2, axis=1)
 
 
 _DEFAULT_TARGETS_2 = ((1.0, 0.0), (0.0, 1.0))

@@ -226,21 +226,18 @@ class GaussianPolicy:
     def log_std(self, params: np.ndarray) -> np.ndarray:
         return np.clip(params[..., self.net.num_params :], self.log_std_min, self.log_std_max)
 
-    def score(self, params: np.ndarray, states: np.ndarray, actions: np.ndarray,
-              mean_pass=None):
+    def score(self, params: np.ndarray, actions: np.ndarray, mean_pass):
         """Log-probabilities of ``actions`` and their weighted score, from one forward pass.
 
+        ``mean_pass`` is the mean network's pass ``(mu, cache)`` over the
+        states under ``params``, as ``forward`` returns it; the states are
+        the ones in its cache, and ``actions`` is taken as the array it is.
         Returns ``(log_probs, grad)``: the (..., n) values of ``log pi(actions[t] |
         states[t])`` and a function ``grad(coeffs, out=None, work=None)``
         giving the flat gradient of ``sum_t coeffs[t] * log pi(actions[t] |
         states[t])``, per lane, written to ``out`` (a new array if None);
         ``work`` is the mean network's backprop pair ``(d_hid, scratch)``
-        (new arrays if None).
-        ``mean_pass`` is the mean network's pass ``(mu, cache)`` over the
-        states under ``params``, as ``forward`` returns it, or None to make
-        it here from states and actions cast to the params' dtype; with a
-        pass, ``actions`` is taken as the array it is. ``grad`` casts
-        ``coeffs`` to the params' dtype.
+        (new arrays if None). ``grad`` casts ``coeffs`` to the params' dtype.
         ``grad`` reads the pass, so its buffers stay untouched until it has
         been called.
 
@@ -254,10 +251,6 @@ class GaussianPolicy:
         the log-std product rows-major ``(..., n, a)`` copies, since the
         order a matmul or a row sum adds in follows its operands' layout.
         """
-        if mean_pass is None:
-            states = np.atleast_2d(np.asarray(states, dtype=params.dtype))
-            actions = np.atleast_2d(np.asarray(actions, dtype=params.dtype))
-            mean_pass = self.net.forward(self._net_params(params), states)
         mu, cache = mean_pass
         k = self.net.num_params
         raw = params[..., k:]
@@ -514,7 +507,7 @@ def estimate_gradient_set(policy: GaussianPolicy, batch: RolloutBatch,
     n, m = adv.shape[-2:]
     hid, *work = batch.workspace
     mean_pass = policy.net.forward(policy._net_params(batch.params), batch.states, hid)
-    _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
+    _, grad = policy.score(batch.params, batch.actions, mean_pass)
     G = np.stack([grad(adv[..., i] / n, None, work) for i in range(m)], axis=-2,
                  dtype=np.float64)
     if not np.all(np.isfinite(G)):
@@ -636,7 +629,7 @@ def ppo_update(policy: GaussianPolicy, critic: Network, batch: RolloutBatch, ome
     critic_opt = _Adam(critic_params, lr if update.optimizer == "adam" else min(lr, 5e-3))
     for epoch in range(update.epochs):
         policy.net.apply(layers, states, mu, hid)
-        log_probs, grad = policy.score(params, states, actions, (mu, (layers, states, hid)))
+        log_probs, grad = policy.score(params, actions, (mu, (layers, states, hid)))
         if epoch == 0:
             # Every ratio is exactly one, so every row takes the unclipped branch.
             old_log_probs, coeffs = log_probs, scalar_adv / n

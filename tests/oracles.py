@@ -18,7 +18,8 @@ gradients), the policy's scores and gradient set by the rows-major
 Gaussian head that update scores with, a rollout's actions by the
 policy's mean from that update's network pass plus its std times the
 noise, and the archive's one-test and batch inserts by the three-test
-insert it replaced.
+insert it replaced. ``score_states`` is no oracle: like ``env_step`` it
+composes the pieces under test, the mean network's pass and the score of it.
 """
 
 from __future__ import annotations
@@ -523,6 +524,15 @@ def _policy_score(policy, params, states, actions):
         return out
 
     return log_probs, grad
+
+
+def score_states(policy, params, states, actions):
+    """``policy.score`` of ``actions`` at ``states``: both cast to the params'
+    dtype, then the mean network's pass over the states, which ``score`` scores."""
+    states = np.atleast_2d(np.asarray(states, dtype=params.dtype))
+    actions = np.atleast_2d(np.asarray(actions, dtype=params.dtype))
+    mean_pass = policy.net.forward(params[..., : policy.net.num_params], states)
+    return policy.score(params, actions, mean_pass)
 
 
 def gradient_set(policy, batch, normalize_advantages):

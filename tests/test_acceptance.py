@@ -28,6 +28,7 @@ from .oracles import (
     project_simplex_bisect,
     quad2_front_hv_closed,
     quad_front_points,
+    score_states,
     simplex_weight_grid,
 )
 
@@ -115,15 +116,15 @@ def test_04_log_prob_gradient_finite_differences():
         )
         state = rng.standard_normal(state_dim)
         action = rng.standard_normal(action_dim)
-        analytic = policy.score(params, state[None], action[None])[1](np.ones(1))
+        analytic = score_states(policy, params, state[None], action[None])[1](np.ones(1))
         h = 1e-5
         numeric = np.empty_like(analytic)
         for k in range(params.size):
             up = params.copy(); up[k] += h
             down = params.copy(); down[k] -= h
             numeric[k] = (
-                policy.score(up, state[None], action[None])[0][0]
-                - policy.score(down, state[None], action[None])[0][0]
+                score_states(policy, up, state[None], action[None])[0][0]
+                - score_states(policy, down, state[None], action[None])[0][0]
             ) / (2 * h)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric)))))
     elapsed = time.perf_counter() - start

@@ -30,7 +30,7 @@ from moascent.harness import (
     resolve_config,
     save_checkpoint,
 )
-from moascent.momdp import ENVIRONMENTS, make_env, mo_return
+from moascent.momdp import ENVIRONMENTS, make_env, mo_return, yaml_text_note
 from moascent.policy import GaussianPolicy, run_episode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -207,6 +207,33 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text, overrides, message", [
+        # YAML 1.1 reads exponent form with no decimal point as a string.
+        ("  lr: 1e-3\n", [], "policy.lr: invalid value '1e-3', expected a positive number "
+         "(YAML read it as text: write it as 1.0e-3)"),
+        ("", ["policy.lr=1e-3"], "policy.lr: invalid value '1e-3', expected a positive number "
+         "(YAML read it as text: write it as 1.0e-3)"),
+        ("", ["env.name=mo_point", "env.params.dt=1e-3"], "env: dt must be a finite number, "
+         "got '1e-3' (YAML read it as text: write it as 1.0e-3)"),
+    ], ids=["lr-in-file", "lr-override", "dt-override"])
+    def test_exponent_form_read_as_text_named(self, tmp_path, capsys, text, overrides, message):
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path / "runs")))
+        path.write_text(path.read_text().replace("policy:\n", "policy:\n" + text))
+        argv = ["train", "--config", str(path)]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("text", ["1e-3", "1.0e3", "-.5e3", "5E-4", "+2e10", "1_0e1"])
+    def test_text_note_spells_the_number_yaml_reads(self, text):
+        spelled = yaml_text_note(text).split("write it as ")[1].rstrip(")")
+        assert yaml.safe_load(text) == text and yaml.safe_load(spelled) == float(text)
+
+    def test_text_note_only_for_text_float_reads(self):
+        assert yaml_text_note("nan") == " (YAML read it as text)"
+        assert yaml_text_note("abc") == yaml_text_note(1e-3) == yaml_text_note(True) == ""
 
     @pytest.mark.parametrize("env_name", sorted(ENVIRONMENTS))
     def test_default_reference_point_below_env_bound(self, env_name):
@@ -540,18 +567,24 @@ class TestDamagedStore(_StoredRunCase):
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda item: item.pop("params_ref"),
-                     "frontier entry missing field 'params_ref'", id="no-params_ref"),
+                     "frontier entry 1 missing field 'params_ref'", id="no-params_ref"),
         pytest.param(lambda item: item.update(params_ref=7),
-                     "frontier entry field 'params_ref' must be a string, got 7",
+                     "frontier entry 1 field 'params_ref' must be a string, got 7",
                      id="params_ref-not-a-string"),
     ])
     def test_damaged_frontier_entry_named(self, tmp_path, capsys, edit, message):
+        # Both commands that read the frontier name its file and the entry.
         run_dir = self.run(tmp_path)
-        doc = json.loads((run_dir / "frontier.json").read_text())
+        path = run_dir / "frontier.json"
+        doc = json.loads(path.read_text())
         edit(doc["entries"][1])
-        (run_dir / "frontier.json").write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))
         assert eval_run(run_dir, "--entry", "0") == 1
-        self.assert_named(capsys, message)
+        self.assert_named(capsys, f"{path}: {message}")
+        with (run_dir / "metrics.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([METRICS_HEADER, [0, "1.0", "0.5", 3, 0, "0.1"]])
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 1
+        self.assert_named(capsys, f"{path}: {message}")
 
     def test_frontier_that_is_not_json_named(self, tmp_path, capsys):
         run_dir = self.run(tmp_path)
@@ -1130,18 +1163,21 @@ class TestReportCommand:
               "frontier entry field 'source' must be one of"),
     ])
     def test_malformed_document_named(self, tmp_path, capsys, change, message):
+        # Each entry case damages the document's one entry, which the error numbers 0.
         doc = {"schema_version": 2, "experiment_id": "x", "m": 2,
                "reference_point": [0.0, 0.0], "entries": [], **change}
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
         (run / "frontier.json").write_text(json.dumps(doc))
         assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        message = message.replace("frontier entry ", "frontier entry 0 ")
+        assert f"error: {run / 'frontier.json'}: {message}" in capsys.readouterr().err
 
     def test_non_mapping_document_named(self, tmp_path, capsys):
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)
         (run / "frontier.json").write_text("[1]")
         assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 1
-        assert "error: frontier document must be a mapping" in capsys.readouterr().err
+        assert f"error: {run / 'frontier.json'}: frontier document must be a mapping" \
+            in capsys.readouterr().err
 
     def test_curve_and_frontier_files(self, tmp_path):
         run = self.fake_run(tmp_path, "r0", "quad", 0, 4.0, 0.5)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moascent.momdp import MOMDPSpec, make_env, mo_return
+from moascent.momdp import ENVIRONMENTS, MOMDPEnv, MOMDPSpec, make_env, mo_return
 
 from .oracles import env_step, point_start_position, quad_front_points, splitmix64
 
@@ -27,17 +27,55 @@ def rollout_rewards(env, actions, seed=0):
 class TestSpecValidation:
     def test_rejects_single_objective(self):
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 1, 10, 0.9, np.array([-1.0]), np.array([1.0]), True)
+            MOMDPSpec(1, 1, 1, 10, 0.9, 1.0, True)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 2, 10, 0.0, np.array([-1.0]), np.array([1.0]), True)
+            MOMDPSpec(1, 1, 2, 10, 0.0, 1.0, True)
         with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 2, 10, 1.5, np.array([-1.0]), np.array([1.0]), True)
+            MOMDPSpec(1, 1, 2, 10, 1.5, 1.0, True)
 
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            MOMDPSpec(1, 1, 2, 10, 0.9, np.array([1.0]), np.array([-1.0]), True)
+        # A negative bound would make the box [-b, b] inverted.
+        with pytest.raises(ValueError, match=re.escape("action_bound must be > 0, got -1.0")):
+            MOMDPSpec(1, 1, 2, 10, 0.9, action_bound=-1, truncated=True)
+
+    @pytest.mark.parametrize("bound, problem", [
+        (0, "must be > 0, got 0.0"), (np.nan, "must be a finite number, got nan"),
+        (np.inf, "must be a finite number, got inf"), (True, "must be a finite number, got True"),
+    ])
+    def test_rejects_bad_action_bound(self, bound, problem):
+        # The spec's one bound is checked before its other fields, so a gamma
+        # that is also bad does not hide it.
+        with pytest.raises(ValueError, match=re.escape(f"action_bound {problem}")):
+            MOMDPSpec(1, 1, 2, 10, 1.5, action_bound=bound, truncated=True)
+
+    def test_bound_is_a_float(self):
+        spec = MOMDPSpec(1, 1, 2, 10, 0.9, action_bound=np.float32(2), truncated=True)
+        assert type(spec.action_bound) is float and spec.action_bound == 2.0
+
+
+class TestContract:
+    def test_every_environment_defines_its_own_pieces(self):
+        # MOMDPEnv declares every piece a subclass implements, and every
+        # built-in environment defines each of them itself; only clamp is shared.
+        pieces = ("reset", "transition", "rewards", "return_lower_bound")
+        assert all(piece in vars(MOMDPEnv) for piece in pieces + ("clamp",))
+        for name, (cls, _, _) in ENVIRONMENTS.items():
+            assert [p for p in pieces if p not in vars(cls)] == [], name
+
+    @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+    def test_clamp_casts_then_clips(self, name):
+        # float32 raw actions are widened first and then clipped to the float64
+        # bound: clipping first would clamp to float32(0.1), not to 0.1.
+        env = make_env(name, action_bound=0.1)
+        raw = np.random.default_rng(7).uniform(-0.3, 0.3, (5, 3, env.spec.action_dim))
+        raw = raw.astype(np.float32)
+        raw[0, 0] = 0.1
+        clamped = env.clamp(raw)
+        want = np.clip(np.asarray(raw, float), -0.1, 0.1)
+        assert clamped.dtype == np.float64 and clamped.tobytes() == want.tobytes()
+        assert np.any(np.abs(raw) > 0.1) and np.any(np.abs(raw) < 0.1)
 
 
 class TestReset:
@@ -156,7 +194,7 @@ class TestStep:
         env = make_env("mo_quadratic")
         big = np.full(2, 100.0)
         clamped = env.clamp(big)
-        assert np.all(clamped == env.spec.action_high)
+        assert np.all(clamped == env.spec.action_bound)
         # reward reflects the clamped action
         _, reward = env_step(env, env.reset(0), big)
         diffs = clamped[None, :] - env.targets
@@ -253,7 +291,7 @@ class TestReturnLowerBound:
         corners = itertools.product((-1.0, 1.0), repeat=env.spec.action_dim)
         returns = np.array([
             mo_return(rollout_rewards(
-                env, np.tile(corner, (env.spec.horizon, 1)) * env.spec.action_high),
+                env, np.tile(corner, (env.spec.horizon, 1)) * env.spec.action_bound),
                 env.spec.gamma)
             for corner in corners
         ])
@@ -271,7 +309,7 @@ class TestReturnLowerBound:
         for _ in range(50):
             # Out-of-box actions get clamped onto the box faces.
             actions = rng.uniform(-3.0, 3.0, size=(env.spec.horizon, env.spec.action_dim))
-            ret = mo_return(rollout_rewards(env, actions * env.spec.action_high), env.spec.gamma)
+            ret = mo_return(rollout_rewards(env, actions * env.spec.action_bound), env.spec.gamma)
             assert np.all(ret >= low - 1e-9)
 
 

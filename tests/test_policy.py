@@ -37,6 +37,7 @@ from .oracles import (
     gradient_set,
     normalize_mean_std,
     ppo_update_allocating,
+    score_states,
 )
 
 
@@ -48,15 +49,15 @@ def finite_difference_log_prob(policy, params, state, action, h=1e-5):
         down = params.copy()
         down[i] -= h
         grad[i] = (
-            policy.score(up, state[None], action[None])[0][0]
-            - policy.score(down, state[None], action[None])[0][0]
+            score_states(policy, up, state[None], action[None])[0][0]
+            - score_states(policy, down, state[None], action[None])[0][0]
         ) / (2 * h)
     return grad
 
 
 def log_prob_grad(policy, params, state, action):
     """Gradient of ``log pi(action | state)`` for a single state-action pair."""
-    return policy.score(params, state[None], action[None])[1](np.ones(1))
+    return score_states(policy, params, state[None], action[None])[1](np.ones(1))
 
 
 class CountingGenerator:
@@ -275,7 +276,7 @@ def test_score_and_gradient_set_match_the_oracle_bytes(action_dim, lanes, rows, 
     actions = 2.0 * rng.standard_normal(lanes + (rows, action_dim))
     advantages = rng.standard_normal(lanes + (rows, 2))
     coeffs = advantages[..., 0] / rows
-    log_probs, grad = policy.score(params, states, actions)
+    log_probs, grad = score_states(policy, params, states, actions)
     want_log_probs, want_grad = _policy_score(policy, params, states, actions)
     assert log_probs.tobytes() == want_log_probs.tobytes()
     assert grad(coeffs).tobytes() == want_grad(coeffs).tobytes()
@@ -574,7 +575,7 @@ def test_float32_passes_match_the_oracle_bytes(action_dim, hidden, lanes):
     assert grad.dtype == np.float32
     assert grad.tobytes() == _net_backprop(net, layers, states, hid, d_out).tobytes()
 
-    log_probs, score_grad = policy.score(params, states, actions)
+    log_probs, score_grad = score_states(policy, params, states, actions)
     want_log_probs, want_grad = _policy_score(policy, params, states, actions)
     coeffs = advantages[..., 0] / rows
     assert log_probs.dtype == np.float32 and log_probs.tobytes() == want_log_probs.tobytes()
@@ -925,8 +926,8 @@ class TestRollouts:
         np.testing.assert_array_equal(next_states[:, -1], final)
         # Raw actions may exceed the bounds; the applied ones never do, so the
         # energy reward never drops below its value at a box corner.
-        assert np.any(np.abs(raw) > env.spec.action_high)
-        corner_energy = -np.sum(env.spec.action_high**2) + env.r_alive + env.shift
+        assert np.any(np.abs(raw) > env.spec.action_bound)
+        corner_energy = -env.spec.action_dim * env.spec.action_bound**2 + env.r_alive + env.shift
         assert np.all(rewards[..., 1] >= corner_energy - 1e-12)
 
     @pytest.mark.parametrize("name", ["mo_point", "mo_quadratic3"])

@@ -41,8 +41,11 @@ Times one call of each function below, many times over, in this process:
   over the ``quad2`` workload's update batch (its p lanes, one input per
   row), into caller-owned buffers, as each epoch of ``ppo_update`` runs it;
 - ``score.point``: ``GaussianPolicy.score`` of that batch's actions plus one
-  call of its ``grad``, from one pass of the stack over the batch's states,
-  in caller-owned buffers, as each epoch of ``ppo_update`` makes them;
+  call of its ``grad``, scoring one pass of the stack over the batch's
+  states, in caller-owned buffers, as each epoch of ``ppo_update`` makes
+  them. ``score`` takes the states from the pass it is given; it is called
+  by keyword, so against a tree whose ``score`` also took the states
+  positionally the row is skipped, not misread;
 - ``normalize_per_objective`` on that batch's ``(p, n, m)`` advantages;
 - ``backprop.point``: the policy mean network's backprop at that batch's
   shape, from one pass of the stack over its states, into a caller-owned
@@ -273,7 +276,7 @@ def _score_args(policy, batch) -> tuple:
 
 
 def _score(policy, batch, mean_pass, coeffs, out, work) -> np.ndarray:
-    _, grad = policy.score(batch.params, batch.states, batch.actions, mean_pass)
+    _, grad = policy.score(batch.params, actions=batch.actions, mean_pass=mean_pass)
     return grad(coeffs, out, work)
 
 
